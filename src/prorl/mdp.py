@@ -9,8 +9,8 @@ policy values.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -167,15 +167,13 @@ class Occupancy:
     def total(self) -> float:
         return float(self.mass.sum())
 
-    def conditional_policy(self, fallback: str = "uniform") -> Policy:
+    def conditional_policy(self) -> Policy:
         """Action distribution d(a|s); uniform on states with zero mass."""
         marg = self.state_marginal
         num_actions = self.mass.shape[1]
         probs = np.full_like(self.mass, 1.0 / num_actions)
         pos = marg > 0.0
         probs[pos] = self.mass[pos] / marg[pos, None]
-        if fallback != "uniform":
-            raise ValueError(f"unknown fallback {fallback!r}")
         return Policy(probs)
 
 

@@ -25,14 +25,14 @@ naming the most violated state when the covered flow polytope is empty.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
 from scipy.optimize import linprog
 
-from .mdp import Occupancy, Policy, TabularMdp, exact_occupancy, policy_return
+from .mdp import Occupancy, Policy, TabularMdp, exact_occupancy
 from .regularizers import Regularizer
 
 _MASS_EPS = 1e-12

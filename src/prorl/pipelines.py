@@ -1,18 +1,23 @@
-"""End-to-end estimation pipelines driven by JSON-friendly configs.
+"""End-to-end estimation pipeline driven by JSON-friendly configs.
 
-A run goes: resolve the MDP and data distribution, solve the instance
-exactly for reference quantities, build candidate classes around the
-exact pair, draw the offline dataset, run the max-min estimator, extract
-a policy, and evaluate everything in closed form on the MDP. Every
+One driver, ``run_pro_rl``, runs every configuration: resolve the MDP and
+data distribution, solve the instance exactly for reference quantities,
+build candidate classes around the exact pair, draw the offline dataset,
+build the empirical payoff matrix, run the max-min estimator on it,
+extract a policy, and evaluate everything in closed form on the MDP. A
+config with a ``bc`` block also holds out part of the dataset and clones
+a policy from it. Each expensive step runs once per run: one oracle solve,
+one payoff matrix shared by the saddle solver and the evaluation. Every
 random choice is keyed by seeds carried in the config, so a config fully
 determines the report.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -34,6 +39,7 @@ from .classes import (
 from .datasets import exact_frequency_dataset, generate_dataset
 from .extraction import clone_policy, extract_policy, split_dataset
 from .mdp import (
+    Occupancy,
     Policy,
     TabularMdp,
     build_counterexample,
@@ -48,7 +54,12 @@ from .objective import (
     population_lagrangian_members,
     weighted_l2,
 )
-from .oracle import capped_unregularized_value, solve_regularized, solve_unregularized
+from .oracle import (
+    RegularizedSolution,
+    capped_unregularized_value,
+    solve_regularized,
+    solve_unregularized,
+)
 from .regularizers import Regularizer
 from .saddle import solve_exact, solve_inexact
 
@@ -169,22 +180,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
-        known = {
-            "mdp",
-            "data_dist",
-            "reg",
-            "alpha",
-            "n",
-            "n0",
-            "seed",
-            "classes",
-            "variant",
-            "dataset",
-            "delta",
-            "bc",
-            "w_order",
-        }
-        unknown = set(payload) - known
+        unknown = set(payload) - {f.name for f in fields(cls)}
         if unknown:
             raise PipelineError("config", f"unknown config keys {sorted(unknown)}")
         try:
@@ -263,21 +259,13 @@ def resolve_data_dist(mdp: TabularMdp, spec: dict) -> tuple[np.ndarray, Policy]:
             raise PipelineError("data_dist", "explicit mass has the wrong shape")
         if mass.min() < 0 or abs(mass.sum() - 1.0) > 1e-9:
             raise PipelineError("data_dist", "explicit mass must be a distribution")
-        state = mass.sum(axis=1)
-        probs = np.full_like(mass, 1.0 / mdp.num_actions)
-        ok = state > 0
-        probs[ok] = mass[ok] / state[ok, None]
-        return mass, Policy(probs)
+        return mass, Occupancy(mass).conditional_policy()
     if kind == "counterexample":
         bundle = build_counterexample(mdp.gamma)
         if bundle.mdp.num_states != mdp.num_states:
             raise PipelineError("data_dist", "counterexample data needs the counterexample mdp")
-        mass = bundle.data_occupancy.mass
-        state = mass.sum(axis=1)
-        probs = np.full_like(mass, 1.0 / mdp.num_actions)
-        ok = state > 0
-        probs[ok] = mass[ok] / state[ok, None]
-        return mass, Policy(probs)
+        occ = bundle.data_occupancy
+        return occ.mass, occ.conditional_policy()
     raise PipelineError("data_dist", f"unknown data_dist kind {kind!r}")
 
 
@@ -287,6 +275,8 @@ class ReferenceSolutions:
 
     w_ref is None only transiently, when no ratio anchor exists and the
     run supplies explicit classes; it is then patched to class member 0.
+    solution is the regularized oracle solution the class builders reuse;
+    alpha=0 runs have none.
     """
 
     w_ref: Optional[np.ndarray]  # target weight the class anchors on
@@ -297,17 +287,17 @@ class ReferenceSolutions:
     j_star_alpha: float
     j_star_zero: float
     kkt_residual: float
+    solution: Optional[RegularizedSolution]
 
 
-def _alpha_zero_anchor(mdp: TabularMdp, dd: np.ndarray):
+def _alpha_zero_anchor(unreg, dd: np.ndarray) -> Optional[np.ndarray]:
     """Exact ratio d*_0 / d^D, or None where the optimum leaves the support."""
-    unreg = solve_unregularized(mdp)
     if np.any((dd <= 0) & (unreg.d_star.mass > 1e-12)):
-        return unreg, None
+        return None
     w0 = np.zeros_like(dd)
     pos = dd > 0
     w0[pos] = unreg.d_star.mass[pos] / dd[pos]
-    return unreg, w0
+    return w0
 
 
 def _resolve_references(mdp, dd, reg, alpha, variant, classes_kind) -> ReferenceSolutions:
@@ -315,7 +305,7 @@ def _resolve_references(mdp, dd, reg, alpha, variant, classes_kind) -> Reference
     j_zero = float(mdp.reward.flatten() @ unreg.d_star.mass.flatten())
     kind = variant["kind"]
     if kind == "alpha_zero":
-        _, w0 = _alpha_zero_anchor(mdp, dd)
+        w0 = _alpha_zero_anchor(unreg, dd)
         if w0 is None and classes_kind != "explicit":
             raise PipelineError(
                 "oracle",
@@ -331,6 +321,7 @@ def _resolve_references(mdp, dd, reg, alpha, variant, classes_kind) -> Reference
             j_star_alpha=float("nan"),
             j_star_zero=j_zero,
             kkt_residual=0.0,
+            solution=None,
         )
     cap = variant.get("cap") if kind == "capped" else None
     sol = solve_regularized(mdp, dd, reg, alpha, cap=cap)
@@ -348,6 +339,7 @@ def _resolve_references(mdp, dd, reg, alpha, variant, classes_kind) -> Reference
         j_star_alpha=j_alpha,
         j_star_zero=j_zero,
         kkt_residual=sol.kkt_residual,
+        solution=sol,
     )
 
 
@@ -362,9 +354,8 @@ def _build_classes(cfg: ExperimentConfig, mdp, dd, reg, refs):
             raise PipelineError("classes", "alpha=0 explicit classes need a floor")
         return vc, wc, eps_rv, eps_rw
     if kind == "misspecified":
-        sol = solve_regularized(mdp, dd, reg, cfg.alpha, cap=cfg.variant.get("cap"))
         vc, wc, eps_rv, eps_rw = build_misspecified(
-            sol,
+            refs.solution,
             spec["perturbation"],
             mdp,
             dd,
@@ -376,21 +367,13 @@ def _build_classes(cfg: ExperimentConfig, mdp, dd, reg, refs):
         return vc, wc, eps_rv, eps_rw
     if kind == "constrained":
         pi_d_probs = spec.get("pi_d")
+        anchor_w, anchor_v = refs.w_ref, refs.v_ref
         if cfg.variant["kind"] == "alpha_zero":
-            _, anchor_w = _alpha_zero_anchor(mdp, dd)
-            if anchor_w is None:
-                raise PipelineError(
-                    "classes",
-                    "constrained alpha=0 classes need the optimal occupancy "
-                    "inside the data support",
-                )
-            anchor_v = np.clip(refs.v_ref, 0.0, 1.0 / (1.0 - mdp.gamma))
-        else:
-            anchor_w, anchor_v = refs.w_ref, refs.v_ref
+            anchor_v = np.clip(anchor_v, 0.0, 1.0 / (1.0 - mdp.gamma))
         pi_d = (
             Policy(np.asarray(pi_d_probs, dtype=float))
             if pi_d_probs is not None
-            else _conditional_policy(dd, mdp.num_actions)
+            else Occupancy(dd).conditional_policy()
         )
         mix = (pi_d.probs * anchor_w).sum(axis=1)
         b_wl = spec.get("b_wl", float(mix.min()))
@@ -412,9 +395,8 @@ def _build_classes(cfg: ExperimentConfig, mdp, dd, reg, refs):
         )
         return vc, wc, eps_rv, eps_rw
     # realizable
-    sol = solve_regularized(mdp, dd, reg, cfg.alpha, cap=cfg.variant.get("cap"))
     vc, wc = build_realizable(
-        sol,
+        refs.solution,
         spec.get("num_distractors", 8),
         seed=spec.get("seed", 0),
         reg=reg,
@@ -423,14 +405,6 @@ def _build_classes(cfg: ExperimentConfig, mdp, dd, reg, refs):
         scale=spec.get("scale", 1.0),
     )
     return vc, wc, eps_rv, eps_rw
-
-
-def _conditional_policy(dd: np.ndarray, num_actions: int) -> Policy:
-    state = dd.sum(axis=1)
-    probs = np.full_like(dd, 1.0 / num_actions)
-    ok = state > 0
-    probs[ok] = dd[ok] / state[ok, None]
-    return Policy(probs)
 
 
 CSV_HEADER = (
@@ -511,20 +485,22 @@ class RunReport:
         return {name: getattr(self, name) for name in CSV_HEADER}
 
 
-def _evaluate(cfg, mdp, dd, reg, refs, vc, wc, sol_hat, pi_hat, extra):
+def _policy_l1(refs: ReferenceSolutions, pi: Policy) -> float:
+    return float(refs.d_ref_state @ np.abs(refs.pi_ref.probs - pi.probs).sum(axis=1))
+
+
+def _evaluate(cfg, mdp, dd, reg, refs, vc, wc, emp, sol_hat, pi_hat, extra):
+    """Score the run in closed form; emp is the payoff matrix the saddle used."""
     j_hat = policy_return(mdp, pi_hat)
-    pi_l1 = float(
-        refs.d_ref_state @ np.abs(refs.pi_ref.probs - pi_hat.probs).sum(axis=1)
-    )
+    pi_l1 = _policy_l1(refs, pi_hat)
     w_dev = weighted_l2(sol_hat.w_hat, refs.w_ref, dd)
-    emp = extra["emp_matrix"]
     pop = population_lagrangian_members(mdp, dd, reg, cfg.alpha, vc.members, wc.members)
     eps_hat = float(np.abs(emp - pop).max())
-    n_eff = extra.get("n_eff", cfg.n)
+    n_eff = extra["n_eff"]
     b_w = wc.b_w
     b_v = vc.b_v
     report = make_bound_report(
-        n=extra.get("n_fit", n_eff),
+        n=extra["n_fit"],
         n0=max(cfg.n0, 1),
         alpha=cfg.alpha,
         m_f=reg.m_f,
@@ -567,8 +543,8 @@ def _evaluate(cfg, mdp, dd, reg, refs, vc, wc, sol_hat, pi_hat, extra):
         rhs_realized=rhs_realized,
         rhs_capped=rhs_capped,
         bc_sample_term=extra.get("bc_sample_term"),
-        eps_rv=extra.get("eps_rv", 0.0),
-        eps_rw=extra.get("eps_rw", 0.0),
+        eps_rv=extra["eps_rv"],
+        eps_rw=extra["eps_rw"],
         eps_ov=sol_hat.eps_ov,
         eps_ow=sol_hat.eps_ow,
         w_index=sol_hat.w_index,
@@ -580,22 +556,15 @@ def _evaluate(cfg, mdp, dd, reg, refs, vc, wc, sol_hat, pi_hat, extra):
     )
 
 
+@contextlib.contextmanager
 def _staged(stage):
-    """Decorator-free stage wrapper: re-raise anything as a PipelineError."""
-
-    class _Ctx:
-        def __init__(self, name):
-            self.name = name
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, PipelineError):
-                raise PipelineError(self.name, str(exc)) from exc
-            return False
-
-    return _Ctx(stage)
+    """Run a block as one pipeline stage: re-raise anything as a PipelineError."""
+    try:
+        yield
+    except PipelineError:
+        raise
+    except BaseException as exc:
+        raise PipelineError(stage, str(exc)) from exc
 
 
 def _make_dataset(cfg: ExperimentConfig, mdp, dd):
@@ -605,7 +574,13 @@ def _make_dataset(cfg: ExperimentConfig, mdp, dd):
 
 
 def run_pro_rl(cfg: ExperimentConfig) -> RunReport:
-    """Full pipeline with direct policy extraction."""
+    """Run the estimator once, end to end, and score it.
+
+    With cfg.bc set, the dataset splits into a fitting part and a cloning
+    part: the estimator runs on the first, the witnessed-disagreement
+    cloner on the second, and the report carries both the direct-extraction
+    distance and the cloned one, so paired comparisons need a single run.
+    """
     with _staged("mdp"):
         mdp = resolve_mdp(cfg.mdp)
     with _staged("data_dist"):
@@ -619,35 +594,38 @@ def run_pro_rl(cfg: ExperimentConfig) -> RunReport:
             refs = replace(refs, w_ref=wc.members[0])
     with _staged("dataset"):
         data = _make_dataset(cfg, mdp, dd)
+        fit, held = data, None
+        if cfg.bc is not None:
+            fit, held = split_dataset(data, int(cfg.bc.get("n1", round(0.9 * data.n))))
+            if held.n == 0:
+                raise PipelineError("dataset", "the cloning split is empty; lower n1")
     with _staged("saddle"):
-        emp = empirical_lagrangian_members(data, reg, cfg.alpha, vc.members, wc.members)
+        emp = empirical_lagrangian_members(fit, reg, cfg.alpha, vc.members, wc.members)
         if cfg.variant["kind"] == "inexact":
             sol_hat = solve_inexact(
-                data,
+                emp,
                 (vc, wc),
-                reg,
-                cfg.alpha,
                 eps_ov=cfg.variant["eps_ov"],
                 eps_ow=cfg.variant["eps_ow"],
                 seed=cfg.seed + 1,
             )
         else:
-            sol_hat = solve_exact(data, (vc, wc), reg, cfg.alpha, w_order=cfg.w_order)
+            sol_hat = solve_exact(emp, (vc, wc), w_order=cfg.w_order)
     with _staged("extraction"):
         pi_hat = extract_policy(sol_hat.w_hat, pi_d).policy
+        if held is not None:
+            policies = _resolve_policy_class(cfg.bc, refs.pi_ref, mdp.num_actions)
+            pi_bar = clone_policy(sol_hat.w_hat, held, policies)
     with _staged("evaluation"):
-        return _evaluate(
-            cfg,
-            mdp,
-            dd,
-            reg,
-            refs,
-            vc,
-            wc,
-            sol_hat,
-            pi_hat,
-            {"emp_matrix": emp, "eps_rv": eps_rv, "eps_rw": eps_rw, "n_eff": data.n},
-        )
+        extra = {"eps_rv": eps_rv, "eps_rw": eps_rw, "n_eff": data.n, "n_fit": fit.n}
+        if held is not None:
+            extra.update(
+                n2=held.n,
+                num_policies=len(policies),
+                pi_l1_bc=_policy_l1(refs, pi_bar),
+                bc_sample_term=bc_sample_term(wc.b_w, len(policies), cfg.delta, held.n),
+            )
+        return _evaluate(cfg, mdp, dd, reg, refs, vc, wc, emp, sol_hat, pi_hat, extra)
 
 
 def _resolve_policy_class(spec: dict, pi_ref: Policy, num_actions: int) -> PolicyClass:
@@ -685,63 +663,7 @@ def _mix_direction(name: str, pi_ref: Policy, num_actions: int) -> np.ndarray:
 
 
 def run_pro_rl_bc(cfg: ExperimentConfig) -> RunReport:
-    """Pipeline variant that clones the policy from held-out data.
-
-    The dataset splits into a fitting part and a cloning part; the
-    estimator runs on the first, the witnessed-disagreement cloner on the
-    second. The report carries both the direct-extraction distance and
-    the cloned one, so paired comparisons need a single run.
-    """
+    """``run_pro_rl`` for configs that must clone: cfg.bc is required."""
     if cfg.bc is None:
         raise PipelineError("config", "bc settings are required for the cloning pipeline")
-    with _staged("mdp"):
-        mdp = resolve_mdp(cfg.mdp)
-    with _staged("data_dist"):
-        dd, pi_d = resolve_data_dist(mdp, cfg.data_dist)
-    reg = Regularizer.from_config(cfg.reg)
-    with _staged("oracle"):
-        refs = _resolve_references(mdp, dd, reg, cfg.alpha, cfg.variant, cfg.classes["kind"])
-    with _staged("classes"):
-        vc, wc, eps_rv, eps_rw = _build_classes(cfg, mdp, dd, reg, refs)
-        if refs.w_ref is None:
-            refs = replace(refs, w_ref=wc.members[0])
-    with _staged("dataset"):
-        data = _make_dataset(cfg, mdp, dd)
-        n1 = int(cfg.bc.get("n1", round(0.9 * data.n)))
-        d1, d2 = split_dataset(data, n1)
-        if d2.n == 0:
-            raise PipelineError("dataset", "the cloning split is empty; lower n1")
-    with _staged("saddle"):
-        emp = empirical_lagrangian_members(d1, reg, cfg.alpha, vc.members, wc.members)
-        sol_hat = solve_exact(d1, (vc, wc), reg, cfg.alpha, w_order=cfg.w_order)
-    with _staged("extraction"):
-        pi_hat = extract_policy(sol_hat.w_hat, pi_d).policy
-        policies = _resolve_policy_class(cfg.bc, refs.pi_ref, mdp.num_actions)
-        pi_bar = clone_policy(sol_hat.w_hat, d2, policies)
-    with _staged("evaluation"):
-        pi_l1_bc = float(
-            refs.d_ref_state @ np.abs(refs.pi_ref.probs - pi_bar.probs).sum(axis=1)
-        )
-        term = bc_sample_term(wc.b_w, len(policies), cfg.delta, d2.n)
-        return _evaluate(
-            cfg,
-            mdp,
-            dd,
-            reg,
-            refs,
-            vc,
-            wc,
-            sol_hat,
-            pi_hat,
-            {
-                "emp_matrix": emp,
-                "eps_rv": eps_rv,
-                "eps_rw": eps_rw,
-                "n_eff": data.n,
-                "n_fit": d1.n,
-                "n2": d2.n,
-                "num_policies": len(policies),
-                "pi_l1_bc": pi_l1_bc,
-                "bc_sample_term": term,
-            },
-        )
+    return run_pro_rl(cfg)

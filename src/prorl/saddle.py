@@ -1,11 +1,12 @@
 """Max-min estimation over finite classes.
 
-The estimator enumerates the empirical objective over every (weight,
-value) pair: each weight candidate is scored by its worst-case value
-candidate, and the best-scoring weight wins. Enumeration keeps the
-optimization error exactly zero in the default mode; the inexact mode
-instead samples uniformly among pairs within declared slacks, which is
-how optimization error enters the robustness experiments.
+The estimator reads the empirical objective over every (weight, value)
+pair from one payoff matrix (``objective.empirical_lagrangian_members``):
+each weight candidate is scored by its worst-case value candidate, and
+the best-scoring weight wins. Enumeration keeps the optimization error
+exactly zero in the default mode; the inexact mode instead samples
+uniformly among pairs within declared slacks, which is how optimization
+error enters the robustness experiments.
 """
 
 from __future__ import annotations
@@ -16,12 +17,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .classes import ValueClass, WeightClass
-from .datasets import OfflineDataset
 from .mdp import TabularMdp
-from .objective import (
-    empirical_lagrangian_members,
-    population_lagrangian_members,
-)
+from .objective import population_lagrangian_members
 from .oracle import solve_regularized
 from .regularizers import Regularizer
 
@@ -61,23 +58,30 @@ def _inner_minima(l_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return l_matrix[np.arange(l_matrix.shape[0]), v_idx], v_idx
 
 
+def _check_payoff(l_matrix: np.ndarray, classes: tuple[ValueClass, WeightClass]) -> None:
+    value_class, weight_class = classes
+    if l_matrix.shape != (len(weight_class), len(value_class)):
+        raise ValueError(
+            f"payoff matrix shape {l_matrix.shape} does not match the classes "
+            f"({len(weight_class)} weights, {len(value_class)} values)"
+        )
+
+
 def solve_exact(
-    data: OfflineDataset,
+    l_matrix: np.ndarray,
     classes: tuple[ValueClass, WeightClass],
-    reg: Regularizer,
-    alpha: float,
     w_order: Optional[Sequence[int]] = None,
 ) -> SaddleSolution:
     """Enumerate all pairs; ties at both levels go to the first index.
 
-    w_order optionally reorders the outer tie-break: among weights whose
-    worst-case values tie, the one listed earliest wins. Indices in the
-    returned solution always refer to the original class order.
+    l_matrix[i, j] is the empirical objective at weight member i and value
+    member j. w_order optionally reorders the outer tie-break: among
+    weights whose worst-case values tie, the one listed earliest wins.
+    Indices in the returned solution always refer to the original class
+    order.
     """
+    _check_payoff(l_matrix, classes)
     value_class, weight_class = classes
-    l_matrix = empirical_lagrangian_members(
-        data, reg, alpha, value_class.members, weight_class.members
-    )
     inner, v_indices = _inner_minima(l_matrix)
     order = np.arange(len(weight_class)) if w_order is None else np.asarray(w_order, dtype=int)
     if sorted(order.tolist()) != list(range(len(weight_class))):
@@ -95,10 +99,8 @@ def solve_exact(
 
 
 def solve_inexact(
-    data: OfflineDataset,
+    l_matrix: np.ndarray,
     classes: tuple[ValueClass, WeightClass],
-    reg: Regularizer,
-    alpha: float,
     eps_ov: float,
     eps_ow: float,
     seed: int,
@@ -109,14 +111,12 @@ def solve_inexact(
     to w and w's worst case sits within eps_ow of the max-min value. The
     exact solution always qualifies, so the pool is never empty. Achieved
     slacks of the selected pair are reported (they are at most the
-    requested ones).
+    requested ones). l_matrix is laid out as in ``solve_exact``.
     """
     if eps_ov < 0 or eps_ow < 0:
         raise ValueError("slacks must be nonnegative")
+    _check_payoff(l_matrix, classes)
     value_class, weight_class = classes
-    l_matrix = empirical_lagrangian_members(
-        data, reg, alpha, value_class.members, weight_class.members
-    )
     inner, _ = _inner_minima(l_matrix)
     maxmin = inner.max()
     w_ok = maxmin - inner <= eps_ow

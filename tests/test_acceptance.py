@@ -24,6 +24,7 @@ from prorl.mdp import (
     random_mdp,
     uniform_policy,
 )
+from prorl.objective import empirical_lagrangian_members
 from prorl.oracle import solve_regularized
 from prorl.pipelines import ExperimentConfig, run_pro_rl
 from prorl.regularizers import Regularizer
@@ -115,7 +116,8 @@ def test_02_regularization_restores_identifiability(verdict):
         good = 0
         for seed in range(20):
             data = generate_dataset(bundle.mdp, dd, 10000, 10000, seed)
-            sol_hat = solve_exact(data, (vc, wc), reg, alpha)
+            l_matrix = empirical_lagrangian_members(data, reg, alpha, vc.members, wc.members)
+            sol_hat = solve_exact(l_matrix, (vc, wc))
             pi_hat = extract_policy(sol_hat.w_hat, pi_d).policy
             good += bool(pi_hat.probs[bundle.A, bundle.LEFT] > 0.999)
         successes.append(good)

@@ -1,12 +1,17 @@
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from prorl import pipelines
 from prorl.mdp import random_mdp
 from prorl.oracle import capped_unregularized_value
 from prorl.pipelines import (
     CSV_HEADER,
     ExperimentConfig,
     PipelineError,
+    _staged,
     resolve_data_dist,
     resolve_mdp,
     run_pro_rl,
@@ -227,6 +232,22 @@ class TestRunProRl:
         assert report.eps_hat < 1e-12
 
 
+class TestStaged:
+    def test_foreign_errors_are_wrapped_with_the_stage(self):
+        with pytest.raises(PipelineError, match=r"^\[saddle\] boom$") as info:
+            with _staged("saddle"):
+                raise ValueError("boom")
+        assert info.value.stage == "saddle"
+        assert isinstance(info.value.__cause__, ValueError)
+
+    def test_pipeline_errors_pass_through(self):
+        inner = PipelineError("dataset", "split")
+        with pytest.raises(PipelineError) as info:
+            with _staged("saddle"):
+                raise inner
+        assert info.value is inner
+
+
 class TestRunProRlBc:
     def test_requires_bc_settings(self):
         with pytest.raises(PipelineError, match="bc settings"):
@@ -259,3 +280,93 @@ class TestRunProRlBc:
         cfg = base_config(n=2000, bc={"n1": 2000, "kind": "target_plus_mixes"})
         with pytest.raises(PipelineError, match="cloning split"):
             run_pro_rl_bc(cfg)
+
+
+def _capped_config():
+    fx = capped_fixture()
+    return base_config(
+        mdp=fx["mdp"],
+        data_dist=fx["data_dist"],
+        alpha=0.1,
+        classes={"kind": "constrained", "num_distractors": 4, "seed": 0},
+        variant={"kind": "capped", "cap": fx["cap"]},
+    )
+
+
+def _counterexample_config(alpha, variant):
+    fx = counterexample_fixture()
+    return base_config(
+        mdp=fx["mdp"],
+        data_dist=fx["data_dist"],
+        alpha=alpha,
+        n=6,
+        n0=1,
+        classes=fx["classes"],
+        variant=variant,
+        dataset={"kind": "exact_frequency", "repeats": 1},
+    )
+
+
+RUN_VARIANTS = {
+    "realizable": base_config,
+    "misspecified": lambda: base_config(
+        classes={"kind": "misspecified", "perturbation": 0.1, "num_distractors": 4, "seed": 1}
+    ),
+    "constrained": lambda: base_config(classes={"kind": "constrained", "num_distractors": 4}),
+    "explicit": lambda: _counterexample_config(0.3, {"kind": "plain"}),
+    "capped": _capped_config,
+    "inexact": lambda: base_config(variant={"kind": "inexact", "eps_ov": 0.05, "eps_ow": 0.05}),
+    "alpha_zero": lambda: base_config(
+        alpha=0.0,
+        variant={"kind": "alpha_zero"},
+        classes={"kind": "constrained", "num_distractors": 4},
+    ),
+    "alpha_zero_explicit": lambda: _counterexample_config(0.0, {"kind": "alpha_zero"}),
+    "bc": lambda: base_config(
+        n=2500, bc={"n1": 2000, "kind": "target_plus_mixes", "mix_grid": [0.1, 0.4]}
+    ),
+}
+
+
+class TestEachStepOncePerRun:
+    """One oracle solve of each kind and one payoff-matrix build per run.
+
+    The counters wrap the names in prorl.pipelines and in every other prorl
+    namespace that binds the same function, so a second build anywhere in
+    the package is seen.
+    """
+
+    COUNTED = ("empirical_lagrangian_members", "solve_regularized", "solve_unregularized")
+
+    def count_calls(self, monkeypatch) -> Counter:
+        counts = Counter()
+        for name in self.COUNTED:
+            original = getattr(pipelines, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            for mod_name, module in list(sys.modules.items()):
+                if mod_name.split(".")[0] == "prorl" and getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("variant", sorted(RUN_VARIANTS))
+    def test_counts(self, variant, monkeypatch):
+        cfg = RUN_VARIANTS[variant]()
+        counts = self.count_calls(monkeypatch)
+        run_pro_rl(cfg)
+        assert counts["empirical_lagrangian_members"] == 1
+        assert counts["solve_regularized"] <= 1
+        assert counts["solve_unregularized"] <= 1
+
+    def test_realizable_run_solves_the_oracle(self, monkeypatch):
+        # the counters are live: the one reference solve is seen
+        counts = self.count_calls(monkeypatch)
+        run_pro_rl(base_config())
+        assert counts["solve_regularized"] == 1
+
+    def test_cloning_guard_matches_single_driver(self):
+        cfg = RUN_VARIANTS["bc"]()
+        assert run_pro_rl(cfg).to_row() == run_pro_rl_bc(cfg).to_row()

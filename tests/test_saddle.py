@@ -20,6 +20,10 @@ from prorl.saddle import (
 )
 
 
+def payoff(data, classes, reg, alpha):
+    return empirical_lagrangian_members(data, reg, alpha, classes[0].members, classes[1].members)
+
+
 def make_instance(seed, n=400, alpha=0.3, num_distractors=6, mode="box"):
     mdp = random_mdp(4, 2, 0.8, seed=seed)
     dd = exact_occupancy(mdp, uniform_policy(4, 2)).mass
@@ -35,24 +39,22 @@ class TestSolveExact:
         _, _, reg, sol, _, data = make_instance(0)
         vc = ValueClass((sol.v_star,), b_v=float(np.abs(sol.v_star).max()) + 1.0, lower=-10.0)
         wc = WeightClass((sol.w_star,), b_w=float(sol.w_star.max()) + 1.0)
-        out = solve_exact(data, (vc, wc), reg, 0.3)
+        out = solve_exact(payoff(data, (vc, wc), reg, 0.3), (vc, wc))
         assert out.w_index == 0 and out.v_index == 0
         np.testing.assert_array_equal(out.w_hat, sol.w_star)
         assert out.eps_ov == 0.0 and out.eps_ow == 0.0
 
     def test_matches_double_loop(self):
         _, _, reg, _, classes, data = make_instance(1)
-        out = solve_exact(data, classes, reg, 0.3)
-        l_matrix = empirical_lagrangian_members(
-            data, reg, 0.3, classes[0].members, classes[1].members
-        )
+        l_matrix = payoff(data, classes, reg, 0.3)
+        out = solve_exact(l_matrix, classes)
         w_idx, v_idx, value = double_loop_saddle(l_matrix)
         assert (out.w_index, out.v_index) == (w_idx, v_idx)
         assert out.value == pytest.approx(value, abs=0.0)
 
     def test_value_consistent_with_scalar_objective(self):
         _, _, reg, _, classes, data = make_instance(2)
-        out = solve_exact(data, classes, reg, 0.3)
+        out = solve_exact(payoff(data, classes, reg, 0.3), classes)
         direct = empirical_lagrangian(data, reg, 0.3, out.v_hat, out.w_hat)
         assert out.value == pytest.approx(direct, abs=1e-12)
 
@@ -65,21 +67,30 @@ class TestSolveExact:
         vc = ValueClass(tuple(bundle.v_members), b_v=2.0, lower=0.0)
         wc = WeightClass(tuple(bundle.w_members), b_w=3.0)
         reg = Regularizer(m_f=1.0)
-        friendly = solve_exact(data, (vc, wc), reg, alpha=0.0)
+        l_matrix = payoff(data, (vc, wc), reg, 0.0)
+        friendly = solve_exact(l_matrix, (vc, wc))
         assert friendly.w_index == 0
-        adversarial = solve_exact(data, (vc, wc), reg, alpha=0.0, w_order=[1, 0])
+        adversarial = solve_exact(l_matrix, (vc, wc), w_order=[1, 0])
         assert adversarial.w_index == 1
         assert adversarial.value == pytest.approx(friendly.value, abs=0.0)
 
     def test_w_order_must_be_permutation(self):
         _, _, reg, _, classes, data = make_instance(3)
         with pytest.raises(ValueError, match="permutation"):
-            solve_exact(data, classes, reg, 0.3, w_order=[0, 0, 1, 2, 3, 4, 5])
+            solve_exact(payoff(data, classes, reg, 0.3), classes, w_order=[0, 0, 1, 2, 3, 4, 5])
+
+    def test_payoff_shape_must_match_classes(self):
+        _, _, reg, _, classes, data = make_instance(3)
+        l_matrix = payoff(data, classes, reg, 0.3)
+        with pytest.raises(ValueError, match="does not match"):
+            solve_exact(l_matrix[:, 1:], classes)
+        with pytest.raises(ValueError, match="does not match"):
+            solve_inexact(l_matrix[1:], classes, 0.0, 0.0, seed=0)
 
     def test_deterministic(self):
         _, _, reg, _, classes, data = make_instance(4)
-        a = solve_exact(data, classes, reg, 0.3)
-        b = solve_exact(data, classes, reg, 0.3)
+        a = solve_exact(payoff(data, classes, reg, 0.3), classes)
+        b = solve_exact(payoff(data, classes, reg, 0.3), classes)
         assert a.w_index == b.w_index and a.v_index == b.v_index
         assert a.value == b.value
 
@@ -87,18 +98,17 @@ class TestSolveExact:
 class TestSolveInexact:
     def test_zero_slacks_reduce_to_exact(self):
         _, _, reg, _, classes, data = make_instance(5)
-        exact = solve_exact(data, classes, reg, 0.3)
-        loose = solve_inexact(data, classes, reg, 0.3, eps_ov=0.0, eps_ow=0.0, seed=9)
+        l_matrix = payoff(data, classes, reg, 0.3)
+        exact = solve_exact(l_matrix, classes)
+        loose = solve_inexact(l_matrix, classes, eps_ov=0.0, eps_ow=0.0, seed=9)
         assert (loose.w_index, loose.v_index) == (exact.w_index, exact.v_index)
         assert loose.eps_ov == 0.0 and loose.eps_ow == 0.0
 
     def test_infinite_slacks_report_achieved(self):
         _, _, reg, _, classes, data = make_instance(6)
         big = float("inf")
-        out = solve_inexact(data, classes, reg, 0.3, eps_ov=big, eps_ow=big, seed=3)
-        l_matrix = empirical_lagrangian_members(
-            data, reg, 0.3, classes[0].members, classes[1].members
-        )
+        l_matrix = payoff(data, classes, reg, 0.3)
+        out = solve_inexact(l_matrix, classes, eps_ov=big, eps_ow=big, seed=3)
         inner = l_matrix.min(axis=1)
         assert out.eps_ov == pytest.approx(l_matrix[out.w_index, out.v_index] - inner[out.w_index])
         assert out.eps_ow == pytest.approx(inner.max() - inner[out.w_index])
@@ -109,7 +119,7 @@ class TestSolveInexact:
             _, _, reg, _, classes, data = make_instance(trial % 5, n=150, num_distractors=4)
             req_ov, req_ow = rng.uniform(0, 0.5, size=2)
             out = solve_inexact(
-                data, classes, reg, 0.3, eps_ov=req_ov, eps_ow=req_ow, seed=trial
+                payoff(data, classes, reg, 0.3), classes, eps_ov=req_ov, eps_ow=req_ow, seed=trial
             )
             assert out.eps_ov <= req_ov + 1e-12
             assert out.eps_ow <= req_ow + 1e-12
@@ -117,12 +127,13 @@ class TestSolveInexact:
     def test_negative_slack_rejected(self):
         _, _, reg, _, classes, data = make_instance(7)
         with pytest.raises(ValueError, match="nonnegative"):
-            solve_inexact(data, classes, reg, 0.3, eps_ov=-0.1, eps_ow=0.0, seed=0)
+            solve_inexact(payoff(data, classes, reg, 0.3), classes, eps_ov=-0.1, eps_ow=0.0, seed=0)
 
     def test_seed_controls_selection(self):
         _, _, reg, _, classes, data = make_instance(8)
+        l_matrix = payoff(data, classes, reg, 0.3)
         picks = {
-            solve_inexact(data, classes, reg, 0.3, 10.0, 10.0, seed=s).w_index
+            solve_inexact(l_matrix, classes, 10.0, 10.0, seed=s).w_index
             for s in range(12)
         }
         assert len(picks) > 1  # wide slacks admit many pairs
@@ -159,8 +170,8 @@ class TestPopulationChain:
     def test_value_and_weight_deviation_envelopes(self, seed):
         mdp, dd, reg, sol, classes, data = make_instance(seed, n=300, num_distractors=8)
         alpha = 0.3
-        out = solve_exact(data, classes, reg, alpha)
-        emp = empirical_lagrangian_members(data, reg, alpha, classes[0].members, classes[1].members)
+        emp = payoff(data, classes, reg, alpha)
+        out = solve_exact(emp, classes)
         pop = population_lagrangian_members(
             mdp, dd, reg, alpha, classes[0].members, classes[1].members
         )
