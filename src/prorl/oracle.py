@@ -7,19 +7,23 @@ The regularized problem (for a data distribution d^D with support cells c):
 
 two independent solution paths are provided:
 
-  "saddle"  extragradient on the Lagrangian saddle point followed by a damped
-            semismooth Newton refinement of the dual optimality map; the
+  "saddle"  damped semismooth Newton on the dual, started from v = 0; the
             weight is always the clipped stationarity form of the dual
             variable, so the returned pair is machine-accurate on both the
-            flow constraints and the stationarity conditions.
+            flow constraints and the stationarity conditions. When Newton
+            stalls above the KKT tolerance, the "qp" path solves the same
+            support instead, and the solution records which path produced it.
 
   "qp"      the primal quadratic program by ADMM (alternating exact
             minimization of the augmented Lagrangian: an equality-constrained
             QP step and a box projection step) with an active-set polish;
-            shares no iteration logic with the saddle path.
+            shares no iteration logic with Newton, so method="qp" is the
+            independent cross-check of the default path.
 
 Both paths run a phase-1 feasibility check first and raise FlowInfeasibleError
-naming the most violated state when the covered flow polytope is empty.
+naming the most violated state when the covered flow polytope is empty. When
+no path reaches the tolerance, SolverConvergenceError names every path tried
+with its residual.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgetrs
 from scipy.optimize import linprog
 
 from .mdp import Occupancy, Policy, TabularMdp, exact_occupancy
@@ -183,99 +188,60 @@ def _kkt_residuals(
     return clip_dev, float(np.abs(flow).max())
 
 
-def _extragradient(sup, mdp, reg, alpha, cap_eff, budget, switch_tol):
-    """Population extragradient with d^D-weighted ascent geometry.
+def _newton(sup, mdp, reg, alpha, cap_eff, tol, max_iter=200):
+    """Damped semismooth Newton on the dual, started from v = 0.
 
-    Step sizes shrink as 1/sqrt(k) for the first stretch and stay fixed
-    afterwards. Returns the iterate when the joint KKT residual falls under
-    switch_tol or the budget runs out.
+    The dual g(v) = (1-gamma) mu0.v + sum_c d^D_c max_{0<=w<=cap} (e_c w - alpha f(w)),
+    e = r - B v, is convex with the piecewise-linear gradient -Phi(v), where
+    Phi(v) = B^T(d^D w(v)) - (1-gamma) mu0. Each step solves
+    (H + ridge |Phi| I) s = Phi, with H the generalized Hessian over the
+    interior cells; the ridge term keeps the system definite where H is
+    singular and vanishes at the solution. The ridge factor shrinks after a
+    full step and grows after a shortened one (Levenberg-Marquardt), so long
+    linear stretches of g take few steps. The step is halved until g falls by
+    more than rounding and enough (Armijo) or, with g flat to rounding, until
+    |Phi| falls; g never rises, so the iteration cannot cycle. Stops at
+    |Phi| <= tol, when no step length improves (the residual stopped
+    improving), or after max_iter steps.
     """
-    mu_term = (1.0 - mdp.gamma) * mdp.init_dist
-    coupling = np.linalg.norm(sup.b_mat * sup.weights[:, None], 2)
-    eta0 = 1.0 / (2.0 * coupling + alpha * reg.m_f + 1.0)
-    eta_floor = eta0 / 10.0
-    v = np.zeros(sup.num_states)
-    w = np.ones(sup.num_cells)
-
-    def grads(v_pt, w_pt):
-        e = sup.rewards - sup.b_mat @ v_pt
-        g_v = mu_term - sup.b_mat.T @ (sup.weights * w_pt)  # gradient wrt v
-        g_w = e - alpha * reg.deriv(w_pt)  # d^D-preconditioned gradient wrt w
-        return g_v, g_w
-
-    iterations = 0
-    for k in range(budget):
-        iterations = k + 1
-        eta = max(eta0 / np.sqrt(1.0 + k / 50.0), eta_floor)
-        g_v, g_w = grads(v, w)
-        v_half = v - eta * g_v
-        w_half = np.clip(w + eta * g_w, 0.0, cap_eff)
-        g_v2, g_w2 = grads(v_half, w_half)
-        v = v - eta * g_v2
-        w = np.clip(w + eta * g_w2, 0.0, cap_eff)
-        if k % 25 == 0:
-            clip_dev, flow_dev = _kkt_residuals(sup, mdp, reg, alpha, v, w, cap_eff)
-            if max(clip_dev, flow_dev) < switch_tol:
-                break
-    return v, w, iterations
-
-
-def _newton_refine(sup, mdp, reg, alpha, cap_eff, v0, tol, max_iter=200):
-    """Damped semismooth Newton on the dual map Phi(v) = B^T(d^D w(v)) - (1-g)mu0."""
     mu_term = (1.0 - mdp.gamma) * mdp.init_dist
     scale = alpha * reg.m_f
 
-    def w_of(v):
+    def at(v):
         e = sup.rewards - sup.b_mat @ v
-        return np.clip(reg.deriv_inverse(e / alpha), 0.0, cap_eff), e
+        w = np.clip(reg.deriv_inverse(e / alpha), 0.0, cap_eff)
+        g = mu_term @ v + sup.weights @ (e * w - alpha * reg.eval(w))
+        return e, w, g, sup.b_mat.T @ (sup.weights * w) - mu_term
 
-    def phi_of(w_cells):
-        return sup.b_mat.T @ (sup.weights * w_cells) - mu_term
-
-    v = v0.copy()
-    w, e = w_of(v)
-    phi = phi_of(w)
-    best_norm = np.abs(phi).max()
+    v = np.zeros(sup.num_states)
+    e, w, g, phi = at(v)
+    norm = np.abs(phi).max()
+    ridge = 1.0
     iterations = 0
-    ridge = 0.0
-    for it in range(max_iter):
-        iterations = it + 1
-        if best_norm <= tol:
-            break
+    while norm > tol and iterations < max_iter:
+        iterations += 1
         interior = (e > 0.0) & (e < scale * cap_eff)
-        diag = sup.weights * interior
-        hess = (sup.b_mat.T * diag) @ sup.b_mat / scale
-        step = None
-        lam = ridge
-        for _ in range(8):
-            try:
-                step = np.linalg.solve(hess + lam * np.eye(sup.num_states), phi)
-            except np.linalg.LinAlgError:
-                step = None
-            if step is not None and np.all(np.isfinite(step)):
-                break
-            lam = max(lam * 10.0, 1e-12 * (1.0 + np.trace(hess)))
-        if step is None or not np.all(np.isfinite(step)):
+        hess = (sup.b_mat.T * (sup.weights * interior)) @ sup.b_mat / scale
+        try:
+            step = np.linalg.solve(hess + ridge * norm * np.eye(sup.num_states), phi)
+        except np.linalg.LinAlgError:
             break
-        improved = False
+        slope = -phi @ step
+        roundoff = 1e-12 * (1.0 + abs(g))
         t = 1.0
         for _ in range(40):
             v_try = v + t * step
-            w_try, e_try = w_of(v_try)
-            phi_try = phi_of(w_try)
+            e_try, w_try, g_try, phi_try = at(v_try)
             norm_try = np.abs(phi_try).max()
-            if norm_try < best_norm * (1.0 - 1e-4 * t) or norm_try < tol:
-                v, w, e, phi, best_norm = v_try, w_try, e_try, phi_try, norm_try
-                improved = True
+            if g_try < g - roundoff and g_try <= g + 1e-4 * t * slope:
+                break
+            if g_try <= g + roundoff and norm_try < norm * (1.0 - 1e-4 * t):
                 break
             t *= 0.5
-        if improved:
-            ridge = 0.0
         else:
-            # flat direction (degenerate active set): bump the ridge and retry
-            ridge = max(ridge * 10.0, 1e-10 * (1.0 + np.trace(hess)))
-            if ridge > 1e6:
-                break
+            break  # the residual stopped improving along this direction
+        ridge = max(ridge / 4.0, 1e-8) if t == 1.0 else min(ridge * 4.0, 1e8)
+        v, e, w, g, phi, norm = v_try, e_try, w_try, g_try, phi_try, norm_try
     return v, w, iterations
 
 
@@ -307,14 +273,12 @@ def _admm_qp(q_diag, lin, a_mat, b_vec, upper, rho=None, tol=1e-10, max_iter=200
     for it in range(max_iter):
         iterations = it + 1
         rhs[:m] = lin + rho * (z - y)
-        sol = scipy.linalg.lu_solve((lu, piv), rhs)
+        sol, _ = dgetrs(lu, piv, rhs)  # lu_solve's LAPACK call without its checks
         x, nu = sol[:m], sol[m:]
         z_old = z
-        z = np.clip(x + y, 0.0, upper)
+        z = np.minimum(np.maximum(x + y, 0.0), upper)  # np.clip, less call overhead
         y = y + x - z
-        prim = np.abs(x - z).max() if m else 0.0
-        dual = rho * np.abs(z - z_old).max() if m else 0.0
-        if prim < tol and dual < tol:
+        if np.abs(x - z).max() < tol and rho * np.abs(z - z_old).max() < tol:
             converged = True
             break
     return x, z, nu, iterations, converged
@@ -328,9 +292,8 @@ def _active_set_polish(q_diag, lin, a_mat, b_vec, upper, x, band=1e-7):
     """
     m = q_diag.shape[0]
     s = a_mat.shape[0]
-    scale = max(float(upper[np.isfinite(upper)].max(initial=1.0)), 1.0)
-    at_lo = x <= band * scale
-    at_hi = np.isfinite(upper) & (x >= upper - band * scale)
+    at_lo = x <= band
+    at_hi = np.isfinite(upper) & (x >= upper - band)
     free = ~(at_lo | at_hi)
     x_fix = np.where(at_hi, upper, 0.0)
     n_free = int(free.sum())
@@ -344,8 +307,7 @@ def _active_set_polish(q_diag, lin, a_mat, b_vec, upper, x, band=1e-7):
     x_new[free] = sol[:n_free]
     nu = sol[n_free:]
     # verify the guess: free vars inside the box, fixed vars with valid signs
-    tol = 1e-8 * scale
-    if n_free and (x_new[free].min() < -tol or np.any(x_new[free] > upper[free] + tol)):
+    if n_free and (x_new[free].min() < -1e-8 or np.any(x_new[free] > upper[free] + 1e-8)):
         return None
     grad = q_diag * x_new - lin + a_mat.T @ nu
     if np.any(grad[at_lo] < -1e-7) or np.any(grad[at_hi] > 1e-7):
@@ -354,6 +316,16 @@ def _active_set_polish(q_diag, lin, a_mat, b_vec, upper, x, band=1e-7):
     if resid > 1e-8:
         return None
     return np.clip(x_new, 0.0, upper), nu
+
+
+def _qp_path(sup, mdp, reg, alpha, upper, max_iter):
+    """The primal QP in d by ADMM, then an active-set polish of its box iterate."""
+    q_diag = alpha * reg.m_f / sup.weights
+    qp_args = (q_diag, sup.rewards, sup.b_mat.T, (1.0 - mdp.gamma) * mdp.init_dist, upper)
+    _, z, nu, iterations, _ = _admm_qp(*qp_args, tol=1e-9, max_iter=max_iter)
+    polished = _active_set_polish(*qp_args, z)
+    d_cells, v = polished if polished is not None else (z, nu)
+    return v, d_cells / sup.weights, iterations
 
 
 def solve_regularized(
@@ -373,15 +345,26 @@ def solve_regularized(
     cap : explicit weight bound B_w, or None for the uncapped problem (a wide
         box ten times the largest feasible ratio is used internally and must
         be inactive at the solution).
-    method : "saddle" (extragradient + Newton refinement, default) or "qp"
-        (ADMM with active-set polish); the two share no iteration logic.
+    method : "saddle" (default): damped Newton on the dual from v = 0, and
+        the "qp" path on the same support when Newton stalls above tol.
+        "qp": ADMM with active-set polish only; it shares no iteration logic
+        with Newton and serves as the independent cross-check.
     tol : required bound on the joint KKT residual (clip-form deviation and
         flow violation); the returned certificate is usually far tighter.
+    budget : cap on the ADMM iterations of the "qp" path (at most 200,000);
+        Newton is not affected.
+
+    The solution's ``method`` is the path that produced it ("saddle" or
+    "qp"; a "saddle" request that fell back reads "qp") and ``iterations``
+    counts the iterations of every path tried. Raises SolverConvergenceError
+    naming each path and its residual when none reaches tol.
     """
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}; use solve_unregularized")
     if cap is not None and cap <= 0.0:
         raise ValueError("cap must be positive when given")
+    if method not in ("saddle", "qp"):
+        raise ValueError(f"unknown method {method!r}, expected 'saddle' or 'qp'")
     dd = _data_mass(data_dist)
     sup = _build_support(mdp, dd)
     b_big = 10.0 / sup.weights.min()
@@ -389,39 +372,21 @@ def solve_regularized(
     upper = cap_eff * sup.weights
     _check_flow_feasible(sup, mdp, upper)
 
-    if method == "saddle":
-        v0, _, it_eg = _extragradient(
-            sup, mdp, reg, alpha, cap_eff, budget=min(budget, 20_000), switch_tol=1e-2
-        )
-        v, w_cells, it_nt = _newton_refine(
-            sup, mdp, reg, alpha, cap_eff, v0, tol=min(tol, 1e-12) * 0.1
-        )
-        iterations = it_eg + it_nt
-    elif method == "qp":
-        q_diag = alpha * reg.m_f / sup.weights
-        x, z, nu, iterations, _ = _admm_qp(
-            q_diag, sup.rewards, sup.b_mat.T, (1.0 - mdp.gamma) * mdp.init_dist, upper,
-            tol=1e-9, max_iter=min(budget, 200_000),
-        )
-        polished = _active_set_polish(
-            q_diag, sup.rewards, sup.b_mat.T, (1.0 - mdp.gamma) * mdp.init_dist, upper, z
-        )
-        if polished is not None:
-            d_cells, nu = polished
+    iterations = 0
+    stalls = []
+    for path in ("saddle", "qp") if method == "saddle" else ("qp",):
+        if path == "saddle":
+            v, w_cells, its = _newton(sup, mdp, reg, alpha, cap_eff, tol=min(tol, 1e-12) * 0.1)
         else:
-            d_cells = z
-        v = nu
-        w_cells = d_cells / sup.weights
+            v, w_cells, its = _qp_path(sup, mdp, reg, alpha, upper, max_iter=min(budget, 200_000))
+        iterations += its
+        clip_dev, flow_dev = _kkt_residuals(sup, mdp, reg, alpha, v, w_cells, cap_eff)
+        kkt = max(clip_dev, flow_dev)
+        if kkt <= tol:
+            break
+        stalls.append(f"{path} path stalled at KKT residual {kkt:.3e} after {its} iterations")
     else:
-        raise ValueError(f"unknown method {method!r}, expected 'saddle' or 'qp'")
-
-    clip_dev, flow_dev = _kkt_residuals(sup, mdp, reg, alpha, v, w_cells, cap_eff)
-    kkt = max(clip_dev, flow_dev)
-    if kkt > tol:
-        raise SolverConvergenceError(
-            f"{method} path stalled at KKT residual {kkt:.3e} (tol {tol:.1e}) "
-            f"after {iterations} iterations"
-        )
+        raise SolverConvergenceError("; ".join(stalls) + f" (tol {tol:.1e})")
     if cap is None and w_cells.max() > 0.999 * b_big:
         raise SolverConvergenceError(
             "solution pressed against the internal feasibility box; the uncapped "
@@ -446,7 +411,7 @@ def solve_regularized(
         clip_residual=clip_dev,
         flow_residual=flow_dev,
         zero_occupancy_states=zero_states,
-        method=method,
+        method=path,
         iterations=iterations,
     )
 

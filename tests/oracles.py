@@ -116,3 +116,30 @@ def enumerate_deterministic_occupancies(mdp):
         d = np.linalg.solve(eye - mdp.gamma * p_pi.T, (1.0 - mdp.gamma) * mdp.init_dist)
         out.append(np.maximum(d, 0.0))
     return np.array(out)
+
+
+def covered_flow_feasible(mdp, data_mass, cap=None):
+    """Is some occupancy supported on the data within d <= cap * d^D?
+
+    One HiGHS feasibility LP over all S*A cells (uncovered cells pinned to
+    zero), independent of the package's phase-1 program on the support.
+    """
+    from scipy.optimize import linprog
+
+    s_dim, a_dim = mdp.reward.shape
+    flow = np.kron(np.eye(s_dim), np.ones(a_dim)) - mdp.gamma * mdp.transition.reshape(
+        s_dim * a_dim, s_dim
+    ).T
+    bounds = [
+        (0.0, 0.0) if m <= 0.0 else (0.0, None if cap is None else cap * m)
+        for m in np.asarray(data_mass).ravel()
+    ]
+    res = linprog(
+        np.zeros(s_dim * a_dim),
+        A_eq=flow,
+        b_eq=(1.0 - mdp.gamma) * mdp.init_dist,
+        bounds=bounds,
+        method="highs",
+    )
+    assert res.status in (0, 2), res.message
+    return res.status == 0

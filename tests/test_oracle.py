@@ -26,6 +26,8 @@ from prorl.oracle import (
 )
 from prorl.regularizers import Regularizer
 
+from oracles import covered_flow_feasible
+
 
 def uniform_behavior(mdp):
     return exact_occupancy(mdp, uniform_policy(mdp.num_states, mdp.num_actions)).mass
@@ -155,6 +157,91 @@ class TestSolveRegularized:
         payload = sol.to_dict()
         assert set(payload) == {"alpha", "v_star", "w_star", "pi_star", "kkt_residual"}
         assert payload["alpha"] == 0.5
+
+
+def hard_instance(rng):
+    """One draw from the hard family: sparse support, caps, small alpha, gamma to 0.95.
+
+    Dirichlet(0.4) transitions; a behavior policy with about 35 % of its cells
+    zeroed (one action per state always kept); data whose state marginal mixes
+    the behavior occupancy with a random one, so capped instances can be
+    infeasible. Returns (mdp, data mass, alpha, cap).
+    """
+    s = int(rng.integers(3, 11))
+    a = int(rng.integers(2, 5))
+    gamma = float(rng.uniform(0.5, 0.95))
+    alpha = float(10.0 ** rng.uniform(-3.0, 0.0))
+    cap = (None, 1.5, 3.0)[int(rng.integers(3))]
+    transition = rng.dirichlet(np.full(s, 0.4), size=(s, a))
+    reward = rng.uniform(0.0, 1.0, size=(s, a))
+    init = rng.dirichlet(np.ones(s))
+    probs = rng.dirichlet(np.ones(a), size=s)
+    probs[rng.random((s, a)) < 0.35] = 0.0
+    probs[np.arange(s), rng.integers(a, size=s)] += 1e-3
+    probs /= probs.sum(axis=1, keepdims=True)
+    mdp = TabularMdp(s, a, transition, reward, gamma, init)
+    p_pi = np.einsum("sa,sat->st", probs, transition)
+    d_state = np.linalg.solve(np.eye(s) - gamma * p_pi.T, (1.0 - gamma) * init)
+    mass = (0.6 * d_state + 0.4 * rng.dirichlet(np.ones(s)))[:, None] * probs
+    return mdp, mass / mass.sum(), alpha, cap
+
+
+def newton_stall_instance():
+    """A capped hard-family instance with alpha drawn from [1e-5, 1e-2].
+
+    At alpha ~1.8e-4, below the family's range, Newton runs out of steps here
+    (and at alpha 10 % either side); ADMM solves it in about 20,000 steps.
+    """
+    rng = np.random.default_rng(183)
+    mdp, dd, _, cap = hard_instance(rng)
+    return mdp, dd, float(10.0 ** rng.uniform(-5.0, -2.0)), cap
+
+
+class TestHardInstances:
+    def test_default_path_solves_every_feasible_instance(self):
+        rng = np.random.default_rng(0)
+        reg = Regularizer()
+        feasible = infeasible = 0
+        for _ in range(48):
+            mdp, dd, alpha, cap = hard_instance(rng)
+            if not covered_flow_feasible(mdp, dd, cap):
+                infeasible += 1
+                with pytest.raises(FlowInfeasibleError):
+                    solve_regularized(mdp, dd, reg, alpha, cap=cap)
+                continue
+            feasible += 1
+            sol = solve_regularized(mdp, dd, reg, alpha, cap=cap)
+            ref = solve_regularized(mdp, dd, reg, alpha, cap=cap, method="qp")
+            assert sol.kkt_residual <= 1e-8
+            assert np.abs(sol.w_star - ref.w_star).max() <= 1e-7
+        assert feasible > 0 and infeasible > 0
+
+    def test_cross_check_instances_stay_on_newton(self):
+        # the 200 instances of acceptance 03: the default path must not fall
+        # back there, or the cross-check would compare "qp" with itself
+        rng = np.random.default_rng(2024)
+        for k in range(100):
+            s = int(rng.integers(2, 9))
+            a = int(rng.integers(2, 4))
+            gamma = float(rng.uniform(0.5, 0.9))
+            mdp = random_mdp(s, a, gamma, seed=1000 + k)
+            dd = uniform_behavior(mdp)
+            for alpha in (0.05, 0.5):
+                assert solve_regularized(mdp, dd, Regularizer(), alpha).method == "saddle"
+
+    def test_newton_stall_falls_back_to_qp(self):
+        mdp, dd, alpha, cap = newton_stall_instance()
+        sol = solve_regularized(mdp, dd, Regularizer(), alpha, cap=cap)
+        assert sol.method == "qp"
+        assert sol.kkt_residual <= 1e-8
+        assert sol.w_star.max() <= cap + 1e-10
+
+    def test_both_paths_stalled_raise(self):
+        mdp, dd, alpha, cap = newton_stall_instance()
+        with pytest.raises(SolverConvergenceError) as err:
+            solve_regularized(mdp, dd, Regularizer(), alpha, cap=cap, budget=1)
+        assert "saddle path stalled" in str(err.value)
+        assert "qp path stalled" in str(err.value)
 
 
 class TestSolveUnregularized:
