@@ -1,0 +1,63 @@
+"""Micro-benchmarks of the count-based kernels: the payoff matrix and cloning.
+
+Run from the root of a checkout (pytest-benchmark required):
+
+    python -m pytest benchmarks/bench_objective.py --benchmark-only
+
+The file name does not match ``test_*.py``, so the Tier-1 run never collects
+it. Datasets are generated outside the timed call, so each timing is one
+kernel call: a pass over the data for the counts, then work that depends on
+the class sizes and S, A only.
+
+- ``empirical_lagrangian_members`` on the rate_regularized suite's fixture
+  (10 states, 3 actions, 31 value and 31 weight members) at n = 1e4, 1e5
+  and 1e6;
+- ``bc_objective_matrix`` at the bc_scaling suite's size (5 states,
+  3 actions, 41 policies and their witness set, largest held-out n2 = 8000).
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+from prorl.classes import WeightClass, witness_class  # noqa: E402
+from prorl.datasets import generate_dataset  # noqa: E402
+from prorl.extraction import bc_objective_matrix  # noqa: E402
+from prorl.objective import empirical_lagrangian_members  # noqa: E402
+from prorl.oracle import solve_regularized  # noqa: E402
+from prorl.pipelines import (  # noqa: E402
+    _resolve_policy_class,
+    resolve_data_dist,
+    resolve_mdp,
+)
+from prorl.regularizers import Regularizer  # noqa: E402
+from prorl.suites import bc_fixture, rate_regularized_fixture  # noqa: E402
+
+
+@pytest.mark.parametrize("n", [10_000, 100_000, 1_000_000])
+def test_payoff_matrix_rate_regularized(benchmark, n):
+    fx = rate_regularized_fixture()
+    mdp = resolve_mdp(fx["mdp"])
+    dd, _ = resolve_data_dist(mdp, fx["data_dist"])
+    reg = Regularizer.from_config(fx["reg"])
+    v_members = fx["classes"]["value_class"]["members"]
+    w_members = WeightClass.from_config(fx["classes"]["weight_class"]).members
+    data = generate_dataset(mdp, dd, n, n, seed=0)
+    out = benchmark(empirical_lagrangian_members, data, reg, fx["alpha"], v_members, w_members)
+    assert out.shape == (31, 31)
+
+
+def test_bc_objective_bc_scaling(benchmark):
+    fx = bc_fixture()
+    mdp = resolve_mdp(fx["mdp"])
+    dd, _ = resolve_data_dist(mdp, fx["data_dist"])
+    sol = solve_regularized(mdp, dd, Regularizer.from_config(fx["reg"]), fx["alpha"])
+    policies = _resolve_policy_class(fx["bc"], sol.pi_star, mdp.num_actions)
+    witnesses = witness_class(policies)
+    held = generate_dataset(mdp, dd, 8000, 0, seed=0)
+    out = benchmark(bc_objective_matrix, sol.w_star, held, policies, witnesses)
+    assert out.shape == (41, len(witnesses))

@@ -10,11 +10,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .mdp import Occupancy, TabularMdp
+
+
+class DatasetCounts(NamedTuple):
+    """Counts N(s,a,s') (S, A, S), reward sums R(s,a) (S, A), initial counts N0(s) (S,)."""
+
+    transitions: np.ndarray
+    rewards: np.ndarray
+    inits: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,6 +62,27 @@ class OfflineDataset:
     @property
     def n0(self) -> int:
         return int(self.init_states.shape[0])
+
+    def counts(self, num_states: int, num_actions: int) -> DatasetCounts:
+        """The empirical law as counts, one bincount per array, derived on every call.
+
+        Raises ValueError when a state, next state or initial state lies outside
+        [0, num_states), or an action outside [0, num_actions): the flat cell
+        index s * A + a would alias.
+        """
+        for name in ("states", "actions", "next_states", "init_states"):
+            col, bound = getattr(self, name), num_actions if name == "actions" else num_states
+            if col.size and (col.min() < 0 or col.max() >= bound):
+                raise ValueError(f"{name} must lie in [0, {bound}), got {col.min()}..{col.max()}")
+        cells = self.states * num_actions + self.actions
+        size = num_states * num_actions
+        transitions = np.bincount(cells * num_states + self.next_states, minlength=size * num_states)
+        rewards = np.bincount(cells, weights=self.rewards, minlength=size)
+        return DatasetCounts(
+            transitions.reshape(num_states, num_actions, num_states),
+            rewards.reshape(num_states, num_actions),
+            np.bincount(self.init_states, minlength=num_states),
+        )
 
     def take(self, start: int, stop: int, keep_inits: bool = True) -> "OfflineDataset":
         """Transitions[start:stop], with or without the initial-state samples."""

@@ -77,21 +77,23 @@ def bc_objective_matrix(
 
     Entry [i, j] averages w_hat(s, a) * (h_j^{pi_i}(s) - h_j(s, a)) over the
     dataset transitions, where h^pi(s) is the policy's expected witness
-    value at s. The witness set defaults to the one generated from the
-    policy class itself.
+    value at s, as a sum over covered cells weighted by the counts N(s, a).
+    The witness set defaults to the one generated from the policy class itself.
     """
     if data.n == 0:
         raise ValueError("cloning needs a nonempty dataset (n=0)")
     w_hat = np.asarray(w_hat, dtype=float)
     hs = witness_class(policies) if witnesses is None else tuple(witnesses)
-    weights = w_hat[data.states, data.actions]  # (n,)
+    n_sa = data.counts(*w_hat.shape).transitions.sum(axis=2)
+    pos = n_sa > 0
+    cell_states = np.nonzero(pos)[0]
+    weights = n_sa[pos] * w_hat[pos]  # (m,)
     h_stack = np.stack(hs)  # (H, S, A)
-    h_at_sa = h_stack[:, data.states, data.actions]  # (H, n)
+    h_cells = h_stack[:, pos]  # (H, m)
     out = np.empty((len(policies), len(hs)))
     for i, pi in enumerate(policies.members):
         h_pi = np.einsum("hsa,sa->hs", h_stack, pi.probs)  # (H, S)
-        diffs = h_pi[:, data.states] - h_at_sa  # (H, n)
-        out[i] = (diffs * weights[None, :]).mean(axis=1)
+        out[i] = (h_pi[:, cell_states] - h_cells) @ weights / data.n
     return out
 
 

@@ -7,8 +7,11 @@ For a value candidate v and weight candidate w the objective is
 
 with Bellman residual e_v(s,a) = r(s,a) + gamma E_{s'}[v(s')] - v(s). The
 empirical version replaces the two expectations with sample means over the
-initial-state draws and the transition tuples. Cells without data mass are
-excluded everywhere; candidate weights are treated as zero there.
+initial-state draws and the transition tuples. Both means are linear in the
+empirical law, so they are computed exactly as count-weighted sums over the
+covered cells: transition counts N(s,a,s'), reward sums R(s,a) and
+initial-state counts N0(s) (`OfflineDataset.counts`). Cells without data mass
+are excluded everywhere; candidate weights are treated as zero there.
 """
 
 from __future__ import annotations
@@ -30,57 +33,6 @@ def residual_ev(mdp: TabularMdp, v: np.ndarray) -> np.ndarray:
     return mdp.reward + mdp.gamma * np.einsum("sat,t->sa", mdp.transition, v) - v[:, None]
 
 
-def sampled_residuals(dataset: OfflineDataset, v: np.ndarray) -> np.ndarray:
-    """Per-transition residuals r_i + gamma v(s'_i) - v(s_i)."""
-    v = np.asarray(v, dtype=float)
-    return dataset.rewards + dataset.gamma * v[dataset.next_states] - v[dataset.states]
-
-
-def population_lagrangian(
-    mdp: TabularMdp,
-    data_dist,
-    reg: Regularizer,
-    alpha: float,
-    v: np.ndarray,
-    w: np.ndarray,
-) -> float:
-    """Exact L_alpha(v, w) under the data distribution."""
-    if alpha < 0.0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    dd = _mass(data_dist)
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    e = residual_ev(mdp, v)
-    pos = dd > 0.0
-    init_term = (1.0 - mdp.gamma) * float(mdp.init_dist @ v)
-    data_term = float(np.sum(dd[pos] * (-alpha * reg.eval(w[pos]) + w[pos] * e[pos])))
-    return init_term + data_term
-
-
-def empirical_lagrangian(
-    dataset: OfflineDataset,
-    reg: Regularizer,
-    alpha: float,
-    v: np.ndarray,
-    w: np.ndarray,
-) -> float:
-    """Sample estimate of L_alpha(v, w) from an offline dataset."""
-    if alpha < 0.0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    if dataset.n == 0 or dataset.n0 == 0:
-        raise ValueError(
-            f"empirical objective needs transitions and initial states, "
-            f"got n={dataset.n}, n0={dataset.n0}"
-        )
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    w_i = w[dataset.states, dataset.actions]
-    e_i = sampled_residuals(dataset, v)
-    init_term = (1.0 - dataset.gamma) * float(np.mean(v[dataset.init_states]))
-    data_term = float(np.mean(-alpha * reg.eval(w_i) + w_i * e_i))
-    return init_term + data_term
-
-
 def empirical_lagrangian_members(
     dataset: OfflineDataset,
     reg: Regularizer,
@@ -90,23 +42,32 @@ def empirical_lagrangian_members(
 ) -> np.ndarray:
     """Payoff matrix L_hat[w_index, v_index] over finite candidate classes.
 
-    Vectorized across members so enumeration over |W| x |V| pairs touches the
-    dataset once per member rather than once per pair.
+    Summed over covered cells (N(s,a) > 0) from the dataset's counts: init term
+    (1-gamma) V N0 / n0, f term -alpha sum N(s,a) f(w) / n, and coupling
+    W_cells (R + gamma N(s,a,.) v - N(s,a) v(s))^T / n. Past one pass over the
+    data the cost is O(|W| S A + |V| S^2 A), whatever n is.
     """
     if dataset.n == 0 or dataset.n0 == 0:
-        raise ValueError("empirical objective needs a nonempty dataset")
+        raise ValueError(f"empirical objective needs n, n0 > 0, got n={dataset.n}, n0={dataset.n0}")
     v_stack = np.stack([np.asarray(v, dtype=float) for v in v_members])
     w_stack = np.stack([np.asarray(w, dtype=float) for w in w_members])
-    # (n_v, n): residuals per value member; (n_w, n): weights per weight member
-    e_rows = (
-        dataset.rewards[None, :]
-        + dataset.gamma * v_stack[:, dataset.next_states]
-        - v_stack[:, dataset.states]
+    num_states, num_actions = w_stack.shape[1:]
+    if v_stack.shape[1] != num_states:
+        raise ValueError(f"value members have length {v_stack.shape[1]}, expected {num_states}")
+    counts = dataset.counts(num_states, num_actions)
+    n_sa = counts.transitions.sum(axis=2)
+    pos = n_sa > 0
+    n_cells = n_sa[pos]
+    w_cells = w_stack[:, pos]  # (n_w, m)
+    # (n_v, m): summed residuals r + gamma v(s') - v(s) per covered cell
+    e_cells = (
+        counts.rewards[pos][None, :]
+        + dataset.gamma * (v_stack @ counts.transitions[pos].T)
+        - v_stack[:, np.nonzero(pos)[0]] * n_cells[None, :]
     )
-    w_rows = w_stack[:, dataset.states, dataset.actions]
-    init_terms = (1.0 - dataset.gamma) * v_stack[:, dataset.init_states].mean(axis=1)
-    f_terms = -alpha * reg.eval(w_rows).mean(axis=1)
-    coupling = w_rows @ e_rows.T / dataset.n
+    init_terms = (1.0 - dataset.gamma) * (v_stack @ counts.inits) / dataset.n0
+    f_terms = -alpha * (reg.eval(w_cells) @ n_cells) / dataset.n
+    coupling = w_cells @ e_cells.T / dataset.n
     return init_terms[None, :] + f_terms[:, None] + coupling
 
 

@@ -143,3 +143,55 @@ def covered_flow_feasible(mdp, data_mass, cap=None):
     )
     assert res.status in (0, 2), res.message
     return res.status == 0
+
+
+def population_lagrangian(mdp, data_dist, reg, alpha, v, w):
+    """Exact L_alpha(v, w) under the data distribution."""
+    if alpha < 0.0:
+        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    dd = np.asarray(getattr(data_dist, "mass", data_dist), dtype=float)
+    v = np.asarray(v, dtype=float)
+    w = np.asarray(w, dtype=float)
+    e = mdp.reward + mdp.gamma * np.einsum("sat,t->sa", mdp.transition, v) - v[:, None]
+    pos = dd > 0.0
+    init_term = (1.0 - mdp.gamma) * float(mdp.init_dist @ v)
+    data_term = float(np.sum(dd[pos] * (-alpha * reg.eval(w[pos]) + w[pos] * e[pos])))
+    return init_term + data_term
+
+
+def sampled_residuals(dataset, v):
+    """Per-transition residuals r_i + gamma v(s'_i) - v(s_i)."""
+    v = np.asarray(v, dtype=float)
+    return dataset.rewards + dataset.gamma * v[dataset.next_states] - v[dataset.states]
+
+
+def empirical_lagrangian(dataset, reg, alpha, v, w):
+    """Sample estimate of L_alpha(v, w) from an offline dataset."""
+    if alpha < 0.0:
+        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    if dataset.n == 0 or dataset.n0 == 0:
+        raise ValueError(
+            f"empirical objective needs transitions and initial states, "
+            f"got n={dataset.n}, n0={dataset.n0}"
+        )
+    v = np.asarray(v, dtype=float)
+    w = np.asarray(w, dtype=float)
+    w_i = w[dataset.states, dataset.actions]
+    e_i = sampled_residuals(dataset, v)
+    init_term = (1.0 - dataset.gamma) * float(np.mean(v[dataset.init_states]))
+    data_term = float(np.mean(-alpha * reg.eval(w_i) + w_i * e_i))
+    return init_term + data_term
+
+
+def bc_objective(w_hat, data, policies, witnesses):
+    """Cloning objective [policy, witness], averaged over the transitions one by one."""
+    w_hat = np.asarray(w_hat, dtype=float)
+    weights = w_hat[data.states, data.actions]  # (n,)
+    h_stack = np.stack(witnesses)  # (H, S, A)
+    h_at_sa = h_stack[:, data.states, data.actions]  # (H, n)
+    out = np.empty((len(policies.members), len(witnesses)))
+    for i, pi in enumerate(policies.members):
+        h_pi = np.einsum("hsa,sa->hs", h_stack, pi.probs)  # (H, S)
+        diffs = h_pi[:, data.states] - h_at_sa  # (H, n)
+        out[i] = (diffs * weights[None, :]).mean(axis=1)
+    return out

@@ -133,3 +133,53 @@ class TestExactFrequency:
         dd[bundle.B, bundle.LEFT] -= 0.01
         with pytest.raises(ValueError, match="commensurable"):
             exact_frequency_dataset(bundle.mdp, dd)
+
+
+class TestCounts:
+    def test_counts_match_per_transition_tallies(self):
+        mdp = random_mdp(4, 3, 0.9, seed=2)
+        data = generate_dataset(mdp, behavior_distribution(mdp), n=700, n0=90, seed=4)
+        c = data.counts(4, 3)
+        want = np.zeros((4, 3, 4))
+        np.add.at(want, (data.states, data.actions, data.next_states), 1)
+        np.testing.assert_array_equal(c.transitions, want)
+        want_r = np.zeros((4, 3))
+        np.add.at(want_r, (data.states, data.actions), data.rewards)
+        np.testing.assert_allclose(c.rewards, want_r, rtol=1e-14)
+        np.testing.assert_array_equal(c.inits, np.bincount(data.init_states, minlength=4))
+        assert c.transitions.sum() == data.n and c.inits.sum() == data.n0
+
+    def test_take_halves_add_up(self):
+        mdp = random_mdp(3, 2, 0.9, seed=4)
+        data = generate_dataset(mdp, behavior_distribution(mdp), n=40, n0=5, seed=6)
+        head, tail = data.take(0, 25).counts(3, 2), data.take(25, 40, keep_inits=False).counts(3, 2)
+        whole = data.counts(3, 2)
+        np.testing.assert_array_equal(head.transitions + tail.transitions, whole.transitions)
+        np.testing.assert_array_equal(tail.inits, np.zeros(3))
+        np.testing.assert_array_equal(head.inits, whole.inits)
+
+    def test_empty_dataset_gives_zero_counts(self):
+        mdp = random_mdp(3, 2, 0.8, seed=2)
+        c = generate_dataset(mdp, behavior_distribution(mdp), n=0, n0=0, seed=0).counts(3, 2)
+        assert c.transitions.shape == (3, 2, 3) and not c.transitions.any()
+        assert c.rewards.shape == (3, 2) and c.inits.shape == (3,)
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [
+            ("states", 3),
+            ("states", -1),
+            ("actions", 2),
+            ("actions", -1),
+            ("next_states", 3),
+            ("init_states", 3),
+        ],
+    )
+    def test_out_of_range_index_names_its_column(self, column, value):
+        # a flat index s*A + a would otherwise alias an action past A onto
+        # the next state's first action
+        cols = {"states": [0, 1], "actions": [0, 1], "next_states": [1, 2], "init_states": [0]}
+        cols[column][0] = value
+        data = OfflineDataset(rewards=[0.7, 0.0], gamma=0.9, **cols)
+        with pytest.raises(ValueError, match=f"^{column} must lie in"):
+            data.counts(3, 2)

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import brute_force_lagrangian
+from oracles import (
+    brute_force_lagrangian,
+    empirical_lagrangian,
+    population_lagrangian,
+    sampled_residuals,
+)
 from prorl.datasets import exact_frequency_dataset, generate_dataset
 from prorl.mdp import (
     build_counterexample,
@@ -13,12 +18,9 @@ from prorl.mdp import (
 )
 from prorl.objective import (
     approximation_errors,
-    empirical_lagrangian,
     empirical_lagrangian_members,
-    population_lagrangian,
     population_lagrangian_members,
     residual_ev,
-    sampled_residuals,
     weighted_l2,
 )
 from prorl.regularizers import Regularizer
@@ -117,13 +119,25 @@ class TestPopulationLagrangian:
         )
         assert a == b
 
+    def test_members_kernel_ties_exactly_and_ignores_off_support(self):
+        bundle = build_counterexample(0.5)
+        w_far = bundle.w_left.copy()
+        w_far[bundle.C, :] = 17.0
+        pop = population_lagrangian_members(
+            bundle.mdp, bundle.data_occupancy, Regularizer(), 0.0,
+            [bundle.v_star_unreg], [bundle.w_left, bundle.w_right, w_far],
+        )
+        assert pop[0, 0] == pop[1, 0] == pop[2, 0]
+
 
 class TestEmpiricalLagrangian:
     def test_empty_dataset_rejected(self):
         mdp, dd = setup_random(1)
         data = generate_dataset(mdp, dd, n=0, n0=0, seed=0)
         with pytest.raises(ValueError, match="n=0"):
-            empirical_lagrangian(data, Regularizer(), 0.1, np.zeros(4), np.zeros((4, 2)))
+            empirical_lagrangian_members(
+                data, Regularizer(), 0.1, [np.zeros(4)], [np.zeros((4, 2))]
+            )
 
     def test_exact_frequency_equals_population(self):
         bundle = build_counterexample(0.5)

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from oracles import double_loop_saddle
+from oracles import double_loop_saddle, empirical_lagrangian
 from prorl.classes import ValueClass, WeightClass, build_realizable
 from prorl.datasets import exact_frequency_dataset, generate_dataset
 from prorl.mdp import build_counterexample, exact_occupancy, random_mdp, uniform_policy
 from prorl.objective import (
-    empirical_lagrangian,
     empirical_lagrangian_members,
     population_lagrangian_members,
     weighted_l2,
