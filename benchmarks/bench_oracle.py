@@ -1,30 +1,43 @@
-"""Micro-benchmarks of the default oracle path, ``solve_regularized``.
+"""Micro-benchmarks of the oracles.
 
 Run from the root of a checkout (pytest-benchmark required):
 
     python -m pytest benchmarks/bench_oracle.py --benchmark-only
 
 The file name does not match ``test_*.py``, so the Tier-1 run never collects
-it. Two instances:
+it. The default regularized path, ``solve_regularized``, on two instances:
 
 - the rate_unregularized suite's instance (mixing MDP, 8 states, 3 actions,
   gamma 0.8, uniform behavior data) at the alpha of its smallest n, which
   Newton solves on its own;
 - the capped hard instance of ``tests/test_oracle.py`` on which Newton
   stalls, so the call pays for Newton and then the "qp" path.
+
+The policy-iteration paths: ``solve_unregularized`` on the rate_regularized
+suite's MDP (10 states, 3 actions, gamma 0.8) and on the same MDP at gamma
+0.999; ``strong_concentrability_check`` on the alpha_zero_strong suite's
+ring (8 states, 3 actions) and on a mixing MDP with 11 states and 3 actions
+(177,147 deterministic policies).
 """
 
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from prorl.bounds import recommended_alpha  # noqa: E402
-from prorl.mdp import exact_occupancy, uniform_policy  # noqa: E402
-from prorl.oracle import solve_regularized, solve_unregularized  # noqa: E402
+from prorl.mdp import build_mixing_mdp, exact_occupancy, uniform_policy  # noqa: E402
+from prorl.oracle import (  # noqa: E402
+    solve_regularized,
+    solve_unregularized,
+    strong_concentrability_check,
+)
 from prorl.pipelines import resolve_mdp  # noqa: E402
 from prorl.regularizers import Regularizer  # noqa: E402
+from prorl.suites import rate_regularized_fixture, ring_fixture  # noqa: E402
 from test_oracle import newton_stall_instance  # noqa: E402
 
 
@@ -49,3 +62,22 @@ def test_newton_stall_falls_back(benchmark):
     mdp, dd, alpha, cap = newton_stall_instance()
     sol = benchmark(solve_regularized, mdp, dd, Regularizer(), alpha, cap=cap)
     assert sol.method == "qp" and sol.kkt_residual <= 1e-8
+
+
+@pytest.mark.parametrize("gamma", [0.8, 0.999])
+def test_solve_unregularized(benchmark, gamma):
+    # gamma 0.8 is the rate_regularized fixture itself
+    spec = {**rate_regularized_fixture()["mdp"], "gamma": gamma}
+    benchmark(solve_unregularized, resolve_mdp(spec))
+
+
+@pytest.mark.parametrize("instance", ["ring", "mixing_11x3"])
+def test_strong_concentrability_check(benchmark, instance):
+    if instance == "ring":
+        mdp = resolve_mdp(ring_fixture()["mdp"])
+    else:
+        mdp = build_mixing_mdp(11, 3, 0.9, seed=0)
+    dd = exact_occupancy(mdp, uniform_policy(mdp.num_states, mdp.num_actions)).mass
+    d0 = solve_unregularized(mdp).d_star
+    res = benchmark(strong_concentrability_check, mdp, dd, d0)
+    assert res.holds

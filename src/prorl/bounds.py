@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 
 def value_bound(alpha: float, b_fprime: float, gamma: float) -> float:
@@ -184,31 +184,6 @@ def recommended_alpha(kind: str, eps: float, b_f: float) -> float:
     if kind == "constrained":
         return eps / (4.0 * b_f)
     raise ValueError(f"unknown kind {kind!r}, expected 'unregularized' or 'constrained'")
-
-
-def alpha_un_selector(
-    eps_opt: float,
-    eps_app: float,
-    b_f0: float,
-    m_f: float,
-    gamma: float,
-    grid: Sequence[float],
-) -> float:
-    """Pick alpha from a grid minimizing the competing-with-pi*_0 budget.
-
-    Objective: alpha * B_f0 + (2/(1-gamma)) sqrt(2 (eps_opt + eps_app) / (alpha m_f)).
-    Ties go to the smallest alpha.
-    """
-    if not grid:
-        raise ValueError("alpha grid must be nonempty")
-    best_alpha, best_val = None, None
-    for alpha in sorted(grid):
-        if alpha <= 0.0:
-            raise ValueError("grid entries must be positive")
-        val = alpha * b_f0 + optimization_approximation_slack(eps_opt, eps_app, alpha, m_f, gamma)
-        if best_val is None or val < best_val - 1e-15:
-            best_alpha, best_val = alpha, val
-    return best_alpha
 
 
 def unregularized_competition_slack(alpha: float, b_f0: float) -> float:

@@ -180,32 +180,6 @@ def make_value_class(
     return ValueClass(tuple(kept), float(b_v), float(lo), tuple(clipped))
 
 
-def make_weight_class(
-    members: Sequence[np.ndarray],
-    b_w: float,
-    floor: Optional[tuple] = None,
-    on_violation: str = "reject",
-) -> WeightClass:
-    """Same enforcement policy as make_value_class for the box [0, b_w].
-
-    The coverage floor is validated but never auto-repaired; repairing
-    requires an anchor to blend toward (see build_constrained_classes).
-    """
-    if on_violation not in ("reject", "clip"):
-        raise ValueError("on_violation must be 'reject' or 'clip'")
-    kept, clipped = [], []
-    for i, raw in enumerate(members):
-        w = np.asarray(raw, dtype=float)
-        inside = w.min() >= -_BOX_TOL and w.max() <= b_w + _BOX_TOL
-        if not inside:
-            if on_violation == "reject":
-                raise ValueError(f"member {i} leaves the box [0, {b_w}]")
-            w = np.clip(w, 0.0, b_w)
-            clipped.append(i)
-        kept.append(w)
-    return WeightClass(tuple(kept), float(b_w), floor, tuple(clipped))
-
-
 def _distractor_scales(num: int, scale) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(scale, dtype=float))
     if arr.size == 1:

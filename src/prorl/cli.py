@@ -8,6 +8,7 @@ variant, execute a named experiment suite, and summarize result CSVs.
 import argparse
 import csv
 import json
+import logging
 import os
 import sys
 
@@ -254,6 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    logging.basicConfig(level=logging.INFO, format="%(message)s")  # suite progress
     return args.func(args)
 
 

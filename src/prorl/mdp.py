@@ -231,18 +231,6 @@ def policy_return(mdp: TabularMdp, policy: Policy) -> float:
     return float(np.sum(d.mass * mdp.reward))
 
 
-def performance_difference(mdp: TabularMdp, policy_a: Policy, policy_b: Policy) -> float:
-    """Advantage decomposition of V^{pi_a}(mu0) - V^{pi_b}(mu0).
-
-    Returns (1/(1-gamma)) E_{s ~ d^{pi_a}} [ <Q^{pi_b}(s, .), pi_a(.|s) - pi_b(.|s)> ],
-    which equals the value difference exactly.
-    """
-    d_a = exact_occupancy(mdp, policy_a)
-    _, q_b = policy_values(mdp, policy_b)
-    gap = np.einsum("s,sa,sa->", d_a.state_marginal, policy_a.probs - policy_b.probs, q_b)
-    return float(gap / (1.0 - mdp.gamma))
-
-
 def random_mdp(
     num_states: int,
     num_actions: int,

@@ -14,19 +14,6 @@ import numpy as np
 _KINDS = ("quadratic", "shifted_quadratic")
 
 
-class AbsoluteContinuityError(ValueError):
-    """Raised when a candidate occupancy puts mass where the data has none."""
-
-    def __init__(self, state: int, action: int, mass: float):
-        self.state = state
-        self.action = action
-        self.mass = mass
-        super().__init__(
-            f"occupancy carries mass {mass:.3e} at state-action ({state}, {action}) "
-            "where the data distribution is zero"
-        )
-
-
 @dataclass(frozen=True)
 class Regularizer:
     """f(x) = m_f/2 * x^2 (+ shift for the shifted kind), with m_f > 0.
@@ -82,23 +69,3 @@ class Regularizer:
             m_f=float(cfg.get("m_f", 1.0)),
             shift=float(cfg.get("shift", 0.0)),
         )
-
-
-def f_divergence(reg: Regularizer, d, data_mass) -> float:
-    """E_{d^D}[ f(d / d^D) ] over the support of the data distribution.
-
-    Raises AbsoluteContinuityError (naming the first offending pair) if d puts
-    more than 1e-12 mass on a zero-data cell.
-    """
-    from .mdp import Occupancy
-
-    d = d.mass if isinstance(d, Occupancy) else np.asarray(d, dtype=float)
-    dd = data_mass.mass if isinstance(data_mass, Occupancy) else np.asarray(data_mass, dtype=float)
-    off_support = (dd <= 0.0) & (np.abs(d) > 1e-12)
-    if off_support.any():
-        s, a = np.argwhere(off_support)[0]
-        raise AbsoluteContinuityError(int(s), int(a), float(d[s, a]))
-    pos = dd > 0.0
-    ratio = np.zeros_like(dd)
-    ratio[pos] = d[pos] / dd[pos]
-    return float(np.sum(dd[pos] * reg.eval(ratio[pos])))

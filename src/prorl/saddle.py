@@ -17,10 +17,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .classes import ValueClass, WeightClass
-from .mdp import TabularMdp
-from .objective import population_lagrangian_members
-from .oracle import solve_regularized
-from .regularizers import Regularizer
 
 
 @dataclass(frozen=True)
@@ -133,46 +129,3 @@ def solve_inexact(
         w_index=int(w_pos),
         v_index=int(v_pos),
     )
-
-
-@dataclass(frozen=True)
-class PopulationSaddleReport:
-    """Outcome of checking the exact pair against the population objective."""
-
-    status: str  # "pass", "fail", or "not realizable"
-    margin: float  # min over w of inner(w*) - inner(w); >= -tol on pass
-    w_star_index: int  # -1 when the class misses w*
-
-
-def population_saddle_check(
-    mdp: TabularMdp,
-    data_dist,
-    reg: Regularizer,
-    alpha: float,
-    classes: tuple[ValueClass, WeightClass],
-    tol: float = 1e-10,
-    match_tol: float = 1e-8,
-) -> PopulationSaddleReport:
-    """Confirm the exact solver's pair is a max-min point of the population objective.
-
-    Solves the instance exactly, locates w* in the weight class (sup-norm
-    match within match_tol; missing w* yields status "not realizable"),
-    then requires min_v L(v, w*) >= min_v L(v, w) - tol for every class
-    member w.
-    """
-    value_class, weight_class = classes
-    sol = solve_regularized(mdp, data_dist, reg, alpha)
-    w_star_index = -1
-    for i, w in enumerate(weight_class.members):
-        if np.abs(w - sol.w_star).max() <= match_tol:
-            w_star_index = i
-            break
-    if w_star_index < 0:
-        return PopulationSaddleReport(status="not realizable", margin=float("nan"), w_star_index=-1)
-    l_matrix = population_lagrangian_members(
-        mdp, data_dist, reg, alpha, value_class.members, weight_class.members
-    )
-    inner, _ = _inner_minima(l_matrix)
-    margin = float(inner[w_star_index] - inner.max())
-    status = "pass" if margin >= -tol else "fail"
-    return PopulationSaddleReport(status=status, margin=margin, w_star_index=w_star_index)

@@ -15,6 +15,7 @@ reproduce rows.csv and summary.json byte for byte.
 
 from datetime import datetime, timezone
 import json
+import logging
 import os
 
 import numpy as np
@@ -56,6 +57,8 @@ from .pipelines import (
 )
 from .regularizers import Regularizer
 from .svgplot import fit_loglog, line_plot
+
+_log = logging.getLogger(__name__)
 
 SUITE_NAMES = (
     "counterexample",
@@ -397,8 +400,8 @@ def _suite_counterexample(out_dir: str, seed: int, gamma: float = 0.5) -> dict:
             "gap_friendly": gaps["friendly"],
             "j_star_zero": j_star,
         }
-        print(f"[counterexample] instance {instance}: tie gap {tie_gap:.2e}, "
-              f"adversarial gap {gaps['adversarial']:.4f}", flush=True)
+        _log.info(f"[counterexample] instance {instance}: tie gap {tie_gap:.2e}, "
+                  f"adversarial gap {gaps['adversarial']:.4f}")
 
     _write_report_rows(out_dir, reports)
     worst_gap = max(v["gap_adversarial"] for v in per_instance.values())
@@ -446,7 +449,7 @@ def _suite_rate_regularized(
             "w_dev_mean": float(np.mean(devs)),
             "exact_picks": sum(1 for r in batch if r.w_index == 0),
         }
-        print(f"[rate_regularized] n={n}: median dev {np.median(devs):.5f}", flush=True)
+        _log.info(f"[rate_regularized] n={n}: median dev {np.median(devs):.5f}")
 
     _write_report_rows(out_dir, reports)
     ns = [int(n) for n in n_grid]
@@ -536,8 +539,8 @@ def _suite_rate_unregularized(
             "envelope_ok": ok,
             "positive_gaps": sum(1 for g in gaps if g > 0),
         }
-        print(f"[rate_unregularized] n={n}: alpha {alpha:.5f}, "
-              f"envelope {ok}/{len(batch)}", flush=True)
+        _log.info(f"[rate_unregularized] n={n}: alpha {alpha:.5f}, "
+                  f"envelope {ok}/{len(batch)}")
 
     _write_report_rows(out_dir, reports)
     ns = [int(n) for n in n_grid]
@@ -613,8 +616,8 @@ def _suite_lp_stability(
         loglog=False,
         annotation=f"slope {sweep.v_gap_slope:.4f}, r2 {sweep.v_gap_r2:.5f}",
     )
-    print(f"[lp_stability] prefix {sweep.constant_prefix_len}/{total}, "
-          f"limit err {limit_err:.2e}, r2 {sweep.v_gap_r2:.5f}", flush=True)
+    _log.info(f"[lp_stability] prefix {sweep.constant_prefix_len}/{total}, "
+              f"limit err {limit_err:.2e}, r2 {sweep.v_gap_r2:.5f}")
     return {
         "suite": "lp_stability",
         "alpha_grid": list(alpha_grid),
@@ -661,8 +664,8 @@ def _suite_constrained_coverage(
     envelope_ok = sum(1 for r in reports if r.gap_ref <= r.rhs_capped + 1e-12)
     cap_ok = sum(1 for r in reports if r.w_max <= r.b_w + 1e-9)
     ref_err = max(abs(r.j_ref - j_cap) for r in reports)
-    print(f"[constrained_coverage] envelope {envelope_ok}/{len(reports)}, "
-          f"cap respected {cap_ok}/{len(reports)}", flush=True)
+    _log.info(f"[constrained_coverage] envelope {envelope_ok}/{len(reports)}, "
+              f"cap respected {cap_ok}/{len(reports)}")
     return {
         "suite": "constrained_coverage",
         "cap": fx["cap"],
@@ -715,7 +718,7 @@ def _suite_alpha_zero_strong(
             "gap_median": float(np.median(gaps)),
             "exact_picks": sum(1 for r in batch if r.w_index == 0),
         }
-        print(f"[alpha_zero_strong] n={n}: mean gap {np.mean(gaps):.6f}", flush=True)
+        _log.info(f"[alpha_zero_strong] n={n}: mean gap {np.mean(gaps):.6f}")
 
     _write_report_rows(out_dir, reports)
     ns = [int(n) for n in n_grid]
@@ -739,7 +742,6 @@ def _suite_alpha_zero_strong(
             "b_wu": strong.b_wu,
             "b_wl": strong.b_wl,
             "holds": bool(strong.holds),
-            "method": strong.method,
         },
         "per_n": per_n,
         "means": means,
@@ -786,9 +788,9 @@ def _suite_bc_scaling(
             "envelope_ok": ok,
             "saddle_misses": sum(1 for r in batch if r.w_index != 0),
         }
-        print(f"[bc_scaling] n2={n2}: mean cloned distance "
-              f"{per_n2[str(int(n2))]['pi_l1_bc_mean']:.5f}, "
-              f"envelope {ok}/{len(batch)}", flush=True)
+        _log.info(f"[bc_scaling] n2={n2}: mean cloned distance "
+                  f"{per_n2[str(int(n2))]['pi_l1_bc_mean']:.5f}, "
+                  f"envelope {ok}/{len(batch)}")
 
     _write_report_rows(out_dir, reports)
     n2s = [int(x) for x in n2_grid]
@@ -901,8 +903,8 @@ def _suite_robustness(
                 "eps_rv": batch[0].eps_rv,
                 "eps_rw": batch[0].eps_rw,
             }
-            print(f"[robustness] pert={pert} eps={eps_o}: chain {cell_chain}/"
-                  f"{len(batch)}, robust {cell_robust}/{len(batch)}", flush=True)
+            _log.info(f"[robustness] pert={pert} eps={eps_o}: chain {cell_chain}/"
+                      f"{len(batch)}, robust {cell_robust}/{len(batch)}")
 
     _write_report_rows(out_dir, reports)
     total = len(reports)

@@ -104,18 +104,48 @@ def double_loop_saddle(l_matrix):
     return best_w, inner[best_w][1], best_val
 
 
-def enumerate_deterministic_occupancies(mdp):
-    """State marginals of every deterministic policy, by direct solve."""
-    import itertools
+def deterministic_policy_marginals(mdp):
+    """Every deterministic policy with its discounted state marginal, by direct solve.
 
+    Returns (actions, marginals), both of shape (|A|^|S|, S): row k of
+    actions is the action policy k takes in each state, row k of marginals
+    its d^pi(s). Memory grows as |A|^|S| S^2, so keep |A|^|S| small.
+    """
     s_dim, a_dim = mdp.reward.shape
-    out = []
-    eye = np.eye(s_dim)
-    for acts in itertools.product(range(a_dim), repeat=s_dim):
-        p_pi = mdp.transition[np.arange(s_dim), list(acts)]
-        d = np.linalg.solve(eye - mdp.gamma * p_pi.T, (1.0 - mdp.gamma) * mdp.init_dist)
-        out.append(np.maximum(d, 0.0))
-    return np.array(out)
+    actions = np.indices((a_dim,) * s_dim).reshape(s_dim, -1).T
+    p_pi = mdp.transition[np.arange(s_dim), actions]  # (K, S, S)
+    lhs = np.eye(s_dim) - mdp.gamma * np.swapaxes(p_pi, 1, 2)
+    rhs = np.broadcast_to((1.0 - mdp.gamma) * mdp.init_dist, actions.shape)
+    return actions, np.linalg.solve(lhs, rhs[..., None])[..., 0]
+
+
+class AbsoluteContinuityError(ValueError):
+    """Raised when a candidate occupancy puts mass where the data has none."""
+
+    def __init__(self, state, action, mass):
+        self.state = state
+        self.action = action
+        self.mass = mass
+        super().__init__(
+            f"occupancy carries mass {mass:.3e} at state-action ({state}, {action}) "
+            "where the data distribution is zero"
+        )
+
+
+def f_divergence(reg, d, data_mass):
+    """E_{d^D}[ f(d / d^D) ] over the support of the data distribution.
+
+    Raises AbsoluteContinuityError (naming the first offending pair) if d puts
+    more than 1e-12 mass on a zero-data cell.
+    """
+    d = np.asarray(getattr(d, "mass", d), dtype=float)
+    dd = np.asarray(getattr(data_mass, "mass", data_mass), dtype=float)
+    off_support = (dd <= 0.0) & (np.abs(d) > 1e-12)
+    if off_support.any():
+        s, a = np.argwhere(off_support)[0]
+        raise AbsoluteContinuityError(int(s), int(a), float(d[s, a]))
+    pos = dd > 0.0
+    return float(np.sum(dd[pos] * reg.eval(d[pos] / dd[pos])))
 
 
 def covered_flow_feasible(mdp, data_mass, cap=None):

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from prorl.bounds import (
-    alpha_un_selector,
     approximation_error_combination,
     bc_gap_bound,
     bc_sample_term,
@@ -123,21 +122,6 @@ class TestAlphaSelection:
     def test_bad_kind(self):
         with pytest.raises(ValueError, match="kind"):
             recommended_alpha("other", 0.1, 1.0)
-
-    def test_selector_zero_errors_take_smallest(self):
-        grid = [0.4, 0.1, 0.2]
-        assert alpha_un_selector(0.0, 0.0, 1.0, 1.0, 0.5, grid) == 0.1
-
-    def test_selector_matches_closed_form_scaling(self):
-        # With objective a*B + c/sqrt(a), the minimizer scales as (c/2B)^(2/3);
-        # on a dense grid the selected point lands next to it.
-        eps = 0.05
-        gamma, m_f, b_f0 = 0.5, 1.0, 1.0
-        c = 2.0 / (1 - gamma) * math.sqrt(2 * eps / m_f)
-        ideal = (c / (2 * b_f0)) ** (2.0 / 3.0)
-        grid = [10 ** (k / 40.0) for k in range(-120, 41)]
-        got = alpha_un_selector(eps, 0.0, b_f0, m_f, gamma, grid)
-        assert abs(math.log10(got) - math.log10(ideal)) < 0.05
 
     def test_slack_formula(self):
         assert unregularized_competition_slack(0.3, 2.0) == pytest.approx(0.6)

@@ -9,7 +9,6 @@ from prorl.classes import (
     build_misspecified,
     build_realizable,
     make_value_class,
-    make_weight_class,
     witness_class,
 )
 from prorl.mdp import (
@@ -67,11 +66,6 @@ class TestWeightClass:
     def test_negative_entry_rejected(self):
         with pytest.raises(ValueError, match="box"):
             WeightClass((np.array([[-0.1, 0.5]]),), b_w=1.0)
-
-    def test_clip_mode(self):
-        wc = make_weight_class([np.array([[1.5, -0.2]])], b_w=1.0, on_violation="clip")
-        assert wc.clipped == (0,)
-        np.testing.assert_array_equal(wc.members[0], [[1.0, 0.0]])
 
     def test_floor_validated(self):
         pi_d = uniform_policy(1, 2)

@@ -15,7 +15,6 @@ from prorl.mdp import (
     deterministic_policy,
     exact_occupancy,
     flow_residual,
-    performance_difference,
     policy_return,
     policy_values,
     random_mdp,
@@ -153,9 +152,11 @@ class TestPerformanceDifference:
         mdp = random_mdp(n_states, n_actions, 0.9, seed=seed)
         pa = random_policy(mdp, seed=seed + 1)
         pb = random_policy(mdp, seed=seed + 2)
-        lhs = performance_difference(mdp, pa, pb)
+        # (1/(1-gamma)) E_{s ~ d^{pi_a}} <Q^{pi_b}(s, .), pi_a(.|s) - pi_b(.|s)>
+        d_a = exact_occupancy(mdp, pa).state_marginal
         va, _ = policy_values(mdp, pa)
-        vb, _ = policy_values(mdp, pb)
+        vb, q_b = policy_values(mdp, pb)
+        lhs = np.einsum("s,sa,sa->", d_a, pa.probs - pb.probs, q_b) / (1.0 - mdp.gamma)
         rhs = float(mdp.init_dist @ (va - vb))
         assert lhs == pytest.approx(rhs, abs=1e-10)
 

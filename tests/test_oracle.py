@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from prorl.mdp import (
     Policy,
     TabularMdp,
     build_counterexample,
     build_mixing_mdp,
+    deterministic_policy,
     exact_occupancy,
     flow_residual,
     policy_return,
@@ -26,7 +30,7 @@ from prorl.oracle import (
 )
 from prorl.regularizers import Regularizer
 
-from oracles import covered_flow_feasible
+from oracles import covered_flow_feasible, deterministic_policy_marginals, f_divergence
 
 
 def uniform_behavior(mdp):
@@ -38,6 +42,31 @@ def bandit_mdp(num_actions=2, reward=None, gamma=0.5):
     r = np.full((1, num_actions), 0.5) if reward is None else np.asarray(reward, dtype=float)
     t = np.ones((1, num_actions, 1))
     return TabularMdp(1, num_actions, t, r.reshape(1, num_actions), gamma, np.array([1.0]))
+
+
+def sparse_random_mdp(seed, num_states, num_actions, gamma, sparse=True):
+    """Random MDP; with sparse=True about two thirds of the transition entries are zero."""
+    rng = np.random.default_rng(seed)
+    shape = (num_states, num_actions, num_states)
+    transition = rng.dirichlet(np.ones(num_states), size=shape[:2])
+    if sparse:
+        transition[rng.random(shape) < 0.65] = 0.0
+        keep = rng.integers(num_states, size=shape[:2])
+        transition[np.arange(num_states)[:, None], np.arange(num_actions), keep] += 0.1
+        transition /= transition.sum(axis=2, keepdims=True)
+    reward = rng.uniform(0.0, 1.0, size=shape[:2])
+    init = rng.dirichlet(np.ones(num_states))
+    return TabularMdp(num_states, num_actions, transition, reward, gamma, init)
+
+
+small_mdps = st.builds(
+    sparse_random_mdp,
+    seed=st.integers(0, 10**6),
+    num_states=st.integers(2, 7),
+    num_actions=st.integers(1, 4),
+    gamma=st.sampled_from([0.5, 0.9, 0.99]),
+    sparse=st.booleans(),
+)
 
 
 class TestSolveRegularized:
@@ -256,13 +285,22 @@ class TestSolveUnregularized:
         assert d.mass[bundle.A, bundle.LEFT] == pytest.approx(0.5, abs=1e-12)
 
     def test_bellman_certificate(self):
-        for seed in (0, 4, 9):
-            mdp = random_mdp(6, 3, 0.9, seed=seed)
+        mdps = [random_mdp(6, 3, 0.9, seed=seed) for seed in (0, 4, 9)]
+        mdps += [random_mdp(8, 3, 0.999, seed=seed) for seed in (0, 4, 9)]
+        mdps += [sparse_random_mdp(seed, 9, 3, 0.95) for seed in range(6)]
+        for mdp in mdps:
             v, pi, _ = solve_unregularized(mdp)
             e = residual_ev(mdp, v)
             assert e.max() <= 1e-10
             np.testing.assert_allclose(e.max(axis=1), 0.0, atol=1e-10)
             assert np.abs(v).max() <= 1.0 / (1.0 - mdp.gamma) + 1e-12
+
+    @given(mdp=small_mdps)
+    def test_matches_best_deterministic_return(self, mdp):
+        actions, marginals = deterministic_policy_marginals(mdp)
+        returns = (marginals * mdp.reward[np.arange(mdp.num_states), actions]).sum(axis=1)
+        j_star = policy_return(mdp, solve_unregularized(mdp).pi_star)
+        assert j_star == pytest.approx(returns.max(), rel=1e-12, abs=1e-12)
 
     def test_beats_random_policies(self):
         mdp = random_mdp(5, 3, 0.85, seed=2)
@@ -297,24 +335,16 @@ class TestStrongConcentrability:
         dd = uniform_behavior(mdp)
         d0 = solve_unregularized(mdp).d_star
         res = strong_concentrability_check(mdp, dd, d0)
-        assert res.holds and res.method == "enumerated"
+        assert res.holds
         assert res.b_wu >= 1.0 and 0.0 < res.b_wl <= 1.0 + 1e-12
 
-    def test_upper_bound_covers_every_deterministic_policy(self):
-        from itertools import product
-
-        from prorl.mdp import deterministic_policy
-
-        mdp = build_mixing_mdp(3, 2, 0.7, seed=2)
+    @given(mdp=small_mdps)
+    def test_upper_bound_covers_every_deterministic_policy(self, mdp):
         dd = uniform_behavior(mdp)
-        d0 = solve_unregularized(mdp).d_star
-        res = strong_concentrability_check(mdp, dd, d0)
-        dd_state = dd.sum(axis=1)
-        worst = max(
-            (exact_occupancy(mdp, deterministic_policy(acts, 2)).state_marginal / dd_state).max()
-            for acts in product(range(2), repeat=3)
-        )
-        assert res.b_wu == pytest.approx(worst, rel=1e-10)
+        res = strong_concentrability_check(mdp, dd, dd)
+        _, marginals = deterministic_policy_marginals(mdp)
+        worst = (marginals / dd.sum(axis=1)).max()
+        assert res.b_wu == pytest.approx(worst, rel=1e-12)
 
     def test_zero_coverage_state_fails(self):
         bundle = build_counterexample(0.5)
@@ -322,18 +352,23 @@ class TestStrongConcentrability:
         res = strong_concentrability_check(bundle.mdp, bundle.data_occupancy, d0)
         assert not res.holds
 
-    def test_budget_and_sampling(self):
-        mdp = build_mixing_mdp(5, 3, 0.8, seed=3)
+    def test_beyond_enumeration_size(self):
+        # 3^14 = 4.8M deterministic policies: the check must neither enumerate
+        # them nor sample, and must dominate every policy it could have sampled
+        mdp = build_mixing_mdp(14, 3, 0.9, seed=3)
         dd = uniform_behavior(mdp)
         d0 = solve_unregularized(mdp).d_star
-        with pytest.raises(ValueError, match="allow_sampling"):
-            strong_concentrability_check(mdp, dd, d0, enumeration_budget=10)
-        res = strong_concentrability_check(
-            mdp, dd, d0, enumeration_budget=10, allow_sampling=True, num_samples=64, seed=5
-        )
-        assert res.method == "sampled"
-        full = strong_concentrability_check(mdp, dd, d0)
-        assert res.b_wu <= full.b_wu + 1e-12
+        tracemalloc.start()
+        res = strong_concentrability_check(mdp, dd, d0)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 1_000_000
+        assert np.isfinite(res.b_wu) and res.holds
+        dd_state = dd.sum(axis=1)
+        rng = np.random.default_rng(5)
+        for acts in rng.integers(0, 3, size=(50, 14)):
+            marginal = exact_occupancy(mdp, deterministic_policy(acts, 3)).state_marginal
+            assert (marginal / dd_state).max() <= res.b_wu + 1e-12
 
 
 class TestStabilitySweep:
@@ -362,6 +397,22 @@ class TestMinFDivergence:
         w, j_star = min_f_divergence_weight(mdp, dd, Regularizer())
         assert j_star == pytest.approx(0.9, abs=1e-9)
         np.testing.assert_allclose(w, [[2.0, 0.0]], atol=1e-7)
+
+    def test_beats_the_greedy_optimum_on_its_face(self):
+        # action 2 duplicates action 0, so the optimal face holds more than
+        # the greedy policy-iteration optimum, which never uses action 2
+        reg = Regularizer()
+        for seed in range(4):
+            base = random_mdp(4, 2, 0.8, seed=seed)
+            mdp = TabularMdp(
+                4, 3, base.transition[:, [0, 1, 0]], base.reward[:, [0, 1, 0]], 0.8,
+                base.init_dist,
+            )
+            dd = uniform_behavior(mdp)
+            w, j_star = min_f_divergence_weight(mdp, dd, reg)
+            unreg = solve_unregularized(mdp)
+            assert j_star == pytest.approx(policy_return(mdp, unreg.pi_star), abs=1e-9)
+            assert f_divergence(reg, w * dd, dd) <= f_divergence(reg, unreg.d_star, dd) + 1e-9
 
     def test_symmetric_face_picks_data_proportions(self):
         mdp = bandit_mdp(reward=[[0.4, 0.4]])

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import grid_sup_bounds
+from oracles import AbsoluteContinuityError, f_divergence, grid_sup_bounds
 from prorl.mdp import Occupancy
-from prorl.regularizers import AbsoluteContinuityError, Regularizer, f_divergence
+from prorl.regularizers import Regularizer
 
 
 class TestPointwise:
