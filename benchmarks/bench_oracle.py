@@ -5,13 +5,19 @@ Run from the root of a checkout (pytest-benchmark required):
     python -m pytest benchmarks/bench_oracle.py --benchmark-only
 
 The file name does not match ``test_*.py``, so the Tier-1 run never collects
-it. The default regularized path, ``solve_regularized``, on two instances:
+it. The default regularized path, ``solve_regularized``, on three instances:
 
 - the rate_unregularized suite's instance (mixing MDP, 8 states, 3 actions,
   gamma 0.8, uniform behavior data) at the alpha of its smallest n, which
-  Newton solves on its own;
+  Newton solves on its own and certifies without the phase-1 LP;
 - the capped hard instance of ``tests/test_oracle.py`` on which Newton
-  stalls, so the call pays for Newton and then the "qp" path.
+  stalls, so the call pays for Newton, the phase-1 LP and the "qp" path;
+- an infeasible capped hard-family draw (8 states, 2 actions, cap 1.5), so
+  the call pays for a Newton stall and then the phase-1 LP that raises
+  FlowInfeasibleError.
+
+``capped_unregularized_value`` on the constrained_coverage suite's fixture
+(4 states, 3 actions, cap 2), whose own LP certifies feasibility.
 
 The policy-iteration paths: ``solve_unregularized`` on the rate_regularized
 suite's MDP (10 states, 3 actions, gamma 0.8) and on the same MDP at gamma
@@ -28,28 +34,24 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from prorl.bounds import recommended_alpha  # noqa: E402
-from prorl.mdp import build_mixing_mdp, exact_occupancy, uniform_policy  # noqa: E402
+import numpy as np  # noqa: E402
+
+from prorl.mdp import Policy, build_mixing_mdp, exact_occupancy, uniform_policy  # noqa: E402
 from prorl.oracle import (  # noqa: E402
+    FlowInfeasibleError,
+    capped_unregularized_value,
     solve_regularized,
     solve_unregularized,
     strong_concentrability_check,
 )
 from prorl.pipelines import resolve_mdp  # noqa: E402
 from prorl.regularizers import Regularizer  # noqa: E402
-from prorl.suites import rate_regularized_fixture, ring_fixture  # noqa: E402
-from test_oracle import newton_stall_instance  # noqa: E402
-
-
-def rate_unregularized_instance(n=1000):
-    mdp = resolve_mdp(
-        {"kind": "mixing", "num_states": 8, "num_actions": 3, "gamma": 0.8, "seed": 5,
-         "mixing": 0.5}
-    )
-    dd = exact_occupancy(mdp, uniform_policy(mdp.num_states, mdp.num_actions)).mass
-    b_w0 = float((solve_unregularized(mdp).d_star.mass / dd).max())
-    alpha = recommended_alpha("unregularized", float(n) ** -0.25, Regularizer().eval(b_w0))
-    return mdp, dd, alpha
+from prorl.suites import capped_fixture, rate_regularized_fixture, ring_fixture  # noqa: E402
+from test_oracle import (  # noqa: E402
+    hard_instance,
+    newton_stall_instance,
+    rate_unregularized_instance,
+)
 
 
 def test_rate_unregularized_instance(benchmark):
@@ -62,6 +64,23 @@ def test_newton_stall_falls_back(benchmark):
     mdp, dd, alpha, cap = newton_stall_instance()
     sol = benchmark(solve_regularized, mdp, dd, Regularizer(), alpha, cap=cap)
     assert sol.method == "qp" and sol.kkt_residual <= 1e-8
+
+
+def test_infeasible_draw_raises(benchmark):
+    mdp, dd, alpha, cap = hard_instance(np.random.default_rng(8))
+
+    def solve():
+        with pytest.raises(FlowInfeasibleError):
+            solve_regularized(mdp, dd, Regularizer(), alpha, cap=cap)
+
+    benchmark(solve)
+
+
+def test_capped_unregularized_value(benchmark):
+    fx = capped_fixture()
+    mdp = fx["mdp_obj"]
+    dd = exact_occupancy(mdp, Policy(np.asarray(fx["data_dist"]["probs"]))).mass
+    benchmark(capped_unregularized_value, mdp, dd, fx["cap"])
 
 
 @pytest.mark.parametrize("gamma", [0.8, 0.999])

@@ -90,6 +90,8 @@ def _cmd_oracle(args) -> int:
             w_star_alpha=sol.w_star.tolist(),
             pi_star_alpha=sol.pi_star.probs.tolist(),
             kkt_residual=sol.kkt_residual,
+            oracle_method=sol.method,
+            oracle_iterations=sol.iterations,
         )
     if args.out:
         _write_json(args.out, payload)

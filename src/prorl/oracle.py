@@ -20,10 +20,18 @@ two independent solution paths are provided:
             shares no iteration logic with Newton, so method="qp" is the
             independent cross-check of the default path.
 
-Both paths run a phase-1 feasibility check first and raise FlowInfeasibleError
-naming the most violated state when the covered flow polytope is empty. When
-no path reaches the tolerance, SolverConvergenceError names every path tried
-with its residual.
+Certificate first, feasibility check on failure: a Newton pair that meets
+the KKT tolerance and violates the flow constraints by at most 1e-9 in L1
+already shows the covered flow polytope is non-empty, since it is a point of
+the phase-1 LP with objective below that LP's 1e-9 emptiness threshold, so
+it is returned without the LP. In every other case (a Newton stall, a
+certified pair above the 1e-9 gate, or method="qp") the phase-1 LP runs
+once, before any ADMM iteration, and raises FlowInfeasibleError naming the
+most violated state when the polytope is empty. The LP-based functions below
+solve their own LP first and run the phase-1 LP only when that LP returns no
+such point. An empty polytope therefore costs a Newton stall (up to 200
+steps) before the error. When no path reaches the tolerance,
+SolverConvergenceError names every path tried with its residual.
 
 The unregularized optimum and the coverage bound B_wu share one routine,
 Howard policy iteration batched over reward tables.
@@ -43,6 +51,7 @@ from .mdp import Occupancy, Policy, TabularMdp, exact_occupancy
 from .regularizers import Regularizer
 
 _MASS_EPS = 1e-12
+_PHASE1_TOL = 1e-9  # phase-1 objective (L1 flow violation) above which the polytope is empty
 _MAX_SWEEPS = 1000  # random MDPs up to 14 states and gamma 0.999 settle within 6 sweeps
 
 
@@ -167,10 +176,20 @@ def _check_flow_feasible(sup: _Support, mdp: TabularMdp, upper: np.ndarray) -> N
     res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
     if not res.success:
         raise SolverConvergenceError(f"phase-1 feasibility LP failed: {res.message}")
-    if res.fun > 1e-9:
+    if res.fun > _PHASE1_TOL:
         slack = res.x[m : m + s] + res.x[m + s :]
         state = int(np.argmax(slack))
         raise FlowInfeasibleError(state, float(slack[state]))
+
+
+def _certifies_feasible(sup: _Support, mdp: TabularMdp, d_cells: np.ndarray) -> bool:
+    """True when d_cells, inside the LP's box, violates the flow constraints by <= 1e-9 in L1.
+
+    Such a point has phase-1 objective <= _PHASE1_TOL, so _check_flow_feasible
+    could not raise on its polytope and need not run.
+    """
+    flow = sup.b_mat.T @ d_cells - (1.0 - mdp.gamma) * mdp.init_dist
+    return float(np.abs(flow).sum()) <= _PHASE1_TOL
 
 
 def _kkt_residuals(
@@ -360,6 +379,13 @@ def solve_regularized(
     "qp"; a "saddle" request that fell back reads "qp") and ``iterations``
     counts the iterations of every path tried. Raises SolverConvergenceError
     naming each path and its residual when none reaches tol.
+
+    Certificate first: a Newton pair with KKT residual <= tol whose flow
+    violation is at most 1e-9 in L1 proves the covered flow polytope
+    non-empty and is returned without the phase-1 LP. Otherwise the LP runs
+    once, before the "qp" path (always, for method="qp"), and raises
+    FlowInfeasibleError naming the most violated state when the polytope is
+    empty. An infeasible input thus pays a Newton stall before the error.
     """
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}; use solve_unregularized")
@@ -372,7 +398,6 @@ def solve_regularized(
     b_big = 10.0 / sup.weights.min()
     cap_eff = cap if cap is not None else b_big
     upper = cap_eff * sup.weights
-    _check_flow_feasible(sup, mdp, upper)
 
     iterations = 0
     stalls = []
@@ -380,11 +405,15 @@ def solve_regularized(
         if path == "saddle":
             v, w_cells, its = _newton(sup, mdp, reg, alpha, cap_eff, tol=min(tol, 1e-12) * 0.1)
         else:
+            _check_flow_feasible(sup, mdp, upper)  # ADMM must never run on an empty polytope
             v, w_cells, its = _qp_path(sup, mdp, reg, alpha, upper, max_iter=min(budget, 200_000))
         iterations += its
         clip_dev, flow_dev = _kkt_residuals(sup, mdp, reg, alpha, v, w_cells, cap_eff)
         kkt = max(clip_dev, flow_dev)
         if kkt <= tol:
+            # Newton's w lies in [0, cap_eff], so d^D w is a point of the LP's box
+            if path == "saddle" and not _certifies_feasible(sup, mdp, sup.weights * w_cells):
+                _check_flow_feasible(sup, mdp, upper)
             break
         stalls.append(f"{path} path stalled at KKT residual {kkt:.3e} after {its} iterations")
     else:
@@ -575,6 +604,25 @@ def lp_stability_sweep(
     )
 
 
+def _support_lp(sup: _Support, mdp: TabularMdp, upper: np.ndarray):
+    """max r.d over the covered flow polytope with 0 <= d <= upper, by HiGHS.
+
+    The phase-1 LP runs only when this LP returns no point that certifies the
+    polytope non-empty (infeasible, or any other failure), so an empty
+    polytope still raises FlowInfeasibleError naming its most violated state.
+    """
+    res = linprog(
+        -sup.rewards,
+        A_eq=sup.b_mat.T,
+        b_eq=(1.0 - mdp.gamma) * mdp.init_dist,
+        bounds=[(0.0, float(u)) for u in upper],
+        method="highs",
+    )
+    if not (res.success and _certifies_feasible(sup, mdp, np.clip(res.x, 0.0, upper))):
+        _check_flow_feasible(sup, mdp, upper)
+    return res
+
+
 def min_f_divergence_weight(
     mdp: TabularMdp, data_dist, reg: Regularizer
 ) -> tuple[np.ndarray, float]:
@@ -582,19 +630,15 @@ def min_f_divergence_weight(
 
     Solves the unregularized LP restricted to the data support for its value,
     then minimizes E_dD[f(d/dD)] over the optimal face. Returns (w, J*).
+    Raises FlowInfeasibleError when the covered flow polytope is empty, and
+    SolverConvergenceError when the active-set polish fails and the ADMM
+    iterate is unconverged or off the face by more than 1e-8.
     """
     dd = _data_mass(data_dist)
     sup = _build_support(mdp, dd)
     upper = (10.0 / sup.weights.min()) * sup.weights
-    _check_flow_feasible(sup, mdp, upper)
     b_eq = (1.0 - mdp.gamma) * mdp.init_dist
-    res = linprog(
-        -sup.rewards,
-        A_eq=sup.b_mat.T,
-        b_eq=b_eq,
-        bounds=[(0.0, float(u)) for u in upper],
-        method="highs",
-    )
+    res = _support_lp(sup, mdp, upper)
     if not res.success:
         raise SolverConvergenceError(f"support-restricted LP failed: {res.message}")
     j_star = float(-res.fun)
@@ -602,9 +646,21 @@ def min_f_divergence_weight(
     a_mat = np.vstack([sup.b_mat.T, sup.rewards[None, :]])
     b_vec = np.concatenate([b_eq, [j_star]])
     q_diag = reg.m_f / sup.weights
-    x, z, nu, its, _ = _admm_qp(q_diag, np.zeros(sup.num_cells), a_mat, b_vec, upper, tol=1e-11)
+    _, z, _, its, converged = _admm_qp(
+        q_diag, np.zeros(sup.num_cells), a_mat, b_vec, upper, tol=1e-11
+    )
     polished = _active_set_polish(q_diag, np.zeros(sup.num_cells), a_mat, b_vec, upper, z)
-    d_cells = polished[0] if polished is not None else z
+    if polished is not None:
+        d_cells = polished[0]
+    else:
+        resid = float(np.abs(a_mat @ z - b_vec).max())
+        if not converged or resid > 1e-8:
+            raise SolverConvergenceError(
+                f"minimum-divergence QP unverified: active-set polish failed and ADMM "
+                f"(converged={converged}, {its} iterations) left flow/value residual "
+                f"{resid:.3e} (needs convergence and <= 1.0e-08)"
+            )
+        d_cells = z
     return sup.expand(d_cells / sup.weights), j_star
 
 
@@ -619,14 +675,7 @@ def capped_unregularized_value(mdp: TabularMdp, data_dist, cap: float) -> tuple[
     dd = _data_mass(data_dist)
     sup = _build_support(mdp, dd)
     upper = cap * sup.weights
-    _check_flow_feasible(sup, mdp, upper)
-    res = linprog(
-        -sup.rewards,
-        A_eq=sup.b_mat.T,
-        b_eq=(1.0 - mdp.gamma) * mdp.init_dist,
-        bounds=[(0.0, float(u)) for u in upper],
-        method="highs",
-    )
+    res = _support_lp(sup, mdp, upper)
     if not res.success:
         raise SolverConvergenceError(f"capped LP failed: {res.message}")
     return float(-res.fun), sup.expand(res.x)

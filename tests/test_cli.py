@@ -57,6 +57,8 @@ class TestGenCommands:
         assert rc == 0
         sol = json.loads(out.read_text())
         assert sol["kkt_residual"] < 1e-8
+        assert sol["oracle_method"] == "saddle"
+        assert isinstance(sol["oracle_iterations"], int) and sol["oracle_iterations"] > 0
         assert sol["j_star_alpha"] <= sol["j_star_zero"] + 1e-9
         assert len(sol["w_star_alpha"]) == 4
 

@@ -1,9 +1,12 @@
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from prorl import oracle
+from prorl.bounds import recommended_alpha
 from prorl.mdp import (
     Policy,
     TabularMdp,
@@ -28,7 +31,9 @@ from prorl.oracle import (
     solve_unregularized,
     strong_concentrability_check,
 )
+from prorl.pipelines import resolve_mdp
 from prorl.regularizers import Regularizer
+from prorl.suites import stability_fixture
 
 from oracles import covered_flow_feasible, deterministic_policy_marginals, f_divergence
 
@@ -226,6 +231,22 @@ def newton_stall_instance():
     return mdp, dd, float(10.0 ** rng.uniform(-5.0, -2.0)), cap
 
 
+def rate_unregularized_instance(n=1000):
+    """The rate_unregularized suite's instance at the alpha of sample size n.
+
+    Mixing MDP (8 states, 3 actions, gamma 0.8) with uniform behavior data;
+    Newton solves it on its own. Returns (mdp, data mass, alpha).
+    """
+    mdp = resolve_mdp(
+        {"kind": "mixing", "num_states": 8, "num_actions": 3, "gamma": 0.8, "seed": 5,
+         "mixing": 0.5}
+    )
+    dd = uniform_behavior(mdp)
+    b_w0 = float((solve_unregularized(mdp).d_star.mass / dd).max())
+    alpha = recommended_alpha("unregularized", float(n) ** -0.25, Regularizer().eval(b_w0))
+    return mdp, dd, alpha
+
+
 class TestHardInstances:
     def test_default_path_solves_every_feasible_instance(self):
         rng = np.random.default_rng(0)
@@ -271,6 +292,94 @@ class TestHardInstances:
             solve_regularized(mdp, dd, Regularizer(), alpha, cap=cap, budget=1)
         assert "saddle path stalled" in str(err.value)
         assert "qp path stalled" in str(err.value)
+
+
+@pytest.fixture
+def solver_log(monkeypatch):
+    """Record, in order, each phase-1 LP call ("lp") and each ADMM run ("admm")."""
+    log = []
+
+    def check(*args):
+        log.append("lp")
+        return check_flow_feasible(*args)
+
+    def admm(*args, **kwargs):
+        log.append("admm")
+        return admm_qp(*args, **kwargs)
+
+    check_flow_feasible, admm_qp = oracle._check_flow_feasible, oracle._admm_qp
+    monkeypatch.setattr(oracle, "_check_flow_feasible", check)
+    monkeypatch.setattr(oracle, "_admm_qp", admm)
+    return log
+
+
+def hard_family_seed0():
+    """The 48 draws of the stress test, each with its covered-flow feasibility."""
+    rng = np.random.default_rng(0)
+    draws = [hard_instance(rng) for _ in range(48)]
+    return [(draw, covered_flow_feasible(draw[0], draw[1], draw[3])) for draw in draws]
+
+
+class TestPhase1OnFailure:
+    """The phase-1 LP runs only when no certified point shows the polytope non-empty."""
+
+    def test_feasible_default_solves_skip_the_lp(self, solver_log):
+        mdp, dd, alpha = rate_unregularized_instance()
+        assert solve_regularized(mdp, dd, Regularizer(), alpha).kkt_residual <= 1e-8
+        feasible = 0
+        for (mdp, dd, alpha, cap), is_feasible in hard_family_seed0():
+            if is_feasible:
+                feasible += 1
+                sol = solve_regularized(mdp, dd, Regularizer(), alpha, cap=cap)
+                assert sol.method == "saddle" and sol.kkt_residual <= 1e-8
+        assert feasible > 0
+        assert solver_log == []
+
+    def test_lp_oracles_skip_the_phase1_lp(self, solver_log):
+        bundle = build_counterexample(0.5)
+        capped_unregularized_value(bundle.mdp, bundle.data_occupancy, cap=6.0)
+        fx = stability_fixture()
+        min_f_divergence_weight(fx["mdp"], fx["dd"], fx["reg"])
+        assert "lp" not in solver_log
+
+    def test_one_lp_before_admm(self, solver_log):
+        mdp, dd, alpha = rate_unregularized_instance()
+        sol = solve_regularized(mdp, dd, Regularizer(), alpha, method="qp")
+        assert sol.method == "qp" and solver_log == ["lp", "admm"]
+        solver_log.clear()
+        mdp, dd, alpha, cap = newton_stall_instance()
+        sol = solve_regularized(mdp, dd, Regularizer(), alpha, cap=cap)
+        assert sol.method == "qp" and solver_log == ["lp", "admm"]
+
+    def test_infeasible_draws_raise_the_lp_error(self, solver_log):
+        infeasible = 0
+        for (mdp, dd, alpha, cap), is_feasible in hard_family_seed0():
+            if is_feasible:
+                continue
+            infeasible += 1
+            solver_log.clear()
+            with pytest.raises(FlowInfeasibleError) as err:
+                solve_regularized(mdp, dd, Regularizer(), alpha, cap=cap)
+            assert solver_log == ["lp"]
+            sup = oracle._build_support(mdp, dd)
+            with pytest.raises(FlowInfeasibleError) as direct:
+                oracle._check_flow_feasible(sup, mdp, cap * sup.weights)
+            assert (err.value.state, err.value.violation) == (
+                direct.value.state, direct.value.violation
+            )
+        assert infeasible > 0
+
+    def test_loose_tol_cannot_hide_an_empty_polytope(self, solver_log):
+        # a cap just below the counterexample's threshold 3 leaves the
+        # polytope empty by 2.5e-7; Newton then meets tol=1e-3, but its pair
+        # fails the 1e-9 L1 gate, so the LP runs and names the state
+        bundle = build_counterexample(0.5)
+        with pytest.raises(FlowInfeasibleError) as err:
+            solve_regularized(
+                bundle.mdp, bundle.data_occupancy, Regularizer(), 0.1, cap=3.0 * (1 - 1e-6),
+                tol=1e-3,
+            )
+        assert err.value.state == bundle.C and solver_log == ["lp"]
 
 
 class TestSolveUnregularized:
@@ -413,6 +522,14 @@ class TestMinFDivergence:
             unreg = solve_unregularized(mdp)
             assert j_star == pytest.approx(policy_return(mdp, unreg.pi_star), abs=1e-9)
             assert f_divergence(reg, w * dd, dd) <= f_divergence(reg, unreg.d_star, dd) + 1e-9
+
+    def test_unverified_iterate_raises(self, monkeypatch):
+        # on the stability fixture the polish rejects its active set, so the
+        # ADMM iterate itself must be converged and on the optimal face
+        monkeypatch.setattr(oracle, "_admm_qp", partial(oracle._admm_qp, max_iter=1))
+        fx = stability_fixture()
+        with pytest.raises(SolverConvergenceError, match="converged=False, 1 iterations"):
+            min_f_divergence_weight(fx["mdp"], fx["dd"], fx["reg"])
 
     def test_symmetric_face_picks_data_proportions(self):
         mdp = bandit_mdp(reward=[[0.4, 0.4]])
