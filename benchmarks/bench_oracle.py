@@ -13,8 +13,8 @@ it. The default regularized path, ``solve_regularized``, on three instances:
 - the capped hard instance of ``tests/test_oracle.py`` on which Newton
   stalls, so the call pays for Newton, the phase-1 LP and the "qp" path;
 - an infeasible capped hard-family draw (8 states, 2 actions, cap 1.5), so
-  the call pays for a Newton stall and then the phase-1 LP that raises
-  FlowInfeasibleError.
+  the call pays for Newton until its dual objective passes the floor of a
+  feasible instance, and then the phase-1 LP that raises FlowInfeasibleError.
 
 ``capped_unregularized_value`` on the constrained_coverage suite's fixture
 (4 states, 3 actions, cap 2), whose own LP certifies feasibility.

@@ -5,7 +5,7 @@ Modules
 mdp           tabular models, policies, exact occupancies and policy values
 regularizers  density-ratio regularizers f and their constants
 objective     population / empirical Lagrangian and Bellman residuals
-oracle        exact regularized solutions (Newton, ADMM cross-check), the
+oracle        exact regularized solutions (Newton, HiGHS QP cross-check), the
               unregularized optimum and the coverage bound by policy iteration
 classes       finite value / weight / policy classes and witnesses
 saddle        max-min estimation over finite classes

@@ -14,11 +14,10 @@ two independent solution paths are provided:
             stalls above the KKT tolerance, the "qp" path solves the same
             support instead, and the solution records which path produced it.
 
-  "qp"      the primal quadratic program by ADMM (alternating exact
-            minimization of the augmented Lagrangian: an equality-constrained
-            QP step and a box projection step) with an active-set polish;
-            shares no iteration logic with Newton, so method="qp" is the
-            independent cross-check of the default path.
+  "qp"      the primal quadratic program by HiGHS's QP solver, with an
+            active-set polish of its point; shares no iteration logic with
+            Newton, so method="qp" is the independent cross-check of the
+            default path.
 
 Certificate first, feasibility check on failure: a Newton pair that meets
 the KKT tolerance and violates the flow constraints by at most 1e-9 in L1
@@ -26,12 +25,12 @@ already shows the covered flow polytope is non-empty, since it is a point of
 the phase-1 LP with objective below that LP's 1e-9 emptiness threshold, so
 it is returned without the LP. In every other case (a Newton stall, a
 certified pair above the 1e-9 gate, or method="qp") the phase-1 LP runs
-once, before any ADMM iteration, and raises FlowInfeasibleError naming the
-most violated state when the polytope is empty. The LP-based functions below
-solve their own LP first and run the phase-1 LP only when that LP returns no
-such point. An empty polytope therefore costs a Newton stall (up to 200
-steps) before the error. When no path reaches the tolerance,
-SolverConvergenceError names every path tried with its residual.
+once, before the QP, and raises FlowInfeasibleError naming the most violated
+state when the polytope is empty. The LP-based functions below solve their
+own LP first and run the phase-1 LP only when that LP returns no such point.
+On an empty polytope Newton stops early, at a dual floor. When no path
+reaches the tolerance, SolverConvergenceError names every path tried with its
+residual.
 
 The unregularized optimum and the coverage bound B_wu share one routine,
 Howard policy iteration batched over reward tables.
@@ -43,9 +42,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dgetrs
 from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highspy
 
 from .mdp import Occupancy, Policy, TabularMdp, exact_occupancy
 from .regularizers import Regularizer
@@ -223,7 +221,9 @@ def _newton(sup, mdp, reg, alpha, cap_eff, tol, max_iter=200):
     more than rounding and enough (Armijo) or, with g flat to rounding, until
     |Phi| falls; g never rises, so the iteration cannot cycle. Stops at
     |Phi| <= tol, when no step length improves (the residual stopped
-    improving), or after max_iter steps.
+    improving), after max_iter steps, or when g falls below min(r) - alpha
+    f(cap): a point d of the polytope has sum(d) = 1 and d <= cap d^D, and f
+    increases on [0, cap], so weak duality puts g above that on a non-empty one.
     """
     mu_term = (1.0 - mdp.gamma) * mdp.init_dist
     scale = alpha * reg.m_f
@@ -234,12 +234,13 @@ def _newton(sup, mdp, reg, alpha, cap_eff, tol, max_iter=200):
         g = mu_term @ v + sup.weights @ (e * w - alpha * reg.eval(w))
         return e, w, g, sup.b_mat.T @ (sup.weights * w) - mu_term
 
+    floor = sup.rewards.min() - alpha * reg.eval(cap_eff)
     v = np.zeros(sup.num_states)
     e, w, g, phi = at(v)
     norm = np.abs(phi).max()
     ridge = 1.0
     iterations = 0
-    while norm > tol and iterations < max_iter:
+    while norm > tol and iterations < max_iter and g >= floor - 1e-9 * (1.0 + abs(floor)):
         iterations += 1
         interior = (e > 0.0) & (e < scale * cap_eff)
         hess = (sup.b_mat.T * (sup.weights * interior)) @ sup.b_mat / scale
@@ -266,43 +267,41 @@ def _newton(sup, mdp, reg, alpha, cap_eff, tol, max_iter=200):
     return v, w, iterations
 
 
-def _admm_qp(q_diag, lin, a_mat, b_vec, upper, rho=None, tol=1e-10, max_iter=200_000):
-    """min 1/2 x^T diag(q) x - lin^T x  s.t.  a_mat x = b_vec, 0 <= x <= upper.
+def _highs_qp(q_diag, lin, a_mat, b_vec, upper):
+    """min 1/2 x^T diag(q) x - lin^T x  s.t.  a_mat x = b_vec, 0 <= x <= upper, by HiGHS.
 
-    Splitting: x carries the equality constraints (solved exactly through a
-    cached KKT factorization), z carries the box. Returns (x, z, nu, iters,
-    converged) where nu are the equality multipliers of the final x-step.
+    Returns (x clipped to the box, multipliers nu with q x - lin + a_mat^T nu
+    = 0 on the free variables, model status, QP iterations).
     """
-    m = q_diag.shape[0]
-    s = a_mat.shape[0]
-    if rho is None:
-        rho = float(np.median(q_diag)) + 1e-8
-    kkt = np.zeros((m + s, m + s))
-    kkt[:m, :m] = np.diag(q_diag + rho)
-    kkt[:m, m:] = a_mat.T
-    kkt[m:, :m] = a_mat
-    kkt[m:, m:] = -1e-10 * np.eye(s)  # keeps the factorization nonsingular
-    lu, piv = scipy.linalg.lu_factor(kkt)
-    rhs = np.zeros(m + s)
-    rhs[m:] = b_vec
-    z = np.clip(lin / np.maximum(q_diag, 1e-12), 0.0, upper)
-    y = np.zeros(m)
-    x = z.copy()
-    nu = np.zeros(s)
-    converged = False
-    iterations = 0
-    for it in range(max_iter):
-        iterations = it + 1
-        rhs[:m] = lin + rho * (z - y)
-        sol, _ = dgetrs(lu, piv, rhs)  # lu_solve's LAPACK call without its checks
-        x, nu = sol[:m], sol[m:]
-        z_old = z
-        z = np.minimum(np.maximum(x + y, 0.0), upper)  # np.clip, less call overhead
-        y = y + x - z
-        if np.abs(x - z).max() < tol and rho * np.abs(z - z_old).max() < tol:
-            converged = True
-            break
-    return x, z, nu, iterations, converged
+    s, m = a_mat.shape
+    model = highspy.HighsModel()
+    lp = model.lp_
+    lp.num_col_, lp.num_row_ = m, s
+    lp.col_cost_ = -lin
+    lp.col_lower_ = np.zeros(m)
+    lp.col_upper_ = upper
+    lp.row_lower_ = lp.row_upper_ = b_vec
+    cols = lp.a_matrix_  # the dense a_mat, column by column
+    cols.format_ = highspy.MatrixFormat.kColwise
+    cols.num_col_, cols.num_row_ = m, s
+    cols.start_ = np.arange(0, m * s + 1, s)
+    cols.index_ = np.tile(np.arange(s), m)
+    cols.value_ = a_mat.T.ravel()
+    hess = model.hessian_
+    hess.dim_ = m  # diagonal, so already in HiGHS's default triangular format
+    hess.start_ = np.arange(m + 1)
+    hess.index_ = np.arange(m)
+    hess.value_ = q_diag
+    solver = highspy._Highs()
+    solver.setOptionValue("output_flag", False)
+    solver.setOptionValue("primal_feasibility_tolerance", 1e-10)
+    solver.setOptionValue("dual_feasibility_tolerance", 1e-10)
+    solver.passModel(model)
+    solver.run()
+    sol = solver.getSolution()
+    x = np.clip(np.asarray(sol.col_value), 0.0, upper)
+    iterations = solver.getInfo().qp_iteration_count
+    return x, -np.asarray(sol.row_dual), solver.getModelStatus(), iterations
 
 
 def _active_set_polish(q_diag, lin, a_mat, b_vec, upper, x, band=1e-7):
@@ -339,13 +338,17 @@ def _active_set_polish(q_diag, lin, a_mat, b_vec, upper, x, band=1e-7):
     return np.clip(x_new, 0.0, upper), nu
 
 
-def _qp_path(sup, mdp, reg, alpha, upper, max_iter):
-    """The primal QP in d by ADMM, then an active-set polish of its box iterate."""
+def _qp_path(sup, mdp, reg, alpha, upper):
+    """The primal QP in d by HiGHS, then an active-set polish of its point.
+
+    HiGHS alone leaves KKT residuals of 1e-8 to 1e-5. Its status is ignored:
+    the caller gates on the KKT residual.
+    """
     q_diag = alpha * reg.m_f / sup.weights
     qp_args = (q_diag, sup.rewards, sup.b_mat.T, (1.0 - mdp.gamma) * mdp.init_dist, upper)
-    _, z, nu, iterations, _ = _admm_qp(*qp_args, tol=1e-9, max_iter=max_iter)
-    polished = _active_set_polish(*qp_args, z)
-    d_cells, v = polished if polished is not None else (z, nu)
+    x, nu, _, iterations = _highs_qp(*qp_args)
+    polished = _active_set_polish(*qp_args, x)
+    d_cells, v = polished if polished is not None else (x, nu)
     return v, d_cells / sup.weights, iterations
 
 
@@ -357,7 +360,6 @@ def solve_regularized(
     cap: Optional[float] = None,
     method: str = "saddle",
     tol: float = 1e-8,
-    budget: int = 1_000_000,
 ) -> RegularizedSolution:
     """Solve the alpha-regularized occupancy problem over the data support.
 
@@ -368,12 +370,11 @@ def solve_regularized(
         be inactive at the solution).
     method : "saddle" (default): damped Newton on the dual from v = 0, and
         the "qp" path on the same support when Newton stalls above tol.
-        "qp": ADMM with active-set polish only; it shares no iteration logic
-        with Newton and serves as the independent cross-check.
+        "qp": the primal QP by HiGHS with an active-set polish only; it
+        shares no iteration logic with Newton and serves as the independent
+        cross-check.
     tol : required bound on the joint KKT residual (clip-form deviation and
         flow violation); the returned certificate is usually far tighter.
-    budget : cap on the ADMM iterations of the "qp" path (at most 200,000);
-        Newton is not affected.
 
     The solution's ``method`` is the path that produced it ("saddle" or
     "qp"; a "saddle" request that fell back reads "qp") and ``iterations``
@@ -385,7 +386,8 @@ def solve_regularized(
     non-empty and is returned without the phase-1 LP. Otherwise the LP runs
     once, before the "qp" path (always, for method="qp"), and raises
     FlowInfeasibleError naming the most violated state when the polytope is
-    empty. An infeasible input thus pays a Newton stall before the error.
+    empty. An infeasible input thus pays for Newton, which ends early on an
+    empty polytope, before the error.
     """
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}; use solve_unregularized")
@@ -405,8 +407,9 @@ def solve_regularized(
         if path == "saddle":
             v, w_cells, its = _newton(sup, mdp, reg, alpha, cap_eff, tol=min(tol, 1e-12) * 0.1)
         else:
-            _check_flow_feasible(sup, mdp, upper)  # ADMM must never run on an empty polytope
-            v, w_cells, its = _qp_path(sup, mdp, reg, alpha, upper, max_iter=min(budget, 200_000))
+            # on an empty polytope the LP, not the QP, can name the violated state
+            _check_flow_feasible(sup, mdp, upper)
+            v, w_cells, its = _qp_path(sup, mdp, reg, alpha, upper)
         iterations += its
         clip_dev, flow_dev = _kkt_residuals(sup, mdp, reg, alpha, v, w_cells, cap_eff)
         kkt = max(clip_dev, flow_dev)
@@ -630,9 +633,9 @@ def min_f_divergence_weight(
 
     Solves the unregularized LP restricted to the data support for its value,
     then minimizes E_dD[f(d/dD)] over the optimal face. Returns (w, J*).
-    Raises FlowInfeasibleError when the covered flow polytope is empty, and
-    SolverConvergenceError when the active-set polish fails and the ADMM
-    iterate is unconverged or off the face by more than 1e-8.
+    The face QP is solved by HiGHS. Raises FlowInfeasibleError when the
+    covered flow polytope is empty, and SolverConvergenceError unless HiGHS
+    reports an optimum within 1e-8 of the face.
     """
     dd = _data_mass(data_dist)
     sup = _build_support(mdp, dd)
@@ -646,21 +649,13 @@ def min_f_divergence_weight(
     a_mat = np.vstack([sup.b_mat.T, sup.rewards[None, :]])
     b_vec = np.concatenate([b_eq, [j_star]])
     q_diag = reg.m_f / sup.weights
-    _, z, _, its, converged = _admm_qp(
-        q_diag, np.zeros(sup.num_cells), a_mat, b_vec, upper, tol=1e-11
-    )
-    polished = _active_set_polish(q_diag, np.zeros(sup.num_cells), a_mat, b_vec, upper, z)
-    if polished is not None:
-        d_cells = polished[0]
-    else:
-        resid = float(np.abs(a_mat @ z - b_vec).max())
-        if not converged or resid > 1e-8:
-            raise SolverConvergenceError(
-                f"minimum-divergence QP unverified: active-set polish failed and ADMM "
-                f"(converged={converged}, {its} iterations) left flow/value residual "
-                f"{resid:.3e} (needs convergence and <= 1.0e-08)"
-            )
-        d_cells = z
+    d_cells, _, status, _ = _highs_qp(q_diag, np.zeros(sup.num_cells), a_mat, b_vec, upper)
+    resid = float(np.abs(a_mat @ d_cells - b_vec).max())
+    if status != highspy.HighsModelStatus.kOptimal or resid > 1e-8:
+        raise SolverConvergenceError(
+            f"minimum-divergence QP unverified: HiGHS status {status.name} with "
+            f"flow/value residual {resid:.3e} (needs kOptimal and <= 1.0e-08)"
+        )
     return sup.expand(d_cells / sup.weights), j_star
 
 

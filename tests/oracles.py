@@ -148,11 +148,11 @@ def f_divergence(reg, d, data_mass):
     return float(np.sum(dd[pos] * reg.eval(d[pos] / dd[pos])))
 
 
-def covered_flow_feasible(mdp, data_mass, cap=None):
-    """Is some occupancy supported on the data within d <= cap * d^D?
+def _covered_lp(mdp, data_mass, cap, cost):
+    """min cost.d over occupancies supported on the data within d <= cap * d^D.
 
-    One HiGHS feasibility LP over all S*A cells (uncovered cells pinned to
-    zero), independent of the package's phase-1 program on the support.
+    One HiGHS LP over all S*A cells (uncovered cells pinned to zero),
+    independent of the package's LPs on the support.
     """
     from scipy.optimize import linprog
 
@@ -165,14 +165,26 @@ def covered_flow_feasible(mdp, data_mass, cap=None):
         for m in np.asarray(data_mass).ravel()
     ]
     res = linprog(
-        np.zeros(s_dim * a_dim),
+        cost,
         A_eq=flow,
         b_eq=(1.0 - mdp.gamma) * mdp.init_dist,
         bounds=bounds,
         method="highs",
     )
     assert res.status in (0, 2), res.message
-    return res.status == 0
+    return res
+
+
+def covered_flow_feasible(mdp, data_mass, cap=None):
+    """Is some occupancy supported on the data within d <= cap * d^D?"""
+    return _covered_lp(mdp, data_mass, cap, np.zeros(mdp.reward.size)).status == 0
+
+
+def covered_lp_optimum(mdp, data_mass):
+    """(J*, optimal vertex occupancy) of the unregularized LP over the data support."""
+    res = _covered_lp(mdp, data_mass, None, -mdp.reward.ravel())
+    assert res.status == 0, res.message
+    return float(-res.fun), res.x.reshape(mdp.reward.shape)
 
 
 def population_lagrangian(mdp, data_dist, reg, alpha, v, w):

@@ -1,5 +1,4 @@
 import tracemalloc
-from functools import partial
 
 import numpy as np
 import pytest
@@ -35,7 +34,12 @@ from prorl.pipelines import resolve_mdp
 from prorl.regularizers import Regularizer
 from prorl.suites import stability_fixture
 
-from oracles import covered_flow_feasible, deterministic_policy_marginals, f_divergence
+from oracles import (
+    covered_flow_feasible,
+    covered_lp_optimum,
+    deterministic_policy_marginals,
+    f_divergence,
+)
 
 
 def uniform_behavior(mdp):
@@ -220,15 +224,23 @@ def hard_instance(rng):
     return mdp, mass / mass.sum(), alpha, cap
 
 
-def newton_stall_instance():
-    """A capped hard-family instance with alpha drawn from [1e-5, 1e-2].
-
-    At alpha ~1.8e-4, below the family's range, Newton runs out of steps here
-    (and at alpha 10 % either side); ADMM solves it in about 20,000 steps.
+def low_alpha_instance(k):
+    """Draw k of the low-alpha family: hard_instance(default_rng(k)) with alpha
+    drawn next from the same generator, log-uniform on [1e-5, 1e-2], below the
+    hard family's range. Returns (mdp, data mass, alpha, cap).
     """
-    rng = np.random.default_rng(183)
+    rng = np.random.default_rng(k)
     mdp, dd, _, cap = hard_instance(rng)
     return mdp, dd, float(10.0 ** rng.uniform(-5.0, -2.0)), cap
+
+
+def newton_stall_instance():
+    """Low-alpha draw 183, a capped instance at alpha ~1.8e-4.
+
+    Newton runs out of steps here (and at alpha 10 % either side); the "qp"
+    path solves it.
+    """
+    return low_alpha_instance(183)
 
 
 def rate_unregularized_instance(n=1000):
@@ -247,14 +259,36 @@ def rate_unregularized_instance(n=1000):
     return mdp, dd, alpha
 
 
+def with_feasibility(draws):
+    """Pair each (mdp, data mass, alpha, cap) draw with its covered-flow feasibility."""
+    return [(draw, covered_flow_feasible(draw[0], draw[1], draw[3])) for draw in draws]
+
+
+def hard_family(seed):
+    """The 48 draws of hard_instance from default_rng(seed), with their feasibility."""
+    rng = np.random.default_rng(seed)
+    return with_feasibility([hard_instance(rng) for _ in range(48)])
+
+
 class TestHardInstances:
-    def test_default_path_solves_every_feasible_instance(self):
-        rng = np.random.default_rng(0)
+    # seed 3's draw 28 (S 7, A 4, alpha 5.6e-3, cap 1.5) once stalled the
+    # "qp" cross-check; low-alpha draws 6 and 96 once stalled both paths
+    @pytest.mark.parametrize(
+        "family",
+        [
+            pytest.param(lambda: hard_family(0), id="hard_seed0"),
+            pytest.param(lambda: hard_family(3), id="hard_seed3"),
+            pytest.param(
+                lambda: with_feasibility([low_alpha_instance(k) for k in range(200)]),
+                id="low_alpha",
+            ),
+        ],
+    )
+    def test_default_path_solves_every_feasible_instance(self, family):
         reg = Regularizer()
         feasible = infeasible = 0
-        for _ in range(48):
-            mdp, dd, alpha, cap = hard_instance(rng)
-            if not covered_flow_feasible(mdp, dd, cap):
+        for (mdp, dd, alpha, cap), is_feasible in family():
+            if not is_feasible:
                 infeasible += 1
                 with pytest.raises(FlowInfeasibleError):
                     solve_regularized(mdp, dd, reg, alpha, cap=cap)
@@ -286,38 +320,51 @@ class TestHardInstances:
         assert sol.kkt_residual <= 1e-8
         assert sol.w_star.max() <= cap + 1e-10
 
-    def test_both_paths_stalled_raise(self):
+    def test_both_paths_stalled_raise(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_highs_qp", failed_highs_qp)
         mdp, dd, alpha, cap = newton_stall_instance()
         with pytest.raises(SolverConvergenceError) as err:
-            solve_regularized(mdp, dd, Regularizer(), alpha, cap=cap, budget=1)
+            solve_regularized(mdp, dd, Regularizer(), alpha, cap=cap)
         assert "saddle path stalled" in str(err.value)
         assert "qp path stalled" in str(err.value)
 
 
+def failed_highs_qp(q_diag, lin, a_mat, b_vec, upper):
+    """Stand-in for a HiGHS QP solve that fails: the zero point and kSolveError."""
+    status = oracle.highspy.HighsModelStatus.kSolveError
+    return np.zeros_like(q_diag), np.zeros(a_mat.shape[0]), status, 0
+
+
+class TestHighsQp:
+    def test_closed_form_with_one_bound_active(self):
+        # min (x1^2 + x2^2)/2 - 3 x1  s.t.  x1 + x2 = 1, 0 <= x <= (0.6, 5):
+        # x1 presses on its upper bound, x2 = 0.4 is free, and q x2 - 0 + nu = 0
+        # gives nu = -0.4
+        x, nu, status, _ = oracle._highs_qp(
+            np.ones(2), np.array([3.0, 0.0]), np.ones((1, 2)), np.ones(1), np.array([0.6, 5.0])
+        )
+        assert status == oracle.highspy.HighsModelStatus.kOptimal
+        np.testing.assert_allclose(x, [0.6, 0.4], rtol=0.0, atol=1e-10)
+        assert nu[0] < 0.0
+
+
 @pytest.fixture
 def solver_log(monkeypatch):
-    """Record, in order, each phase-1 LP call ("lp") and each ADMM run ("admm")."""
+    """Record, in order, each phase-1 LP call ("lp") and each HiGHS QP solve ("qp")."""
     log = []
 
     def check(*args):
         log.append("lp")
         return check_flow_feasible(*args)
 
-    def admm(*args, **kwargs):
-        log.append("admm")
-        return admm_qp(*args, **kwargs)
+    def qp(*args):
+        log.append("qp")
+        return highs_qp(*args)
 
-    check_flow_feasible, admm_qp = oracle._check_flow_feasible, oracle._admm_qp
+    check_flow_feasible, highs_qp = oracle._check_flow_feasible, oracle._highs_qp
     monkeypatch.setattr(oracle, "_check_flow_feasible", check)
-    monkeypatch.setattr(oracle, "_admm_qp", admm)
+    monkeypatch.setattr(oracle, "_highs_qp", qp)
     return log
-
-
-def hard_family_seed0():
-    """The 48 draws of the stress test, each with its covered-flow feasibility."""
-    rng = np.random.default_rng(0)
-    draws = [hard_instance(rng) for _ in range(48)]
-    return [(draw, covered_flow_feasible(draw[0], draw[1], draw[3])) for draw in draws]
 
 
 class TestPhase1OnFailure:
@@ -327,7 +374,7 @@ class TestPhase1OnFailure:
         mdp, dd, alpha = rate_unregularized_instance()
         assert solve_regularized(mdp, dd, Regularizer(), alpha).kkt_residual <= 1e-8
         feasible = 0
-        for (mdp, dd, alpha, cap), is_feasible in hard_family_seed0():
+        for (mdp, dd, alpha, cap), is_feasible in hard_family(0):
             if is_feasible:
                 feasible += 1
                 sol = solve_regularized(mdp, dd, Regularizer(), alpha, cap=cap)
@@ -342,18 +389,18 @@ class TestPhase1OnFailure:
         min_f_divergence_weight(fx["mdp"], fx["dd"], fx["reg"])
         assert "lp" not in solver_log
 
-    def test_one_lp_before_admm(self, solver_log):
+    def test_one_lp_before_qp(self, solver_log):
         mdp, dd, alpha = rate_unregularized_instance()
         sol = solve_regularized(mdp, dd, Regularizer(), alpha, method="qp")
-        assert sol.method == "qp" and solver_log == ["lp", "admm"]
+        assert sol.method == "qp" and solver_log == ["lp", "qp"]
         solver_log.clear()
         mdp, dd, alpha, cap = newton_stall_instance()
         sol = solve_regularized(mdp, dd, Regularizer(), alpha, cap=cap)
-        assert sol.method == "qp" and solver_log == ["lp", "admm"]
+        assert sol.method == "qp" and solver_log == ["lp", "qp"]
 
     def test_infeasible_draws_raise_the_lp_error(self, solver_log):
         infeasible = 0
-        for (mdp, dd, alpha, cap), is_feasible in hard_family_seed0():
+        for (mdp, dd, alpha, cap), is_feasible in hard_family(0):
             if is_feasible:
                 continue
             infeasible += 1
@@ -368,6 +415,22 @@ class TestPhase1OnFailure:
                 direct.value.state, direct.value.violation
             )
         assert infeasible > 0
+
+    def test_newton_ends_early_on_empty_polytopes(self, monkeypatch):
+        steps = []
+
+        def newton(*args, **kwargs):
+            v, w, iterations = newton_fn(*args, **kwargs)
+            steps.append(iterations)
+            return v, w, iterations
+
+        newton_fn = oracle._newton
+        monkeypatch.setattr(oracle, "_newton", newton)
+        for (mdp, dd, alpha, cap), is_feasible in hard_family(0):
+            if not is_feasible:
+                with pytest.raises(FlowInfeasibleError):
+                    solve_regularized(mdp, dd, Regularizer(), alpha, cap=cap)
+        assert steps and max(steps) < 200
 
     def test_loose_tol_cannot_hide_an_empty_polytope(self, solver_log):
         # a cap just below the counterexample's threshold 3 leaves the
@@ -524,12 +587,22 @@ class TestMinFDivergence:
             assert f_divergence(reg, w * dd, dd) <= f_divergence(reg, unreg.d_star, dd) + 1e-9
 
     def test_unverified_iterate_raises(self, monkeypatch):
-        # on the stability fixture the polish rejects its active set, so the
-        # ADMM iterate itself must be converged and on the optimal face
-        monkeypatch.setattr(oracle, "_admm_qp", partial(oracle._admm_qp, max_iter=1))
+        # the face QP's point is returned only with HiGHS's optimal status
+        monkeypatch.setattr(oracle, "_highs_qp", failed_highs_qp)
         fx = stability_fixture()
-        with pytest.raises(SolverConvergenceError, match="converged=False, 1 iterations"):
+        with pytest.raises(SolverConvergenceError, match="HiGHS status kSolveError"):
             min_f_divergence_weight(fx["mdp"], fx["dd"], fx["reg"])
+
+    def test_hard_draws_reach_the_face(self):
+        reg = Regularizer()
+        for k in range(60):
+            mdp, dd, _, _ = hard_instance(np.random.default_rng(k))
+            w, j_star = min_f_divergence_weight(mdp, dd, reg)
+            j_lp, d_lp = covered_lp_optimum(mdp, dd)
+            d = w * dd
+            assert max(flow_residual(mdp, d), abs(float((mdp.reward * d).sum()) - j_star)) <= 1e-8
+            assert j_star == pytest.approx(j_lp, abs=1e-9)
+            assert f_divergence(reg, d, dd) <= f_divergence(reg, d_lp, dd) + 1e-9
 
     def test_symmetric_face_picks_data_proportions(self):
         mdp = bandit_mdp(reward=[[0.4, 0.4]])
