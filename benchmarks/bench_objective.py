@@ -1,13 +1,19 @@
-"""Micro-benchmarks of the count-based kernels: the payoff matrix and cloning.
+"""Micro-benchmarks of dataset generation and the count-based kernels.
 
 Run from the root of a checkout (pytest-benchmark required):
 
     python -m pytest benchmarks/bench_objective.py --benchmark-only
 
 The file name does not match ``test_*.py``, so the Tier-1 run never collects
-it. Datasets are generated outside the timed call, so each timing is one
-kernel call: a pass over the data for the counts, then work that depends on
-the class sizes and S, A only.
+it. Each timing is one call:
+
+- ``generate_dataset`` on the rate_regularized suite's fixture (10 states,
+  3 actions) at n = n0 = 1e3, 1e5 and 1e6: three draws from one stream
+  and three guide-table inverse-CDF lookups;
+
+the kernels below run on datasets generated outside the timed call, so each
+of their timings is a pass over the data for the counts, then work that
+depends on the class sizes and S, A only:
 
 - ``empirical_lagrangian_members`` on the rate_regularized suite's fixture
   (10 states, 3 actions, 31 value and 31 weight members) at n = 1e4, 1e5
@@ -36,6 +42,15 @@ from prorl.pipelines import (  # noqa: E402
 )
 from prorl.regularizers import Regularizer  # noqa: E402
 from prorl.suites import bc_fixture, rate_regularized_fixture  # noqa: E402
+
+
+@pytest.mark.parametrize("n", [1_000, 100_000, 1_000_000])
+def test_generate_dataset_rate_regularized(benchmark, n):
+    fx = rate_regularized_fixture()
+    mdp = resolve_mdp(fx["mdp"])
+    dd, _ = resolve_data_dist(mdp, fx["data_dist"])
+    data = benchmark(generate_dataset, mdp, dd, n, n, 0)
+    assert data.n == n and data.n0 == n
 
 
 @pytest.mark.parametrize("n", [10_000, 100_000, 1_000_000])

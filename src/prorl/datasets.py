@@ -1,8 +1,9 @@
 """Offline transition datasets: generation, validation, JSONL serialization.
 
 A dataset is n i.i.d. transitions (s, a, r, s') with (s, a) ~ d^D and
-s' ~ P(.|s, a), plus n0 i.i.d. initial states ~ mu0. Sampling uses inverse-CDF
-lookups against a single PCG64 stream, so a (config, seed) pair pins the
+s' ~ P(.|s, a), plus n0 i.i.d. initial states ~ mu0. Sampling is an exact
+inverse CDF (a guide table, Chen & Asau 1974, equal to ``searchsorted``)
+over three draws from one PCG64 stream, so a (config, seed) pair pins the
 dataset bytes exactly.
 """
 
@@ -37,11 +38,9 @@ class OfflineDataset:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "states", np.asarray(self.states, dtype=int))
-        object.__setattr__(self, "actions", np.asarray(self.actions, dtype=int))
-        object.__setattr__(self, "rewards", np.asarray(self.rewards, dtype=float))
-        object.__setattr__(self, "next_states", np.asarray(self.next_states, dtype=int))
-        object.__setattr__(self, "init_states", np.asarray(self.init_states, dtype=int))
+        for name in ("states", "actions", "rewards", "next_states", "init_states"):
+            dtype = float if name == "rewards" else int
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
         n = self.states.shape[0]
         for name in ("actions", "rewards", "next_states"):
             if getattr(self, name).shape[0] != n:
@@ -109,30 +108,56 @@ class OfflineDataset:
 
     @staticmethod
     def load(transitions_path: str, inits_path: str, gamma: float) -> "OfflineDataset":
-        s, a, r, sp = [], [], [], []
         with open(transitions_path) as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                row = json.loads(line)
-                s.append(row["s"])
-                a.append(row["a"])
-                r.append(row["r"])
-                sp.append(row["sp"])
+            rows = [json.loads(line) for line in fh if line.strip()]
         with open(inits_path) as fh:
             inits = [int(line) for line in fh if line.strip()]
         return OfflineDataset(
-            states=np.array(s, dtype=int),
-            actions=np.array(a, dtype=int),
-            rewards=np.array(r, dtype=float),
-            next_states=np.array(sp, dtype=int),
-            init_states=np.array(inits, dtype=int),
+            states=[row["s"] for row in rows],
+            actions=[row["a"] for row in rows],
+            rewards=[row["r"] for row in rows],
+            next_states=[row["sp"] for row in rows],
+            init_states=inits,
             gamma=gamma,
         )
 
 
-def _inverse_cdf(cumulative: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    return np.searchsorted(cumulative, draws, side="right")
+_GUIDE_BUCKETS = 1024  # K, a power of two, so u * K and b / K are exact
+
+
+def _cumulative(probs: np.ndarray) -> np.ndarray:
+    """Cumulative sums along the last axis, 1.0 from each row's last positive entry on."""
+    cum = np.minimum(np.cumsum(probs, axis=-1), 1.0)
+    last = probs.shape[-1] - 1 - np.argmax(probs[..., ::-1] > 0.0, axis=-1)
+    cum[np.arange(probs.shape[-1]) >= last[..., None]] = 1.0
+    return cum
+
+
+def _inverse_cdf(cum: np.ndarray, draws: np.ndarray, rows=None) -> np.ndarray:
+    """``searchsorted(cum[row], u, side="right")`` for each draw u in [0, 1), by guide table.
+
+    Rows lie along cum's last axis (one row if rows is None), nondecreasing in
+    [0, 1]. guide[r, b] counts row r's entries <= b / K: a draw in bucket
+    floor(u K) reads its index there, or steps through the bucket if it holds one.
+    """
+    k = _GUIDE_BUCKETS
+    cum = cum.reshape(-1, cum.shape[-1])
+    num_rows, width = cum.shape
+    # guide[r] holds j on [ceil(cum_{j-1} K), ceil(cum_j K)), rows of K + 1 end to end
+    edges = np.zeros((num_rows, width + 2), dtype=np.intp)
+    edges[:, 1:-1] = np.ceil(cum * k)
+    edges[:, -1] = k + 1
+    guide = np.repeat(np.tile(np.arange(width + 1), num_rows), np.diff(edges).ravel())
+    # floor(u K) by a ufunc cast: astype(np.intp) takes about ten times as long
+    at = np.multiply(draws, k, out=np.empty(draws.shape, np.intp), casting="unsafe")
+    at += 0 if rows is None else rows * (k + 1)
+    out, upper = guide[at], guide[1:][at]
+    todo = np.flatnonzero(upper != out)
+    u, r, idx, stop = draws[todo], at[todo] // (k + 1), out[todo], upper[todo]
+    for _ in range(int((stop - idx).max(initial=0))):
+        idx += (idx < stop) & (cum[r, np.minimum(idx, width - 1)] <= u)
+    out[todo] = idx
+    return out
 
 
 def generate_dataset(
@@ -159,23 +184,15 @@ def generate_dataset(
         raise ValueError("sample counts must be nonnegative")
 
     rng = np.random.default_rng(seed)
-    flat_cum = np.cumsum(dd.ravel())
-    flat_cum[-1] = 1.0
-    cells = _inverse_cdf(flat_cum, rng.random(n))
-    states, actions = np.unravel_index(cells, dd.shape)
-
-    trans_cum = np.cumsum(mdp.transition, axis=2)
-    row_cum = trans_cum[states, actions]
-    next_states = (rng.random(n)[:, None] < row_cum).argmax(axis=1)
-
-    init_cum = np.cumsum(mdp.init_dist)
-    init_cum[-1] = 1.0
-    init_states = _inverse_cdf(init_cum, rng.random(n0))
+    cells = _inverse_cdf(_cumulative(dd.ravel()), rng.random(n))
+    next_states = _inverse_cdf(_cumulative(mdp.transition), rng.random(n), cells)
+    init_states = _inverse_cdf(_cumulative(mdp.init_dist), rng.random(n0))
+    states, actions = np.indices(dd.shape).reshape(2, -1).take(cells, axis=1)
 
     return OfflineDataset(
         states=states,
         actions=actions,
-        rewards=mdp.reward[states, actions],
+        rewards=mdp.reward.ravel()[cells],
         next_states=next_states,
         init_states=init_states,
         gamma=mdp.gamma,

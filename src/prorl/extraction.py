@@ -9,6 +9,7 @@ estimate of the behavior policy.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -78,12 +79,15 @@ def bc_objective_matrix(
     Entry [i, j] averages w_hat(s, a) * (h_j^{pi_i}(s) - h_j(s, a)) over the
     dataset transitions, where h^pi(s) is the policy's expected witness
     value at s, as a sum over covered cells weighted by the counts N(s, a).
-    The witness set defaults to the one generated from the policy class itself.
+    The witness set defaults to the policy class's own, memoized by content.
     """
     if data.n == 0:
         raise ValueError("cloning needs a nonempty dataset (n=0)")
     w_hat = np.asarray(w_hat, dtype=float)
-    hs = witness_class(policies) if witnesses is None else tuple(witnesses)
+    if witnesses is None:
+        probs = np.stack([pi.probs for pi in policies.members])
+        witnesses = _witnesses_of(probs.shape, probs.tobytes())
+    hs = tuple(witnesses)
     n_sa = data.counts(*w_hat.shape).transitions.sum(axis=2)
     pos = n_sa > 0
     cell_states = np.nonzero(pos)[0]
@@ -95,6 +99,15 @@ def bc_objective_matrix(
         h_pi = np.einsum("hsa,sa->hs", h_stack, pi.probs)  # (H, S)
         out[i] = (h_pi[:, cell_states] - h_cells) @ weights / data.n
     return out
+
+
+@functools.lru_cache(maxsize=4)
+def _witnesses_of(shape: tuple, probs: bytes) -> tuple:
+    """witness_class of the policies stacked in probs, read-only: callers share it."""
+    witnesses = witness_class(PolicyClass(tuple(map(Policy, np.frombuffer(probs).reshape(shape)))))
+    for h in witnesses:
+        h.flags.writeable = False
+    return witnesses
 
 
 def clone_policy(

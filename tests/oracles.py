@@ -237,3 +237,26 @@ def bc_objective(w_hat, data, policies, witnesses):
         diffs = h_pi[:, data.states] - h_at_sa  # (H, n)
         out[i] = (diffs * weights[None, :]).mean(axis=1)
     return out
+
+
+def searchsorted_dataset(mdp, data_mass, n, n0, seed):
+    """(states, actions, next_states, init_states) by plain inverse-CDF search.
+
+    Cells and initial states by ``np.searchsorted`` on the cumulative sums
+    (last entry forced to 1.0), next states by comparing each draw against
+    its whole cumulative transition row. It takes the same three draws from
+    the same stream, in the same order, as ``generate_dataset``; the two
+    differ only on a draw at or above a cumulative sum that rounds below 1
+    (about 1e-16 of the mass), which this maps past the support.
+    """
+    rng = np.random.default_rng(seed)
+    flat_cum = np.cumsum(np.asarray(data_mass, dtype=float).ravel())
+    flat_cum[-1] = 1.0
+    cells = np.searchsorted(flat_cum, rng.random(n), side="right")
+    states, actions = np.unravel_index(cells, (mdp.num_states, mdp.num_actions))
+    trans_cum = np.cumsum(mdp.transition, axis=2)
+    next_states = (rng.random(n)[:, None] < trans_cum[states, actions]).argmax(axis=1)
+    init_cum = np.cumsum(mdp.init_dist)
+    init_cum[-1] = 1.0
+    init_states = np.searchsorted(init_cum, rng.random(n0), side="right")
+    return states, actions, next_states, init_states

@@ -1,8 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from oracles import searchsorted_dataset
 
-from prorl.datasets import OfflineDataset, exact_frequency_dataset, generate_dataset
-from prorl.mdp import build_counterexample, exact_occupancy, random_mdp, uniform_policy
+from prorl.datasets import (
+    _GUIDE_BUCKETS as K,
+    OfflineDataset,
+    _cumulative,
+    _inverse_cdf,
+    exact_frequency_dataset,
+    generate_dataset,
+)
+from prorl.mdp import (
+    TabularMdp,
+    build_counterexample,
+    exact_occupancy,
+    random_mdp,
+    uniform_policy,
+)
 
 
 def behavior_distribution(mdp, seed=0):
@@ -81,6 +96,152 @@ class TestGeneration:
         d1 = generate_dataset(mdp, dd, n=100, n0=10, seed=1)
         d2 = generate_dataset(mdp, dd, n=100, n0=10, seed=2)
         assert not np.array_equal(d1.states, d2.states)
+
+
+def sparse_mdp_and_data(num_states, num_actions, seed, zero_frac):
+    """Random MDP and data distribution with about zero_frac of each law zeroed.
+
+    Cells, transition entries and initial states alike; every law keeps at
+    least one positive entry.
+    """
+    rng = np.random.default_rng(seed)
+
+    def law(shape):
+        p = rng.random(shape) * (rng.random(shape) >= zero_frac)
+        flat = p.reshape(-1, shape[-1])
+        empty = ~flat.any(axis=1)
+        flat[empty, rng.integers(shape[-1], size=empty.sum())] = 1.0
+        return p / p.sum(axis=-1, keepdims=True)
+
+    mdp = TabularMdp(
+        num_states,
+        num_actions,
+        law((num_states, num_actions, num_states)),
+        rng.random((num_states, num_actions)),
+        0.9,
+        law((num_states,)),
+    )
+    return mdp, law((num_states * num_actions,)).reshape(num_states, num_actions)
+
+
+def expected_searchsorted(cum, draws, rows):
+    cum = np.atleast_2d(cum)
+    return np.array([np.searchsorted(cum[r], u, side="right") for u, r in zip(draws, rows)])
+
+
+class TestGuideTable:
+    """_inverse_cdf equals searchsorted(cum[row], u, side="right") draw by draw."""
+
+    @pytest.mark.parametrize(
+        "cum, draws",
+        [
+            # draws exactly at bucket edges b / K and one ulp either side
+            (
+                [0.25, 0.5, 0.75, 1.0],
+                [0.0, 255 / K, 256 / K, 257 / K]
+                + [np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0)],
+            ),
+            # cumulative entries exactly on bucket edges, and draws between them
+            (
+                [3 / K, 4 / K, 700 / K, 1.0],
+                [2.5 / K, 3 / K, 3.5 / K, 4 / K, 699.9 / K, 700 / K, 0.9],
+            ),
+            # repeated cumulative values (zero-probability entries), leading zeros
+            ([0.0, 0.0, 0.1, 0.1, 0.1, 0.6, 0.6, 1.0], [0.0, 0.05, 0.1, 0.3, 0.6, 0.99]),
+            # several entries inside one bucket
+            (
+                [0.5, 0.5 + 1e-6, 0.5 + 2e-6, 0.5 + 3e-6, 1.0],
+                [0.5, 0.5 + 5e-7, 0.5 + 1e-6, 0.5 + 2.5e-6, 0.5 + 3e-6, 0.5 + 1e-5],
+            ),
+            # a one-entry row
+            ([1.0], [0.0, 0.5, np.nextafter(1.0, 0.0)]),
+        ],
+    )
+    def test_crafted_rows(self, cum, draws):
+        cum, draws = np.asarray(cum), np.asarray(draws)
+        got = _inverse_cdf(cum, draws)
+        want = expected_searchsorted(cum, draws, np.zeros(draws.size, int))
+        np.testing.assert_array_equal(got, want)
+
+    def test_rows_pick_their_own_table(self):
+        cum = np.array([[0.5, 1.0, 1.0], [0.0, 0.25, 1.0], [1.0, 1.0, 1.0]])
+        draws = np.array([0.1, 0.1, 0.1, 0.6, 0.6, 0.6, 0.25, 0.25, 0.25])
+        rows = np.array([0, 1, 2] * 3)
+        np.testing.assert_array_equal(
+            _inverse_cdf(cum, draws, rows), expected_searchsorted(cum, draws, rows)
+        )
+
+    @given(
+        width=st.integers(1, 12),
+        num_rows=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        grid=st.sampled_from([16, 2048, 0]),
+    )
+    def test_matches_searchsorted(self, width, num_rows, seed, grid):
+        # grid > 0 snaps entries and draws to multiples of 1/grid, so they sit
+        # on bucket edges (16, 2048) or crowd into one bucket (2048)
+        rng = np.random.default_rng(seed)
+        cum = np.sort(rng.random((num_rows, width)), axis=1)
+        draws = rng.random(200)
+        if grid:
+            cum, draws = np.floor(cum * grid) / grid, np.floor(draws * grid) / grid
+        cum[:, -1] = 1.0
+        rows = rng.integers(num_rows, size=draws.size)
+        np.testing.assert_array_equal(
+            _inverse_cdf(cum, draws, rows), expected_searchsorted(cum, draws, rows)
+        )
+
+
+class TestReferenceSampler:
+    @settings(max_examples=150)
+    @given(
+        num_states=st.integers(1, 8),
+        num_actions=st.integers(1, 4),
+        n=st.sampled_from([0, 1, 7, 300]),
+        n0=st.sampled_from([0, 1, 25]),
+        seed=st.integers(0, 2**32 - 1),
+        zero_frac=st.sampled_from([0.0, 0.3, 0.7]),
+    )
+    def test_same_arrays_as_searchsorted(self, num_states, num_actions, n, n0, seed, zero_frac):
+        mdp, dd = sparse_mdp_and_data(num_states, num_actions, seed, zero_frac)
+        data = generate_dataset(mdp, dd, n, n0, seed)
+        want = searchsorted_dataset(mdp, dd, n, n0, seed)
+        for got, ref in zip((data.states, data.actions, data.next_states, data.init_states), want):
+            np.testing.assert_array_equal(got, ref)
+        np.testing.assert_array_equal(data.rewards, mdp.reward[want[0], want[1]])
+
+    def test_top_draws_land_on_the_last_positive_entry(self, monkeypatch):
+        # Every law is ten masses of 0.1 and a zero, so its cumulative sum
+        # stops at 1 - 2**-53 = nextafter(1, 0). Plain searchsorted sent that
+        # draw to the zero-mass last cell (a ValueError), and the whole-row
+        # comparison sent it to state 0.
+        class TopDraws:
+            def random(self, size):
+                return np.full(size, np.nextafter(1.0, 0.0))
+
+        law = np.array([0.1] * 10 + [0.0])
+        assert np.cumsum(law)[-1] == np.nextafter(1.0, 0.0)
+        mdp = TabularMdp(11, 1, np.tile(law, (11, 1, 1)), np.zeros((11, 1)), 0.9, law)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: TopDraws())
+        data = generate_dataset(mdp, law[:, None], n=3, n0=2, seed=0)
+        np.testing.assert_array_equal(data.states, [9, 9, 9])
+        np.testing.assert_array_equal(data.next_states, [9, 9, 9])
+        np.testing.assert_array_equal(data.init_states, [9, 9])
+
+    def test_cumulative_is_one_from_the_last_positive_entry(self):
+        law = np.array([
+            [0.1] * 10 + [0.0, 0.0],
+            [0.5, 0.0, 0.5] + [0.0] * 9,
+            # sums past 1 within the row-sum tolerance, before a tiny last mass
+            [0.5, 0.5 + 1e-10] + [0.0] * 8 + [1e-11, 0.0],
+        ])
+        cum = _cumulative(law)
+        np.testing.assert_array_equal(cum[:, 10:], 1.0)
+        np.testing.assert_array_equal(cum[1, :3], [0.5, 0.5, 1.0])
+        np.testing.assert_array_equal(cum[0, :9], np.cumsum(law[0])[:9])
+        assert np.all(np.diff(cum, axis=1) >= 0.0) and cum.max() == 1.0
+        draws = np.array([0.25, 0.75, np.nextafter(1.0, 0.0)])
+        np.testing.assert_array_equal(_inverse_cdf(cum, draws, np.full(3, 2)), [0, 1, 1])
 
 
 class TestSerialization:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from prorl.classes import PolicyClass, witness_class
+from prorl import extraction
 from prorl.datasets import exact_frequency_dataset, generate_dataset
 from prorl.extraction import (
     ExtractionResult,
@@ -174,6 +175,22 @@ class TestClonePolicy:
         a = bc_objective_matrix(sol.w_star, data, pc)
         b = bc_objective_matrix(sol.w_star, data, pc, witnesses=cached)
         np.testing.assert_array_equal(a, b)
+
+    def test_default_witnesses_are_memoized_by_content(self):
+        _, _, sol, data = self.make_bc_instance(n2=200)
+        extraction._witnesses_of.cache_clear()
+        for _ in range(2):  # equal content in a new PolicyClass object hits the memo
+            pc = PolicyClass((sol.pi_star, uniform_policy(4, 2)))
+            bc_objective_matrix(sol.w_star, data, pc)
+        info = extraction._witnesses_of.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        probs = np.stack([pi.probs for pi in pc.members])
+        memo = extraction._witnesses_of(probs.shape, probs.tobytes())
+        fresh = witness_class(pc)
+        assert len(memo) == len(fresh)
+        for h_memo, h_fresh in zip(memo, fresh):
+            np.testing.assert_array_equal(h_memo, h_fresh)
+            assert not h_memo.flags.writeable
 
 
 class TestResultShape:

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from prorl import pipelines
+from prorl import extraction, pipelines
 from prorl.mdp import random_mdp
 from prorl.oracle import capped_unregularized_value
 from prorl.pipelines import (
@@ -18,7 +18,7 @@ from prorl.pipelines import (
     run_pro_rl_bc,
 )
 from prorl.regularizers import Regularizer
-from prorl.suites import capped_fixture, counterexample_fixture
+from prorl.suites import capped_fixture, counterexample_fixture, run_experiment_suite
 
 REG = Regularizer().to_config()
 
@@ -338,10 +338,10 @@ class TestEachStepOncePerRun:
 
     COUNTED = ("empirical_lagrangian_members", "solve_regularized", "solve_unregularized")
 
-    def count_calls(self, monkeypatch) -> Counter:
+    def count_calls(self, monkeypatch, names=COUNTED, source=pipelines) -> Counter:
         counts = Counter()
-        for name in self.COUNTED:
-            original = getattr(pipelines, name)
+        for name in names:
+            original = getattr(source, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
                 counts[_name] += 1
@@ -366,6 +366,15 @@ class TestEachStepOncePerRun:
         counts = self.count_calls(monkeypatch)
         run_pro_rl(base_config())
         assert counts["solve_regularized"] == 1
+
+    def test_bc_suite_builds_the_witness_set_once(self, monkeypatch, tmp_path):
+        # every run of the suite clones over the same policy class
+        extraction._witnesses_of.cache_clear()
+        counts = self.count_calls(monkeypatch, ("witness_class",), source=extraction)
+        run_experiment_suite(
+            "bc_scaling", str(tmp_path), n2_grid=(300, 600), num_seeds=2, n1=4000
+        )
+        assert counts["witness_class"] == 1
 
     def test_cloning_guard_matches_single_driver(self):
         cfg = RUN_VARIANTS["bc"]()
