@@ -11,7 +11,7 @@ the anchor at a chosen scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -151,33 +151,6 @@ class PolicyClass:
     @classmethod
     def from_config(cls, cfg: dict) -> "PolicyClass":
         return cls(tuple(Policy(np.asarray(p, dtype=float)) for p in cfg["members"]))
-
-
-def make_value_class(
-    members: Sequence[np.ndarray],
-    b_v: float,
-    lower: Optional[float] = None,
-    on_violation: str = "reject",
-) -> ValueClass:
-    """Validate members against the box, clipping when asked.
-
-    on_violation="reject" raises on the first out-of-box member;
-    "clip" projects offenders into the box and records their indices.
-    """
-    if on_violation not in ("reject", "clip"):
-        raise ValueError("on_violation must be 'reject' or 'clip'")
-    lo = -b_v if lower is None else lower
-    kept, clipped = [], []
-    for i, raw in enumerate(members):
-        v = np.asarray(raw, dtype=float)
-        inside = v.min() >= lo - _BOX_TOL and v.max() <= b_v + _BOX_TOL
-        if not inside:
-            if on_violation == "reject":
-                raise ValueError(f"member {i} leaves the box [{lo}, {b_v}]")
-            v = np.clip(v, lo, b_v)
-            clipped.append(i)
-        kept.append(v)
-    return ValueClass(tuple(kept), float(b_v), float(lo), tuple(clipped))
 
 
 def _distractor_scales(num: int, scale) -> np.ndarray:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -132,14 +131,6 @@ def uniform_policy(num_states: int, num_actions: int) -> Policy:
     return Policy(np.full((num_states, num_actions), 1.0 / num_actions))
 
 
-def deterministic_policy(actions: Sequence[int], num_actions: int) -> Policy:
-    """Point-mass policy taking actions[s] in state s."""
-    actions = np.asarray(actions, dtype=int)
-    probs = np.zeros((actions.shape[0], num_actions))
-    probs[np.arange(actions.shape[0]), actions] = 1.0
-    return Policy(probs)
-
-
 @dataclass(frozen=True, eq=False)
 class Occupancy:
     """Nonnegative state-action mass, shape (S, A).
@@ -211,18 +202,6 @@ def flow_residual(mdp: TabularMdp, d) -> float:
     lhs = mass.sum(axis=1)
     rhs = (1.0 - mdp.gamma) * mdp.init_dist + mdp.gamma * inflow
     return float(np.abs(lhs - rhs).max())
-
-
-def policy_values(mdp: TabularMdp, policy: Policy) -> tuple[np.ndarray, np.ndarray]:
-    """State values V and action values Q of a policy, by direct solve.
-
-    V solves (I - gamma P_pi) V = r_pi; Q = r + gamma P V.
-    """
-    p_pi = policy_transition_matrix(mdp, policy)
-    r_pi = np.einsum("sa,sa->s", policy.probs, mdp.reward)
-    v = np.linalg.solve(np.eye(mdp.num_states) - mdp.gamma * p_pi, r_pi)
-    q = mdp.reward + mdp.gamma * np.einsum("sat,t->sa", mdp.transition, v)
-    return v, q
 
 
 def policy_return(mdp: TabularMdp, policy: Policy) -> float:

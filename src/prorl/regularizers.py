@@ -40,10 +40,6 @@ class Regularizer:
         """f(x), elementwise on arrays."""
         return 0.5 * self.m_f * np.square(x) + self.shift
 
-    def deriv(self, x):
-        """f'(x) = m_f * x."""
-        return self.m_f * np.asarray(x, dtype=float)
-
     def deriv_inverse(self, y):
         """(f')^{-1}(y) = y / m_f."""
         return np.asarray(y, dtype=float) / self.m_f

@@ -14,8 +14,10 @@ reproduce rows.csv and summary.json byte for byte.
 """
 
 from datetime import datetime, timezone
+import inspect
 import json
 import logging
+import math
 import os
 
 import numpy as np
@@ -51,6 +53,7 @@ from .pipelines import (
     CSV_HEADER,
     ExperimentConfig,
     PipelineError,
+    resolve_data_dist,
     resolve_mdp,
     run_pro_rl,
     run_pro_rl_bc,
@@ -116,22 +119,25 @@ def _report_sort_key(report):
     return (report.alpha, report.n, n2, report.seed, report.variant, report.config_hash)
 
 
-def _write_report_rows(out_dir: str, reports) -> None:
-    ordered = sorted(reports, key=_report_sort_key)
-    _write_rows(os.path.join(out_dir, "rows.csv"), CSV_HEADER, [r.to_row() for r in ordered])
+def _fit_plot(out_dir: str, xs, series, slope_label: str, **labels):
+    """Fit the first series log-log and, when a fit exists, plot every series.
 
-
-def _fit_or_none(xs, ys):
-    pairs = [(x, y) for x, y in zip(xs, ys) if y > 0]
+    series holds (label, ys) pairs over the shared xs; labels are the title
+    and axis labels. Returns the fit summary, or None when fewer than two
+    points of the first series are positive (and then writes no plot).
+    """
+    pairs = [(x, y) for x, y in zip(xs, series[0][1]) if y > 0]
     if len(pairs) < 2:
         return None
     fit = fit_loglog([p[0] for p in pairs], [p[1] for p in pairs])
-    return {
-        "slope": fit["slope"],
-        "intercept": fit["intercept"],
-        "r2": fit["r2"],
-        "slope_ci": list(fit["slope_ci"]),
-    }
+    line_plot(
+        os.path.join(out_dir, "plot.svg"),
+        [{"label": label, "xs": xs, "ys": ys} for label, ys in series],
+        loglog=True,
+        annotation=f"{slope_label} {fit['slope']:.3f}",
+        **labels,
+    )
+    return {**fit, "slope_ci": list(fit["slope_ci"])}
 
 
 # ---------------------------------------------------------------------------
@@ -357,12 +363,49 @@ def bc_fixture(n1: int = 60000) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _sweep(out_dir: str, seed: int, num_seeds: int, base: dict, points: dict) -> dict:
+    """Run every grid point at num_seeds dataset seeds and write rows.csv.
+
+    Point ``label`` runs ``ExperimentConfig(**base, **points[label],
+    seed=seed + s)`` for each s < num_seeds; a config with a bc block goes
+    through the cloning driver. Points run in ascending label order, so the
+    order of a grid in the overrides never reaches the artifacts. Returns
+    {label: reports} in that order.
+
+    Both drivers are read as module globals on every run, so a harness that
+    rebinds them in this module sees each run.
+    """
+    batches = {}
+    for label in sorted(points):
+        point = points[label]
+        cfgs = (ExperimentConfig(**base, **point, seed=seed + s) for s in range(num_seeds))
+        batches[label] = [(run_pro_rl if c.bc is None else run_pro_rl_bc)(c) for c in cfgs]
+    ordered = sorted((r for batch in batches.values() for r in batch), key=_report_sort_key)
+    _write_rows(os.path.join(out_dir, "rows.csv"), CSV_HEADER, [r.to_row() for r in ordered])
+    return batches
+
+
+def _sizes(grid, n0=lambda n: n) -> dict:
+    """Grid points that set the sample size n and its initial-state count n0."""
+    return {int(n): {"n": int(n), "n0": n0(int(n))} for n in grid}
+
+
 def _suite_counterexample(out_dir: str, seed: int, gamma: float = 0.5) -> dict:
     reg = Regularizer()
-    reports = []
+    fixtures = {instance: counterexample_fixture(gamma, instance) for instance in (1, 2)}
+    orders = {"adversarial": (1, 0), "friendly": None}
+    base = {"alpha": 0.0, "n": 6, "n0": 1, "variant": {"kind": "alpha_zero"},
+            "dataset": {"kind": "exact_frequency", "repeats": 1}}
+    points = {
+        (instance, label): {"w_order": order,
+                            **{k: fx[k] for k in ("mdp", "data_dist", "reg", "classes")}}
+        for instance, fx in fixtures.items()
+        for label, order in orders.items()
+    }
+    batches = _sweep(out_dir, seed, 1, base, points)
+
     per_instance = {}
-    for instance in (1, 2):
-        fx = counterexample_fixture(gamma, instance)
+    for instance, fx in fixtures.items():
         bundle = fx["bundle"]
         pop = population_lagrangian_members(
             bundle.mdp, bundle.data_occupancy, reg, 0.0,
@@ -375,24 +418,7 @@ def _suite_counterexample(out_dir: str, seed: int, gamma: float = 0.5) -> dict:
         pi_right = extract_policy(bundle.w_right, fx["pi_d"]).policy
         regret_right = j_star - policy_return(bundle.mdp, pi_right)
 
-        gaps = {}
-        for label, order in (("adversarial", (1, 0)), ("friendly", None)):
-            cfg = ExperimentConfig(
-                mdp=fx["mdp"],
-                data_dist=fx["data_dist"],
-                reg=fx["reg"],
-                alpha=0.0,
-                n=6,
-                n0=1,
-                seed=seed,
-                classes=fx["classes"],
-                variant={"kind": "alpha_zero"},
-                dataset={"kind": "exact_frequency", "repeats": 1},
-                w_order=order,
-            )
-            report = run_pro_rl(cfg)
-            reports.append(report)
-            gaps[label] = report.gap_ref
+        gaps = {label: batches[instance, label][0].gap_ref for label in orders}
         per_instance[f"instance_{instance}"] = {
             "population_tie_gap": tie_gap,
             "oracle_right_policy_regret": regret_right,
@@ -403,16 +429,12 @@ def _suite_counterexample(out_dir: str, seed: int, gamma: float = 0.5) -> dict:
         _log.info(f"[counterexample] instance {instance}: tie gap {tie_gap:.2e}, "
                   f"adversarial gap {gaps['adversarial']:.4f}")
 
-    _write_report_rows(out_dir, reports)
     worst_gap = max(v["gap_adversarial"] for v in per_instance.values())
     worst_regret = max(v["oracle_right_policy_regret"] for v in per_instance.values())
     return {
-        "suite": "counterexample",
         "gamma": gamma,
         "instances": per_instance,
-        "max_population_tie_gap": max(
-            v["population_tie_gap"] for v in per_instance.values()
-        ),
+        "max_population_tie_gap": max(v["population_tie_gap"] for v in per_instance.values()),
         "worst_instance_gap": worst_gap,
         "gap_over_regret_ratio": worst_gap / worst_regret if worst_regret > 0 else float("nan"),
         "friendly_gap_max": max(v["gap_friendly"] for v in per_instance.values()),
@@ -426,62 +448,38 @@ def _suite_rate_regularized(
     num_seeds: int = 20,
 ) -> dict:
     fx = rate_regularized_fixture()
-    reports = []
+    base = {k: fx[k] for k in ("mdp", "data_dist", "reg", "alpha", "classes")}
+    batches = _sweep(out_dir, seed, num_seeds, base, _sizes(n_grid))
     per_n = {}
-    for n in n_grid:
-        batch = []
-        for s in range(num_seeds):
-            cfg = ExperimentConfig(
-                mdp=fx["mdp"],
-                data_dist=fx["data_dist"],
-                reg=fx["reg"],
-                alpha=fx["alpha"],
-                n=int(n),
-                n0=int(n),
-                seed=seed + s,
-                classes=fx["classes"],
-            )
-            batch.append(run_pro_rl(cfg))
-        reports.extend(batch)
+    for n, batch in batches.items():
         devs = [r.w_dev for r in batch]
-        per_n[str(int(n))] = {
+        per_n[str(n)] = {
             "w_dev_median": float(np.median(devs)),
             "w_dev_mean": float(np.mean(devs)),
             "exact_picks": sum(1 for r in batch if r.w_index == 0),
         }
         _log.info(f"[rate_regularized] n={n}: median dev {np.median(devs):.5f}")
 
-    _write_report_rows(out_dir, reports)
-    ns = [int(n) for n in n_grid]
+    ns = list(batches)
     medians = [per_n[str(n)]["w_dev_median"] for n in ns]
-    fit = _fit_or_none(ns, medians)
-    monotone = all(a >= b - 1e-12 for a, b in zip(medians, medians[1:]))
-    if fit is not None:
-        line_plot(
-            os.path.join(out_dir, "plot.svg"),
-            [
-                {"label": "median weight error", "xs": ns, "ys": medians},
-                {
-                    "label": "mean weight error",
-                    "xs": ns,
-                    "ys": [per_n[str(n)]["w_dev_mean"] for n in ns],
-                },
-            ],
-            title="weight estimation error vs sample size",
-            xlabel="n",
-            ylabel="||w_hat - w*||_{2,dD}",
-            loglog=True,
-            annotation=f"median slope {fit['slope']:.3f}",
-        )
+    means = [per_n[str(n)]["w_dev_mean"] for n in ns]
+    fit = _fit_plot(
+        out_dir,
+        ns,
+        [("median weight error", medians), ("mean weight error", means)],
+        "median slope",
+        title="weight estimation error vs sample size",
+        xlabel="n",
+        ylabel="||w_hat - w*||_{2,dD}",
+    )
     return {
-        "suite": "rate_regularized",
         "alpha": fx["alpha"],
         "n_grid": ns,
         "num_seeds": num_seeds,
         "per_n": per_n,
         "medians": medians,
         "median_fit": fit,
-        "medians_monotone": monotone,
+        "medians_monotone": all(a >= b - 1e-12 for a, b in zip(medians, medians[1:])),
     }
 
 
@@ -500,38 +498,26 @@ def _suite_rate_unregularized(
         "mixing": 0.5,
     }
     mdp = resolve_mdp(mdp_cfg)
-    pi_d = uniform_policy(mdp.num_states, mdp.num_actions)
-    dd = exact_occupancy(mdp, pi_d).mass
-    uns = solve_unregularized(mdp)
-    w_zero = uns.d_star.mass / dd
-    b_w0 = float(w_zero.max())
+    dd, _ = resolve_data_dist(mdp, {"kind": "uniform_policy"})
+    b_w0 = float((solve_unregularized(mdp).d_star.mass / dd).max())
     reg = Regularizer()
     b_f0 = float(reg.eval(b_w0))
 
-    reports = []
+    points = _sizes(n_grid)
+    for n, point in points.items():
+        point["alpha"] = recommended_alpha("unregularized", float(n) ** -0.25, b_f0)
+    base = {"mdp": mdp_cfg, "data_dist": {"kind": "uniform_policy"}, "reg": reg.to_config(),
+            "classes": {"kind": "realizable", "num_distractors": 8, "seed": 0}}
+    batches = _sweep(out_dir, seed, num_seeds, base, points)
     per_n = {}
-    for n in n_grid:
-        alpha = recommended_alpha("unregularized", float(n) ** -0.25, b_f0)
-        batch = []
-        for s in range(num_seeds):
-            cfg = ExperimentConfig(
-                mdp=mdp_cfg,
-                data_dist={"kind": "uniform_policy"},
-                reg=reg.to_config(),
-                alpha=alpha,
-                n=int(n),
-                n0=int(n),
-                seed=seed + s,
-                classes={"kind": "realizable", "num_distractors": 8, "seed": 0},
-            )
-            batch.append(run_pro_rl(cfg))
-        reports.extend(batch)
+    for n, batch in batches.items():
+        alpha = points[n]["alpha"]
         gaps = [r.j_star_zero - r.j_hat for r in batch]
         budgets = [
             unregularized_competition_slack(r.alpha, b_f0) + r.rhs_realized for r in batch
         ]
         ok = sum(1 for g, b in zip(gaps, budgets) if g <= b + 1e-12)
-        per_n[str(int(n))] = {
+        per_n[str(n)] = {
             "alpha": alpha,
             "gap_zero_mean": float(np.mean(gaps)),
             "gap_zero_median": float(np.median(gaps)),
@@ -542,10 +528,8 @@ def _suite_rate_unregularized(
         _log.info(f"[rate_unregularized] n={n}: alpha {alpha:.5f}, "
                   f"envelope {ok}/{len(batch)}")
 
-    _write_report_rows(out_dir, reports)
-    ns = [int(n) for n in n_grid]
+    ns = list(batches)
     budget_means = [per_n[str(n)]["budget_mean"] for n in ns]
-    decreasing = all(a > b for a, b in zip(budget_means, budget_means[1:]))
     line_plot(
         os.path.join(out_dir, "plot.svg"),
         [
@@ -562,17 +546,15 @@ def _suite_rate_unregularized(
         loglog=True,
         annotation=f"b_f0 {b_f0:.3f}",
     )
-    total = len(reports)
     envelope = sum(per_n[str(n)]["envelope_ok"] for n in ns)
     return {
-        "suite": "rate_unregularized",
         "b_w0": b_w0,
         "b_f0": b_f0,
         "n_grid": ns,
         "num_seeds": num_seeds,
         "per_n": per_n,
-        "envelope_fraction": envelope / total,
-        "budgets_decreasing": decreasing,
+        "envelope_fraction": envelope / (len(ns) * num_seeds),
+        "budgets_decreasing": all(a > b for a, b in zip(budget_means, budget_means[1:])),
     }
 
 
@@ -619,7 +601,6 @@ def _suite_lp_stability(
     _log.info(f"[lp_stability] prefix {sweep.constant_prefix_len}/{total}, "
               f"limit err {limit_err:.2e}, r2 {sweep.v_gap_r2:.5f}")
     return {
-        "suite": "lp_stability",
         "alpha_grid": list(alpha_grid),
         "constant_prefix_len": sweep.constant_prefix_len,
         "limit_matches_min_divergence_err": limit_err,
@@ -639,27 +620,21 @@ def _suite_constrained_coverage(
 ) -> dict:
     fx = capped_fixture()
     mdp = fx["mdp_obj"]
-    pi_d = Policy(np.asarray(fx["data_dist"]["probs"], dtype=float))
-    dd = exact_occupancy(mdp, pi_d).mass
+    dd, _ = resolve_data_dist(mdp, fx["data_dist"])
     j_cap, _ = capped_unregularized_value(mdp, dd, fx["cap"])
     uns = solve_unregularized(mdp)
     j_zero = float((uns.d_star.mass * mdp.reward).sum())
 
-    reports = []
-    for s in range(num_seeds):
-        cfg = ExperimentConfig(
-            mdp=fx["mdp"],
-            data_dist=fx["data_dist"],
-            reg=fx["reg"],
-            alpha=0.1,
-            n=int(n),
-            n0=max(int(n) // 10, 10),
-            seed=seed + s,
-            classes={"kind": "constrained", "num_distractors": 8, "seed": 0},
-            variant={"kind": "capped", "cap": fx["cap"]},
-        )
-        reports.append(run_pro_rl(cfg))
-    _write_report_rows(out_dir, reports)
+    base = {
+        "mdp": fx["mdp"],
+        "data_dist": fx["data_dist"],
+        "reg": fx["reg"],
+        "alpha": 0.1,
+        "classes": {"kind": "constrained", "num_distractors": 8, "seed": 0},
+        "variant": {"kind": "capped", "cap": fx["cap"]},
+    }
+    points = _sizes((n,), lambda n: max(n // 10, 10))
+    (reports,) = _sweep(out_dir, seed, num_seeds, base, points).values()
 
     envelope_ok = sum(1 for r in reports if r.gap_ref <= r.rhs_capped + 1e-12)
     cap_ok = sum(1 for r in reports if r.w_max <= r.b_w + 1e-9)
@@ -667,7 +642,6 @@ def _suite_constrained_coverage(
     _log.info(f"[constrained_coverage] envelope {envelope_ok}/{len(reports)}, "
               f"cap respected {cap_ok}/{len(reports)}")
     return {
-        "suite": "constrained_coverage",
         "cap": fx["cap"],
         "n": int(n),
         "num_seeds": num_seeds,
@@ -689,53 +663,35 @@ def _suite_alpha_zero_strong(
 ) -> dict:
     fx = ring_fixture()
     mdp = resolve_mdp(fx["mdp"])
-    pi_d = uniform_policy(mdp.num_states, mdp.num_actions)
-    dd = exact_occupancy(mdp, pi_d).mass
-    uns = solve_unregularized(mdp)
-    strong = strong_concentrability_check(mdp, dd, uns.d_star)
+    dd, _ = resolve_data_dist(mdp, fx["data_dist"])
+    strong = strong_concentrability_check(mdp, dd, solve_unregularized(mdp).d_star)
 
-    reports = []
+    base = {k: fx[k] for k in ("mdp", "data_dist", "reg", "classes")}
+    base.update(alpha=0.0, variant={"kind": "alpha_zero"})
+    points = _sizes(n_grid, lambda n: max(n // 10, 10))
+    batches = _sweep(out_dir, seed, num_seeds, base, points)
     per_n = {}
-    for n in n_grid:
-        batch = []
-        for s in range(num_seeds):
-            cfg = ExperimentConfig(
-                mdp=fx["mdp"],
-                data_dist=fx["data_dist"],
-                reg=fx["reg"],
-                alpha=0.0,
-                n=int(n),
-                n0=max(int(n) // 10, 10),
-                seed=seed + s,
-                classes=fx["classes"],
-                variant={"kind": "alpha_zero"},
-            )
-            batch.append(run_pro_rl(cfg))
-        reports.extend(batch)
+    for n, batch in batches.items():
         gaps = [r.gap_ref for r in batch]
-        per_n[str(int(n))] = {
+        per_n[str(n)] = {
             "gap_mean": float(np.mean(gaps)),
             "gap_median": float(np.median(gaps)),
             "exact_picks": sum(1 for r in batch if r.w_index == 0),
         }
         _log.info(f"[alpha_zero_strong] n={n}: mean gap {np.mean(gaps):.6f}")
 
-    _write_report_rows(out_dir, reports)
-    ns = [int(n) for n in n_grid]
+    ns = list(batches)
     means = [per_n[str(n)]["gap_mean"] for n in ns]
-    fit = _fit_or_none(ns, means)
-    if fit is not None:
-        line_plot(
-            os.path.join(out_dir, "plot.svg"),
-            [{"label": "mean return gap", "xs": ns, "ys": means}],
-            title="return gap vs sample size under two-sided coverage",
-            xlabel="n",
-            ylabel="J(pi*) - J(pi_hat)",
-            loglog=True,
-            annotation=f"slope {fit['slope']:.3f}",
-        )
+    fit = _fit_plot(
+        out_dir,
+        ns,
+        [("mean return gap", means)],
+        "slope",
+        title="return gap vs sample size under two-sided coverage",
+        xlabel="n",
+        ylabel="J(pi*) - J(pi_hat)",
+    )
     return {
-        "suite": "alpha_zero_strong",
         "n_grid": ns,
         "num_seeds": num_seeds,
         "strong_concentrability": {
@@ -758,30 +714,15 @@ def _suite_bc_scaling(
 ) -> dict:
     fx = bc_fixture(n1)
     factor = 1.5
-    reports = []
+    base = {k: fx[k] for k in ("mdp", "data_dist", "reg", "alpha", "classes", "bc")}
+    base["n0"] = 2000
+    batches = _sweep(
+        out_dir, seed, num_seeds, base, {int(n2): {"n": n1 + int(n2)} for n2 in n2_grid}
+    )
     per_n2 = {}
-    for n2 in n2_grid:
-        batch = []
-        for s in range(num_seeds):
-            cfg = ExperimentConfig(
-                mdp=fx["mdp"],
-                data_dist=fx["data_dist"],
-                reg=fx["reg"],
-                alpha=fx["alpha"],
-                n=n1 + int(n2),
-                n0=2000,
-                seed=seed + s,
-                classes=fx["classes"],
-                bc=fx["bc"],
-            )
-            batch.append(run_pro_rl_bc(cfg))
-        reports.extend(batch)
-        ok = sum(
-            1
-            for r in batch
-            if r.pi_l1_bc <= r.pi_l1 + factor * r.bc_sample_term + 1e-12
-        )
-        per_n2[str(int(n2))] = {
+    for n2, batch in batches.items():
+        ok = sum(r.pi_l1_bc <= r.pi_l1 + factor * r.bc_sample_term + 1e-12 for r in batch)
+        per_n2[str(n2)] = {
             "pi_l1_bc_mean": float(np.mean([r.pi_l1_bc for r in batch])),
             "pi_l1_mean": float(np.mean([r.pi_l1 for r in batch])),
             "bc_sample_term_mean": float(np.mean([r.bc_sample_term for r in batch])),
@@ -789,37 +730,23 @@ def _suite_bc_scaling(
             "saddle_misses": sum(1 for r in batch if r.w_index != 0),
         }
         _log.info(f"[bc_scaling] n2={n2}: mean cloned distance "
-                  f"{per_n2[str(int(n2))]['pi_l1_bc_mean']:.5f}, "
+                  f"{per_n2[str(n2)]['pi_l1_bc_mean']:.5f}, "
                   f"envelope {ok}/{len(batch)}")
 
-    _write_report_rows(out_dir, reports)
-    n2s = [int(x) for x in n2_grid]
+    n2s = list(batches)
     means = [per_n2[str(x)]["pi_l1_bc_mean"] for x in n2s]
-    fit = _fit_or_none(n2s, means)
-    if fit is not None:
-        line_plot(
-            os.path.join(out_dir, "plot.svg"),
-            [
-                {"label": "cloned policy distance (mean)", "xs": n2s, "ys": means},
-                {
-                    "label": "direct distance + sample term",
-                    "xs": n2s,
-                    "ys": [
-                        per_n2[str(x)]["pi_l1_mean"]
-                        + factor * per_n2[str(x)]["bc_sample_term_mean"]
-                        for x in n2s
-                    ],
-                },
-            ],
-            title="cloning error vs held-out sample size",
-            xlabel="n2",
-            ylabel="E_{d*}||pi* - pi||_1",
-            loglog=True,
-            annotation=f"slope {fit['slope']:.3f}",
-        )
-    min_envelope = min(per_n2[str(x)]["envelope_ok"] for x in n2s)
+    direct = [per_n2[str(x)]["pi_l1_mean"] + factor * per_n2[str(x)]["bc_sample_term_mean"]
+              for x in n2s]
+    fit = _fit_plot(
+        out_dir,
+        n2s,
+        [("cloned policy distance (mean)", means), ("direct distance + sample term", direct)],
+        "slope",
+        title="cloning error vs held-out sample size",
+        xlabel="n2",
+        ylabel="E_{d*}||pi* - pi||_1",
+    )
     return {
-        "suite": "bc_scaling",
         "n1": n1,
         "n2_grid": n2s,
         "num_seeds": num_seeds,
@@ -827,7 +754,7 @@ def _suite_bc_scaling(
         "per_n2": per_n2,
         "means": means,
         "mean_fit": fit,
-        "min_envelope_ok": min_envelope,
+        "min_envelope_ok": min(per_n2[str(x)]["envelope_ok"] for x in n2s),
     }
 
 
@@ -841,82 +768,65 @@ def _suite_robustness(
     gamma = 0.8
     alpha = 0.3
     reg = Regularizer()
-    mdp_cfg = {"kind": "random", "num_states": 6, "num_actions": 3, "gamma": gamma, "seed": 3}
+    base = {
+        "mdp": {"kind": "random", "num_states": 6, "num_actions": 3, "gamma": gamma, "seed": 3},
+        "data_dist": {"kind": "uniform_policy"},
+        "reg": reg.to_config(),
+        "alpha": alpha,
+        "n": 5000,
+        "n0": 5000,
+    }
+    points = {
+        (pert, eps_o): {
+            "classes": {"kind": "misspecified", "perturbation": pert, "num_distractors": 6,
+                        "seed": 1},
+            "variant": ({"kind": "inexact", "eps_ov": eps_o, "eps_ow": eps_o} if eps_o
+                        else {"kind": "plain"}),
+        }
+        for pert in perturbations
+        for eps_o in oracle_errors
+    }
+    batches = _sweep(out_dir, seed, num_seeds, base, points)
 
-    reports = []
     cells = {}
-    chain_ok = 0
-    robust_ok = 0
     worst_ratio = 0.0
-    for pert in perturbations:
-        for eps_o in oracle_errors:
-            if eps_o == 0.0:
-                variant = {"kind": "plain"}
-            else:
-                variant = {"kind": "inexact", "eps_ov": eps_o, "eps_ow": eps_o}
-            batch = []
-            for s in range(num_seeds):
-                cfg = ExperimentConfig(
-                    mdp=mdp_cfg,
-                    data_dist={"kind": "uniform_policy"},
-                    reg=reg.to_config(),
-                    alpha=alpha,
-                    n=5000,
-                    n0=5000,
-                    seed=seed + s,
-                    classes={
-                        "kind": "misspecified",
-                        "perturbation": pert,
-                        "num_distractors": 6,
-                        "seed": 1,
-                    },
-                    variant=variant,
-                )
-                batch.append(run_pro_rl(cfg))
-            reports.extend(batch)
-            cell_chain = 0
-            cell_robust = 0
-            for r in batch:
-                lhs_mid = r.pi_l1 / (1.0 - gamma)
-                chain = (
-                    r.gap_ref <= lhs_mid + 1e-9
-                    and lhs_mid <= 2.0 * r.w_dev / (1.0 - gamma) + 1e-9
-                )
-                b_e = residual_bound(r.b_v, gamma)
-                eps_app = approximation_error_combination(
-                    r.eps_rv, r.eps_rw, r.b_w, b_e, reg.m_f * r.b_w, alpha
-                )
-                bound = robust_gap_bound(
-                    r.eps_hat, r.eps_ov + r.eps_ow, eps_app, alpha, reg.m_f, gamma
-                )
-                robust = r.gap_ref <= bound + 1e-9
-                chain_ok += chain
-                robust_ok += robust
-                cell_chain += chain
-                cell_robust += robust
-                if bound > 0:
-                    worst_ratio = max(worst_ratio, r.gap_ref / bound)
-            cells[f"pert_{pert}_eps_{eps_o}"] = {
-                "chain_ok": cell_chain,
-                "robust_ok": cell_robust,
-                "gap_mean": float(np.mean([r.gap_ref for r in batch])),
-                "eps_rv": batch[0].eps_rv,
-                "eps_rw": batch[0].eps_rw,
-            }
-            _log.info(f"[robustness] pert={pert} eps={eps_o}: chain {cell_chain}/"
-                      f"{len(batch)}, robust {cell_robust}/{len(batch)}")
+    for (pert, eps_o), batch in batches.items():
+        cell_chain = cell_robust = 0
+        for r in batch:
+            lhs_mid = r.pi_l1 / (1.0 - gamma)
+            cell_chain += (
+                r.gap_ref <= lhs_mid + 1e-9
+                and lhs_mid <= 2.0 * r.w_dev / (1.0 - gamma) + 1e-9
+            )
+            b_e = residual_bound(r.b_v, gamma)
+            eps_app = approximation_error_combination(
+                r.eps_rv, r.eps_rw, r.b_w, b_e, reg.m_f * r.b_w, alpha
+            )
+            bound = robust_gap_bound(
+                r.eps_hat, r.eps_ov + r.eps_ow, eps_app, alpha, reg.m_f, gamma
+            )
+            cell_robust += r.gap_ref <= bound + 1e-9
+            if bound > 0:
+                worst_ratio = max(worst_ratio, r.gap_ref / bound)
+        cells[f"pert_{pert}_eps_{eps_o}"] = {
+            "chain_ok": cell_chain,
+            "robust_ok": cell_robust,
+            "gap_mean": float(np.mean([r.gap_ref for r in batch])),
+            "eps_rv": batch[0].eps_rv,
+            "eps_rw": batch[0].eps_rw,
+        }
+        _log.info(f"[robustness] pert={pert} eps={eps_o}: chain {cell_chain}/"
+                  f"{len(batch)}, robust {cell_robust}/{len(batch)}")
 
-    _write_report_rows(out_dir, reports)
-    total = len(reports)
+    total = len(points) * num_seeds
     return {
-        "suite": "robustness",
         "alpha": alpha,
         "perturbations": list(perturbations),
         "oracle_errors": list(oracle_errors),
         "num_seeds": num_seeds,
         "cells": cells,
-        "chain_fraction": chain_ok / total,
-        "robust_fraction": robust_ok / total,
+        "chain_fraction": sum(c["chain_ok"] for c in cells.values()) / total,
+        "robust_fraction": sum(c["robust_ok"] for c in cells.values()) / total,
         "worst_gap_over_bound": worst_ratio,
     }
 
@@ -933,16 +843,53 @@ _SUITE_FUNCS = {
 }
 
 
+def _override_problem(key: str, value, default):
+    """Why value cannot replace a suite setting's default, or None if it can.
+
+    A count (int default) takes an integer >= 1 and a float default a finite
+    number. A list takes a non-empty list of distinct finite numbers: whole
+    where the default's are, positive for ``*_grid`` keys, else nonnegative.
+    """
+    def number(x):
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+    if isinstance(default, tuple):
+        grid, whole = key.endswith("_grid"), isinstance(default[0], int)
+        ok = isinstance(value, (list, tuple)) and len(value) > 0 and all(
+            number(x) and (x > 0 or x == 0 and not grid) and (x == int(x) or not whole)
+            for x in value
+        ) and len(set(value)) == len(value)
+        kind = f"{'positive' if grid else 'nonnegative'}{' whole' if whole else ''}"
+        return None if ok else f"must be a non-empty list of distinct {kind} numbers"
+    if isinstance(default, int):
+        ok = number(value) and isinstance(value, int) and value >= 1
+        return None if ok else "must be an integer >= 1"
+    return None if number(value) else "must be a finite number"
+
+
 def run_experiment_suite(name: str, out_dir: str, seed: int = 0, **overrides) -> dict:
     """Run one named suite and write its artifacts under out_dir.
 
-    Overrides forward to the suite function, so tests can shrink grids.
-    Returns the summary dict that also lands in summary.json.
+    Overrides replace the suite function's keyword defaults, so tests can
+    shrink grids; each is checked before anything is written. Returns the
+    summary dict that also lands in summary.json.
     """
     if name not in _SUITE_FUNCS:
         raise PipelineError("config", f"unknown suite {name!r}, expected one of {SUITE_NAMES}")
+    func = _SUITE_FUNCS[name]
+    defaults = {
+        key: p.default
+        for key, p in inspect.signature(func).parameters.items()
+        if p.default is not inspect.Parameter.empty
+    }
+    for key, value in overrides.items():
+        why = _override_problem(key, value, defaults[key]) if key in defaults else "is unknown"
+        if why is not None:
+            accepted = ", ".join(f"{k}={v!r}" for k, v in defaults.items())
+            raise PipelineError("config", f"suite {name!r}: override {key}={value!r} {why}; "
+                                          f"accepted keys: {accepted}")
     os.makedirs(out_dir, exist_ok=True)
-    summary = _SUITE_FUNCS[name](out_dir, seed, **overrides)
+    summary = {"suite": name, **func(out_dir, seed, **overrides)}
     _write_json(os.path.join(out_dir, "summary.json"), summary)
     meta = {
         "suite": name,

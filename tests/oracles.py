@@ -3,10 +3,15 @@
 Each routine here recomputes a quantity the package also computes, by a
 different route (simulation, power iteration, grid search, brute-force
 enumeration). Tests compare package output against these, so none of them may
-import package internals beyond the plain data containers.
+import package internals beyond the plain data containers. The small helpers
+at the end (a regularizer derivative, point-mass policies, policy values and
+a validating value-class builder) are only ever called by tests.
 """
 
 import numpy as np
+
+from prorl.classes import ValueClass
+from prorl.mdp import Policy
 
 
 def mc_occupancy(mdp, policy_probs, num_samples, seed, max_horizon=400):
@@ -260,3 +265,50 @@ def searchsorted_dataset(mdp, data_mass, n, n0, seed):
     init_cum[-1] = 1.0
     init_states = np.searchsorted(init_cum, rng.random(n0), side="right")
     return states, actions, next_states, init_states
+
+
+def deriv(reg, x):
+    """f'(x) = m_f * x for the quadratic regularizers (the shift drops out)."""
+    return reg.m_f * np.asarray(x, dtype=float)
+
+
+def deterministic_policy(actions, num_actions):
+    """Point-mass policy taking actions[s] in state s."""
+    actions = np.asarray(actions, dtype=int)
+    probs = np.zeros((actions.shape[0], num_actions))
+    probs[np.arange(actions.shape[0]), actions] = 1.0
+    return Policy(probs)
+
+
+def policy_values(mdp, policy):
+    """State values V and action values Q of a policy, by direct solve.
+
+    V solves (I - gamma P_pi) V = r_pi; Q = r + gamma P V.
+    """
+    p_pi = np.einsum("sa,sat->st", policy.probs, mdp.transition)
+    r_pi = np.einsum("sa,sa->s", policy.probs, mdp.reward)
+    v = np.linalg.solve(np.eye(mdp.num_states) - mdp.gamma * p_pi, r_pi)
+    q = mdp.reward + mdp.gamma * np.einsum("sat,t->sa", mdp.transition, v)
+    return v, q
+
+
+def make_value_class(members, b_v, lower=None, on_violation="reject", box_tol=1e-9):
+    """Validate members against the box, clipping when asked.
+
+    on_violation="reject" raises on the first out-of-box member;
+    "clip" projects offenders into the box and records their indices.
+    """
+    if on_violation not in ("reject", "clip"):
+        raise ValueError("on_violation must be 'reject' or 'clip'")
+    lo = -b_v if lower is None else lower
+    kept, clipped = [], []
+    for i, raw in enumerate(members):
+        v = np.asarray(raw, dtype=float)
+        inside = v.min() >= lo - box_tol and v.max() <= b_v + box_tol
+        if not inside:
+            if on_violation == "reject":
+                raise ValueError(f"member {i} leaves the box [{lo}, {b_v}]")
+            v = np.clip(v, lo, b_v)
+            clipped.append(i)
+        kept.append(v)
+    return ValueClass(tuple(kept), float(b_v), float(lo), tuple(clipped))

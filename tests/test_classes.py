@@ -8,12 +8,10 @@ from prorl.classes import (
     build_constrained_classes,
     build_misspecified,
     build_realizable,
-    make_value_class,
     witness_class,
 )
 from prorl.mdp import (
     Policy,
-    deterministic_policy,
     exact_occupancy,
     random_mdp,
     uniform_policy,
@@ -21,6 +19,8 @@ from prorl.mdp import (
 from prorl.objective import approximation_errors
 from prorl.oracle import solve_regularized
 from prorl.regularizers import Regularizer
+
+from oracles import deterministic_policy, make_value_class
 
 
 @pytest.fixture(scope="module")

@@ -4,6 +4,7 @@ import pytest
 
 from prorl.cli import main
 from prorl.mdp import load_mdp
+from prorl.pipelines import PipelineError
 
 BASE_CONFIG = {
     "mdp": {"kind": "random", "num_states": 4, "num_actions": 2, "gamma": 0.8, "seed": 2},
@@ -128,6 +129,13 @@ class TestExperimentCommand:
         with pytest.raises(SystemExit, match="key=value"):
             main(["experiment", "--suite", "lp_stability", "--out", str(tmp_path / "x"),
                   "--set", "oops"])
+
+    def test_bad_override_value_is_a_config_error(self, tmp_path):
+        out = tmp_path / "x"
+        with pytest.raises(PipelineError, match="override n_grid=100 must be a non-empty list"):
+            main(["experiment", "--suite", "rate_regularized", "--out", str(out),
+                  "--set", "n_grid=100"])
+        assert not out.exists()
 
     def test_help_exits_cleanly(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -17,7 +17,6 @@ from prorl.extraction import (
 from prorl.mdp import (
     Policy,
     build_counterexample,
-    deterministic_policy,
     exact_occupancy,
     random_mdp,
     uniform_policy,
@@ -25,6 +24,8 @@ from prorl.mdp import (
 from prorl.objective import weighted_l2
 from prorl.oracle import solve_regularized
 from prorl.regularizers import Regularizer
+
+from oracles import deterministic_policy
 
 nonneg_w = arrays(
     np.float64,

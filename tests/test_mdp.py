@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import mc_occupancy, power_iteration_values
+from oracles import deterministic_policy, mc_occupancy, policy_values, power_iteration_values
 from prorl.mdp import (
     CounterexampleBundle,
     Occupancy,
@@ -12,11 +12,9 @@ from prorl.mdp import (
     TabularMdp,
     build_counterexample,
     build_mixing_mdp,
-    deterministic_policy,
     exact_occupancy,
     flow_residual,
     policy_return,
-    policy_values,
     random_mdp,
     uniform_policy,
 )

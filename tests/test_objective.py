@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 from oracles import (
     brute_force_lagrangian,
     empirical_lagrangian,
+    policy_values,
     population_lagrangian,
     sampled_residuals,
 )
@@ -12,7 +13,6 @@ from prorl.datasets import exact_frequency_dataset, generate_dataset
 from prorl.mdp import (
     build_counterexample,
     exact_occupancy,
-    policy_values,
     random_mdp,
     uniform_policy,
 )

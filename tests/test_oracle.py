@@ -11,7 +11,6 @@ from prorl.mdp import (
     TabularMdp,
     build_counterexample,
     build_mixing_mdp,
-    deterministic_policy,
     exact_occupancy,
     flow_residual,
     policy_return,
@@ -37,6 +36,8 @@ from prorl.suites import stability_fixture
 from oracles import (
     covered_flow_feasible,
     covered_lp_optimum,
+    deriv,
+    deterministic_policy,
     deterministic_policy_marginals,
     f_divergence,
 )
@@ -123,7 +124,7 @@ class TestSolveRegularized:
         e = residual_ev(mdp, sol.v_star)
         interior = sol.w_star > 1e-9
         np.testing.assert_allclose(
-            e[interior], alpha * reg.deriv(sol.w_star[interior]), atol=1e-8
+            e[interior], alpha * deriv(reg, sol.w_star[interior]), atol=1e-8
         )
 
     def test_value_norm_bound(self):

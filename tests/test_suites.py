@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from prorl.pipelines import (
     resolve_mdp,
     run_pro_rl_bc,
 )
+from prorl import suites
 from prorl.regularizers import Regularizer
 from prorl.suites import (
     STABILITY_HEADER,
@@ -321,3 +323,96 @@ class TestRowsFormat:
         n_col, seed_col = header.index("n"), header.index("seed")
         keys = [(int(r[n_col]), int(r[seed_col])) for r in rows]
         assert keys == sorted(keys)
+
+
+class TestGridOrder:
+    def test_grid_order_does_not_reach_the_artifacts(self, tmp_path):
+        # medians and their monotone flag read in ascending n, whatever order the grid has
+        for grid, sub in (((300, 100), "down"), ((100, 300), "up")):
+            run_experiment_suite("rate_regularized", str(tmp_path / sub), n_grid=grid, num_seeds=2)
+        for name in ("rows.csv", "summary.json", "plot.svg"):
+            assert (tmp_path / "down" / name).read_bytes() == (tmp_path / "up" / name).read_bytes()
+        summary = json.loads((tmp_path / "down" / "summary.json").read_text())
+        assert summary["n_grid"] == [100, 300]
+
+
+class TestOverrideChecks:
+    """A bad override is a config error that names the suite, the key and the
+    accepted keys, raised before any artifact is written."""
+
+    CASES = {
+        "unknown_key": ("counterexample", {"num_seeds": 2}, "is unknown"),
+        "scalar_grid": ("rate_regularized", {"n_grid": 100}, "must be a non-empty list"),
+        "no_seeds": ("rate_regularized", {"num_seeds": 0}, "must be an integer >= 1"),
+        "no_seeds_single_point": ("constrained_coverage", {"num_seeds": 0}, "integer >= 1"),
+        "empty_grid": ("alpha_zero_strong", {"n_grid": []}, "non-empty list"),
+        "repeated_point": ("rate_regularized", {"n_grid": [100, 300, 100]}, "distinct"),
+        "negative_point": ("bc_scaling", {"n2_grid": [300, -1]}, "positive whole"),
+        "fractional_size": ("rate_unregularized", {"n_grid": [500.5]}, "positive whole"),
+        "zero_alpha": ("lp_stability", {"alpha_grid": [0.1, 0.0]}, "positive numbers"),
+        "negative_perturbation": ("robustness", {"perturbations": [-0.1]}, "nonnegative"),
+        "boolean_count": ("robustness", {"num_seeds": True}, "integer >= 1"),
+        "text_gamma": ("counterexample", {"gamma": "half"}, "finite number"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rejected_before_writing(self, case, tmp_path):
+        name, overrides, why = self.CASES[case]
+        (key,) = overrides
+        out = tmp_path / "out"
+        with pytest.raises(PipelineError, match=why) as info:
+            run_experiment_suite(name, str(out), **overrides)
+        message = str(info.value)
+        assert info.value.stage == "config"
+        assert f"suite {name!r}" in message and f"override {key}=" in message
+        assert "accepted keys:" in message
+        assert not (out / "rows.csv").exists()
+        assert not (out / "summary.json").exists()
+
+    def test_message_lists_the_accepted_keys(self, tmp_path):
+        with pytest.raises(PipelineError) as info:
+            run_experiment_suite("bc_scaling", str(tmp_path), n_grid=[100])
+        assert str(info.value).endswith(
+            "accepted keys: n2_grid=(500, 1000, 2000, 4000, 8000), num_seeds=20, n1=60000"
+        )
+
+    def test_zero_stays_valid_in_the_robustness_lists(self, tmp_path):
+        summary = run_experiment_suite(
+            "robustness", str(tmp_path), perturbations=[0.0], oracle_errors=[0.0], num_seeds=1
+        )
+        assert summary["perturbations"] == [0.0]
+
+
+class TestOneDriverCallPerRow:
+    """Each pipeline run goes through a driver bound in prorl.suites.
+
+    A timing harness counts operations by rebinding suites.run_pro_rl and
+    suites.run_pro_rl_bc, so every counted call must be one rows.csv line.
+    """
+
+    TINY = {
+        "counterexample": {},
+        "rate_regularized": {"n_grid": [100, 300], "num_seeds": 2},
+        "rate_unregularized": {"n_grid": [500], "num_seeds": 2},
+        "constrained_coverage": {"num_seeds": 2, "n": 800},
+        "alpha_zero_strong": {"n_grid": [200], "num_seeds": 2},
+        "bc_scaling": {"n2_grid": [300, 600], "num_seeds": 2, "n1": 4000},
+        "robustness": {"perturbations": [0.0, 0.1], "oracle_errors": [0.0, 0.02], "num_seeds": 1},
+    }
+
+    def test_every_pipeline_suite_is_covered(self):
+        assert set(self.TINY) == set(SUITE_NAMES) - {"lp_stability"}
+
+    @pytest.mark.parametrize("name", sorted(TINY))
+    def test_counts(self, name, tmp_path, monkeypatch):
+        counts = Counter()
+        for driver in ("run_pro_rl", "run_pro_rl_bc"):
+            def counted(cfg, _driver=driver, _original=getattr(suites, driver)):
+                counts[_driver] += 1
+                return _original(cfg)
+
+            monkeypatch.setattr(suites, driver, counted)
+        run_experiment_suite(name, str(tmp_path), **self.TINY[name])
+        _, rows = read_rows(tmp_path / "rows.csv")
+        assert sum(counts.values()) == len(rows) > 0
+        assert counts["run_pro_rl_bc"] == (len(rows) if name == "bc_scaling" else 0)
