@@ -3,15 +3,13 @@
 Everything here is a direct formula evaluation: the high-probability
 deviation envelope for the empirical objective over finite classes, the
 resulting performance-gap bound, its error-robust extension, the behavior
-cloning bound, and the alpha selection rules. No universal constants are
+cloning sample term, and the alpha selection rules. No universal constants are
 estimated or fabricated; what is reported is exactly what is computable.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from typing import Optional
 
 
 def value_bound(alpha: float, b_fprime: float, gamma: float) -> float:
@@ -57,43 +55,6 @@ def stat_error(
         2.0 * math.log(4.0 * num_v * num_w / delta) / n
     )
     return init_term + data_term
-
-
-@dataclass(frozen=True)
-class BoundConstants:
-    b_v: float
-    b_e: float
-    b_f: float
-    b_fprime: float
-    b_w: float
-    alpha: float
-    m_f: float
-    gamma: float
-    n: int
-    n0: int
-    delta: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Statistical error and gap bounds for one experiment run."""
-
-    eps_stat: float
-    rhs_perf_bound: float
-    rhs_bc_bound: Optional[float]
-    constants: BoundConstants
-
-    def to_dict(self) -> dict:
-        out = {
-            "eps_stat": self.eps_stat,
-            "rhs_perf_bound": self.rhs_perf_bound,
-            "rhs_bc_bound": self.rhs_bc_bound,
-        }
-        out.update(self.constants.to_dict())
-        return out
 
 
 def performance_gap_bound(eps_stat: float, alpha: float, m_f: float, gamma: float) -> float:
@@ -149,28 +110,6 @@ def bc_sample_term(b_w: float, num_policies: int, delta: float, n2: int) -> floa
     return 4.0 * b_w * math.sqrt(6.0 * math.log(4.0 * num_policies / delta) / n2)
 
 
-def bc_gap_bound(
-    eps_stat: float,
-    alpha: float,
-    m_f: float,
-    gamma: float,
-    b_w: float,
-    num_policies: int,
-    delta: float,
-    n2: int,
-) -> float:
-    """Value-gap bound for the cloned policy.
-
-    (1/(1-gamma)) * (4 B_w sqrt(6 log(4|Pi|/delta)/n2) + 50 sqrt(eps_stat/(alpha m_f))).
-    """
-    if alpha <= 0.0 or m_f <= 0.0:
-        raise ValueError("alpha and m_f must be positive")
-    inner = bc_sample_term(b_w, num_policies, delta, n2) + 50.0 * math.sqrt(
-        eps_stat / (alpha * m_f)
-    )
-    return inner / (1.0 - gamma)
-
-
 def recommended_alpha(kind: str, eps: float, b_f: float) -> float:
     """Regularization weight for a target accuracy eps.
 
@@ -189,40 +128,3 @@ def recommended_alpha(kind: str, eps: float, b_f: float) -> float:
 def unregularized_competition_slack(alpha: float, b_f0: float) -> float:
     """Value sacrificed by regularizing: J(pi*_0) - J(pi*_alpha) <= alpha * B_f0."""
     return alpha * b_f0
-
-
-def make_bound_report(
-    n: int,
-    n0: int,
-    alpha: float,
-    m_f: float,
-    gamma: float,
-    b_w: float,
-    b_f: float,
-    b_v: float,
-    b_e: float,
-    sizes: tuple[int, int],
-    delta: float,
-    num_policies: Optional[int] = None,
-    n2: Optional[int] = None,
-) -> BoundReport:
-    """Assemble the statistical error and the gap bounds for one run."""
-    eps = stat_error(n, n0, alpha, b_w, b_f, b_v, b_e, sizes, delta, gamma=gamma)
-    rhs = performance_gap_bound(eps, alpha, m_f, gamma) if alpha > 0.0 else float("inf")
-    rhs_bc = None
-    if num_policies is not None and n2 is not None and alpha > 0.0:
-        rhs_bc = bc_gap_bound(eps, alpha, m_f, gamma, b_w, num_policies, delta, n2)
-    constants = BoundConstants(
-        b_v=b_v,
-        b_e=b_e,
-        b_f=b_f,
-        b_fprime=m_f * b_w,
-        b_w=b_w,
-        alpha=alpha,
-        m_f=m_f,
-        gamma=gamma,
-        n=n,
-        n0=n0,
-        delta=delta,
-    )
-    return BoundReport(eps_stat=eps, rhs_perf_bound=rhs, rhs_bc_bound=rhs_bc, constants=constants)

@@ -4,8 +4,7 @@ The estimator searches over explicit finite collections: a ValueClass of
 state vectors, a WeightClass of nonnegative (s, a) matrices, and a
 PolicyClass for the cloning stage. Builders here inject a known-good
 anchor pair (taken from the exact solver) and surround it with seeded
-distractors, either drawn uniformly over the bound box or perturbed off
-the anchor at a chosen scale.
+distractors drawn uniformly over the bound box.
 """
 
 from __future__ import annotations
@@ -145,21 +144,19 @@ class PolicyClass:
     def __len__(self):
         return len(self.members)
 
-    def to_config(self) -> dict:
-        return {"members": [p.probs.tolist() for p in self.members]}
 
-    @classmethod
-    def from_config(cls, cfg: dict) -> "PolicyClass":
-        return cls(tuple(Policy(np.asarray(p, dtype=float)) for p in cfg["members"]))
+def _box_draws(seed: int, num: int, v_box: tuple, b_w: float, shape: tuple) -> tuple[list, list]:
+    """num uniform draws of an (S,) value in v_box and an (S, A) weight in [0, b_w].
 
-
-def _distractor_scales(num: int, scale) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(scale, dtype=float))
-    if arr.size == 1:
-        return np.full(num, float(arr[0]))
-    if arr.size != num:
-        raise ValueError(f"need one scale per distractor ({num}), got {arr.size}")
-    return arr
+    One seeded stream, value then weight per draw, so every builder's
+    distractors depend only on (seed, boxes, shape).
+    """
+    rng = np.random.default_rng(seed)
+    v_draws, w_draws = [], []
+    for _ in range(num):
+        v_draws.append(rng.uniform(*v_box, size=shape[:1]))
+        w_draws.append(rng.uniform(0.0, b_w, size=shape))
+    return v_draws, w_draws
 
 
 def build_realizable(
@@ -168,46 +165,21 @@ def build_realizable(
     seed: int,
     reg: Regularizer,
     gamma: float,
-    mode: str = "box",
-    scale=1.0,
 ) -> tuple[ValueClass, WeightClass]:
-    """Classes containing the exact pair (index 0) plus seeded distractors.
+    """Classes containing the exact pair (index 0) plus seeded box distractors.
 
     Bounds come from the solution itself: b_w = max(1, ||w*||_inf) and b_v
-    is the closed-form sup-norm bound at that b_w. Distractor modes:
-    "box" draws uniformly over the bound box, "near" perturbs the anchor
-    by scale * standard normal noise (clipped back in), "mixed" alternates.
-    `scale` may be a single float or one value per distractor.
+    is the closed-form sup-norm bound at that b_w. Distractors are drawn
+    uniformly over the bound box.
     """
     if num_distractors < 0:
         raise ValueError("num_distractors must be nonnegative")
-    if mode not in ("box", "near", "mixed"):
-        raise ValueError("mode must be 'box', 'near', or 'mixed'")
     v_star, w_star = solution.v_star, solution.w_star
     b_w = max(1.0, float(w_star.max()))
     b_v = value_bound(solution.alpha, reg.bounds(b_w)[1], gamma)
-    scales = _distractor_scales(num_distractors, scale)
-    rng = np.random.default_rng(seed)
-    v_members, w_members = [v_star.copy()], [w_star.copy()]
-    v_clipped, w_clipped = [], []
-    for k in range(num_distractors):
-        near = mode == "near" or (mode == "mixed" and k % 2 == 1)
-        if near:
-            v_raw = v_star + scales[k] * rng.standard_normal(v_star.shape)
-            w_raw = w_star + scales[k] * rng.standard_normal(w_star.shape)
-        else:
-            v_raw = rng.uniform(-b_v, b_v, size=v_star.shape)
-            w_raw = rng.uniform(0.0, b_w, size=w_star.shape)
-        v = np.clip(v_raw, -b_v, b_v)
-        w = np.clip(w_raw, 0.0, b_w)
-        if not np.array_equal(v, v_raw):
-            v_clipped.append(k + 1)
-        if not np.array_equal(w, w_raw):
-            w_clipped.append(k + 1)
-        v_members.append(v)
-        w_members.append(w)
-    vc = ValueClass(tuple(v_members), b_v, -b_v, tuple(v_clipped))
-    wc = WeightClass(tuple(w_members), b_w, None, tuple(w_clipped))
+    v_draws, w_draws = _box_draws(seed, num_distractors, (-b_v, b_v), b_w, w_star.shape)
+    vc = ValueClass((v_star.copy(), *v_draws), b_v, -b_v)
+    wc = WeightClass((w_star.copy(), *w_draws), b_w)
     return vc, wc
 
 
@@ -220,37 +192,21 @@ def build_constrained_classes(
     gamma: float,
     num_distractors: int,
     seed: int,
-    mode: str = "box",
-    scale: float = 1.0,
 ) -> tuple[ValueClass, WeightClass]:
     """Classes for the capped variant: value box [0, 1/(1-gamma)], floored weights.
 
-    Distractors that land under the coverage floor are blended toward the
-    anchor just enough to restore it (the floor is linear in the blend, and
-    the box is convex, so the blend stays valid); blended or clipped draws
-    are recorded in `clipped`.
+    Box distractors that land under the coverage floor are blended toward
+    the anchor just enough to restore it (the floor is linear in the blend,
+    and the box is convex, so the blend stays valid); blended draws are
+    recorded in the weight class's `clipped`.
     """
-    if mode not in ("box", "near", "mixed"):
-        raise ValueError("mode must be 'box', 'near', or 'mixed'")
     anchor_mix = (pi_d.probs * w_anchor).sum(axis=1)
     if anchor_mix.min() < b_wl - 1e-10:
         raise ValueError("anchor weight breaks the requested coverage floor")
     b_v = 1.0 / (1.0 - gamma)
-    scales = _distractor_scales(num_distractors, scale)
-    rng = np.random.default_rng(seed)
-    v_members, w_members = [np.asarray(v_anchor, dtype=float)], [np.asarray(w_anchor, dtype=float)]
-    v_clipped, w_clipped = [], []
-    for k in range(num_distractors):
-        near = mode == "near" or (mode == "mixed" and k % 2 == 1)
-        if near:
-            v_raw = v_anchor + scales[k] * rng.standard_normal(v_anchor.shape)
-            w_raw = w_anchor + scales[k] * rng.standard_normal(w_anchor.shape)
-        else:
-            v_raw = rng.uniform(0.0, b_v, size=v_anchor.shape)
-            w_raw = rng.uniform(0.0, b_w, size=w_anchor.shape)
-        v = np.clip(v_raw, 0.0, b_v)
-        w = np.clip(w_raw, 0.0, b_w)
-        adjusted = not np.array_equal(w, w_raw)
+    v_draws, w_draws = _box_draws(seed, num_distractors, (0.0, b_v), b_w, w_anchor.shape)
+    w_members, w_clipped = [np.asarray(w_anchor, dtype=float)], []
+    for k, w in enumerate(w_draws):
         mix = (pi_d.probs * w).sum(axis=1)
         if mix.min() < b_wl:
             # blend w <- t w + (1-t) anchor with the largest feasible t
@@ -261,14 +217,9 @@ def build_constrained_classes(
                     t = min(t, (anchor_mix[s] - b_wl) / denom)
             t = max(t, 0.0)
             w = t * w + (1.0 - t) * w_anchor
-            adjusted = True
-        if not np.array_equal(v, v_raw):
-            v_clipped.append(k + 1)
-        if adjusted:
             w_clipped.append(k + 1)
-        v_members.append(v)
         w_members.append(w)
-    vc = ValueClass(tuple(v_members), b_v, 0.0, tuple(v_clipped))
+    vc = ValueClass((np.asarray(v_anchor, dtype=float), *v_draws), b_v, 0.0)
     wc = WeightClass(tuple(w_members), float(b_w), (float(b_wl), pi_d), tuple(w_clipped))
     return vc, wc
 
@@ -296,12 +247,9 @@ def build_misspecified(
     v_star, w_star = solution.v_star, solution.w_star
     b_w = max(1.0, float(w_star.max())) + perturbation
     b_v = value_bound(solution.alpha, reg.bounds(b_w)[1], gamma) + perturbation
-    rng = np.random.default_rng(seed)
-    v_members = [v_star + perturbation]
-    w_members = [w_star + perturbation]
-    for _ in range(num_distractors):
-        v_members.append(rng.uniform(-b_v, b_v, size=v_star.shape))
-        w_members.append(rng.uniform(0.0, b_w, size=w_star.shape))
+    v_draws, w_draws = _box_draws(seed, num_distractors, (-b_v, b_v), b_w, w_star.shape)
+    v_members = [v_star + perturbation, *v_draws]
+    w_members = [w_star + perturbation, *w_draws]
     eps_rv, eps_rw = approximation_errors(mdp, data_dist, v_star, w_star, v_members, w_members)
     vc = ValueClass(tuple(v_members), b_v, -b_v)
     wc = WeightClass(tuple(w_members), b_w)

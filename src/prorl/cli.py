@@ -17,7 +17,7 @@ import numpy as np
 from .datasets import generate_dataset
 from .mdp import Policy, exact_occupancy, load_mdp, save_mdp, uniform_policy
 from .oracle import solve_regularized, solve_unregularized
-from .pipelines import ExperimentConfig, run_pro_rl, run_pro_rl_bc, resolve_mdp
+from .pipelines import ExperimentConfig, PipelineError, run_pro_rl, run_pro_rl_bc, resolve_mdp
 from .regularizers import Regularizer
 from .suites import SUITE_NAMES, run_experiment_suite
 from .svgplot import fit_loglog
@@ -137,6 +137,11 @@ def _parse_overrides(pairs):
 
 def _cmd_experiment(args) -> int:
     overrides = _parse_overrides(args.set)
+    # checked before anything is written: no key is a parameter of all eight suites
+    if overrides and args.suite == "all":
+        raise PipelineError("config", "--set needs a single --suite; no key fits every suite")
+    if "seed" in overrides:
+        raise PipelineError("config", "set the base seed with --seed, not --set seed=...")
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     for name in names:
         out_dir = os.path.join(args.out, name) if args.suite == "all" else args.out

@@ -35,7 +35,6 @@ class OfflineDataset:
     init_states: np.ndarray
     gamma: float
     generating_dd: Optional[Occupancy] = None
-    seed: Optional[int] = None
 
     def __post_init__(self):
         for name in ("states", "actions", "rewards", "next_states", "init_states"):
@@ -94,7 +93,6 @@ class OfflineDataset:
             init_states=inits,
             gamma=self.gamma,
             generating_dd=self.generating_dd,
-            seed=self.seed,
         )
 
     def save(self, transitions_path: str, inits_path: str) -> None:
@@ -197,7 +195,6 @@ def generate_dataset(
         init_states=init_states,
         gamma=mdp.gamma,
         generating_dd=Occupancy(dd),
-        seed=None if seed is None else int(seed),
     )
 
 
@@ -242,5 +239,4 @@ def exact_frequency_dataset(mdp: TabularMdp, data_dist, repeats: int = 1) -> Off
         init_states=init_states,
         gamma=mdp.gamma,
         generating_dd=Occupancy(dd),
-        seed=None,
     )

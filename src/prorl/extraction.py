@@ -10,7 +10,6 @@ estimate of the behavior policy.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,40 +19,25 @@ from .datasets import OfflineDataset
 from .mdp import Policy
 
 
-@dataclass(frozen=True)
-class ExtractionResult:
-    """Extracted policy plus the states where the weighted mass vanished.
-
-    Rows at flagged states fall back to uniform; every row sums to one.
-    """
-
-    policy: Policy
-    zero_mass_states: tuple
-
-    def to_dict(self) -> dict:
-        return {
-            "policy": self.policy.probs.tolist(),
-            "zero_mass_states": list(self.zero_mass_states),
-        }
+_ZERO_MASS = 1e-12  # a state whose weighted behavior mass is at most this gets a uniform row
 
 
-def extract_policy(w, pi_d: Policy, threshold: float = 1e-12) -> ExtractionResult:
+def extract_policy(w, pi_d: Policy) -> Policy:
     """Reweight the behavior policy: pi(a|s) proportional to w(s,a) pi_d(a|s).
 
-    States whose normalizer falls at or below the threshold get a uniform
-    row and are reported in zero_mass_states.
+    States whose normalizer is at most 1e-12 get a uniform row, so every
+    row sums to one.
     """
     w = np.asarray(w, dtype=float)
     if w.min() < 0:
         raise ValueError("weights must be nonnegative")
     raw = w * pi_d.probs
     mass = raw.sum(axis=1)
-    flagged = np.flatnonzero(mass <= threshold)
     probs = np.empty_like(raw)
-    ok = mass > threshold
+    ok = mass > _ZERO_MASS
     probs[ok] = raw[ok] / mass[ok, None]
     probs[~ok] = 1.0 / w.shape[1]
-    return ExtractionResult(policy=Policy(probs), zero_mass_states=tuple(int(s) for s in flagged))
+    return Policy(probs)
 
 
 def split_dataset(data: OfflineDataset, n1: int) -> tuple[OfflineDataset, OfflineDataset]:

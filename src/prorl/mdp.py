@@ -13,9 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# State values are plain float64 vectors of length num_states.
-ValueFunction = np.ndarray
-
 _ROW_SUM_TOL = 1e-12
 
 
@@ -64,11 +61,6 @@ class TabularMdp:
             raise ValueError("rewards must lie in [0, 1]")
         if self.init_dist.min() < 0.0 or abs(self.init_dist.sum() - 1.0) > 1e-9:
             raise ValueError("init_dist must be a distribution over states")
-
-    @property
-    def horizon(self) -> float:
-        """Effective horizon 1 / (1 - gamma)."""
-        return 1.0 / (1.0 - self.gamma)
 
     def to_dict(self) -> dict:
         return {
@@ -153,10 +145,6 @@ class Occupancy:
     @property
     def state_marginal(self) -> np.ndarray:
         return self.mass.sum(axis=1)
-
-    @property
-    def total(self) -> float:
-        return float(self.mass.sum())
 
     def conditional_policy(self) -> Policy:
         """Action distribution d(a|s); uniform on states with zero mass."""

@@ -48,7 +48,6 @@ from scipy.optimize._highspy import _core as highspy
 from .mdp import Occupancy, Policy, TabularMdp, exact_occupancy
 from .regularizers import Regularizer
 
-_MASS_EPS = 1e-12
 _PHASE1_TOL = 1e-9  # phase-1 objective (L1 flow violation) above which the polytope is empty
 _MAX_SWEEPS = 1000  # random MDPs up to 14 states and gamma 0.999 settle within 6 sweeps
 
@@ -119,31 +118,14 @@ class RegularizedSolution:
     alpha: float
     kkt_residual: float
     cap: Optional[float]
-    clip_residual: float
-    flow_residual: float
-    zero_occupancy_states: tuple[int, ...]
     method: str
     iterations: int
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "v_star": self.v_star.tolist(),
-            "w_star": self.w_star.tolist(),
-            "pi_star": self.pi_star.probs.tolist(),
-            "kkt_residual": self.kkt_residual,
-        }
 
 
 class UnregularizedSolution(NamedTuple):
     v_star: np.ndarray
     pi_star: Policy
     d_star: Occupancy
-
-
-class ConcentrabilityResult(NamedTuple):
-    b_w: float
-    feasible: bool
 
 
 @dataclass(frozen=True)
@@ -411,8 +393,7 @@ def solve_regularized(
             _check_flow_feasible(sup, mdp, upper)
             v, w_cells, its = _qp_path(sup, mdp, reg, alpha, upper)
         iterations += its
-        clip_dev, flow_dev = _kkt_residuals(sup, mdp, reg, alpha, v, w_cells, cap_eff)
-        kkt = max(clip_dev, flow_dev)
+        kkt = max(_kkt_residuals(sup, mdp, reg, alpha, v, w_cells, cap_eff))
         if kkt <= tol:
             # Newton's w lies in [0, cap_eff], so d^D w is a point of the LP's box
             if path == "saddle" and not _certifies_feasible(sup, mdp, sup.weights * w_cells):
@@ -430,7 +411,6 @@ def solve_regularized(
     w_mat = sup.expand(w_cells)
     d_mat = sup.expand(sup.weights * w_cells)
     d_state = d_mat.sum(axis=1)
-    zero_states = tuple(int(s) for s in np.nonzero(d_state <= 1e-10)[0])
     probs = np.full((mdp.num_states, mdp.num_actions), 1.0 / mdp.num_actions)
     pos = d_state > 1e-10
     probs[pos] = d_mat[pos] / d_state[pos, None]
@@ -442,9 +422,6 @@ def solve_regularized(
         alpha=alpha,
         kkt_residual=kkt,
         cap=cap,
-        clip_residual=clip_dev,
-        flow_residual=flow_dev,
-        zero_occupancy_states=zero_states,
         method=path,
         iterations=iterations,
     )
@@ -487,23 +464,6 @@ def solve_unregularized(mdp: TabularMdp) -> UnregularizedSolution:
     probs[np.arange(mdp.num_states), greedy] = 1.0
     pi = Policy(probs)
     return UnregularizedSolution(v_star=v[0], pi_star=pi, d_star=exact_occupancy(mdp, pi))
-
-
-def concentrability(d_target, data_dist) -> ConcentrabilityResult:
-    """Single-policy concentrability of a target occupancy against the data.
-
-    B_w = max over covered cells of d(s,a) / d^D(s,a); feasible = False when
-    the target puts more than 1e-12 mass on an uncovered cell (B_w is then
-    infinite).
-    """
-    d = d_target.mass if isinstance(d_target, Occupancy) else np.asarray(d_target, dtype=float)
-    dd = _data_mass(data_dist)
-    off = (dd <= 0.0) & (d > _MASS_EPS)
-    if off.any():
-        return ConcentrabilityResult(b_w=float("inf"), feasible=False)
-    pos = dd > 0.0
-    ratio = d[pos] / dd[pos]
-    return ConcentrabilityResult(b_w=float(ratio.max(initial=0.0)), feasible=True)
 
 
 def strong_concentrability_check(mdp: TabularMdp, data_dist, d_0) -> StrongConcentrability:

@@ -22,12 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import (
-    bc_sample_term,
-    make_bound_report,
-    performance_gap_bound,
-    residual_bound,
-)
+from .bounds import bc_sample_term, performance_gap_bound, residual_bound, stat_error
 from .classes import (
     PolicyClass,
     ValueClass,
@@ -76,7 +71,13 @@ PIPELINE_STAGES = (
 )
 
 _VARIANT_KINDS = ("plain", "inexact", "capped", "alpha_zero")
-_CLASS_KINDS = ("realizable", "misspecified", "constrained", "explicit")
+_DRAWN_KEYS = ("kind", "num_distractors", "seed")
+_CLASS_KEYS = {  # the spec keys each classes kind reads
+    "realizable": _DRAWN_KEYS,
+    "misspecified": _DRAWN_KEYS + ("perturbation",),
+    "constrained": _DRAWN_KEYS,
+    "explicit": ("kind", "value_class", "weight_class"),
+}
 
 
 class PipelineError(RuntimeError):
@@ -121,8 +122,15 @@ class ExperimentConfig:
         if variant_kind not in _VARIANT_KINDS:
             raise PipelineError("config", f"unknown variant kind {variant_kind!r}")
         class_kind = self.classes.get("kind")
-        if class_kind not in _CLASS_KINDS:
+        if class_kind not in _CLASS_KEYS:
             raise PipelineError("config", f"unknown classes kind {class_kind!r}")
+        unread = sorted(set(self.classes) - set(_CLASS_KEYS[class_kind]))
+        if unread:
+            raise PipelineError(
+                "config",
+                f"classes kind {class_kind!r} does not read {unread}; "
+                f"accepted keys: {list(_CLASS_KEYS[class_kind])}",
+            )
         if self.dataset.get("kind") not in ("sampled", "exact_frequency"):
             raise PipelineError(
                 "config", f"unknown dataset kind {self.dataset.get('kind')!r}"
@@ -260,12 +268,6 @@ def resolve_data_dist(mdp: TabularMdp, spec: dict) -> tuple[np.ndarray, Policy]:
         if mass.min() < 0 or abs(mass.sum() - 1.0) > 1e-9:
             raise PipelineError("data_dist", "explicit mass must be a distribution")
         return mass, Occupancy(mass).conditional_policy()
-    if kind == "counterexample":
-        bundle = build_counterexample(mdp.gamma)
-        if bundle.mdp.num_states != mdp.num_states:
-            raise PipelineError("data_dist", "counterexample data needs the counterexample mdp")
-        occ = bundle.data_occupancy
-        return occ.mass, occ.conditional_policy()
     raise PipelineError("data_dist", f"unknown data_dist kind {kind!r}")
 
 
@@ -366,32 +368,23 @@ def _build_classes(cfg: ExperimentConfig, mdp, dd, reg, refs):
         )
         return vc, wc, eps_rv, eps_rw
     if kind == "constrained":
-        pi_d_probs = spec.get("pi_d")
         anchor_w, anchor_v = refs.w_ref, refs.v_ref
         if cfg.variant["kind"] == "alpha_zero":
             anchor_v = np.clip(anchor_v, 0.0, 1.0 / (1.0 - mdp.gamma))
-        pi_d = (
-            Policy(np.asarray(pi_d_probs, dtype=float))
-            if pi_d_probs is not None
-            else Occupancy(dd).conditional_policy()
-        )
-        mix = (pi_d.probs * anchor_w).sum(axis=1)
-        b_wl = spec.get("b_wl", float(mix.min()))
+        pi_d = Occupancy(dd).conditional_policy()
         if cfg.variant["kind"] == "capped":
-            b_w = spec.get("b_w", float(cfg.variant["cap"]))
+            b_w = float(cfg.variant["cap"])
         else:
-            b_w = spec.get("b_w", max(1.0, float(anchor_w.max())))
+            b_w = max(1.0, float(anchor_w.max()))
         vc, wc = build_constrained_classes(
             anchor_v,
             anchor_w,
             pi_d,
             b_w=b_w,
-            b_wl=b_wl,
+            b_wl=float((pi_d.probs * anchor_w).sum(axis=1).min()),
             gamma=mdp.gamma,
             num_distractors=spec.get("num_distractors", 8),
             seed=spec.get("seed", 0),
-            mode=spec.get("mode", "box"),
-            scale=spec.get("scale", 1.0),
         )
         return vc, wc, eps_rv, eps_rw
     # realizable
@@ -401,45 +394,8 @@ def _build_classes(cfg: ExperimentConfig, mdp, dd, reg, refs):
         seed=spec.get("seed", 0),
         reg=reg,
         gamma=mdp.gamma,
-        mode=spec.get("mode", "box"),
-        scale=spec.get("scale", 1.0),
     )
     return vc, wc, eps_rv, eps_rw
-
-
-CSV_HEADER = (
-    "config_hash",
-    "seed",
-    "variant",
-    "alpha",
-    "n",
-    "n0",
-    "n2",
-    "j_hat",
-    "j_star_alpha",
-    "j_star_zero",
-    "j_ref",
-    "gap_ref",
-    "pi_l1",
-    "pi_l1_bc",
-    "w_dev",
-    "eps_hat",
-    "eps_stat",
-    "rhs_perf_bound",
-    "rhs_realized",
-    "rhs_capped",
-    "bc_sample_term",
-    "eps_rv",
-    "eps_rw",
-    "eps_ov",
-    "eps_ow",
-    "w_index",
-    "v_index",
-    "w_max",
-    "b_v",
-    "b_w",
-    "kkt_residual",
-)
 
 
 @dataclass(frozen=True)
@@ -485,6 +441,9 @@ class RunReport:
         return {name: getattr(self, name) for name in CSV_HEADER}
 
 
+CSV_HEADER = tuple(f.name for f in fields(RunReport))
+
+
 def _policy_l1(refs: ReferenceSolutions, pi: Policy) -> float:
     return float(refs.d_ref_state @ np.abs(refs.pi_ref.probs - pi.probs).sum(axis=1))
 
@@ -496,28 +455,25 @@ def _evaluate(cfg, mdp, dd, reg, refs, vc, wc, emp, sol_hat, pi_hat, extra):
     w_dev = weighted_l2(sol_hat.w_hat, refs.w_ref, dd)
     pop = population_lagrangian_members(mdp, dd, reg, cfg.alpha, vc.members, wc.members)
     eps_hat = float(np.abs(emp - pop).max())
-    n_eff = extra["n_eff"]
     b_w = wc.b_w
     b_v = vc.b_v
-    report = make_bound_report(
-        n=extra["n_fit"],
-        n0=max(cfg.n0, 1),
-        alpha=cfg.alpha,
-        m_f=reg.m_f,
+    eps_stat = stat_error(
+        extra["n_fit"],
+        max(cfg.n0, 1),
+        cfg.alpha,
+        b_w,
+        reg.bounds(b_w)[0],
+        b_v,
+        residual_bound(b_v, mdp.gamma),
+        (len(vc), len(wc)),
+        cfg.delta,
         gamma=mdp.gamma,
-        b_w=b_w,
-        b_v=b_v,
-        b_f=reg.bounds(b_w)[0],
-        b_e=residual_bound(b_v, mdp.gamma),
-        sizes=(len(vc), len(wc)),
-        delta=cfg.delta,
-        n2=extra.get("n2"),
-        num_policies=extra.get("num_policies"),
     )
     if cfg.alpha > 0:
+        rhs_perf_bound = performance_gap_bound(eps_stat, cfg.alpha, reg.m_f, mdp.gamma)
         rhs_realized = performance_gap_bound(eps_hat, cfg.alpha, reg.m_f, mdp.gamma)
     else:
-        rhs_realized = float("inf")
+        rhs_perf_bound = rhs_realized = float("inf")
     rhs_capped = None
     if cfg.variant["kind"] == "capped":
         rhs_capped = 2.0 * cfg.alpha * reg.bounds(b_w)[0] + rhs_realized
@@ -526,7 +482,7 @@ def _evaluate(cfg, mdp, dd, reg, refs, vc, wc, emp, sol_hat, pi_hat, extra):
         seed=cfg.seed,
         variant=cfg.variant["kind"],
         alpha=cfg.alpha,
-        n=n_eff,
+        n=extra["n_eff"],
         n0=cfg.n0,
         n2=extra.get("n2"),
         j_hat=j_hat,
@@ -538,8 +494,8 @@ def _evaluate(cfg, mdp, dd, reg, refs, vc, wc, emp, sol_hat, pi_hat, extra):
         pi_l1_bc=extra.get("pi_l1_bc"),
         w_dev=w_dev,
         eps_hat=eps_hat,
-        eps_stat=report.eps_stat,
-        rhs_perf_bound=report.rhs_perf_bound,
+        eps_stat=eps_stat,
+        rhs_perf_bound=rhs_perf_bound,
         rhs_realized=rhs_realized,
         rhs_capped=rhs_capped,
         bc_sample_term=extra.get("bc_sample_term"),
@@ -612,7 +568,7 @@ def run_pro_rl(cfg: ExperimentConfig) -> RunReport:
         else:
             sol_hat = solve_exact(emp, (vc, wc), w_order=cfg.w_order)
     with _staged("extraction"):
-        pi_hat = extract_policy(sol_hat.w_hat, pi_d).policy
+        pi_hat = extract_policy(sol_hat.w_hat, pi_d)
         if held is not None:
             policies = _resolve_policy_class(cfg.bc, refs.pi_ref, mdp.num_actions)
             pi_bar = clone_policy(sol_hat.w_hat, held, policies)
@@ -621,7 +577,6 @@ def run_pro_rl(cfg: ExperimentConfig) -> RunReport:
         if held is not None:
             extra.update(
                 n2=held.n,
-                num_policies=len(policies),
                 pi_l1_bc=_policy_l1(refs, pi_bar),
                 bc_sample_term=bc_sample_term(wc.b_w, len(policies), cfg.delta, held.n),
             )

@@ -36,17 +36,6 @@ class SaddleSolution:
     w_index: int
     v_index: int
 
-    def to_dict(self) -> dict:
-        return {
-            "w_hat": self.w_hat.tolist(),
-            "v_hat": self.v_hat.tolist(),
-            "value": self.value,
-            "eps_ov": self.eps_ov,
-            "eps_ow": self.eps_ow,
-            "w_index": self.w_index,
-            "v_index": self.v_index,
-        }
-
 
 def _inner_minima(l_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-weight worst-case values and the minimizing value indices."""

@@ -415,7 +415,7 @@ def _suite_counterexample(out_dir: str, seed: int, gamma: float = 0.5) -> dict:
 
         uns = solve_unregularized(bundle.mdp)
         j_star = float((uns.d_star.mass * bundle.mdp.reward).sum())
-        pi_right = extract_policy(bundle.w_right, fx["pi_d"]).policy
+        pi_right = extract_policy(bundle.w_right, fx["pi_d"])
         regret_right = j_star - policy_return(bundle.mdp, pi_right)
 
         gaps = {label: batches[instance, label][0].gap_ref for label in orders}

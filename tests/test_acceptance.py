@@ -118,7 +118,7 @@ def test_02_regularization_restores_identifiability(verdict):
             data = generate_dataset(bundle.mdp, dd, 10000, 10000, seed)
             l_matrix = empirical_lagrangian_members(data, reg, alpha, vc.members, wc.members)
             sol_hat = solve_exact(l_matrix, (vc, wc))
-            pi_hat = extract_policy(sol_hat.w_hat, pi_d).policy
+            pi_hat = extract_policy(sol_hat.w_hat, pi_d)
             good += bool(pi_hat.probs[bundle.A, bundle.LEFT] > 0.999)
         successes.append(good)
     elapsed = time.perf_counter() - start

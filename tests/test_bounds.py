@@ -5,9 +5,7 @@ from hypothesis import given, strategies as st
 
 from prorl.bounds import (
     approximation_error_combination,
-    bc_gap_bound,
     bc_sample_term,
-    make_bound_report,
     performance_gap_bound,
     recommended_alpha,
     residual_bound,
@@ -104,11 +102,6 @@ class TestBcBound:
         got = bc_sample_term(2.0, 16, 0.1, 400)
         assert got == pytest.approx(8.0 * math.sqrt(6 * math.log(640) / 400))
 
-    def test_gap_bound_formula(self):
-        got = bc_gap_bound(0.04, 0.5, 2.0, 0.5, 1.5, 8, 0.1, 100)
-        inner = bc_sample_term(1.5, 8, 0.1, 100) + 50 * math.sqrt(0.04 / 1.0)
-        assert got == pytest.approx(inner / 0.5)
-
     def test_n2_positive(self):
         with pytest.raises(ValueError, match="n2"):
             bc_sample_term(1.0, 4, 0.1, 0)
@@ -125,38 +118,3 @@ class TestAlphaSelection:
 
     def test_slack_formula(self):
         assert unregularized_competition_slack(0.3, 2.0) == pytest.approx(0.6)
-
-
-class TestBoundReport:
-    def test_assembly(self):
-        rep = make_bound_report(
-            n=1000,
-            n0=1000,
-            alpha=0.3,
-            m_f=1.0,
-            gamma=0.9,
-            b_w=2.0,
-            b_f=2.0,
-            b_v=16.0,
-            b_e=31.4,
-            sizes=(11, 31),
-            delta=0.1,
-            num_policies=6,
-            n2=200,
-        )
-        eps = stat_error(1000, 1000, 0.3, 2.0, 2.0, 16.0, 31.4, (11, 31), 0.1, gamma=0.9)
-        assert rep.eps_stat == pytest.approx(eps)
-        assert rep.rhs_perf_bound == pytest.approx(performance_gap_bound(eps, 0.3, 1.0, 0.9))
-        assert rep.rhs_bc_bound == pytest.approx(
-            bc_gap_bound(eps, 0.3, 1.0, 0.9, 2.0, 6, 0.1, 200)
-        )
-        d = rep.to_dict()
-        assert d["b_w"] == 2.0 and d["n"] == 1000 and d["delta"] == 0.1
-
-    def test_alpha_zero_report(self):
-        rep = make_bound_report(
-            n=100, n0=100, alpha=0.0, m_f=1.0, gamma=0.5,
-            b_w=2.0, b_f=2.0, b_v=2.0, b_e=4.0, sizes=(3, 3), delta=0.1,
-        )
-        assert rep.rhs_perf_bound == float("inf")
-        assert rep.rhs_bc_bound is None

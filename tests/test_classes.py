@@ -92,11 +92,11 @@ class TestBuildRealizable:
         np.testing.assert_array_equal(vc.members[0], sol.v_star)
         np.testing.assert_array_equal(wc.members[0], sol.w_star)
 
-    @pytest.mark.parametrize("mode", ["box", "near", "mixed"])
-    def test_every_member_in_bounds(self, solved, mode):
+    def test_every_member_in_bounds(self, solved):
         _, _, reg, sol = solved
-        vc, wc = build_realizable(sol, 50, seed=3, reg=reg, gamma=0.8, mode=mode, scale=2.0)
+        vc, wc = build_realizable(sol, 50, seed=3, reg=reg, gamma=0.8)
         assert len(vc) == 51 and len(wc) == 51
+        assert vc.clipped == () and wc.clipped == ()
         for v in vc.members:
             assert np.abs(v).max() <= vc.b_v + 1e-12
         for w in wc.members:
@@ -110,31 +110,23 @@ class TestBuildRealizable:
 
     def test_seed_reproducibility(self, solved):
         _, _, reg, sol = solved
-        a = build_realizable(sol, 8, seed=7, reg=reg, gamma=0.8, mode="mixed")
-        b = build_realizable(sol, 8, seed=7, reg=reg, gamma=0.8, mode="mixed")
+        a = build_realizable(sol, 8, seed=7, reg=reg, gamma=0.8)
+        b = build_realizable(sol, 8, seed=7, reg=reg, gamma=0.8)
         for x, y in zip(a[0].members, b[0].members):
             assert x.tobytes() == y.tobytes()
         for x, y in zip(a[1].members, b[1].members):
             assert x.tobytes() == y.tobytes()
-        c = build_realizable(sol, 8, seed=8, reg=reg, gamma=0.8, mode="mixed")
+        c = build_realizable(sol, 8, seed=8, reg=reg, gamma=0.8)
         assert any(x.tobytes() != y.tobytes() for x, y in zip(a[0].members, c[0].members))
 
-    def test_per_distractor_scales(self, solved):
+    def test_distractors_are_box_draws_value_then_weight(self, solved):
+        # the draw order is part of every suite's byte-identical artifacts
         _, _, reg, sol = solved
-        vc, _ = build_realizable(
-            sol, 3, seed=1, reg=reg, gamma=0.8, mode="near", scale=[1e-4, 1e-2, 1.0]
-        )
-        gaps = [np.abs(v - sol.v_star).max() for v in vc.members[1:]]
-        assert gaps[0] < gaps[1] < gaps[2]
-        with pytest.raises(ValueError, match="one scale per distractor"):
-            build_realizable(sol, 3, seed=1, reg=reg, gamma=0.8, scale=[1.0, 2.0])
-
-    def test_near_mode_clipping_recorded(self, solved):
-        _, _, reg, sol = solved
-        # noise far larger than the box guarantees clipping
-        vc, wc = build_realizable(sol, 4, seed=2, reg=reg, gamma=0.8, mode="near", scale=1e4)
-        assert set(vc.clipped) == {1, 2, 3, 4}
-        assert set(wc.clipped) == {1, 2, 3, 4}
+        vc, wc = build_realizable(sol, 5, seed=7, reg=reg, gamma=0.8)
+        rng = np.random.default_rng(7)
+        for v, w in zip(vc.members[1:], wc.members[1:]):
+            assert v.tobytes() == rng.uniform(-vc.b_v, vc.b_v, size=4).tobytes()
+            assert w.tobytes() == rng.uniform(0.0, wc.b_w, size=(4, 2)).tobytes()
 
 
 class TestBuildConstrained:
@@ -144,11 +136,15 @@ class TestBuildConstrained:
         v_anchor = np.full(3, 0.5)
         vc, wc = build_constrained_classes(
             v_anchor, w_anchor, pi_d, b_w=3.0, b_wl=0.6, gamma=0.5,
-            num_distractors=40, seed=9, mode="box",
+            num_distractors=40, seed=9,
         )
-        assert vc.lower == 0.0 and vc.b_v == 2.0
-        for w in wc.members:
-            assert (pi_d.probs * w).sum(axis=1).min() >= 0.6 - 1e-9
+        assert vc.lower == 0.0 and vc.b_v == 2.0 and vc.clipped == ()
+        assert wc.clipped  # some draws fall under the floor at this level
+        for k, w in enumerate(wc.members):
+            low = (pi_d.probs * w).sum(axis=1).min()
+            assert low >= 0.6 - 1e-9
+            if k in wc.clipped:  # blended exactly up to the floor
+                assert low == pytest.approx(0.6, abs=1e-12)
 
     def test_anchor_must_satisfy_floor(self):
         pi_d = uniform_policy(2, 2)

@@ -137,6 +137,21 @@ class TestExperimentCommand:
                   "--set", "n_grid=100"])
         assert not out.exists()
 
+    # Each --set misuse fails before a suite writes anything. gamma is a
+    # counterexample parameter, so --suite all used to write that suite first.
+    @pytest.mark.parametrize("pair", ["num_seeds=2", "gamma=0.6"])
+    def test_set_with_suite_all_is_a_config_error(self, tmp_path, pair):
+        out = tmp_path / "x"
+        with pytest.raises(PipelineError, match="--set needs a single --suite"):
+            main(["experiment", "--suite", "all", "--out", str(out), "--set", pair])
+        assert not out.exists()
+
+    def test_set_seed_points_to_the_seed_flag(self, tmp_path):
+        out = tmp_path / "x"
+        with pytest.raises(PipelineError, match="with --seed"):
+            main(["experiment", "--suite", "lp_stability", "--out", str(out), "--set", "seed=3"])
+        assert not out.exists()
+
     def test_help_exits_cleanly(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

@@ -8,7 +8,6 @@ from prorl.classes import PolicyClass, witness_class
 from prorl import extraction
 from prorl.datasets import exact_frequency_dataset, generate_dataset
 from prorl.extraction import (
-    ExtractionResult,
     bc_objective_matrix,
     clone_policy,
     extract_policy,
@@ -38,14 +37,18 @@ class TestExtractPolicy:
     def test_unit_weights_recover_behavior(self):
         pi_d = Policy(np.array([[0.3, 0.7], [0.9, 0.1]]))
         out = extract_policy(np.ones((2, 2)), pi_d)
-        np.testing.assert_allclose(out.policy.probs, pi_d.probs, atol=1e-15)
-        assert out.zero_mass_states == ()
+        np.testing.assert_allclose(out.probs, pi_d.probs, atol=1e-15)
 
     def test_zero_weights_fall_back_to_uniform(self):
         pi_d = uniform_policy(3, 4)
         out = extract_policy(np.zeros((3, 4)), pi_d)
-        np.testing.assert_array_equal(out.policy.probs, np.full((3, 4), 0.25))
-        assert out.zero_mass_states == (0, 1, 2)
+        np.testing.assert_array_equal(out.probs, np.full((3, 4), 0.25))
+
+    def test_uniform_rows_at_and_below_the_mass_threshold(self):
+        # state 0 carries weighted mass 1e-12 (uniform row), state 1 twice that
+        pi_d = uniform_policy(2, 2)
+        out = extract_policy(np.array([[2e-12, 0.0], [4e-12, 0.0]]), pi_d)
+        np.testing.assert_array_equal(out.probs, [[0.5, 0.5], [1.0, 0.0]])
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -54,14 +57,14 @@ class TestExtractPolicy:
     @given(nonneg_w)
     def test_rows_always_stochastic(self, w):
         out = extract_policy(w, uniform_policy(3, 2))
-        np.testing.assert_allclose(out.policy.probs.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(out.probs.sum(axis=1), 1.0, atol=1e-12)
 
     @given(nonneg_w, st.floats(min_value=1e-3, max_value=1e3))
     def test_scale_invariance(self, w, c):
         pi_d = Policy(np.array([[0.2, 0.8], [0.5, 0.5], [0.75, 0.25]]))
         a = extract_policy(w, pi_d)
         b = extract_policy(c * w, pi_d)
-        np.testing.assert_allclose(a.policy.probs, b.policy.probs, atol=1e-9)
+        np.testing.assert_allclose(a.probs, b.probs, atol=1e-9)
 
     def test_oracle_weight_recovers_oracle_policy(self):
         # with the data generated by pi_d itself, reweighting the exact
@@ -71,10 +74,8 @@ class TestExtractPolicy:
         dd = exact_occupancy(mdp, pi_d).mass
         sol = solve_regularized(mdp, dd, Regularizer(), 0.2)
         out = extract_policy(sol.w_star, pi_d)
-        covered = [s for s in range(5) if s not in sol.zero_occupancy_states]
-        np.testing.assert_allclose(
-            out.policy.probs[covered], sol.pi_star.probs[covered], atol=1e-12
-        )
+        covered = sol.d_star.state_marginal > 1e-10
+        np.testing.assert_allclose(out.probs[covered], sol.pi_star.probs[covered], atol=1e-12)
 
     def test_population_distance_chain(self):
         # E_{d*}||pi* - pi_hat||_1 <= 2 ||w_hat - w*||_{2,dD} for any
@@ -87,7 +88,7 @@ class TestExtractPolicy:
         rng = np.random.default_rng(1)
         for _ in range(50):
             w_hat = np.abs(sol.w_star + rng.uniform(0.3, 1.5) * rng.standard_normal((4, 2)))
-            pi_hat = extract_policy(w_hat, pi_d).policy
+            pi_hat = extract_policy(w_hat, pi_d)
             lhs = float(d_state @ np.abs(sol.pi_star.probs - pi_hat.probs).sum(axis=1))
             rhs = 2.0 * weighted_l2(w_hat, sol.w_star, dd)
             assert lhs <= rhs + 1e-12
@@ -192,11 +193,3 @@ class TestClonePolicy:
         for h_memo, h_fresh in zip(memo, fresh):
             np.testing.assert_array_equal(h_memo, h_fresh)
             assert not h_memo.flags.writeable
-
-
-class TestResultShape:
-    def test_to_dict_round_trip_fields(self):
-        out = extract_policy(np.ones((2, 2)), uniform_policy(2, 2))
-        payload = out.to_dict()
-        assert set(payload) == {"policy", "zero_mass_states"}
-        assert isinstance(out, ExtractionResult)

@@ -89,7 +89,7 @@ class TestExactOccupancy:
         for seed in range(4):
             mdp = random_mdp(5, 2, 0.8, seed=seed)
             d = exact_occupancy(mdp, random_policy(mdp, seed=seed + 100))
-            assert d.total == pytest.approx(1.0, abs=1e-10)
+            assert d.mass.sum() == pytest.approx(1.0, abs=1e-10)
             assert flow_residual(mdp, d) < 1e-10
 
 
@@ -126,7 +126,7 @@ class TestPolicyValues:
     def test_value_bounded_by_horizon(self):
         mdp = random_mdp(5, 2, 0.95, seed=11)
         v, _ = policy_values(mdp, random_policy(mdp, seed=12))
-        assert np.all(v >= 0.0) and np.all(v <= mdp.horizon + 1e-12)
+        assert np.all(v >= 0.0) and np.all(v <= 1.0 / (1.0 - mdp.gamma) + 1e-12)
 
 
 class TestPolicyReturn:

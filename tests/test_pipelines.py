@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from prorl import extraction, pipelines
+from prorl.bounds import performance_gap_bound, residual_bound, stat_error
 from prorl.mdp import random_mdp
 from prorl.oracle import capped_unregularized_value
 from prorl.pipelines import (
@@ -21,6 +22,7 @@ from prorl.regularizers import Regularizer
 from prorl.suites import capped_fixture, counterexample_fixture, run_experiment_suite
 
 REG = Regularizer().to_config()
+ROWS_HEADER = "config_hash,seed,variant,alpha,n,n0,n2,j_hat,j_star_alpha,j_star_zero,j_ref,gap_ref,pi_l1,pi_l1_bc,w_dev,eps_hat,eps_stat,rhs_perf_bound,rhs_realized,rhs_capped,bc_sample_term,eps_rv,eps_rw,eps_ov,eps_ow,w_index,v_index,w_max,b_v,b_w,kkt_residual"
 
 
 def base_config(**over):
@@ -89,6 +91,21 @@ class TestConfigValidation:
     def test_hash_distinguishes_seeds(self):
         assert base_config(seed=0).config_hash != base_config(seed=1).config_hash
 
+    @pytest.mark.parametrize(
+        "classes, unread",
+        [
+            ({"kind": "realizable", "num_distractor": 6}, "num_distractor"),
+            ({"kind": "misspecified", "perturbation": 0.1, "mode": "near"}, "mode"),
+            ({"kind": "constrained", "num_distractors": 4, "b_wl": 0.5}, "b_wl"),
+            ({**counterexample_fixture()["classes"], "seed": 0}, "seed"),
+        ],
+        ids=["realizable", "misspecified", "constrained", "explicit"],
+    )
+    def test_classes_spec_rejects_unread_keys(self, classes, unread):
+        want = rf"classes kind '{classes['kind']}' does not read \['{unread}'\]; accepted keys"
+        with pytest.raises(PipelineError, match=want):
+            base_config(classes=classes)
+
 
 class TestResolvers:
     def test_inline_mdp_round_trip(self):
@@ -130,6 +147,26 @@ class TestRunProRl:
         report = run_pro_rl(base_config())
         assert len(report.to_row()) == len(CSV_HEADER)
         assert tuple(report.to_dict()) == CSV_HEADER
+        assert ",".join(CSV_HEADER) == ROWS_HEADER  # the rows.csv header is a published format
+
+    @pytest.mark.parametrize(
+        "bc", [None, {"n1": 2000, "kind": "target_plus_mixes"}], ids=["plain", "bc"]
+    )
+    def test_bound_columns_match_the_formulas(self, bc):
+        cfg = base_config(n=2500, bc=bc)
+        report = run_pro_rl(cfg)
+        reg = Regularizer.from_config(cfg.reg)
+        n_fit = 2000 if bc else 2500
+        eps = stat_error(n_fit, cfg.n0, cfg.alpha, report.b_w, reg.bounds(report.b_w)[0],
+                         report.b_v, residual_bound(report.b_v, 0.8), (7, 7), cfg.delta, gamma=0.8)
+        assert report.eps_stat == eps
+        assert report.rhs_perf_bound == performance_gap_bound(eps, cfg.alpha, reg.m_f, 0.8)
+        assert report.rhs_realized == performance_gap_bound(report.eps_hat, cfg.alpha, reg.m_f, 0.8)
+
+    def test_alpha_zero_gap_bounds_are_infinite(self):
+        report = run_pro_rl(RUN_VARIANTS["alpha_zero"]())
+        assert 0.0 < report.eps_stat < float("inf")
+        assert report.rhs_perf_bound == float("inf") and report.rhs_realized == float("inf")
 
     def test_deterministic_given_config(self):
         a = run_pro_rl(base_config(seed=5))

@@ -19,12 +19,12 @@ def payoff(data, classes, reg, alpha):
     return empirical_lagrangian_members(data, reg, alpha, classes[0].members, classes[1].members)
 
 
-def make_instance(seed, n=400, alpha=0.3, num_distractors=6, mode="box"):
+def make_instance(seed, n=400, alpha=0.3, num_distractors=6):
     mdp = random_mdp(4, 2, 0.8, seed=seed)
     dd = exact_occupancy(mdp, uniform_policy(4, 2)).mass
     reg = Regularizer(m_f=1.0)
     sol = solve_regularized(mdp, dd, reg, alpha)
-    classes = build_realizable(sol, num_distractors, seed=seed + 100, reg=reg, gamma=0.8, mode=mode)
+    classes = build_realizable(sol, num_distractors, seed=seed + 100, reg=reg, gamma=0.8)
     data = generate_dataset(mdp, dd, n=n, n0=n // 4, seed=seed + 200)
     return mdp, dd, reg, sol, classes, data
 
@@ -138,11 +138,17 @@ class TestPopulationSaddleCheck:
     @pytest.mark.parametrize("seed", range(10))
     def test_realizable_with_distractors_passes(self, seed):
         # the exact pair sits at index 0 of realizable classes and is a
-        # max-min point of the population objective over them
-        mdp, dd, reg, sol, classes, _ = make_instance(seed, num_distractors=20, mode="mixed")
-        assert np.abs(classes[1].members[0] - sol.w_star).max() <= 1e-8
+        # max-min point of the population objective over them, against box
+        # distractors and against close competitors drawn near the anchor
+        mdp, dd, reg, sol, (vc, wc), _ = make_instance(seed, num_distractors=10)
+        assert np.abs(wc.members[0] - sol.w_star).max() <= 1e-8
+        rng = np.random.default_rng(seed + 100)
+        near_v = [np.clip(sol.v_star + rng.standard_normal(4), -vc.b_v, vc.b_v)
+                  for _ in range(10)]
+        near_w = [np.clip(sol.w_star + rng.standard_normal((4, 2)), 0.0, wc.b_w)
+                  for _ in range(10)]
         pop = population_lagrangian_members(
-            mdp, dd, reg, 0.3, classes[0].members, classes[1].members
+            mdp, dd, reg, 0.3, [*vc.members, *near_v], [*wc.members, *near_w]
         )
         inner = pop.min(axis=1)
         assert inner[0] >= inner.max() - 1e-10

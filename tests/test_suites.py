@@ -73,7 +73,7 @@ class TestRingFixture:
         uns = solve_unregularized(self.mdp)
         j_star = float((uns.d_star.mass * self.mdp.reward).sum())
         for k, target in enumerate(self.fx["targets"]):
-            pi_k = extract_policy(wc.members[k + 1], pi_d).policy
+            pi_k = extract_policy(wc.members[k + 1], pi_d)
             gap = j_star - policy_return(self.mdp, pi_k)
             assert gap == pytest.approx(target, abs=1e-10)
 
