@@ -1,0 +1,54 @@
+"""SHA-256 digests of every suite's artifacts at the default grids.
+
+Run from the root of a checkout:
+
+    python benchmarks/digests.py --seed 0
+
+Runs all eight suites one after another in this process, at base seed
+``--seed`` and their default grids, into a temporary directory, and prints
+one JSON line mapping ``<suite>/rows.csv`` and ``<suite>/summary.json`` to
+the sha256 of the file's bytes. rows.csv and summary.json are
+byte-deterministic for a given seed on one host, so running this at two
+commits shows whether a change moved any artifact byte. The last bits of
+BLAS results can differ between hosts, so compare digests taken on the
+same machine.
+
+The file name does not match ``test_*.py``, so the Tier-1 run never
+collects it.
+"""
+
+import argparse
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from prorl.suites import SUITE_NAMES, run_experiment_suite  # noqa: E402
+
+ARTIFACTS = ("rows.csv", "summary.json")
+
+
+def digests(seed: int) -> dict:
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in SUITE_NAMES:
+            run_experiment_suite(name, str(Path(tmp) / name), seed=seed)
+            for artifact in ARTIFACTS:
+                data = (Path(tmp) / name / artifact).read_bytes()
+                out[f"{name}/{artifact}"] = hashlib.sha256(data).hexdigest()
+    return out
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=0, help="base seed of every suite")
+    args = parser.parse_args(argv)
+    print(json.dumps(digests(args.seed), sort_keys=True))
+
+
+if __name__ == "__main__":
+    main()

@@ -45,13 +45,14 @@ class OfflineDataset:
             if getattr(self, name).shape[0] != n:
                 raise ValueError(f"{name} length does not match states length {n}")
         if self.generating_dd is not None and n > 0:
-            dd = self.generating_dd.mass
-            if np.any(dd[self.states, self.actions] <= 0.0):
-                bad = int(np.argmax(dd[self.states, self.actions] <= 0.0))
-                raise ValueError(
-                    f"transition {bad} drawn at a zero-probability cell "
-                    f"({self.states[bad]}, {self.actions[bad]})"
-                )
+            dd = self.generating_dd.mass  # checked on cell counts: S*A compares, not n gathers
+            cells = self.states * dd.shape[1] + self.actions
+            bad = np.flatnonzero((np.bincount(cells, minlength=dd.size)[: dd.size] > 0)
+                                 & (dd.ravel() <= 0.0))
+            if bad.size:
+                t = int(np.argmax(np.isin(cells, bad)))  # the first such transition
+                raise ValueError(f"transition {t} drawn at a zero-probability cell "
+                                 f"({self.states[t]}, {self.actions[t]})")
 
     @property
     def n(self) -> int:

@@ -1,15 +1,16 @@
 """End-to-end estimation pipeline driven by JSON-friendly configs.
 
-One driver, ``run_pro_rl``, runs every configuration: resolve the MDP and
-data distribution, solve the instance exactly for reference quantities,
-build candidate classes around the exact pair, draw the offline dataset,
-build the empirical payoff matrix, run the max-min estimator on it,
-extract a policy, and evaluate everything in closed form on the MDP. A
-config with a ``bc`` block also holds out part of the dataset and clones
-a policy from it. Each expensive step runs once per run: one oracle solve,
-one payoff matrix shared by the saddle solver and the evaluation. Every
-random choice is keyed by seeds carried in the config, so a config fully
-determines the report.
+``prepare`` does what a run's seed does not change, once per config:
+resolve the MDP and data distribution, solve the instance exactly for
+reference quantities, build candidate classes around the exact pair and
+their population payoff matrix. ``run_pro_rl`` does the rest at one seed:
+draw the offline dataset, build the empirical payoff matrix, run the
+max-min estimator on it, extract a policy, and evaluate everything in
+closed form on the MDP. A config with a ``bc`` block also holds out part
+of the dataset and clones a policy from it. Each expensive step runs once
+per grid point, and one payoff matrix per run serves both the saddle
+solver and the evaluation. Every random choice is keyed by seeds carried
+in the config, so a config fully determines the report.
 """
 
 from __future__ import annotations
@@ -132,28 +133,21 @@ class ExperimentConfig:
                 f"accepted keys: {list(_CLASS_KEYS[class_kind])}",
             )
         if self.dataset.get("kind") not in ("sampled", "exact_frequency"):
-            raise PipelineError(
-                "config", f"unknown dataset kind {self.dataset.get('kind')!r}"
-            )
+            raise PipelineError("config", f"unknown dataset kind {self.dataset.get('kind')!r}")
         if self.alpha < 0:
             raise PipelineError("config", "alpha must be nonnegative")
         if (self.alpha == 0) != (variant_kind == "alpha_zero"):
-            raise PipelineError(
-                "config", "alpha=0 exactly when the variant kind is 'alpha_zero'"
-            )
+            raise PipelineError("config", "alpha=0 exactly when the variant kind is 'alpha_zero'")
         if variant_kind == "alpha_zero" and class_kind not in ("constrained", "explicit"):
             raise PipelineError(
                 "config",
                 "the alpha=0 variant needs floor/box constrained classes "
                 "(kind 'constrained' or 'explicit' with a floor)",
             )
-        if variant_kind == "capped" and self.data_dist.get("kind") not in (
-            "uniform_policy",
-            "policy",
-        ):
-            raise PipelineError(
-                "config", "the capped variant needs a behavior-policy data distribution"
-            )
+        behavior = self.data_dist.get("kind") in ("uniform_policy", "policy")
+        if variant_kind == "capped" and not behavior:
+            raise PipelineError("config",
+                                "the capped variant needs a behavior-policy data distribution")
         if variant_kind == "capped" and "cap" not in self.variant:
             raise PipelineError("config", "capped variant needs a 'cap' value")
         if variant_kind == "inexact":
@@ -161,8 +155,8 @@ class ExperimentConfig:
                 raise PipelineError("config", "inexact variant needs eps_ov and eps_ow")
         if self.n < 1:
             raise PipelineError("config", "n must be at least 1")
-        if self.n0 < 0:
-            raise PipelineError("config", "n0 must be nonnegative")
+        if self.n0 < 0 or (self.n0 == 0 and self.dataset["kind"] == "sampled"):
+            raise PipelineError("config", "n0 must be nonnegative, and positive when sampled")
         if not (0.0 < self.delta < 1.0):
             raise PipelineError("config", "delta must lie in (0, 1)")
 
@@ -271,27 +265,6 @@ def resolve_data_dist(mdp: TabularMdp, spec: dict) -> tuple[np.ndarray, Policy]:
     raise PipelineError("data_dist", f"unknown data_dist kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class ReferenceSolutions:
-    """Exact quantities the run is scored against.
-
-    w_ref is None only transiently, when no ratio anchor exists and the
-    run supplies explicit classes; it is then patched to class member 0.
-    solution is the regularized oracle solution the class builders reuse;
-    alpha=0 runs have none.
-    """
-
-    w_ref: Optional[np.ndarray]  # target weight the class anchors on
-    v_ref: np.ndarray
-    pi_ref: Policy
-    d_ref_state: np.ndarray  # state marginal weighting the policy distance
-    j_ref: float  # return the estimator competes with
-    j_star_alpha: float
-    j_star_zero: float
-    kkt_residual: float
-    solution: Optional[RegularizedSolution]
-
-
 def _alpha_zero_anchor(unreg, dd: np.ndarray) -> Optional[np.ndarray]:
     """Exact ratio d*_0 / d^D, or None where the optimum leaves the support."""
     if np.any((dd <= 0) & (unreg.d_star.mass > 1e-12)):
@@ -302,62 +275,51 @@ def _alpha_zero_anchor(unreg, dd: np.ndarray) -> Optional[np.ndarray]:
     return w0
 
 
-def _resolve_references(mdp, dd, reg, alpha, variant, classes_kind) -> ReferenceSolutions:
+def _resolve_references(mdp, dd, reg, alpha, variant, classes_kind) -> dict:
+    """The reference fields of an ``Instance``, from the exact oracles."""
     unreg = solve_unregularized(mdp)
     j_zero = float(mdp.reward.flatten() @ unreg.d_star.mass.flatten())
     kind = variant["kind"]
     if kind == "alpha_zero":
-        w0 = _alpha_zero_anchor(unreg, dd)
-        if w0 is None and classes_kind != "explicit":
+        w_ref = _alpha_zero_anchor(unreg, dd)
+        if w_ref is None and classes_kind != "explicit":
             raise PipelineError(
                 "oracle",
                 "the optimal occupancy leaves the data support, so no ratio "
                 "anchor exists; provide explicit classes",
             )
-        return ReferenceSolutions(
-            w_ref=w0,
-            v_ref=unreg.v_star,
-            pi_ref=unreg.pi_star,
-            d_ref_state=unreg.d_star.state_marginal,
-            j_ref=j_zero,
-            j_star_alpha=float("nan"),
-            j_star_zero=j_zero,
-            kkt_residual=0.0,
-            solution=None,
-        )
-    cap = variant.get("cap") if kind == "capped" else None
-    sol = solve_regularized(mdp, dd, reg, alpha, cap=cap)
-    j_alpha = float(mdp.reward.flatten() @ sol.d_star.mass.flatten())
-    if kind == "capped":
-        j_ref, _ = capped_unregularized_value(mdp, dd, cap)
+        exact, sol, j_alpha, j_ref = unreg, None, float("nan"), j_zero
     else:
-        j_ref = j_alpha
-    return ReferenceSolutions(
-        w_ref=sol.w_star,
-        v_ref=sol.v_star,
-        pi_ref=sol.pi_star,
-        d_ref_state=sol.d_star.state_marginal,
+        cap = variant.get("cap") if kind == "capped" else None
+        exact = sol = solve_regularized(mdp, dd, reg, alpha, cap=cap)
+        w_ref, j_alpha = sol.w_star, float(mdp.reward.flatten() @ sol.d_star.mass.flatten())
+        j_ref = capped_unregularized_value(mdp, dd, cap)[0] if kind == "capped" else j_alpha
+    return dict(
+        w_ref=w_ref,
+        v_ref=exact.v_star,
+        pi_ref=exact.pi_star,
+        d_ref_state=exact.d_star.state_marginal,
         j_ref=j_ref,
         j_star_alpha=j_alpha,
         j_star_zero=j_zero,
-        kkt_residual=sol.kkt_residual,
+        kkt_residual=0.0 if sol is None else sol.kkt_residual,
         solution=sol,
     )
 
 
 def _build_classes(cfg: ExperimentConfig, mdp, dd, reg, refs):
+    """The value and weight classes with their approximation errors eps_rv, eps_rw."""
     kind = cfg.classes["kind"]
     spec = cfg.classes
-    eps_rv = eps_rw = 0.0
     if kind == "explicit":
         vc = ValueClass.from_config(spec["value_class"])
         wc = WeightClass.from_config(spec["weight_class"])
         if cfg.variant["kind"] == "alpha_zero" and wc.floor is None:
             raise PipelineError("classes", "alpha=0 explicit classes need a floor")
-        return vc, wc, eps_rv, eps_rw
+        return vc, wc, 0.0, 0.0
     if kind == "misspecified":
-        vc, wc, eps_rv, eps_rw = build_misspecified(
-            refs.solution,
+        return build_misspecified(
+            refs["solution"],
             spec["perturbation"],
             mdp,
             dd,
@@ -366,9 +328,8 @@ def _build_classes(cfg: ExperimentConfig, mdp, dd, reg, refs):
             num_distractors=spec.get("num_distractors", 0),
             seed=spec.get("seed", 0),
         )
-        return vc, wc, eps_rv, eps_rw
     if kind == "constrained":
-        anchor_w, anchor_v = refs.w_ref, refs.v_ref
+        anchor_w, anchor_v = refs["w_ref"], refs["v_ref"]
         if cfg.variant["kind"] == "alpha_zero":
             anchor_v = np.clip(anchor_v, 0.0, 1.0 / (1.0 - mdp.gamma))
         pi_d = Occupancy(dd).conditional_policy()
@@ -386,16 +347,76 @@ def _build_classes(cfg: ExperimentConfig, mdp, dd, reg, refs):
             num_distractors=spec.get("num_distractors", 8),
             seed=spec.get("seed", 0),
         )
-        return vc, wc, eps_rv, eps_rw
-    # realizable
-    vc, wc = build_realizable(
-        refs.solution,
+        return vc, wc, 0.0, 0.0
+    vc, wc = build_realizable(  # realizable
+        refs["solution"],
         spec.get("num_distractors", 8),
         seed=spec.get("seed", 0),
         reg=reg,
         gamma=mdp.gamma,
     )
-    return vc, wc, eps_rv, eps_rw
+    return vc, wc, 0.0, 0.0
+
+
+@dataclass(frozen=True, eq=False)
+class Instance:
+    """What the runs of one config share at every seed; built by ``prepare``.
+
+    config is the config at seed 0 and config_json its canonical JSON. The
+    reference fields are the exact quantities a run is scored against;
+    solution is the regularized oracle solution the class builders reuse
+    (None at alpha=0). pop is the classes' population payoff matrix.
+    """
+
+    config: ExperimentConfig
+    config_json: str
+    mdp: TabularMdp
+    dd: np.ndarray
+    pi_d: Policy
+    reg: Regularizer
+    vc: ValueClass
+    wc: WeightClass
+    eps_rv: float
+    eps_rw: float
+    pop: np.ndarray
+    w_ref: np.ndarray  # target weight the class anchors on
+    v_ref: np.ndarray
+    pi_ref: Policy
+    d_ref_state: np.ndarray  # state marginal weighting the policy distance
+    j_ref: float  # return the estimator competes with
+    j_star_alpha: float
+    j_star_zero: float
+    kkt_residual: float
+    solution: Optional[RegularizedSolution]
+
+    def config_hash(self, seed: int) -> str:
+        """The config_hash of the config at seed, spliced into config_json."""
+        head, _, tail = self.config_json.rpartition(',"seed":0,"variant":')
+        return hashlib.sha256(f'{head},"seed":{seed},"variant":{tail}'.encode()).hexdigest()[:12]
+
+
+def prepare(cfg: ExperimentConfig) -> Instance:
+    """Everything in a run of cfg that its seed does not change.
+
+    When no ratio anchor exists at alpha=0 and the config supplies explicit
+    classes, the target weight is weight-class member 0.
+    """
+    with _staged("mdp"):
+        mdp = resolve_mdp(cfg.mdp)
+    with _staged("data_dist"):
+        dd, pi_d = resolve_data_dist(mdp, cfg.data_dist)
+    reg = Regularizer.from_config(cfg.reg)
+    with _staged("oracle"):
+        refs = _resolve_references(mdp, dd, reg, cfg.alpha, cfg.variant, cfg.classes["kind"])
+    with _staged("classes"):
+        vc, wc, eps_rv, eps_rw = _build_classes(cfg, mdp, dd, reg, refs)
+        if refs["w_ref"] is None:
+            refs["w_ref"] = wc.members[0]
+    with _staged("evaluation"):
+        pop = population_lagrangian_members(mdp, dd, reg, cfg.alpha, vc.members, wc.members)
+    config = replace(cfg, seed=0)
+    return Instance(config, _canonical_json(config.to_dict()), mdp, dd, pi_d, reg,
+                    vc, wc, eps_rv, eps_rw, pop, **refs)
 
 
 @dataclass(frozen=True)
@@ -444,31 +465,22 @@ class RunReport:
 CSV_HEADER = tuple(f.name for f in fields(RunReport))
 
 
-def _policy_l1(refs: ReferenceSolutions, pi: Policy) -> float:
-    return float(refs.d_ref_state @ np.abs(refs.pi_ref.probs - pi.probs).sum(axis=1))
+def _policy_l1(inst: Instance, pi: Policy) -> float:
+    return float(inst.d_ref_state @ np.abs(inst.pi_ref.probs - pi.probs).sum(axis=1))
 
 
-def _evaluate(cfg, mdp, dd, reg, refs, vc, wc, emp, sol_hat, pi_hat, extra):
+def _evaluate(cfg, inst: Instance, emp, sol_hat, pi_hat, extra):
     """Score the run in closed form; emp is the payoff matrix the saddle used."""
+    mdp, reg, fit = inst.mdp, inst.reg, extra["fit"]
     j_hat = policy_return(mdp, pi_hat)
-    pi_l1 = _policy_l1(refs, pi_hat)
-    w_dev = weighted_l2(sol_hat.w_hat, refs.w_ref, dd)
-    pop = population_lagrangian_members(mdp, dd, reg, cfg.alpha, vc.members, wc.members)
-    eps_hat = float(np.abs(emp - pop).max())
-    b_w = wc.b_w
-    b_v = vc.b_v
-    eps_stat = stat_error(
-        extra["n_fit"],
-        max(cfg.n0, 1),
-        cfg.alpha,
-        b_w,
-        reg.bounds(b_w)[0],
-        b_v,
-        residual_bound(b_v, mdp.gamma),
-        (len(vc), len(wc)),
-        cfg.delta,
-        gamma=mdp.gamma,
-    )
+    pi_l1 = _policy_l1(inst, pi_hat)
+    w_dev = weighted_l2(sol_hat.w_hat, inst.w_ref, inst.dd)
+    eps_hat = float(np.abs(emp - inst.pop).max())
+    b_w = inst.wc.b_w
+    b_v = inst.vc.b_v
+    eps_stat = stat_error(fit.n, fit.n0, cfg.alpha, b_w, reg.bounds(b_w)[0], b_v,
+                          residual_bound(b_v, mdp.gamma), (len(inst.vc), len(inst.wc)),
+                          cfg.delta, gamma=mdp.gamma)
     if cfg.alpha > 0:
         rhs_perf_bound = performance_gap_bound(eps_stat, cfg.alpha, reg.m_f, mdp.gamma)
         rhs_realized = performance_gap_bound(eps_hat, cfg.alpha, reg.m_f, mdp.gamma)
@@ -478,7 +490,7 @@ def _evaluate(cfg, mdp, dd, reg, refs, vc, wc, emp, sol_hat, pi_hat, extra):
     if cfg.variant["kind"] == "capped":
         rhs_capped = 2.0 * cfg.alpha * reg.bounds(b_w)[0] + rhs_realized
     return RunReport(
-        config_hash=cfg.config_hash,
+        config_hash=inst.config_hash(cfg.seed),
         seed=cfg.seed,
         variant=cfg.variant["kind"],
         alpha=cfg.alpha,
@@ -486,10 +498,10 @@ def _evaluate(cfg, mdp, dd, reg, refs, vc, wc, emp, sol_hat, pi_hat, extra):
         n0=cfg.n0,
         n2=extra.get("n2"),
         j_hat=j_hat,
-        j_star_alpha=refs.j_star_alpha,
-        j_star_zero=refs.j_star_zero,
-        j_ref=refs.j_ref,
-        gap_ref=refs.j_ref - j_hat,
+        j_star_alpha=inst.j_star_alpha,
+        j_star_zero=inst.j_star_zero,
+        j_ref=inst.j_ref,
+        gap_ref=inst.j_ref - j_hat,
         pi_l1=pi_l1,
         pi_l1_bc=extra.get("pi_l1_bc"),
         w_dev=w_dev,
@@ -499,8 +511,8 @@ def _evaluate(cfg, mdp, dd, reg, refs, vc, wc, emp, sol_hat, pi_hat, extra):
         rhs_realized=rhs_realized,
         rhs_capped=rhs_capped,
         bc_sample_term=extra.get("bc_sample_term"),
-        eps_rv=extra["eps_rv"],
-        eps_rw=extra["eps_rw"],
+        eps_rv=inst.eps_rv,
+        eps_rw=inst.eps_rw,
         eps_ov=sol_hat.eps_ov,
         eps_ow=sol_hat.eps_ow,
         w_index=sol_hat.w_index,
@@ -508,7 +520,7 @@ def _evaluate(cfg, mdp, dd, reg, refs, vc, wc, emp, sol_hat, pi_hat, extra):
         w_max=float(np.asarray(sol_hat.w_hat).max()),
         b_v=b_v,
         b_w=b_w,
-        kkt_residual=refs.kkt_residual,
+        kkt_residual=inst.kkt_residual,
     )
 
 
@@ -523,72 +535,57 @@ def _staged(stage):
         raise PipelineError(stage, str(exc)) from exc
 
 
-def _make_dataset(cfg: ExperimentConfig, mdp, dd):
-    if cfg.dataset["kind"] == "exact_frequency":
-        return exact_frequency_dataset(mdp, dd, repeats=cfg.dataset.get("repeats", 1))
-    return generate_dataset(mdp, dd, cfg.n, cfg.n0, cfg.seed)
-
-
-def run_pro_rl(cfg: ExperimentConfig) -> RunReport:
+def run_pro_rl(cfg: ExperimentConfig, instance: Optional[Instance] = None) -> RunReport:
     """Run the estimator once, end to end, and score it.
 
-    With cfg.bc set, the dataset splits into a fitting part and a cloning
-    part: the estimator runs on the first, the witnessed-disagreement
-    cloner on the second, and the report carries both the direct-extraction
-    distance and the cloned one, so paired comparisons need a single run.
+    instance is ``prepare`` of a config that differs from cfg at most in
+    its seed; without one the run prepares its own. With cfg.bc set, the
+    dataset splits into a fitting part and a cloning part: the estimator
+    runs on the first, the witnessed-disagreement cloner on the second, and
+    the report carries both the direct-extraction distance and the cloned
+    one, so paired comparisons need a single run.
     """
-    with _staged("mdp"):
-        mdp = resolve_mdp(cfg.mdp)
-    with _staged("data_dist"):
-        dd, pi_d = resolve_data_dist(mdp, cfg.data_dist)
-    reg = Regularizer.from_config(cfg.reg)
-    with _staged("oracle"):
-        refs = _resolve_references(mdp, dd, reg, cfg.alpha, cfg.variant, cfg.classes["kind"])
-    with _staged("classes"):
-        vc, wc, eps_rv, eps_rw = _build_classes(cfg, mdp, dd, reg, refs)
-        if refs.w_ref is None:
-            refs = replace(refs, w_ref=wc.members[0])
+    inst = instance or prepare(cfg)
+    if replace(cfg, seed=0) != inst.config:
+        raise PipelineError("config", "the instance's config differs in more than seed")
+    mdp, dd, vc, wc = inst.mdp, inst.dd, inst.vc, inst.wc
     with _staged("dataset"):
-        data = _make_dataset(cfg, mdp, dd)
+        if cfg.dataset["kind"] == "exact_frequency":
+            data = exact_frequency_dataset(mdp, dd, repeats=cfg.dataset.get("repeats", 1))
+        else:
+            data = generate_dataset(mdp, dd, cfg.n, cfg.n0, cfg.seed)
         fit, held = data, None
         if cfg.bc is not None:
             fit, held = split_dataset(data, int(cfg.bc.get("n1", round(0.9 * data.n))))
             if held.n == 0:
                 raise PipelineError("dataset", "the cloning split is empty; lower n1")
     with _staged("saddle"):
-        emp = empirical_lagrangian_members(fit, reg, cfg.alpha, vc.members, wc.members)
+        emp = empirical_lagrangian_members(fit, inst.reg, cfg.alpha, vc.members, wc.members)
         if cfg.variant["kind"] == "inexact":
-            sol_hat = solve_inexact(
-                emp,
-                (vc, wc),
-                eps_ov=cfg.variant["eps_ov"],
-                eps_ow=cfg.variant["eps_ow"],
-                seed=cfg.seed + 1,
-            )
+            sol_hat = solve_inexact(emp, (vc, wc), eps_ov=cfg.variant["eps_ov"],
+                                    eps_ow=cfg.variant["eps_ow"], seed=cfg.seed + 1)
         else:
             sol_hat = solve_exact(emp, (vc, wc), w_order=cfg.w_order)
     with _staged("extraction"):
-        pi_hat = extract_policy(sol_hat.w_hat, pi_d)
+        pi_hat = extract_policy(sol_hat.w_hat, inst.pi_d)
         if held is not None:
-            policies = _resolve_policy_class(cfg.bc, refs.pi_ref, mdp.num_actions)
+            policies = _resolve_policy_class(cfg.bc, inst.pi_ref, mdp.num_actions)
             pi_bar = clone_policy(sol_hat.w_hat, held, policies)
     with _staged("evaluation"):
-        extra = {"eps_rv": eps_rv, "eps_rw": eps_rw, "n_eff": data.n, "n_fit": fit.n}
+        extra = {"n_eff": data.n, "fit": fit}
         if held is not None:
             extra.update(
                 n2=held.n,
-                pi_l1_bc=_policy_l1(refs, pi_bar),
+                pi_l1_bc=_policy_l1(inst, pi_bar),
                 bc_sample_term=bc_sample_term(wc.b_w, len(policies), cfg.delta, held.n),
             )
-        return _evaluate(cfg, mdp, dd, reg, refs, vc, wc, emp, sol_hat, pi_hat, extra)
+        return _evaluate(cfg, inst, emp, sol_hat, pi_hat, extra)
 
 
 def _resolve_policy_class(spec: dict, pi_ref: Policy, num_actions: int) -> PolicyClass:
     kind = spec.get("kind", "target_plus_mixes")
     if kind == "explicit":
-        return PolicyClass(
-            tuple(Policy(np.asarray(p, dtype=float)) for p in spec["probs"])
-        )
+        return PolicyClass(tuple(Policy(np.asarray(p, dtype=float)) for p in spec["probs"]))
     if kind == "target_plus_mixes":
         mixes = spec.get("mix_grid", [0.25, 0.5, 1.0])
         members = [pi_ref]
@@ -617,8 +614,8 @@ def _mix_direction(name: str, pi_ref: Policy, num_actions: int) -> np.ndarray:
     raise PipelineError("config", f"unknown mix direction {name!r}")
 
 
-def run_pro_rl_bc(cfg: ExperimentConfig) -> RunReport:
+def run_pro_rl_bc(cfg: ExperimentConfig, instance: Optional[Instance] = None) -> RunReport:
     """``run_pro_rl`` for configs that must clone: cfg.bc is required."""
     if cfg.bc is None:
         raise PipelineError("config", "bc settings are required for the cloning pipeline")
-    return run_pro_rl(cfg)
+    return run_pro_rl(cfg, instance)

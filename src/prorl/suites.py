@@ -53,6 +53,7 @@ from .pipelines import (
     CSV_HEADER,
     ExperimentConfig,
     PipelineError,
+    prepare,
     resolve_data_dist,
     resolve_mdp,
     run_pro_rl,
@@ -366,20 +367,20 @@ def bc_fixture(n1: int = 60000) -> dict:
 def _sweep(out_dir: str, seed: int, num_seeds: int, base: dict, points: dict) -> dict:
     """Run every grid point at num_seeds dataset seeds and write rows.csv.
 
-    Point ``label`` runs ``ExperimentConfig(**base, **points[label],
-    seed=seed + s)`` for each s < num_seeds; a config with a bc block goes
-    through the cloning driver. Points run in ascending label order, so the
-    order of a grid in the overrides never reaches the artifacts. Returns
-    {label: reports} in that order.
+    Point ``label`` is prepared once and runs ``ExperimentConfig(**base,
+    **points[label], seed=seed + s)`` for each s < num_seeds; a config with
+    a bc block goes through the cloning driver. Points run in ascending label
+    order, so the order of a grid in the overrides never reaches the
+    artifacts. Returns {label: reports} in that order.
 
     Both drivers are read as module globals on every run, so a harness that
     rebinds them in this module sees each run.
     """
     batches = {}
     for label in sorted(points):
-        point = points[label]
-        cfgs = (ExperimentConfig(**base, **point, seed=seed + s) for s in range(num_seeds))
-        batches[label] = [(run_pro_rl if c.bc is None else run_pro_rl_bc)(c) for c in cfgs]
+        cfgs = [ExperimentConfig(**base, **points[label], seed=seed + s) for s in range(num_seeds)]
+        inst = prepare(cfgs[0])
+        batches[label] = [(run_pro_rl if c.bc is None else run_pro_rl_bc)(c, inst) for c in cfgs]
     ordered = sorted((r for batch in batches.values() for r in batch), key=_report_sort_key)
     _write_rows(os.path.join(out_dir, "rows.csv"), CSV_HEADER, [r.to_row() for r in ordered])
     return batches

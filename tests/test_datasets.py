@@ -12,6 +12,7 @@ from prorl.datasets import (
     generate_dataset,
 )
 from prorl.mdp import (
+    Occupancy,
     TabularMdp,
     build_counterexample,
     exact_occupancy,
@@ -270,6 +271,36 @@ class TestTake:
             np.concatenate([head.states, tail.states]), data.states
         )
 
+
+
+class TestZeroMassGuard:
+    """A dataset that names its generating distribution has no transition on a zero-mass cell."""
+
+    DD = np.array([[0.25, 0.25], [0.0, 0.5]])  # cell (1, 0) has no mass
+
+    def build(self, states, actions, mass):
+        return OfflineDataset(states=states, actions=actions, rewards=np.zeros(len(states)),
+                              next_states=np.zeros(len(states), dtype=int), init_states=[0],
+                              gamma=0.9, generating_dd=Occupancy(mass))
+
+    def test_hand_built_transition_on_zero_mass_cell_raises(self):
+        with pytest.raises(ValueError, match=r"^transition 2 drawn at a zero-probability "
+                                             r"cell \(1, 0\)$"):
+            self.build([0, 1, 1, 0, 1], [1, 1, 0, 0, 0], self.DD)
+
+    def test_covered_cells_pass(self):
+        data = self.build([0, 1, 0], [1, 1, 0], self.DD)
+        assert data.n == 3
+
+    def test_take_checks_its_transitions_again(self):
+        mass = self.DD.copy()
+        mass[1, 0] = 0.25
+        data = self.build([0, 1, 1, 0], [0, 1, 0, 1], mass)
+        mass[1, 0] = 0.0  # the generating distribution loses the cell after the build
+        assert data.take(0, 2).n == 2
+        with pytest.raises(ValueError, match=r"transition 0 drawn at a zero-probability "
+                                             r"cell \(1, 0\)"):
+            data.take(2, 4)
 
 class TestExactFrequency:
     def test_counterexample_frequencies_are_exact(self):

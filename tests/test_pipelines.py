@@ -1,5 +1,6 @@
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from prorl.pipelines import (
     ExperimentConfig,
     PipelineError,
     _staged,
+    prepare,
     resolve_data_dist,
     resolve_mdp,
     run_pro_rl,
@@ -413,6 +415,72 @@ class TestEachStepOncePerRun:
         )
         assert counts["witness_class"] == 1
 
+    def test_suite_prepares_each_grid_point_once(self, monkeypatch, tmp_path):
+        names = ("solve_regularized", "population_lagrangian_members",
+                 "empirical_lagrangian_members")
+        counts = self.count_calls(monkeypatch, names)
+        run_experiment_suite("rate_regularized", str(tmp_path), n_grid=[100, 300], num_seeds=3)
+        # the fixture's own solve, then one per grid point
+        assert counts["solve_regularized"] == 1 + 2
+        assert counts["population_lagrangian_members"] == 2
+        assert counts["empirical_lagrangian_members"] == 2 * 3
+
     def test_cloning_guard_matches_single_driver(self):
         cfg = RUN_VARIANTS["bc"]()
         assert run_pro_rl(cfg).to_row() == run_pro_rl_bc(cfg).to_row()
+
+
+class TestPrepareOnce:
+    """prepare() holds the seed-free part of a run; runs at any seed reuse it."""
+
+    @pytest.mark.parametrize("variant", sorted(RUN_VARIANTS))
+    def test_instance_from_another_seed_gives_the_same_row(self, variant):
+        cfg = RUN_VARIANTS[variant]()
+        inst = prepare(replace(cfg, seed=cfg.seed + 7))
+        # compared as text, so a nan column (j_star_alpha at alpha=0) matches itself
+        assert repr(run_pro_rl(cfg, inst).to_row()) == repr(run_pro_rl(cfg).to_row())
+
+    @pytest.mark.parametrize("change", [{"n": 1600}, {"alpha": 0.2}], ids=["n", "alpha"])
+    def test_instance_from_a_different_config_is_rejected(self, change):
+        inst = prepare(base_config())
+        with pytest.raises(PipelineError, match="differs in more than seed") as info:
+            run_pro_rl(base_config(**change), inst)
+        assert info.value.stage == "config"
+
+    def test_cloning_driver_checks_the_instance_too(self):
+        cfg = RUN_VARIANTS["bc"]()
+        with pytest.raises(PipelineError, match="differs in more than seed"):
+            run_pro_rl_bc(cfg, prepare(replace(cfg, n=3000)))
+
+    @pytest.mark.parametrize("seed", [0, 2, 5], ids=["classes_seed", "mdp_seed", "other"])
+    def test_spliced_hash_matches_the_config_hash(self, seed):
+        # base_config's mdp spec has seed 2 and its classes spec seed 0
+        inst = prepare(base_config(seed=9))
+        cfg = base_config(seed=seed)
+        assert inst.config_hash(seed) == cfg.config_hash
+        assert run_pro_rl(cfg, inst).config_hash == cfg.config_hash
+
+
+class TestInitialStateCount:
+    def test_sampled_dataset_needs_initial_states(self):
+        with pytest.raises(PipelineError, match="n0 must be") as info:
+            base_config(n0=0)
+        assert info.value.stage == "config"
+        # an exact-frequency dataset carries its own initial states
+        assert replace(_counterexample_config(0.3, {"kind": "plain"}), n0=0).n0 == 0
+
+    def test_stat_error_reads_the_fitted_datasets_initial_states(self):
+        cfg = replace(_counterexample_config(0.3, {"kind": "plain"}),
+                      dataset={"kind": "exact_frequency", "repeats": 3})
+        report = run_pro_rl(cfg)
+        reg = Regularizer.from_config(cfg.reg)
+        gamma = 0.5
+        sizes = (1, 2)  # the counterexample's value and weight classes
+
+        def eps(n0):
+            return stat_error(report.n, n0, cfg.alpha, report.b_w, reg.bounds(report.b_w)[0],
+                              report.b_v, residual_bound(report.b_v, gamma), sizes, cfg.delta,
+                              gamma=gamma)
+
+        assert cfg.n0 == 1 and report.n == 18
+        assert report.eps_stat == eps(3) != eps(1)

@@ -407,9 +407,9 @@ class TestOneDriverCallPerRow:
     def test_counts(self, name, tmp_path, monkeypatch):
         counts = Counter()
         for driver in ("run_pro_rl", "run_pro_rl_bc"):
-            def counted(cfg, _driver=driver, _original=getattr(suites, driver)):
+            def counted(cfg, instance=None, _driver=driver, _original=getattr(suites, driver)):
                 counts[_driver] += 1
-                return _original(cfg)
+                return _original(cfg, instance)
 
             monkeypatch.setattr(suites, driver, counted)
         run_experiment_suite(name, str(tmp_path), **self.TINY[name])
