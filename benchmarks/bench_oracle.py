@@ -78,7 +78,7 @@ def test_infeasible_draw_raises(benchmark):
 
 def test_capped_unregularized_value(benchmark):
     fx = capped_fixture()
-    mdp = fx["mdp_obj"]
+    mdp = resolve_mdp(fx["mdp"])
     dd = exact_occupancy(mdp, Policy(np.asarray(fx["data_dist"]["probs"]))).mass
     benchmark(capped_unregularized_value, mdp, dd, fx["cap"])
 
@@ -97,6 +97,6 @@ def test_strong_concentrability_check(benchmark, instance):
     else:
         mdp = build_mixing_mdp(11, 3, 0.9, seed=0)
     dd = exact_occupancy(mdp, uniform_policy(mdp.num_states, mdp.num_actions)).mass
-    d0 = solve_unregularized(mdp).d_star
-    res = benchmark(strong_concentrability_check, mdp, dd, d0)
+    d0_state = solve_unregularized(mdp).d_star.state_marginal
+    res = benchmark(strong_concentrability_check, mdp, dd, d0_state)
     assert res.holds

@@ -466,19 +466,16 @@ def solve_unregularized(mdp: TabularMdp) -> UnregularizedSolution:
     return UnregularizedSolution(v_star=v[0], pi_star=pi, d_star=exact_occupancy(mdp, pi))
 
 
-def strong_concentrability_check(mdp: TabularMdp, data_dist, d_0) -> StrongConcentrability:
+def strong_concentrability_check(mdp: TabularMdp, data_dist, d0_state) -> StrongConcentrability:
     """Two-sided state-marginal ratio bounds against the data distribution.
 
     B_wu bounds d^pi(s) / d^D(s) over all policies. The largest d^pi(s) is
     (1-gamma) times the optimal mu0-value under the reward 1{x = s}, so one
     batched policy iteration over the S indicator rewards gives B_wu exactly
     (Puterman 1994). B_wl is the realized lower ratio of the target
-    occupancy d_0.
+    occupancy's state marginal d0_state.
     """
-    dd = _data_mass(data_dist)
-    dd_state = dd.sum(axis=1)
-    d0 = d_0.mass if isinstance(d_0, Occupancy) else np.asarray(d_0, dtype=float)
-    d0_state = d0.sum(axis=1)
+    dd_state = _data_mass(data_dist).sum(axis=1)
     if np.any(dd_state <= 0.0):
         return StrongConcentrability(b_wu=float("inf"), b_wl=0.0, holds=False)
     s, a = mdp.num_states, mdp.num_actions
@@ -486,7 +483,7 @@ def strong_concentrability_check(mdp: TabularMdp, data_dist, d_0) -> StrongConce
     v, _ = _policy_iteration(mdp, indicators)
     best_marginals = (1.0 - mdp.gamma) * (v @ mdp.init_dist)
     b_wu = float((best_marginals / dd_state).max())
-    b_wl = float((d0_state / dd_state).min())
+    b_wl = float((np.asarray(d0_state, dtype=float) / dd_state).min())
     return StrongConcentrability(b_wu=b_wu, b_wl=b_wl, holds=b_wl > 0.0)
 
 

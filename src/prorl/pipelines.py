@@ -2,8 +2,9 @@
 
 ``prepare`` does what a run's seed does not change, once per config:
 resolve the MDP and data distribution, solve the instance exactly for
-reference quantities, build candidate classes around the exact pair and
-their population payoff matrix. ``run_pro_rl`` does the rest at one seed:
+reference quantities, build candidate classes around the exact pair,
+their population payoff matrix and the policy class a cloning run fits
+over. ``run_pro_rl`` does the rest at one seed:
 draw the offline dataset, build the empirical payoff matrix, run the
 max-min estimator on it, extract a policy, and evaluate everything in
 closed form on the MDP. A config with a ``bc`` block also holds out part
@@ -18,7 +19,8 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-from dataclasses import dataclass, field, fields, replace
+import re
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -51,7 +53,6 @@ from .objective import (
     weighted_l2,
 )
 from .oracle import (
-    RegularizedSolution,
     capped_unregularized_value,
     solve_regularized,
     solve_unregularized,
@@ -71,14 +72,29 @@ PIPELINE_STAGES = (
     "evaluation",
 )
 
-_VARIANT_KINDS = ("plain", "inexact", "capped", "alpha_zero")
 _DRAWN_KEYS = ("kind", "num_distractors", "seed")
-_CLASS_KEYS = {  # the spec keys each classes kind reads
-    "realizable": _DRAWN_KEYS,
-    "misspecified": _DRAWN_KEYS + ("perturbation",),
-    "constrained": _DRAWN_KEYS,
-    "explicit": ("kind", "value_class", "weight_class"),
+_BLOCK_KEYS = {  # the keys each config block reads, per kind
+    "variant": {
+        "plain": ("kind",),
+        "inexact": ("kind", "eps_ov", "eps_ow"),
+        "capped": ("kind", "cap"),
+        "alpha_zero": ("kind",),
+    },
+    "classes": {
+        "realizable": _DRAWN_KEYS,
+        "misspecified": _DRAWN_KEYS + ("perturbation",),
+        "constrained": _DRAWN_KEYS,
+        "explicit": ("kind", "value_class", "weight_class"),
+    },
+    "dataset": {"sampled": ("kind",), "exact_frequency": ("kind", "repeats")},
+    "bc": {
+        "target_plus_mixes": ("kind", "n1", "mix_grid", "directions"),
+        "explicit": ("kind", "n1", "probs"),
+    },
 }
+_MIX_DIRECTION = re.compile(r"uniform|complement|roll-?\d+")
+# from_dict's cast per field annotation; an empty w_order reads as None
+_CASTS = {"float": float, "int": int, "Optional[tuple]": lambda v: tuple(v or ()) or None}
 
 
 class PipelineError(RuntimeError):
@@ -99,9 +115,10 @@ def _canonical_json(payload) -> str:
 class ExperimentConfig:
     """Complete description of one estimation run.
 
-    mdp / data_dist / reg / classes / variant are small dicts with a
-    "kind" discriminator (see the resolver functions); bc, when present,
-    configures the cloning stage. The config hash keys report rows.
+    mdp / data_dist / reg / classes / variant / dataset are small dicts with
+    a "kind" discriminator; bc, when present, configures the cloning stage.
+    ``_BLOCK_KEYS`` lists the kinds of variant, classes, dataset and bc and
+    the keys each kind reads. The config hash keys report rows.
     """
 
     mdp: dict
@@ -119,21 +136,26 @@ class ExperimentConfig:
     w_order: Optional[tuple] = None
 
     def __post_init__(self):
-        variant_kind = self.variant.get("kind")
-        if variant_kind not in _VARIANT_KINDS:
-            raise PipelineError("config", f"unknown variant kind {variant_kind!r}")
-        class_kind = self.classes.get("kind")
-        if class_kind not in _CLASS_KEYS:
-            raise PipelineError("config", f"unknown classes kind {class_kind!r}")
-        unread = sorted(set(self.classes) - set(_CLASS_KEYS[class_kind]))
-        if unread:
-            raise PipelineError(
-                "config",
-                f"classes kind {class_kind!r} does not read {unread}; "
-                f"accepted keys: {list(_CLASS_KEYS[class_kind])}",
-            )
-        if self.dataset.get("kind") not in ("sampled", "exact_frequency"):
-            raise PipelineError("config", f"unknown dataset kind {self.dataset.get('kind')!r}")
+        for block, kinds in _BLOCK_KEYS.items():
+            spec = getattr(self, block)
+            if spec is None:  # no bc block
+                continue
+            if not isinstance(spec, dict):
+                raise PipelineError("config", f"the {block} block must be a dict, not {spec!r}")
+            kind = spec.get("kind", "target_plus_mixes" if block == "bc" else None)
+            if kind not in kinds:
+                raise PipelineError("config", f"unknown {block} kind {kind!r}")
+            unread = sorted(set(spec) - set(kinds[kind]))
+            if unread:
+                raise PipelineError(
+                    "config",
+                    f"{block} kind {kind!r} does not read {unread}; "
+                    f"accepted keys: {list(kinds[kind])}",
+                )
+        repeats = self.dataset.get("repeats", 1)
+        if not (isinstance(repeats, int) and not isinstance(repeats, bool) and repeats >= 1):
+            raise PipelineError("config", f"dataset repeats {repeats!r} is not an integer >= 1")
+        variant_kind, class_kind = self.variant["kind"], self.classes["kind"]
         if self.alpha < 0:
             raise PipelineError("config", "alpha must be nonnegative")
         if (self.alpha == 0) != (variant_kind == "alpha_zero"):
@@ -161,48 +183,20 @@ class ExperimentConfig:
             raise PipelineError("config", "delta must lie in (0, 1)")
 
     def to_dict(self) -> dict:
-        payload = {
-            "mdp": self.mdp,
-            "data_dist": self.data_dist,
-            "reg": self.reg,
-            "alpha": self.alpha,
-            "n": self.n,
-            "n0": self.n0,
-            "seed": self.seed,
-            "classes": self.classes,
-            "variant": self.variant,
-            "dataset": self.dataset,
-            "delta": self.delta,
-        }
-        if self.bc is not None:
-            payload["bc"] = self.bc
-        if self.w_order is not None:
-            payload["w_order"] = list(self.w_order)
-        return payload
+        """The fields by name, leaving out bc and w_order when they are None."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if getattr(self, f.name) is not None}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
         unknown = set(payload) - {f.name for f in fields(cls)}
         if unknown:
             raise PipelineError("config", f"unknown config keys {sorted(unknown)}")
-        try:
-            return cls(
-                mdp=payload["mdp"],
-                data_dist=payload["data_dist"],
-                reg=payload["reg"],
-                alpha=float(payload["alpha"]),
-                n=int(payload["n"]),
-                n0=int(payload["n0"]),
-                seed=int(payload["seed"]),
-                classes=payload["classes"],
-                variant=payload.get("variant", {"kind": "plain"}),
-                dataset=payload.get("dataset", {"kind": "sampled"}),
-                delta=float(payload.get("delta", 0.1)),
-                bc=payload.get("bc"),
-                w_order=tuple(payload["w_order"]) if payload.get("w_order") else None,
-            )
-        except KeyError as err:
-            raise PipelineError("config", f"missing config key {err.args[0]!r}") from err
+        for f in fields(cls):
+            if f.name not in payload and f.default is MISSING and f.default_factory is MISSING:
+                raise PipelineError("config", f"missing config key {f.name!r}")
+        return cls(**{f.name: _CASTS.get(f.type, lambda v: v)(payload[f.name])
+                      for f in fields(cls) if f.name in payload})
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
@@ -275,8 +269,8 @@ def _alpha_zero_anchor(unreg, dd: np.ndarray) -> Optional[np.ndarray]:
     return w0
 
 
-def _resolve_references(mdp, dd, reg, alpha, variant, classes_kind) -> dict:
-    """The reference fields of an ``Instance``, from the exact oracles."""
+def _resolve_references(mdp, dd, reg, alpha, variant, classes_kind):
+    """The exact solution the classes anchor on, and an ``Instance``'s reference fields."""
     unreg = solve_unregularized(mdp)
     j_zero = float(mdp.reward.flatten() @ unreg.d_star.mass.flatten())
     kind = variant["kind"]
@@ -294,20 +288,18 @@ def _resolve_references(mdp, dd, reg, alpha, variant, classes_kind) -> dict:
         exact = sol = solve_regularized(mdp, dd, reg, alpha, cap=cap)
         w_ref, j_alpha = sol.w_star, float(mdp.reward.flatten() @ sol.d_star.mass.flatten())
         j_ref = capped_unregularized_value(mdp, dd, cap)[0] if kind == "capped" else j_alpha
-    return dict(
+    return exact, dict(
         w_ref=w_ref,
-        v_ref=exact.v_star,
         pi_ref=exact.pi_star,
         d_ref_state=exact.d_star.state_marginal,
         j_ref=j_ref,
         j_star_alpha=j_alpha,
         j_star_zero=j_zero,
         kkt_residual=0.0 if sol is None else sol.kkt_residual,
-        solution=sol,
     )
 
 
-def _build_classes(cfg: ExperimentConfig, mdp, dd, reg, refs):
+def _build_classes(cfg: ExperimentConfig, mdp, dd, reg, exact, w_ref):
     """The value and weight classes with their approximation errors eps_rv, eps_rw."""
     kind = cfg.classes["kind"]
     spec = cfg.classes
@@ -319,7 +311,7 @@ def _build_classes(cfg: ExperimentConfig, mdp, dd, reg, refs):
         return vc, wc, 0.0, 0.0
     if kind == "misspecified":
         return build_misspecified(
-            refs["solution"],
+            exact,
             spec["perturbation"],
             mdp,
             dd,
@@ -329,7 +321,7 @@ def _build_classes(cfg: ExperimentConfig, mdp, dd, reg, refs):
             seed=spec.get("seed", 0),
         )
     if kind == "constrained":
-        anchor_w, anchor_v = refs["w_ref"], refs["v_ref"]
+        anchor_w, anchor_v = w_ref, exact.v_star
         if cfg.variant["kind"] == "alpha_zero":
             anchor_v = np.clip(anchor_v, 0.0, 1.0 / (1.0 - mdp.gamma))
         pi_d = Occupancy(dd).conditional_policy()
@@ -349,7 +341,7 @@ def _build_classes(cfg: ExperimentConfig, mdp, dd, reg, refs):
         )
         return vc, wc, 0.0, 0.0
     vc, wc = build_realizable(  # realizable
-        refs["solution"],
+        exact,
         spec.get("num_distractors", 8),
         seed=spec.get("seed", 0),
         reg=reg,
@@ -362,10 +354,10 @@ def _build_classes(cfg: ExperimentConfig, mdp, dd, reg, refs):
 class Instance:
     """What the runs of one config share at every seed; built by ``prepare``.
 
-    config is the config at seed 0 and config_json its canonical JSON. The
-    reference fields are the exact quantities a run is scored against;
-    solution is the regularized oracle solution the class builders reuse
-    (None at alpha=0). pop is the classes' population payoff matrix.
+    config is the config at seed 0 and config_json its canonical JSON. pop
+    is the classes' population payoff matrix and policies the class a run
+    clones over (None without a bc block). The reference fields are the
+    exact quantities a run is scored against.
     """
 
     config: ExperimentConfig
@@ -379,15 +371,14 @@ class Instance:
     eps_rv: float
     eps_rw: float
     pop: np.ndarray
+    policies: Optional[PolicyClass]
     w_ref: np.ndarray  # target weight the class anchors on
-    v_ref: np.ndarray
     pi_ref: Policy
     d_ref_state: np.ndarray  # state marginal weighting the policy distance
     j_ref: float  # return the estimator competes with
     j_star_alpha: float
     j_star_zero: float
     kkt_residual: float
-    solution: Optional[RegularizedSolution]
 
     def config_hash(self, seed: int) -> str:
         """The config_hash of the config at seed, spliced into config_json."""
@@ -398,25 +389,33 @@ class Instance:
 def prepare(cfg: ExperimentConfig) -> Instance:
     """Everything in a run of cfg that its seed does not change.
 
-    When no ratio anchor exists at alpha=0 and the config supplies explicit
-    classes, the target weight is weight-class member 0.
+    The bc mix directions are checked before any stage runs. When no ratio
+    anchor exists at alpha=0 and the config supplies explicit classes, the
+    target weight is weight-class member 0.
     """
+    for name in (cfg.bc or {}).get("directions", ()):
+        if not _MIX_DIRECTION.fullmatch(str(name)):
+            raise PipelineError("config", f"unknown mix direction {name!r}")
     with _staged("mdp"):
         mdp = resolve_mdp(cfg.mdp)
     with _staged("data_dist"):
         dd, pi_d = resolve_data_dist(mdp, cfg.data_dist)
     reg = Regularizer.from_config(cfg.reg)
     with _staged("oracle"):
-        refs = _resolve_references(mdp, dd, reg, cfg.alpha, cfg.variant, cfg.classes["kind"])
+        exact, refs = _resolve_references(mdp, dd, reg, cfg.alpha, cfg.variant,
+                                          cfg.classes["kind"])
     with _staged("classes"):
-        vc, wc, eps_rv, eps_rw = _build_classes(cfg, mdp, dd, reg, refs)
+        vc, wc, eps_rv, eps_rw = _build_classes(cfg, mdp, dd, reg, exact, refs["w_ref"])
         if refs["w_ref"] is None:
             refs["w_ref"] = wc.members[0]
+        policies = None
+        if cfg.bc is not None:
+            policies = _resolve_policy_class(cfg.bc, refs["pi_ref"], mdp.num_actions)
     with _staged("evaluation"):
         pop = population_lagrangian_members(mdp, dd, reg, cfg.alpha, vc.members, wc.members)
     config = replace(cfg, seed=0)
     return Instance(config, _canonical_json(config.to_dict()), mdp, dd, pi_d, reg,
-                    vc, wc, eps_rv, eps_rw, pop, **refs)
+                    vc, wc, eps_rv, eps_rw, pop, policies, **refs)
 
 
 @dataclass(frozen=True)
@@ -569,32 +568,28 @@ def run_pro_rl(cfg: ExperimentConfig, instance: Optional[Instance] = None) -> Ru
     with _staged("extraction"):
         pi_hat = extract_policy(sol_hat.w_hat, inst.pi_d)
         if held is not None:
-            policies = _resolve_policy_class(cfg.bc, inst.pi_ref, mdp.num_actions)
-            pi_bar = clone_policy(sol_hat.w_hat, held, policies)
+            pi_bar = clone_policy(sol_hat.w_hat, held, inst.policies)
     with _staged("evaluation"):
         extra = {"n_eff": data.n, "fit": fit}
         if held is not None:
             extra.update(
                 n2=held.n,
                 pi_l1_bc=_policy_l1(inst, pi_bar),
-                bc_sample_term=bc_sample_term(wc.b_w, len(policies), cfg.delta, held.n),
+                bc_sample_term=bc_sample_term(wc.b_w, len(inst.policies), cfg.delta, held.n),
             )
         return _evaluate(cfg, inst, emp, sol_hat, pi_hat, extra)
 
 
 def _resolve_policy_class(spec: dict, pi_ref: Policy, num_actions: int) -> PolicyClass:
-    kind = spec.get("kind", "target_plus_mixes")
-    if kind == "explicit":
+    if spec.get("kind") == "explicit":
         return PolicyClass(tuple(Policy(np.asarray(p, dtype=float)) for p in spec["probs"]))
-    if kind == "target_plus_mixes":
-        mixes = spec.get("mix_grid", [0.25, 0.5, 1.0])
-        members = [pi_ref]
-        for name in spec.get("directions", ["uniform"]):
-            toward = _mix_direction(name, pi_ref, num_actions)
-            for u in mixes:
-                members.append(Policy((1.0 - u) * pi_ref.probs + u * toward))
-        return PolicyClass(tuple(members))
-    raise PipelineError("config", f"unknown policy class kind {kind!r}")
+    mixes = spec.get("mix_grid", [0.25, 0.5, 1.0])  # target_plus_mixes
+    members = [pi_ref]
+    for name in spec.get("directions", ["uniform"]):
+        toward = _mix_direction(name, pi_ref, num_actions)
+        for u in mixes:
+            members.append(Policy((1.0 - u) * pi_ref.probs + u * toward))
+    return PolicyClass(tuple(members))
 
 
 def _mix_direction(name: str, pi_ref: Policy, num_actions: int) -> np.ndarray:
@@ -606,12 +601,10 @@ def _mix_direction(name: str, pi_ref: Policy, num_actions: int) -> np.ndarray:
     """
     if name == "uniform":
         return np.full_like(pi_ref.probs, 1.0 / num_actions)
-    if name.startswith("roll"):
-        return np.roll(pi_ref.probs, int(name[4:]), axis=1)
     if name == "complement":
         raw = 1.0 - pi_ref.probs
         return raw / raw.sum(axis=1, keepdims=True)
-    raise PipelineError("config", f"unknown mix direction {name!r}")
+    return np.roll(pi_ref.probs, int(name[4:]), axis=1)
 
 
 def run_pro_rl_bc(cfg: ExperimentConfig, instance: Optional[Instance] = None) -> RunReport:

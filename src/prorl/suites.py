@@ -40,7 +40,6 @@ from .mdp import (
     random_mdp,
     uniform_policy,
 )
-from .objective import population_lagrangian_members
 from .oracle import (
     capped_unregularized_value,
     lp_stability_sweep,
@@ -334,7 +333,6 @@ def capped_fixture() -> dict:
         [1 / 3, 1 / 3, 1 / 3],
     ]
     return {
-        "mdp_obj": mdp,
         "mdp": {"kind": "inline", **mdp.to_dict()},
         "data_dist": {"kind": "policy", "probs": pi_d_probs},
         "reg": Regularizer().to_config(),
@@ -364,26 +362,27 @@ def bc_fixture(n1: int = 60000) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _sweep(out_dir: str, seed: int, num_seeds: int, base: dict, points: dict) -> dict:
+def _sweep(out_dir: str, seed: int, num_seeds: int, base: dict, points: dict):
     """Run every grid point at num_seeds dataset seeds and write rows.csv.
 
     Point ``label`` is prepared once and runs ``ExperimentConfig(**base,
     **points[label], seed=seed + s)`` for each s < num_seeds; a config with
     a bc block goes through the cloning driver. Points run in ascending label
     order, so the order of a grid in the overrides never reaches the
-    artifacts. Returns {label: reports} in that order.
+    artifacts. Returns {label: reports} in that order and {label: instance},
+    whose seed-free reference quantities the suites summarize.
 
     Both drivers are read as module globals on every run, so a harness that
     rebinds them in this module sees each run.
     """
-    batches = {}
+    batches, instances = {}, {}
     for label in sorted(points):
         cfgs = [ExperimentConfig(**base, **points[label], seed=seed + s) for s in range(num_seeds)]
-        inst = prepare(cfgs[0])
+        inst = instances[label] = prepare(cfgs[0])
         batches[label] = [(run_pro_rl if c.bc is None else run_pro_rl_bc)(c, inst) for c in cfgs]
     ordered = sorted((r for batch in batches.values() for r in batch), key=_report_sort_key)
     _write_rows(os.path.join(out_dir, "rows.csv"), CSV_HEADER, [r.to_row() for r in ordered])
-    return batches
+    return batches, instances
 
 
 def _sizes(grid, n0=lambda n: n) -> dict:
@@ -392,7 +391,6 @@ def _sizes(grid, n0=lambda n: n) -> dict:
 
 
 def _suite_counterexample(out_dir: str, seed: int, gamma: float = 0.5) -> dict:
-    reg = Regularizer()
     fixtures = {instance: counterexample_fixture(gamma, instance) for instance in (1, 2)}
     orders = {"adversarial": (1, 0), "friendly": None}
     base = {"alpha": 0.0, "n": 6, "n0": 1, "variant": {"kind": "alpha_zero"},
@@ -403,19 +401,14 @@ def _suite_counterexample(out_dir: str, seed: int, gamma: float = 0.5) -> dict:
         for instance, fx in fixtures.items()
         for label, order in orders.items()
     }
-    batches = _sweep(out_dir, seed, 1, base, points)
+    batches, instances = _sweep(out_dir, seed, 1, base, points)
 
     per_instance = {}
     for instance, fx in fixtures.items():
         bundle = fx["bundle"]
-        pop = population_lagrangian_members(
-            bundle.mdp, bundle.data_occupancy, reg, 0.0,
-            bundle.v_members, bundle.w_members,
-        )
-        tie_gap = float(abs(pop[0, 0] - pop[1, 0]))
-
-        uns = solve_unregularized(bundle.mdp)
-        j_star = float((uns.d_star.mass * bundle.mdp.reward).sum())
+        inst = instances[instance, "friendly"]  # both orders share the instance
+        tie_gap = float(abs(inst.pop[0, 0] - inst.pop[1, 0]))
+        j_star = inst.j_star_zero
         pi_right = extract_policy(bundle.w_right, fx["pi_d"])
         regret_right = j_star - policy_return(bundle.mdp, pi_right)
 
@@ -450,7 +443,7 @@ def _suite_rate_regularized(
 ) -> dict:
     fx = rate_regularized_fixture()
     base = {k: fx[k] for k in ("mdp", "data_dist", "reg", "alpha", "classes")}
-    batches = _sweep(out_dir, seed, num_seeds, base, _sizes(n_grid))
+    batches, _ = _sweep(out_dir, seed, num_seeds, base, _sizes(n_grid))
     per_n = {}
     for n, batch in batches.items():
         devs = [r.w_dev for r in batch]
@@ -509,7 +502,7 @@ def _suite_rate_unregularized(
         point["alpha"] = recommended_alpha("unregularized", float(n) ** -0.25, b_f0)
     base = {"mdp": mdp_cfg, "data_dist": {"kind": "uniform_policy"}, "reg": reg.to_config(),
             "classes": {"kind": "realizable", "num_distractors": 8, "seed": 0}}
-    batches = _sweep(out_dir, seed, num_seeds, base, points)
+    batches, _ = _sweep(out_dir, seed, num_seeds, base, points)
     per_n = {}
     for n, batch in batches.items():
         alpha = points[n]["alpha"]
@@ -620,12 +613,6 @@ def _suite_constrained_coverage(
     n: int = 4000,
 ) -> dict:
     fx = capped_fixture()
-    mdp = fx["mdp_obj"]
-    dd, _ = resolve_data_dist(mdp, fx["data_dist"])
-    j_cap, _ = capped_unregularized_value(mdp, dd, fx["cap"])
-    uns = solve_unregularized(mdp)
-    j_zero = float((uns.d_star.mass * mdp.reward).sum())
-
     base = {
         "mdp": fx["mdp"],
         "data_dist": fx["data_dist"],
@@ -635,7 +622,9 @@ def _suite_constrained_coverage(
         "variant": {"kind": "capped", "cap": fx["cap"]},
     }
     points = _sizes((n,), lambda n: max(n // 10, 10))
-    (reports,) = _sweep(out_dir, seed, num_seeds, base, points).values()
+    batches, instances = _sweep(out_dir, seed, num_seeds, base, points)
+    (reports,), (inst,) = batches.values(), instances.values()
+    j_cap, _ = capped_unregularized_value(inst.mdp, inst.dd, fx["cap"])
 
     envelope_ok = sum(1 for r in reports if r.gap_ref <= r.rhs_capped + 1e-12)
     cap_ok = sum(1 for r in reports if r.w_max <= r.b_w + 1e-9)
@@ -647,7 +636,7 @@ def _suite_constrained_coverage(
         "n": int(n),
         "num_seeds": num_seeds,
         "j_capped_reference": float(j_cap),
-        "j_unregularized": j_zero,
+        "j_unregularized": inst.j_star_zero,
         "reference_consistency_err": float(ref_err),
         "envelope_fraction": envelope_ok / len(reports),
         "cap_respected_fraction": cap_ok / len(reports),
@@ -663,14 +652,12 @@ def _suite_alpha_zero_strong(
     num_seeds: int = 20,
 ) -> dict:
     fx = ring_fixture()
-    mdp = resolve_mdp(fx["mdp"])
-    dd, _ = resolve_data_dist(mdp, fx["data_dist"])
-    strong = strong_concentrability_check(mdp, dd, solve_unregularized(mdp).d_star)
-
     base = {k: fx[k] for k in ("mdp", "data_dist", "reg", "classes")}
     base.update(alpha=0.0, variant={"kind": "alpha_zero"})
     points = _sizes(n_grid, lambda n: max(n // 10, 10))
-    batches = _sweep(out_dir, seed, num_seeds, base, points)
+    batches, instances = _sweep(out_dir, seed, num_seeds, base, points)
+    inst = next(iter(instances.values()))  # the grid varies only n
+    strong = strong_concentrability_check(inst.mdp, inst.dd, inst.d_ref_state)
     per_n = {}
     for n, batch in batches.items():
         gaps = [r.gap_ref for r in batch]
@@ -717,7 +704,7 @@ def _suite_bc_scaling(
     factor = 1.5
     base = {k: fx[k] for k in ("mdp", "data_dist", "reg", "alpha", "classes", "bc")}
     base["n0"] = 2000
-    batches = _sweep(
+    batches, _ = _sweep(
         out_dir, seed, num_seeds, base, {int(n2): {"n": n1 + int(n2)} for n2 in n2_grid}
     )
     per_n2 = {}
@@ -787,7 +774,7 @@ def _suite_robustness(
         for pert in perturbations
         for eps_o in oracle_errors
     }
-    batches = _sweep(out_dir, seed, num_seeds, base, points)
+    batches, _ = _sweep(out_dir, seed, num_seeds, base, points)
 
     cells = {}
     worst_ratio = 0.0

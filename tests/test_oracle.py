@@ -487,14 +487,14 @@ class TestStrongConcentrability:
         mdp = build_mixing_mdp(4, 2, 0.8, seed=1, mixing=0.6)
         dd = uniform_behavior(mdp)
         d0 = solve_unregularized(mdp).d_star
-        res = strong_concentrability_check(mdp, dd, d0)
+        res = strong_concentrability_check(mdp, dd, d0.state_marginal)
         assert res.holds
         assert res.b_wu >= 1.0 and 0.0 < res.b_wl <= 1.0 + 1e-12
 
     @given(mdp=small_mdps)
     def test_upper_bound_covers_every_deterministic_policy(self, mdp):
         dd = uniform_behavior(mdp)
-        res = strong_concentrability_check(mdp, dd, dd)
+        res = strong_concentrability_check(mdp, dd, dd.sum(axis=1))
         _, marginals = deterministic_policy_marginals(mdp)
         worst = (marginals / dd.sum(axis=1)).max()
         assert res.b_wu == pytest.approx(worst, rel=1e-12)
@@ -502,7 +502,7 @@ class TestStrongConcentrability:
     def test_zero_coverage_state_fails(self):
         bundle = build_counterexample(0.5)
         d0 = solve_unregularized(bundle.mdp).d_star
-        res = strong_concentrability_check(bundle.mdp, bundle.data_occupancy, d0)
+        res = strong_concentrability_check(bundle.mdp, bundle.data_occupancy, d0.state_marginal)
         assert not res.holds
 
     def test_beyond_enumeration_size(self):
@@ -512,7 +512,7 @@ class TestStrongConcentrability:
         dd = uniform_behavior(mdp)
         d0 = solve_unregularized(mdp).d_star
         tracemalloc.start()
-        res = strong_concentrability_check(mdp, dd, d0)
+        res = strong_concentrability_check(mdp, dd, d0.state_marginal)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert peak < 1_000_000

@@ -108,6 +108,53 @@ class TestConfigValidation:
         with pytest.raises(PipelineError, match=want):
             base_config(classes=classes)
 
+    @pytest.mark.parametrize(
+        "over, want",
+        [
+            ({"variant": {"kind": "plain", "cap": 2}},
+             r"variant kind 'plain' does not read \['cap'\]; accepted keys: \['kind'\]"),
+            ({"variant": {"kind": "inexact", "eps_ov": 0.1, "eps_ow": 0.1, "eps": 0.1}},
+             r"variant kind 'inexact' does not read \['eps'\]; accepted keys"),
+            ({"dataset": {"kind": "sampled", "repeats": 3}},
+             r"dataset kind 'sampled' does not read \['repeats'\]; accepted keys: \['kind'\]"),
+            ({"bc": {"n1": 2000, "mixgrid": [0.1]}},
+             r"bc kind 'target_plus_mixes' does not read \['mixgrid'\]; accepted keys"),
+            ({"bc": {"kind": "explicit", "probs": [], "directions": ["uniform"]}},
+             r"bc kind 'explicit' does not read \['directions'\]; accepted keys"),
+            ({"bc": {"kind": "mixes"}}, "unknown bc kind 'mixes'"),
+            ({"dataset": {"kind": "bogus"}}, "unknown dataset kind 'bogus'"),
+            ({"classes": "realizable"}, "the classes block must be a dict, not 'realizable'"),
+        ],
+        ids=["variant", "variant_inexact", "dataset", "bc_typo", "bc_explicit", "bc_kind",
+             "dataset_kind", "classes_not_a_dict"],
+    )
+    def test_blocks_reject_unread_keys_and_kinds(self, over, want):
+        with pytest.raises(PipelineError, match=want) as info:
+            base_config(**over)
+        assert info.value.stage == "config"
+
+    @pytest.mark.parametrize("repeats", [0, -1, 1.5, 2.0, True, "2"])
+    def test_repeats_must_be_a_positive_integer(self, repeats):
+        with pytest.raises(PipelineError, match="repeats"):
+            base_config(dataset={"kind": "exact_frequency", "repeats": repeats})
+
+    @pytest.mark.parametrize("name", ["rollx", "roll", "sideways", "Uniform"])
+    def test_unknown_mix_direction_fails_before_the_oracle(self, name):
+        cfg = base_config(n=2500, bc={"n1": 2000, "directions": ["uniform", name]})
+        with pytest.raises(PipelineError, match=f"unknown mix direction '{name}'") as info:
+            prepare(cfg)
+        assert info.value.stage == "config"
+
+    def test_every_mix_direction_spelling_builds(self):
+        bc = {"n1": 2000, "mix_grid": [0.5], "directions": ["uniform", "roll2", "roll-1",
+                                                             "complement"]}
+        assert len(prepare(base_config(n=2500, bc=bc)).policies) == 1 + 4
+
+    def test_to_dict_leaves_out_unset_optional_fields(self):
+        payload = base_config().to_dict()
+        assert "bc" not in payload and "w_order" not in payload
+        assert ExperimentConfig.from_dict({**payload, "w_order": []}).w_order is None
+
 
 class TestResolvers:
     def test_inline_mdp_round_trip(self):
@@ -367,6 +414,29 @@ RUN_VARIANTS = {
 }
 
 
+# config_hash of each RUN_VARIANTS entry; rows.csv publishes these
+RUN_VARIANT_HASHES = {
+    "alpha_zero": "741a6d2761e9",
+    "alpha_zero_explicit": "ac6959cc5f79",
+    "bc": "3d27175148fa",
+    "capped": "119701601be0",
+    "constrained": "ff3702fe4e5c",
+    "explicit": "decd249e10fc",
+    "inexact": "cc80328f1d89",
+    "misspecified": "9dda9c1a549b",
+    "realizable": "5cd03e8a4ffd",
+}
+
+
+class TestConfigRoundTrip:
+    @pytest.mark.parametrize("variant", sorted(RUN_VARIANTS))
+    def test_from_dict_inverts_to_dict(self, variant):
+        cfg = RUN_VARIANTS[variant]()
+        again = ExperimentConfig.from_dict(cfg.to_dict())
+        assert again == cfg
+        assert again.config_hash == cfg.config_hash == RUN_VARIANT_HASHES[variant]
+
+
 class TestEachStepOncePerRun:
     """One oracle solve of each kind and one payoff-matrix build per run.
 
@@ -414,6 +484,38 @@ class TestEachStepOncePerRun:
             "bc_scaling", str(tmp_path), n2_grid=(300, 600), num_seeds=2, n1=4000
         )
         assert counts["witness_class"] == 1
+
+    @pytest.mark.parametrize(
+        "suite, overrides, want",
+        [
+            ("counterexample", {},
+             {"solve_unregularized": 4, "population_lagrangian_members": 4}),
+            ("constrained_coverage", {"num_seeds": 2, "n": 400},
+             {"solve_unregularized": 1, "capped_unregularized_value": 2}),
+            ("alpha_zero_strong", {"n_grid": [100, 300], "num_seeds": 2},
+             {"solve_unregularized": 2}),
+            ("bc_scaling", {"n2_grid": [300, 600], "num_seeds": 2, "n1": 4000},
+             {"_resolve_policy_class": 2}),
+        ],
+        ids=["counterexample", "constrained_coverage", "alpha_zero_strong", "bc_scaling"],
+    )
+    def test_suite_reads_seed_free_quantities_from_its_instances(
+        self, suite, overrides, want, monkeypatch, tmp_path
+    ):
+        # one call per grid point, from prepare; constrained_coverage adds
+        # the independent capped LP it checks the instance's reference with
+        counts = self.count_calls(monkeypatch, tuple(want))
+        run_experiment_suite(suite, str(tmp_path), **overrides)
+        assert dict(counts) == want
+
+    def test_cloning_run_reuses_the_instance_policy_class(self, monkeypatch):
+        cfg = RUN_VARIANTS["bc"]()
+        inst = prepare(cfg)
+        assert len(inst.policies) == 1 + 2  # the target and its two uniform mixes
+        counts = self.count_calls(monkeypatch, ("_resolve_policy_class",))
+        run_pro_rl(cfg, inst)
+        assert counts["_resolve_policy_class"] == 0
+        assert prepare(base_config()).policies is None
 
     def test_suite_prepares_each_grid_point_once(self, monkeypatch, tmp_path):
         names = ("solve_regularized", "population_lagrangian_members",

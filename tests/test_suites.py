@@ -56,7 +56,7 @@ class TestRingFixture:
     def test_every_policy_shares_the_state_marginal(self):
         dd = exact_occupancy(self.mdp, uniform_policy(8, 3)).mass
         uns = solve_unregularized(self.mdp)
-        res = strong_concentrability_check(self.mdp, dd, uns.d_star)
+        res = strong_concentrability_check(self.mdp, dd, uns.d_star.state_marginal)
         assert res.holds
         assert res.b_wu == pytest.approx(1.0, abs=1e-9)
         assert res.b_wl == pytest.approx(1.0, abs=1e-9)
@@ -144,7 +144,7 @@ class TestCappedFixture:
         # eight tenths of the start-state flow: the achievable return is
         # 0.3094 exactly
         fx = capped_fixture()
-        mdp = fx["mdp_obj"]
+        mdp = resolve_mdp(fx["mdp"])
         dd, _ = resolve_data_dist(mdp, fx["data_dist"])
         j_cap, d_cap = capped_unregularized_value(mdp, dd, fx["cap"])
         assert j_cap == pytest.approx(0.3094, abs=1e-9)
@@ -155,7 +155,7 @@ class TestCappedFixture:
 
     def test_uncapped_optimum_needs_the_uncovered_action(self):
         fx = capped_fixture()
-        mdp = fx["mdp_obj"]
+        mdp = resolve_mdp(fx["mdp"])
         uns = solve_unregularized(mdp)
         assert float((uns.d_star.mass * mdp.reward).sum()) == pytest.approx(0.7, abs=1e-9)
         assert uns.d_star.mass[0, 0] > 0.0  # the action the data never plays
