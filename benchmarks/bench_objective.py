@@ -8,8 +8,12 @@ The file name does not match ``test_*.py``, so the Tier-1 run never collects
 it. Each timing is one call:
 
 - ``generate_dataset`` on the rate_regularized suite's fixture (10 states,
-  3 actions) at n = n0 = 1e3, 1e5 and 1e6: three draws from one stream
-  and three guide-table inverse-CDF lookups;
+  3 actions) at n = n0 = 1e3, 1e5 and 1e6: it builds the sampler's three
+  guide tables, then takes three draws from one stream and three table
+  lookups, so the fixed cost of the tables shows at small n;
+- ``DatasetSampler.draw`` through a sampler built outside the timed call,
+  as the pipeline draws, at n = n0 = 1e3 and 1e5: the same draws and
+  lookups without the tables;
 
 the kernels below run on datasets generated outside the timed call, so each
 of their timings is a pass over the data for the counts, then work that
@@ -31,7 +35,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from prorl.classes import WeightClass, witness_class  # noqa: E402
-from prorl.datasets import generate_dataset  # noqa: E402
+from prorl.datasets import DatasetSampler, generate_dataset  # noqa: E402
 from prorl.extraction import bc_objective_matrix  # noqa: E402
 from prorl.objective import empirical_lagrangian_members  # noqa: E402
 from prorl.oracle import solve_regularized  # noqa: E402
@@ -50,6 +54,15 @@ def test_generate_dataset_rate_regularized(benchmark, n):
     mdp = resolve_mdp(fx["mdp"])
     dd, _ = resolve_data_dist(mdp, fx["data_dist"])
     data = benchmark(generate_dataset, mdp, dd, n, n, 0)
+    assert data.n == n and data.n0 == n
+
+
+@pytest.mark.parametrize("n", [1_000, 100_000])
+def test_prebuilt_sampler_rate_regularized(benchmark, n):
+    fx = rate_regularized_fixture()
+    mdp = resolve_mdp(fx["mdp"])
+    dd, _ = resolve_data_dist(mdp, fx["data_dist"])
+    data = benchmark(DatasetSampler(mdp, dd).draw, n, n, 0)
     assert data.n == n and data.n0 == n
 
 

@@ -1,16 +1,16 @@
 """Offline transition datasets: generation, validation, JSONL serialization.
 
 A dataset is n i.i.d. transitions (s, a, r, s') with (s, a) ~ d^D and
-s' ~ P(.|s, a), plus n0 i.i.d. initial states ~ mu0. Sampling is an exact
-inverse CDF (a guide table, Chen & Asau 1974, equal to ``searchsorted``)
-over three draws from one PCG64 stream, so a (config, seed) pair pins the
-dataset bytes exactly.
+s' ~ P(.|s, a), plus n0 i.i.d. initial states ~ mu0. A ``DatasetSampler``
+builds exact inverse-CDF tables (guide tables, Chen & Asau 1974, equal to
+``searchsorted``) once and draws each dataset from one PCG64 stream, so a
+(config, seed) pair pins the dataset bytes; its counts bin its cell ids.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -28,6 +28,10 @@ class DatasetCounts(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class OfflineDataset:
+    """Transition columns and initial states; ``_cells`` holds a sampled dataset's
+    flat cell ids s * A + a (None for hand-built and loaded datasets, which are
+    checked column by column instead)."""
+
     states: np.ndarray
     actions: np.ndarray
     rewards: np.ndarray
@@ -35,6 +39,8 @@ class OfflineDataset:
     init_states: np.ndarray
     gamma: float
     generating_dd: Optional[Occupancy] = None
+    _cells: Optional[np.ndarray] = None
+    _counts: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         for name in ("states", "actions", "rewards", "next_states", "init_states"):
@@ -44,7 +50,7 @@ class OfflineDataset:
         for name in ("actions", "rewards", "next_states"):
             if getattr(self, name).shape[0] != n:
                 raise ValueError(f"{name} length does not match states length {n}")
-        if self.generating_dd is not None and n > 0:
+        if self.generating_dd is not None and n > 0 and self._cells is None:
             dd = self.generating_dd.mass  # checked on cell counts: S*A compares, not n gathers
             cells = self.states * dd.shape[1] + self.actions
             bad = np.flatnonzero((np.bincount(cells, minlength=dd.size)[: dd.size] > 0)
@@ -63,38 +69,40 @@ class OfflineDataset:
         return int(self.init_states.shape[0])
 
     def counts(self, num_states: int, num_actions: int) -> DatasetCounts:
-        """The empirical law as counts, one bincount per array, derived on every call.
+        """The empirical law as counts, read-only, computed once per shape.
 
-        Raises ValueError when a state, next state or initial state lies outside
-        [0, num_states), or an action outside [0, num_actions): the flat cell
-        index s * A + a would alias.
+        Raises ValueError when a column lies outside [0, num_states) or [0,
+        num_actions), where s * A + a would alias; a sampled dataset's cell
+        ids are checked by the length of their bincount alone.
         """
-        for name in ("states", "actions", "next_states", "init_states"):
-            col, bound = getattr(self, name), num_actions if name == "actions" else num_states
-            if col.size and (col.min() < 0 or col.max() >= bound):
-                raise ValueError(f"{name} must lie in [0, {bound}), got {col.min()}..{col.max()}")
-        cells = self.states * num_actions + self.actions
-        size = num_states * num_actions
+        shape = (num_states, num_actions)
+        if self._counts is not None and self._counts[0] == shape:
+            return self._counts[1]
+        cells, size = self._cells, num_states * num_actions
+        if cells is None or self.generating_dd.mass.shape != shape:
+            for name in ("states", "actions", "next_states", "init_states"):
+                col, bound = getattr(self, name), num_actions if name == "actions" else num_states
+                if col.size and (col.min() < 0 or col.max() >= bound):
+                    raise ValueError(f"{name} must lie in [0, {bound}), got {col.min()}..{col.max()}")
+            cells = self.states * num_actions + self.actions
         transitions = np.bincount(cells * num_states + self.next_states, minlength=size * num_states)
-        rewards = np.bincount(cells, weights=self.rewards, minlength=size)
-        return DatasetCounts(
-            transitions.reshape(num_states, num_actions, num_states),
-            rewards.reshape(num_states, num_actions),
-            np.bincount(self.init_states, minlength=num_states),
-        )
+        inits = np.bincount(self.init_states, minlength=num_states)
+        if transitions.size > size * num_states or inits.size > num_states:
+            raise ValueError(f"sampled transitions lie outside the {shape} tables")
+        out = DatasetCounts(transitions.reshape(*shape, num_states), np.bincount(
+            cells, weights=self.rewards, minlength=size).reshape(shape), inits)
+        for array in out:
+            array.flags.writeable = False
+        object.__setattr__(self, "_counts", (shape, out))
+        return out
 
     def take(self, start: int, stop: int, keep_inits: bool = True) -> "OfflineDataset":
         """Transitions[start:stop], with or without the initial-state samples."""
+        cut = slice(start, stop)
         inits = self.init_states if keep_inits else np.empty(0, dtype=int)
-        return OfflineDataset(
-            states=self.states[start:stop],
-            actions=self.actions[start:stop],
-            rewards=self.rewards[start:stop],
-            next_states=self.next_states[start:stop],
-            init_states=inits,
-            gamma=self.gamma,
-            generating_dd=self.generating_dd,
-        )
+        return OfflineDataset(self.states[cut], self.actions[cut], self.rewards[cut],
+                              self.next_states[cut], inits, self.gamma, self.generating_dd,
+                              _cells=None if self._cells is None else self._cells[cut])
 
     def save(self, transitions_path: str, inits_path: str) -> None:
         with open(transitions_path, "w") as fh:
@@ -132,71 +140,79 @@ def _cumulative(probs: np.ndarray) -> np.ndarray:
     return cum
 
 
-def _inverse_cdf(cum: np.ndarray, draws: np.ndarray, rows=None) -> np.ndarray:
-    """``searchsorted(cum[row], u, side="right")`` for each draw u in [0, 1), by guide table.
+class _GuideTable:
+    """``searchsorted(cum[row], u, side="right")`` for draws u in [0, 1), by guide table.
 
-    Rows lie along cum's last axis (one row if rows is None), nondecreasing in
-    [0, 1]. guide[r, b] counts row r's entries <= b / K: a draw in bucket
-    floor(u K) reads its index there, or steps through the bucket if it holds one.
+    Rows lie along cum's last axis, nondecreasing and ending at 1. packed[r, b]
+    counts row r's entries <= b / K, a draw's index in bucket b = floor(u K),
+    or its complement (< 0) where the bucket holds an entry and draws step on.
     """
-    k = _GUIDE_BUCKETS
-    cum = cum.reshape(-1, cum.shape[-1])
-    num_rows, width = cum.shape
-    # guide[r] holds j on [ceil(cum_{j-1} K), ceil(cum_j K)), rows of K + 1 end to end
-    edges = np.zeros((num_rows, width + 2), dtype=np.intp)
-    edges[:, 1:-1] = np.ceil(cum * k)
-    edges[:, -1] = k + 1
-    guide = np.repeat(np.tile(np.arange(width + 1), num_rows), np.diff(edges).ravel())
-    # floor(u K) by a ufunc cast: astype(np.intp) takes about ten times as long
-    at = np.multiply(draws, k, out=np.empty(draws.shape, np.intp), casting="unsafe")
-    at += 0 if rows is None else rows * (k + 1)
-    out, upper = guide[at], guide[1:][at]
-    todo = np.flatnonzero(upper != out)
-    u, r, idx, stop = draws[todo], at[todo] // (k + 1), out[todo], upper[todo]
-    for _ in range(int((stop - idx).max(initial=0))):
-        idx += (idx < stop) & (cum[r, np.minimum(idx, width - 1)] <= u)
-    out[todo] = idx
-    return out
+
+    def __init__(self, cum: np.ndarray):
+        k = _GUIDE_BUCKETS
+        self.cum = cum.reshape(-1, cum.shape[-1])
+        num_rows, width = self.cum.shape
+        # row r holds j on [ceil(cum_{j-1} K), ceil(cum_j K)), rows of K end to end
+        edges = np.zeros((num_rows, width + 2), dtype=np.intp)
+        edges[:, 1:-1] = np.ceil(self.cum * k)
+        edges[:, -1] = k
+        self.packed = np.repeat(np.tile(np.arange(width + 1), num_rows), np.diff(edges).ravel())
+        # entry j lies in bucket ceil(cum_j K) - 1
+        at = (edges[:, 1:-1] + np.arange(num_rows)[:, None] * k - 1)[edges[:, 1:-1] > 0]
+        self.packed[at] = ~self.packed[at]
+
+    def lookup(self, draws: np.ndarray, rows=None) -> np.ndarray:
+        """The index of each draw in its row (row 0 if rows is None)."""
+        k = _GUIDE_BUCKETS
+        # floor(u K) by a ufunc cast: astype(np.intp) takes about ten times as long
+        at = np.multiply(draws, k, out=np.empty(draws.shape, np.intp), casting="unsafe")
+        if rows is not None:
+            at += rows * k
+        out = self.packed.take(at)
+        todo = np.flatnonzero(out < 0)
+        r, u, idx = at[todo] // k, draws[todo], ~out[todo]
+        # cum[r, -1] = 1 > u stops every draw by the row's last entry
+        while (step := self.cum[r, idx] <= u).any():
+            idx += step
+        out[todo] = idx
+        return out
 
 
-def generate_dataset(
-    mdp: TabularMdp,
-    data_dist,
-    n: int,
-    n0: int,
-    seed,
-) -> OfflineDataset:
-    """Sample an offline dataset of n transitions and n0 initial states.
+class DatasetSampler:
+    """Inverse-CDF tables of one MDP and data distribution d^D ((S, A), summing to
+    one), built once: cells over d^D, next states over P(.|s, a), initial states
+    over mu0; rewards are read off the MDP."""
 
-    data_dist is a distribution over state-action pairs (Occupancy or (S, A)
-    array summing to one). Cells are drawn by inverse CDF over the flattened
-    pairs, next states by inverse CDF over the matching transition row, and
-    rewards are read off the MDP's reward table.
-    """
-    dd = data_dist.mass if isinstance(data_dist, Occupancy) else np.asarray(data_dist, dtype=float)
-    if dd.shape != (mdp.num_states, mdp.num_actions):
-        raise ValueError(f"data distribution shape {dd.shape} does not match the MDP")
-    total = dd.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"data distribution must sum to 1, got {total}")
-    if n < 0 or n0 < 0:
-        raise ValueError("sample counts must be nonnegative")
+    def __init__(self, mdp: TabularMdp, data_dist):
+        dd = data_dist.mass if isinstance(data_dist, Occupancy) else np.asarray(data_dist, dtype=float)
+        if dd.shape != (mdp.num_states, mdp.num_actions):
+            raise ValueError(f"data distribution shape {dd.shape} does not match the MDP")
+        total = dd.sum()
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"data distribution must sum to 1, got {total}")
+        self.gamma, self.generating_dd = mdp.gamma, Occupancy(dd)
+        self.cells = _GuideTable(_cumulative(dd.ravel()))
+        self.next_states = _GuideTable(_cumulative(mdp.transition))
+        self.init_states = _GuideTable(_cumulative(mdp.init_dist))
+        self.state_action = np.indices(dd.shape).reshape(2, -1)
+        self.reward = mdp.reward.ravel()
 
-    rng = np.random.default_rng(seed)
-    cells = _inverse_cdf(_cumulative(dd.ravel()), rng.random(n))
-    next_states = _inverse_cdf(_cumulative(mdp.transition), rng.random(n), cells)
-    init_states = _inverse_cdf(_cumulative(mdp.init_dist), rng.random(n0))
-    states, actions = np.indices(dd.shape).reshape(2, -1).take(cells, axis=1)
+    def draw(self, n: int, n0: int, seed) -> OfflineDataset:
+        """n transitions and n0 initial states from three draws of one PCG64 stream."""
+        if n < 0 or n0 < 0:
+            raise ValueError("sample counts must be nonnegative")
+        rng = np.random.default_rng(seed)
+        cells = self.cells.lookup(rng.random(n))
+        next_states = self.next_states.lookup(rng.random(n), cells)
+        init_states = self.init_states.lookup(rng.random(n0))
+        states, actions = self.state_action.take(cells, axis=1)
+        return OfflineDataset(states, actions, self.reward.take(cells), next_states, init_states,
+                              self.gamma, self.generating_dd, _cells=cells)
 
-    return OfflineDataset(
-        states=states,
-        actions=actions,
-        rewards=mdp.reward.ravel()[cells],
-        next_states=next_states,
-        init_states=init_states,
-        gamma=mdp.gamma,
-        generating_dd=Occupancy(dd),
-    )
+
+def generate_dataset(mdp: TabularMdp, data_dist, n: int, n0: int, seed) -> OfflineDataset:
+    """n transitions and n0 initial states; build a ``DatasetSampler`` once to draw many."""
+    return DatasetSampler(mdp, data_dist).draw(n, n0, seed)
 
 
 def exact_frequency_dataset(mdp: TabularMdp, data_dist, repeats: int = 1) -> OfflineDataset:

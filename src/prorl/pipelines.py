@@ -1,15 +1,15 @@
 """End-to-end estimation pipeline driven by JSON-friendly configs.
 
-``prepare`` does what a run's seed does not change, once per config:
-resolve the MDP and data distribution, solve the instance exactly for
-reference quantities, build candidate classes around the exact pair,
-their population payoff matrix and the policy class a cloning run fits
-over. ``run_pro_rl`` does the rest at one seed:
-draw the offline dataset, build the empirical payoff matrix, run the
-max-min estimator on it, extract a policy, and evaluate everything in
+``prepare`` does what a run's seed and sample sizes do not change, once
+per config: resolve the MDP and data distribution, solve the instance
+exactly for reference quantities, build candidate classes around the exact
+pair, their population payoff matrix, the policy class a cloning run fits
+over and the dataset sampler's tables. ``run_pro_rl`` does the rest at one
+seed and size: draw the offline dataset, build the empirical payoff matrix,
+run the max-min estimator on it, extract a policy, and evaluate everything in
 closed form on the MDP. A config with a ``bc`` block also holds out part
 of the dataset and clones a policy from it. Each expensive step runs once
-per grid point, and one payoff matrix per run serves both the saddle
+per instance, and one payoff matrix per run serves both the saddle
 solver and the evaluation. Every random choice is keyed by seeds carried
 in the config, so a config fully determines the report.
 """
@@ -34,7 +34,7 @@ from .classes import (
     build_misspecified,
     build_realizable,
 )
-from .datasets import exact_frequency_dataset, generate_dataset
+from .datasets import DatasetSampler, exact_frequency_dataset
 from .extraction import clone_policy, extract_policy, split_dataset
 from .mdp import (
     Occupancy,
@@ -92,6 +92,7 @@ _BLOCK_KEYS = {  # the keys each config block reads, per kind
         "explicit": ("kind", "n1", "probs"),
     },
 }
+_RUN_FIELDS = {"n": 1, "n0": 1, "seed": 0}  # set per run; an Instance's config holds these
 _MIX_DIRECTION = re.compile(r"uniform|complement|roll-?\d+")
 # from_dict's cast per field annotation; an empty w_order reads as None
 _CASTS = {"float": float, "int": int, "Optional[tuple]": lambda v: tuple(v or ()) or None}
@@ -352,16 +353,17 @@ def _build_classes(cfg: ExperimentConfig, mdp, dd, reg, exact, w_ref):
 
 @dataclass(frozen=True, eq=False)
 class Instance:
-    """What the runs of one config share at every seed; built by ``prepare``.
+    """What the runs of one config share at every seed, n and n0; built by ``prepare``.
 
-    config is the config at seed 0 and config_json its canonical JSON. pop
-    is the classes' population payoff matrix and policies the class a run
-    clones over (None without a bc block). The reference fields are the
+    config has n, n0 and seed set to ``_RUN_FIELDS``; config_json is its
+    canonical JSON cut around those values. pop is the classes' population
+    payoff matrix, policies the class a run clones over (None without bc) and
+    sampler None for exact-frequency datasets. The reference fields are the
     exact quantities a run is scored against.
     """
 
     config: ExperimentConfig
-    config_json: str
+    config_json: tuple
     mdp: TabularMdp
     dd: np.ndarray
     pi_d: Policy
@@ -372,6 +374,7 @@ class Instance:
     eps_rw: float
     pop: np.ndarray
     policies: Optional[PolicyClass]
+    sampler: Optional[DatasetSampler]
     w_ref: np.ndarray  # target weight the class anchors on
     pi_ref: Policy
     d_ref_state: np.ndarray  # state marginal weighting the policy distance
@@ -380,14 +383,32 @@ class Instance:
     j_star_zero: float
     kkt_residual: float
 
-    def config_hash(self, seed: int) -> str:
-        """The config_hash of the config at seed, spliced into config_json."""
-        head, _, tail = self.config_json.rpartition(',"seed":0,"variant":')
-        return hashlib.sha256(f'{head},"seed":{seed},"variant":{tail}'.encode()).hexdigest()[:12]
+    def __post_init__(self):  # the JSON before n, most of it, is hashed once
+        object.__setattr__(self, "_head", hashlib.sha256(self.config_json[0].encode()))
+
+    def serves(self, cfg: ExperimentConfig) -> bool:
+        """Whether cfg differs from the instance's config at most in n, n0 and seed."""
+        return replace(cfg, **_RUN_FIELDS) == self.config
+
+    def config_hash(self, cfg: ExperimentConfig) -> str:
+        """cfg.config_hash, with cfg's n, n0 and seed spliced into config_json."""
+        values = (getattr(cfg, key) for key in sorted(_RUN_FIELDS))
+        digest = self._head.copy()
+        digest.update("".join((str(v) if type(v) is int else json.dumps(v)) + piece
+                              for v, piece in zip(values, self.config_json[1:])).encode())
+        return digest.hexdigest()[:12]
+
+
+def _json_pieces(config: ExperimentConfig) -> tuple:
+    """The canonical JSON of config, cut around its n, n0 and seed values (keys sort)."""
+    payload = config.to_dict()
+    part = lambda lo, hi: _canonical_json({k: v for k, v in payload.items() if lo < k < hi})[1:-1]
+    return ("{" + part("", "n") + ',"n":', ',"n0":', "," + part("n0", "seed") + ',"seed":',
+            "," + part("seed", "~") + "}")
 
 
 def prepare(cfg: ExperimentConfig) -> Instance:
-    """Everything in a run of cfg that its seed does not change.
+    """Everything in a run of cfg that its seed, n and n0 do not change.
 
     The bc mix directions are checked before any stage runs. When no ratio
     anchor exists at alpha=0 and the config supplies explicit classes, the
@@ -413,9 +434,11 @@ def prepare(cfg: ExperimentConfig) -> Instance:
             policies = _resolve_policy_class(cfg.bc, refs["pi_ref"], mdp.num_actions)
     with _staged("evaluation"):
         pop = population_lagrangian_members(mdp, dd, reg, cfg.alpha, vc.members, wc.members)
-    config = replace(cfg, seed=0)
-    return Instance(config, _canonical_json(config.to_dict()), mdp, dd, pi_d, reg,
-                    vc, wc, eps_rv, eps_rw, pop, policies, **refs)
+    with _staged("dataset"):
+        sampler = DatasetSampler(mdp, dd) if cfg.dataset["kind"] == "sampled" else None
+    config = replace(cfg, **_RUN_FIELDS)
+    return Instance(config, _json_pieces(config), mdp, dd, pi_d, reg,
+                    vc, wc, eps_rv, eps_rw, pop, policies, sampler, **refs)
 
 
 @dataclass(frozen=True)
@@ -489,7 +512,7 @@ def _evaluate(cfg, inst: Instance, emp, sol_hat, pi_hat, extra):
     if cfg.variant["kind"] == "capped":
         rhs_capped = 2.0 * cfg.alpha * reg.bounds(b_w)[0] + rhs_realized
     return RunReport(
-        config_hash=inst.config_hash(cfg.seed),
+        config_hash=inst.config_hash(cfg),
         seed=cfg.seed,
         variant=cfg.variant["kind"],
         alpha=cfg.alpha,
@@ -538,21 +561,21 @@ def run_pro_rl(cfg: ExperimentConfig, instance: Optional[Instance] = None) -> Ru
     """Run the estimator once, end to end, and score it.
 
     instance is ``prepare`` of a config that differs from cfg at most in
-    its seed; without one the run prepares its own. With cfg.bc set, the
+    its seed, n and n0; without one the run prepares its own. With cfg.bc set, the
     dataset splits into a fitting part and a cloning part: the estimator
     runs on the first, the witnessed-disagreement cloner on the second, and
     the report carries both the direct-extraction distance and the cloned
     one, so paired comparisons need a single run.
     """
     inst = instance or prepare(cfg)
-    if replace(cfg, seed=0) != inst.config:
-        raise PipelineError("config", "the instance's config differs in more than seed")
+    if not inst.serves(cfg):
+        raise PipelineError("config", "the instance's config differs in more than seed, n and n0")
     mdp, dd, vc, wc = inst.mdp, inst.dd, inst.vc, inst.wc
     with _staged("dataset"):
         if cfg.dataset["kind"] == "exact_frequency":
             data = exact_frequency_dataset(mdp, dd, repeats=cfg.dataset.get("repeats", 1))
         else:
-            data = generate_dataset(mdp, dd, cfg.n, cfg.n0, cfg.seed)
+            data = inst.sampler.draw(cfg.n, cfg.n0, cfg.seed)
         fit, held = data, None
         if cfg.bc is not None:
             fit, held = split_dataset(data, int(cfg.bc.get("n1", round(0.9 * data.n))))

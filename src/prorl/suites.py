@@ -365,12 +365,12 @@ def bc_fixture(n1: int = 60000) -> dict:
 def _sweep(out_dir: str, seed: int, num_seeds: int, base: dict, points: dict):
     """Run every grid point at num_seeds dataset seeds and write rows.csv.
 
-    Point ``label`` is prepared once and runs ``ExperimentConfig(**base,
-    **points[label], seed=seed + s)`` for each s < num_seeds; a config with
-    a bc block goes through the cloning driver. Points run in ascending label
-    order, so the order of a grid in the overrides never reaches the
-    artifacts. Returns {label: reports} in that order and {label: instance},
-    whose seed-free reference quantities the suites summarize.
+    Point ``label`` runs ``ExperimentConfig(**base, **points[label],
+    seed=seed + s)`` for each s < num_seeds, a bc config through
+    ``run_pro_rl_bc``; points that differ only in n and n0 share one instance.
+    Points run in ascending label order, so the order of a grid in the
+    overrides never reaches the artifacts. Returns {label: reports} in that
+    order and {label: instance}, for the suites' seed-free references.
 
     Both drivers are read as module globals on every run, so a harness that
     rebinds them in this module sees each run.
@@ -378,7 +378,8 @@ def _sweep(out_dir: str, seed: int, num_seeds: int, base: dict, points: dict):
     batches, instances = {}, {}
     for label in sorted(points):
         cfgs = [ExperimentConfig(**base, **points[label], seed=seed + s) for s in range(num_seeds)]
-        inst = instances[label] = prepare(cfgs[0])
+        shared = (i for i in instances.values() if i.serves(cfgs[0]))
+        inst = instances[label] = next(shared, None) or prepare(cfgs[0])
         batches[label] = [(run_pro_rl if c.bc is None else run_pro_rl_bc)(c, inst) for c in cfgs]
     ordered = sorted((r for batch in batches.values() for r in batch), key=_report_sort_key)
     _write_rows(os.path.join(out_dir, "rows.csv"), CSV_HEADER, [r.to_row() for r in ordered])

@@ -5,9 +5,10 @@ from oracles import searchsorted_dataset
 
 from prorl.datasets import (
     _GUIDE_BUCKETS as K,
+    DatasetSampler,
     OfflineDataset,
     _cumulative,
-    _inverse_cdf,
+    _GuideTable,
     exact_frequency_dataset,
     generate_dataset,
 )
@@ -130,8 +131,12 @@ def expected_searchsorted(cum, draws, rows):
     return np.array([np.searchsorted(cum[r], u, side="right") for u, r in zip(draws, rows)])
 
 
+def lookup(cum, draws, rows=None):
+    return _GuideTable(np.asarray(cum)).lookup(draws, rows)
+
+
 class TestGuideTable:
-    """_inverse_cdf equals searchsorted(cum[row], u, side="right") draw by draw."""
+    """A prebuilt table's lookup equals searchsorted(cum[row], u, side="right") draw by draw."""
 
     @pytest.mark.parametrize(
         "cum, draws",
@@ -160,7 +165,7 @@ class TestGuideTable:
     )
     def test_crafted_rows(self, cum, draws):
         cum, draws = np.asarray(cum), np.asarray(draws)
-        got = _inverse_cdf(cum, draws)
+        got = lookup(cum, draws)
         want = expected_searchsorted(cum, draws, np.zeros(draws.size, int))
         np.testing.assert_array_equal(got, want)
 
@@ -169,7 +174,7 @@ class TestGuideTable:
         draws = np.array([0.1, 0.1, 0.1, 0.6, 0.6, 0.6, 0.25, 0.25, 0.25])
         rows = np.array([0, 1, 2] * 3)
         np.testing.assert_array_equal(
-            _inverse_cdf(cum, draws, rows), expected_searchsorted(cum, draws, rows)
+            lookup(cum, draws, rows), expected_searchsorted(cum, draws, rows)
         )
 
     @given(
@@ -189,7 +194,7 @@ class TestGuideTable:
         cum[:, -1] = 1.0
         rows = rng.integers(num_rows, size=draws.size)
         np.testing.assert_array_equal(
-            _inverse_cdf(cum, draws, rows), expected_searchsorted(cum, draws, rows)
+            lookup(cum, draws, rows), expected_searchsorted(cum, draws, rows)
         )
 
 
@@ -242,7 +247,29 @@ class TestReferenceSampler:
         np.testing.assert_array_equal(cum[0, :9], np.cumsum(law[0])[:9])
         assert np.all(np.diff(cum, axis=1) >= 0.0) and cum.max() == 1.0
         draws = np.array([0.25, 0.75, np.nextafter(1.0, 0.0)])
-        np.testing.assert_array_equal(_inverse_cdf(cum, draws, np.full(3, 2)), [0, 1, 1])
+        np.testing.assert_array_equal(lookup(cum, draws, np.full(3, 2)), [0, 1, 1])
+
+
+class TestDatasetSampler:
+    @pytest.mark.parametrize("n, n0", [(0, 0), (1, 1), (700, 90), (20_000, 3)])
+    def test_draws_equal_generate_dataset(self, n, n0):
+        mdp, dd = sparse_mdp_and_data(6, 3, 21, 0.3)
+        sampler = DatasetSampler(mdp, dd)
+        for seed in (0, 5):  # one sampler, many draws
+            got, want = sampler.draw(n, n0, seed), generate_dataset(mdp, dd, n, n0, seed)
+            for name in ("states", "actions", "rewards", "next_states", "init_states"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+            assert got.gamma == want.gamma
+            np.testing.assert_array_equal(got.generating_dd.mass, dd)
+
+    def test_rejects_what_generate_dataset_rejects(self):
+        mdp = random_mdp(3, 2, 0.8, seed=2)
+        with pytest.raises(ValueError, match="sum to 1"):
+            DatasetSampler(mdp, 2.0 * behavior_distribution(mdp))
+        with pytest.raises(ValueError, match="shape"):
+            DatasetSampler(mdp, np.full((2, 3), 1.0 / 6.0))
+        with pytest.raises(ValueError, match="nonnegative"):
+            DatasetSampler(mdp, behavior_distribution(mdp)).draw(5, -1, 0)
 
 
 class TestSerialization:
@@ -327,19 +354,59 @@ class TestExactFrequency:
             exact_frequency_dataset(bundle.mdp, dd)
 
 
+def assert_counts_match_tallies(data, num_states, num_actions):
+    c = data.counts(num_states, num_actions)
+    want = np.zeros((num_states, num_actions, num_states))
+    np.add.at(want, (data.states, data.actions, data.next_states), 1)
+    np.testing.assert_array_equal(c.transitions, want)
+    want_r = np.zeros((num_states, num_actions))
+    np.add.at(want_r, (data.states, data.actions), data.rewards)
+    np.testing.assert_allclose(c.rewards, want_r, rtol=1e-14)
+    np.testing.assert_array_equal(c.inits, np.bincount(data.init_states, minlength=num_states))
+    assert c.transitions.sum() == data.n and c.inits.sum() == data.n0
+
+
 class TestCounts:
     def test_counts_match_per_transition_tallies(self):
         mdp = random_mdp(4, 3, 0.9, seed=2)
         data = generate_dataset(mdp, behavior_distribution(mdp), n=700, n0=90, seed=4)
-        c = data.counts(4, 3)
-        want = np.zeros((4, 3, 4))
-        np.add.at(want, (data.states, data.actions, data.next_states), 1)
-        np.testing.assert_array_equal(c.transitions, want)
-        want_r = np.zeros((4, 3))
-        np.add.at(want_r, (data.states, data.actions), data.rewards)
-        np.testing.assert_allclose(c.rewards, want_r, rtol=1e-14)
-        np.testing.assert_array_equal(c.inits, np.bincount(data.init_states, minlength=4))
-        assert c.transitions.sum() == data.n and c.inits.sum() == data.n0
+        assert_counts_match_tallies(data, 4, 3)
+
+    @pytest.mark.parametrize("part", ["whole", "head", "tail", "empty"])
+    def test_sampled_counts_match_tallies(self, part):
+        # a sampled dataset bins its cell ids; take() slices them
+        mdp, dd = sparse_mdp_and_data(5, 3, 8, 0.3)
+        data = DatasetSampler(mdp, dd).draw(0 if part == "empty" else 900, 40, 3)
+        data = {"head": data.take(0, 600), "tail": data.take(600, 900, keep_inits=False)}.get(
+            part, data)
+        assert_counts_match_tallies(data, 5, 3)
+
+    def test_counts_are_memoized_and_read_only(self):
+        mdp = random_mdp(3, 2, 0.9, seed=4)
+        data = generate_dataset(mdp, behavior_distribution(mdp), n=40, n0=5, seed=6)
+        first = data.counts(3, 2)
+        assert data.counts(3, 2) is first
+        for array in first:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+    def test_sampled_counts_at_another_shape_check_their_columns(self):
+        # the cell ids are s * A + a for the sampler's A only
+        mdp = random_mdp(3, 2, 0.9, seed=4)
+        data = generate_dataset(mdp, behavior_distribution(mdp), n=40, n0=5, seed=6)
+        with pytest.raises(ValueError, match="^states must lie in"):
+            data.counts(2, 3)
+        assert data.counts(3, 3).transitions.sum() == 40
+
+    @pytest.mark.parametrize("next_state, init", [(3, 0), (0, 3)], ids=["next", "init"])
+    def test_draw_past_the_tables_raises(self, next_state, init):
+        # the bincount comes out longer than the shape allows
+        data = OfflineDataset(states=[2], actions=[1], rewards=[0.0], next_states=[next_state],
+                              init_states=[init], gamma=0.9,
+                              generating_dd=Occupancy(np.full((3, 2), 1.0 / 6.0)),
+                              _cells=np.array([5]))
+        with pytest.raises(ValueError, match="outside the"):
+            data.counts(3, 2)
 
     def test_take_halves_add_up(self):
         mdp = random_mdp(3, 2, 0.9, seed=4)

@@ -7,6 +7,7 @@ import pytest
 
 from prorl import extraction, pipelines
 from prorl.bounds import performance_gap_bound, residual_bound, stat_error
+from prorl.datasets import generate_dataset
 from prorl.mdp import random_mdp
 from prorl.oracle import capped_unregularized_value
 from prorl.pipelines import (
@@ -21,7 +22,13 @@ from prorl.pipelines import (
     run_pro_rl_bc,
 )
 from prorl.regularizers import Regularizer
-from prorl.suites import capped_fixture, counterexample_fixture, run_experiment_suite
+from prorl.suites import (
+    _sweep,
+    capped_fixture,
+    counterexample_fixture,
+    rate_regularized_fixture,
+    run_experiment_suite,
+)
 
 REG = Regularizer().to_config()
 ROWS_HEADER = "config_hash,seed,variant,alpha,n,n0,n2,j_hat,j_star_alpha,j_star_zero,j_ref,gap_ref,pi_l1,pi_l1_bc,w_dev,eps_hat,eps_stat,rhs_perf_bound,rhs_realized,rhs_capped,bc_sample_term,eps_rv,eps_rw,eps_ov,eps_ow,w_index,v_index,w_max,b_v,b_w,kkt_residual"
@@ -493,17 +500,18 @@ class TestEachStepOncePerRun:
             ("constrained_coverage", {"num_seeds": 2, "n": 400},
              {"solve_unregularized": 1, "capped_unregularized_value": 2}),
             ("alpha_zero_strong", {"n_grid": [100, 300], "num_seeds": 2},
-             {"solve_unregularized": 2}),
+             {"solve_unregularized": 1}),
             ("bc_scaling", {"n2_grid": [300, 600], "num_seeds": 2, "n1": 4000},
-             {"_resolve_policy_class": 2}),
+             {"_resolve_policy_class": 1}),
         ],
         ids=["counterexample", "constrained_coverage", "alpha_zero_strong", "bc_scaling"],
     )
     def test_suite_reads_seed_free_quantities_from_its_instances(
         self, suite, overrides, want, monkeypatch, tmp_path
     ):
-        # one call per grid point, from prepare; constrained_coverage adds
-        # the independent capped LP it checks the instance's reference with
+        # one call per distinct instance, from prepare (grid points that
+        # differ only in n share one); constrained_coverage adds the
+        # independent capped LP it checks the instance's reference with
         counts = self.count_calls(monkeypatch, tuple(want))
         run_experiment_suite(suite, str(tmp_path), **overrides)
         assert dict(counts) == want
@@ -522,9 +530,9 @@ class TestEachStepOncePerRun:
                  "empirical_lagrangian_members")
         counts = self.count_calls(monkeypatch, names)
         run_experiment_suite("rate_regularized", str(tmp_path), n_grid=[100, 300], num_seeds=3)
-        # the fixture's own solve, then one per grid point
-        assert counts["solve_regularized"] == 1 + 2
-        assert counts["population_lagrangian_members"] == 2
+        # the fixture's own solve, then one for the instance both grid points share
+        assert counts["solve_regularized"] == 1 + 1
+        assert counts["population_lagrangian_members"] == 1
         assert counts["empirical_lagrangian_members"] == 2 * 3
 
     def test_cloning_guard_matches_single_driver(self):
@@ -533,34 +541,75 @@ class TestEachStepOncePerRun:
 
 
 class TestPrepareOnce:
-    """prepare() holds the seed-free part of a run; runs at any seed reuse it."""
+    """prepare() holds the seed- and size-free part of a run; runs at any seed, n and n0 reuse it."""
 
     @pytest.mark.parametrize("variant", sorted(RUN_VARIANTS))
     def test_instance_from_another_seed_gives_the_same_row(self, variant):
         cfg = RUN_VARIANTS[variant]()
-        inst = prepare(replace(cfg, seed=cfg.seed + 7))
+        inst = prepare(replace(cfg, seed=cfg.seed + 7, n=cfg.n + 11, n0=cfg.n0 + 3))
         # compared as text, so a nan column (j_star_alpha at alpha=0) matches itself
         assert repr(run_pro_rl(cfg, inst).to_row()) == repr(run_pro_rl(cfg).to_row())
 
-    @pytest.mark.parametrize("change", [{"n": 1600}, {"alpha": 0.2}], ids=["n", "alpha"])
+    @pytest.mark.parametrize(
+        "change",
+        [{"alpha": 0.2}, {"classes": {"kind": "realizable", "num_distractors": 5, "seed": 0}},
+         {"variant": {"kind": "inexact", "eps_ov": 0.05, "eps_ow": 0.05}}],
+        ids=["alpha", "classes", "variant"],
+    )
     def test_instance_from_a_different_config_is_rejected(self, change):
         inst = prepare(base_config())
-        with pytest.raises(PipelineError, match="differs in more than seed") as info:
+        with pytest.raises(PipelineError, match="differs in more than seed, n and n0") as info:
             run_pro_rl(base_config(**change), inst)
         assert info.value.stage == "config"
 
     def test_cloning_driver_checks_the_instance_too(self):
         cfg = RUN_VARIANTS["bc"]()
-        with pytest.raises(PipelineError, match="differs in more than seed"):
-            run_pro_rl_bc(cfg, prepare(replace(cfg, n=3000)))
+        with pytest.raises(PipelineError, match="differs in more than seed, n and n0"):
+            run_pro_rl_bc(cfg, prepare(replace(cfg, bc={**cfg.bc, "n1": 1900})))
 
     @pytest.mark.parametrize("seed", [0, 2, 5], ids=["classes_seed", "mdp_seed", "other"])
     def test_spliced_hash_matches_the_config_hash(self, seed):
-        # base_config's mdp spec has seed 2 and its classes spec seed 0
-        inst = prepare(base_config(seed=9))
+        # base_config's mdp spec has seed 2 and its classes spec seed 0; n and
+        # n0 take values that also sit in nested blocks (num_states 5, seed 2)
+        inst = prepare(base_config(seed=9, n=77, n0=13))
+        for n in (1, 2, 5, 1500, 10**6):
+            for n0 in (1, 2, 300):
+                cfg = base_config(seed=seed, n=n, n0=n0)
+                assert inst.config_hash(cfg) == cfg.config_hash
         cfg = base_config(seed=seed)
-        assert inst.config_hash(seed) == cfg.config_hash
         assert run_pro_rl(cfg, inst).config_hash == cfg.config_hash
+
+    @pytest.mark.parametrize("variant", sorted(RUN_VARIANTS))
+    def test_spliced_hash_matches_every_variant(self, variant):
+        # bc sorts before n and w_order after seed
+        cfg = RUN_VARIANTS[variant]()
+        inst = prepare(replace(cfg, seed=3, n=cfg.n + 1, n0=cfg.n0 + 1))
+        assert inst.config_hash(cfg) == cfg.config_hash == RUN_VARIANT_HASHES[variant]
+
+    def test_spliced_hash_matches_for_values_that_are_not_ints(self):
+        inst = prepare(base_config())
+        for over in ({"n": 1500.0}, {"n0": 2.5}, {"seed": True}, {"seed": -3}):
+            cfg = base_config(**over)
+            assert inst.config_hash(cfg) == cfg.config_hash
+
+    def test_instance_sampler_draws_what_generate_dataset_draws(self):
+        inst = prepare(base_config())
+        for n, n0, seed in ((1500, 300, 0), (40, 7, 12)):
+            got = inst.sampler.draw(n, n0, seed)
+            want = generate_dataset(inst.mdp, inst.dd, n, n0, seed)
+            for name in ("states", "actions", "rewards", "next_states", "init_states"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        # exact-frequency datasets are built per run, without a sampler
+        assert prepare(RUN_VARIANTS["explicit"]()).sampler is None
+
+    def test_grid_points_that_differ_in_size_share_one_instance(self, tmp_path):
+        fx = rate_regularized_fixture()
+        base = {k: fx[k] for k in ("mdp", "data_dist", "reg", "classes")}
+        alpha = fx["alpha"]
+        points = {1: {"n": 50, "n0": 50, "alpha": alpha}, 2: {"n": 80, "n0": 8, "alpha": alpha},
+                  3: {"n": 50, "n0": 50, "alpha": alpha / 2}}
+        _, instances = _sweep(str(tmp_path), 0, 2, base, points)
+        assert instances[1] is instances[2] is not instances[3]
 
 
 class TestInitialStateCount:
