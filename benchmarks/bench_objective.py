@@ -12,16 +12,19 @@ it. Each timing is one call:
   guide tables, then takes three draws from one stream and three table
   lookups, so the fixed cost of the tables shows at small n;
 - ``DatasetSampler.draw`` through a sampler built outside the timed call,
-  as the pipeline draws, at n = n0 = 1e3 and 1e5: the same draws and
-  lookups without the tables;
+  at n = n0 = 1e3, 1e5 and 1e6: the same draws and lookups without the
+  tables, joined into per-transition columns;
+- ``DatasetSampler.count`` through the same prebuilt sampler, as the
+  pipeline draws, at n = n0 = 1e3, 1e5 and 1e6: the same draws and lookups,
+  binned into counts block by block, so no per-transition array forms;
 
-the kernels below run on datasets generated outside the timed call, so each
-of their timings is a pass over the data for the counts, then work that
-depends on the class sizes and S, A only:
+the kernels below run on datasets generated outside the timed call, whose
+counts are memoized on the first call, so past the first round each timing
+is the work that depends on the class sizes and S, A only, whatever n is:
 
 - ``empirical_lagrangian_members`` on the rate_regularized suite's fixture
-  (10 states, 3 actions, 31 value and 31 weight members) at n = 1e4, 1e5
-  and 1e6;
+  (10 states, 3 actions, 31 value and 31 weight members, each class
+  stacked once as the pipeline passes it) at n = 1e4, 1e5 and 1e6;
 - ``bc_objective_matrix`` at the bc_scaling suite's size (5 states,
   3 actions, 41 policies and their witness set, largest held-out n2 = 8000).
 """
@@ -34,7 +37,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from prorl.classes import WeightClass, witness_class  # noqa: E402
+from prorl.classes import ValueClass, WeightClass, witness_class  # noqa: E402
 from prorl.datasets import DatasetSampler, generate_dataset  # noqa: E402
 from prorl.extraction import bc_objective_matrix  # noqa: E402
 from prorl.objective import empirical_lagrangian_members  # noqa: E402
@@ -57,7 +60,7 @@ def test_generate_dataset_rate_regularized(benchmark, n):
     assert data.n == n and data.n0 == n
 
 
-@pytest.mark.parametrize("n", [1_000, 100_000])
+@pytest.mark.parametrize("n", [1_000, 100_000, 1_000_000])
 def test_prebuilt_sampler_rate_regularized(benchmark, n):
     fx = rate_regularized_fixture()
     mdp = resolve_mdp(fx["mdp"])
@@ -66,14 +69,23 @@ def test_prebuilt_sampler_rate_regularized(benchmark, n):
     assert data.n == n and data.n0 == n
 
 
+@pytest.mark.parametrize("n", [1_000, 100_000, 1_000_000])
+def test_counting_draw_rate_regularized(benchmark, n):
+    fx = rate_regularized_fixture()
+    mdp = resolve_mdp(fx["mdp"])
+    dd, _ = resolve_data_dist(mdp, fx["data_dist"])
+    fit, _ = benchmark(DatasetSampler(mdp, dd).count, n, n, 0)
+    assert fit.n == n and fit.law.inits.sum() == n
+
+
 @pytest.mark.parametrize("n", [10_000, 100_000, 1_000_000])
 def test_payoff_matrix_rate_regularized(benchmark, n):
     fx = rate_regularized_fixture()
     mdp = resolve_mdp(fx["mdp"])
     dd, _ = resolve_data_dist(mdp, fx["data_dist"])
     reg = Regularizer.from_config(fx["reg"])
-    v_members = fx["classes"]["value_class"]["members"]
-    w_members = WeightClass.from_config(fx["classes"]["weight_class"]).members
+    v_members = ValueClass.from_config(fx["classes"]["value_class"]).stack  # as prepare passes them
+    w_members = WeightClass.from_config(fx["classes"]["weight_class"]).stack
     data = generate_dataset(mdp, dd, n, n, seed=0)
     out = benchmark(empirical_lagrangian_members, data, reg, fx["alpha"], v_members, w_members)
     assert out.shape == (31, 31)

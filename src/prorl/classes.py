@@ -9,6 +9,7 @@ distractors drawn uniformly over the bound box.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,6 +22,13 @@ from .oracle import RegularizedSolution
 from .regularizers import Regularizer
 
 _BOX_TOL = 1e-9
+
+
+def _stack(self) -> np.ndarray:
+    """The members stacked along a new first axis, read-only: what the payoff kernels take."""
+    out = np.stack(self.members)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -36,6 +44,7 @@ class ValueClass:
     b_v: float
     lower: float
     clipped: tuple = ()
+    stack = functools.cached_property(_stack)
 
     def __post_init__(self):
         if not self.members:
@@ -82,6 +91,7 @@ class WeightClass:
     b_w: float
     floor: Optional[tuple] = None
     clipped: tuple = ()
+    stack = functools.cached_property(_stack)
 
     def __post_init__(self):
         if not self.members:

@@ -4,7 +4,8 @@ A dataset is n i.i.d. transitions (s, a, r, s') with (s, a) ~ d^D and
 s' ~ P(.|s, a), plus n0 i.i.d. initial states ~ mu0. A ``DatasetSampler``
 builds exact inverse-CDF tables (guide tables, Chen & Asau 1974, equal to
 ``searchsorted``) once and draws each dataset from one PCG64 stream, so a
-(config, seed) pair pins the dataset bytes; its counts bin its cell ids.
+(config, seed) pair pins the dataset bytes. It draws block by block and
+bins the blocks into counts, or joins them into per-transition columns.
 """
 
 from __future__ import annotations
@@ -26,11 +27,25 @@ class DatasetCounts(NamedTuple):
     inits: np.ndarray
 
 
+class CountedDataset(NamedTuple):
+    """A dataset as its counts alone, from ``DatasetSampler.count``: what the estimator reads."""
+
+    n: int
+    n0: int
+    gamma: float
+    law: DatasetCounts
+
+    def counts(self, num_states: int, num_actions: int) -> DatasetCounts:
+        """The counts, read-only; ValueError when they were drawn at another shape."""
+        if self.law.rewards.shape != (num_states, num_actions):
+            raise ValueError(f"counts of shape {self.law.rewards.shape} asked for as "
+                             f"{(num_states, num_actions)}")
+        return self.law
+
+
 @dataclass(frozen=True, eq=False)
 class OfflineDataset:
-    """Transition columns and initial states; ``_cells`` holds a sampled dataset's
-    flat cell ids s * A + a (None for hand-built and loaded datasets, which are
-    checked column by column instead)."""
+    """Transition columns and initial states."""
 
     states: np.ndarray
     actions: np.ndarray
@@ -39,7 +54,6 @@ class OfflineDataset:
     init_states: np.ndarray
     gamma: float
     generating_dd: Optional[Occupancy] = None
-    _cells: Optional[np.ndarray] = None
     _counts: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -50,7 +64,7 @@ class OfflineDataset:
         for name in ("actions", "rewards", "next_states"):
             if getattr(self, name).shape[0] != n:
                 raise ValueError(f"{name} length does not match states length {n}")
-        if self.generating_dd is not None and n > 0 and self._cells is None:
+        if self.generating_dd is not None and n > 0:
             dd = self.generating_dd.mass  # checked on cell counts: S*A compares, not n gathers
             cells = self.states * dd.shape[1] + self.actions
             bad = np.flatnonzero((np.bincount(cells, minlength=dd.size)[: dd.size] > 0)
@@ -72,25 +86,21 @@ class OfflineDataset:
         """The empirical law as counts, read-only, computed once per shape.
 
         Raises ValueError when a column lies outside [0, num_states) or [0,
-        num_actions), where s * A + a would alias; a sampled dataset's cell
-        ids are checked by the length of their bincount alone.
+        num_actions), where s * A + a would alias.
         """
         shape = (num_states, num_actions)
         if self._counts is not None and self._counts[0] == shape:
             return self._counts[1]
-        cells, size = self._cells, num_states * num_actions
-        if cells is None or self.generating_dd.mass.shape != shape:
-            for name in ("states", "actions", "next_states", "init_states"):
-                col, bound = getattr(self, name), num_actions if name == "actions" else num_states
-                if col.size and (col.min() < 0 or col.max() >= bound):
-                    raise ValueError(f"{name} must lie in [0, {bound}), got {col.min()}..{col.max()}")
-            cells = self.states * num_actions + self.actions
-        transitions = np.bincount(cells * num_states + self.next_states, minlength=size * num_states)
-        inits = np.bincount(self.init_states, minlength=num_states)
-        if transitions.size > size * num_states or inits.size > num_states:
-            raise ValueError(f"sampled transitions lie outside the {shape} tables")
-        out = DatasetCounts(transitions.reshape(*shape, num_states), np.bincount(
-            cells, weights=self.rewards, minlength=size).reshape(shape), inits)
+        for name in ("states", "actions", "next_states", "init_states"):
+            col, bound = getattr(self, name), num_actions if name == "actions" else num_states
+            if col.size and (col.min() < 0 or col.max() >= bound):
+                raise ValueError(f"{name} must lie in [0, {bound}), got {col.min()}..{col.max()}")
+        cells, size = self.states * num_actions + self.actions, num_states * num_actions
+        out = DatasetCounts(
+            np.bincount(cells * num_states + self.next_states,
+                        minlength=size * num_states).reshape(*shape, num_states),
+            np.bincount(cells, weights=self.rewards, minlength=size).reshape(shape),
+            np.bincount(self.init_states, minlength=num_states))
         for array in out:
             array.flags.writeable = False
         object.__setattr__(self, "_counts", (shape, out))
@@ -101,8 +111,7 @@ class OfflineDataset:
         cut = slice(start, stop)
         inits = self.init_states if keep_inits else np.empty(0, dtype=int)
         return OfflineDataset(self.states[cut], self.actions[cut], self.rewards[cut],
-                              self.next_states[cut], inits, self.gamma, self.generating_dd,
-                              _cells=None if self._cells is None else self._cells[cut])
+                              self.next_states[cut], inits, self.gamma, self.generating_dd)
 
     def save(self, transitions_path: str, inits_path: str) -> None:
         with open(transitions_path, "w") as fh:
@@ -130,6 +139,7 @@ class OfflineDataset:
 
 
 _GUIDE_BUCKETS = 1024  # K, a power of two, so u * K and b / K are exact
+_BLOCK = 16384  # draws per block: 128 KiB temporaries, not n long; smaller blocks cost more calls
 
 
 def _cumulative(probs: np.ndarray) -> np.ndarray:
@@ -178,6 +188,27 @@ class _GuideTable:
         return out
 
 
+class _Uniforms:
+    """Draws [offset, offset + size) of default_rng(seed)'s PCG64 stream, by advancing it."""
+
+    def __init__(self, seed):
+        self.rng, self.at = np.random.default_rng(seed), 0
+
+    def read(self, offset: int, size: int) -> np.ndarray:
+        self.rng.bit_generator.advance((offset - self.at) % (1 << 128))
+        self.at = offset + size
+        return self.rng.random(size)
+
+
+def _tally(out: np.ndarray, ids: np.ndarray) -> None:
+    """Add the bincount of ids to out, whose bins must cover every id."""
+    counts = np.bincount(ids)
+    if counts.size > out.size:
+        raise ValueError(f"sampled draws lie outside the tables: bin {counts.size - 1} of "
+                         f"{out.size}")
+    out[: counts.size] += counts
+
+
 class DatasetSampler:
     """Inverse-CDF tables of one MDP and data distribution d^D ((S, A), summing to
     one), built once: cells over d^D, next states over P(.|s, a), initial states
@@ -194,20 +225,59 @@ class DatasetSampler:
         self.cells = _GuideTable(_cumulative(dd.ravel()))
         self.next_states = _GuideTable(_cumulative(mdp.transition))
         self.init_states = _GuideTable(_cumulative(mdp.init_dist))
-        self.state_action = np.indices(dd.shape).reshape(2, -1)
-        self.reward = mdp.reward.ravel()
+        self.reward = mdp.reward
+
+    def _transitions(self, uniforms: _Uniforms, n: int, start: int, stop: int):
+        """(cells s * A + a, next states) of transitions [start, stop), block by block.
+
+        Cells read draws [0, n) of the stream, next states [n, 2n) and initial
+        states [2n, 2n + n0): rng.random(n) twice, then rng.random(n0).
+        """
+        for lo in range(start, stop, _BLOCK):
+            size = min(_BLOCK, stop - lo)
+            cells = self.cells.lookup(uniforms.read(lo, size))
+            yield cells, self.next_states.lookup(uniforms.read(n + lo, size), cells)
+
+    def _inits(self, uniforms: _Uniforms, n: int, n0: int):
+        """Initial states, block by block."""
+        return (self.init_states.lookup(uniforms.read(2 * n + lo, min(_BLOCK, n0 - lo)))
+                for lo in range(0, n0, _BLOCK))
+
+    def count(self, n: int, n0: int, seed, n1: Optional[int] = None) -> tuple:
+        """The counts of ``draw(n, n0, seed)``, binned block by block.
+
+        Returns (fit, held) ``CountedDataset``s: transitions [0, n1) with all n0
+        initial states, and transitions [n1, n) with none; n1 defaults to n.
+        """
+        n1 = n if n1 is None else n1
+        if n < 0 or n0 < 0 or not 0 <= n1 <= n:
+            raise ValueError(f"sample counts must be nonnegative and n1 must lie in [0, {n}]")
+        uniforms, shape, parts = _Uniforms(seed), self.reward.shape, []
+        for start, stop, num_inits in ((0, n1, n0), (n1, n, 0)):
+            law = DatasetCounts(np.zeros((*shape, shape[0]), np.intp), np.zeros(shape),
+                                np.zeros(shape[0], np.intp))
+            for cells, next_states in self._transitions(uniforms, n, start, stop):
+                _tally(law.transitions.reshape(-1), cells * shape[0] + next_states)
+                # in draw order, as the ordered bincount of the columns adds
+                np.add.at(law.rewards.reshape(-1), cells, self.reward.take(cells))
+            for init_states in self._inits(uniforms, n, num_inits):
+                _tally(law.inits, init_states)
+            for array in law:
+                array.flags.writeable = False
+            parts.append(CountedDataset(stop - start, num_inits, self.gamma, law))
+        return tuple(parts)
 
     def draw(self, n: int, n0: int, seed) -> OfflineDataset:
-        """n transitions and n0 initial states from three draws of one PCG64 stream."""
+        """n transitions and n0 initial states as columns: the blocks ``count`` bins."""
         if n < 0 or n0 < 0:
             raise ValueError("sample counts must be nonnegative")
-        rng = np.random.default_rng(seed)
-        cells = self.cells.lookup(rng.random(n))
-        next_states = self.next_states.lookup(rng.random(n), cells)
-        init_states = self.init_states.lookup(rng.random(n0))
-        states, actions = self.state_action.take(cells, axis=1)
+        uniforms, empty = _Uniforms(seed), np.empty(0, np.intp)
+        cells, next_states = map(np.concatenate, zip((empty, empty),
+                                                     *self._transitions(uniforms, n, 0, n)))
+        init_states = np.concatenate([empty, *self._inits(uniforms, n, n0)])
+        states, actions = np.divmod(cells, self.reward.shape[1])
         return OfflineDataset(states, actions, self.reward.take(cells), next_states, init_states,
-                              self.gamma, self.generating_dd, _cells=cells)
+                              self.gamma, self.generating_dd)
 
 
 def generate_dataset(mdp: TabularMdp, data_dist, n: int, n0: int, seed) -> OfflineDataset:
@@ -230,30 +300,16 @@ def exact_frequency_dataset(mdp: TabularMdp, data_dist, repeats: int = 1) -> Off
     counts = dd / base
     if not np.allclose(counts[pos], np.round(counts[pos]), atol=1e-9):
         raise ValueError("data distribution is not commensurable; no exact dataset exists")
-    counts = np.round(counts).astype(int) * repeats
-    states, actions, next_states = [], [], []
-    for s in range(mdp.num_states):
-        for a in range(mdp.num_actions):
-            if counts[s, a] == 0:
-                continue
-            row = mdp.transition[s, a]
-            if row.max() < 1.0 - 1e-12:
-                raise ValueError(f"transition at ({s}, {a}) is stochastic; cannot be exact")
-            sp = int(row.argmax())
-            states += [s] * counts[s, a]
-            actions += [a] * counts[s, a]
-            next_states += [sp] * counts[s, a]
+    counts = np.round(counts).astype(int).ravel() * repeats
+    rows = mdp.transition.reshape(counts.size, -1)
+    stochastic = np.flatnonzero((counts > 0) & (rows.max(axis=1) < 1.0 - 1e-12))
+    if stochastic.size:
+        raise ValueError(f"transition at {divmod(int(stochastic[0]), mdp.num_actions)} is "
+                         f"stochastic; cannot be exact")
     if mdp.init_dist.max() < 1.0 - 1e-12:
         raise ValueError("initial distribution is stochastic; cannot be exact")
-    init_states = np.full(max(1, repeats), int(mdp.init_dist.argmax()))
-    states = np.array(states, dtype=int)
-    actions = np.array(actions, dtype=int)
-    return OfflineDataset(
-        states=states,
-        actions=actions,
-        rewards=mdp.reward[states, actions],
-        next_states=np.array(next_states, dtype=int),
-        init_states=init_states,
-        gamma=mdp.gamma,
-        generating_dd=Occupancy(dd),
-    )
+    cells = np.repeat(np.arange(counts.size), counts)
+    states, actions = np.divmod(cells, mdp.num_actions)
+    return OfflineDataset(states, actions, mdp.reward.ravel()[cells], rows.argmax(axis=1)[cells],
+                          np.full(max(1, repeats), int(mdp.init_dist.argmax())), mdp.gamma,
+                          Occupancy(dd))

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .classes import PolicyClass, witness_class
-from .datasets import OfflineDataset
+from .datasets import CountedDataset, OfflineDataset
 from .mdp import Policy
 
 
@@ -54,7 +54,7 @@ def split_dataset(data: OfflineDataset, n1: int) -> tuple[OfflineDataset, Offlin
 
 def bc_objective_matrix(
     w_hat,
-    data: OfflineDataset,
+    data: OfflineDataset | CountedDataset,
     policies: PolicyClass,
     witnesses: Optional[Sequence[np.ndarray]] = None,
 ) -> np.ndarray:
@@ -96,7 +96,7 @@ def _witnesses_of(shape: tuple, probs: bytes) -> tuple:
 
 def clone_policy(
     w_hat,
-    data: OfflineDataset,
+    data: OfflineDataset | CountedDataset,
     policies: PolicyClass,
     witnesses: Optional[Sequence[np.ndarray]] = None,
 ) -> Policy:

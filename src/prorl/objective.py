@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .datasets import OfflineDataset
+from .datasets import CountedDataset, OfflineDataset
 from .mdp import Occupancy, TabularMdp
 from .regularizers import Regularizer
 
@@ -34,7 +34,7 @@ def residual_ev(mdp: TabularMdp, v: np.ndarray) -> np.ndarray:
 
 
 def empirical_lagrangian_members(
-    dataset: OfflineDataset,
+    dataset: OfflineDataset | CountedDataset,
     reg: Regularizer,
     alpha: float,
     v_members,
@@ -49,8 +49,7 @@ def empirical_lagrangian_members(
     """
     if dataset.n == 0 or dataset.n0 == 0:
         raise ValueError(f"empirical objective needs n, n0 > 0, got n={dataset.n}, n0={dataset.n0}")
-    v_stack = np.stack([np.asarray(v, dtype=float) for v in v_members])
-    w_stack = np.stack([np.asarray(w, dtype=float) for w in w_members])
+    v_stack, w_stack = np.asarray(v_members, dtype=float), np.asarray(w_members, dtype=float)
     num_states, num_actions = w_stack.shape[1:]
     if v_stack.shape[1] != num_states:
         raise ValueError(f"value members have length {v_stack.shape[1]}, expected {num_states}")
@@ -82,8 +81,7 @@ def population_lagrangian_members(
     """Population payoff matrix L[w_index, v_index] over finite classes."""
     dd = _mass(data_dist)
     pos = dd > 0.0
-    v_stack = np.stack([np.asarray(v, dtype=float) for v in v_members])
-    w_stack = np.stack([np.asarray(w, dtype=float) for w in w_members])
+    v_stack, w_stack = np.asarray(v_members, dtype=float), np.asarray(w_members, dtype=float)
     e_cells = np.stack([residual_ev(mdp, v)[pos] for v in v_stack])  # (n_v, m)
     w_cells = w_stack[:, pos]  # (n_w, m)
     weights = dd[pos]

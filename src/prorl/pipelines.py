@@ -5,7 +5,7 @@ per config: resolve the MDP and data distribution, solve the instance
 exactly for reference quantities, build candidate classes around the exact
 pair, their population payoff matrix, the policy class a cloning run fits
 over and the dataset sampler's tables. ``run_pro_rl`` does the rest at one
-seed and size: draw the offline dataset, build the empirical payoff matrix,
+seed and size: count the offline dataset, build the empirical payoff matrix,
 run the max-min estimator on it, extract a policy, and evaluate everything in
 closed form on the MDP. A config with a ``bc`` block also holds out part
 of the dataset and clones a policy from it. Each expensive step runs once
@@ -433,7 +433,7 @@ def prepare(cfg: ExperimentConfig) -> Instance:
         if cfg.bc is not None:
             policies = _resolve_policy_class(cfg.bc, refs["pi_ref"], mdp.num_actions)
     with _staged("evaluation"):
-        pop = population_lagrangian_members(mdp, dd, reg, cfg.alpha, vc.members, wc.members)
+        pop = population_lagrangian_members(mdp, dd, reg, cfg.alpha, vc.stack, wc.stack)
     with _staged("dataset"):
         sampler = DatasetSampler(mdp, dd) if cfg.dataset["kind"] == "sampled" else None
     config = replace(cfg, **_RUN_FIELDS)
@@ -574,15 +574,16 @@ def run_pro_rl(cfg: ExperimentConfig, instance: Optional[Instance] = None) -> Ru
     with _staged("dataset"):
         if cfg.dataset["kind"] == "exact_frequency":
             data = exact_frequency_dataset(mdp, dd, repeats=cfg.dataset.get("repeats", 1))
-        else:
-            data = inst.sampler.draw(cfg.n, cfg.n0, cfg.seed)
-        fit, held = data, None
-        if cfg.bc is not None:
-            fit, held = split_dataset(data, int(cfg.bc.get("n1", round(0.9 * data.n))))
-            if held.n == 0:
-                raise PipelineError("dataset", "the cloning split is empty; lower n1")
+            n, split = data.n, lambda n1: split_dataset(data, n1)
+        else:  # counts only: a sampled run holds no per-transition array
+            n, split = cfg.n, lambda n1: inst.sampler.count(cfg.n, cfg.n0, cfg.seed, n1)
+        fit, held = split(n if cfg.bc is None else int(cfg.bc.get("n1", round(0.9 * n))))
+        if cfg.bc is None:
+            held = None
+        elif held.n == 0:
+            raise PipelineError("dataset", "the cloning split is empty; lower n1")
     with _staged("saddle"):
-        emp = empirical_lagrangian_members(fit, inst.reg, cfg.alpha, vc.members, wc.members)
+        emp = empirical_lagrangian_members(fit, inst.reg, cfg.alpha, vc.stack, wc.stack)
         if cfg.variant["kind"] == "inexact":
             sol_hat = solve_inexact(emp, (vc, wc), eps_ov=cfg.variant["eps_ov"],
                                     eps_ow=cfg.variant["eps_ow"], seed=cfg.seed + 1)
@@ -593,7 +594,7 @@ def run_pro_rl(cfg: ExperimentConfig, instance: Optional[Instance] = None) -> Ru
         if held is not None:
             pi_bar = clone_policy(sol_hat.w_hat, held, inst.policies)
     with _staged("evaluation"):
-        extra = {"n_eff": data.n, "fit": fit}
+        extra = {"n_eff": n, "fit": fit}
         if held is not None:
             extra.update(
                 n2=held.n,

@@ -1,9 +1,14 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import searchsorted_dataset
 
+from prorl import datasets
 from prorl.datasets import (
+    _BLOCK as B,
     _GUIDE_BUCKETS as K,
     DatasetSampler,
     OfflineDataset,
@@ -221,18 +226,17 @@ class TestReferenceSampler:
         # stops at 1 - 2**-53 = nextafter(1, 0). Plain searchsorted sent that
         # draw to the zero-mass last cell (a ValueError), and the whole-row
         # comparison sent it to state 0.
-        class TopDraws:
-            def random(self, size):
-                return np.full(size, np.nextafter(1.0, 0.0))
-
         law = np.array([0.1] * 10 + [0.0])
         assert np.cumsum(law)[-1] == np.nextafter(1.0, 0.0)
         mdp = TabularMdp(11, 1, np.tile(law, (11, 1, 1)), np.zeros((11, 1)), 0.9, law)
-        monkeypatch.setattr(np.random, "default_rng", lambda seed: TopDraws())
+        monkeypatch.setattr(datasets._Uniforms, "read",
+                            lambda self, offset, size: np.full(size, np.nextafter(1.0, 0.0)))
         data = generate_dataset(mdp, law[:, None], n=3, n0=2, seed=0)
         np.testing.assert_array_equal(data.states, [9, 9, 9])
         np.testing.assert_array_equal(data.next_states, [9, 9, 9])
         np.testing.assert_array_equal(data.init_states, [9, 9])
+        fit, _ = DatasetSampler(mdp, law[:, None]).count(3, 2, seed=0)
+        assert fit.law.transitions[9, 0, 9] == 3 and fit.law.inits[9] == 2
 
     def test_cumulative_is_one_from_the_last_positive_entry(self):
         law = np.array([
@@ -270,6 +274,111 @@ class TestDatasetSampler:
             DatasetSampler(mdp, np.full((2, 3), 1.0 / 6.0))
         with pytest.raises(ValueError, match="nonnegative"):
             DatasetSampler(mdp, behavior_distribution(mdp)).draw(5, -1, 0)
+
+
+def column_counts(mdp, dd, n, n0, seed, start=0, stop=None, with_inits=True):
+    """N(s,a,s'), R(s,a), N0(s) of transitions [start, stop) of ``searchsorted_dataset``,
+    by the ordered bincount of its columns."""
+    states, actions, next_states, init_states = searchsorted_dataset(mdp, dd, n, n0, seed)
+    num_states, num_actions = mdp.num_states, mdp.num_actions
+    cells = (states * num_actions + actions)[start:stop]
+    size = num_states * num_actions
+    return (
+        np.bincount(cells * num_states + next_states[start:stop], minlength=size * num_states
+                    ).reshape(num_states, num_actions, num_states),
+        np.bincount(cells, weights=mdp.reward.ravel()[cells], minlength=size
+                    ).reshape(num_states, num_actions),
+        np.bincount(init_states if with_inits else init_states[:0], minlength=num_states),
+    )
+
+
+def assert_same_counts(part, want, n, n0):
+    """part's counts equal want's, the reward sums byte for byte."""
+    assert (part.n, part.n0) == (n, n0)
+    got = part.counts(*want[1].shape)
+    np.testing.assert_array_equal(got.transitions, want[0])
+    assert got.rewards.tobytes() == want[1].tobytes()
+    np.testing.assert_array_equal(got.inits, want[2])
+    assert got.transitions.dtype == want[0].dtype and got.inits.dtype == want[2].dtype
+
+
+class TestBlockCounts:
+    """``DatasetSampler.count`` bins the draws block by block into the counts of the columns."""
+
+    MDP, DD = sparse_mdp_and_data(5, 3, 8, 0.3)
+
+    @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 1])
+    @pytest.mark.parametrize("n0_over_n", [0.5, 1.2])
+    def test_equal_the_column_counts_at_block_edges(self, n, n0_over_n):
+        n0 = int(n * n0_over_n) + (n0_over_n > 1)  # below n and above it
+        fit, held = DatasetSampler(self.MDP, self.DD).count(n, n0, seed=4)
+        assert_same_counts(fit, column_counts(self.MDP, self.DD, n, n0, 4), n, n0)
+        assert held.n == held.n0 == 0 and not held.law.transitions.any()
+
+    @pytest.mark.parametrize("n1", [0, 100, B, B + 100, 2 * B + 1],
+                             ids=["zero", "inside", "boundary", "second", "all"])
+    def test_cloning_cut(self, n1):
+        n, n0 = 2 * B + 1, 300
+        fit, held = DatasetSampler(self.MDP, self.DD).count(n, n0, 6, n1=n1)
+        assert_same_counts(fit, column_counts(self.MDP, self.DD, n, n0, 6, stop=n1), n1, n0)
+        assert_same_counts(held, column_counts(self.MDP, self.DD, n, n0, 6, start=n1,
+                                               with_inits=False), n - n1, 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        num_states=st.integers(1, 8),
+        num_actions=st.integers(1, 4),
+        n=st.sampled_from([0, 1, 7, 300]),
+        n0=st.sampled_from([0, 1, 25]),
+        cut=st.floats(0.0, 1.0),
+        block=st.sampled_from([1, 3, 64, B]),
+        seed=st.integers(0, 2**32 - 1),
+        zero_frac=st.sampled_from([0.0, 0.3, 0.7]),
+    )
+    def test_same_counts_as_searchsorted(self, num_states, num_actions, n, n0, cut, block, seed,
+                                         zero_frac):
+        mdp, dd = sparse_mdp_and_data(num_states, num_actions, seed, zero_frac)
+        n1 = int(cut * n)
+        with mock.patch.object(datasets, "_BLOCK", block):
+            fit, held = DatasetSampler(mdp, dd).count(n, n0, seed, n1=n1)
+            data = DatasetSampler(mdp, dd).draw(n, n0, seed)
+        assert_same_counts(fit, column_counts(mdp, dd, n, n0, seed, stop=n1), n1, n0)
+        assert_same_counts(held, column_counts(mdp, dd, n, n0, seed, start=n1, with_inits=False),
+                           n - n1, 0)
+        for got, ref in zip((data.states, data.actions, data.next_states, data.init_states),
+                            searchsorted_dataset(mdp, dd, n, n0, seed)):
+            np.testing.assert_array_equal(got, ref)
+
+    def test_seed_sequence_seeds(self):
+        seed = np.random.SeedSequence(2024, spawn_key=(3,))
+        sampler = DatasetSampler(self.MDP, self.DD)
+        want = column_counts(self.MDP, self.DD, B + 9, 40, seed)
+        for _ in range(2):  # a SeedSequence is not used up
+            assert_same_counts(sampler.count(B + 9, 40, seed)[0], want, B + 9, 40)
+        np.testing.assert_array_equal(sampler.draw(B + 9, 40, seed).next_states,
+                                      searchsorted_dataset(self.MDP, self.DD, B + 9, 40, seed)[2])
+
+    def test_counts_are_read_only_and_checked_for_shape(self):
+        fit, held = DatasetSampler(self.MDP, self.DD).count(50, 5, 0, n1=30)
+        for array in fit.law + held.law:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        with pytest.raises(ValueError, match="asked for as"):
+            fit.counts(3, 5)
+
+    @pytest.mark.parametrize("n, n0, n1", [(-1, 0, None), (5, -1, None), (5, 1, 6), (5, 1, -1)])
+    def test_rejects_bad_sizes(self, n, n0, n1):
+        with pytest.raises(ValueError, match="nonnegative and n1 must lie in"):
+            DatasetSampler(self.MDP, self.DD).count(n, n0, 0, n1=n1)
+
+    def test_counting_a_million_draws_holds_no_per_transition_array(self):
+        sampler = DatasetSampler(self.MDP, self.DD)
+        tracemalloc.start()
+        fit, _ = sampler.count(1_000_000, 1_000_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 2 * 2**20  # one column of 1e6 int64 alone is 7.6 MiB
+        assert fit.law.transitions.sum() == fit.law.inits.sum() == 1_000_000
 
 
 class TestSerialization:
@@ -374,7 +483,6 @@ class TestCounts:
 
     @pytest.mark.parametrize("part", ["whole", "head", "tail", "empty"])
     def test_sampled_counts_match_tallies(self, part):
-        # a sampled dataset bins its cell ids; take() slices them
         mdp, dd = sparse_mdp_and_data(5, 3, 8, 0.3)
         data = DatasetSampler(mdp, dd).draw(0 if part == "empty" else 900, 40, 3)
         data = {"head": data.take(0, 600), "tail": data.take(600, 900, keep_inits=False)}.get(
@@ -391,22 +499,23 @@ class TestCounts:
                 array[...] = 0
 
     def test_sampled_counts_at_another_shape_check_their_columns(self):
-        # the cell ids are s * A + a for the sampler's A only
+        # the columns are range checked at every shape they are counted at
         mdp = random_mdp(3, 2, 0.9, seed=4)
         data = generate_dataset(mdp, behavior_distribution(mdp), n=40, n0=5, seed=6)
         with pytest.raises(ValueError, match="^states must lie in"):
             data.counts(2, 3)
         assert data.counts(3, 3).transitions.sum() == 40
 
-    @pytest.mark.parametrize("next_state, init", [(3, 0), (0, 3)], ids=["next", "init"])
-    def test_draw_past_the_tables_raises(self, next_state, init):
-        # the bincount comes out longer than the shape allows
-        data = OfflineDataset(states=[2], actions=[1], rewards=[0.0], next_states=[next_state],
-                              init_states=[init], gamma=0.9,
-                              generating_dd=Occupancy(np.full((3, 2), 1.0 / 6.0)),
-                              _cells=np.array([5]))
-        with pytest.raises(ValueError, match="outside the"):
-            data.counts(3, 2)
+    @pytest.mark.parametrize("table", ["next_states", "init_states"], ids=["next", "init"])
+    def test_draw_past_the_tables_raises(self, table):
+        # a corrupt table entry answers state 3 of 3, so the counting kernel's
+        # bincount comes out longer than the counts' shape allows
+        dd = np.zeros((3, 2))
+        dd[2, 1] = 1.0  # every transition at the last cell, whose row ends the table
+        sampler = DatasetSampler(random_mdp(3, 2, 0.9, seed=4), dd)
+        getattr(sampler, table).packed[-K:] = 3
+        with pytest.raises(ValueError, match="outside the tables"):
+            sampler.count(10, 4, seed=0)
 
     def test_take_halves_add_up(self):
         mdp = random_mdp(3, 2, 0.9, seed=4)

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -610,6 +611,20 @@ class TestPrepareOnce:
                   3: {"n": 50, "n0": 50, "alpha": alpha / 2}}
         _, instances = _sweep(str(tmp_path), 0, 2, base, points)
         assert instances[1] is instances[2] is not instances[3]
+
+    @pytest.mark.parametrize("variant", ["realizable", "bc"])
+    def test_sampled_runs_hold_no_per_transition_array(self, variant):
+        # the dataset stage counts the draws block by block, the bc cut included
+        cfg = replace(RUN_VARIANTS[variant](), n=1_000_000, n0=1_000_000)
+        if cfg.bc is not None:
+            cfg = replace(cfg, bc={**cfg.bc, "n1": 600_000})
+        inst = prepare(cfg)
+        tracemalloc.start()
+        report = run_pro_rl(cfg, inst)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 2 * 2**20  # one column of 1e6 int64 alone is 7.6 MiB
+        assert report.n == 1_000_000 and report.n2 == (None if cfg.bc is None else 400_000)
 
 
 class TestInitialStateCount:
