@@ -106,13 +106,6 @@ class OfflineDataset:
         object.__setattr__(self, "_counts", (shape, out))
         return out
 
-    def take(self, start: int, stop: int, keep_inits: bool = True) -> "OfflineDataset":
-        """Transitions[start:stop], with or without the initial-state samples."""
-        cut = slice(start, stop)
-        inits = self.init_states if keep_inits else np.empty(0, dtype=int)
-        return OfflineDataset(self.states[cut], self.actions[cut], self.rewards[cut],
-                              self.next_states[cut], inits, self.gamma, self.generating_dd)
-
     def save(self, transitions_path: str, inits_path: str) -> None:
         with open(transitions_path, "w") as fh:
             for s, a, r, sp in zip(self.states, self.actions, self.rewards, self.next_states):

@@ -40,18 +40,6 @@ def extract_policy(w, pi_d: Policy) -> Policy:
     return Policy(probs)
 
 
-def split_dataset(data: OfflineDataset, n1: int) -> tuple[OfflineDataset, OfflineDataset]:
-    """Prefix/suffix split: the first part keeps the initial-state samples.
-
-    The draws are exchangeable, so a deterministic split preserves their
-    distribution. The second part carries no initial-state samples (the
-    cloning stage never looks at them).
-    """
-    if n1 < 0 or n1 > data.n:
-        raise ValueError(f"n1 must lie in [0, {data.n}]")
-    return data.take(0, n1, keep_inits=True), data.take(n1, data.n, keep_inits=False)
-
-
 def bc_objective_matrix(
     w_hat,
     data: OfflineDataset | CountedDataset,

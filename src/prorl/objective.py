@@ -9,9 +9,9 @@ with Bellman residual e_v(s,a) = r(s,a) + gamma E_{s'}[v(s')] - v(s). The
 empirical version replaces the two expectations with sample means over the
 initial-state draws and the transition tuples. Both means are linear in the
 empirical law, so they are computed exactly as count-weighted sums over the
-covered cells: transition counts N(s,a,s'), reward sums R(s,a) and
-initial-state counts N0(s) (`OfflineDataset.counts`). Cells without data mass
-are excluded everywhere; candidate weights are treated as zero there.
+covered cells: transition counts N(s,a,s'), reward sums R(s,a) and initial-state
+counts N0(s), from `OfflineDataset.counts` or a sampler's `CountedDataset`. Cells
+without data mass are excluded everywhere; candidate weights are zero there.
 """
 
 from __future__ import annotations

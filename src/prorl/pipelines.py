@@ -4,14 +4,15 @@
 per config: resolve the MDP and data distribution, solve the instance
 exactly for reference quantities, build candidate classes around the exact
 pair, their population payoff matrix, the policy class a cloning run fits
-over and the dataset sampler's tables. ``run_pro_rl`` does the rest at one
-seed and size: count the offline dataset, build the empirical payoff matrix,
-run the max-min estimator on it, extract a policy, and evaluate everything in
-closed form on the MDP. A config with a ``bc`` block also holds out part
-of the dataset and clones a policy from it. Each expensive step runs once
-per instance, and one payoff matrix per run serves both the saddle
-solver and the evaluation. Every random choice is keyed by seeds carried
-in the config, so a config fully determines the report.
+over and the dataset: the sampler's tables, or the exact-frequency dataset
+itself. ``run_pro_rl`` does the rest at one seed and size: count the offline
+dataset, build the empirical payoff matrix, run the max-min estimator on it,
+extract a policy, and evaluate everything in closed form on the MDP. A config
+with a ``bc`` block also holds out part of its sampled dataset and clones a
+policy from it. Each expensive step runs once per instance, and one payoff
+matrix per run serves both the saddle solver and the evaluation. Every random
+choice is keyed by seeds carried in the config, so a config fully determines
+the report.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from .classes import (
     build_misspecified,
     build_realizable,
 )
-from .datasets import DatasetSampler, exact_frequency_dataset
-from .extraction import clone_policy, extract_policy, split_dataset
+from .datasets import DatasetSampler, OfflineDataset, exact_frequency_dataset
+from .extraction import clone_policy, extract_policy
 from .mdp import (
     Occupancy,
     Policy,
@@ -153,6 +154,9 @@ class ExperimentConfig:
                     f"{block} kind {kind!r} does not read {unread}; "
                     f"accepted keys: {list(kinds[kind])}",
                 )
+        if self.bc is not None and self.dataset["kind"] == "exact_frequency":
+            raise PipelineError("config", "the bc cut needs a sampled dataset: an exact-frequency "
+                                          "dataset is sorted by cell, so no prefix keeps its law")
         repeats = self.dataset.get("repeats", 1)
         if not (isinstance(repeats, int) and not isinstance(repeats, bool) and repeats >= 1):
             raise PipelineError("config", f"dataset repeats {repeats!r} is not an integer >= 1")
@@ -358,8 +362,9 @@ class Instance:
     config has n, n0 and seed set to ``_RUN_FIELDS``; config_json is its
     canonical JSON cut around those values. pop is the classes' population
     payoff matrix, policies the class a run clones over (None without bc) and
-    sampler None for exact-frequency datasets. The reference fields are the
-    exact quantities a run is scored against.
+    dataset the sampler a sampled run counts through, or the exact-frequency
+    dataset (and its memoized counts) that every run fits. The reference
+    fields are the exact quantities a run is scored against.
     """
 
     config: ExperimentConfig
@@ -374,7 +379,7 @@ class Instance:
     eps_rw: float
     pop: np.ndarray
     policies: Optional[PolicyClass]
-    sampler: Optional[DatasetSampler]
+    dataset: DatasetSampler | OfflineDataset
     w_ref: np.ndarray  # target weight the class anchors on
     pi_ref: Policy
     d_ref_state: np.ndarray  # state marginal weighting the policy distance
@@ -435,10 +440,11 @@ def prepare(cfg: ExperimentConfig) -> Instance:
     with _staged("evaluation"):
         pop = population_lagrangian_members(mdp, dd, reg, cfg.alpha, vc.stack, wc.stack)
     with _staged("dataset"):
-        sampler = DatasetSampler(mdp, dd) if cfg.dataset["kind"] == "sampled" else None
+        dataset = (DatasetSampler(mdp, dd) if cfg.dataset["kind"] == "sampled"
+                   else exact_frequency_dataset(mdp, dd, cfg.dataset.get("repeats", 1)))
     config = replace(cfg, **_RUN_FIELDS)
     return Instance(config, _json_pieces(config), mdp, dd, pi_d, reg,
-                    vc, wc, eps_rv, eps_rw, pop, policies, sampler, **refs)
+                    vc, wc, eps_rv, eps_rw, pop, policies, dataset, **refs)
 
 
 @dataclass(frozen=True)
@@ -491,9 +497,11 @@ def _policy_l1(inst: Instance, pi: Policy) -> float:
     return float(inst.d_ref_state @ np.abs(inst.pi_ref.probs - pi.probs).sum(axis=1))
 
 
-def _evaluate(cfg, inst: Instance, emp, sol_hat, pi_hat, extra):
-    """Score the run in closed form; emp is the payoff matrix the saddle used."""
-    mdp, reg, fit = inst.mdp, inst.reg, extra["fit"]
+def _evaluate(cfg, inst: Instance, emp, sol_hat, pi_hat, fit, held, pi_bar):
+    """Score the run in closed form; emp is the payoff matrix the saddle built from fit,
+    pi_bar the policy cloned from held (both None without bc)."""
+    mdp, reg = inst.mdp, inst.reg
+    n2 = None if held is None else held.n
     j_hat = policy_return(mdp, pi_hat)
     pi_l1 = _policy_l1(inst, pi_hat)
     w_dev = weighted_l2(sol_hat.w_hat, inst.w_ref, inst.dd)
@@ -516,23 +524,24 @@ def _evaluate(cfg, inst: Instance, emp, sol_hat, pi_hat, extra):
         seed=cfg.seed,
         variant=cfg.variant["kind"],
         alpha=cfg.alpha,
-        n=extra["n_eff"],
-        n0=cfg.n0,
-        n2=extra.get("n2"),
+        n=fit.n + (n2 or 0),
+        n0=fit.n0,
+        n2=n2,
         j_hat=j_hat,
         j_star_alpha=inst.j_star_alpha,
         j_star_zero=inst.j_star_zero,
         j_ref=inst.j_ref,
         gap_ref=inst.j_ref - j_hat,
         pi_l1=pi_l1,
-        pi_l1_bc=extra.get("pi_l1_bc"),
+        pi_l1_bc=None if held is None else _policy_l1(inst, pi_bar),
         w_dev=w_dev,
         eps_hat=eps_hat,
         eps_stat=eps_stat,
         rhs_perf_bound=rhs_perf_bound,
         rhs_realized=rhs_realized,
         rhs_capped=rhs_capped,
-        bc_sample_term=extra.get("bc_sample_term"),
+        bc_sample_term=None if held is None else bc_sample_term(b_w, len(inst.policies),
+                                                                cfg.delta, n2),
         eps_rv=inst.eps_rv,
         eps_rw=inst.eps_rw,
         eps_ov=sol_hat.eps_ov,
@@ -562,7 +571,7 @@ def run_pro_rl(cfg: ExperimentConfig, instance: Optional[Instance] = None) -> Ru
 
     instance is ``prepare`` of a config that differs from cfg at most in
     its seed, n and n0; without one the run prepares its own. With cfg.bc set, the
-    dataset splits into a fitting part and a cloning part: the estimator
+    sampled dataset splits into a fitting part and a cloning part: the estimator
     runs on the first, the witnessed-disagreement cloner on the second, and
     the report carries both the direct-extraction distance and the cloned
     one, so paired comparisons need a single run.
@@ -570,18 +579,16 @@ def run_pro_rl(cfg: ExperimentConfig, instance: Optional[Instance] = None) -> Ru
     inst = instance or prepare(cfg)
     if not inst.serves(cfg):
         raise PipelineError("config", "the instance's config differs in more than seed, n and n0")
-    mdp, dd, vc, wc = inst.mdp, inst.dd, inst.vc, inst.wc
+    vc, wc = inst.vc, inst.wc
     with _staged("dataset"):
-        if cfg.dataset["kind"] == "exact_frequency":
-            data = exact_frequency_dataset(mdp, dd, repeats=cfg.dataset.get("repeats", 1))
-            n, split = data.n, lambda n1: split_dataset(data, n1)
-        else:  # counts only: a sampled run holds no per-transition array
-            n, split = cfg.n, lambda n1: inst.sampler.count(cfg.n, cfg.n0, cfg.seed, n1)
-        fit, held = split(n if cfg.bc is None else int(cfg.bc.get("n1", round(0.9 * n))))
-        if cfg.bc is None:
-            held = None
-        elif held.n == 0:
-            raise PipelineError("dataset", "the cloning split is empty; lower n1")
+        fit, held = inst.dataset, None  # an exact-frequency dataset is fitted as it stands
+        if isinstance(fit, DatasetSampler):  # counts only: no per-transition array
+            n1 = cfg.n if cfg.bc is None else int(cfg.bc.get("n1", round(0.9 * cfg.n)))
+            fit, held = fit.count(cfg.n, cfg.n0, cfg.seed, n1)
+            if cfg.bc is None:
+                held = None
+            elif held.n == 0:
+                raise PipelineError("dataset", "the cloning split is empty; lower n1")
     with _staged("saddle"):
         emp = empirical_lagrangian_members(fit, inst.reg, cfg.alpha, vc.stack, wc.stack)
         if cfg.variant["kind"] == "inexact":
@@ -591,17 +598,9 @@ def run_pro_rl(cfg: ExperimentConfig, instance: Optional[Instance] = None) -> Ru
             sol_hat = solve_exact(emp, (vc, wc), w_order=cfg.w_order)
     with _staged("extraction"):
         pi_hat = extract_policy(sol_hat.w_hat, inst.pi_d)
-        if held is not None:
-            pi_bar = clone_policy(sol_hat.w_hat, held, inst.policies)
+        pi_bar = None if held is None else clone_policy(sol_hat.w_hat, held, inst.policies)
     with _staged("evaluation"):
-        extra = {"n_eff": n, "fit": fit}
-        if held is not None:
-            extra.update(
-                n2=held.n,
-                pi_l1_bc=_policy_l1(inst, pi_bar),
-                bc_sample_term=bc_sample_term(wc.b_w, len(inst.policies), cfg.delta, held.n),
-            )
-        return _evaluate(cfg, inst, emp, sol_hat, pi_hat, extra)
+        return _evaluate(cfg, inst, emp, sol_hat, pi_hat, fit, held, pi_bar)
 
 
 def _resolve_policy_class(spec: dict, pi_ref: Policy, num_actions: int) -> PolicyClass:

@@ -11,6 +11,7 @@ a validating value-class builder) are only ever called by tests.
 import numpy as np
 
 from prorl.classes import ValueClass
+from prorl.datasets import OfflineDataset
 from prorl.mdp import Policy
 
 
@@ -242,6 +243,17 @@ def bc_objective(w_hat, data, policies, witnesses):
         diffs = h_pi[:, data.states] - h_at_sa  # (H, n)
         out[i] = (diffs * weights[None, :]).mean(axis=1)
     return out
+
+
+def column_slice(data, start, stop, keep_inits=True):
+    """Transitions [start, stop) of a column dataset, with or without its initial states.
+
+    The reference for the parts ``DatasetSampler.count`` cuts at n1 without columns.
+    """
+    cut = slice(start, stop)
+    return OfflineDataset(data.states[cut], data.actions[cut], data.rewards[cut],
+                          data.next_states[cut], data.init_states if keep_inits else [],
+                          data.gamma)
 
 
 def searchsorted_dataset(mdp, data_mass, n, n0, seed):

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import bc_objective, empirical_lagrangian
+from oracles import bc_objective, column_slice, empirical_lagrangian
 from prorl.classes import PolicyClass, witness_class
-from prorl.datasets import OfflineDataset, exact_frequency_dataset, generate_dataset
+from prorl.datasets import DatasetSampler, OfflineDataset, exact_frequency_dataset
 from prorl.extraction import bc_objective_matrix
 from prorl.mdp import Policy, build_counterexample, random_mdp
 from prorl.objective import empirical_lagrangian_members
@@ -34,7 +34,7 @@ def reference_payoff(data, reg, alpha, vs, ws):
     return np.array([[empirical_lagrangian(data, reg, alpha, v, w) for v in vs] for w in ws])
 
 
-def random_instance(rng, num_states, num_actions, n, n0):
+def random_sampler(rng, num_states, num_actions):
     mdp = random_mdp(num_states, num_actions, float(rng.uniform(0.5, 0.95)),
                      seed=int(rng.integers(1 << 30)))
     mass = rng.dirichlet(np.full(num_states * num_actions, 0.5))
@@ -42,8 +42,12 @@ def random_instance(rng, num_states, num_actions, n, n0):
     if mass.sum() == 0.0:
         mass[0] = 1.0
     dd = (mass / mass.sum()).reshape(num_states, num_actions)
-    data = generate_dataset(mdp, dd, n, n0, seed=int(rng.integers(1 << 30)))
-    return mdp, data
+    return mdp, DatasetSampler(mdp, dd)
+
+
+def random_instance(rng, num_states, num_actions, n, n0):
+    mdp, sampler = random_sampler(rng, num_states, num_actions)
+    return mdp, sampler.draw(n, n0, seed=int(rng.integers(1 << 30)))
 
 
 def members(rng, data, num_states, num_actions, num_v=3, num_w=4):
@@ -63,16 +67,18 @@ def random_policy_class(rng, num_states, num_actions, size):
     ))
 
 
-def check_both_kernels(rng, data, num_states, num_actions, alpha):
+def check_both_kernels(rng, data, num_states, num_actions, alpha, ref=None):
+    """Both kernels on data against the per-sample references on ref's columns (default data)."""
+    ref = data if ref is None else ref
     reg = Regularizer("shifted_quadratic", m_f=float(rng.uniform(0.5, 2.0)), shift=0.3)
     vs, ws = members(rng, data, num_states, num_actions)
     if data.n0 > 0:
         close(empirical_lagrangian_members(data, reg, alpha, vs, ws),
-              reference_payoff(data, reg, alpha, vs, ws))
+              reference_payoff(ref, reg, alpha, vs, ws))
     pc = random_policy_class(rng, num_states, num_actions, int(rng.integers(1, 4)))
     witnesses = witness_class(pc)
     w_hat = np.where(np.isfinite(ws[0]), np.abs(ws[0]), 0.0)
-    close(bc_objective_matrix(w_hat, data, pc), bc_objective(w_hat, data, pc, witnesses))
+    close(bc_objective_matrix(w_hat, data, pc), bc_objective(w_hat, ref, pc, witnesses))
 
 
 class TestMatchesPerSampleReference:
@@ -92,12 +98,16 @@ class TestMatchesPerSampleReference:
 
     @given(n=st.integers(2, 2000), cut=st.floats(0.0, 1.0), seed=st.integers(0, 2**31))
     def test_take_splits(self, n, cut, seed):
+        # the parts of count's bc cut against the same transitions drawn as columns;
         # the held part carries no initial states (n0 = 0): cloning only
         rng = np.random.default_rng(seed)
-        _, data = random_instance(rng, 5, 3, n, 37)
+        _, sampler = random_sampler(rng, 5, 3)
+        data_seed = int(rng.integers(1 << 30))
+        data = sampler.draw(n, 37, data_seed)
         n1 = min(max(1, int(cut * n)), n - 1)
-        for part in (data.take(0, n1), data.take(n1, n, keep_inits=False)):
-            check_both_kernels(rng, part, 5, 3, 0.4)
+        head, tail = sampler.count(n, 37, data_seed, n1)
+        check_both_kernels(rng, head, 5, 3, 0.4, column_slice(data, 0, n1))
+        check_both_kernels(rng, tail, 5, 3, 0.4, column_slice(data, n1, n, keep_inits=False))
 
     @settings(max_examples=10)
     @given(seed=st.integers(0, 2**31))

@@ -4,7 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import searchsorted_dataset
+from oracles import column_slice, searchsorted_dataset
 
 from prorl import datasets
 from prorl.datasets import (
@@ -396,17 +396,19 @@ class TestSerialization:
 
 
 class TestTake:
+    """The bc cut of ``DatasetSampler.count``: transitions [0, n1) and [n1, n) of one draw."""
+
     def test_prefix_and_inits_control(self):
         mdp = random_mdp(3, 2, 0.9, seed=4)
-        data = generate_dataset(mdp, behavior_distribution(mdp), n=20, n0=5, seed=6)
-        head = data.take(0, 15)
-        tail = data.take(15, 20, keep_inits=False)
+        sampler = DatasetSampler(mdp, behavior_distribution(mdp))
+        head, tail = sampler.count(20, 5, 6, n1=15)
         assert head.n == 15 and head.n0 == 5
         assert tail.n == 5 and tail.n0 == 0
-        np.testing.assert_array_equal(
-            np.concatenate([head.states, tail.states]), data.states
-        )
-
+        data = sampler.draw(20, 5, 6)
+        for part, want in ((head, column_slice(data, 0, 15)),
+                           (tail, column_slice(data, 15, 20, keep_inits=False))):
+            for got, expected in zip(part.counts(3, 2), want.counts(3, 2)):
+                np.testing.assert_array_equal(got, expected)
 
 
 class TestZeroMassGuard:
@@ -428,15 +430,6 @@ class TestZeroMassGuard:
         data = self.build([0, 1, 0], [1, 1, 0], self.DD)
         assert data.n == 3
 
-    def test_take_checks_its_transitions_again(self):
-        mass = self.DD.copy()
-        mass[1, 0] = 0.25
-        data = self.build([0, 1, 1, 0], [0, 1, 0, 1], mass)
-        mass[1, 0] = 0.0  # the generating distribution loses the cell after the build
-        assert data.take(0, 2).n == 2
-        with pytest.raises(ValueError, match=r"transition 0 drawn at a zero-probability "
-                                             r"cell \(1, 0\)"):
-            data.take(2, 4)
 
 class TestExactFrequency:
     def test_counterexample_frequencies_are_exact(self):
@@ -463,8 +456,9 @@ class TestExactFrequency:
             exact_frequency_dataset(bundle.mdp, dd)
 
 
-def assert_counts_match_tallies(data, num_states, num_actions):
-    c = data.counts(num_states, num_actions)
+def assert_counts_match_tallies(data, num_states, num_actions, counted=None):
+    """The counts of counted (default data) against per-transition tallies of data's columns."""
+    c = (data if counted is None else counted).counts(num_states, num_actions)
     want = np.zeros((num_states, num_actions, num_states))
     np.add.at(want, (data.states, data.actions, data.next_states), 1)
     np.testing.assert_array_equal(c.transitions, want)
@@ -483,11 +477,15 @@ class TestCounts:
 
     @pytest.mark.parametrize("part", ["whole", "head", "tail", "empty"])
     def test_sampled_counts_match_tallies(self, part):
+        # count's parts against tallies of the same transitions drawn as columns
         mdp, dd = sparse_mdp_and_data(5, 3, 8, 0.3)
-        data = DatasetSampler(mdp, dd).draw(0 if part == "empty" else 900, 40, 3)
-        data = {"head": data.take(0, 600), "tail": data.take(600, 900, keep_inits=False)}.get(
-            part, data)
-        assert_counts_match_tallies(data, 5, 3)
+        sampler, n = DatasetSampler(mdp, dd), 0 if part == "empty" else 900
+        data = sampler.draw(n, 40, 3)
+        head, tail = sampler.count(n, 40, 3, n1=600 if part in ("head", "tail") else n)
+        if part == "tail":
+            assert_counts_match_tallies(column_slice(data, 600, 900, keep_inits=False), 5, 3, tail)
+        else:
+            assert_counts_match_tallies(column_slice(data, 0, head.n), 5, 3, head)
 
     def test_counts_are_memoized_and_read_only(self):
         mdp = random_mdp(3, 2, 0.9, seed=4)
@@ -518,10 +516,12 @@ class TestCounts:
             sampler.count(10, 4, seed=0)
 
     def test_take_halves_add_up(self):
+        # the two parts of count's bc cut add up to the uncut count
         mdp = random_mdp(3, 2, 0.9, seed=4)
-        data = generate_dataset(mdp, behavior_distribution(mdp), n=40, n0=5, seed=6)
-        head, tail = data.take(0, 25).counts(3, 2), data.take(25, 40, keep_inits=False).counts(3, 2)
-        whole = data.counts(3, 2)
+        sampler = DatasetSampler(mdp, behavior_distribution(mdp))
+        head, tail = (part.counts(3, 2) for part in sampler.count(40, 5, 6, n1=25))
+        whole = sampler.count(40, 5, 6)[0].counts(3, 2)
+        np.testing.assert_allclose(head.rewards + tail.rewards, whole.rewards, rtol=1e-14)
         np.testing.assert_array_equal(head.transitions + tail.transitions, whole.transitions)
         np.testing.assert_array_equal(tail.inits, np.zeros(3))
         np.testing.assert_array_equal(head.inits, whole.inits)

@@ -6,12 +6,11 @@ from hypothesis.extra.numpy import arrays
 
 from prorl.classes import PolicyClass, witness_class
 from prorl import extraction
-from prorl.datasets import exact_frequency_dataset, generate_dataset
+from prorl.datasets import DatasetSampler, exact_frequency_dataset, generate_dataset
 from prorl.extraction import (
     bc_objective_matrix,
     clone_policy,
     extract_policy,
-    split_dataset,
 )
 from prorl.mdp import (
     Policy,
@@ -95,33 +94,31 @@ class TestExtractPolicy:
 
 
 class TestSplitDataset:
-    def test_sizes_add_up(self):
+    """The bc cut a cloning run takes: ``DatasetSampler.count(n, n0, seed, n1)``."""
+
+    def sampler(self):
         mdp = random_mdp(3, 2, 0.7, seed=0)
-        dd = exact_occupancy(mdp, uniform_policy(3, 2)).mass
-        data = generate_dataset(mdp, dd, n=100, n0=20, seed=1)
-        d1, d2 = split_dataset(data, 90)
+        return DatasetSampler(mdp, exact_occupancy(mdp, uniform_policy(3, 2)).mass)
+
+    def test_sizes_add_up(self):
+        d1, d2 = self.sampler().count(100, 20, 1, n1=90)
         assert d1.n == 90 and d2.n == 10
         assert d1.n0 == 20 and d2.n0 == 0
-        np.testing.assert_array_equal(
-            np.concatenate([d1.states, d2.states]), data.states
-        )
+        whole = self.sampler().count(100, 20, 1)[0]
+        np.testing.assert_array_equal(d1.law.transitions + d2.law.transitions,
+                                      whole.law.transitions)
 
     def test_degenerate_splits(self):
-        mdp = random_mdp(3, 2, 0.7, seed=0)
-        dd = exact_occupancy(mdp, uniform_policy(3, 2)).mass
-        data = generate_dataset(mdp, dd, n=10, n0=2, seed=1)
-        _, d2 = split_dataset(data, 10)
+        sampler = self.sampler()
+        _, d2 = sampler.count(10, 2, 1, n1=10)
         assert d2.n == 0
-        d1, _ = split_dataset(data, 0)
+        d1, _ = sampler.count(10, 2, 1, n1=0)
         assert d1.n == 0
         with pytest.raises(ValueError, match="n1"):
-            split_dataset(data, 11)
+            sampler.count(10, 2, 1, n1=11)
 
     def test_empty_second_part_fails_cloning(self):
-        mdp = random_mdp(3, 2, 0.7, seed=0)
-        dd = exact_occupancy(mdp, uniform_policy(3, 2)).mass
-        data = generate_dataset(mdp, dd, n=10, n0=2, seed=1)
-        _, d2 = split_dataset(data, 10)
+        _, d2 = self.sampler().count(10, 2, 1, n1=10)
         with pytest.raises(ValueError, match="n=0"):
             clone_policy(np.ones((3, 2)), d2, PolicyClass((uniform_policy(3, 2),)))
 

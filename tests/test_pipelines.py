@@ -8,7 +8,7 @@ import pytest
 
 from prorl import extraction, pipelines
 from prorl.bounds import performance_gap_bound, residual_bound, stat_error
-from prorl.datasets import generate_dataset
+from prorl.datasets import DatasetSampler, exact_frequency_dataset, generate_dataset
 from prorl.mdp import random_mdp
 from prorl.oracle import capped_unregularized_value
 from prorl.pipelines import (
@@ -132,9 +132,11 @@ class TestConfigValidation:
             ({"bc": {"kind": "mixes"}}, "unknown bc kind 'mixes'"),
             ({"dataset": {"kind": "bogus"}}, "unknown dataset kind 'bogus'"),
             ({"classes": "realizable"}, "the classes block must be a dict, not 'realizable'"),
+            ({"dataset": {"kind": "exact_frequency"}, "bc": {"n1": 5}},
+             "the bc cut needs a sampled dataset"),
         ],
         ids=["variant", "variant_inexact", "dataset", "bc_typo", "bc_explicit", "bc_kind",
-             "dataset_kind", "classes_not_a_dict"],
+             "dataset_kind", "classes_not_a_dict", "bc_exact_frequency"],
     )
     def test_blocks_reject_unread_keys_and_kinds(self, over, want):
         with pytest.raises(PipelineError, match=want) as info:
@@ -497,7 +499,8 @@ class TestEachStepOncePerRun:
         "suite, overrides, want",
         [
             ("counterexample", {},
-             {"solve_unregularized": 4, "population_lagrangian_members": 4}),
+             {"solve_unregularized": 4, "population_lagrangian_members": 4,
+              "exact_frequency_dataset": 4}),
             ("constrained_coverage", {"num_seeds": 2, "n": 400},
              {"solve_unregularized": 1, "capped_unregularized_value": 2}),
             ("alpha_zero_strong", {"n_grid": [100, 300], "num_seeds": 2},
@@ -511,8 +514,9 @@ class TestEachStepOncePerRun:
         self, suite, overrides, want, monkeypatch, tmp_path
     ):
         # one call per distinct instance, from prepare (grid points that
-        # differ only in n share one); constrained_coverage adds the
-        # independent capped LP it checks the instance's reference with
+        # differ only in n share one; counterexample's two weight orders make
+        # two instances per MDP); constrained_coverage adds the independent
+        # capped LP it checks the instance's reference with
         counts = self.count_calls(monkeypatch, tuple(want))
         run_experiment_suite(suite, str(tmp_path), **overrides)
         assert dict(counts) == want
@@ -535,6 +539,15 @@ class TestEachStepOncePerRun:
         assert counts["solve_regularized"] == 1 + 1
         assert counts["population_lagrangian_members"] == 1
         assert counts["empirical_lagrangian_members"] == 2 * 3
+
+    def test_exact_frequency_dataset_is_built_once_per_instance(self, monkeypatch):
+        cfg = RUN_VARIANTS["explicit"]()
+        counts = self.count_calls(monkeypatch, ("exact_frequency_dataset",))
+        inst = prepare(cfg)
+        rows = {run_pro_rl(replace(cfg, seed=seed, n=seed + 1), inst).to_row()[2:]
+                for seed in range(3)}
+        assert counts["exact_frequency_dataset"] == 1
+        assert len(rows) == 1  # the same data at every seed and size
 
     def test_cloning_guard_matches_single_driver(self):
         cfg = RUN_VARIANTS["bc"]()
@@ -595,13 +608,17 @@ class TestPrepareOnce:
 
     def test_instance_sampler_draws_what_generate_dataset_draws(self):
         inst = prepare(base_config())
+        assert isinstance(inst.dataset, DatasetSampler)
         for n, n0, seed in ((1500, 300, 0), (40, 7, 12)):
-            got = inst.sampler.draw(n, n0, seed)
+            got = inst.dataset.draw(n, n0, seed)
             want = generate_dataset(inst.mdp, inst.dd, n, n0, seed)
             for name in ("states", "actions", "rewards", "next_states", "init_states"):
                 np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
-        # exact-frequency datasets are built per run, without a sampler
-        assert prepare(RUN_VARIANTS["explicit"]()).sampler is None
+        # an exact-frequency instance holds the dataset itself, free of seed, n and n0
+        exact = prepare(RUN_VARIANTS["explicit"]())
+        want = exact_frequency_dataset(exact.mdp, exact.dd, 1)
+        for name in ("states", "actions", "rewards", "next_states", "init_states"):
+            np.testing.assert_array_equal(getattr(exact.dataset, name), getattr(want, name))
 
     def test_grid_points_that_differ_in_size_share_one_instance(self, tmp_path):
         fx = rate_regularized_fixture()
@@ -649,4 +666,5 @@ class TestInitialStateCount:
                               gamma=gamma)
 
         assert cfg.n0 == 1 and report.n == 18
+        assert report.n0 == 3  # the fitted data's, not the config's
         assert report.eps_stat == eps(3) != eps(1)
