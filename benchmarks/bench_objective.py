@@ -26,7 +26,17 @@ is the work that depends on the class sizes and S, A only, whatever n is:
   (10 states, 3 actions, 31 value and 31 weight members, each class
   stacked once as the pipeline passes it) at n = 1e4, 1e5 and 1e6;
 - ``bc_objective_matrix`` at the bc_scaling suite's size (5 states,
-  3 actions, 41 policies and their witness set, largest held-out n2 = 8000).
+  3 actions, 41 policies and their witness set, largest held-out n2 = 8000);
+- ``clone_policy`` at the same size with the default witness set, as a run
+  clones: past the first round the witness set and every policy's
+  contraction h^pi come from the memo, so each timing is one run's share.
+
+and one whole run:
+
+- ``run_pro_rl`` on a prepared rate_regularized instance at n = n0 = 1e3,
+  warm: the picked member is scored on the first round, so each timing is
+  what a run costs past its instance (counts, one payoff matrix, argmax,
+  score lookups, eps_hat).
 """
 
 import sys
@@ -39,13 +49,16 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from prorl.classes import ValueClass, WeightClass, witness_class  # noqa: E402
 from prorl.datasets import DatasetSampler, generate_dataset  # noqa: E402
-from prorl.extraction import bc_objective_matrix  # noqa: E402
+from prorl.extraction import bc_objective_matrix, clone_policy  # noqa: E402
 from prorl.objective import empirical_lagrangian_members  # noqa: E402
 from prorl.oracle import solve_regularized  # noqa: E402
 from prorl.pipelines import (  # noqa: E402
+    ExperimentConfig,
     _resolve_policy_class,
+    prepare,
     resolve_data_dist,
     resolve_mdp,
+    run_pro_rl,
 )
 from prorl.regularizers import Regularizer  # noqa: E402
 from prorl.suites import bc_fixture, rate_regularized_fixture  # noqa: E402
@@ -101,3 +114,23 @@ def test_bc_objective_bc_scaling(benchmark):
     held = generate_dataset(mdp, dd, 8000, 0, seed=0)
     out = benchmark(bc_objective_matrix, sol.w_star, held, policies, witnesses)
     assert out.shape == (41, len(witnesses))
+
+
+def test_clone_policy_bc_scaling(benchmark):
+    fx = bc_fixture()
+    mdp = resolve_mdp(fx["mdp"])
+    dd, _ = resolve_data_dist(mdp, fx["data_dist"])
+    sol = solve_regularized(mdp, dd, Regularizer.from_config(fx["reg"]), fx["alpha"])
+    policies = _resolve_policy_class(fx["bc"], sol.pi_star, mdp.num_actions)
+    held = generate_dataset(mdp, dd, 8000, 0, seed=0)
+    out = benchmark(clone_policy, sol.w_star, held, policies)
+    assert out in policies.members
+
+
+def test_warm_run_rate_regularized(benchmark):
+    fx = rate_regularized_fixture()
+    cfg = ExperimentConfig(**{k: fx[k] for k in ("mdp", "data_dist", "reg", "alpha", "classes")},
+                           n=1_000, n0=1_000, seed=0)
+    inst = prepare(cfg)
+    report = benchmark(run_pro_rl, cfg, inst)
+    assert report.n == 1_000

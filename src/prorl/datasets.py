@@ -115,21 +115,6 @@ class OfflineDataset:
             for s0 in self.init_states:
                 fh.write(f"{int(s0)}\n")
 
-    @staticmethod
-    def load(transitions_path: str, inits_path: str, gamma: float) -> "OfflineDataset":
-        with open(transitions_path) as fh:
-            rows = [json.loads(line) for line in fh if line.strip()]
-        with open(inits_path) as fh:
-            inits = [int(line) for line in fh if line.strip()]
-        return OfflineDataset(
-            states=[row["s"] for row in rows],
-            actions=[row["a"] for row in rows],
-            rewards=[row["r"] for row in rows],
-            next_states=[row["sp"] for row in rows],
-            init_states=inits,
-            gamma=gamma,
-        )
-
 
 _GUIDE_BUCKETS = 1024  # K, a power of two, so u * K and b / K are exact
 _BLOCK = 16384  # draws per block: 128 KiB temporaries, not n long; smaller blocks cost more calls

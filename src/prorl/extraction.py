@@ -51,35 +51,39 @@ def bc_objective_matrix(
     Entry [i, j] averages w_hat(s, a) * (h_j^{pi_i}(s) - h_j(s, a)) over the
     dataset transitions, where h^pi(s) is the policy's expected witness
     value at s, as a sum over covered cells weighted by the counts N(s, a).
-    The witness set defaults to the policy class's own, memoized by content.
+    The witness set defaults to the policy class's own, memoized by content
+    with every policy's h^pi, so a run contracts nothing.
     """
     if data.n == 0:
         raise ValueError("cloning needs a nonempty dataset (n=0)")
     w_hat = np.asarray(w_hat, dtype=float)
     if witnesses is None:
         probs = np.stack([pi.probs for pi in policies.members])
-        witnesses = _witnesses_of(probs.shape, probs.tobytes())
-    hs = tuple(witnesses)
+        h_stack, h_pis = _witnesses_of(probs.shape, probs.tobytes())
+    else:
+        h_stack, h_pis = _tables(np.stack(tuple(witnesses)), policies.members)
     n_sa = data.counts(*w_hat.shape).transitions.sum(axis=2)
     pos = n_sa > 0
     cell_states = np.nonzero(pos)[0]
     weights = n_sa[pos] * w_hat[pos]  # (m,)
-    h_stack = np.stack(hs)  # (H, S, A)
     h_cells = h_stack[:, pos]  # (H, m)
-    out = np.empty((len(policies), len(hs)))
-    for i, pi in enumerate(policies.members):
-        h_pi = np.einsum("hsa,sa->hs", h_stack, pi.probs)  # (H, S)
-        out[i] = (h_pi[:, cell_states] - h_cells) @ weights / data.n
-    return out
+    # one product per policy: a matmul batched over the policies rounds otherwise
+    return np.stack([(h_pi[:, cell_states] - h_cells) @ weights for h_pi in h_pis]) / data.n
+
+
+def _tables(h_stack: np.ndarray, members) -> tuple:
+    """Witnesses (H, S, A) and each policy's h^pi(s) = sum_a pi(a|s) h(s, a), (P, H, S)."""
+    return h_stack, np.stack([np.einsum("hsa,sa->hs", h_stack, pi.probs) for pi in members])
 
 
 @functools.lru_cache(maxsize=4)
 def _witnesses_of(shape: tuple, probs: bytes) -> tuple:
-    """witness_class of the policies stacked in probs, read-only: callers share it."""
-    witnesses = witness_class(PolicyClass(tuple(map(Policy, np.frombuffer(probs).reshape(shape)))))
-    for h in witnesses:
-        h.flags.writeable = False
-    return witnesses
+    """``_tables`` of the policies stacked in probs and their witness_class, read-only."""
+    members = tuple(map(Policy, np.frombuffer(probs).reshape(shape)))
+    out = _tables(np.stack(witness_class(PolicyClass(members))), members)
+    for array in out:
+        array.flags.writeable = False
+    return out
 
 
 def clone_policy(

@@ -1,18 +1,19 @@
 """End-to-end estimation pipeline driven by JSON-friendly configs.
 
-``prepare`` does what a run's seed and sample sizes do not change, once
-per config: resolve the MDP and data distribution, solve the instance
+``prepare`` does what a run's seed, sizes and weight order do not change,
+once per config: resolve the MDP and data distribution, solve the instance
 exactly for reference quantities, build candidate classes around the exact
 pair, their population payoff matrix, the policy class a cloning run fits
 over and the dataset: the sampler's tables, or the exact-frequency dataset
 itself. ``run_pro_rl`` does the rest at one seed and size: count the offline
-dataset, build the empirical payoff matrix, run the max-min estimator on it,
-extract a policy, and evaluate everything in closed form on the MDP. A config
-with a ``bc`` block also holds out part of its sampled dataset and clones a
-policy from it. Each expensive step runs once per instance, and one payoff
-matrix per run serves both the saddle solver and the evaluation. Every random
-choice is keyed by seeds carried in the config, so a config fully determines
-the report.
+dataset, build the empirical payoff matrix and run the max-min estimator on
+it. The estimate is a weight-class member, so the run reads its scores (the
+extracted policy's return and distance, the weight error) by member index
+from the instance, which scores a member on its first pick. A config with a
+``bc`` block also holds out part of its sampled dataset and clones a policy
+from it. Each expensive step runs once per instance, and one payoff matrix per
+run serves both the saddle solver and the evaluation. Every random choice is
+keyed by seeds carried in the config, so a config fully determines the report.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ _BLOCK_KEYS = {  # the keys each config block reads, per kind
         "explicit": ("kind", "n1", "probs"),
     },
 }
-_RUN_FIELDS = {"n": 1, "n0": 1, "seed": 0}  # set per run; an Instance's config holds these
+_RUN_FIELDS = {"n": 1, "n0": 1, "seed": 0, "w_order": None}  # per run; Instance.config holds these
 _MIX_DIRECTION = re.compile(r"uniform|complement|roll-?\d+")
 # from_dict's cast per field annotation; an empty w_order reads as None
 _CASTS = {"float": float, "int": int, "Optional[tuple]": lambda v: tuple(v or ()) or None}
@@ -357,14 +358,15 @@ def _build_classes(cfg: ExperimentConfig, mdp, dd, reg, exact, w_ref):
 
 @dataclass(frozen=True, eq=False)
 class Instance:
-    """What the runs of one config share at every seed, n and n0; built by ``prepare``.
+    """What the runs of one config share at every seed, n, n0 and w_order; built by ``prepare``.
 
-    config has n, n0 and seed set to ``_RUN_FIELDS``; config_json is its
-    canonical JSON cut around those values. pop is the classes' population
-    payoff matrix, policies the class a run clones over (None without bc) and
-    dataset the sampler a sampled run counts through, or the exact-frequency
-    dataset (and its memoized counts) that every run fits. The reference
-    fields are the exact quantities a run is scored against.
+    config has n, n0, seed and w_order set to ``_RUN_FIELDS``; config_json is
+    its canonical JSON cut around the n, n0 and seed values. pop is the classes'
+    population payoff matrix, policies the class a run clones over (None
+    without bc) and dataset the sampler a sampled run counts through, or the
+    exact-frequency dataset (and its memoized counts) that every run fits. The
+    reference fields are the exact quantities a run is scored against; each
+    weight member is scored against them once, on its first pick.
     """
 
     config: ExperimentConfig
@@ -390,17 +392,30 @@ class Instance:
 
     def __post_init__(self):  # the JSON before n, most of it, is hashed once
         object.__setattr__(self, "_head", hashlib.sha256(self.config_json[0].encode()))
+        object.__setattr__(self, "_scores", {})  # weight member index -> _member_scores
+
+    def _member_scores(self, index: int) -> tuple:
+        """(j_hat, pi_l1, w_dev, w_max) of weight member index, scored on its first pick."""
+        if index not in self._scores:
+            w = self.wc.members[index]
+            pi = extract_policy(w, self.pi_d)
+            self._scores[index] = (policy_return(self.mdp, pi), _policy_l1(self, pi),
+                                   weighted_l2(w, self.w_ref, self.dd), float(np.asarray(w).max()))
+        return self._scores[index]
 
     def serves(self, cfg: ExperimentConfig) -> bool:
-        """Whether cfg differs from the instance's config at most in n, n0 and seed."""
+        """Whether cfg differs from the instance's config at most in n, n0, seed and w_order."""
         return replace(cfg, **_RUN_FIELDS) == self.config
 
     def config_hash(self, cfg: ExperimentConfig) -> str:
-        """cfg.config_hash, with cfg's n, n0 and seed spliced into config_json."""
-        values = (getattr(cfg, key) for key in sorted(_RUN_FIELDS))
+        """cfg.config_hash, with cfg's n, n0 and seed spliced into config_json and its
+        w_order, the last key, appended unless None."""
+        text = "".join((str(v) if type(v) is int else json.dumps(v)) + piece
+                       for v, piece in zip((cfg.n, cfg.n0, cfg.seed), self.config_json[1:]))
+        if cfg.w_order is not None:
+            text = text[:-1] + ',"w_order":' + _canonical_json(cfg.w_order) + "}"
         digest = self._head.copy()
-        digest.update("".join((str(v) if type(v) is int else json.dumps(v)) + piece
-                              for v, piece in zip(values, self.config_json[1:])).encode())
+        digest.update(text.encode())
         return digest.hexdigest()[:12]
 
 
@@ -413,7 +428,7 @@ def _json_pieces(config: ExperimentConfig) -> tuple:
 
 
 def prepare(cfg: ExperimentConfig) -> Instance:
-    """Everything in a run of cfg that its seed, n and n0 do not change.
+    """Everything in a run of cfg that its seed, n, n0 and w_order do not change.
 
     The bc mix directions are checked before any stage runs. When no ratio
     anchor exists at alpha=0 and the config supplies explicit classes, the
@@ -497,17 +512,14 @@ def _policy_l1(inst: Instance, pi: Policy) -> float:
     return float(inst.d_ref_state @ np.abs(inst.pi_ref.probs - pi.probs).sum(axis=1))
 
 
-def _evaluate(cfg, inst: Instance, emp, sol_hat, pi_hat, fit, held, pi_bar):
+def _evaluate(cfg, inst: Instance, emp, sol_hat, scores, fit, held, pi_bar):
     """Score the run in closed form; emp is the payoff matrix the saddle built from fit,
-    pi_bar the policy cloned from held (both None without bc)."""
+    scores the picked member's, pi_bar the policy cloned from held (None without bc)."""
     mdp, reg = inst.mdp, inst.reg
     n2 = None if held is None else held.n
-    j_hat = policy_return(mdp, pi_hat)
-    pi_l1 = _policy_l1(inst, pi_hat)
-    w_dev = weighted_l2(sol_hat.w_hat, inst.w_ref, inst.dd)
+    j_hat, pi_l1, w_dev, w_max = scores
     eps_hat = float(np.abs(emp - inst.pop).max())
-    b_w = inst.wc.b_w
-    b_v = inst.vc.b_v
+    b_w, b_v = inst.wc.b_w, inst.vc.b_v
     eps_stat = stat_error(fit.n, fit.n0, cfg.alpha, b_w, reg.bounds(b_w)[0], b_v,
                           residual_bound(b_v, mdp.gamma), (len(inst.vc), len(inst.wc)),
                           cfg.delta, gamma=mdp.gamma)
@@ -516,9 +528,8 @@ def _evaluate(cfg, inst: Instance, emp, sol_hat, pi_hat, fit, held, pi_bar):
         rhs_realized = performance_gap_bound(eps_hat, cfg.alpha, reg.m_f, mdp.gamma)
     else:
         rhs_perf_bound = rhs_realized = float("inf")
-    rhs_capped = None
-    if cfg.variant["kind"] == "capped":
-        rhs_capped = 2.0 * cfg.alpha * reg.bounds(b_w)[0] + rhs_realized
+    rhs_capped = (2.0 * cfg.alpha * reg.bounds(b_w)[0] + rhs_realized
+                  if cfg.variant["kind"] == "capped" else None)
     return RunReport(
         config_hash=inst.config_hash(cfg),
         seed=cfg.seed,
@@ -548,7 +559,7 @@ def _evaluate(cfg, inst: Instance, emp, sol_hat, pi_hat, fit, held, pi_bar):
         eps_ow=sol_hat.eps_ow,
         w_index=sol_hat.w_index,
         v_index=sol_hat.v_index,
-        w_max=float(np.asarray(sol_hat.w_hat).max()),
+        w_max=w_max,
         b_v=b_v,
         b_w=b_w,
         kkt_residual=inst.kkt_residual,
@@ -570,7 +581,7 @@ def run_pro_rl(cfg: ExperimentConfig, instance: Optional[Instance] = None) -> Ru
     """Run the estimator once, end to end, and score it.
 
     instance is ``prepare`` of a config that differs from cfg at most in
-    its seed, n and n0; without one the run prepares its own. With cfg.bc set, the
+    its seed, n, n0 and w_order; without one the run prepares its own. With cfg.bc set, the
     sampled dataset splits into a fitting part and a cloning part: the estimator
     runs on the first, the witnessed-disagreement cloner on the second, and
     the report carries both the direct-extraction distance and the cloned
@@ -597,10 +608,10 @@ def run_pro_rl(cfg: ExperimentConfig, instance: Optional[Instance] = None) -> Ru
         else:
             sol_hat = solve_exact(emp, (vc, wc), w_order=cfg.w_order)
     with _staged("extraction"):
-        pi_hat = extract_policy(sol_hat.w_hat, inst.pi_d)
+        scores = inst._member_scores(sol_hat.w_index)
         pi_bar = None if held is None else clone_policy(sol_hat.w_hat, held, inst.policies)
     with _staged("evaluation"):
-        return _evaluate(cfg, inst, emp, sol_hat, pi_hat, fit, held, pi_bar)
+        return _evaluate(cfg, inst, emp, sol_hat, scores, fit, held, pi_bar)
 
 
 def _resolve_policy_class(spec: dict, pi_ref: Policy, num_actions: int) -> PolicyClass:

@@ -367,10 +367,10 @@ def _sweep(out_dir: str, seed: int, num_seeds: int, base: dict, points: dict):
 
     Point ``label`` runs ``ExperimentConfig(**base, **points[label],
     seed=seed + s)`` for each s < num_seeds, a bc config through
-    ``run_pro_rl_bc``; points that differ only in n and n0 share one instance.
-    Points run in ascending label order, so the order of a grid in the
-    overrides never reaches the artifacts. Returns {label: reports} in that
-    order and {label: instance}, for the suites' seed-free references.
+    ``run_pro_rl_bc``; points that differ only in n, n0 and w_order share one
+    instance. Points run in ascending label order, so the order of a grid in
+    the overrides never reaches the artifacts. Returns {label: reports} in
+    that order and {label: instance}, for the suites' seed-free references.
 
     Both drivers are read as module globals on every run, so a harness that
     rebinds them in this module sees each run.
@@ -407,7 +407,7 @@ def _suite_counterexample(out_dir: str, seed: int, gamma: float = 0.5) -> dict:
     per_instance = {}
     for instance, fx in fixtures.items():
         bundle = fx["bundle"]
-        inst = instances[instance, "friendly"]  # both orders share the instance
+        inst = instances[instance, "friendly"]  # both orders share it: w_order is a run field
         tie_gap = float(abs(inst.pop[0, 0] - inst.pop[1, 0]))
         j_star = inst.j_star_zero
         pi_right = extract_policy(bundle.w_right, fx["pi_d"])

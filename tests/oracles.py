@@ -5,8 +5,11 @@ different route (simulation, power iteration, grid search, brute-force
 enumeration). Tests compare package output against these, so none of them may
 import package internals beyond the plain data containers. The small helpers
 at the end (a regularizer derivative, point-mass policies, policy values and
-a validating value-class builder) are only ever called by tests.
+a validating value-class builder) and the JSONL dataset reader are only ever
+called by tests.
 """
+
+import json
 
 import numpy as np
 
@@ -254,6 +257,22 @@ def column_slice(data, start, stop, keep_inits=True):
     return OfflineDataset(data.states[cut], data.actions[cut], data.rewards[cut],
                           data.next_states[cut], data.init_states if keep_inits else [],
                           data.gamma)
+
+
+def load_dataset(transitions_path, inits_path, gamma):
+    """Read back the JSONL transitions and initial states ``OfflineDataset.save`` writes."""
+    with open(transitions_path) as fh:
+        rows = [json.loads(line) for line in fh if line.strip()]
+    with open(inits_path) as fh:
+        inits = [int(line) for line in fh if line.strip()]
+    return OfflineDataset(
+        states=[row["s"] for row in rows],
+        actions=[row["a"] for row in rows],
+        rewards=[row["r"] for row in rows],
+        next_states=[row["sp"] for row in rows],
+        init_states=inits,
+        gamma=gamma,
+    )
 
 
 def searchsorted_dataset(mdp, data_mass, n, n0, seed):

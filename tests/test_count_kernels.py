@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import bc_objective, column_slice, empirical_lagrangian
+from oracles import bc_objective, column_slice, empirical_lagrangian, load_dataset
 from prorl.classes import PolicyClass, witness_class
 from prorl.datasets import DatasetSampler, OfflineDataset, exact_frequency_dataset
 from prorl.extraction import bc_objective_matrix
@@ -121,7 +121,7 @@ class TestMatchesPerSampleReference:
         with tempfile.TemporaryDirectory() as tmp:
             t_path, i_path = str(Path(tmp) / "t.jsonl"), str(Path(tmp) / "i.txt")
             noisy.save(t_path, i_path)
-            loaded = OfflineDataset.load(t_path, i_path, gamma=mdp.gamma)
+            loaded = load_dataset(t_path, i_path, gamma=mdp.gamma)
         reg = Regularizer()
         vs, ws = members(rng, loaded, 4, 2)
         got = empirical_lagrangian_members(loaded, reg, 0.2, vs, ws)

@@ -4,7 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import column_slice, searchsorted_dataset
+from oracles import column_slice, load_dataset, searchsorted_dataset
 
 from prorl import datasets
 from prorl.datasets import (
@@ -387,7 +387,7 @@ class TestSerialization:
         data = generate_dataset(mdp, behavior_distribution(mdp), n=50, n0=7, seed=5)
         t_path, i_path = str(tmp_path / "t.jsonl"), str(tmp_path / "i.txt")
         data.save(t_path, i_path)
-        back = OfflineDataset.load(t_path, i_path, gamma=mdp.gamma)
+        back = load_dataset(t_path, i_path, gamma=mdp.gamma)
         np.testing.assert_array_equal(back.states, data.states)
         np.testing.assert_array_equal(back.actions, data.actions)
         np.testing.assert_array_equal(back.rewards, data.rewards)

@@ -184,9 +184,14 @@ class TestClonePolicy:
         info = extraction._witnesses_of.cache_info()
         assert (info.misses, info.hits) == (1, 1)
         probs = np.stack([pi.probs for pi in pc.members])
-        memo = extraction._witnesses_of(probs.shape, probs.tobytes())
+        h_stack, h_pis = extraction._witnesses_of(probs.shape, probs.tobytes())
         fresh = witness_class(pc)
-        assert len(memo) == len(fresh)
-        for h_memo, h_fresh in zip(memo, fresh):
+        assert len(h_stack) == len(fresh)
+        for h_memo, h_fresh in zip(h_stack, fresh):
             np.testing.assert_array_equal(h_memo, h_fresh)
-            assert not h_memo.flags.writeable
+        # the contraction h^pi of every policy, bit for bit as a per-policy einsum
+        assert h_pis.shape == (len(pc), len(fresh), 4)
+        for h_pi, pi in zip(h_pis, pc.members):
+            want = np.einsum("hsa,sa->hs", np.stack(fresh), pi.probs)
+            assert h_pi.tobytes() == want.tobytes()
+        assert not h_stack.flags.writeable and not h_pis.flags.writeable

@@ -9,7 +9,9 @@ import pytest
 from prorl import extraction, pipelines
 from prorl.bounds import performance_gap_bound, residual_bound, stat_error
 from prorl.datasets import DatasetSampler, exact_frequency_dataset, generate_dataset
-from prorl.mdp import random_mdp
+from prorl.extraction import extract_policy
+from prorl.mdp import policy_return, random_mdp
+from prorl.objective import weighted_l2
 from prorl.oracle import capped_unregularized_value
 from prorl.pipelines import (
     CSV_HEADER,
@@ -25,6 +27,7 @@ from prorl.pipelines import (
 from prorl.regularizers import Regularizer
 from prorl.suites import (
     _sweep,
+    bc_fixture,
     capped_fixture,
     counterexample_fixture,
     rate_regularized_fixture,
@@ -499,8 +502,8 @@ class TestEachStepOncePerRun:
         "suite, overrides, want",
         [
             ("counterexample", {},
-             {"solve_unregularized": 4, "population_lagrangian_members": 4,
-              "exact_frequency_dataset": 4}),
+             {"solve_unregularized": 2, "population_lagrangian_members": 2,
+              "exact_frequency_dataset": 2}),
             ("constrained_coverage", {"num_seeds": 2, "n": 400},
              {"solve_unregularized": 1, "capped_unregularized_value": 2}),
             ("alpha_zero_strong", {"n_grid": [100, 300], "num_seeds": 2},
@@ -514,9 +517,9 @@ class TestEachStepOncePerRun:
         self, suite, overrides, want, monkeypatch, tmp_path
     ):
         # one call per distinct instance, from prepare (grid points that
-        # differ only in n share one; counterexample's two weight orders make
-        # two instances per MDP); constrained_coverage adds the independent
-        # capped LP it checks the instance's reference with
+        # differ only in n, or in counterexample's weight order, share one);
+        # constrained_coverage adds the independent capped LP it checks the
+        # instance's reference with
         counts = self.count_calls(monkeypatch, tuple(want))
         run_experiment_suite(suite, str(tmp_path), **overrides)
         assert dict(counts) == want
@@ -600,6 +603,15 @@ class TestPrepareOnce:
         inst = prepare(replace(cfg, seed=3, n=cfg.n + 1, n0=cfg.n0 + 1))
         assert inst.config_hash(cfg) == cfg.config_hash == RUN_VARIANT_HASHES[variant]
 
+    @pytest.mark.parametrize("w_order", [None, (1, 0)], ids=["unset", "set"])
+    def test_spliced_hash_matches_with_and_without_w_order(self, w_order):
+        # w_order is a run field: an instance prepared at the other order serves cfg
+        cfg = replace(RUN_VARIANTS["explicit"](), w_order=w_order)
+        inst = prepare(replace(cfg, seed=4, w_order=(1, 0) if w_order is None else None))
+        assert inst.serves(cfg)
+        assert inst.config_hash(cfg) == cfg.config_hash
+        assert run_pro_rl(cfg, inst).to_row() == run_pro_rl(cfg).to_row()
+
     def test_spliced_hash_matches_for_values_that_are_not_ints(self):
         inst = prepare(base_config())
         for over in ({"n": 1500.0}, {"n0": 2.5}, {"seed": True}, {"seed": -3}):
@@ -642,6 +654,68 @@ class TestPrepareOnce:
         tracemalloc.stop()
         assert peak < 2 * 2**20  # one column of 1e6 int64 alone is 7.6 MiB
         assert report.n == 1_000_000 and report.n2 == (None if cfg.bc is None else 400_000)
+
+
+def _suite_config(name):
+    """One run's config of the rate_regularized, bc_scaling or counterexample suite."""
+    if name == "counterexample":
+        fx = counterexample_fixture()
+        return ExperimentConfig(**{k: fx[k] for k in ("mdp", "data_dist", "reg", "classes")},
+                                alpha=0.0, n=6, n0=1, seed=0, variant={"kind": "alpha_zero"},
+                                dataset={"kind": "exact_frequency", "repeats": 1})
+    fx = rate_regularized_fixture() if name == "rate_regularized" else bc_fixture(4000)
+    keys = ("mdp", "data_dist", "reg", "alpha", "classes") + (("bc",) if "bc" in fx else ())
+    return ExperimentConfig(**{k: fx[k] for k in keys}, n=4300, n0=2000, seed=0)
+
+
+class TestMemberScores:
+    """A run reads its weight member's scores from the instance, which scores each member once."""
+
+    @pytest.mark.parametrize("suite", ["rate_regularized", "bc_scaling", "counterexample"])
+    def test_memoized_scores_equal_the_direct_ones(self, suite):
+        inst = prepare(_suite_config(suite))
+        for index, w in enumerate(inst.wc.members):
+            pi = extract_policy(w, inst.pi_d)
+            want = (policy_return(inst.mdp, pi), pipelines._policy_l1(inst, pi),
+                    weighted_l2(w, inst.w_ref, inst.dd), float(np.asarray(w).max()))
+            for _ in range(2):  # scored on the first read, memoized on the second
+                got = inst._member_scores(index)
+                assert [x.hex() for x in got] == [x.hex() for x in want]  # bit for bit
+
+    @pytest.mark.parametrize("variant", ["realizable", "inexact", "bc"])
+    def test_a_run_on_a_scored_member_extracts_nothing(self, variant, monkeypatch):
+        cfg = RUN_VARIANTS[variant]()
+        inst = prepare(cfg)
+        first = run_pro_rl(cfg, inst)
+        counts = TestEachStepOncePerRun().count_calls(
+            monkeypatch, ("extract_policy", "policy_return"))
+        contractions = []
+        einsum = np.einsum
+
+        def counted_einsum(subscripts, *operands, **kwargs):
+            if subscripts == "hsa,sa->hs":  # a policy's witness contraction h^pi
+                contractions.append(subscripts)
+            return einsum(subscripts, *operands, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counted_einsum)
+        assert run_pro_rl(cfg, inst).to_row() == first.to_row()
+        assert dict(counts) == {} and contractions == []
+
+    @pytest.mark.parametrize(
+        "suite, overrides",
+        [("rate_regularized", {"n_grid": [100, 300], "num_seeds": 4}),
+         ("bc_scaling", {"n2_grid": [300, 600], "num_seeds": 3, "n1": 4000})],
+        ids=["rate_regularized", "bc_scaling"],
+    )
+    def test_suite_scores_each_picked_member_once(self, suite, overrides, monkeypatch, tmp_path):
+        # each suite has one instance, so every distinct pick is scored once
+        counts = TestEachStepOncePerRun().count_calls(monkeypatch, ("policy_return",))
+        run_experiment_suite(suite, str(tmp_path), **overrides)
+        rows = (tmp_path / "rows.csv").read_text().splitlines()
+        column = rows[0].split(",").index("w_index")
+        picks = {row.split(",")[column] for row in rows[1:]}
+        assert len(rows) - 1 > len(picks) >= 1  # some runs pick a member already scored
+        assert counts["policy_return"] <= len(picks)
 
 
 class TestInitialStateCount:
