@@ -7,7 +7,10 @@ Run from the root of a checkout:
 Runs all eight suites one after another in this process, at base seed
 ``--seed`` and their default grids, into a temporary directory, and prints
 one JSON line mapping ``<suite>/rows.csv`` and ``<suite>/summary.json`` to
-the sha256 of the file's bytes. rows.csv and summary.json are
+the sha256 of the file's bytes. It then runs them all again in the same
+process, where every instance comes from the process's registry of prepared
+instances, and exits with status 1, naming the artifacts, if a warm digest
+differs from the cold one. rows.csv and summary.json are
 byte-deterministic for a given seed on one host, so running this at two
 commits shows whether a change moved any artifact byte. The last bits of
 BLAS results can differ between hosts, so compare digests taken on the
@@ -47,7 +50,11 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0, help="base seed of every suite")
     args = parser.parse_args(argv)
-    print(json.dumps(digests(args.seed), sort_keys=True))
+    cold = digests(args.seed)
+    print(json.dumps(cold, sort_keys=True))
+    moved = sorted(key for key, digest in digests(args.seed).items() if cold[key] != digest)
+    if moved:
+        sys.exit(f"warm runs changed {len(moved)} artifacts: {', '.join(moved)}")
 
 
 if __name__ == "__main__":

@@ -148,6 +148,8 @@ class _GuideTable:
         # entry j lies in bucket ceil(cum_j K) - 1
         at = (edges[:, 1:-1] + np.arange(num_rows)[:, None] * k - 1)[edges[:, 1:-1] > 0]
         self.packed[at] = ~self.packed[at]
+        for array in (self.cum, self.packed):  # a sampler is built once and draws many
+            array.flags.writeable = False
 
     def lookup(self, draws: np.ndarray, rows=None) -> np.ndarray:
         """The index of each draw in its row (row 0 if rows is None)."""
@@ -288,6 +290,8 @@ def exact_frequency_dataset(mdp: TabularMdp, data_dist, repeats: int = 1) -> Off
         raise ValueError("initial distribution is stochastic; cannot be exact")
     cells = np.repeat(np.arange(counts.size), counts)
     states, actions = np.divmod(cells, mdp.num_actions)
-    return OfflineDataset(states, actions, mdp.reward.ravel()[cells], rows.argmax(axis=1)[cells],
-                          np.full(max(1, repeats), int(mdp.init_dist.argmax())), mdp.gamma,
-                          Occupancy(dd))
+    columns = (states, actions, mdp.reward.ravel()[cells], rows.argmax(axis=1)[cells],
+               np.full(max(1, repeats), int(mdp.init_dist.argmax())))
+    for column in columns:  # read-only, like the counts memoized from them
+        column.flags.writeable = False
+    return OfflineDataset(*columns, mdp.gamma, Occupancy(dd))

@@ -1,11 +1,12 @@
 """End-to-end estimation pipeline driven by JSON-friendly configs.
 
-``prepare`` does what a run's seed, sizes and weight order do not change,
-once per config: resolve the MDP and data distribution, solve the instance
-exactly for reference quantities, build candidate classes around the exact
-pair, their population payoff matrix, the policy class a cloning run fits
-over and the dataset: the sampler's tables, or the exact-frequency dataset
-itself. ``run_pro_rl`` does the rest at one seed and size: count the offline
+``prepare`` does what a run's seed, sizes and weight order do not change:
+resolve the MDP and data distribution, solve the instance exactly for
+reference quantities, build candidate classes around the exact pair, their
+population payoff matrix, the policy class a cloning run fits over and the
+dataset: the sampler's tables, or the exact-frequency dataset itself, once per
+process, keeping the most recently used instances, read-only, for later calls.
+``run_pro_rl`` does the rest at one seed and size: count the offline
 dataset, build the empirical payoff matrix and run the max-min estimator on
 it. The estimate is a weight-class member, so the run reads its scores (the
 extracted policy's return and distance, the weight error) by member index
@@ -21,7 +22,9 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import pickle
 import re
+from collections import OrderedDict
 from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Optional
 
@@ -358,7 +361,8 @@ def _build_classes(cfg: ExperimentConfig, mdp, dd, reg, exact, w_ref):
 
 @dataclass(frozen=True, eq=False)
 class Instance:
-    """What the runs of one config share at every seed, n, n0 and w_order; built by ``prepare``.
+    """What the runs of one config share at every seed, n, n0 and w_order; built by ``prepare``,
+    whose registry hands it to every later call in the process, so its arrays are read-only.
 
     config has n, n0, seed and w_order set to ``_RUN_FIELDS``; config_json is
     its canonical JSON cut around the n, n0 and seed values. pop is the classes'
@@ -427,13 +431,36 @@ def _json_pieces(config: ExperimentConfig) -> tuple:
             "," + part("seed", "~") + "}")
 
 
+_REGISTRY_SIZE = 32  # all 15 instances of `pro-rl experiment --suite all` take about 2.6 MiB
+_registry: "OrderedDict[bytes, Instance]" = OrderedDict()  # least recently used first
+
+
 def prepare(cfg: ExperimentConfig) -> Instance:
     """Everything in a run of cfg that its seed, n, n0 and w_order do not change.
 
-    The bc mix directions are checked before any stage runs. When no ratio
-    anchor exists at alpha=0 and the config supplies explicit classes, the
-    target weight is weight-class member 0.
+    Built once per process: an earlier call's instance is returned when its
+    config, but for those run fields, pickles to the same bytes as cfg's. So
+    equal values of another type do not share one (8 == 8.0, but they hash
+    apart, and a run's hash splices in the instance's JSON); the pickle costs
+    a small fraction of that JSON. The ``_REGISTRY_SIZE`` most recently used
+    are kept, and their arrays are read-only. The bc mix directions are
+    checked before any stage runs. When no ratio anchor exists at alpha=0 and
+    the config supplies explicit classes, the target weight is weight-class
+    member 0.
     """
+    config = replace(cfg, **_RUN_FIELDS)
+    key = pickle.dumps(config)
+    inst = _registry.pop(key, None)  # each step is one dict call: a race at worst builds twice
+    if inst is None:
+        inst = _build(cfg, config)
+    _registry[key] = inst
+    if len(_registry) > _REGISTRY_SIZE:
+        _registry.popitem(last=False)
+    return inst
+
+
+def _build(cfg: ExperimentConfig, config: ExperimentConfig) -> Instance:
+    """``prepare``'s instance, built anew; config is cfg less its run fields."""
     for name in (cfg.bc or {}).get("directions", ()):
         if not _MIX_DIRECTION.fullmatch(str(name)):
             raise PipelineError("config", f"unknown mix direction {name!r}")
@@ -457,7 +484,11 @@ def prepare(cfg: ExperimentConfig) -> Instance:
     with _staged("dataset"):
         dataset = (DatasetSampler(mdp, dd) if cfg.dataset["kind"] == "sampled"
                    else exact_frequency_dataset(mdp, dd, cfg.dataset.get("repeats", 1)))
-    config = replace(cfg, **_RUN_FIELDS)
+    more = ((wc.floor[1],) if wc.floor else ()) + (policies.members if policies else ())
+    for array in (mdp.transition, mdp.reward, mdp.init_dist, dd, pi_d.probs, pop, refs["w_ref"],
+                  refs["pi_ref"].probs, refs["d_ref_state"], *vc.members, *wc.members,
+                  *(pi.probs for pi in more)):  # and the floor's and cloning class's policies
+        array.flags.writeable = False
     return Instance(config, _json_pieces(config), mdp, dd, pi_d, reg,
                     vc, wc, eps_rv, eps_rw, pop, policies, dataset, **refs)
 
@@ -581,11 +612,13 @@ def run_pro_rl(cfg: ExperimentConfig, instance: Optional[Instance] = None) -> Ru
     """Run the estimator once, end to end, and score it.
 
     instance is ``prepare`` of a config that differs from cfg at most in
-    its seed, n, n0 and w_order; without one the run prepares its own. With cfg.bc set, the
+    its seed, n, n0 and w_order; without one the run takes ``prepare(cfg)``,
+    which the process builds once and keeps (bounded) for later runs. With cfg.bc set, the
     sampled dataset splits into a fitting part and a cloning part: the estimator
     runs on the first, the witnessed-disagreement cloner on the second, and
     the report carries both the direct-extraction distance and the cloned
-    one, so paired comparisons need a single run.
+    one, so paired comparisons need a single run. An exact-frequency run's n
+    and n0 must be those of its data, which the config hash reads.
     """
     inst = instance or prepare(cfg)
     if not inst.serves(cfg):
@@ -600,6 +633,9 @@ def run_pro_rl(cfg: ExperimentConfig, instance: Optional[Instance] = None) -> Ru
                 held = None
             elif held.n == 0:
                 raise PipelineError("dataset", "the cloning split is empty; lower n1")
+        elif (cfg.n, cfg.n0) != (fit.n, fit.n0):
+            raise PipelineError("config", f"the exact-frequency data has n={fit.n} and "
+                                          f"n0={fit.n0}, not n={cfg.n} and n0={cfg.n0}")
     with _staged("saddle"):
         emp = empirical_lagrangian_members(fit, inst.reg, cfg.alpha, vc.stack, wc.stack)
         if cfg.variant["kind"] == "inexact":

@@ -367,10 +367,11 @@ def _sweep(out_dir: str, seed: int, num_seeds: int, base: dict, points: dict):
 
     Point ``label`` runs ``ExperimentConfig(**base, **points[label],
     seed=seed + s)`` for each s < num_seeds, a bc config through
-    ``run_pro_rl_bc``; points that differ only in n, n0 and w_order share one
-    instance. Points run in ascending label order, so the order of a grid in
-    the overrides never reaches the artifacts. Returns {label: reports} in
-    that order and {label: instance}, for the suites' seed-free references.
+    ``run_pro_rl_bc``, on ``prepare`` of its first config, so points that
+    differ only in n, n0 and w_order share one instance. Points run in
+    ascending label order, so the order of a grid in the overrides never
+    reaches the artifacts. Returns {label: reports} in that order and
+    {label: instance}, for the suites' seed-free references.
 
     Both drivers are read as module globals on every run, so a harness that
     rebinds them in this module sees each run.
@@ -378,8 +379,7 @@ def _sweep(out_dir: str, seed: int, num_seeds: int, base: dict, points: dict):
     batches, instances = {}, {}
     for label in sorted(points):
         cfgs = [ExperimentConfig(**base, **points[label], seed=seed + s) for s in range(num_seeds)]
-        shared = (i for i in instances.values() if i.serves(cfgs[0]))
-        inst = instances[label] = next(shared, None) or prepare(cfgs[0])
+        inst = instances[label] = prepare(cfgs[0])
         batches[label] = [(run_pro_rl if c.bc is None else run_pro_rl_bc)(c, inst) for c in cfgs]
     ordered = sorted((r for batch in batches.values() for r in batch), key=_report_sort_key)
     _write_rows(os.path.join(out_dir, "rows.csv"), CSV_HEADER, [r.to_row() for r in ordered])

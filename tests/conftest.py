@@ -1,7 +1,10 @@
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, settings
+
+from prorl import pipelines
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -13,3 +16,9 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
+
+
+@pytest.fixture(autouse=True)
+def cold_instances():
+    """Each test starts with no prepared instance, so its counts do not depend on test order."""
+    pipelines._registry.clear()

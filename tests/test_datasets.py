@@ -511,7 +511,9 @@ class TestCounts:
         dd = np.zeros((3, 2))
         dd[2, 1] = 1.0  # every transition at the last cell, whose row ends the table
         sampler = DatasetSampler(random_mdp(3, 2, 0.9, seed=4), dd)
-        getattr(sampler, table).packed[-K:] = 3
+        guide = getattr(sampler, table)
+        guide.packed = guide.packed.copy()  # the sampler's own tables are read-only
+        guide.packed[-K:] = 3
         with pytest.raises(ValueError, match="outside the tables"):
             sampler.count(10, 4, seed=0)
 

@@ -26,6 +26,7 @@ from prorl.pipelines import (
 )
 from prorl.regularizers import Regularizer
 from prorl.suites import (
+    SUITE_NAMES,
     _sweep,
     bc_fixture,
     capped_fixture,
@@ -319,8 +320,8 @@ class TestRunProRl:
             data_dist=fx["data_dist"],
             reg=fx["reg"],
             alpha=0.0,
-            n=6,
-            n0=1,
+            n=12,
+            n0=2,
             seed=0,
             classes=fx["classes"],
             variant={"kind": "alpha_zero"},
@@ -329,6 +330,17 @@ class TestRunProRl:
         report = run_pro_rl(cfg)
         assert report.n == 12  # two repeats of the six covered cells
         assert report.eps_hat < 1e-12
+
+
+    def test_exact_frequency_run_must_name_its_datas_sizes(self):
+        # the config hash reads n and n0, so they must be the data's: 6 cells, 1 initial state
+        cfg = _counterexample_config(0.3, {"kind": "plain"})
+        report = run_pro_rl(cfg)
+        assert (report.n, report.n0) == (6, 1)
+        for over in ({"n": 7}, {"n0": 2}, {"n": 12, "n0": 2}):
+            with pytest.raises(PipelineError, match="data has n=6 and n0=1") as info:
+                run_pro_rl(replace(cfg, **over))
+            assert info.value.stage == "config"
 
 
 class TestStaged:
@@ -547,10 +559,9 @@ class TestEachStepOncePerRun:
         cfg = RUN_VARIANTS["explicit"]()
         counts = self.count_calls(monkeypatch, ("exact_frequency_dataset",))
         inst = prepare(cfg)
-        rows = {run_pro_rl(replace(cfg, seed=seed, n=seed + 1), inst).to_row()[2:]
-                for seed in range(3)}
+        rows = {run_pro_rl(replace(cfg, seed=seed), inst).to_row()[2:] for seed in range(3)}
         assert counts["exact_frequency_dataset"] == 1
-        assert len(rows) == 1  # the same data at every seed and size
+        assert len(rows) == 1  # the same data at every seed
 
     def test_cloning_guard_matches_single_driver(self):
         cfg = RUN_VARIANTS["bc"]()
@@ -727,7 +738,7 @@ class TestInitialStateCount:
         assert replace(_counterexample_config(0.3, {"kind": "plain"}), n0=0).n0 == 0
 
     def test_stat_error_reads_the_fitted_datasets_initial_states(self):
-        cfg = replace(_counterexample_config(0.3, {"kind": "plain"}),
+        cfg = replace(_counterexample_config(0.3, {"kind": "plain"}), n=18, n0=3,
                       dataset={"kind": "exact_frequency", "repeats": 3})
         report = run_pro_rl(cfg)
         reg = Regularizer.from_config(cfg.reg)
@@ -739,6 +750,108 @@ class TestInitialStateCount:
                               report.b_v, residual_bound(report.b_v, gamma), sizes, cfg.delta,
                               gamma=gamma)
 
-        assert cfg.n0 == 1 and report.n == 18
-        assert report.n0 == 3  # the fitted data's, not the config's
+        assert report.n == 18 and report.n0 == 3  # the fitted data's, which the config names
         assert report.eps_stat == eps(3) != eps(1)
+
+
+def _arrays(obj, seen):
+    """Every ndarray reachable from obj through attributes, tuples, lists and dict values."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _arrays(item, seen)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            yield from _arrays(item, seen)
+    elif hasattr(obj, "__dict__"):
+        yield from _arrays(vars(obj), seen)
+
+
+class TestInstanceRegistry:
+    """prepare() builds each seed-free instance once per process and keeps the most recent."""
+
+    GRIDS = {  # every suite, at grids small enough for Tier-1
+        "counterexample": {},
+        "rate_regularized": {"n_grid": [100, 300], "num_seeds": 2},
+        "rate_unregularized": {"n_grid": [500, 1000], "num_seeds": 2},
+        "lp_stability": {"alpha_grid": [0.2, 0.1, 0.05]},
+        "constrained_coverage": {"num_seeds": 2, "n": 800},
+        "alpha_zero_strong": {"n_grid": [200, 400], "num_seeds": 2},
+        "bc_scaling": {"n2_grid": [300, 600], "num_seeds": 2, "n1": 4000},
+        "robustness": {"perturbations": [0.0, 0.1], "oracle_errors": [0.0, 0.02], "num_seeds": 1},
+    }
+    # each suite's own seed-free solve outside its instances, repeated on every call
+    OWN_SOLVES = {"rate_regularized": {"solve_regularized": 1},  # its fixture's
+                  "rate_unregularized": {"solve_unregularized": 1}}  # b_w0, which picks alpha
+
+    def test_every_suite_is_covered(self):
+        assert set(self.GRIDS) == set(SUITE_NAMES)
+
+    @pytest.mark.parametrize("variant", sorted(RUN_VARIANTS))
+    def test_every_array_an_instance_holds_is_read_only(self, variant):
+        cfg = RUN_VARIANTS[variant]()
+        inst = prepare(cfg)
+        run_pro_rl(cfg)  # fills the memoized scores and counts too
+        arrays = list(_arrays(inst, set()))
+        named = (inst.dd, inst.pop, inst.w_ref, inst.d_ref_state, inst.pi_ref.probs,
+                 inst.pi_d.probs, inst.mdp.reward, inst.wc.members[0], inst.vc.stack)
+        assert {id(a) for a in named} <= {id(a) for a in arrays}
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+    @pytest.mark.parametrize("suite", sorted(set(GRIDS) - {"counterexample", "lp_stability"}))
+    def test_a_second_call_at_another_seed_prepares_nothing(self, suite, monkeypatch, tmp_path):
+        run_experiment_suite(suite, str(tmp_path / "first"), seed=0, **self.GRIDS[suite])
+        counts = TestEachStepOncePerRun().count_calls(
+            monkeypatch, ("solve_regularized", "solve_unregularized",
+                          "population_lagrangian_members"))
+        samplers = []
+        build = DatasetSampler.__init__
+        monkeypatch.setattr(DatasetSampler, "__init__",
+                            lambda self, *args: samplers.append(build(self, *args)))
+        run_experiment_suite(suite, str(tmp_path / "second"), seed=1, **self.GRIDS[suite])
+        assert dict(counts) == self.OWN_SOLVES.get(suite, {})
+        assert samplers == []
+
+    def test_warm_runs_write_the_cold_bytes(self, tmp_path):
+        def artifacts(name, seed, out):
+            run_experiment_suite(name, str(out), seed=seed, **self.GRIDS[name])
+            return [(out / artifact).read_bytes() for artifact in ("rows.csv", "summary.json")]
+
+        cold = {}
+        for name in SUITE_NAMES:
+            for seed in (0, 1):
+                pipelines._registry.clear()
+                cold[name, seed] = artifacts(name, seed, tmp_path / f"cold_{name}_{seed}")
+        pipelines._registry.clear()
+        for i, seed in enumerate((0, 1, 0)):  # every suite in one process, one registry
+            for name in SUITE_NAMES:
+                got = artifacts(name, seed, tmp_path / f"warm{i}_{name}")
+                assert got == cold[name, seed], (name, seed)
+
+    def test_one_config_past_the_bound_evicts_the_least_recently_used(self):
+        size = pipelines._REGISTRY_SIZE
+        cfgs = [base_config(mdp={"kind": "random", "num_states": 2, "num_actions": 2,
+                                 "gamma": 0.5, "seed": 0},
+                            classes={"kind": "realizable", "num_distractors": 0, "seed": 0},
+                            alpha=0.1 + k / 100)
+                for k in range(size + 1)]
+        built = [prepare(cfg) for cfg in cfgs[:size]]
+        assert prepare(replace(cfgs[0], seed=5, n=9, n0=4)) is built[0]  # now the most recent
+        prepare(cfgs[size])
+        assert len(pipelines._registry) == size
+        assert prepare(cfgs[0]) is built[0] and prepare(cfgs[2]) is built[2]
+        assert prepare(cfgs[1]) is not built[1]  # the least recently used went first
+
+    def test_equal_configs_written_apart_do_not_share_an_instance(self):
+        # 1 == 1.0, but the configs hash apart, and an instance splices its own JSON into hashes
+        cfgs = [base_config(alpha=1), base_config(alpha=1.0)]
+        assert cfgs[0] == cfgs[1] and cfgs[0].config_hash != cfgs[1].config_hash
+        assert prepare(cfgs[0]) is not prepare(cfgs[1])
+        for cfg in cfgs:
+            assert run_pro_rl(cfg).config_hash == cfg.config_hash
