@@ -9,9 +9,12 @@ base seed 0. This script reruns the suites behind the verdicts that depend on
 the sampled data at base seeds 1000 * k, k = 0 .. num_seeds - 1, applies the
 same pass conditions (without the wall-time budgets), and prints each
 verdict's pass rate, with the mean and standard deviation of its fitted
-slope where it has one. A verdict that passes at seed 0 but on only about
-half of the seeds sits on the edge of its window, so any change to a random
-stream can flip it without the estimator being wrong.
+slope where it has one, and its suite's wall seconds per base seed: at the
+first base seed, which prepares the suite's instances, and the mean over the
+later ones, which reuse them, so the second is what each added seed costs.
+A verdict that passes at seed 0 but on only about half of the seeds sits on
+the edge of its window, so any change to a random stream can flip it without
+the estimator being wrong.
 
 - 05 weight_error_shrinks_with_sample_size (rate_regularized)
 - 09 cloning_error_tracks_heldout_sample_size (bc_scaling)
@@ -27,6 +30,7 @@ import argparse
 import statistics
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -69,11 +73,14 @@ def main(argv=None) -> int:
 
     passes = {number: 0 for number, *_ in CHECKS}
     slopes = {number: [] for number, *_ in CHECKS}
+    seconds = {number: [] for number, *_ in CHECKS}
     with tempfile.TemporaryDirectory() as out:
         for k in range(args.num_seeds):
             seed = 1000 * k
             for number, suite, fit_key, check in CHECKS:
+                start = time.perf_counter()
                 summary = run_experiment_suite(suite, f"{out}/{suite}_{seed}", seed=seed)
+                seconds[number].append(time.perf_counter() - start)
                 passes[number] += bool(check(summary))
                 if fit_key is not None:
                     slopes[number].append(summary[fit_key]["slope"])
@@ -86,6 +93,10 @@ def main(argv=None) -> int:
             mean = statistics.fmean(slopes[number])
             sd = statistics.stdev(slopes[number]) if len(slopes[number]) > 1 else 0.0
             line += f", slope mean {mean:.3f} sd {sd:.3f}"
+        first, *later = seconds[number]
+        line += f", {first:.3f} s at the first base seed"
+        if later:
+            line += f", {statistics.fmean(later):.3f} s per later one"
         print(line)
     return 0
 

@@ -7,6 +7,7 @@ variant, execute a named experiment suite, and summarize result CSVs.
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import os
@@ -191,6 +192,7 @@ def _cmd_report(args) -> int:
     return 0
 
 
+@functools.cache  # built on the first call, not at import; every later main call reuses it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pro-rl",
@@ -260,8 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(message)s")  # suite progress
     return args.func(args)
 

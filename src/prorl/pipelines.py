@@ -6,6 +6,8 @@ reference quantities, build candidate classes around the exact pair, their
 population payoff matrix, the policy class a cloning run fits over and the
 dataset: the sampler's tables, or the exact-frequency dataset itself, once per
 process, keeping the most recently used instances, read-only, for later calls.
+``memoized`` keeps other seed-free values (the suites' fixtures and reference
+solves) in the same registry.
 ``run_pro_rl`` does the rest at one seed and size: count the offline
 dataset, build the empirical payoff matrix and run the max-min estimator on
 it. The estimate is a weight-class member, so the run reads its scores (the
@@ -186,8 +188,8 @@ class ExperimentConfig:
                 raise PipelineError("config", "inexact variant needs eps_ov and eps_ow")
         if self.n < 1:
             raise PipelineError("config", "n must be at least 1")
-        if self.n0 < 0 or (self.n0 == 0 and self.dataset["kind"] == "sampled"):
-            raise PipelineError("config", "n0 must be nonnegative, and positive when sampled")
+        if self.n0 < 1:
+            raise PipelineError("config", "n0 must be at least 1: every dataset has initial states")
         if not (0.0 < self.delta < 1.0):
             raise PipelineError("config", "delta must lie in (0, 1)")
 
@@ -215,6 +217,9 @@ class ExperimentConfig:
     @property
     def config_hash(self) -> str:
         return hashlib.sha256(_canonical_json(self.to_dict()).encode()).hexdigest()[:12]
+
+
+_SHARED_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.name not in _RUN_FIELDS)
 
 
 def resolve_mdp(spec: dict) -> TabularMdp:
@@ -408,8 +413,14 @@ class Instance:
         return self._scores[index]
 
     def serves(self, cfg: ExperimentConfig) -> bool:
-        """Whether cfg differs from the instance's config at most in n, n0, seed and w_order."""
-        return replace(cfg, **_RUN_FIELDS) == self.config
+        """Whether cfg differs from the instance's config at most in n, n0, seed and w_order.
+
+        Each other field is the same object, as along a sweep, or pickles to the
+        same bytes: equal values of another type differ (8 == 8.0, but they hash apart).
+        """
+        return all(a is b or pickle.dumps(a) == pickle.dumps(b)
+                   for a, b in ((getattr(cfg, name), getattr(self.config, name))
+                                for name in _SHARED_FIELDS))
 
     def config_hash(self, cfg: ExperimentConfig) -> str:
         """cfg.config_hash, with cfg's n, n0 and seed spliced into config_json and its
@@ -431,8 +442,50 @@ def _json_pieces(config: ExperimentConfig) -> tuple:
             "," + part("seed", "~") + "}")
 
 
-_REGISTRY_SIZE = 32  # all 15 instances of `pro-rl experiment --suite all` take about 2.6 MiB
-_registry: "OrderedDict[bytes, Instance]" = OrderedDict()  # least recently used first
+_REGISTRY_SIZE = 32  # `pro-rl experiment --suite all` fills 29: 15 instances, 14 memoized values
+_registry: "OrderedDict[bytes, object]" = OrderedDict()  # least recently used first
+_MISSING = object()
+
+
+def _kept(key: bytes, build):
+    """The registry's entry under key, from build() on a miss; it becomes the most recent."""
+    value = _registry.pop(key, _MISSING)  # each step is one dict call: a race at worst builds twice
+    if value is _MISSING:
+        value = build()
+    _registry[key] = value
+    if len(_registry) > _REGISTRY_SIZE:
+        _registry.popitem(last=False)
+    return value
+
+
+def _read_only(obj):
+    """obj, with every array it reaches through tuples, lists, dicts and attributes read-only."""
+    stack, seen = [obj], set()
+    while stack:
+        item = stack.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            item.flags.writeable = False
+        elif isinstance(item, (tuple, list)):
+            stack.extend(item)
+        elif isinstance(item, dict):
+            stack.extend(item.values())
+        elif hasattr(item, "__dict__"):
+            stack.extend(vars(item).values())
+    return obj
+
+
+def memoized(name: str, fn, *args):
+    """fn(*args), computed once per process: seed-free work that no instance holds.
+
+    Kept in ``prepare``'s registry under the pickle of (name, args), so it shares
+    its bound and eviction. Every caller gets the same result, so every array of
+    it is read-only and no caller may change it. fn must be a pure function of
+    args, and name must tell it apart from every other fn.
+    """
+    return _kept(pickle.dumps((name, args)), lambda: _read_only(fn(*args)))
 
 
 def prepare(cfg: ExperimentConfig) -> Instance:
@@ -443,20 +496,13 @@ def prepare(cfg: ExperimentConfig) -> Instance:
     equal values of another type do not share one (8 == 8.0, but they hash
     apart, and a run's hash splices in the instance's JSON); the pickle costs
     a small fraction of that JSON. The ``_REGISTRY_SIZE`` most recently used
-    are kept, and their arrays are read-only. The bc mix directions are
-    checked before any stage runs. When no ratio anchor exists at alpha=0 and
-    the config supplies explicit classes, the target weight is weight-class
-    member 0.
+    instances and ``memoized`` values are kept, and their arrays are read-only.
+    The bc mix directions are checked before any stage runs. When no ratio
+    anchor exists at alpha=0 and the config supplies explicit classes, the
+    target weight is weight-class member 0.
     """
     config = replace(cfg, **_RUN_FIELDS)
-    key = pickle.dumps(config)
-    inst = _registry.pop(key, None)  # each step is one dict call: a race at worst builds twice
-    if inst is None:
-        inst = _build(cfg, config)
-    _registry[key] = inst
-    if len(_registry) > _REGISTRY_SIZE:
-        _registry.popitem(last=False)
-    return inst
+    return _kept(pickle.dumps(config), lambda: _build(cfg, config))
 
 
 def _build(cfg: ExperimentConfig, config: ExperimentConfig) -> Instance:
@@ -484,11 +530,7 @@ def _build(cfg: ExperimentConfig, config: ExperimentConfig) -> Instance:
     with _staged("dataset"):
         dataset = (DatasetSampler(mdp, dd) if cfg.dataset["kind"] == "sampled"
                    else exact_frequency_dataset(mdp, dd, cfg.dataset.get("repeats", 1)))
-    more = ((wc.floor[1],) if wc.floor else ()) + (policies.members if policies else ())
-    for array in (mdp.transition, mdp.reward, mdp.init_dist, dd, pi_d.probs, pop, refs["w_ref"],
-                  refs["pi_ref"].probs, refs["d_ref_state"], *vc.members, *wc.members,
-                  *(pi.probs for pi in more)):  # and the floor's and cloning class's policies
-        array.flags.writeable = False
+    _read_only((mdp, dd, pi_d, pop, refs, vc, wc, policies))  # the dataset's are where built
     return Instance(config, _json_pieces(config), mdp, dd, pi_d, reg,
                     vc, wc, eps_rv, eps_rw, pop, policies, dataset, **refs)
 

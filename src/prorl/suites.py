@@ -10,7 +10,12 @@ and writes its artifacts into an output directory:
 
 The base seed only shifts the per-run dataset seeds. Fixture construction
 uses its own fixed generators, so two invocations with the same seed
-reproduce rows.csv and summary.json byte for byte.
+reproduce rows.csv and summary.json byte for byte. A suite computes what no
+seed changes once per process: its grid points' instances through
+``prepare``, and its fixture and seed-free references (the b_w0 solve, the
+stability sweep and its limit, the capped LP, the coverage check, the
+counterexample's right-policy return) through ``memoized``, in the same
+registry. A later call writes its artifacts and runs its seeds, nothing else.
 """
 
 from datetime import datetime, timezone
@@ -52,6 +57,7 @@ from .pipelines import (
     CSV_HEADER,
     ExperimentConfig,
     PipelineError,
+    memoized,
     prepare,
     resolve_data_dist,
     resolve_mdp,
@@ -386,13 +392,26 @@ def _sweep(out_dir: str, seed: int, num_seeds: int, base: dict, points: dict):
     return batches, instances
 
 
+def _extracted_return(mdp, w, pi_d) -> float:
+    """Return of the policy extracted from weight w over behavior policy pi_d."""
+    return policy_return(mdp, extract_policy(w, pi_d))
+
+
+def _b_w0(mdp_cfg: dict) -> float:
+    """Largest ratio d*_0 / d^D on the MDP mdp_cfg names, under uniform-policy data."""
+    mdp = resolve_mdp(mdp_cfg)
+    dd, _ = resolve_data_dist(mdp, {"kind": "uniform_policy"})
+    return float((solve_unregularized(mdp).d_star.mass / dd).max())
+
+
 def _sizes(grid, n0=lambda n: n) -> dict:
     """Grid points that set the sample size n and its initial-state count n0."""
     return {int(n): {"n": int(n), "n0": n0(int(n))} for n in grid}
 
 
 def _suite_counterexample(out_dir: str, seed: int, gamma: float = 0.5) -> dict:
-    fixtures = {instance: counterexample_fixture(gamma, instance) for instance in (1, 2)}
+    fixtures = {i: memoized("counterexample_fixture", counterexample_fixture, gamma, i)
+                for i in (1, 2)}
     orders = {"adversarial": (1, 0), "friendly": None}
     base = {"alpha": 0.0, "n": 6, "n0": 1, "variant": {"kind": "alpha_zero"},
             "dataset": {"kind": "exact_frequency", "repeats": 1}}
@@ -410,8 +429,8 @@ def _suite_counterexample(out_dir: str, seed: int, gamma: float = 0.5) -> dict:
         inst = instances[instance, "friendly"]  # both orders share it: w_order is a run field
         tie_gap = float(abs(inst.pop[0, 0] - inst.pop[1, 0]))
         j_star = inst.j_star_zero
-        pi_right = extract_policy(bundle.w_right, fx["pi_d"])
-        regret_right = j_star - policy_return(bundle.mdp, pi_right)
+        regret_right = j_star - memoized("_extracted_return", _extracted_return,
+                                         bundle.mdp, bundle.w_right, fx["pi_d"])
 
         gaps = {label: batches[instance, label][0].gap_ref for label in orders}
         per_instance[f"instance_{instance}"] = {
@@ -442,7 +461,7 @@ def _suite_rate_regularized(
     n_grid=(100, 1000, 10000, 100000),
     num_seeds: int = 20,
 ) -> dict:
-    fx = rate_regularized_fixture()
+    fx = memoized("rate_regularized_fixture", rate_regularized_fixture)
     base = {k: fx[k] for k in ("mdp", "data_dist", "reg", "alpha", "classes")}
     batches, _ = _sweep(out_dir, seed, num_seeds, base, _sizes(n_grid))
     per_n = {}
@@ -492,9 +511,7 @@ def _suite_rate_unregularized(
         "seed": 5,
         "mixing": 0.5,
     }
-    mdp = resolve_mdp(mdp_cfg)
-    dd, _ = resolve_data_dist(mdp, {"kind": "uniform_policy"})
-    b_w0 = float((solve_unregularized(mdp).d_star.mass / dd).max())
+    b_w0 = memoized("_b_w0", _b_w0, mdp_cfg)  # it picks alpha, before any instance exists
     reg = Regularizer()
     b_f0 = float(reg.eval(b_w0))
 
@@ -558,9 +575,10 @@ def _suite_lp_stability(
     seed: int,
     alpha_grid=(0.2, 0.1, 0.05, 0.02, 0.01, 0.005),
 ) -> dict:
-    fx = stability_fixture()
-    sweep = lp_stability_sweep(fx["mdp"], fx["dd"], fx["reg"], alpha_grid)
-    w_limit, j_div = min_f_divergence_weight(fx["mdp"], fx["dd"], fx["reg"])
+    fx = memoized("stability_fixture", stability_fixture)
+    problem = (fx["mdp"], fx["dd"], fx["reg"])
+    sweep = memoized("lp_stability_sweep", lp_stability_sweep, *problem, alpha_grid)
+    w_limit, j_div = memoized("min_f_divergence_weight", min_f_divergence_weight, *problem)
     limit_err = float(np.abs(sweep.limit_w - w_limit).max())
 
     total = len(sweep.rows)
@@ -613,7 +631,7 @@ def _suite_constrained_coverage(
     num_seeds: int = 20,
     n: int = 4000,
 ) -> dict:
-    fx = capped_fixture()
+    fx = memoized("capped_fixture", capped_fixture)
     base = {
         "mdp": fx["mdp"],
         "data_dist": fx["data_dist"],
@@ -625,7 +643,8 @@ def _suite_constrained_coverage(
     points = _sizes((n,), lambda n: max(n // 10, 10))
     batches, instances = _sweep(out_dir, seed, num_seeds, base, points)
     (reports,), (inst,) = batches.values(), instances.values()
-    j_cap, _ = capped_unregularized_value(inst.mdp, inst.dd, fx["cap"])
+    j_cap, _ = memoized("capped_unregularized_value", capped_unregularized_value,
+                        inst.mdp, inst.dd, fx["cap"])
 
     envelope_ok = sum(1 for r in reports if r.gap_ref <= r.rhs_capped + 1e-12)
     cap_ok = sum(1 for r in reports if r.w_max <= r.b_w + 1e-9)
@@ -652,13 +671,14 @@ def _suite_alpha_zero_strong(
     n_grid=(100, 1000, 10000, 100000),
     num_seeds: int = 20,
 ) -> dict:
-    fx = ring_fixture()
+    fx = memoized("ring_fixture", ring_fixture)
     base = {k: fx[k] for k in ("mdp", "data_dist", "reg", "classes")}
     base.update(alpha=0.0, variant={"kind": "alpha_zero"})
     points = _sizes(n_grid, lambda n: max(n // 10, 10))
     batches, instances = _sweep(out_dir, seed, num_seeds, base, points)
     inst = next(iter(instances.values()))  # the grid varies only n
-    strong = strong_concentrability_check(inst.mdp, inst.dd, inst.d_ref_state)
+    strong = memoized("strong_concentrability_check", strong_concentrability_check,
+                      inst.mdp, inst.dd, inst.d_ref_state)
     per_n = {}
     for n, batch in batches.items():
         gaps = [r.gap_ref for r in batch]
@@ -701,7 +721,7 @@ def _suite_bc_scaling(
     num_seeds: int = 20,
     n1: int = 60000,
 ) -> dict:
-    fx = bc_fixture(n1)
+    fx = memoized("bc_fixture", bc_fixture, n1)
     factor = 1.5
     base = {k: fx[k] for k in ("mdp", "data_dist", "reg", "alpha", "classes", "bc")}
     base["n0"] = 2000

@@ -1,7 +1,9 @@
+import argparse
 import json
 
 import pytest
 
+from prorl import cli
 from prorl.cli import main
 from prorl.mdp import load_mdp
 from prorl.pipelines import PipelineError
@@ -151,6 +153,19 @@ class TestExperimentCommand:
         with pytest.raises(PipelineError, match="with --seed"):
             main(["experiment", "--suite", "lp_stability", "--out", str(out), "--set", "seed=3"])
         assert not out.exists()
+
+    def test_two_calls_build_one_parser(self, tmp_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *args, **kwargs: built.append(init(self, *args, **kwargs)))
+        cli.build_parser.cache_clear()
+        main(["gen-mdp", "--seed", "0", "--out", str(tmp_path / "a.json")])
+        first = len(built)
+        main(["gen-mdp", "--seed", "1", "--out", str(tmp_path / "b.json")])
+        assert first > 0 and len(built) == first  # the parser and its subcommands, built once
+        # the reused parser read each call's own arguments
+        assert (tmp_path / "a.json").read_text() != (tmp_path / "b.json").read_text()
 
     def test_help_exits_cleanly(self, capsys):
         with pytest.raises(SystemExit) as exc:

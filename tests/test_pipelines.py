@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from prorl import extraction, pipelines
+from prorl import extraction, oracle, pipelines
 from prorl.bounds import performance_gap_bound, residual_bound, stat_error
 from prorl.datasets import DatasetSampler, exact_frequency_dataset, generate_dataset
 from prorl.extraction import extract_policy
@@ -731,11 +731,11 @@ class TestMemberScores:
 
 class TestInitialStateCount:
     def test_sampled_dataset_needs_initial_states(self):
-        with pytest.raises(PipelineError, match="n0 must be") as info:
-            base_config(n0=0)
-        assert info.value.stage == "config"
-        # an exact-frequency dataset carries its own initial states
-        assert replace(_counterexample_config(0.3, {"kind": "plain"}), n0=0).n0 == 0
+        # an exact-frequency dataset holds max(1, repeats) initial states, so n0 = 0 fails too
+        for cfg in (base_config(), _counterexample_config(0.3, {"kind": "plain"})):
+            with pytest.raises(PipelineError, match="n0 must be at least 1") as info:
+                replace(cfg, n0=0)
+            assert info.value.stage == "config"
 
     def test_stat_error_reads_the_fitted_datasets_initial_states(self):
         cfg = replace(_counterexample_config(0.3, {"kind": "plain"}), n=18, n0=3,
@@ -784,10 +784,6 @@ class TestInstanceRegistry:
         "bc_scaling": {"n2_grid": [300, 600], "num_seeds": 2, "n1": 4000},
         "robustness": {"perturbations": [0.0, 0.1], "oracle_errors": [0.0, 0.02], "num_seeds": 1},
     }
-    # each suite's own seed-free solve outside its instances, repeated on every call
-    OWN_SOLVES = {"rate_regularized": {"solve_regularized": 1},  # its fixture's
-                  "rate_unregularized": {"solve_unregularized": 1}}  # b_w0, which picks alpha
-
     def test_every_suite_is_covered(self):
         assert set(self.GRIDS) == set(SUITE_NAMES)
 
@@ -804,19 +800,38 @@ class TestInstanceRegistry:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
 
-    @pytest.mark.parametrize("suite", sorted(set(GRIDS) - {"counterexample", "lp_stability"}))
+    @pytest.mark.parametrize("suite", sorted(GRIDS))
     def test_a_second_call_at_another_seed_prepares_nothing(self, suite, monkeypatch, tmp_path):
-        run_experiment_suite(suite, str(tmp_path / "first"), seed=0, **self.GRIDS[suite])
-        counts = TestEachStepOncePerRun().count_calls(
-            monkeypatch, ("solve_regularized", "solve_unregularized",
-                          "population_lagrangian_members"))
+        counter = TestEachStepOncePerRun()
+        solves = counter.count_calls(monkeypatch, (
+            "solve_regularized", "solve_unregularized", "population_lagrangian_members",
+            "exact_frequency_dataset"))
+        lps = counter.count_calls(monkeypatch, (
+            "lp_stability_sweep", "min_f_divergence_weight", "capped_unregularized_value",
+            "strong_concentrability_check"), source=oracle)
         samplers = []
         build = DatasetSampler.__init__
         monkeypatch.setattr(DatasetSampler, "__init__",
                             lambda self, *args: samplers.append(build(self, *args)))
+        run_experiment_suite(suite, str(tmp_path / "first"), seed=0, **self.GRIDS[suite])
+        assert solves + lps  # the counters see the cold call
+        for seen in (solves, lps, samplers):
+            seen.clear()
         run_experiment_suite(suite, str(tmp_path / "second"), seed=1, **self.GRIDS[suite])
-        assert dict(counts) == self.OWN_SOLVES.get(suite, {})
-        assert samplers == []
+        assert (dict(solves), dict(lps), samplers) == ({}, {}, [])
+
+    def test_every_array_a_memoized_suite_value_holds_is_read_only(self, tmp_path):
+        for name in SUITE_NAMES:
+            run_experiment_suite(name, str(tmp_path / name), **self.GRIDS[name])
+        values = [v for v in pipelines._registry.values() if not isinstance(v, pipelines.Instance)]
+        # six fixtures (counterexample's at two instances), b_w0, the stability sweep and its
+        # limit, the capped LP, the coverage check and two counterexample policy returns
+        assert len(values) == 14
+        arrays = list(_arrays(values, set()))
+        assert len(arrays) > len(values)
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
 
     def test_warm_runs_write_the_cold_bytes(self, tmp_path):
         def artifacts(name, seed, out):
@@ -847,6 +862,16 @@ class TestInstanceRegistry:
         assert len(pipelines._registry) == size
         assert prepare(cfgs[0]) is built[0] and prepare(cfgs[2]) is built[2]
         assert prepare(cfgs[1]) is not built[1]  # the least recently used went first
+
+    def test_an_instance_does_not_serve_an_equal_config_written_apart(self):
+        inst, cfg = prepare(base_config(alpha=1)), base_config(alpha=1.0)
+        assert replace(cfg, **pipelines._RUN_FIELDS) == inst.config  # equal, but hashes apart
+        assert not inst.serves(cfg)
+        with pytest.raises(PipelineError, match="differs") as info:
+            run_pro_rl(cfg, inst)
+        assert info.value.stage == "config"
+        # a config built apart with the same types is served, its fields compared by pickle
+        assert inst.serves(replace(base_config(alpha=1), seed=3, n=10, n0=2))
 
     def test_equal_configs_written_apart_do_not_share_an_instance(self):
         # 1 == 1.0, but the configs hash apart, and an instance splices its own JSON into hashes
