@@ -18,9 +18,9 @@ it. Each timing is one call:
   pipeline draws, at n = n0 = 1e3, 1e5 and 1e6: the same draws and lookups,
   binned into counts block by block, so no per-transition array forms;
 
-the kernels below run on datasets generated outside the timed call, whose
-counts are memoized on the first call, so past the first round each timing
-is the work that depends on the class sizes and S, A only, whatever n is:
+the kernels below run on counts drawn outside the timed call by
+``DatasetSampler.count``, as a run draws them, so each timing is the work
+that depends on the class sizes and S, A only, whatever n is:
 
 - ``empirical_lagrangian_members`` on the rate_regularized suite's fixture
   (10 states, 3 actions, 31 value and 31 weight members, each class
@@ -88,7 +88,7 @@ def test_counting_draw_rate_regularized(benchmark, n):
     mdp = resolve_mdp(fx["mdp"])
     dd, _ = resolve_data_dist(mdp, fx["data_dist"])
     fit, _ = benchmark(DatasetSampler(mdp, dd).count, n, n, 0)
-    assert fit.n == n and fit.law.inits.sum() == n
+    assert fit.n == n and fit.inits.sum() == n
 
 
 @pytest.mark.parametrize("n", [10_000, 100_000, 1_000_000])
@@ -99,7 +99,7 @@ def test_payoff_matrix_rate_regularized(benchmark, n):
     reg = Regularizer.from_config(fx["reg"])
     v_members = ValueClass.from_config(fx["classes"]["value_class"]).stack  # as prepare passes them
     w_members = WeightClass.from_config(fx["classes"]["weight_class"]).stack
-    data = generate_dataset(mdp, dd, n, n, seed=0)
+    data = DatasetSampler(mdp, dd).count(n, n, seed=0)[0]
     out = benchmark(empirical_lagrangian_members, data, reg, fx["alpha"], v_members, w_members)
     assert out.shape == (31, 31)
 
@@ -111,7 +111,7 @@ def test_bc_objective_bc_scaling(benchmark):
     sol = solve_regularized(mdp, dd, Regularizer.from_config(fx["reg"]), fx["alpha"])
     policies = _resolve_policy_class(fx["bc"], sol.pi_star, mdp.num_actions)
     witnesses = witness_class(policies)
-    held = generate_dataset(mdp, dd, 8000, 0, seed=0)
+    held = DatasetSampler(mdp, dd).count(8000, 0, seed=0)[0]
     out = benchmark(bc_objective_matrix, sol.w_star, held, policies, witnesses)
     assert out.shape == (41, len(witnesses))
 
@@ -122,7 +122,7 @@ def test_clone_policy_bc_scaling(benchmark):
     dd, _ = resolve_data_dist(mdp, fx["data_dist"])
     sol = solve_regularized(mdp, dd, Regularizer.from_config(fx["reg"]), fx["alpha"])
     policies = _resolve_policy_class(fx["bc"], sol.pi_star, mdp.num_actions)
-    held = generate_dataset(mdp, dd, 8000, 0, seed=0)
+    held = DatasetSampler(mdp, dd).count(8000, 0, seed=0)[0]
     out = benchmark(clone_policy, sol.w_star, held, policies)
     assert out in policies.members
 

@@ -5,47 +5,53 @@ s' ~ P(.|s, a), plus n0 i.i.d. initial states ~ mu0. A ``DatasetSampler``
 builds exact inverse-CDF tables (guide tables, Chen & Asau 1974, equal to
 ``searchsorted``) once and draws each dataset from one PCG64 stream, so a
 (config, seed) pair pins the dataset bytes. It draws block by block and
-bins the blocks into counts, or joins them into per-transition columns.
+bins the blocks into a ``CountedDataset``, the counts the estimator reads, or
+joins them into an ``OfflineDataset``'s per-transition columns, which
+``gen-data`` writes.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .mdp import Occupancy, TabularMdp
-
-
-class DatasetCounts(NamedTuple):
-    """Counts N(s,a,s') (S, A, S), reward sums R(s,a) (S, A), initial counts N0(s) (S,)."""
-
-    transitions: np.ndarray
-    rewards: np.ndarray
-    inits: np.ndarray
+from .mdp import Occupancy, TabularMdp, _mass_of
 
 
 class CountedDataset(NamedTuple):
-    """A dataset as its counts alone, from ``DatasetSampler.count``: what the estimator reads."""
+    """A dataset as its counts alone, read-only: what the estimator reads.
+
+    n transitions and n0 initial states as counts N(s,a,s') (S, A, S), reward
+    sums R(s,a) (S, A) and initial counts N0(s) (S,).
+    """
 
     n: int
     n0: int
     gamma: float
-    law: DatasetCounts
+    transitions: np.ndarray
+    rewards: np.ndarray
+    inits: np.ndarray
 
-    def counts(self, num_states: int, num_actions: int) -> DatasetCounts:
-        """The counts, read-only; ValueError when they were drawn at another shape."""
-        if self.law.rewards.shape != (num_states, num_actions):
-            raise ValueError(f"counts of shape {self.law.rewards.shape} asked for as "
+    def checked(self, num_states: int, num_actions: int) -> CountedDataset:
+        """These counts; ValueError when they were drawn at another (S, A)."""
+        if self.rewards.shape != (num_states, num_actions):
+            raise ValueError(f"counts of shape {self.rewards.shape} asked for as "
                              f"{(num_states, num_actions)}")
-        return self.law
+        return self
+
+
+def _read_only(counted: CountedDataset) -> CountedDataset:
+    for array in counted[3:]:
+        array.flags.writeable = False
+    return counted
 
 
 @dataclass(frozen=True, eq=False)
 class OfflineDataset:
-    """Transition columns and initial states."""
+    """Transition columns and initial states, as ``gen-data`` writes them."""
 
     states: np.ndarray
     actions: np.ndarray
@@ -54,7 +60,6 @@ class OfflineDataset:
     init_states: np.ndarray
     gamma: float
     generating_dd: Optional[Occupancy] = None
-    _counts: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         for name in ("states", "actions", "rewards", "next_states", "init_states"):
@@ -81,30 +86,6 @@ class OfflineDataset:
     @property
     def n0(self) -> int:
         return int(self.init_states.shape[0])
-
-    def counts(self, num_states: int, num_actions: int) -> DatasetCounts:
-        """The empirical law as counts, read-only, computed once per shape.
-
-        Raises ValueError when a column lies outside [0, num_states) or [0,
-        num_actions), where s * A + a would alias.
-        """
-        shape = (num_states, num_actions)
-        if self._counts is not None and self._counts[0] == shape:
-            return self._counts[1]
-        for name in ("states", "actions", "next_states", "init_states"):
-            col, bound = getattr(self, name), num_actions if name == "actions" else num_states
-            if col.size and (col.min() < 0 or col.max() >= bound):
-                raise ValueError(f"{name} must lie in [0, {bound}), got {col.min()}..{col.max()}")
-        cells, size = self.states * num_actions + self.actions, num_states * num_actions
-        out = DatasetCounts(
-            np.bincount(cells * num_states + self.next_states,
-                        minlength=size * num_states).reshape(*shape, num_states),
-            np.bincount(cells, weights=self.rewards, minlength=size).reshape(shape),
-            np.bincount(self.init_states, minlength=num_states))
-        for array in out:
-            array.flags.writeable = False
-        object.__setattr__(self, "_counts", (shape, out))
-        return out
 
     def save(self, transitions_path: str, inits_path: str) -> None:
         with open(transitions_path, "w") as fh:
@@ -195,7 +176,7 @@ class DatasetSampler:
     over mu0; rewards are read off the MDP."""
 
     def __init__(self, mdp: TabularMdp, data_dist):
-        dd = data_dist.mass if isinstance(data_dist, Occupancy) else np.asarray(data_dist, dtype=float)
+        dd = _mass_of(data_dist)
         if dd.shape != (mdp.num_states, mdp.num_actions):
             raise ValueError(f"data distribution shape {dd.shape} does not match the MDP")
         total = dd.sum()
@@ -234,17 +215,16 @@ class DatasetSampler:
             raise ValueError(f"sample counts must be nonnegative and n1 must lie in [0, {n}]")
         uniforms, shape, parts = _Uniforms(seed), self.reward.shape, []
         for start, stop, num_inits in ((0, n1, n0), (n1, n, 0)):
-            law = DatasetCounts(np.zeros((*shape, shape[0]), np.intp), np.zeros(shape),
-                                np.zeros(shape[0], np.intp))
+            transitions, rewards = np.zeros((*shape, shape[0]), np.intp), np.zeros(shape)
+            inits = np.zeros(shape[0], np.intp)
             for cells, next_states in self._transitions(uniforms, n, start, stop):
-                _tally(law.transitions.reshape(-1), cells * shape[0] + next_states)
+                _tally(transitions.reshape(-1), cells * shape[0] + next_states)
                 # in draw order, as the ordered bincount of the columns adds
-                np.add.at(law.rewards.reshape(-1), cells, self.reward.take(cells))
+                np.add.at(rewards.reshape(-1), cells, self.reward.take(cells))
             for init_states in self._inits(uniforms, n, num_inits):
-                _tally(law.inits, init_states)
-            for array in law:
-                array.flags.writeable = False
-            parts.append(CountedDataset(stop - start, num_inits, self.gamma, law))
+                _tally(inits, init_states)
+            parts.append(_read_only(CountedDataset(stop - start, num_inits, self.gamma,
+                                                   transitions, rewards, inits)))
         return tuple(parts)
 
     def draw(self, n: int, n0: int, seed) -> OfflineDataset:
@@ -265,33 +245,33 @@ def generate_dataset(mdp: TabularMdp, data_dist, n: int, n0: int, seed) -> Offli
     return DatasetSampler(mdp, data_dist).draw(n, n0, seed)
 
 
-def exact_frequency_dataset(mdp: TabularMdp, data_dist, repeats: int = 1) -> OfflineDataset:
-    """Deterministic dataset whose empirical frequencies equal data_dist exactly.
+def exact_frequency_dataset(mdp: TabularMdp, data_dist, repeats: int = 1) -> CountedDataset:
+    """Deterministic counts whose empirical frequencies equal data_dist exactly.
 
     Requires every covered cell's probability to be an integer multiple of the
     smallest covered probability, and a deterministic transition row at every
     covered cell (otherwise no finite sample reproduces the population law).
-    Initial states require a deterministic mu0. Used for the infinite-data
-    counterexample runs.
+    Initial states require a deterministic mu0. Cell (s, a) holds k(s, a) =
+    repeats * d^D(s, a) / min d^D transitions, all to its one next state, with
+    reward sum k(s, a) r(s, a); the initial state holds max(1, repeats). Used for
+    the infinite-data counterexample runs.
     """
-    dd = data_dist.mass if isinstance(data_dist, Occupancy) else np.asarray(data_dist, dtype=float)
+    dd = _mass_of(data_dist)
     pos = dd > 0.0
-    base = dd[pos].min()
-    counts = dd / base
-    if not np.allclose(counts[pos], np.round(counts[pos]), atol=1e-9):
+    ratios = dd / dd[pos].min()
+    if not np.allclose(ratios[pos], np.round(ratios[pos]), atol=1e-9):
         raise ValueError("data distribution is not commensurable; no exact dataset exists")
-    counts = np.round(counts).astype(int).ravel() * repeats
-    rows = mdp.transition.reshape(counts.size, -1)
-    stochastic = np.flatnonzero((counts > 0) & (rows.max(axis=1) < 1.0 - 1e-12))
+    k = np.round(ratios).astype(np.intp) * repeats
+    rows = mdp.transition.reshape(k.size, -1)
+    stochastic = np.flatnonzero((k.ravel() > 0) & (rows.max(axis=1) < 1.0 - 1e-12))
     if stochastic.size:
         raise ValueError(f"transition at {divmod(int(stochastic[0]), mdp.num_actions)} is "
                          f"stochastic; cannot be exact")
     if mdp.init_dist.max() < 1.0 - 1e-12:
         raise ValueError("initial distribution is stochastic; cannot be exact")
-    cells = np.repeat(np.arange(counts.size), counts)
-    states, actions = np.divmod(cells, mdp.num_actions)
-    columns = (states, actions, mdp.reward.ravel()[cells], rows.argmax(axis=1)[cells],
-               np.full(max(1, repeats), int(mdp.init_dist.argmax())))
-    for column in columns:  # read-only, like the counts memoized from them
-        column.flags.writeable = False
-    return OfflineDataset(*columns, mdp.gamma, Occupancy(dd))
+    transitions = np.zeros(rows.shape, np.intp)
+    transitions[np.arange(k.size), rows.argmax(axis=1)] = k.ravel()
+    inits = np.zeros(mdp.num_states, np.intp)
+    inits[mdp.init_dist.argmax()] = max(1, repeats)
+    return _read_only(CountedDataset(int(k.sum()), int(inits.sum()), mdp.gamma,
+                                     transitions.reshape(*k.shape, -1), k * mdp.reward, inits))

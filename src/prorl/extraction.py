@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .classes import PolicyClass, witness_class
-from .datasets import CountedDataset, OfflineDataset
+from .datasets import CountedDataset
 from .mdp import Policy
 
 
@@ -42,7 +42,7 @@ def extract_policy(w, pi_d: Policy) -> Policy:
 
 def bc_objective_matrix(
     w_hat,
-    data: OfflineDataset | CountedDataset,
+    data: CountedDataset,
     policies: PolicyClass,
     witnesses: Optional[Sequence[np.ndarray]] = None,
 ) -> np.ndarray:
@@ -62,13 +62,15 @@ def bc_objective_matrix(
         h_stack, h_pis = _witnesses_of(probs.shape, probs.tobytes())
     else:
         h_stack, h_pis = _tables(np.stack(tuple(witnesses)), policies.members)
-    n_sa = data.counts(*w_hat.shape).transitions.sum(axis=2)
+    n_sa = data.checked(*w_hat.shape).transitions.sum(axis=2)
     pos = n_sa > 0
     cell_states = np.nonzero(pos)[0]
     weights = n_sa[pos] * w_hat[pos]  # (m,)
     h_cells = h_stack[:, pos]  # (H, m)
-    # one product per policy: a matmul batched over the policies rounds otherwise
-    return np.stack([(h_pi[:, cell_states] - h_cells) @ weights for h_pi in h_pis]) / data.n
+    # one product per policy: a matmul batched over the policies rounds otherwise, and one
+    # layout, so the product's summation order does not hang on what the gather returns
+    return np.stack([np.asfortranarray(h_pi[:, cell_states] - h_cells) @ weights
+                     for h_pi in h_pis]) / data.n
 
 
 def _tables(h_stack: np.ndarray, members) -> tuple:
@@ -88,7 +90,7 @@ def _witnesses_of(shape: tuple, probs: bytes) -> tuple:
 
 def clone_policy(
     w_hat,
-    data: OfflineDataset | CountedDataset,
+    data: CountedDataset,
     policies: PolicyClass,
     witnesses: Optional[Sequence[np.ndarray]] = None,
 ) -> Policy:

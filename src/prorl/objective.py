@@ -10,7 +10,7 @@ empirical version replaces the two expectations with sample means over the
 initial-state draws and the transition tuples. Both means are linear in the
 empirical law, so they are computed exactly as count-weighted sums over the
 covered cells: transition counts N(s,a,s'), reward sums R(s,a) and initial-state
-counts N0(s), from `OfflineDataset.counts` or a sampler's `CountedDataset`. Cells
+counts N0(s) of a `CountedDataset`, the estimator's only dataset type. Cells
 without data mass are excluded everywhere; candidate weights are zero there.
 """
 
@@ -18,13 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .datasets import CountedDataset, OfflineDataset
-from .mdp import Occupancy, TabularMdp
+from .datasets import CountedDataset
+from .mdp import TabularMdp, _mass_of
 from .regularizers import Regularizer
-
-
-def _mass(d) -> np.ndarray:
-    return d.mass if isinstance(d, Occupancy) else np.asarray(d, dtype=float)
 
 
 def residual_ev(mdp: TabularMdp, v: np.ndarray) -> np.ndarray:
@@ -34,7 +30,7 @@ def residual_ev(mdp: TabularMdp, v: np.ndarray) -> np.ndarray:
 
 
 def empirical_lagrangian_members(
-    dataset: OfflineDataset | CountedDataset,
+    dataset: CountedDataset,
     reg: Regularizer,
     alpha: float,
     v_members,
@@ -53,18 +49,17 @@ def empirical_lagrangian_members(
     num_states, num_actions = w_stack.shape[1:]
     if v_stack.shape[1] != num_states:
         raise ValueError(f"value members have length {v_stack.shape[1]}, expected {num_states}")
-    counts = dataset.counts(num_states, num_actions)
-    n_sa = counts.transitions.sum(axis=2)
+    n_sa = dataset.checked(num_states, num_actions).transitions.sum(axis=2)
     pos = n_sa > 0
     n_cells = n_sa[pos]
     w_cells = w_stack[:, pos]  # (n_w, m)
     # (n_v, m): summed residuals r + gamma v(s') - v(s) per covered cell
     e_cells = (
-        counts.rewards[pos][None, :]
-        + dataset.gamma * (v_stack @ counts.transitions[pos].T)
+        dataset.rewards[pos][None, :]
+        + dataset.gamma * (v_stack @ dataset.transitions[pos].T)
         - v_stack[:, np.nonzero(pos)[0]] * n_cells[None, :]
     )
-    init_terms = (1.0 - dataset.gamma) * (v_stack @ counts.inits) / dataset.n0
+    init_terms = (1.0 - dataset.gamma) * (v_stack @ dataset.inits) / dataset.n0
     f_terms = -alpha * (reg.eval(w_cells) @ n_cells) / dataset.n
     coupling = w_cells @ e_cells.T / dataset.n
     return init_terms[None, :] + f_terms[:, None] + coupling
@@ -79,7 +74,7 @@ def population_lagrangian_members(
     w_members,
 ) -> np.ndarray:
     """Population payoff matrix L[w_index, v_index] over finite classes."""
-    dd = _mass(data_dist)
+    dd = _mass_of(data_dist)
     pos = dd > 0.0
     v_stack, w_stack = np.asarray(v_members, dtype=float), np.asarray(w_members, dtype=float)
     e_cells = np.stack([residual_ev(mdp, v)[pos] for v in v_stack])  # (n_v, m)
@@ -93,7 +88,7 @@ def population_lagrangian_members(
 
 def weighted_l2(w_a: np.ndarray, w_b: np.ndarray, data_dist) -> float:
     """||w_a - w_b||_{2, d^D} = sqrt( E_dD[(w_a - w_b)^2] ), support cells only."""
-    dd = _mass(data_dist)
+    dd = _mass_of(data_dist)
     pos = dd > 0.0
     diff = np.asarray(w_a, dtype=float)[pos] - np.asarray(w_b, dtype=float)[pos]
     return float(np.sqrt(np.sum(dd[pos] * diff**2)))
@@ -113,7 +108,7 @@ def approximation_errors(
     the data state marginal, and the data's one-step pushforward. eps_rw is
     the d^D-weighted L1 distance to the target weight.
     """
-    dd = _mass(data_dist)
+    dd = _mass_of(data_dist)
     dd_state = dd.sum(axis=1)
     push = np.einsum("sa,sat->t", dd, mdp.transition)
     v_star = np.asarray(v_star, dtype=float)

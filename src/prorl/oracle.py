@@ -45,7 +45,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.optimize._highspy import _core as highspy
 
-from .mdp import Occupancy, Policy, TabularMdp, exact_occupancy
+from .mdp import Occupancy, Policy, TabularMdp, _mass_of, exact_occupancy
 from .regularizers import Regularizer
 
 _PHASE1_TOL = 1e-9  # phase-1 objective (L1 flow violation) above which the polytope is empty
@@ -136,7 +136,7 @@ class StrongConcentrability:
 
 
 def _data_mass(data_dist) -> np.ndarray:
-    dd = data_dist.mass if isinstance(data_dist, Occupancy) else np.asarray(data_dist, dtype=float)
+    dd = _mass_of(data_dist)
     total = dd.sum()
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"data distribution must sum to 1, got {total}")

@@ -4,19 +4,20 @@
 resolve the MDP and data distribution, solve the instance exactly for
 reference quantities, build candidate classes around the exact pair, their
 population payoff matrix, the policy class a cloning run fits over and the
-dataset: the sampler's tables, or the exact-frequency dataset itself, once per
-process, keeping the most recently used instances, read-only, for later calls.
-``memoized`` keeps other seed-free values (the suites' fixtures and reference
-solves) in the same registry.
-``run_pro_rl`` does the rest at one seed and size: count the offline
-dataset, build the empirical payoff matrix and run the max-min estimator on
-it. The estimate is a weight-class member, so the run reads its scores (the
-extracted policy's return and distance, the weight error) by member index
-from the instance, which scores a member on its first pick. A config with a
-``bc`` block also holds out part of its sampled dataset and clones a policy
-from it. Each expensive step runs once per instance, and one payoff matrix per
-run serves both the saddle solver and the evaluation. Every random choice is
-keyed by seeds carried in the config, so a config fully determines the report.
+dataset: the sampler's tables, or the exact-frequency counts themselves, once
+per process, keeping the most recently used instances, read-only, for later
+calls. ``memoized`` keeps other seed-free values (the suites' fixtures and
+reference solves) in the same registry.
+``run_pro_rl`` does the rest at one seed and size: count the offline dataset
+(the estimator reads counts only, never per-transition columns), build the
+empirical payoff matrix and run the max-min estimator on it. The estimate is
+a weight-class member, so the run reads its scores (the extracted policy's
+return and distance, the weight error) by member index from the instance,
+which scores a member on its first pick. A config with a ``bc`` block also
+holds out part of its sampled dataset and clones a policy from it. Each
+expensive step runs once per instance, and one payoff matrix per run serves
+both the saddle solver and the evaluation. Every random choice is keyed by
+seeds carried in the config, so a config fully determines the report.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .classes import (
     build_misspecified,
     build_realizable,
 )
-from .datasets import DatasetSampler, OfflineDataset, exact_frequency_dataset
+from .datasets import CountedDataset, DatasetSampler, exact_frequency_dataset
 from .extraction import clone_policy, extract_policy
 from .mdp import (
     Occupancy,
@@ -161,8 +162,8 @@ class ExperimentConfig:
                     f"accepted keys: {list(kinds[kind])}",
                 )
         if self.bc is not None and self.dataset["kind"] == "exact_frequency":
-            raise PipelineError("config", "the bc cut needs a sampled dataset: an exact-frequency "
-                                          "dataset is sorted by cell, so no prefix keeps its law")
+            raise PipelineError("config", "the bc cut needs a sampled dataset: exact-frequency "
+                                          "counts have no draw order to cut")
         repeats = self.dataset.get("repeats", 1)
         if not (isinstance(repeats, int) and not isinstance(repeats, bool) and repeats >= 1):
             raise PipelineError("config", f"dataset repeats {repeats!r} is not an integer >= 1")
@@ -296,7 +297,7 @@ def _resolve_references(mdp, dd, reg, alpha, variant, classes_kind):
                 "the optimal occupancy leaves the data support, so no ratio "
                 "anchor exists; provide explicit classes",
             )
-        exact, sol, j_alpha, j_ref = unreg, None, float("nan"), j_zero
+        exact, sol, j_alpha, j_ref = unreg, None, None, j_zero
     else:
         cap = variant.get("cap") if kind == "capped" else None
         exact = sol = solve_regularized(mdp, dd, reg, alpha, cap=cap)
@@ -373,9 +374,9 @@ class Instance:
     its canonical JSON cut around the n, n0 and seed values. pop is the classes'
     population payoff matrix, policies the class a run clones over (None
     without bc) and dataset the sampler a sampled run counts through, or the
-    exact-frequency dataset (and its memoized counts) that every run fits. The
-    reference fields are the exact quantities a run is scored against; each
-    weight member is scored against them once, on its first pick.
+    exact-frequency counts that every run fits. The reference fields are the
+    exact quantities a run is scored against; each weight member is scored
+    against them once, on its first pick.
     """
 
     config: ExperimentConfig
@@ -390,12 +391,12 @@ class Instance:
     eps_rw: float
     pop: np.ndarray
     policies: Optional[PolicyClass]
-    dataset: DatasetSampler | OfflineDataset
+    dataset: DatasetSampler | CountedDataset
     w_ref: np.ndarray  # target weight the class anchors on
     pi_ref: Policy
     d_ref_state: np.ndarray  # state marginal weighting the policy distance
     j_ref: float  # return the estimator competes with
-    j_star_alpha: float
+    j_star_alpha: Optional[float]  # None at alpha = 0
     j_star_zero: float
     kkt_residual: float
 
@@ -547,7 +548,7 @@ class RunReport:
     n0: int
     n2: Optional[int]
     j_hat: float
-    j_star_alpha: float
+    j_star_alpha: Optional[float]  # None at alpha = 0: an empty cell
     j_star_zero: float
     j_ref: float
     gap_ref: float

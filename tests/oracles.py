@@ -5,7 +5,8 @@ different route (simulation, power iteration, grid search, brute-force
 enumeration). Tests compare package output against these, so none of them may
 import package internals beyond the plain data containers. The small helpers
 at the end (a regularizer derivative, point-mass policies, policy values and
-a validating value-class builder) and the JSONL dataset reader are only ever
+a validating value-class builder), the JSONL dataset reader, the column-to-count
+converter and the column form of the exact-frequency dataset are only ever
 called by tests.
 """
 
@@ -14,7 +15,7 @@ import json
 import numpy as np
 
 from prorl.classes import ValueClass
-from prorl.datasets import OfflineDataset
+from prorl.datasets import CountedDataset, OfflineDataset
 from prorl.mdp import Policy
 
 
@@ -257,6 +258,41 @@ def column_slice(data, start, stop, keep_inits=True):
     return OfflineDataset(data.states[cut], data.actions[cut], data.rewards[cut],
                           data.next_states[cut], data.init_states if keep_inits else [],
                           data.gamma)
+
+
+def count_columns(data, num_states, num_actions):
+    """A column dataset's counts N(s,a,s'), R(s,a), N0(s), by ordered bincount: what the
+    estimator reads.
+
+    Raises ValueError when a column lies outside [0, num_states) or [0,
+    num_actions), where s * A + a would alias.
+    """
+    for name in ("states", "actions", "next_states", "init_states"):
+        col, bound = getattr(data, name), num_actions if name == "actions" else num_states
+        if col.size and (col.min() < 0 or col.max() >= bound):
+            raise ValueError(f"{name} must lie in [0, {bound}), got {col.min()}..{col.max()}")
+    shape, cells = (num_states, num_actions), data.states * num_actions + data.actions
+    return CountedDataset(
+        data.n, data.n0, data.gamma,
+        np.bincount(cells * num_states + data.next_states,
+                    minlength=num_states * num_states * num_actions).reshape(*shape, num_states),
+        np.bincount(cells, weights=data.rewards, minlength=num_states * num_actions).reshape(shape),
+        np.bincount(data.init_states, minlength=num_states))
+
+
+def exact_frequency_columns(mdp, data_dist, repeats=1):
+    """``exact_frequency_dataset`` as columns sorted by cell: cell (s, a) repeated
+    k(s, a) = repeats * d^D(s, a) / min d^D times, then max(1, repeats) initial states.
+
+    The construction the counts replaced; it assumes what that function checks.
+    """
+    dd = np.asarray(getattr(data_dist, "mass", data_dist), dtype=float)
+    k = np.round(dd / dd[dd > 0.0].min()).astype(int).ravel() * repeats
+    cells = np.repeat(np.arange(k.size), k)
+    states, actions = np.divmod(cells, mdp.num_actions)
+    next_states = mdp.transition.reshape(k.size, -1).argmax(axis=1)[cells]
+    return OfflineDataset(states, actions, mdp.reward.ravel()[cells], next_states,
+                          np.full(max(1, repeats), int(mdp.init_dist.argmax())), mdp.gamma)
 
 
 def load_dataset(transitions_path, inits_path, gamma):

@@ -15,7 +15,7 @@ from scipy.stats import binomtest
 from prorl.bounds import value_bound
 from prorl.classes import PolicyClass, build_realizable, witness_class
 from prorl.cli import main as cli_main
-from prorl.datasets import generate_dataset
+from prorl.datasets import DatasetSampler
 from prorl.extraction import extract_policy
 from prorl.mdp import (
     Policy,
@@ -113,9 +113,9 @@ def test_02_regularization_restores_identifiability(verdict):
         mass_max = max(mass_max, float(sol.d_star.mass[bundle.A, bundle.RIGHT]))
         vc, wc = build_realizable(sol, 8, seed=0, reg=reg, gamma=bundle.mdp.gamma)
         pi_d = Policy(np.full((4, 2), 0.5))
-        good = 0
+        good, sampler = 0, DatasetSampler(bundle.mdp, dd)
         for seed in range(20):
-            data = generate_dataset(bundle.mdp, dd, 10000, 10000, seed)
+            data = sampler.count(10000, 10000, seed)[0]
             l_matrix = empirical_lagrangian_members(data, reg, alpha, vc.members, wc.members)
             sol_hat = solve_exact(l_matrix, (vc, wc))
             pi_hat = extract_policy(sol_hat.w_hat, pi_d)

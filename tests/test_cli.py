@@ -85,6 +85,15 @@ class TestRunCommands:
         assert report["variant"] == "plain"
         assert report["gap_ref"] <= report["pi_l1"] / 0.2 + 1e-9
 
+    def test_solve_at_alpha_zero_writes_no_nan(self, tmp_path):
+        # an alpha = 0 run has no regularized optimum: its j_star_alpha is null, not NaN
+        cfg = write_config(tmp_path / "cfg.json", alpha=0.0, variant={"kind": "alpha_zero"},
+                           classes={"kind": "constrained", "num_distractors": 4, "seed": 0})
+        out = tmp_path / "report.json"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        text = out.read_text()
+        assert "NaN" not in text and json.loads(text)["j_star_alpha"] is None
+
     def test_extract_bc_writes_cloning_fields(self, tmp_path):
         cfg = write_config(
             tmp_path / "cfg.json",

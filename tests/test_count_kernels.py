@@ -13,7 +13,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import bc_objective, column_slice, empirical_lagrangian, load_dataset
+from oracles import (
+    bc_objective,
+    column_slice,
+    count_columns,
+    empirical_lagrangian,
+    exact_frequency_columns,
+    load_dataset,
+)
 from prorl.classes import PolicyClass, witness_class
 from prorl.datasets import DatasetSampler, OfflineDataset, exact_frequency_dataset
 from prorl.extraction import bc_objective_matrix
@@ -46,12 +53,14 @@ def random_sampler(rng, num_states, num_actions):
 
 
 def random_instance(rng, num_states, num_actions, n, n0):
+    """An MDP, n transitions and n0 initial states drawn as columns, and their counts."""
     mdp, sampler = random_sampler(rng, num_states, num_actions)
-    return mdp, sampler.draw(n, n0, seed=int(rng.integers(1 << 30)))
+    seed = int(rng.integers(1 << 30))
+    return mdp, sampler.draw(n, n0, seed), sampler.count(n, n0, seed)[0]
 
 
 def members(rng, data, num_states, num_actions, num_v=3, num_w=4):
-    covered = data.counts(num_states, num_actions).transitions.sum(axis=2) > 0
+    covered = data.checked(num_states, num_actions).transitions.sum(axis=2) > 0
     vs = [rng.uniform(-2.0, 2.0, num_states) for _ in range(num_v)]
     ws = []
     for _ in range(num_w):
@@ -67,9 +76,8 @@ def random_policy_class(rng, num_states, num_actions, size):
     ))
 
 
-def check_both_kernels(rng, data, num_states, num_actions, alpha, ref=None):
-    """Both kernels on data against the per-sample references on ref's columns (default data)."""
-    ref = data if ref is None else ref
+def check_both_kernels(rng, data, num_states, num_actions, alpha, ref):
+    """Both kernels on the counts data against the per-sample references on ref's columns."""
     reg = Regularizer("shifted_quadratic", m_f=float(rng.uniform(0.5, 2.0)), shift=0.3)
     vs, ws = members(rng, data, num_states, num_actions)
     if data.n0 > 0:
@@ -93,8 +101,8 @@ class TestMatchesPerSampleReference:
     def test_random_mdps(self, num_states, num_actions, n, n0, alpha, seed):
         assume(n0 != n)
         rng = np.random.default_rng(seed)
-        _, data = random_instance(rng, num_states, num_actions, n, n0)
-        check_both_kernels(rng, data, num_states, num_actions, alpha)
+        _, columns, data = random_instance(rng, num_states, num_actions, n, n0)
+        check_both_kernels(rng, data, num_states, num_actions, alpha, columns)
 
     @given(n=st.integers(2, 2000), cut=st.floats(0.0, 1.0), seed=st.integers(0, 2**31))
     def test_take_splits(self, n, cut, seed):
@@ -113,7 +121,7 @@ class TestMatchesPerSampleReference:
     @given(seed=st.integers(0, 2**31))
     def test_jsonl_rewards_come_from_the_data(self, seed):
         rng = np.random.default_rng(seed)
-        mdp, data = random_instance(rng, 4, 2, 300, 50)
+        mdp, data, counted = random_instance(rng, 4, 2, 300, 50)
         noisy = OfflineDataset(
             data.states, data.actions, data.rewards + rng.normal(0.0, 0.5, data.n),
             data.next_states, data.init_states, data.gamma,
@@ -122,21 +130,22 @@ class TestMatchesPerSampleReference:
             t_path, i_path = str(Path(tmp) / "t.jsonl"), str(Path(tmp) / "i.txt")
             noisy.save(t_path, i_path)
             loaded = load_dataset(t_path, i_path, gamma=mdp.gamma)
-        reg = Regularizer()
-        vs, ws = members(rng, loaded, 4, 2)
-        got = empirical_lagrangian_members(loaded, reg, 0.2, vs, ws)
+        reg, loaded_counts = Regularizer(), count_columns(loaded, 4, 2)
+        vs, ws = members(rng, loaded_counts, 4, 2)
+        got = empirical_lagrangian_members(loaded_counts, reg, 0.2, vs, ws)
         close(got, reference_payoff(loaded, reg, 0.2, vs, ws))
         # the reward table would give a different matrix
-        assert np.abs(got - empirical_lagrangian_members(data, reg, 0.2, vs, ws)).max() > 1e-6
+        assert np.abs(got - empirical_lagrangian_members(counted, reg, 0.2, vs, ws)).max() > 1e-6
 
     @pytest.mark.parametrize("repeats", [1, 3])
     @pytest.mark.parametrize("instance", [1, 2])
     def test_exact_frequency_dataset(self, instance, repeats):
         bundle = build_counterexample(0.5, instance)
         data = exact_frequency_dataset(bundle.mdp, bundle.data_occupancy, repeats)
+        columns = exact_frequency_columns(bundle.mdp, bundle.data_occupancy, repeats)
         rng = np.random.default_rng(10 * instance + repeats)
         for alpha in (0.0, 0.1, 1.0):
-            check_both_kernels(rng, data, 4, 2, alpha)
+            check_both_kernels(rng, data, 4, 2, alpha, columns)
 
 
 class TestCounterexampleTie:
@@ -153,18 +162,21 @@ class TestCounterexampleTie:
 
 class TestShapeGuards:
     def test_action_past_num_actions_rejected(self):
-        # action 2 at state 0 with A = 2 would alias cell (1, 0)
+        # action 2 at state 0 with A = 2 would alias cell (1, 0), so no counts hold it;
+        # counts of another (S, A) than the members' are rejected by both kernels
         data = OfflineDataset([0, 1], [2, 0], [0.7, 0.0], [1, 0], [0], gamma=0.9)
-        ws = [np.ones((2, 2))]
         with pytest.raises(ValueError, match="^actions must lie in"):
-            empirical_lagrangian_members(data, Regularizer(), 0.1, [np.zeros(2)], ws)
+            count_columns(data, 2, 2)
+        counts, ws = count_columns(data, 2, 3), [np.ones((2, 2))]
+        with pytest.raises(ValueError, match=r"shape \(2, 3\) asked for as \(2, 2\)"):
+            empirical_lagrangian_members(counts, Regularizer(), 0.1, [np.zeros(2)], ws)
         pc = PolicyClass((Policy(np.full((2, 2), 0.5)),))
-        with pytest.raises(ValueError, match="^actions must lie in"):
-            bc_objective_matrix(ws[0], data, pc)
+        with pytest.raises(ValueError, match=r"shape \(2, 3\) asked for as \(2, 2\)"):
+            bc_objective_matrix(ws[0], counts, pc)
 
     def test_value_member_length_must_match_states(self):
         rng = np.random.default_rng(0)
-        _, data = random_instance(rng, 4, 2, 50, 10)
+        _, _, data = random_instance(rng, 4, 2, 50, 10)
         with pytest.raises(ValueError, match="length 5, expected 4"):
             empirical_lagrangian_members(
                 data, Regularizer(), 0.1, [np.zeros(5)], [np.ones((4, 2))]

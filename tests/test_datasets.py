@@ -4,7 +4,13 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import column_slice, load_dataset, searchsorted_dataset
+from oracles import (
+    column_slice,
+    count_columns,
+    exact_frequency_columns,
+    load_dataset,
+    searchsorted_dataset,
+)
 
 from prorl import datasets
 from prorl.datasets import (
@@ -236,7 +242,7 @@ class TestReferenceSampler:
         np.testing.assert_array_equal(data.next_states, [9, 9, 9])
         np.testing.assert_array_equal(data.init_states, [9, 9])
         fit, _ = DatasetSampler(mdp, law[:, None]).count(3, 2, seed=0)
-        assert fit.law.transitions[9, 0, 9] == 3 and fit.law.inits[9] == 2
+        assert fit.transitions[9, 0, 9] == 3 and fit.inits[9] == 2
 
     def test_cumulative_is_one_from_the_last_positive_entry(self):
         law = np.array([
@@ -280,26 +286,20 @@ def column_counts(mdp, dd, n, n0, seed, start=0, stop=None, with_inits=True):
     """N(s,a,s'), R(s,a), N0(s) of transitions [start, stop) of ``searchsorted_dataset``,
     by the ordered bincount of its columns."""
     states, actions, next_states, init_states = searchsorted_dataset(mdp, dd, n, n0, seed)
-    num_states, num_actions = mdp.num_states, mdp.num_actions
-    cells = (states * num_actions + actions)[start:stop]
-    size = num_states * num_actions
-    return (
-        np.bincount(cells * num_states + next_states[start:stop], minlength=size * num_states
-                    ).reshape(num_states, num_actions, num_states),
-        np.bincount(cells, weights=mdp.reward.ravel()[cells], minlength=size
-                    ).reshape(num_states, num_actions),
-        np.bincount(init_states if with_inits else init_states[:0], minlength=num_states),
-    )
+    cut = slice(start, stop)
+    columns = OfflineDataset(states[cut], actions[cut], mdp.reward[states, actions][cut],
+                             next_states[cut], init_states if with_inits else [], mdp.gamma)
+    return count_columns(columns, mdp.num_states, mdp.num_actions)
 
 
 def assert_same_counts(part, want, n, n0):
     """part's counts equal want's, the reward sums byte for byte."""
-    assert (part.n, part.n0) == (n, n0)
-    got = part.counts(*want[1].shape)
-    np.testing.assert_array_equal(got.transitions, want[0])
-    assert got.rewards.tobytes() == want[1].tobytes()
-    np.testing.assert_array_equal(got.inits, want[2])
-    assert got.transitions.dtype == want[0].dtype and got.inits.dtype == want[2].dtype
+    assert (part.n, part.n0) == (want.n, want.n0) == (n, n0)
+    got = part.checked(*want.rewards.shape)
+    np.testing.assert_array_equal(got.transitions, want.transitions)
+    assert got.rewards.tobytes() == want.rewards.tobytes()
+    np.testing.assert_array_equal(got.inits, want.inits)
+    assert got.transitions.dtype == want.transitions.dtype and got.inits.dtype == want.inits.dtype
 
 
 class TestBlockCounts:
@@ -313,7 +313,7 @@ class TestBlockCounts:
         n0 = int(n * n0_over_n) + (n0_over_n > 1)  # below n and above it
         fit, held = DatasetSampler(self.MDP, self.DD).count(n, n0, seed=4)
         assert_same_counts(fit, column_counts(self.MDP, self.DD, n, n0, 4), n, n0)
-        assert held.n == held.n0 == 0 and not held.law.transitions.any()
+        assert held.n == held.n0 == 0 and not held.transitions.any()
 
     @pytest.mark.parametrize("n1", [0, 100, B, B + 100, 2 * B + 1],
                              ids=["zero", "inside", "boundary", "second", "all"])
@@ -360,11 +360,11 @@ class TestBlockCounts:
 
     def test_counts_are_read_only_and_checked_for_shape(self):
         fit, held = DatasetSampler(self.MDP, self.DD).count(50, 5, 0, n1=30)
-        for array in fit.law + held.law:
+        for array in fit[3:] + held[3:]:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
         with pytest.raises(ValueError, match="asked for as"):
-            fit.counts(3, 5)
+            fit.checked(3, 5)
 
     @pytest.mark.parametrize("n, n0, n1", [(-1, 0, None), (5, -1, None), (5, 1, 6), (5, 1, -1)])
     def test_rejects_bad_sizes(self, n, n0, n1):
@@ -378,7 +378,7 @@ class TestBlockCounts:
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert peak < 2 * 2**20  # one column of 1e6 int64 alone is 7.6 MiB
-        assert fit.law.transitions.sum() == fit.law.inits.sum() == 1_000_000
+        assert fit.transitions.sum() == fit.inits.sum() == 1_000_000
 
 
 class TestSerialization:
@@ -407,7 +407,7 @@ class TestTake:
         data = sampler.draw(20, 5, 6)
         for part, want in ((head, column_slice(data, 0, 15)),
                            (tail, column_slice(data, 15, 20, keep_inits=False))):
-            for got, expected in zip(part.counts(3, 2), want.counts(3, 2)):
+            for got, expected in zip(part[3:], count_columns(want, 3, 2)[3:]):
                 np.testing.assert_array_equal(got, expected)
 
 
@@ -435,11 +435,27 @@ class TestExactFrequency:
     def test_counterexample_frequencies_are_exact(self):
         bundle = build_counterexample(0.5)
         data = exact_frequency_dataset(bundle.mdp, bundle.data_occupancy)
-        assert data.n == 6
-        counts = np.zeros((4, 2))
-        np.add.at(counts, (data.states, data.actions), 1.0)
-        np.testing.assert_allclose(counts / data.n, bundle.data_occupancy.mass, atol=0)
-        assert np.all(data.init_states == bundle.A)
+        assert (data.n, data.n0) == (6, 1)
+        np.testing.assert_allclose(data.transitions.sum(axis=2) / data.n,
+                                   bundle.data_occupancy.mass, atol=0)
+        assert data.inits[bundle.A] == 1
+        for array in data[3:]:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+    @pytest.mark.parametrize("repeats", [1, 2, 3])
+    @pytest.mark.parametrize("instance", [1, 2])
+    def test_counts_bin_the_sorted_columns(self, instance, repeats):
+        # the counts built from the cell counts equal the ordered bincount of the
+        # columns they replaced, the reward sums byte for byte
+        bundle = build_counterexample(0.5, instance)
+        columns = exact_frequency_columns(bundle.mdp, bundle.data_occupancy, repeats)
+        want = count_columns(columns, 4, 2)
+        got = exact_frequency_dataset(bundle.mdp, bundle.data_occupancy, repeats)
+        assert got[:3] == want[:3] == (6 * repeats, max(1, repeats), bundle.mdp.gamma)
+        np.testing.assert_array_equal(got.transitions, want.transitions)
+        assert got.rewards.tobytes() == want.rewards.tobytes()
+        np.testing.assert_array_equal(got.inits, want.inits)
 
     def test_stochastic_mdp_rejected(self):
         mdp = random_mdp(3, 2, 0.9, seed=1)
@@ -458,7 +474,8 @@ class TestExactFrequency:
 
 def assert_counts_match_tallies(data, num_states, num_actions, counted=None):
     """The counts of counted (default data) against per-transition tallies of data's columns."""
-    c = (data if counted is None else counted).counts(num_states, num_actions)
+    c = (count_columns(data, num_states, num_actions) if counted is None
+         else counted.checked(num_states, num_actions))
     want = np.zeros((num_states, num_actions, num_states))
     np.add.at(want, (data.states, data.actions, data.next_states), 1)
     np.testing.assert_array_equal(c.transitions, want)
@@ -487,22 +504,13 @@ class TestCounts:
         else:
             assert_counts_match_tallies(column_slice(data, 0, head.n), 5, 3, head)
 
-    def test_counts_are_memoized_and_read_only(self):
-        mdp = random_mdp(3, 2, 0.9, seed=4)
-        data = generate_dataset(mdp, behavior_distribution(mdp), n=40, n0=5, seed=6)
-        first = data.counts(3, 2)
-        assert data.counts(3, 2) is first
-        for array in first:
-            with pytest.raises(ValueError, match="read-only"):
-                array[...] = 0
-
     def test_sampled_counts_at_another_shape_check_their_columns(self):
         # the columns are range checked at every shape they are counted at
         mdp = random_mdp(3, 2, 0.9, seed=4)
         data = generate_dataset(mdp, behavior_distribution(mdp), n=40, n0=5, seed=6)
         with pytest.raises(ValueError, match="^states must lie in"):
-            data.counts(2, 3)
-        assert data.counts(3, 3).transitions.sum() == 40
+            count_columns(data, 2, 3)
+        assert count_columns(data, 3, 3).transitions.sum() == 40
 
     @pytest.mark.parametrize("table", ["next_states", "init_states"], ids=["next", "init"])
     def test_draw_past_the_tables_raises(self, table):
@@ -521,8 +529,8 @@ class TestCounts:
         # the two parts of count's bc cut add up to the uncut count
         mdp = random_mdp(3, 2, 0.9, seed=4)
         sampler = DatasetSampler(mdp, behavior_distribution(mdp))
-        head, tail = (part.counts(3, 2) for part in sampler.count(40, 5, 6, n1=25))
-        whole = sampler.count(40, 5, 6)[0].counts(3, 2)
+        head, tail = sampler.count(40, 5, 6, n1=25)
+        whole = sampler.count(40, 5, 6)[0]
         np.testing.assert_allclose(head.rewards + tail.rewards, whole.rewards, rtol=1e-14)
         np.testing.assert_array_equal(head.transitions + tail.transitions, whole.transitions)
         np.testing.assert_array_equal(tail.inits, np.zeros(3))
@@ -530,7 +538,7 @@ class TestCounts:
 
     def test_empty_dataset_gives_zero_counts(self):
         mdp = random_mdp(3, 2, 0.8, seed=2)
-        c = generate_dataset(mdp, behavior_distribution(mdp), n=0, n0=0, seed=0).counts(3, 2)
+        c = DatasetSampler(mdp, behavior_distribution(mdp)).count(0, 0, seed=0)[0]
         assert c.transitions.shape == (3, 2, 3) and not c.transitions.any()
         assert c.rewards.shape == (3, 2) and c.inits.shape == (3,)
 
@@ -552,4 +560,4 @@ class TestCounts:
         cols[column][0] = value
         data = OfflineDataset(rewards=[0.7, 0.0], gamma=0.9, **cols)
         with pytest.raises(ValueError, match=f"^{column} must lie in"):
-            data.counts(3, 2)
+            count_columns(data, 3, 2)

@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from prorl.classes import PolicyClass, witness_class
 from prorl import extraction
-from prorl.datasets import DatasetSampler, exact_frequency_dataset, generate_dataset
+from prorl.datasets import DatasetSampler, exact_frequency_dataset
 from prorl.extraction import (
     bc_objective_matrix,
     clone_policy,
@@ -105,8 +105,7 @@ class TestSplitDataset:
         assert d1.n == 90 and d2.n == 10
         assert d1.n0 == 20 and d2.n0 == 0
         whole = self.sampler().count(100, 20, 1)[0]
-        np.testing.assert_array_equal(d1.law.transitions + d2.law.transitions,
-                                      whole.law.transitions)
+        np.testing.assert_array_equal(d1.transitions + d2.transitions, whole.transitions)
 
     def test_degenerate_splits(self):
         sampler = self.sampler()
@@ -129,7 +128,7 @@ class TestClonePolicy:
         pi_d = uniform_policy(4, 2)
         dd = exact_occupancy(mdp, pi_d).mass
         sol = solve_regularized(mdp, dd, Regularizer(), 0.3)
-        data = generate_dataset(mdp, dd, n=n2, n0=0, seed=seed)
+        data = DatasetSampler(mdp, dd).count(n2, 0, seed)[0]
         return mdp, dd, sol, data
 
     def test_singleton_class_returned(self):
@@ -195,3 +194,40 @@ class TestClonePolicy:
             want = np.einsum("hsa,sa->hs", np.stack(fresh), pi.probs)
             assert h_pi.tobytes() == want.tobytes()
         assert not h_stack.flags.writeable and not h_pis.flags.writeable
+
+
+class CGathers(np.ndarray):
+    """Contractions h^pi whose gathers come back C-ordered, as another numpy's might."""
+
+    def __getitem__(self, key):
+        out = super().__getitem__(key)
+        return out if isinstance(key, (int, np.integer)) else np.ascontiguousarray(out)
+
+
+class TestCloningLayout:
+    """The cloning product's bytes hang on the values alone, not on the gather's layout."""
+
+    @pytest.mark.parametrize("gather", ["numpy", "c_ordered"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_product_runs_on_the_fortran_ordered_difference(self, gather, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        num_states, num_actions = int(rng.integers(2, 30)), int(rng.integers(1, 5))
+        num_witnesses = (3, 1, 2, 3, 5, 23)[seed % 6]
+        mdp = random_mdp(num_states, num_actions, 0.9, seed=seed)
+        dd = rng.dirichlet(np.full(num_states * num_actions, 0.5)).reshape(mdp.reward.shape)
+        data = DatasetSampler(mdp, dd).count(int(rng.integers(50, 5000)), 1, seed)[0]
+        pc = PolicyClass(tuple(Policy(rng.dirichlet(np.ones(num_actions), size=num_states))
+                               for _ in range(int(rng.integers(1, 4)))))
+        witnesses = [rng.uniform(-1.0, 1.0, mdp.reward.shape) for _ in range(num_witnesses)]
+        w_hat = rng.uniform(0.0, 3.0, mdp.reward.shape)
+        h_stack, h_pis = extraction._tables(np.stack(witnesses), pc.members)
+        if gather == "c_ordered":
+            monkeypatch.setattr(extraction, "_tables",
+                                lambda h, members: (h_stack, h_pis.view(CGathers)))
+        n_sa = data.transitions.sum(axis=2)
+        pos = n_sa > 0
+        cells, weights = np.nonzero(pos)[0], n_sa[pos] * w_hat[pos]
+        want = np.stack([np.asfortranarray(h_pi[:, cells] - h_stack[:, pos]) @ weights
+                         for h_pi in h_pis]) / data.n
+        got = bc_objective_matrix(w_hat, data, pc, witnesses)
+        assert got.tobytes() == want.tobytes()

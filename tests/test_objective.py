@@ -5,11 +5,12 @@ from hypothesis import given, strategies as st
 from oracles import (
     brute_force_lagrangian,
     empirical_lagrangian,
+    exact_frequency_columns,
     policy_values,
     population_lagrangian,
     sampled_residuals,
 )
-from prorl.datasets import exact_frequency_dataset, generate_dataset
+from prorl.datasets import DatasetSampler, exact_frequency_dataset
 from prorl.mdp import (
     build_counterexample,
     exact_occupancy,
@@ -60,7 +61,7 @@ class TestResidual:
 
     def test_sampled_residuals_match_population_for_deterministic_mdp(self):
         bundle = build_counterexample(0.5)
-        data = exact_frequency_dataset(bundle.mdp, bundle.data_occupancy)
+        data = exact_frequency_columns(bundle.mdp, bundle.data_occupancy)
         v = np.array([0.3, -0.2, 0.9, 0.1])
         e_pop = residual_ev(bundle.mdp, v)
         np.testing.assert_allclose(
@@ -133,7 +134,7 @@ class TestPopulationLagrangian:
 class TestEmpiricalLagrangian:
     def test_empty_dataset_rejected(self):
         mdp, dd = setup_random(1)
-        data = generate_dataset(mdp, dd, n=0, n0=0, seed=0)
+        data = DatasetSampler(mdp, dd).count(0, 0, seed=0)[0]
         with pytest.raises(ValueError, match="n=0"):
             empirical_lagrangian_members(
                 data, Regularizer(), 0.1, [np.zeros(4)], [np.zeros((4, 2))]
@@ -148,7 +149,7 @@ class TestEmpiricalLagrangian:
             v = rng.uniform(-1, 1, size=4)
             w = rng.uniform(0, 2, size=(4, 2))
             want = population_lagrangian(bundle.mdp, bundle.data_occupancy, reg, 0.4, v, w)
-            got = empirical_lagrangian(data, reg, 0.4, v, w)
+            got = empirical_lagrangian_members(data, reg, 0.4, [v], [w])[0, 0]
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_unbiased_over_many_datasets(self):
@@ -160,29 +161,24 @@ class TestEmpiricalLagrangian:
         w = rng.uniform(0, 2, size=(4, 2))
         alpha = 0.4
         target = population_lagrangian(mdp, dd, reg, alpha, v, w)
-        vals = np.array(
-            [
-                empirical_lagrangian(
-                    generate_dataset(mdp, dd, n=200, n0=200, seed=10_000 + k),
-                    reg,
-                    alpha,
-                    v,
-                    w,
-                )
-                for k in range(2000)
-            ]
-        )
+        sampler = DatasetSampler(mdp, dd)
+        vals = np.array([
+            empirical_lagrangian_members(sampler.count(200, 200, 10_000 + k)[0], reg, alpha,
+                                         [v], [w])[0, 0]
+            for k in range(2000)
+        ])
         se = vals.std(ddof=1) / np.sqrt(len(vals))
         assert abs(vals.mean() - target) <= 4.0 * se
 
     def test_members_matrix_matches_scalar_calls(self):
         mdp, dd = setup_random(3)
-        data = generate_dataset(mdp, dd, n=150, n0=60, seed=2)
+        sampler = DatasetSampler(mdp, dd)
+        data, counted = sampler.draw(150, 60, 2), sampler.count(150, 60, 2)[0]
         reg = Regularizer(m_f=1.5)
         rng = np.random.default_rng(9)
         vs = [rng.uniform(-1, 1, size=4) for _ in range(3)]
         ws = [rng.uniform(0, 2, size=(4, 2)) for _ in range(4)]
-        mat = empirical_lagrangian_members(data, reg, 0.25, vs, ws)
+        mat = empirical_lagrangian_members(counted, reg, 0.25, vs, ws)
         for i, w in enumerate(ws):
             for j, v in enumerate(vs):
                 assert mat[i, j] == pytest.approx(

@@ -3,7 +3,7 @@ import pytest
 
 from oracles import double_loop_saddle, empirical_lagrangian
 from prorl.classes import ValueClass, WeightClass, build_realizable
-from prorl.datasets import exact_frequency_dataset, generate_dataset
+from prorl.datasets import DatasetSampler, exact_frequency_dataset, generate_dataset
 from prorl.mdp import build_counterexample, exact_occupancy, random_mdp, uniform_policy
 from prorl.objective import (
     empirical_lagrangian_members,
@@ -25,7 +25,7 @@ def make_instance(seed, n=400, alpha=0.3, num_distractors=6):
     reg = Regularizer(m_f=1.0)
     sol = solve_regularized(mdp, dd, reg, alpha)
     classes = build_realizable(sol, num_distractors, seed=seed + 100, reg=reg, gamma=0.8)
-    data = generate_dataset(mdp, dd, n=n, n0=n // 4, seed=seed + 200)
+    data = DatasetSampler(mdp, dd).count(n, n // 4, seed + 200)[0]
     return mdp, dd, reg, sol, classes, data
 
 
@@ -48,9 +48,10 @@ class TestSolveExact:
         assert out.value == pytest.approx(value, abs=0.0)
 
     def test_value_consistent_with_scalar_objective(self):
-        _, _, reg, _, classes, data = make_instance(2)
+        mdp, dd, reg, _, classes, data = make_instance(2)
         out = solve_exact(payoff(data, classes, reg, 0.3), classes)
-        direct = empirical_lagrangian(data, reg, 0.3, out.v_hat, out.w_hat)
+        columns = generate_dataset(mdp, dd, 400, 100, seed=202)  # the draws data counts
+        direct = empirical_lagrangian(columns, reg, 0.3, out.v_hat, out.w_hat)
         assert out.value == pytest.approx(direct, abs=1e-12)
 
     def test_counterexample_tie_broken_by_order(self):
