@@ -143,9 +143,25 @@ class WeightClass:
         )
 
 
+def _witness_tables(h_stack: np.ndarray, members) -> tuple:
+    """Read-only witnesses (H, S, A) and each h^pi(s) = sum_a pi(a|s) h(s, a), (P, H, S)."""
+    out = h_stack, np.stack([np.einsum("hsa,sa->hs", h_stack, pi.probs) for pi in members])
+    for array in out:
+        array.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class PolicyClass:
+    """Finite set of policies the cloning stage fits over.
+
+    `tables` holds the class's own witness set, stacked, with every member's
+    h^pi: built on first read, so a cloning run contracts nothing.
+    """
+
     members: tuple
+    tables = functools.cached_property(
+        lambda self: _witness_tables(np.stack(witness_class(self)), self.members))
 
     def __post_init__(self):
         if not self.members:

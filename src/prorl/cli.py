@@ -20,14 +20,8 @@ from .mdp import Policy, exact_occupancy, load_mdp, save_mdp, uniform_policy
 from .oracle import solve_regularized, solve_unregularized
 from .pipelines import ExperimentConfig, PipelineError, run_pro_rl, run_pro_rl_bc, resolve_mdp
 from .regularizers import Regularizer
-from .suites import SUITE_NAMES, run_experiment_suite
+from .suites import SUITE_NAMES, _write_json, run_experiment_suite
 from .svgplot import fit_loglog
-
-
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _behavior_policy(mdp, policy_path):

@@ -9,12 +9,11 @@ estimate of the behavior policy.
 
 from __future__ import annotations
 
-import functools
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .classes import PolicyClass, witness_class
+from .classes import PolicyClass, _witness_tables
 from .datasets import CountedDataset
 from .mdp import Policy
 
@@ -51,17 +50,14 @@ def bc_objective_matrix(
     Entry [i, j] averages w_hat(s, a) * (h_j^{pi_i}(s) - h_j(s, a)) over the
     dataset transitions, where h^pi(s) is the policy's expected witness
     value at s, as a sum over covered cells weighted by the counts N(s, a).
-    The witness set defaults to the policy class's own, memoized by content
-    with every policy's h^pi, so a run contracts nothing.
+    The witness set defaults to the policy class's own, whose tables the
+    class keeps with every policy's h^pi, so a run contracts nothing.
     """
     if data.n == 0:
         raise ValueError("cloning needs a nonempty dataset (n=0)")
     w_hat = np.asarray(w_hat, dtype=float)
-    if witnesses is None:
-        probs = np.stack([pi.probs for pi in policies.members])
-        h_stack, h_pis = _witnesses_of(probs.shape, probs.tobytes())
-    else:
-        h_stack, h_pis = _tables(np.stack(tuple(witnesses)), policies.members)
+    h_stack, h_pis = (policies.tables if witnesses is None
+                      else _witness_tables(np.stack(tuple(witnesses)), policies.members))
     n_sa = data.checked(*w_hat.shape).transitions.sum(axis=2)
     pos = n_sa > 0
     cell_states = np.nonzero(pos)[0]
@@ -71,21 +67,6 @@ def bc_objective_matrix(
     # layout, so the product's summation order does not hang on what the gather returns
     return np.stack([np.asfortranarray(h_pi[:, cell_states] - h_cells) @ weights
                      for h_pi in h_pis]) / data.n
-
-
-def _tables(h_stack: np.ndarray, members) -> tuple:
-    """Witnesses (H, S, A) and each policy's h^pi(s) = sum_a pi(a|s) h(s, a), (P, H, S)."""
-    return h_stack, np.stack([np.einsum("hsa,sa->hs", h_stack, pi.probs) for pi in members])
-
-
-@functools.lru_cache(maxsize=4)
-def _witnesses_of(shape: tuple, probs: bytes) -> tuple:
-    """``_tables`` of the policies stacked in probs and their witness_class, read-only."""
-    members = tuple(map(Policy, np.frombuffer(probs).reshape(shape)))
-    out = _tables(np.stack(witness_class(PolicyClass(members))), members)
-    for array in out:
-        array.flags.writeable = False
-    return out
 
 
 def clone_policy(

@@ -269,14 +269,6 @@ class CounterexampleBundle:
     A, B, C, T = 0, 1, 2, 3
     LEFT, RIGHT = 0, 1
 
-    @property
-    def v_members(self) -> list:
-        return [self.v_star_unreg]
-
-    @property
-    def w_members(self) -> list:
-        return [self.w_left, self.w_right]
-
 
 def build_counterexample(gamma: float, instance: int = 1) -> CounterexampleBundle:
     """Discounted version of the classic identifiability failure.

@@ -161,6 +161,9 @@ class ExperimentConfig:
                     f"{block} kind {kind!r} does not read {unread}; "
                     f"accepted keys: {list(kinds[kind])}",
                 )
+        for name in (self.bc or {}).get("directions", ()):
+            if not _MIX_DIRECTION.fullmatch(str(name)):
+                raise PipelineError("config", f"unknown mix direction {name!r}")
         if self.bc is not None and self.dataset["kind"] == "exact_frequency":
             raise PipelineError("config", "the bc cut needs a sampled dataset: exact-frequency "
                                           "counts have no draw order to cut")
@@ -402,9 +405,9 @@ class Instance:
 
     def __post_init__(self):  # the JSON before n, most of it, is hashed once
         object.__setattr__(self, "_head", hashlib.sha256(self.config_json[0].encode()))
-        object.__setattr__(self, "_scores", {})  # weight member index -> _member_scores
+        object.__setattr__(self, "_scores", {})  # weight member index -> member_scores
 
-    def _member_scores(self, index: int) -> tuple:
+    def member_scores(self, index: int) -> tuple:
         """(j_hat, pi_l1, w_dev, w_max) of weight member index, scored on its first pick."""
         if index not in self._scores:
             w = self.wc.members[index]
@@ -443,7 +446,7 @@ def _json_pieces(config: ExperimentConfig) -> tuple:
             "," + part("seed", "~") + "}")
 
 
-_REGISTRY_SIZE = 32  # `pro-rl experiment --suite all` fills 29: 15 instances, 14 memoized values
+_REGISTRY_SIZE = 32  # `pro-rl experiment --suite all` fills 26: 15 instances, 11 memoized values
 _registry: "OrderedDict[bytes, object]" = OrderedDict()  # least recently used first
 _MISSING = object()
 
@@ -498,9 +501,8 @@ def prepare(cfg: ExperimentConfig) -> Instance:
     apart, and a run's hash splices in the instance's JSON); the pickle costs
     a small fraction of that JSON. The ``_REGISTRY_SIZE`` most recently used
     instances and ``memoized`` values are kept, and their arrays are read-only.
-    The bc mix directions are checked before any stage runs. When no ratio
-    anchor exists at alpha=0 and the config supplies explicit classes, the
-    target weight is weight-class member 0.
+    When no ratio anchor exists at alpha=0 and the config supplies explicit
+    classes, the target weight is weight-class member 0.
     """
     config = replace(cfg, **_RUN_FIELDS)
     return _kept(pickle.dumps(config), lambda: _build(cfg, config))
@@ -508,9 +510,6 @@ def prepare(cfg: ExperimentConfig) -> Instance:
 
 def _build(cfg: ExperimentConfig, config: ExperimentConfig) -> Instance:
     """``prepare``'s instance, built anew; config is cfg less its run fields."""
-    for name in (cfg.bc or {}).get("directions", ()):
-        if not _MIX_DIRECTION.fullmatch(str(name)):
-            raise PipelineError("config", f"unknown mix direction {name!r}")
     with _staged("mdp"):
         mdp = resolve_mdp(cfg.mdp)
     with _staged("data_dist"):
@@ -557,8 +556,8 @@ class RunReport:
     w_dev: float
     eps_hat: float
     eps_stat: float
-    rhs_perf_bound: float
-    rhs_realized: float
+    rhs_perf_bound: Optional[float]  # None at alpha = 0, where the gap bound is vacuous
+    rhs_realized: Optional[float]
     rhs_capped: Optional[float]
     bc_sample_term: Optional[float]
     eps_rv: float
@@ -597,11 +596,10 @@ def _evaluate(cfg, inst: Instance, emp, sol_hat, scores, fit, held, pi_bar):
     eps_stat = stat_error(fit.n, fit.n0, cfg.alpha, b_w, reg.bounds(b_w)[0], b_v,
                           residual_bound(b_v, mdp.gamma), (len(inst.vc), len(inst.wc)),
                           cfg.delta, gamma=mdp.gamma)
+    rhs_perf_bound = rhs_realized = None
     if cfg.alpha > 0:
         rhs_perf_bound = performance_gap_bound(eps_stat, cfg.alpha, reg.m_f, mdp.gamma)
         rhs_realized = performance_gap_bound(eps_hat, cfg.alpha, reg.m_f, mdp.gamma)
-    else:
-        rhs_perf_bound = rhs_realized = float("inf")
     rhs_capped = (2.0 * cfg.alpha * reg.bounds(b_w)[0] + rhs_realized
                   if cfg.variant["kind"] == "capped" else None)
     return RunReport(
@@ -682,13 +680,14 @@ def run_pro_rl(cfg: ExperimentConfig, instance: Optional[Instance] = None) -> Ru
     with _staged("saddle"):
         emp = empirical_lagrangian_members(fit, inst.reg, cfg.alpha, vc.stack, wc.stack)
         if cfg.variant["kind"] == "inexact":
-            sol_hat = solve_inexact(emp, (vc, wc), eps_ov=cfg.variant["eps_ov"],
+            sol_hat = solve_inexact(emp, eps_ov=cfg.variant["eps_ov"],
                                     eps_ow=cfg.variant["eps_ow"], seed=cfg.seed + 1)
         else:
-            sol_hat = solve_exact(emp, (vc, wc), w_order=cfg.w_order)
+            sol_hat = solve_exact(emp, w_order=cfg.w_order)
     with _staged("extraction"):
-        scores = inst._member_scores(sol_hat.w_index)
-        pi_bar = None if held is None else clone_policy(sol_hat.w_hat, held, inst.policies)
+        scores = inst.member_scores(sol_hat.w_index)
+        pi_bar = (None if held is None
+                  else clone_policy(wc.members[sol_hat.w_index], held, inst.policies))
     with _staged("evaluation"):
         return _evaluate(cfg, inst, emp, sol_hat, scores, fit, held, pi_bar)
 

@@ -6,7 +6,8 @@ each weight candidate is scored by its worst-case value candidate, and
 the best-scoring weight wins. Enumeration keeps the optimization error
 exactly zero in the default mode; the inexact mode instead samples
 uniformly among pairs within declared slacks, which is how optimization
-error enters the robustness experiments.
+error enters the robustness experiments. Either way the estimate is a pair
+of member indices into the classes the payoff matrix was built from.
 """
 
 from __future__ import annotations
@@ -16,25 +17,20 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .classes import ValueClass, WeightClass
-
 
 @dataclass(frozen=True)
 class SaddleSolution:
-    """Selected pair with its empirical objective value and realized slacks.
+    """Selected pair of member indices with its realized slacks.
 
-    eps_ov bounds how far v_hat sits above the best response to w_hat;
-    eps_ow bounds how far w_hat's worst case sits below the max-min value.
-    Exact mode reports both as 0.0.
+    eps_ov bounds how far value member v_index sits above the best response
+    to weight member w_index; eps_ow bounds how far w_index's worst case sits
+    below the max-min value. Exact mode reports both as 0.0.
     """
 
-    w_hat: np.ndarray
-    v_hat: np.ndarray
-    value: float
-    eps_ov: float
-    eps_ow: float
     w_index: int
     v_index: int
+    eps_ov: float
+    eps_ow: float
 
 
 def _inner_minima(l_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -43,20 +39,7 @@ def _inner_minima(l_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return l_matrix[np.arange(l_matrix.shape[0]), v_idx], v_idx
 
 
-def _check_payoff(l_matrix: np.ndarray, classes: tuple[ValueClass, WeightClass]) -> None:
-    value_class, weight_class = classes
-    if l_matrix.shape != (len(weight_class), len(value_class)):
-        raise ValueError(
-            f"payoff matrix shape {l_matrix.shape} does not match the classes "
-            f"({len(weight_class)} weights, {len(value_class)} values)"
-        )
-
-
-def solve_exact(
-    l_matrix: np.ndarray,
-    classes: tuple[ValueClass, WeightClass],
-    w_order: Optional[Sequence[int]] = None,
-) -> SaddleSolution:
+def solve_exact(l_matrix: np.ndarray, w_order: Optional[Sequence[int]] = None) -> SaddleSolution:
     """Enumerate all pairs; ties at both levels go to the first index.
 
     l_matrix[i, j] is the empirical objective at weight member i and value
@@ -65,31 +48,16 @@ def solve_exact(
     Indices in the returned solution always refer to the original class
     order.
     """
-    _check_payoff(l_matrix, classes)
-    value_class, weight_class = classes
     inner, v_indices = _inner_minima(l_matrix)
-    order = np.arange(len(weight_class)) if w_order is None else np.asarray(w_order, dtype=int)
-    if sorted(order.tolist()) != list(range(len(weight_class))):
+    num_weights = l_matrix.shape[0]
+    order = np.arange(num_weights) if w_order is None else np.asarray(w_order, dtype=int)
+    if sorted(order.tolist()) != list(range(num_weights)):
         raise ValueError("w_order must be a permutation of the weight indices")
     w_pos = order[inner[order].argmax()]
-    return SaddleSolution(
-        w_hat=weight_class.members[w_pos],
-        v_hat=value_class.members[v_indices[w_pos]],
-        value=float(inner[w_pos]),
-        eps_ov=0.0,
-        eps_ow=0.0,
-        w_index=int(w_pos),
-        v_index=int(v_indices[w_pos]),
-    )
+    return SaddleSolution(int(w_pos), int(v_indices[w_pos]), 0.0, 0.0)
 
 
-def solve_inexact(
-    l_matrix: np.ndarray,
-    classes: tuple[ValueClass, WeightClass],
-    eps_ov: float,
-    eps_ow: float,
-    seed: int,
-) -> SaddleSolution:
+def solve_inexact(l_matrix: np.ndarray, eps_ov: float, eps_ow: float, seed: int) -> SaddleSolution:
     """Pick uniformly among pairs within the declared optimization slacks.
 
     A pair (v, w) qualifies when v is an eps_ov-approximate best response
@@ -100,8 +68,6 @@ def solve_inexact(
     """
     if eps_ov < 0 or eps_ow < 0:
         raise ValueError("slacks must be nonnegative")
-    _check_payoff(l_matrix, classes)
-    value_class, weight_class = classes
     inner, _ = _inner_minima(l_matrix)
     maxmin = inner.max()
     w_ok = maxmin - inner <= eps_ow
@@ -109,12 +75,5 @@ def solve_inexact(
     pool = np.argwhere(pair_ok)
     rng = np.random.default_rng(seed)
     w_pos, v_pos = pool[rng.integers(len(pool))]
-    return SaddleSolution(
-        w_hat=weight_class.members[w_pos],
-        v_hat=value_class.members[v_pos],
-        value=float(l_matrix[w_pos, v_pos]),
-        eps_ov=float(l_matrix[w_pos, v_pos] - inner[w_pos]),
-        eps_ow=float(maxmin - inner[w_pos]),
-        w_index=int(w_pos),
-        v_index=int(v_pos),
-    )
+    return SaddleSolution(int(w_pos), int(v_pos), float(l_matrix[w_pos, v_pos] - inner[w_pos]),
+                          float(maxmin - inner[w_pos]))

@@ -12,10 +12,11 @@ The base seed only shifts the per-run dataset seeds. Fixture construction
 uses its own fixed generators, so two invocations with the same seed
 reproduce rows.csv and summary.json byte for byte. A suite computes what no
 seed changes once per process: its grid points' instances through
-``prepare``, and its fixture and seed-free references (the b_w0 solve, the
-stability sweep and its limit, the capped LP, the coverage check, the
-counterexample's right-policy return) through ``memoized``, in the same
-registry. A later call writes its artifacts and runs its seeds, nothing else.
+``prepare``, which also hold the capped reference and every weight member's
+return, and its fixture and the other seed-free references (the b_w0 solve,
+the stability sweep and its limit, the coverage check) through ``memoized``,
+in the same registry. A later call writes its artifacts and runs its seeds,
+nothing else.
 """
 
 from datetime import datetime, timezone
@@ -35,18 +36,15 @@ from .bounds import (
     unregularized_competition_slack,
 )
 from .classes import ValueClass, WeightClass
-from .extraction import extract_policy
 from .mdp import (
     Policy,
     TabularMdp,
     build_counterexample,
     exact_occupancy,
-    policy_return,
     random_mdp,
     uniform_policy,
 )
 from .oracle import (
-    capped_unregularized_value,
     lp_stability_sweep,
     min_f_divergence_weight,
     solve_regularized,
@@ -167,8 +165,6 @@ def counterexample_fixture(gamma: float = 0.5, instance: int = 1) -> dict:
         floor=(0.0, pi_d),
     )
     return {
-        "bundle": bundle,
-        "pi_d": pi_d,
         "mdp": {"kind": "counterexample", "gamma": gamma, "instance": instance},
         "data_dist": {"kind": "explicit", "mass": bundle.data_occupancy.mass.tolist()},
         "reg": Regularizer().to_config(),
@@ -392,11 +388,6 @@ def _sweep(out_dir: str, seed: int, num_seeds: int, base: dict, points: dict):
     return batches, instances
 
 
-def _extracted_return(mdp, w, pi_d) -> float:
-    """Return of the policy extracted from weight w over behavior policy pi_d."""
-    return policy_return(mdp, extract_policy(w, pi_d))
-
-
 def _b_w0(mdp_cfg: dict) -> float:
     """Largest ratio d*_0 / d^D on the MDP mdp_cfg names, under uniform-policy data."""
     mdp = resolve_mdp(mdp_cfg)
@@ -424,13 +415,11 @@ def _suite_counterexample(out_dir: str, seed: int, gamma: float = 0.5) -> dict:
     batches, instances = _sweep(out_dir, seed, 1, base, points)
 
     per_instance = {}
-    for instance, fx in fixtures.items():
-        bundle = fx["bundle"]
+    for instance in fixtures:
         inst = instances[instance, "friendly"]  # both orders share it: w_order is a run field
         tie_gap = float(abs(inst.pop[0, 0] - inst.pop[1, 0]))
         j_star = inst.j_star_zero
-        regret_right = j_star - memoized("_extracted_return", _extracted_return,
-                                         bundle.mdp, bundle.w_right, fx["pi_d"])
+        regret_right = j_star - inst.member_scores(1)[0]  # weight member 1 is w_right
 
         gaps = {label: batches[instance, label][0].gap_ref for label in orders}
         per_instance[f"instance_{instance}"] = {
@@ -643,8 +632,7 @@ def _suite_constrained_coverage(
     points = _sizes((n,), lambda n: max(n // 10, 10))
     batches, instances = _sweep(out_dir, seed, num_seeds, base, points)
     (reports,), (inst,) = batches.values(), instances.values()
-    j_cap, _ = memoized("capped_unregularized_value", capped_unregularized_value,
-                        inst.mdp, inst.dd, fx["cap"])
+    j_cap = inst.j_ref  # the capped LP value, solved once by prepare
 
     envelope_ok = sum(1 for r in reports if r.gap_ref <= r.rhs_capped + 1e-12)
     cap_ok = sum(1 for r in reports if r.w_max <= r.b_w + 1e-9)

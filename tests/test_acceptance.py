@@ -117,8 +117,8 @@ def test_02_regularization_restores_identifiability(verdict):
         for seed in range(20):
             data = sampler.count(10000, 10000, seed)[0]
             l_matrix = empirical_lagrangian_members(data, reg, alpha, vc.members, wc.members)
-            sol_hat = solve_exact(l_matrix, (vc, wc))
-            pi_hat = extract_policy(sol_hat.w_hat, pi_d)
+            sol_hat = solve_exact(l_matrix)
+            pi_hat = extract_policy(wc.members[sol_hat.w_index], pi_d)
             good += bool(pi_hat.probs[bundle.A, bundle.LEFT] > 0.999)
         successes.append(good)
     elapsed = time.perf_counter() - start

@@ -20,6 +20,14 @@ BASE_CONFIG = {
 }
 
 
+def strict_json(text):
+    """text parsed as JSON that rejects NaN and Infinity, which strict parsers refuse."""
+    def reject(constant):
+        raise ValueError(f"non-finite constant {constant} in the report")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def write_config(path, **over):
     payload = dict(BASE_CONFIG)
     payload.update(over)
@@ -86,13 +94,25 @@ class TestRunCommands:
         assert report["gap_ref"] <= report["pi_l1"] / 0.2 + 1e-9
 
     def test_solve_at_alpha_zero_writes_no_nan(self, tmp_path):
-        # an alpha = 0 run has no regularized optimum: its j_star_alpha is null, not NaN
+        # an alpha = 0 run has no regularized optimum and a vacuous gap bound: j_star_alpha
+        # and the rhs columns are null, not NaN or Infinity, so strict parsers read the report
         cfg = write_config(tmp_path / "cfg.json", alpha=0.0, variant={"kind": "alpha_zero"},
                            classes={"kind": "constrained", "num_distractors": 4, "seed": 0})
         out = tmp_path / "report.json"
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
-        text = out.read_text()
-        assert "NaN" not in text and json.loads(text)["j_star_alpha"] is None
+        report = strict_json(out.read_text())
+        assert report["j_star_alpha"] is None and report["rhs_capped"] is None
+        assert report["rhs_perf_bound"] is None and report["rhs_realized"] is None
+
+    def test_extract_bc_at_alpha_zero_writes_strict_json(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", alpha=0.0, variant={"kind": "alpha_zero"},
+                           classes={"kind": "constrained", "num_distractors": 4, "seed": 0},
+                           n=1000, bc={"n1": 700, "mix_grid": [0.2], "directions": ["uniform"]})
+        out = tmp_path / "report.json"
+        assert main(["extract-bc", "--config", cfg, "--out", str(out)]) == 0
+        report = strict_json(out.read_text())
+        assert report["rhs_perf_bound"] is None and report["rhs_realized"] is None
+        assert report["n2"] == 300 and report["pi_l1_bc"] is not None
 
     def test_extract_bc_writes_cloning_fields(self, tmp_path):
         cfg = write_config(

@@ -155,7 +155,7 @@ class TestCounterexampleTie:
         bundle = build_counterexample(0.5, instance)
         data = exact_frequency_dataset(bundle.mdp, bundle.data_occupancy, repeats)
         emp = empirical_lagrangian_members(
-            data, Regularizer(), 0.0, bundle.v_members, bundle.w_members
+            data, Regularizer(), 0.0, [bundle.v_star_unreg], [bundle.w_left, bundle.w_right]
         )
         assert emp[0, 0] == emp[1, 0]
 

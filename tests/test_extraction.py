@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from prorl.classes import PolicyClass, witness_class
-from prorl import extraction
+from prorl import classes, extraction
 from prorl.datasets import DatasetSampler, exact_frequency_dataset
 from prorl.extraction import (
     bc_objective_matrix,
@@ -174,20 +174,20 @@ class TestClonePolicy:
         b = bc_objective_matrix(sol.w_star, data, pc, witnesses=cached)
         np.testing.assert_array_equal(a, b)
 
-    def test_default_witnesses_are_memoized_by_content(self):
+    def test_default_witness_tables_are_built_once_per_class(self, monkeypatch):
         _, _, sol, data = self.make_bc_instance(n2=200)
-        extraction._witnesses_of.cache_clear()
-        for _ in range(2):  # equal content in a new PolicyClass object hits the memo
-            pc = PolicyClass((sol.pi_star, uniform_policy(4, 2)))
+        pc = PolicyClass((sol.pi_star, uniform_policy(4, 2)))
+        built = []
+        monkeypatch.setattr(classes, "witness_class",
+                            lambda policies: built.append(policies) or witness_class(policies))
+        for _ in range(2):  # the second run reads the class's tables
             bc_objective_matrix(sol.w_star, data, pc)
-        info = extraction._witnesses_of.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
-        probs = np.stack([pi.probs for pi in pc.members])
-        h_stack, h_pis = extraction._witnesses_of(probs.shape, probs.tobytes())
+        assert built == [pc]
+        h_stack, h_pis = pc.tables
         fresh = witness_class(pc)
         assert len(h_stack) == len(fresh)
-        for h_memo, h_fresh in zip(h_stack, fresh):
-            np.testing.assert_array_equal(h_memo, h_fresh)
+        for h_table, h_fresh in zip(h_stack, fresh):
+            np.testing.assert_array_equal(h_table, h_fresh)
         # the contraction h^pi of every policy, bit for bit as a per-policy einsum
         assert h_pis.shape == (len(pc), len(fresh), 4)
         for h_pi, pi in zip(h_pis, pc.members):
@@ -220,9 +220,9 @@ class TestCloningLayout:
                                for _ in range(int(rng.integers(1, 4)))))
         witnesses = [rng.uniform(-1.0, 1.0, mdp.reward.shape) for _ in range(num_witnesses)]
         w_hat = rng.uniform(0.0, 3.0, mdp.reward.shape)
-        h_stack, h_pis = extraction._tables(np.stack(witnesses), pc.members)
+        h_stack, h_pis = classes._witness_tables(np.stack(witnesses), pc.members)
         if gather == "c_ordered":
-            monkeypatch.setattr(extraction, "_tables",
+            monkeypatch.setattr(extraction, "_witness_tables",
                                 lambda h, members: (h_stack, h_pis.view(CGathers)))
         n_sa = data.transitions.sum(axis=2)
         pos = n_sa > 0

@@ -34,25 +34,27 @@ class TestSolveExact:
         _, _, reg, sol, _, data = make_instance(0)
         vc = ValueClass((sol.v_star,), b_v=float(np.abs(sol.v_star).max()) + 1.0, lower=-10.0)
         wc = WeightClass((sol.w_star,), b_w=float(sol.w_star.max()) + 1.0)
-        out = solve_exact(payoff(data, (vc, wc), reg, 0.3), (vc, wc))
+        out = solve_exact(payoff(data, (vc, wc), reg, 0.3))
         assert out.w_index == 0 and out.v_index == 0
-        np.testing.assert_array_equal(out.w_hat, sol.w_star)
+        np.testing.assert_array_equal(wc.members[out.w_index], sol.w_star)
         assert out.eps_ov == 0.0 and out.eps_ow == 0.0
 
     def test_matches_double_loop(self):
         _, _, reg, _, classes, data = make_instance(1)
         l_matrix = payoff(data, classes, reg, 0.3)
-        out = solve_exact(l_matrix, classes)
+        out = solve_exact(l_matrix)
         w_idx, v_idx, value = double_loop_saddle(l_matrix)
         assert (out.w_index, out.v_index) == (w_idx, v_idx)
-        assert out.value == pytest.approx(value, abs=0.0)
+        assert l_matrix[out.w_index, out.v_index] == pytest.approx(value, abs=0.0)
 
     def test_value_consistent_with_scalar_objective(self):
         mdp, dd, reg, _, classes, data = make_instance(2)
-        out = solve_exact(payoff(data, classes, reg, 0.3), classes)
+        l_matrix = payoff(data, classes, reg, 0.3)
+        out = solve_exact(l_matrix)
         columns = generate_dataset(mdp, dd, 400, 100, seed=202)  # the draws data counts
-        direct = empirical_lagrangian(columns, reg, 0.3, out.v_hat, out.w_hat)
-        assert out.value == pytest.approx(direct, abs=1e-12)
+        direct = empirical_lagrangian(columns, reg, 0.3, classes[0].members[out.v_index],
+                                      classes[1].members[out.w_index])
+        assert l_matrix[out.w_index, out.v_index] == pytest.approx(direct, abs=1e-12)
 
     def test_counterexample_tie_broken_by_order(self):
         # both weight candidates score identically on the tie dataset, so
@@ -60,43 +62,35 @@ class TestSolveExact:
         # flow-inconsistent candidate that routes mass to the dead end
         bundle = build_counterexample(0.5)
         data = exact_frequency_dataset(bundle.mdp, bundle.data_occupancy)
-        vc = ValueClass(tuple(bundle.v_members), b_v=2.0, lower=0.0)
-        wc = WeightClass(tuple(bundle.w_members), b_w=3.0)
+        vc = ValueClass((bundle.v_star_unreg,), b_v=2.0, lower=0.0)
+        wc = WeightClass((bundle.w_left, bundle.w_right), b_w=3.0)
         reg = Regularizer(m_f=1.0)
         l_matrix = payoff(data, (vc, wc), reg, 0.0)
-        friendly = solve_exact(l_matrix, (vc, wc))
+        friendly = solve_exact(l_matrix)
         assert friendly.w_index == 0
-        adversarial = solve_exact(l_matrix, (vc, wc), w_order=[1, 0])
+        adversarial = solve_exact(l_matrix, w_order=[1, 0])
         assert adversarial.w_index == 1
-        assert adversarial.value == pytest.approx(friendly.value, abs=0.0)
+        assert l_matrix[adversarial.w_index, adversarial.v_index] == pytest.approx(
+            l_matrix[friendly.w_index, friendly.v_index], abs=0.0)
 
     def test_w_order_must_be_permutation(self):
         _, _, reg, _, classes, data = make_instance(3)
         with pytest.raises(ValueError, match="permutation"):
-            solve_exact(payoff(data, classes, reg, 0.3), classes, w_order=[0, 0, 1, 2, 3, 4, 5])
-
-    def test_payoff_shape_must_match_classes(self):
-        _, _, reg, _, classes, data = make_instance(3)
-        l_matrix = payoff(data, classes, reg, 0.3)
-        with pytest.raises(ValueError, match="does not match"):
-            solve_exact(l_matrix[:, 1:], classes)
-        with pytest.raises(ValueError, match="does not match"):
-            solve_inexact(l_matrix[1:], classes, 0.0, 0.0, seed=0)
+            solve_exact(payoff(data, classes, reg, 0.3), w_order=[0, 0, 1, 2, 3, 4, 5])
 
     def test_deterministic(self):
         _, _, reg, _, classes, data = make_instance(4)
-        a = solve_exact(payoff(data, classes, reg, 0.3), classes)
-        b = solve_exact(payoff(data, classes, reg, 0.3), classes)
-        assert a.w_index == b.w_index and a.v_index == b.v_index
-        assert a.value == b.value
+        a = solve_exact(payoff(data, classes, reg, 0.3))
+        b = solve_exact(payoff(data, classes, reg, 0.3))
+        assert a == b
 
 
 class TestSolveInexact:
     def test_zero_slacks_reduce_to_exact(self):
         _, _, reg, _, classes, data = make_instance(5)
         l_matrix = payoff(data, classes, reg, 0.3)
-        exact = solve_exact(l_matrix, classes)
-        loose = solve_inexact(l_matrix, classes, eps_ov=0.0, eps_ow=0.0, seed=9)
+        exact = solve_exact(l_matrix)
+        loose = solve_inexact(l_matrix, eps_ov=0.0, eps_ow=0.0, seed=9)
         assert (loose.w_index, loose.v_index) == (exact.w_index, exact.v_index)
         assert loose.eps_ov == 0.0 and loose.eps_ow == 0.0
 
@@ -104,7 +98,7 @@ class TestSolveInexact:
         _, _, reg, _, classes, data = make_instance(6)
         big = float("inf")
         l_matrix = payoff(data, classes, reg, 0.3)
-        out = solve_inexact(l_matrix, classes, eps_ov=big, eps_ow=big, seed=3)
+        out = solve_inexact(l_matrix, eps_ov=big, eps_ow=big, seed=3)
         inner = l_matrix.min(axis=1)
         assert out.eps_ov == pytest.approx(l_matrix[out.w_index, out.v_index] - inner[out.w_index])
         assert out.eps_ow == pytest.approx(inner.max() - inner[out.w_index])
@@ -115,7 +109,7 @@ class TestSolveInexact:
             _, _, reg, _, classes, data = make_instance(trial % 5, n=150, num_distractors=4)
             req_ov, req_ow = rng.uniform(0, 0.5, size=2)
             out = solve_inexact(
-                payoff(data, classes, reg, 0.3), classes, eps_ov=req_ov, eps_ow=req_ow, seed=trial
+                payoff(data, classes, reg, 0.3), eps_ov=req_ov, eps_ow=req_ow, seed=trial
             )
             assert out.eps_ov <= req_ov + 1e-12
             assert out.eps_ow <= req_ow + 1e-12
@@ -123,13 +117,13 @@ class TestSolveInexact:
     def test_negative_slack_rejected(self):
         _, _, reg, _, classes, data = make_instance(7)
         with pytest.raises(ValueError, match="nonnegative"):
-            solve_inexact(payoff(data, classes, reg, 0.3), classes, eps_ov=-0.1, eps_ow=0.0, seed=0)
+            solve_inexact(payoff(data, classes, reg, 0.3), eps_ov=-0.1, eps_ow=0.0, seed=0)
 
     def test_seed_controls_selection(self):
         _, _, reg, _, classes, data = make_instance(8)
         l_matrix = payoff(data, classes, reg, 0.3)
         picks = {
-            solve_inexact(l_matrix, classes, 10.0, 10.0, seed=s).w_index
+            solve_inexact(l_matrix, 10.0, 10.0, seed=s).w_index
             for s in range(12)
         }
         assert len(picks) > 1  # wide slacks admit many pairs
@@ -163,15 +157,15 @@ class TestPopulationChain:
         mdp, dd, reg, sol, classes, data = make_instance(seed, n=300, num_distractors=8)
         alpha = 0.3
         emp = payoff(data, classes, reg, alpha)
-        out = solve_exact(emp, classes)
+        w_hat = classes[1].members[solve_exact(emp).w_index]
         pop = population_lagrangian_members(
             mdp, dd, reg, alpha, classes[0].members, classes[1].members
         )
         eps_hat = float(np.abs(emp - pop).max())
         at_v_star = population_lagrangian_members(
-            mdp, dd, reg, alpha, [sol.v_star], [sol.w_star, out.w_hat]
+            mdp, dd, reg, alpha, [sol.v_star], [sol.w_star, w_hat]
         )
         gap = float(at_v_star[0, 0] - at_v_star[1, 0])
         assert gap <= 2.0 * eps_hat + 1e-12
-        dev = weighted_l2(out.w_hat, sol.w_star, dd)
+        dev = weighted_l2(w_hat, sol.w_star, dd)
         assert dev <= np.sqrt(4.0 * eps_hat / (alpha * reg.m_f)) + 1e-12
