@@ -16,7 +16,9 @@ it. Each timing is one call:
   tables, joined into per-transition columns;
 - ``DatasetSampler.count`` through the same prebuilt sampler, as the
   pipeline draws, at n = n0 = 1e3, 1e5 and 1e6: the same draws and lookups,
-  binned into counts block by block, so no per-transition array forms;
+  binned into counts block by block, so no per-transition array forms; the
+  rounds alternate seeds 0 and 1, since a sampler returns its kept counts
+  when the same (n, n0, seed, n1) comes again;
 
 the kernels below run on counts drawn outside the timed call by
 ``DatasetSampler.count``, as a run draws them, so each timing is the work
@@ -31,15 +33,20 @@ that depends on the class sizes and S, A only, whatever n is:
   clones: past the first round the witness set and every policy's
   contraction h^pi come from the memo, so each timing is one run's share.
 
-and one whole run:
+and whole runs:
 
 - ``run_pro_rl`` on a prepared rate_regularized instance at n = n0 = 1e3,
-  warm: the picked member is scored on the first round, so each timing is
-  what a run costs past its instance (counts, one payoff matrix, argmax,
-  score lookups, eps_hat).
+  warm, at seeds 0 and 1 in turn: each seed's picked member is scored on
+  the first two rounds, so each timing is what a run costs past its
+  instance (counts, one payoff matrix, argmax, score lookups, eps_hat);
+- the robustness suite at its default grid, warm: its six grid points share
+  one MDP, d^D, n and n0, so at each of its 5 seeds the first point bins
+  the dataset and the other five read the counts their shared sampler kept.
 """
 
+import itertools
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -61,7 +68,7 @@ from prorl.pipelines import (  # noqa: E402
     run_pro_rl,
 )
 from prorl.regularizers import Regularizer  # noqa: E402
-from prorl.suites import bc_fixture, rate_regularized_fixture  # noqa: E402
+from prorl.suites import bc_fixture, rate_regularized_fixture, run_experiment_suite  # noqa: E402
 
 
 @pytest.mark.parametrize("n", [1_000, 100_000, 1_000_000])
@@ -87,7 +94,8 @@ def test_counting_draw_rate_regularized(benchmark, n):
     fx = rate_regularized_fixture()
     mdp = resolve_mdp(fx["mdp"])
     dd, _ = resolve_data_dist(mdp, fx["data_dist"])
-    fit, _ = benchmark(DatasetSampler(mdp, dd).count, n, n, 0)
+    sampler, seeds = DatasetSampler(mdp, dd), itertools.cycle((0, 1))
+    fit, _ = benchmark(lambda: sampler.count(n, n, next(seeds)))
     assert fit.n == n and fit.inits.sum() == n
 
 
@@ -131,6 +139,12 @@ def test_warm_run_rate_regularized(benchmark):
     fx = rate_regularized_fixture()
     cfg = ExperimentConfig(**{k: fx[k] for k in ("mdp", "data_dist", "reg", "alpha", "classes")},
                            n=1_000, n0=1_000, seed=0)
-    inst = prepare(cfg)
-    report = benchmark(run_pro_rl, cfg, inst)
+    inst, seeds = prepare(cfg), itertools.cycle((0, 1))
+    report = benchmark(lambda: run_pro_rl(replace(cfg, seed=next(seeds)), inst))
     assert report.n == 1_000
+
+
+def test_warm_robustness_suite(benchmark, tmp_path):
+    run_experiment_suite("robustness", str(tmp_path), seed=0)  # prepares its six instances
+    summary = benchmark(run_experiment_suite, "robustness", str(tmp_path), seed=0)
+    assert summary["chain_fraction"] == summary["robust_fraction"] == 1.0

@@ -7,7 +7,8 @@ builds exact inverse-CDF tables (guide tables, Chen & Asau 1974, equal to
 (config, seed) pair pins the dataset bytes. It draws block by block and
 bins the blocks into a ``CountedDataset``, the counts the estimator reads, or
 joins them into an ``OfflineDataset``'s per-transition columns, which
-``gen-data`` writes.
+``gen-data`` writes. It keeps its latest counts, so runs that fit the same
+data one after another bin it once.
 """
 
 from __future__ import annotations
@@ -187,6 +188,7 @@ class DatasetSampler:
         self.next_states = _GuideTable(_cumulative(mdp.transition))
         self.init_states = _GuideTable(_cumulative(mdp.init_dist))
         self.reward = mdp.reward
+        self._last = (None, None)  # (n, n0, seed, n1) of the latest count, and its result
 
     def _transitions(self, uniforms: _Uniforms, n: int, start: int, stop: int):
         """(cells s * A + a, next states) of transitions [start, stop), block by block.
@@ -209,8 +211,16 @@ class DatasetSampler:
 
         Returns (fit, held) ``CountedDataset``s: transitions [0, n1) with all n0
         initial states, and transitions [n1, n) with none; n1 defaults to n.
+        With int sizes and seed the result is kept until the next count, and
+        a call with the same (n, n0, seed, n1) returns it again: the same
+        read-only counts, binned once.
         """
         n1 = n if n1 is None else n1
+        key, (last_key, last) = (n, n0, seed, n1), self._last  # one read: the pair stays whole
+        if not all(type(v) is int for v in key):
+            key = None  # a seed sequence or generator, or sizes that are numpy ints: not kept
+        elif key == last_key:
+            return last
         if n < 0 or n0 < 0 or not 0 <= n1 <= n:
             raise ValueError(f"sample counts must be nonnegative and n1 must lie in [0, {n}]")
         uniforms, shape, parts = _Uniforms(seed), self.reward.shape, []
@@ -225,7 +235,9 @@ class DatasetSampler:
                 _tally(inits, init_states)
             parts.append(_read_only(CountedDataset(stop - start, num_inits, self.gamma,
                                                    transitions, rewards, inits)))
-        return tuple(parts)
+        parts = tuple(parts)
+        self._last = (key, parts)
+        return parts
 
     def draw(self, n: int, n0: int, seed) -> OfflineDataset:
         """n transitions and n0 initial states as columns: the blocks ``count`` bins."""

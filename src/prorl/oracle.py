@@ -50,6 +50,10 @@ from .regularizers import Regularizer
 
 _PHASE1_TOL = 1e-9  # phase-1 objective (L1 flow violation) above which the polytope is empty
 _MAX_SWEEPS = 1000  # random MDPs up to 14 states and gamma 0.999 settle within 6 sweeps
+# Newton steps in a row without a new lowest |Phi| before it hands over to the qp path:
+# solved oracle_stream pool instances go at most 27 such steps, and on the low-alpha
+# stress draws where Newton stalls the exit fires after 32 to 137 steps, not 200
+_STALL_STEPS = 30
 
 
 class FlowInfeasibleError(ValueError):
@@ -203,7 +207,8 @@ def _newton(sup, mdp, reg, alpha, cap_eff, tol, max_iter=200):
     more than rounding and enough (Armijo) or, with g flat to rounding, until
     |Phi| falls; g never rises, so the iteration cannot cycle. Stops at
     |Phi| <= tol, when no step length improves (the residual stopped
-    improving), after max_iter steps, or when g falls below min(r) - alpha
+    improving), after ``_STALL_STEPS`` steps in a row that find no |Phi| below
+    the lowest so far, after max_iter steps, or when g falls below min(r) - alpha
     f(cap): a point d of the polytope has sum(d) = 1 and d <= cap d^D, and f
     increases on [0, cap], so weak duality puts g above that on a non-empty one.
     """
@@ -221,8 +226,10 @@ def _newton(sup, mdp, reg, alpha, cap_eff, tol, max_iter=200):
     e, w, g, phi = at(v)
     norm = np.abs(phi).max()
     ridge = 1.0
-    iterations = 0
-    while norm > tol and iterations < max_iter and g >= floor - 1e-9 * (1.0 + abs(floor)):
+    iterations = stalled = 0
+    best = norm
+    while (norm > tol and iterations < max_iter and stalled < _STALL_STEPS
+           and g >= floor - 1e-9 * (1.0 + abs(floor))):
         iterations += 1
         interior = (e > 0.0) & (e < scale * cap_eff)
         hess = (sup.b_mat.T * (sup.weights * interior)) @ sup.b_mat / scale
@@ -246,6 +253,7 @@ def _newton(sup, mdp, reg, alpha, cap_eff, tol, max_iter=200):
             break  # the residual stopped improving along this direction
         ridge = max(ridge / 4.0, 1e-8) if t == 1.0 else min(ridge * 4.0, 1e8)
         v, e, w, g, phi, norm = v_try, e_try, w_try, g_try, phi_try, norm_try
+        best, stalled = (norm, 0) if norm < best else (best, stalled + 1)
     return v, w, iterations
 
 

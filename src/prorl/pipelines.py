@@ -305,7 +305,10 @@ def _resolve_references(mdp, dd, reg, alpha, variant, classes_kind):
         cap = variant.get("cap") if kind == "capped" else None
         exact = sol = solve_regularized(mdp, dd, reg, alpha, cap=cap)
         w_ref, j_alpha = sol.w_star, float(mdp.reward.flatten() @ sol.d_star.mass.flatten())
-        j_ref = capped_unregularized_value(mdp, dd, cap)[0] if kind == "capped" else j_alpha
+        j_ref = j_alpha
+        if kind == "capped":  # memoized: the suite reads its occupancy back
+            j_ref = memoized("capped_unregularized_value", capped_unregularized_value,
+                             mdp, dd, cap)[0]
     return exact, dict(
         w_ref=w_ref,
         pi_ref=exact.pi_star,
@@ -446,7 +449,9 @@ def _json_pieces(config: ExperimentConfig) -> tuple:
             "," + part("seed", "~") + "}")
 
 
-_REGISTRY_SIZE = 32  # `pro-rl experiment --suite all` fills 26: 15 instances, 11 memoized values
+# `pro-rl experiment --suite all` fills 34 entries, 1.2 MiB of arrays: 15 instances, the
+# 6 samplers they share and 13 other memoized values (fixtures and reference solves)
+_REGISTRY_SIZE = 48
 _registry: "OrderedDict[bytes, object]" = OrderedDict()  # least recently used first
 _MISSING = object()
 
@@ -527,8 +532,9 @@ def _build(cfg: ExperimentConfig, config: ExperimentConfig) -> Instance:
             policies = _resolve_policy_class(cfg.bc, refs["pi_ref"], mdp.num_actions)
     with _staged("evaluation"):
         pop = population_lagrangian_members(mdp, dd, reg, cfg.alpha, vc.stack, wc.stack)
-    with _staged("dataset"):
-        dataset = (DatasetSampler(mdp, dd) if cfg.dataset["kind"] == "sampled"
+    with _staged("dataset"):  # one sampler per (MDP, d^D): instances apart in classes share it
+        dataset = (memoized("DatasetSampler", DatasetSampler, mdp, dd)
+                   if cfg.dataset["kind"] == "sampled"
                    else exact_frequency_dataset(mdp, dd, cfg.dataset.get("repeats", 1)))
     _read_only((mdp, dd, pi_d, pop, refs, vc, wc, policies))  # the dataset's are where built
     return Instance(config, _json_pieces(config), mdp, dd, pi_d, reg,

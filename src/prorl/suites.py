@@ -37,14 +37,17 @@ from .bounds import (
 )
 from .classes import ValueClass, WeightClass
 from .mdp import (
+    Occupancy,
     Policy,
     TabularMdp,
     build_counterexample,
     exact_occupancy,
+    policy_return,
     random_mdp,
     uniform_policy,
 )
 from .oracle import (
+    capped_unregularized_value,
     lp_stability_sweep,
     min_f_divergence_weight,
     solve_regularized,
@@ -370,19 +373,25 @@ def _sweep(out_dir: str, seed: int, num_seeds: int, base: dict, points: dict):
     Point ``label`` runs ``ExperimentConfig(**base, **points[label],
     seed=seed + s)`` for each s < num_seeds, a bc config through
     ``run_pro_rl_bc``, on ``prepare`` of its first config, so points that
-    differ only in n, n0 and w_order share one instance. Points run in
-    ascending label order, so the order of a grid in the overrides never
-    reaches the artifacts. Returns {label: reports} in that order and
-    {label: instance}, for the suites' seed-free references.
+    differ only in n, n0 and w_order share one instance. The runs go seed
+    by seed, each seed's in ascending label order: points on one (MDP, d^D)
+    and the same n, n0 and seed then count one dataset, which their shared
+    sampler keeps between them. Rows are sorted before they are written, so
+    neither this order nor that of a grid in the overrides reaches the
+    artifacts. Returns {label: reports}, labels ascending and reports in seed
+    order, and {label: instance}, for the suites' seed-free references.
 
     Both drivers are read as module globals on every run, so a harness that
     rebinds them in this module sees each run.
     """
-    batches, instances = {}, {}
-    for label in sorted(points):
-        cfgs = [ExperimentConfig(**base, **points[label], seed=seed + s) for s in range(num_seeds)]
-        inst = instances[label] = prepare(cfgs[0])
-        batches[label] = [(run_pro_rl if c.bc is None else run_pro_rl_bc)(c, inst) for c in cfgs]
+    cfgs = {label: [ExperimentConfig(**base, **points[label], seed=seed + s)
+                    for s in range(num_seeds)] for label in sorted(points)}
+    instances = {label: prepare(runs[0]) for label, runs in cfgs.items()}
+    batches = {label: [] for label in cfgs}
+    for s in range(num_seeds):
+        for label, runs in cfgs.items():
+            drive = run_pro_rl if runs[s].bc is None else run_pro_rl_bc
+            batches[label].append(drive(runs[s], instances[label]))
     ordered = sorted((r for batch in batches.values() for r in batch), key=_report_sort_key)
     _write_rows(os.path.join(out_dir, "rows.csv"), CSV_HEADER, [r.to_row() for r in ordered])
     return batches, instances
@@ -614,6 +623,12 @@ def _suite_lp_stability(
     }
 
 
+def _capped_policy_return(mdp: TabularMdp, dd: np.ndarray, cap: float) -> float:
+    """policy_return of the policy that the capped LP's optimal occupancy defines."""
+    _, mass = memoized("capped_unregularized_value", capped_unregularized_value, mdp, dd, cap)
+    return policy_return(mdp, Occupancy(mass).conditional_policy())
+
+
 def _suite_constrained_coverage(
     out_dir: str,
     seed: int,
@@ -633,10 +648,12 @@ def _suite_constrained_coverage(
     batches, instances = _sweep(out_dir, seed, num_seeds, base, points)
     (reports,), (inst,) = batches.values(), instances.values()
     j_cap = inst.j_ref  # the capped LP value, solved once by prepare
+    # the LP value against the exact return of the policy its occupancy defines
+    ref_err = abs(memoized("_capped_policy_return", _capped_policy_return,
+                           inst.mdp, inst.dd, fx["cap"]) - j_cap)
 
     envelope_ok = sum(1 for r in reports if r.gap_ref <= r.rhs_capped + 1e-12)
     cap_ok = sum(1 for r in reports if r.w_max <= r.b_w + 1e-9)
-    ref_err = max(abs(r.j_ref - j_cap) for r in reports)
     _log.info(f"[constrained_coverage] envelope {envelope_ok}/{len(reports)}, "
               f"cap respected {cap_ok}/{len(reports)}")
     return {

@@ -358,6 +358,26 @@ class TestBlockCounts:
         np.testing.assert_array_equal(sampler.draw(B + 9, 40, seed).next_states,
                                       searchsorted_dataset(self.MDP, self.DD, B + 9, 40, seed)[2])
 
+    @settings(max_examples=60, deadline=None)
+    @given(calls=st.lists(st.tuples(st.integers(0, 1), st.sampled_from([5, 40]),
+                                    st.sampled_from([1, 3]), st.integers(0, 2),
+                                    st.sampled_from([None, 0, 2])),
+                          min_size=1, max_size=12))
+    def test_kept_counts_serve_only_their_own_key(self, calls):
+        # interleaved calls on two samplers: a repeated key returns the kept counts,
+        # every other key is counted afresh, and both equal a new sampler's counts
+        laws = [sparse_mdp_and_data(4, 2, seed, 0.3) for seed in (1, 2)]
+        samplers, last = [DatasetSampler(*law) for law in laws], [None, None]
+        for which, n, n0, seed, n1 in calls:
+            got = samplers[which].count(n, n0, seed, n1)
+            want = DatasetSampler(*laws[which]).count(n, n0, seed, n1)
+            for part, ref in zip(got, want):
+                assert_same_counts(part, ref, ref.n, ref.n0)
+            key = (n, n0, seed, n if n1 is None else n1)
+            if last[which] is not None and last[which][0] == key:
+                assert got is last[which][1]
+            last[which] = (key, got)
+
     def test_counts_are_read_only_and_checked_for_shape(self):
         fit, held = DatasetSampler(self.MDP, self.DD).count(50, 5, 0, n1=30)
         for array in fit[3:] + held[3:]:

@@ -318,6 +318,20 @@ class TestHardInstances:
         assert sol.kkt_residual <= 1e-8
         assert sol.w_star.max() <= cap + 1e-10
 
+    def test_newton_stall_hands_over_before_max_iter(self, monkeypatch):
+        # |Phi| finds no new low for _STALL_STEPS steps in a row, long before step 200
+        steps, newton_fn = [], oracle._newton
+
+        def newton(*args, **kwargs):
+            v, w, iterations = newton_fn(*args, **kwargs)
+            steps.append(iterations)
+            return v, w, iterations
+
+        monkeypatch.setattr(oracle, "_newton", newton)
+        mdp, dd, alpha, cap = newton_stall_instance()
+        assert solve_regularized(mdp, dd, Regularizer(), alpha, cap=cap).method == "qp"
+        assert oracle._STALL_STEPS < steps[0] < 100
+
     def test_both_paths_stalled_raise(self, monkeypatch):
         monkeypatch.setattr(oracle, "_highs_qp", failed_highs_qp)
         mdp, dd, alpha, cap = newton_stall_instance()

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from prorl import classes, oracle, pipelines
+from prorl import classes, datasets, oracle, pipelines
 from prorl.bounds import performance_gap_bound, residual_bound, stat_error
 from prorl.datasets import DatasetSampler, exact_frequency_dataset, generate_dataset
 from prorl.extraction import extract_policy
@@ -664,6 +664,47 @@ class TestPrepareOnce:
         assert report.n == 1_000_000 and report.n2 == (None if cfg.bc is None else 400_000)
 
 
+class TestSharedCounts:
+    """Instances on one (MDP, d^D) share a sampler, which bins each dataset once in a row."""
+
+    @pytest.mark.parametrize("num_seeds", [1, 3])
+    def test_robustness_bins_one_dataset_per_seed(self, num_seeds, monkeypatch, tmp_path):
+        # its 6 grid points share the MDP, d^D, n and n0, and the sweep runs them seed by seed
+        passes, calls, uniforms, count = [], [], datasets._Uniforms, DatasetSampler.count
+
+        def binned(seed):  # a count bins what one stream of uniforms draws
+            passes.append(seed)
+            return uniforms(seed)
+
+        def counted(self, *args):
+            calls.append(args)
+            return count(self, *args)
+
+        monkeypatch.setattr(datasets, "_Uniforms", binned)
+        monkeypatch.setattr(DatasetSampler, "count", counted)
+        run_experiment_suite("robustness", str(tmp_path), seed=4, num_seeds=num_seeds)
+        assert len(calls) == 6 * num_seeds
+        assert sorted(passes) == [4 + s for s in range(num_seeds)]
+
+    def test_equal_data_laws_share_one_sampler(self):
+        inst = prepare(base_config())
+        for over in ({"alpha": 0.5}, {"classes": RUN_VARIANTS["misspecified"]().classes},
+                     {"variant": {"kind": "inexact", "eps_ov": 0.1, "eps_ow": 0.1}}):
+            assert prepare(base_config(**over)).dataset is inst.dataset
+        for over in ({"mdp": {**base_config().mdp, "seed": 3}},
+                     {"data_dist": {"kind": "explicit", "mass": np.full((5, 3), 1 / 15).tolist()}}):
+            other = prepare(base_config(**over))
+            assert isinstance(other.dataset, DatasetSampler) and other.dataset is not inst.dataset
+
+    def test_a_shared_sampler_gives_each_instance_its_own_rows(self):
+        # the kept counts serve a second instance at the same key, as a fresh count would
+        cfgs = [base_config(), base_config(alpha=0.5)]
+        insts = [prepare(cfg) for cfg in cfgs]
+        rows = [run_pro_rl(cfg, inst).to_row() for cfg, inst in zip(cfgs, insts)]
+        pipelines._registry.clear()
+        assert [run_pro_rl(cfg).to_row() for cfg in reversed(cfgs)] == rows[::-1]
+
+
 def _suite_config(name):
     """One run's config of the rate_regularized, bc_scaling or counterexample suite."""
     if name == "counterexample":
@@ -821,11 +862,18 @@ class TestInstanceRegistry:
         for name in SUITE_NAMES:
             run_experiment_suite(name, str(tmp_path / name), **self.GRIDS[name])
         values = [v for v in pipelines._registry.values() if not isinstance(v, pipelines.Instance)]
+        samplers = [v for v in values if isinstance(v, DatasetSampler)]
         # six fixtures (counterexample's at two instances), b_w0, the stability sweep and its
-        # limit and the coverage check
-        assert len(values) == 11
-        arrays = list(_arrays(values, set()))
-        assert len(arrays) == 9  # the stability fixture's 5, its sweep's 3 and its limit weight
+        # limit, the coverage check, the capped LP and its policy's return; and one sampler
+        # per (MDP, d^D) of the six sampled suites
+        assert len(values) - len(samplers) == 13 and len(samplers) == 6
+        arrays = list(_arrays([v for v in values if v not in samplers], set()))
+        # the stability fixture's 5, its sweep's 3, its limit weight and the capped occupancy
+        assert len(arrays) == 10
+        for sampler in samplers:  # three tables of 2, reward, d^D; the kept fit and held counts
+            held = list(_arrays(sampler, set()))
+            assert len(held) == 8 + 6 and sampler._last[0] is not None
+            arrays += held
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
@@ -852,10 +900,12 @@ class TestInstanceRegistry:
                                  "gamma": 0.5, "seed": 0},
                             classes={"kind": "realizable", "num_distractors": 0, "seed": 0},
                             alpha=0.1 + k / 100)
-                for k in range(size + 1)]
-        built = [prepare(cfg) for cfg in cfgs[:size]]
+                for k in range(size)]
+        # size - 1 instances and the sampler they share fill the registry
+        built = [prepare(cfg) for cfg in cfgs[:-1]]
+        assert len(pipelines._registry) == size and len({id(i.dataset) for i in built}) == 1
         assert prepare(replace(cfgs[0], seed=5, n=9, n0=4)) is built[0]  # now the most recent
-        prepare(cfgs[size])
+        prepare(cfgs[-1])
         assert len(pipelines._registry) == size
         assert prepare(cfgs[0]) is built[0] and prepare(cfgs[2]) is built[2]
         assert prepare(cfgs[1]) is not built[1]  # the least recently used went first
