@@ -28,10 +28,10 @@ that depends on the class sizes and S, A only, whatever n is:
   (10 states, 3 actions, 31 value and 31 weight members, each class
   stacked once as the pipeline passes it) at n = 1e4, 1e5 and 1e6;
 - ``bc_objective_matrix`` at the bc_scaling suite's size (5 states,
-  3 actions, 41 policies and their witness set, largest held-out n2 = 8000);
-- ``clone_policy`` at the same size with the default witness set, as a run
-  clones: past the first round the witness set and every policy's
-  contraction h^pi come from the memo, so each timing is one run's share.
+  3 actions, 41 policies and their witness set, largest held-out n2 = 8000),
+  and ``clone_policy`` at the same size, as a run clones: past the first
+  round the witness set and every policy's contraction h^pi come from the
+  policy class's tables, so each timing is one run's share.
 
 and whole runs:
 
@@ -54,7 +54,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from prorl.classes import ValueClass, WeightClass, witness_class  # noqa: E402
+from prorl.classes import ValueClass, WeightClass  # noqa: E402
 from prorl.datasets import DatasetSampler, generate_dataset  # noqa: E402
 from prorl.extraction import bc_objective_matrix, clone_policy  # noqa: E402
 from prorl.objective import empirical_lagrangian_members  # noqa: E402
@@ -118,10 +118,9 @@ def test_bc_objective_bc_scaling(benchmark):
     dd, _ = resolve_data_dist(mdp, fx["data_dist"])
     sol = solve_regularized(mdp, dd, Regularizer.from_config(fx["reg"]), fx["alpha"])
     policies = _resolve_policy_class(fx["bc"], sol.pi_star, mdp.num_actions)
-    witnesses = witness_class(policies)
     held = DatasetSampler(mdp, dd).count(8000, 0, seed=0)[0]
-    out = benchmark(bc_objective_matrix, sol.w_star, held, policies, witnesses)
-    assert out.shape == (41, len(witnesses))
+    out = benchmark(bc_objective_matrix, sol.w_star, held, policies)
+    assert out.shape == (41, len(policies.tables[0]))
 
 
 def test_clone_policy_bc_scaling(benchmark):

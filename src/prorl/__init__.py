@@ -3,7 +3,7 @@
 Modules
 -------
 mdp           tabular models, policies, exact occupancies and policy values
-regularizers  density-ratio regularizers f and their constants
+regularizers  the quadratic density-ratio regularizer f and its constants
 objective     population / empirical Lagrangian and Bellman residuals
 oracle        exact regularized solutions (Newton, HiGHS QP cross-check), the
               unregularized optimum and the coverage bound by policy iteration

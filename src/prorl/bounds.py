@@ -110,19 +110,12 @@ def bc_sample_term(b_w: float, num_policies: int, delta: float, n2: int) -> floa
     return 4.0 * b_w * math.sqrt(6.0 * math.log(4.0 * num_policies / delta) / n2)
 
 
-def recommended_alpha(kind: str, eps: float, b_f: float) -> float:
-    """Regularization weight for a target accuracy eps.
-
-    kind "unregularized": eps / (2 B_f0) to compete with the unregularized
-    optimum; kind "constrained": eps / (4 B_f) for the capped-weight setting.
-    """
-    if eps <= 0.0 or b_f <= 0.0:
-        raise ValueError("eps and b_f must be positive")
-    if kind == "unregularized":
-        return eps / (2.0 * b_f)
-    if kind == "constrained":
-        return eps / (4.0 * b_f)
-    raise ValueError(f"unknown kind {kind!r}, expected 'unregularized' or 'constrained'")
+def recommended_alpha(eps: float, b_f0: float) -> float:
+    """Regularization weight eps / (2 B_f0) for target accuracy eps against the
+    unregularized optimum."""
+    if eps <= 0.0 or b_f0 <= 0.0:
+        raise ValueError("eps and b_f0 must be positive")
+    return eps / (2.0 * b_f0)
 
 
 def unregularized_competition_slack(alpha: float, b_f0: float) -> float:

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .bounds import value_bound
-from .mdp import Policy
+from .mdp import Policy, _read_only
 from .objective import approximation_errors
 from .oracle import RegularizedSolution
 from .regularizers import Regularizer
@@ -26,9 +26,7 @@ _BOX_TOL = 1e-9
 
 def _stack(self) -> np.ndarray:
     """The members stacked along a new first axis, read-only: what the payoff kernels take."""
-    out = np.stack(self.members)
-    out.flags.writeable = False
-    return out
+    return _read_only(np.stack(self.members))
 
 
 @dataclass(frozen=True)
@@ -145,10 +143,8 @@ class WeightClass:
 
 def _witness_tables(h_stack: np.ndarray, members) -> tuple:
     """Read-only witnesses (H, S, A) and each h^pi(s) = sum_a pi(a|s) h(s, a), (P, H, S)."""
-    out = h_stack, np.stack([np.einsum("hsa,sa->hs", h_stack, pi.probs) for pi in members])
-    for array in out:
-        array.flags.writeable = False
-    return out
+    return _read_only((h_stack, np.stack([np.einsum("hsa,sa->hs", h_stack, pi.probs)
+                                          for pi in members])))
 
 
 @dataclass(frozen=True)

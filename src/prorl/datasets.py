@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .mdp import Occupancy, TabularMdp, _mass_of
+from .mdp import Occupancy, TabularMdp, _mass_of, _read_only
 
 
 class CountedDataset(NamedTuple):
@@ -42,12 +42,6 @@ class CountedDataset(NamedTuple):
             raise ValueError(f"counts of shape {self.rewards.shape} asked for as "
                              f"{(num_states, num_actions)}")
         return self
-
-
-def _read_only(counted: CountedDataset) -> CountedDataset:
-    for array in counted[3:]:
-        array.flags.writeable = False
-    return counted
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,8 +124,7 @@ class _GuideTable:
         # entry j lies in bucket ceil(cum_j K) - 1
         at = (edges[:, 1:-1] + np.arange(num_rows)[:, None] * k - 1)[edges[:, 1:-1] > 0]
         self.packed[at] = ~self.packed[at]
-        for array in (self.cum, self.packed):  # a sampler is built once and draws many
-            array.flags.writeable = False
+        _read_only(self)  # a sampler is built once and draws many
 
     def lookup(self, draws: np.ndarray, rows=None) -> np.ndarray:
         """The index of each draw in its row (row 0 if rows is None)."""
@@ -233,9 +226,9 @@ class DatasetSampler:
                 np.add.at(rewards.reshape(-1), cells, self.reward.take(cells))
             for init_states in self._inits(uniforms, n, num_inits):
                 _tally(inits, init_states)
-            parts.append(_read_only(CountedDataset(stop - start, num_inits, self.gamma,
-                                                   transitions, rewards, inits)))
-        parts = tuple(parts)
+            parts.append(CountedDataset(stop - start, num_inits, self.gamma,
+                                        transitions, rewards, inits))
+        parts = _read_only(tuple(parts))
         self._last = (key, parts)
         return parts
 

@@ -9,11 +9,9 @@ estimate of the behavior policy.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 import numpy as np
 
-from .classes import PolicyClass, _witness_tables
+from .classes import PolicyClass
 from .datasets import CountedDataset
 from .mdp import Policy
 
@@ -39,25 +37,19 @@ def extract_policy(w, pi_d: Policy) -> Policy:
     return Policy(probs)
 
 
-def bc_objective_matrix(
-    w_hat,
-    data: CountedDataset,
-    policies: PolicyClass,
-    witnesses: Optional[Sequence[np.ndarray]] = None,
-) -> np.ndarray:
+def bc_objective_matrix(w_hat, data: CountedDataset, policies: PolicyClass) -> np.ndarray:
     """Empirical cloning objective for every (policy, witness) pair.
 
     Entry [i, j] averages w_hat(s, a) * (h_j^{pi_i}(s) - h_j(s, a)) over the
     dataset transitions, where h^pi(s) is the policy's expected witness
     value at s, as a sum over covered cells weighted by the counts N(s, a).
-    The witness set defaults to the policy class's own, whose tables the
-    class keeps with every policy's h^pi, so a run contracts nothing.
+    The witnesses are the policy class's own, whose tables the class keeps
+    with every policy's h^pi, so a run contracts nothing.
     """
     if data.n == 0:
         raise ValueError("cloning needs a nonempty dataset (n=0)")
     w_hat = np.asarray(w_hat, dtype=float)
-    h_stack, h_pis = (policies.tables if witnesses is None
-                      else _witness_tables(np.stack(tuple(witnesses)), policies.members))
+    h_stack, h_pis = policies.tables
     n_sa = data.checked(*w_hat.shape).transitions.sum(axis=2)
     pos = n_sa > 0
     cell_states = np.nonzero(pos)[0]
@@ -69,17 +61,12 @@ def bc_objective_matrix(
                      for h_pi in h_pis]) / data.n
 
 
-def clone_policy(
-    w_hat,
-    data: CountedDataset,
-    policies: PolicyClass,
-    witnesses: Optional[Sequence[np.ndarray]] = None,
-) -> Policy:
+def clone_policy(w_hat, data: CountedDataset, policies: PolicyClass) -> Policy:
     """Pick the class policy with the smallest worst-case witnessed disagreement.
 
     Exact enumeration over the policy class and the witness set; the inner
     maximum runs over witnesses, the outer minimum over policies, and ties
     go to the lowest index at both levels.
     """
-    scores = bc_objective_matrix(w_hat, data, policies, witnesses).max(axis=1)
+    scores = bc_objective_matrix(w_hat, data, policies).max(axis=1)
     return policies.members[int(scores.argmin())]

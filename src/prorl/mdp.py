@@ -16,6 +16,25 @@ import numpy as np
 _ROW_SUM_TOL = 1e-12
 
 
+def _read_only(obj):
+    """obj, with every array it reaches through tuples, lists, dicts and attributes read-only."""
+    stack, seen = [obj], set()
+    while stack:
+        item = stack.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            item.flags.writeable = False
+        elif isinstance(item, (tuple, list)):
+            stack.extend(item)
+        elif isinstance(item, dict):
+            stack.extend(item.values())
+        elif hasattr(item, "__dict__"):
+            stack.extend(vars(item).values())
+    return obj
+
+
 @dataclass(frozen=True, eq=False)
 class TabularMdp:
     """A finite discounted MDP (S, A, P, r, gamma, mu0).
@@ -198,26 +217,17 @@ def policy_return(mdp: TabularMdp, policy: Policy) -> float:
     return float(np.sum(d.mass * mdp.reward))
 
 
-def random_mdp(
-    num_states: int,
-    num_actions: int,
-    gamma: float,
-    seed,
-    transition_concentration: float = 0.4,
-    init_uniform_mix: float = 0.1,
-) -> TabularMdp:
-    """Random dense MDP with Dirichlet transition rows and uniform [0,1] rewards.
+def random_mdp(num_states: int, num_actions: int, gamma: float, seed) -> TabularMdp:
+    """Random dense MDP with Dirichlet(0.4) transition rows and uniform [0,1] rewards.
 
-    init_dist is a Dirichlet draw mixed with the uniform distribution so its
-    entries are bounded away from zero.
+    init_dist is a Dirichlet draw mixed 9:1 with the uniform distribution so
+    its entries are bounded away from zero.
     """
     rng = np.random.default_rng(seed)
-    transition = rng.dirichlet(
-        np.full(num_states, transition_concentration), size=(num_states, num_actions)
-    )
+    transition = rng.dirichlet(np.full(num_states, 0.4), size=(num_states, num_actions))
     reward = rng.uniform(0.0, 1.0, size=(num_states, num_actions))
     init = rng.dirichlet(np.ones(num_states))
-    init = (1.0 - init_uniform_mix) * init + init_uniform_mix / num_states
+    init = 0.9 * init + 0.1 / num_states
     init = init / init.sum()
     return TabularMdp(num_states, num_actions, transition, reward, gamma, init)
 

@@ -54,6 +54,8 @@ _MAX_SWEEPS = 1000  # random MDPs up to 14 states and gamma 0.999 settle within 
 # solved oracle_stream pool instances go at most 27 such steps, and on the low-alpha
 # stress draws where Newton stalls the exit fires after 32 to 137 steps, not 200
 _STALL_STEPS = 30
+_POLISH_BAND = 1e-7  # a QP point within this of a box bound is polished as active there
+_STABLE_W_TOL = 1e-6  # sup-norm distance within which a sweep's weight counts as the limit's
 
 
 class FlowInfeasibleError(ValueError):
@@ -294,7 +296,7 @@ def _highs_qp(q_diag, lin, a_mat, b_vec, upper):
     return x, -np.asarray(sol.row_dual), solver.getModelStatus(), iterations
 
 
-def _active_set_polish(q_diag, lin, a_mat, b_vec, upper, x, band=1e-7):
+def _active_set_polish(q_diag, lin, a_mat, b_vec, upper, x):
     """Re-solve the equality-constrained QP with the near-active box rows fixed.
 
     Returns (x_polished, nu) or None when the guessed active set turns out to
@@ -302,8 +304,8 @@ def _active_set_polish(q_diag, lin, a_mat, b_vec, upper, x, band=1e-7):
     """
     m = q_diag.shape[0]
     s = a_mat.shape[0]
-    at_lo = x <= band
-    at_hi = np.isfinite(upper) & (x >= upper - band)
+    at_lo = x <= _POLISH_BAND
+    at_hi = np.isfinite(upper) & (x >= upper - _POLISH_BAND)
     free = ~(at_lo | at_hi)
     x_fix = np.where(at_hi, upper, 0.0)
     n_free = int(free.sum())
@@ -520,12 +522,11 @@ def lp_stability_sweep(
     data_dist,
     reg: Regularizer,
     alphas: Sequence[float],
-    w_tol: float = 1e-6,
 ) -> StabilitySweep:
     """Track w*_alpha and the value-function gap along a descending alpha grid.
 
     The constant prefix counts how many of the smallest alphas share (within
-    w_tol, sup-norm) the weight of the smallest alpha; the line fit of
+    1e-6, sup-norm) the weight of the smallest alpha; the line fit of
     ||v*_alpha - v*_0||_{2,d^D} against alpha runs over that prefix.
     """
     alphas = list(alphas)
@@ -548,7 +549,7 @@ def lp_stability_sweep(
     limit_w = rows[-1].w_star
     prefix = 0
     for row in reversed(rows):
-        if np.abs(row.w_star - limit_w).max() <= w_tol:
+        if np.abs(row.w_star - limit_w).max() <= _STABLE_W_TOL:
             prefix += 1
         else:
             break

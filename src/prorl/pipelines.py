@@ -48,6 +48,7 @@ from .mdp import (
     Occupancy,
     Policy,
     TabularMdp,
+    _read_only,
     build_counterexample,
     build_mixing_mdp,
     exact_occupancy,
@@ -81,7 +82,17 @@ PIPELINE_STAGES = (
 )
 
 _DRAWN_KEYS = ("kind", "num_distractors", "seed")
+_MDP_KEYS = ("kind", "num_states", "num_actions", "gamma")
 _BLOCK_KEYS = {  # the keys each config block reads, per kind
+    "mdp": {
+        "random": _MDP_KEYS + ("seed",),
+        "mixing": _MDP_KEYS + ("seed", "mixing"),
+        "counterexample": ("kind", "gamma", "instance"),
+        "inline": _MDP_KEYS + ("transition", "reward", "init_dist"),  # TabularMdp.to_dict
+    },
+    "data_dist": {"uniform_policy": ("kind",), "policy": ("kind", "probs"),
+                  "explicit": ("kind", "mass")},
+    "reg": {"quadratic": ("kind", "m_f")},
     "variant": {
         "plain": ("kind",),
         "inexact": ("kind", "eps_ov", "eps_ow"),
@@ -95,11 +106,9 @@ _BLOCK_KEYS = {  # the keys each config block reads, per kind
         "explicit": ("kind", "value_class", "weight_class"),
     },
     "dataset": {"sampled": ("kind",), "exact_frequency": ("kind", "repeats")},
-    "bc": {
-        "target_plus_mixes": ("kind", "n1", "mix_grid", "directions"),
-        "explicit": ("kind", "n1", "probs"),
-    },
+    "bc": {"target_plus_mixes": ("kind", "n1", "mix_grid", "directions")},
 }
+_DEFAULT_KINDS = {"reg": "quadratic", "bc": "target_plus_mixes"}
 _RUN_FIELDS = {"n": 1, "n0": 1, "seed": 0, "w_order": None}  # per run; Instance.config holds these
 _MIX_DIRECTION = re.compile(r"uniform|complement|roll-?\d+")
 # from_dict's cast per field annotation; an empty w_order reads as None
@@ -126,8 +135,8 @@ class ExperimentConfig:
 
     mdp / data_dist / reg / classes / variant / dataset are small dicts with
     a "kind" discriminator; bc, when present, configures the cloning stage.
-    ``_BLOCK_KEYS`` lists the kinds of variant, classes, dataset and bc and
-    the keys each kind reads. The config hash keys report rows.
+    ``_BLOCK_KEYS`` lists the kinds of every block and the keys each kind
+    reads. The config hash keys report rows.
     """
 
     mdp: dict
@@ -151,14 +160,14 @@ class ExperimentConfig:
                 continue
             if not isinstance(spec, dict):
                 raise PipelineError("config", f"the {block} block must be a dict, not {spec!r}")
-            kind = spec.get("kind", "target_plus_mixes" if block == "bc" else None)
+            kind = spec.get("kind", _DEFAULT_KINDS.get(block))
             if kind not in kinds:
                 raise PipelineError("config", f"unknown {block} kind {kind!r}")
-            unread = sorted(set(spec) - set(kinds[kind]))
+            unread = spec.keys() - kinds[kind]
             if unread:
                 raise PipelineError(
                     "config",
-                    f"{block} kind {kind!r} does not read {unread}; "
+                    f"{block} kind {kind!r} does not read {sorted(unread)}; "
                     f"accepted keys: {list(kinds[kind])}",
                 )
         for name in (self.bc or {}).get("directions", ()):
@@ -181,7 +190,7 @@ class ExperimentConfig:
                 "the alpha=0 variant needs floor/box constrained classes "
                 "(kind 'constrained' or 'explicit' with a floor)",
             )
-        behavior = self.data_dist.get("kind") in ("uniform_policy", "policy")
+        behavior = self.data_dist["kind"] in ("uniform_policy", "policy")
         if variant_kind == "capped" and not behavior:
             raise PipelineError("config",
                                 "the capped variant needs a behavior-policy data distribution")
@@ -230,14 +239,7 @@ def resolve_mdp(spec: dict) -> TabularMdp:
     """Instantiate the MDP named by a config dict."""
     kind = spec.get("kind")
     if kind == "random":
-        return random_mdp(
-            spec["num_states"],
-            spec["num_actions"],
-            spec["gamma"],
-            seed=spec["seed"],
-            transition_concentration=spec.get("transition_concentration", 0.4),
-            init_uniform_mix=spec.get("init_uniform_mix", 0.1),
-        )
+        return random_mdp(spec["num_states"], spec["num_actions"], spec["gamma"], seed=spec["seed"])
     if kind == "mixing":
         return build_mixing_mdp(
             spec["num_states"],
@@ -456,45 +458,23 @@ _registry: "OrderedDict[bytes, object]" = OrderedDict()  # least recently used f
 _MISSING = object()
 
 
-def _kept(key: bytes, build):
-    """The registry's entry under key, from build() on a miss; it becomes the most recent."""
+def memoized(name: str, fn, *args):
+    """fn(*args), computed once per process: ``prepare``'s instances and other seed-free work.
+
+    Kept in one registry under the pickle of (name, args); a hit becomes the most
+    recently used entry, and past ``_REGISTRY_SIZE`` the least recently used goes.
+    Every caller gets the same result, so every array of it is read-only and no
+    caller may change it. fn must be a pure function of args, and name must tell
+    it apart from every other fn.
+    """
+    key = pickle.dumps((name, args))
     value = _registry.pop(key, _MISSING)  # each step is one dict call: a race at worst builds twice
     if value is _MISSING:
-        value = build()
+        value = _read_only(fn(*args))
     _registry[key] = value
     if len(_registry) > _REGISTRY_SIZE:
         _registry.popitem(last=False)
     return value
-
-
-def _read_only(obj):
-    """obj, with every array it reaches through tuples, lists, dicts and attributes read-only."""
-    stack, seen = [obj], set()
-    while stack:
-        item = stack.pop()
-        if id(item) in seen:
-            continue
-        seen.add(id(item))
-        if isinstance(item, np.ndarray):
-            item.flags.writeable = False
-        elif isinstance(item, (tuple, list)):
-            stack.extend(item)
-        elif isinstance(item, dict):
-            stack.extend(item.values())
-        elif hasattr(item, "__dict__"):
-            stack.extend(vars(item).values())
-    return obj
-
-
-def memoized(name: str, fn, *args):
-    """fn(*args), computed once per process: seed-free work that no instance holds.
-
-    Kept in ``prepare``'s registry under the pickle of (name, args), so it shares
-    its bound and eviction. Every caller gets the same result, so every array of
-    it is read-only and no caller may change it. fn must be a pure function of
-    args, and name must tell it apart from every other fn.
-    """
-    return _kept(pickle.dumps((name, args)), lambda: _read_only(fn(*args)))
 
 
 def prepare(cfg: ExperimentConfig) -> Instance:
@@ -509,12 +489,11 @@ def prepare(cfg: ExperimentConfig) -> Instance:
     When no ratio anchor exists at alpha=0 and the config supplies explicit
     classes, the target weight is weight-class member 0.
     """
-    config = replace(cfg, **_RUN_FIELDS)
-    return _kept(pickle.dumps(config), lambda: _build(cfg, config))
+    return memoized("prepare", _build, replace(cfg, **_RUN_FIELDS))
 
 
-def _build(cfg: ExperimentConfig, config: ExperimentConfig) -> Instance:
-    """``prepare``'s instance, built anew; config is cfg less its run fields."""
+def _build(cfg: ExperimentConfig) -> Instance:
+    """``prepare``'s instance, built anew from a config whose run fields are ``_RUN_FIELDS``."""
     with _staged("mdp"):
         mdp = resolve_mdp(cfg.mdp)
     with _staged("data_dist"):
@@ -536,8 +515,7 @@ def _build(cfg: ExperimentConfig, config: ExperimentConfig) -> Instance:
         dataset = (memoized("DatasetSampler", DatasetSampler, mdp, dd)
                    if cfg.dataset["kind"] == "sampled"
                    else exact_frequency_dataset(mdp, dd, cfg.dataset.get("repeats", 1)))
-    _read_only((mdp, dd, pi_d, pop, refs, vc, wc, policies))  # the dataset's are where built
-    return Instance(config, _json_pieces(config), mdp, dd, pi_d, reg,
+    return Instance(cfg, _json_pieces(cfg), mdp, dd, pi_d, reg,
                     vc, wc, eps_rv, eps_rw, pop, policies, dataset, **refs)
 
 
@@ -699,9 +677,7 @@ def run_pro_rl(cfg: ExperimentConfig, instance: Optional[Instance] = None) -> Ru
 
 
 def _resolve_policy_class(spec: dict, pi_ref: Policy, num_actions: int) -> PolicyClass:
-    if spec.get("kind") == "explicit":
-        return PolicyClass(tuple(Policy(np.asarray(p, dtype=float)) for p in spec["probs"]))
-    mixes = spec.get("mix_grid", [0.25, 0.5, 1.0])  # target_plus_mixes
+    mixes = spec.get("mix_grid", [0.25, 0.5, 1.0])
     members = [pi_ref]
     for name in spec.get("directions", ["uniform"]):
         toward = _mix_direction(name, pi_ref, num_actions)

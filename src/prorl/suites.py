@@ -70,17 +70,6 @@ from .svgplot import fit_loglog, line_plot
 
 _log = logging.getLogger(__name__)
 
-SUITE_NAMES = (
-    "counterexample",
-    "rate_regularized",
-    "rate_unregularized",
-    "lp_stability",
-    "constrained_coverage",
-    "alpha_zero_strong",
-    "bc_scaling",
-    "robustness",
-)
-
 STABILITY_HEADER = ("alpha", "v_gap", "kkt_residual", "w_min", "w_max", "in_prefix")
 
 
@@ -103,21 +92,15 @@ def _write_rows(path: str, header, rows) -> None:
 
 
 def _plain(obj):
-    """Recursively strip numpy scalar and array types for json.dump."""
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj
+    """json.dump's hook for numpy scalars and arrays: their plain-Python value."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_plain(payload), fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_plain)
         fh.write("\n")
 
 
@@ -515,7 +498,7 @@ def _suite_rate_unregularized(
 
     points = _sizes(n_grid)
     for n, point in points.items():
-        point["alpha"] = recommended_alpha("unregularized", float(n) ** -0.25, b_f0)
+        point["alpha"] = recommended_alpha(float(n) ** -0.25, b_f0)
     base = {"mdp": mdp_cfg, "data_dist": {"kind": "uniform_policy"}, "reg": reg.to_config(),
             "classes": {"kind": "realizable", "num_distractors": 8, "seed": 0}}
     batches, _ = _sweep(out_dir, seed, num_seeds, base, points)
@@ -855,6 +838,7 @@ _SUITE_FUNCS = {
     "bc_scaling": _suite_bc_scaling,
     "robustness": _suite_robustness,
 }
+SUITE_NAMES = tuple(_SUITE_FUNCS)
 
 
 def _override_problem(key: str, value, default):
@@ -908,7 +892,7 @@ def run_experiment_suite(name: str, out_dir: str, seed: int = 0, **overrides) ->
     meta = {
         "suite": name,
         "base_seed": seed,
-        "overrides": _plain({k: overrides[k] for k in sorted(overrides)}),
+        "overrides": overrides,
         "written_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
     _write_json(os.path.join(out_dir, "meta.json"), meta)

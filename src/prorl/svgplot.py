@@ -177,7 +177,7 @@ def line_plot(
     )
 
     for idx, s in enumerate(series):
-        color = s.get("color", _COLORS[idx % len(_COLORS)])
+        color = _COLORS[idx % len(_COLORS)]
         coords = [
             (sx(x), sy(y))
             for x, y in zip(s["xs"], s["ys"])
@@ -185,7 +185,7 @@ def line_plot(
         ]
         if not coords:
             continue
-        if len(coords) > 1 and not s.get("points_only"):
+        if len(coords) > 1:
             path_d = " ".join(f"{px:.1f},{py:.1f}" for px, py in coords)
             out.append(
                 f'<polyline points="{path_d}" fill="none" stroke="{color}" stroke-width="1.8"/>'

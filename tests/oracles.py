@@ -67,10 +67,10 @@ def power_iteration_values(mdp, policy_probs, tol=1e-13, max_iter=100000):
     raise RuntimeError("power iteration did not converge")
 
 
-def brute_force_lagrangian(mdp, data_mass, m_f, shift, alpha, v, w):
+def brute_force_lagrangian(mdp, data_mass, m_f, alpha, v, w):
     """Population objective by explicit summation over every state-action pair.
 
-    Quadratic-family regularizer f(x) = m_f/2 x^2 + shift. Cells without data
+    Quadratic regularizer f(x) = m_f/2 x^2. Cells without data
     mass contribute nothing (their w is treated as zero).
     """
     total = (1.0 - mdp.gamma) * float(np.dot(mdp.init_dist, v))
@@ -82,15 +82,15 @@ def brute_force_lagrangian(mdp, data_mass, m_f, shift, alpha, v, w):
             e = mdp.reward[s, a] - v[s]
             for sp in range(mdp.num_states):
                 e += mdp.gamma * mdp.transition[s, a, sp] * v[sp]
-            f_w = 0.5 * m_f * w[s, a] ** 2 + shift
+            f_w = 0.5 * m_f * w[s, a] ** 2
             total += dd * (-alpha * f_w + w[s, a] * e)
     return total
 
 
-def grid_sup_bounds(m_f, shift, b_w, num_points=10000):
+def grid_sup_bounds(m_f, b_w, num_points=10000):
     """Sup of |f| and |f'| over [0, B_w] by dense grid evaluation."""
     xs = np.linspace(0.0, b_w, num_points)
-    f_vals = 0.5 * m_f * xs**2 + shift
+    f_vals = 0.5 * m_f * xs**2
     fp_vals = m_f * xs
     return float(np.abs(f_vals).max()), float(np.abs(fp_vals).max())
 
@@ -335,7 +335,7 @@ def searchsorted_dataset(mdp, data_mass, n, n0, seed):
 
 
 def deriv(reg, x):
-    """f'(x) = m_f * x for the quadratic regularizers (the shift drops out)."""
+    """f'(x) = m_f * x for the quadratic regularizer."""
     return reg.m_f * np.asarray(x, dtype=float)
 
 

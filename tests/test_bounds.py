@@ -109,12 +109,11 @@ class TestBcBound:
 
 class TestAlphaSelection:
     def test_recommended_values(self):
-        assert recommended_alpha("unregularized", 0.2, 1.0) == pytest.approx(0.1)
-        assert recommended_alpha("constrained", 0.2, 1.0) == pytest.approx(0.05)
-
-    def test_bad_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            recommended_alpha("other", 0.1, 1.0)
+        assert recommended_alpha(0.2, 1.0) == pytest.approx(0.1)
+        assert recommended_alpha(0.2, 4.0) == pytest.approx(0.025)
+        for eps, b_f0 in ((0.0, 1.0), (0.1, 0.0), (-0.1, 1.0)):
+            with pytest.raises(ValueError, match="positive"):
+                recommended_alpha(eps, b_f0)
 
     def test_slack_formula(self):
         assert unregularized_competition_slack(0.3, 2.0) == pytest.approx(0.6)

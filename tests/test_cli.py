@@ -11,7 +11,7 @@ from prorl.pipelines import PipelineError
 BASE_CONFIG = {
     "mdp": {"kind": "random", "num_states": 4, "num_actions": 2, "gamma": 0.8, "seed": 2},
     "data_dist": {"kind": "uniform_policy"},
-    "reg": {"kind": "quadratic", "m_f": 1.0, "shift": 0.0},
+    "reg": {"kind": "quadratic", "m_f": 1.0},
     "alpha": 0.3,
     "n": 600,
     "n0": 60,

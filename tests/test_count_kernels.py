@@ -78,7 +78,7 @@ def random_policy_class(rng, num_states, num_actions, size):
 
 def check_both_kernels(rng, data, num_states, num_actions, alpha, ref):
     """Both kernels on the counts data against the per-sample references on ref's columns."""
-    reg = Regularizer("shifted_quadratic", m_f=float(rng.uniform(0.5, 2.0)), shift=0.3)
+    reg = Regularizer(m_f=float(rng.uniform(0.5, 2.0)))
     vs, ws = members(rng, data, num_states, num_actions)
     if data.n0 > 0:
         close(empirical_lagrangian_members(data, reg, alpha, vs, ws),

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from prorl.classes import PolicyClass, witness_class
-from prorl import classes, extraction
+from prorl import classes
 from prorl.datasets import DatasetSampler, exact_frequency_dataset
 from prorl.extraction import (
     bc_objective_matrix,
@@ -166,14 +166,6 @@ class TestClonePolicy:
             assert score == pytest.approx(tv, abs=1e-8)
         assert clone_policy(sol.w_star, data, pc) is sol.pi_star
 
-    def test_witness_cache_matches_fresh(self):
-        _, _, sol, data = self.make_bc_instance(n2=200)
-        pc = PolicyClass((sol.pi_star, uniform_policy(4, 2)))
-        cached = witness_class(pc)
-        a = bc_objective_matrix(sol.w_star, data, pc)
-        b = bc_objective_matrix(sol.w_star, data, pc, witnesses=cached)
-        np.testing.assert_array_equal(a, b)
-
     def test_default_witness_tables_are_built_once_per_class(self, monkeypatch):
         _, _, sol, data = self.make_bc_instance(n2=200)
         pc = PolicyClass((sol.pi_star, uniform_policy(4, 2)))
@@ -221,13 +213,13 @@ class TestCloningLayout:
         witnesses = [rng.uniform(-1.0, 1.0, mdp.reward.shape) for _ in range(num_witnesses)]
         w_hat = rng.uniform(0.0, 3.0, mdp.reward.shape)
         h_stack, h_pis = classes._witness_tables(np.stack(witnesses), pc.members)
-        if gather == "c_ordered":
-            monkeypatch.setattr(extraction, "_witness_tables",
-                                lambda h, members: (h_stack, h_pis.view(CGathers)))
+        # the class's tables, built on first read, hold the random witnesses
+        monkeypatch.setattr(classes, "_witness_tables", lambda h, members: (
+            h_stack, h_pis.view(CGathers) if gather == "c_ordered" else h_pis))
         n_sa = data.transitions.sum(axis=2)
         pos = n_sa > 0
         cells, weights = np.nonzero(pos)[0], n_sa[pos] * w_hat[pos]
         want = np.stack([np.asfortranarray(h_pi[:, cells] - h_stack[:, pos]) @ weights
                          for h_pi in h_pis]) / data.n
-        got = bc_objective_matrix(w_hat, data, pc, witnesses)
+        got = bc_objective_matrix(w_hat, data, pc)
         assert got.tobytes() == want.tobytes()

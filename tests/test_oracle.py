@@ -253,7 +253,7 @@ def rate_unregularized_instance(n=1000):
     )
     dd = uniform_behavior(mdp)
     b_w0 = float((solve_unregularized(mdp).d_star.mass / dd).max())
-    alpha = recommended_alpha("unregularized", float(n) ** -0.25, Regularizer().eval(b_w0))
+    alpha = recommended_alpha(float(n) ** -0.25, Regularizer().eval(b_w0))
     return mdp, dd, alpha
 
 

@@ -131,16 +131,35 @@ class TestConfigValidation:
              r"dataset kind 'sampled' does not read \['repeats'\]; accepted keys: \['kind'\]"),
             ({"bc": {"n1": 2000, "mixgrid": [0.1]}},
              r"bc kind 'target_plus_mixes' does not read \['mixgrid'\]; accepted keys"),
-            ({"bc": {"kind": "explicit", "probs": [], "directions": ["uniform"]}},
-             r"bc kind 'explicit' does not read \['directions'\]; accepted keys"),
+            ({"bc": {"kind": "explicit", "probs": []}}, "unknown bc kind 'explicit'"),
             ({"bc": {"kind": "mixes"}}, "unknown bc kind 'mixes'"),
             ({"dataset": {"kind": "bogus"}}, "unknown dataset kind 'bogus'"),
             ({"classes": "realizable"}, "the classes block must be a dict, not 'realizable'"),
             ({"dataset": {"kind": "exact_frequency"}, "bc": {"n1": 5}},
              "the bc cut needs a sampled dataset"),
+            ({"reg": {"kind": "shifted_quadratic", "m_f": 1.0, "shift": 0.5}},
+             "unknown reg kind 'shifted_quadratic'"),
+            ({"reg": {"kind": "quadratic", "m_f": 1.0, "shift": 0.5}},
+             r"reg kind 'quadratic' does not read \['shift'\]; accepted keys: \['kind', 'm_f'\]"),
+            ({"reg": {"mf": 5.0}}, r"reg kind 'quadratic' does not read \['mf'\]"),
+            ({"mdp": {"kind": "random", "num_states": 5, "num_actions": 3, "gamma": 0.8,
+                      "seed": 2, "transition_concentration": 0.1}},
+             r"mdp kind 'random' does not read \['transition_concentration'\]"),
+            ({"mdp": {"kind": "random", "num_states": 5, "num_actions": 3, "gamma": 0.8,
+                      "seed": 2, "init_uniform_mix": 0.5}},
+             r"mdp kind 'random' does not read \['init_uniform_mix'\]"),
+            ({"mdp": {"kind": "mixing", "num_states": 5, "num_actions": 3, "gamma": 0.8,
+                      "seed": 2, "mixng": 0.9}},
+             r"mdp kind 'mixing' does not read \['mixng'\]"),
+            ({"mdp": {"kind": "grid"}}, "unknown mdp kind 'grid'"),
+            ({"data_dist": {"kind": "uniform_policy", "mass": [[1.0]]}},
+             r"data_dist kind 'uniform_policy' does not read \['mass'\]; accepted keys"),
+            ({"data_dist": {"mass": [[1.0]]}}, "unknown data_dist kind None"),
         ],
         ids=["variant", "variant_inexact", "dataset", "bc_typo", "bc_explicit", "bc_kind",
-             "dataset_kind", "classes_not_a_dict", "bc_exact_frequency"],
+             "dataset_kind", "classes_not_a_dict", "bc_exact_frequency", "reg_shifted_kind",
+             "reg_shift", "reg_typo", "mdp_transition_concentration", "mdp_init_uniform_mix",
+             "mdp_typo", "mdp_kind", "data_dist_typo", "data_dist_no_kind"],
     )
     def test_blocks_reject_unread_keys_and_kinds(self, over, want):
         with pytest.raises(PipelineError, match=want) as info:

@@ -9,14 +9,8 @@ from prorl.regularizers import Regularizer
 
 class TestPointwise:
     def test_quadratic_values(self):
-        reg = Regularizer("quadratic", m_f=2.0)
+        reg = Regularizer(m_f=2.0)
         assert reg.eval(3.0) == 9.0
-        assert deriv(reg, 3.0) == 6.0
-        assert reg.deriv_inverse(6.0) == 3.0
-
-    def test_shift_moves_values_not_derivatives(self):
-        reg = Regularizer("shifted_quadratic", m_f=2.0, shift=1.5)
-        assert reg.eval(3.0) == 10.5
         assert deriv(reg, 3.0) == 6.0
         assert reg.deriv_inverse(6.0) == 3.0
 
@@ -43,26 +37,19 @@ class TestPointwise:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError, match="m_f"):
             Regularizer(m_f=0.0)
-        with pytest.raises(ValueError, match="kind"):
-            Regularizer(kind="entropy")
-        with pytest.raises(ValueError, match="shift"):
-            Regularizer(kind="quadratic", shift=1.0)
+        with pytest.raises(ValueError, match="m_f"):
+            Regularizer(m_f=-1.0)
 
 
 class TestBounds:
     def test_closed_form_example(self):
         assert Regularizer(m_f=2.0).bounds(3.0) == (9.0, 6.0)
 
-    @given(
-        m_f=st.floats(0.1, 5.0),
-        shift=st.floats(0.0, 3.0),
-        b_w=st.floats(0.0, 20.0),
-    )
-    def test_matches_grid_search(self, m_f, shift, b_w):
-        kind = "shifted_quadratic" if shift > 0 else "quadratic"
-        reg = Regularizer(kind, m_f=m_f, shift=shift)
+    @given(m_f=st.floats(0.1, 5.0), b_w=st.floats(0.0, 20.0))
+    def test_matches_grid_search(self, m_f, b_w):
+        reg = Regularizer(m_f=m_f)
         b_f, b_fp = reg.bounds(b_w)
-        g_f, g_fp = grid_sup_bounds(m_f, shift, b_w)
+        g_f, g_fp = grid_sup_bounds(m_f, b_w)
         assert b_f == pytest.approx(g_f, rel=1e-6, abs=1e-9)
         assert b_fp == pytest.approx(g_fp, rel=1e-6, abs=1e-9)
 
@@ -78,13 +65,12 @@ class TestFDivergence:
         dd = np.array([[0.5, 0.5]])
         assert f_divergence(reg, np.zeros_like(dd), dd) == 0.0
 
-    @given(seed=st.integers(0, 200), m_f=st.floats(0.2, 4.0), shift=st.floats(0.0, 2.0))
-    def test_equal_arguments_give_f_of_one_times_mass(self, seed, m_f, shift):
+    @given(seed=st.integers(0, 200), m_f=st.floats(0.2, 4.0))
+    def test_equal_arguments_give_f_of_one_times_mass(self, seed, m_f):
         rng = np.random.default_rng(seed)
         dd = rng.uniform(0.0, 1.0, size=(3, 2))
         dd[rng.random(dd.shape) < 0.3] = 0.0
-        kind = "shifted_quadratic" if shift > 0 else "quadratic"
-        reg = Regularizer(kind, m_f=m_f, shift=shift)
+        reg = Regularizer(m_f=m_f)
         expected = reg.eval(1.0) * dd.sum()
         assert f_divergence(reg, dd, dd) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
@@ -104,7 +90,8 @@ class TestFDivergence:
 
 class TestConfig:
     def test_round_trip(self):
-        for reg in (Regularizer(m_f=0.5), Regularizer("shifted_quadratic", 2.0, 0.25)):
+        for reg in (Regularizer(m_f=0.5), Regularizer(m_f=2.0)):
+            assert reg.to_config() == {"kind": "quadratic", "m_f": reg.m_f}
             assert Regularizer.from_config(reg.to_config()) == reg
 
     def test_fragment_defaults(self):

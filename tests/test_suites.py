@@ -325,6 +325,23 @@ class TestRowsFormat:
         assert keys == sorted(keys)
 
 
+class TestJsonWriter:
+    def test_numpy_values_write_as_their_plain_twins(self, tmp_path):
+        numpy = {"f": np.float32(0.1), "i": np.int64(-3), "b": np.bool_(True),
+                 "a": np.array([[0.5, 2.0], [1e-300, -0.0]]), "t": (np.float64(0.3), 1),
+                 "nested": [{"x": np.arange(3)}]}
+        plain = {"f": float(np.float32(0.1)), "i": -3, "b": True,
+                 "a": [[0.5, 2.0], [1e-300, -0.0]], "t": [0.3, 1], "nested": [{"x": [0, 1, 2]}]}
+        suites._write_json(str(tmp_path / "numpy.json"), numpy)
+        suites._write_json(str(tmp_path / "plain.json"), plain)
+        assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+    @pytest.mark.parametrize("value", [object(), {1, 2}, 1j])
+    def test_other_objects_raise(self, tmp_path, value):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            suites._write_json(str(tmp_path / "bad.json"), {"x": value})
+
+
 class TestGridOrder:
     def test_grid_order_does_not_reach_the_artifacts(self, tmp_path):
         # medians and their monotone flag read in ascending n, whatever order the grid has
