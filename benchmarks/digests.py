@@ -7,7 +7,9 @@ Run from the root of a checkout:
 Runs all eight suites one after another in this process, at base seed
 ``--seed`` and their default grids, into a temporary directory, and prints
 one JSON line mapping ``<suite>/rows.csv`` and ``<suite>/summary.json`` to
-the sha256 of the file's bytes. It then runs them all again in the same
+the sha256 of the file's bytes, and ``<suite>/rows.csv:<column>`` to the
+sha256 of that column's cells, sorted, so a change names the columns it
+moved and a reordering of rows alone moves none. It then runs them all again in the same
 process, where every instance comes from the process's registry of prepared
 instances, and exits with status 1, naming the artifacts, if a warm digest
 differs from the cold one. rows.csv and summary.json are
@@ -21,6 +23,7 @@ collects it.
 """
 
 import argparse
+import csv
 import hashlib
 import json
 import sys
@@ -43,6 +46,11 @@ def digests(seed: int) -> dict:
             for artifact in ARTIFACTS:
                 data = (Path(tmp) / name / artifact).read_bytes()
                 out[f"{name}/{artifact}"] = hashlib.sha256(data).hexdigest()
+            with open(Path(tmp) / name / "rows.csv", newline="") as fh:
+                header, *rows = csv.reader(fh)
+            for column, cells in zip(header, zip(*rows)):
+                text = "\n".join(sorted(cells)).encode()
+                out[f"{name}/rows.csv:{column}"] = hashlib.sha256(text).hexdigest()
     return out
 
 

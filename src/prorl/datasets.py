@@ -8,7 +8,8 @@ builds exact inverse-CDF tables (guide tables, Chen & Asau 1974, equal to
 bins the blocks into a ``CountedDataset``, the counts the estimator reads, or
 joins them into an ``OfflineDataset``'s per-transition columns, which
 ``gen-data`` writes. It keeps its latest counts, so runs that fit the same
-data one after another bin it once.
+data one after another bin it once. ``law_counts`` gives the counts of the
+population law itself, the data of exact-frequency runs.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ class CountedDataset(NamedTuple):
     """A dataset as its counts alone, read-only: what the estimator reads.
 
     n transitions and n0 initial states as counts N(s,a,s') (S, A, S), reward
-    sums R(s,a) (S, A) and initial counts N0(s) (S,).
+    sums R(s,a) (S, A) and initial counts N0(s) (S,): integers when sampled,
+    real when ``law_counts`` takes them from the population law.
     """
 
     n: int
@@ -250,33 +252,10 @@ def generate_dataset(mdp: TabularMdp, data_dist, n: int, n0: int, seed) -> Offli
     return DatasetSampler(mdp, data_dist).draw(n, n0, seed)
 
 
-def exact_frequency_dataset(mdp: TabularMdp, data_dist, repeats: int = 1) -> CountedDataset:
-    """Deterministic counts whose empirical frequencies equal data_dist exactly.
-
-    Requires every covered cell's probability to be an integer multiple of the
-    smallest covered probability, and a deterministic transition row at every
-    covered cell (otherwise no finite sample reproduces the population law).
-    Initial states require a deterministic mu0. Cell (s, a) holds k(s, a) =
-    repeats * d^D(s, a) / min d^D transitions, all to its one next state, with
-    reward sum k(s, a) r(s, a); the initial state holds max(1, repeats). Used for
-    the infinite-data counterexample runs.
-    """
+def law_counts(mdp: TabularMdp, data_dist, n: int, n0: int) -> CountedDataset:
+    """The counts whose empirical law is exactly the population's, read-only:
+    N = n d^D(s,a) P(s'|s,a), R = n d^D(s,a) r(s,a) and N0 = n0 mu0, real-valued.
+    At n = n0 = 1 the empirical objective they feed is the population objective."""
     dd = _mass_of(data_dist)
-    pos = dd > 0.0
-    ratios = dd / dd[pos].min()
-    if not np.allclose(ratios[pos], np.round(ratios[pos]), atol=1e-9):
-        raise ValueError("data distribution is not commensurable; no exact dataset exists")
-    k = np.round(ratios).astype(np.intp) * repeats
-    rows = mdp.transition.reshape(k.size, -1)
-    stochastic = np.flatnonzero((k.ravel() > 0) & (rows.max(axis=1) < 1.0 - 1e-12))
-    if stochastic.size:
-        raise ValueError(f"transition at {divmod(int(stochastic[0]), mdp.num_actions)} is "
-                         f"stochastic; cannot be exact")
-    if mdp.init_dist.max() < 1.0 - 1e-12:
-        raise ValueError("initial distribution is stochastic; cannot be exact")
-    transitions = np.zeros(rows.shape, np.intp)
-    transitions[np.arange(k.size), rows.argmax(axis=1)] = k.ravel()
-    inits = np.zeros(mdp.num_states, np.intp)
-    inits[mdp.init_dist.argmax()] = max(1, repeats)
-    return _read_only(CountedDataset(int(k.sum()), int(inits.sum()), mdp.gamma,
-                                     transitions.reshape(*k.shape, -1), k * mdp.reward, inits))
+    return _read_only(CountedDataset(n, n0, mdp.gamma, n * dd[:, :, None] * mdp.transition,
+                                     n * dd * mdp.reward, n0 * mdp.init_dist))

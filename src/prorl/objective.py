@@ -10,15 +10,17 @@ empirical version replaces the two expectations with sample means over the
 initial-state draws and the transition tuples. Both means are linear in the
 empirical law, so they are computed exactly as count-weighted sums over the
 covered cells: transition counts N(s,a,s'), reward sums R(s,a) and initial-state
-counts N0(s) of a `CountedDataset`, the estimator's only dataset type. Cells
-without data mass are excluded everywhere; candidate weights are zero there.
+counts N0(s) of a `CountedDataset`, the estimator's only dataset type. The
+population objective is the same sum at the law's own counts, N = d^D P,
+R = d^D r and N0 = mu0 at n = n0 = 1. Cells without data mass are excluded
+everywhere; candidate weights are zero there.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .datasets import CountedDataset
+from .datasets import CountedDataset, law_counts
 from .mdp import TabularMdp, _mass_of
 from .regularizers import Regularizer
 
@@ -73,17 +75,9 @@ def population_lagrangian_members(
     v_members,
     w_members,
 ) -> np.ndarray:
-    """Population payoff matrix L[w_index, v_index] over finite classes."""
-    dd = _mass_of(data_dist)
-    pos = dd > 0.0
-    v_stack, w_stack = np.asarray(v_members, dtype=float), np.asarray(w_members, dtype=float)
-    e_cells = np.stack([residual_ev(mdp, v)[pos] for v in v_stack])  # (n_v, m)
-    w_cells = w_stack[:, pos]  # (n_w, m)
-    weights = dd[pos]
-    init_terms = (1.0 - mdp.gamma) * (v_stack @ mdp.init_dist)
-    f_terms = -alpha * (reg.eval(w_cells) @ weights)
-    coupling = (w_cells * weights[None, :]) @ e_cells.T
-    return init_terms[None, :] + f_terms[:, None] + coupling
+    """Population payoff matrix L[w_index, v_index]: the empirical one at the law's own counts."""
+    return empirical_lagrangian_members(law_counts(mdp, data_dist, 1, 1), reg, alpha,
+                                        v_members, w_members)
 
 
 def weighted_l2(w_a: np.ndarray, w_b: np.ndarray, data_dist) -> float:

@@ -4,12 +4,12 @@
 resolve the MDP and data distribution, solve the instance exactly for
 reference quantities, build candidate classes around the exact pair, their
 population payoff matrix, the policy class a cloning run fits over and the
-dataset: the sampler's tables, or the exact-frequency counts themselves, once
-per process, keeping the most recently used instances, read-only, for later
-calls. ``memoized`` keeps other seed-free values (the suites' fixtures and
-reference solves) in the same registry.
+sampler's tables, once per process, keeping the most recently used
+instances, read-only, for later calls. ``memoized`` keeps other seed-free
+values (the suites' fixtures and reference solves) in the same registry.
 ``run_pro_rl`` does the rest at one seed and size: count the offline dataset
-(the estimator reads counts only, never per-transition columns), build the
+(the estimator reads counts only, never per-transition columns; an
+exact-frequency run reads the law's own counts at its n and n0), build the
 empirical payoff matrix and run the max-min estimator on it. The estimate is
 a weight-class member, so the run reads its scores (the extracted policy's
 return and distance, the weight error) by member index from the instance,
@@ -42,7 +42,7 @@ from .classes import (
     build_misspecified,
     build_realizable,
 )
-from .datasets import CountedDataset, DatasetSampler, exact_frequency_dataset
+from .datasets import DatasetSampler, law_counts
 from .extraction import clone_policy, extract_policy
 from .mdp import (
     Occupancy,
@@ -105,10 +105,13 @@ _BLOCK_KEYS = {  # the keys each config block reads, per kind
         "constrained": _DRAWN_KEYS,
         "explicit": ("kind", "value_class", "weight_class"),
     },
-    "dataset": {"sampled": ("kind",), "exact_frequency": ("kind", "repeats")},
+    "dataset": {"sampled": ("kind",), "exact_frequency": ("kind",)},
     "bc": {"target_plus_mixes": ("kind", "n1", "mix_grid", "directions")},
 }
 _DEFAULT_KINDS = {"reg": "quadratic", "bc": "target_plus_mixes"}
+# the keys a block may leave out, read with a default; a kind needs every other key it reads
+_OPTIONAL_KEYS = {"mdp": {"mixing", "instance"}, "reg": {"m_f"},
+                  "classes": {"num_distractors", "seed"}, "bc": {"n1", "mix_grid", "directions"}}
 _RUN_FIELDS = {"n": 1, "n0": 1, "seed": 0, "w_order": None}  # per run; Instance.config holds these
 _MIX_DIRECTION = re.compile(r"uniform|complement|roll-?\d+")
 # from_dict's cast per field annotation; an empty w_order reads as None
@@ -170,15 +173,16 @@ class ExperimentConfig:
                     f"{block} kind {kind!r} does not read {sorted(unread)}; "
                     f"accepted keys: {list(kinds[kind])}",
                 )
+            missing = [k for k in kinds[kind][1:]  # "kind" leads: checked, or defaulted, above
+                       if k not in spec and k not in _OPTIONAL_KEYS.get(block, ())]
+            if missing:
+                raise PipelineError("config", f"{block} kind {kind!r} needs {missing}")
         for name in (self.bc or {}).get("directions", ()):
             if not _MIX_DIRECTION.fullmatch(str(name)):
                 raise PipelineError("config", f"unknown mix direction {name!r}")
         if self.bc is not None and self.dataset["kind"] == "exact_frequency":
             raise PipelineError("config", "the bc cut needs a sampled dataset: exact-frequency "
                                           "counts have no draw order to cut")
-        repeats = self.dataset.get("repeats", 1)
-        if not (isinstance(repeats, int) and not isinstance(repeats, bool) and repeats >= 1):
-            raise PipelineError("config", f"dataset repeats {repeats!r} is not an integer >= 1")
         variant_kind, class_kind = self.variant["kind"], self.classes["kind"]
         if self.alpha < 0:
             raise PipelineError("config", "alpha must be nonnegative")
@@ -194,11 +198,6 @@ class ExperimentConfig:
         if variant_kind == "capped" and not behavior:
             raise PipelineError("config",
                                 "the capped variant needs a behavior-policy data distribution")
-        if variant_kind == "capped" and "cap" not in self.variant:
-            raise PipelineError("config", "capped variant needs a 'cap' value")
-        if variant_kind == "inexact":
-            if "eps_ov" not in self.variant or "eps_ow" not in self.variant:
-                raise PipelineError("config", "inexact variant needs eps_ov and eps_ow")
         if self.n < 1:
             raise PipelineError("config", "n must be at least 1")
         if self.n0 < 1:
@@ -304,7 +303,7 @@ def _resolve_references(mdp, dd, reg, alpha, variant, classes_kind):
             )
         exact, sol, j_alpha, j_ref = unreg, None, None, j_zero
     else:
-        cap = variant.get("cap") if kind == "capped" else None
+        cap = variant["cap"] if kind == "capped" else None
         exact = sol = solve_regularized(mdp, dd, reg, alpha, cap=cap)
         w_ref, j_alpha = sol.w_star, float(mdp.reward.flatten() @ sol.d_star.mass.flatten())
         j_ref = j_alpha
@@ -381,8 +380,8 @@ class Instance:
     config has n, n0, seed and w_order set to ``_RUN_FIELDS``; config_json is
     its canonical JSON cut around the n, n0 and seed values. pop is the classes'
     population payoff matrix, policies the class a run clones over (None
-    without bc) and dataset the sampler a sampled run counts through, or the
-    exact-frequency counts that every run fits. The reference fields are the
+    without bc) and dataset the sampler a sampled run counts through (None for
+    exact-frequency data). The reference fields are the
     exact quantities a run is scored against; each weight member is scored
     against them once, on its first pick.
     """
@@ -399,7 +398,7 @@ class Instance:
     eps_rw: float
     pop: np.ndarray
     policies: Optional[PolicyClass]
-    dataset: DatasetSampler | CountedDataset
+    dataset: Optional[DatasetSampler]
     w_ref: np.ndarray  # target weight the class anchors on
     pi_ref: Policy
     d_ref_state: np.ndarray  # state marginal weighting the policy distance
@@ -513,8 +512,7 @@ def _build(cfg: ExperimentConfig) -> Instance:
         pop = population_lagrangian_members(mdp, dd, reg, cfg.alpha, vc.stack, wc.stack)
     with _staged("dataset"):  # one sampler per (MDP, d^D): instances apart in classes share it
         dataset = (memoized("DatasetSampler", DatasetSampler, mdp, dd)
-                   if cfg.dataset["kind"] == "sampled"
-                   else exact_frequency_dataset(mdp, dd, cfg.dataset.get("repeats", 1)))
+                   if cfg.dataset["kind"] == "sampled" else None)
     return Instance(cfg, _json_pieces(cfg), mdp, dd, pi_d, reg,
                     vc, wc, eps_rv, eps_rw, pop, policies, dataset, **refs)
 
@@ -642,25 +640,22 @@ def run_pro_rl(cfg: ExperimentConfig, instance: Optional[Instance] = None) -> Ru
     sampled dataset splits into a fitting part and a cloning part: the estimator
     runs on the first, the witnessed-disagreement cloner on the second, and
     the report carries both the direct-extraction distance and the cloned
-    one, so paired comparisons need a single run. An exact-frequency run's n
-    and n0 must be those of its data, which the config hash reads.
+    one, so paired comparisons need a single run.
     """
     inst = instance or prepare(cfg)
     if not inst.serves(cfg):
         raise PipelineError("config", "the instance's config differs in more than seed, n and n0")
     vc, wc = inst.vc, inst.wc
     with _staged("dataset"):
-        fit, held = inst.dataset, None  # an exact-frequency dataset is fitted as it stands
-        if isinstance(fit, DatasetSampler):  # counts only: no per-transition array
+        if inst.dataset is None:  # exact frequencies: the population law at n and n0
+            fit, held = law_counts(inst.mdp, inst.dd, cfg.n, cfg.n0), None
+        else:  # counts only: no per-transition array
             n1 = cfg.n if cfg.bc is None else int(cfg.bc.get("n1", round(0.9 * cfg.n)))
-            fit, held = fit.count(cfg.n, cfg.n0, cfg.seed, n1)
+            fit, held = inst.dataset.count(cfg.n, cfg.n0, cfg.seed, n1)
             if cfg.bc is None:
                 held = None
             elif held.n == 0:
                 raise PipelineError("dataset", "the cloning split is empty; lower n1")
-        elif (cfg.n, cfg.n0) != (fit.n, fit.n0):
-            raise PipelineError("config", f"the exact-frequency data has n={fit.n} and "
-                                          f"n0={fit.n0}, not n={cfg.n} and n0={cfg.n0}")
     with _staged("saddle"):
         emp = empirical_lagrangian_members(fit, inst.reg, cfg.alpha, vc.stack, wc.stack)
         if cfg.variant["kind"] == "inexact":

@@ -397,7 +397,7 @@ def _suite_counterexample(out_dir: str, seed: int, gamma: float = 0.5) -> dict:
                 for i in (1, 2)}
     orders = {"adversarial": (1, 0), "friendly": None}
     base = {"alpha": 0.0, "n": 6, "n0": 1, "variant": {"kind": "alpha_zero"},
-            "dataset": {"kind": "exact_frequency", "repeats": 1}}
+            "dataset": {"kind": "exact_frequency"}}
     points = {
         (instance, label): {"w_order": order,
                             **{k: fx[k] for k in ("mdp", "data_dist", "reg", "classes")}}

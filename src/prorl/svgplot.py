@@ -106,6 +106,8 @@ def line_plot(
     """
     pts = []
     for s in series:
+        if extra := s.keys() - {"label", "xs", "ys"}:
+            raise ValueError(f"a series holds label, xs and ys only, not {sorted(extra)}")
         for x, y in zip(s["xs"], s["ys"]):
             if not loglog or (x > 0 and y > 0):
                 pts.append((x, y))

@@ -281,10 +281,11 @@ def count_columns(data, num_states, num_actions):
 
 
 def exact_frequency_columns(mdp, data_dist, repeats=1):
-    """``exact_frequency_dataset`` as columns sorted by cell: cell (s, a) repeated
+    """Columns, sorted by cell, whose law is the population's: cell (s, a) repeated
     k(s, a) = repeats * d^D(s, a) / min d^D times, then max(1, repeats) initial states.
 
-    The construction the counts replaced; it assumes what that function checks.
+    Such a finite sample exists only when every covered transition row and mu0
+    are deterministic and d^D is commensurable; this assumes both.
     """
     dd = np.asarray(getattr(data_dist, "mass", data_dist), dtype=float)
     k = np.round(dd / dd[dd > 0.0].min()).astype(int).ravel() * repeats

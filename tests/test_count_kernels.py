@@ -22,7 +22,7 @@ from oracles import (
     load_dataset,
 )
 from prorl.classes import PolicyClass, witness_class
-from prorl.datasets import DatasetSampler, OfflineDataset, exact_frequency_dataset
+from prorl.datasets import DatasetSampler, OfflineDataset, law_counts
 from prorl.extraction import bc_objective_matrix
 from prorl.mdp import Policy, build_counterexample, random_mdp
 from prorl.objective import empirical_lagrangian_members
@@ -140,8 +140,9 @@ class TestMatchesPerSampleReference:
     @pytest.mark.parametrize("repeats", [1, 3])
     @pytest.mark.parametrize("instance", [1, 2])
     def test_exact_frequency_dataset(self, instance, repeats):
+        # the law's counts of a deterministic MDP against a sample with that law
         bundle = build_counterexample(0.5, instance)
-        data = exact_frequency_dataset(bundle.mdp, bundle.data_occupancy, repeats)
+        data = law_counts(bundle.mdp, bundle.data_occupancy, 6 * repeats, repeats)
         columns = exact_frequency_columns(bundle.mdp, bundle.data_occupancy, repeats)
         rng = np.random.default_rng(10 * instance + repeats)
         for alpha in (0.0, 0.1, 1.0):
@@ -153,7 +154,7 @@ class TestCounterexampleTie:
     @pytest.mark.parametrize("instance", [1, 2])
     def test_tie_is_bitwise(self, instance, repeats):
         bundle = build_counterexample(0.5, instance)
-        data = exact_frequency_dataset(bundle.mdp, bundle.data_occupancy, repeats)
+        data = law_counts(bundle.mdp, bundle.data_occupancy, 6 * repeats, repeats)
         emp = empirical_lagrangian_members(
             data, Regularizer(), 0.0, [bundle.v_star_unreg], [bundle.w_left, bundle.w_right]
         )

@@ -20,8 +20,8 @@ from prorl.datasets import (
     OfflineDataset,
     _cumulative,
     _GuideTable,
-    exact_frequency_dataset,
     generate_dataset,
+    law_counts,
 )
 from prorl.mdp import (
     Occupancy,
@@ -454,7 +454,7 @@ class TestZeroMassGuard:
 class TestExactFrequency:
     def test_counterexample_frequencies_are_exact(self):
         bundle = build_counterexample(0.5)
-        data = exact_frequency_dataset(bundle.mdp, bundle.data_occupancy)
+        data = law_counts(bundle.mdp, bundle.data_occupancy, 6, 1)
         assert (data.n, data.n0) == (6, 1)
         np.testing.assert_allclose(data.transitions.sum(axis=2) / data.n,
                                    bundle.data_occupancy.mass, atol=0)
@@ -466,30 +466,31 @@ class TestExactFrequency:
     @pytest.mark.parametrize("repeats", [1, 2, 3])
     @pytest.mark.parametrize("instance", [1, 2])
     def test_counts_bin_the_sorted_columns(self, instance, repeats):
-        # the counts built from the cell counts equal the ordered bincount of the
-        # columns they replaced, the reward sums byte for byte
+        # on a deterministic MDP with commensurable d^D a finite sample has the
+        # population law: the law's counts at n = 6 repeats equal the ordered
+        # bincount of those columns, to rounding
         bundle = build_counterexample(0.5, instance)
         columns = exact_frequency_columns(bundle.mdp, bundle.data_occupancy, repeats)
         want = count_columns(columns, 4, 2)
-        got = exact_frequency_dataset(bundle.mdp, bundle.data_occupancy, repeats)
-        assert got[:3] == want[:3] == (6 * repeats, max(1, repeats), bundle.mdp.gamma)
-        np.testing.assert_array_equal(got.transitions, want.transitions)
-        assert got.rewards.tobytes() == want.rewards.tobytes()
-        np.testing.assert_array_equal(got.inits, want.inits)
+        got = law_counts(bundle.mdp, bundle.data_occupancy, 6 * repeats, repeats)
+        assert got[:3] == want[:3] == (6 * repeats, repeats, bundle.mdp.gamma)
+        for name in ("transitions", "rewards", "inits"):
+            np.testing.assert_allclose(getattr(got, name), getattr(want, name),
+                                       rtol=1e-15, atol=0)
 
-    def test_stochastic_mdp_rejected(self):
+    @pytest.mark.parametrize("n, n0", [(1, 1), (7, 3), (10**5, 10**4)])
+    def test_stochastic_mdp_counts_have_its_law(self, n, n0):
+        # no finite sample of a stochastic MDP has its law, but its counts do
         mdp = random_mdp(3, 2, 0.9, seed=1)
-        dd = np.full((3, 2), 1.0 / 6.0)
-        with pytest.raises(ValueError, match="stochastic"):
-            exact_frequency_dataset(mdp, dd)
-
-    def test_incommensurable_distribution_rejected(self):
-        bundle = build_counterexample(0.5)
-        dd = bundle.data_occupancy.mass.copy()
-        dd[bundle.A, bundle.LEFT] += 0.01
-        dd[bundle.B, bundle.LEFT] -= 0.01
-        with pytest.raises(ValueError, match="commensurable"):
-            exact_frequency_dataset(bundle.mdp, dd)
+        dd = np.arange(1.0, 7.0).reshape(3, 2) / 21.0
+        data = law_counts(mdp, dd, n, n0)
+        n_sa = data.transitions.sum(axis=2)
+        np.testing.assert_allclose(n_sa / n, dd, rtol=1e-14)
+        np.testing.assert_allclose(data.transitions / n_sa[:, :, None], mdp.transition,
+                                   rtol=1e-14, atol=1e-16)
+        np.testing.assert_allclose(data.rewards / n_sa, mdp.reward, rtol=1e-14)
+        np.testing.assert_allclose(data.inits / n0, mdp.init_dist, rtol=1e-14)
+        assert (data.n, data.n0, data.gamma) == (n, n0, mdp.gamma)
 
 
 def assert_counts_match_tallies(data, num_states, num_actions, counted=None):

@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from prorl.classes import PolicyClass, witness_class
 from prorl import classes
-from prorl.datasets import DatasetSampler, exact_frequency_dataset
+from prorl.datasets import DatasetSampler, law_counts
 from prorl.extraction import (
     bc_objective_matrix,
     clone_policy,
@@ -155,7 +155,7 @@ class TestClonePolicy:
         # population one, whose inner maximum witnesses E_{d*}||pi - pi*||_1
         # for every class member, provided pi* itself sits in the class
         bundle = build_counterexample(0.5)
-        data = exact_frequency_dataset(bundle.mdp, bundle.data_occupancy)
+        data = law_counts(bundle.mdp, bundle.data_occupancy, 6, 1)
         sol = solve_regularized(bundle.mdp, bundle.data_occupancy.mass, Regularizer(), 0.05)
         far = deterministic_policy([1, 1, 1, 1], 2)
         pc = PolicyClass((far, sol.pi_star))

@@ -10,7 +10,7 @@ from oracles import (
     population_lagrangian,
     sampled_residuals,
 )
-from prorl.datasets import DatasetSampler, exact_frequency_dataset
+from prorl.datasets import DatasetSampler, law_counts
 from prorl.mdp import (
     build_counterexample,
     exact_occupancy,
@@ -141,7 +141,7 @@ class TestEmpiricalLagrangian:
 
     def test_exact_frequency_equals_population(self):
         bundle = build_counterexample(0.5)
-        data = exact_frequency_dataset(bundle.mdp, bundle.data_occupancy)
+        data = law_counts(bundle.mdp, bundle.data_occupancy, 6, 1)
         reg = Regularizer(m_f=2.0)
         rng = np.random.default_rng(0)
         for _ in range(5):
@@ -150,6 +150,20 @@ class TestEmpiricalLagrangian:
             want = population_lagrangian(bundle.mdp, bundle.data_occupancy, reg, 0.4, v, w)
             got = empirical_lagrangian_members(data, reg, 0.4, [v], [w])[0, 0]
             assert got == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("n, n0", [(1, 1), (6, 1), (37, 5), (10**6, 10**3)])
+    def test_law_counts_give_the_population_objective(self, n, n0):
+        # a stochastic MDP, with an uncovered cell: no finite sample has its law
+        mdp = random_mdp(4, 2, 0.9, seed=3)
+        dd = exact_occupancy(mdp, uniform_policy(4, 2)).mass.copy()
+        dd[2, 1] = 0.0
+        dd /= dd.sum()
+        reg, rng = Regularizer(m_f=1.5), np.random.default_rng(n)
+        vs = rng.uniform(-2.0, 2.0, size=(3, 4))
+        ws = rng.uniform(0.0, 3.0, size=(4, 4, 2))
+        got = empirical_lagrangian_members(law_counts(mdp, dd, n, n0), reg, 0.3, vs, ws)
+        want = [[population_lagrangian(mdp, dd, reg, 0.3, v, w) for v in vs] for w in ws]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_unbiased_over_many_datasets(self):
         # Mean of 2000 independent estimates within 4 standard errors of L.

@@ -8,7 +8,7 @@ import pytest
 
 from prorl import classes, datasets, oracle, pipelines
 from prorl.bounds import performance_gap_bound, residual_bound, stat_error
-from prorl.datasets import DatasetSampler, exact_frequency_dataset, generate_dataset
+from prorl.datasets import DatasetSampler, generate_dataset
 from prorl.extraction import extract_policy
 from prorl.mdp import policy_return, random_mdp
 from prorl.objective import weighted_l2
@@ -83,7 +83,7 @@ class TestConfigValidation:
             )
 
     def test_inexact_needs_both_slacks(self):
-        with pytest.raises(PipelineError, match="eps_ov"):
+        with pytest.raises(PipelineError, match=r"variant kind 'inexact' needs \['eps_ow'\]"):
             base_config(variant={"kind": "inexact", "eps_ov": 0.01})
 
     def test_delta_range(self):
@@ -129,6 +129,8 @@ class TestConfigValidation:
              r"variant kind 'inexact' does not read \['eps'\]; accepted keys"),
             ({"dataset": {"kind": "sampled", "repeats": 3}},
              r"dataset kind 'sampled' does not read \['repeats'\]; accepted keys: \['kind'\]"),
+            ({"dataset": {"kind": "exact_frequency", "repeats": 1}},
+             r"dataset kind 'exact_frequency' does not read \['repeats'\]"),
             ({"bc": {"n1": 2000, "mixgrid": [0.1]}},
              r"bc kind 'target_plus_mixes' does not read \['mixgrid'\]; accepted keys"),
             ({"bc": {"kind": "explicit", "probs": []}}, "unknown bc kind 'explicit'"),
@@ -156,8 +158,8 @@ class TestConfigValidation:
              r"data_dist kind 'uniform_policy' does not read \['mass'\]; accepted keys"),
             ({"data_dist": {"mass": [[1.0]]}}, "unknown data_dist kind None"),
         ],
-        ids=["variant", "variant_inexact", "dataset", "bc_typo", "bc_explicit", "bc_kind",
-             "dataset_kind", "classes_not_a_dict", "bc_exact_frequency", "reg_shifted_kind",
+        ids=["variant", "variant_inexact", "dataset", "dataset_repeats", "bc_typo", "bc_explicit",
+             "bc_kind", "dataset_kind", "classes_not_a_dict", "bc_exact_frequency", "reg_shifted_kind",
              "reg_shift", "reg_typo", "mdp_transition_concentration", "mdp_init_uniform_mix",
              "mdp_typo", "mdp_kind", "data_dist_typo", "data_dist_no_kind"],
     )
@@ -166,10 +168,44 @@ class TestConfigValidation:
             base_config(**over)
         assert info.value.stage == "config"
 
+    @pytest.mark.parametrize(
+        "over, want",
+        [
+            ({"mdp": {"kind": "random", "num_actions": 3, "gamma": 0.8, "seed": 2}},
+             r"mdp kind 'random' needs \['num_states'\]"),
+            ({"mdp": {"kind": "mixing", "num_states": 5, "num_actions": 3, "gamma": 0.8}},
+             r"mdp kind 'mixing' needs \['seed'\]"),
+            ({"mdp": {"kind": "inline", **{k: v for k, v in random_mdp(3, 2, 0.8, seed=1)
+                                           .to_dict().items() if k != "reward"}}},
+             r"mdp kind 'inline' needs \['reward'\]"),
+            ({"data_dist": {"kind": "policy"}}, r"data_dist kind 'policy' needs \['probs'\]"),
+            ({"classes": {"kind": "misspecified", "num_distractors": 4}},
+             r"classes kind 'misspecified' needs \['perturbation'\]"),
+            ({"variant": {"kind": "capped"}}, r"variant kind 'capped' needs \['cap'\]"),
+            ({"classes": {"kind": "explicit"}},
+             r"classes kind 'explicit' needs \['value_class', 'weight_class'\]"),
+        ],
+        ids=["mdp_random", "mdp_mixing", "mdp_inline", "data_dist_policy",
+             "classes_misspecified", "variant_capped", "classes_explicit"],
+    )
+    def test_blocks_need_every_key_they_read(self, over, want):
+        # a missing key fails at config, not later as a KeyError in its stage
+        with pytest.raises(PipelineError, match=want) as info:
+            base_config(**over)
+        assert info.value.stage == "config"
+
+    def test_keys_read_with_a_default_may_be_left_out(self):
+        mdp = {"kind": "mixing", "num_states": 4, "num_actions": 2, "gamma": 0.8, "seed": 2}
+        cfg = base_config(mdp=mdp, reg={}, classes={"kind": "realizable"}, n=2500,
+                          bc={"kind": "target_plus_mixes"})
+        assert run_pro_rl(cfg).n == 2500
+
     @pytest.mark.parametrize("repeats", [0, -1, 1.5, 2.0, True, "2"])
     def test_repeats_must_be_a_positive_integer(self, repeats):
-        with pytest.raises(PipelineError, match="repeats"):
+        # exact-frequency data has no repeats key: any value is an unread key
+        with pytest.raises(PipelineError, match="repeats") as info:
             base_config(dataset={"kind": "exact_frequency", "repeats": repeats})
+        assert info.value.stage == "config"
 
     @pytest.mark.parametrize("name", ["rollx", "roll", "sideways", "Uniform"])
     def test_unknown_mix_direction_fails_before_the_oracle(self, name):
@@ -343,22 +379,23 @@ class TestRunProRl:
             seed=0,
             classes=fx["classes"],
             variant={"kind": "alpha_zero"},
-            dataset={"kind": "exact_frequency", "repeats": 2},
+            dataset={"kind": "exact_frequency"},
         )
         report = run_pro_rl(cfg)
-        assert report.n == 12  # two repeats of the six covered cells
+        assert (report.n, report.n0) == (12, 2)
         assert report.eps_hat < 1e-12
 
-
-    def test_exact_frequency_run_must_name_its_datas_sizes(self):
-        # the config hash reads n and n0, so they must be the data's: 6 cells, 1 initial state
-        cfg = _counterexample_config(0.3, {"kind": "plain"})
+    @pytest.mark.parametrize("n, n0", [(6, 1), (10**5, 777)])
+    def test_exact_frequency_run_on_a_stochastic_mdp(self, n, n0):
+        # the law's own counts exist on any MDP, so the empirical payoff matrix is the
+        # population one at every n and n0 and the realizable target wins
+        cfg = base_config(mdp={"kind": "random", "num_states": 5, "num_actions": 3,
+                               "gamma": 0.8, "seed": 4},
+                          n=n, n0=n0, dataset={"kind": "exact_frequency"})
         report = run_pro_rl(cfg)
-        assert (report.n, report.n0) == (6, 1)
-        for over in ({"n": 7}, {"n0": 2}, {"n": 12, "n0": 2}):
-            with pytest.raises(PipelineError, match="data has n=6 and n0=1") as info:
-                run_pro_rl(replace(cfg, **over))
-            assert info.value.stage == "config"
+        assert (report.n, report.n0) == (n, n0)
+        assert report.eps_hat <= 1e-12
+        assert report.w_index == 0 and report.w_dev == 0.0
 
 
 class TestStaged:
@@ -432,7 +469,7 @@ def _counterexample_config(alpha, variant):
         n0=1,
         classes=fx["classes"],
         variant=variant,
-        dataset={"kind": "exact_frequency", "repeats": 1},
+        dataset={"kind": "exact_frequency"},
     )
 
 
@@ -460,11 +497,11 @@ RUN_VARIANTS = {
 # config_hash of each RUN_VARIANTS entry; rows.csv publishes these
 RUN_VARIANT_HASHES = {
     "alpha_zero": "741a6d2761e9",
-    "alpha_zero_explicit": "ac6959cc5f79",
+    "alpha_zero_explicit": "03ca0bd6b509",
     "bc": "3d27175148fa",
     "capped": "119701601be0",
     "constrained": "ff3702fe4e5c",
-    "explicit": "decd249e10fc",
+    "explicit": "fc261dd045d5",
     "inexact": "cc80328f1d89",
     "misspecified": "9dda9c1a549b",
     "realizable": "5cd03e8a4ffd",
@@ -508,8 +545,10 @@ class TestEachStepOncePerRun:
     def test_counts(self, variant, monkeypatch):
         cfg = RUN_VARIANTS[variant]()
         counts = self.count_calls(monkeypatch)
-        run_pro_rl(cfg)
-        assert counts["empirical_lagrangian_members"] == 1
+        inst = prepare(cfg)
+        assert counts["empirical_lagrangian_members"] == 1  # the population one, at the law's counts
+        run_pro_rl(cfg, inst)
+        assert counts["empirical_lagrangian_members"] == 1 + 1
         assert counts["solve_regularized"] <= 1
         assert counts["solve_unregularized"] <= 1
 
@@ -531,8 +570,7 @@ class TestEachStepOncePerRun:
         "suite, overrides, want",
         [
             ("counterexample", {},
-             {"solve_unregularized": 2, "population_lagrangian_members": 2,
-              "exact_frequency_dataset": 2}),
+             {"solve_unregularized": 2, "population_lagrangian_members": 2}),
             ("constrained_coverage", {"num_seeds": 2, "n": 400},
              {"solve_unregularized": 1, "capped_unregularized_value": 1}),
             ("alpha_zero_strong", {"n_grid": [100, 300], "num_seeds": 2},
@@ -569,15 +607,8 @@ class TestEachStepOncePerRun:
         # the fixture's own solve, then one for the instance both grid points share
         assert counts["solve_regularized"] == 1 + 1
         assert counts["population_lagrangian_members"] == 1
-        assert counts["empirical_lagrangian_members"] == 2 * 3
-
-    def test_exact_frequency_dataset_is_built_once_per_instance(self, monkeypatch):
-        cfg = RUN_VARIANTS["explicit"]()
-        counts = self.count_calls(monkeypatch, ("exact_frequency_dataset",))
-        inst = prepare(cfg)
-        rows = {run_pro_rl(replace(cfg, seed=seed), inst).to_row()[2:] for seed in range(3)}
-        assert counts["exact_frequency_dataset"] == 1
-        assert len(rows) == 1  # the same data at every seed
+        # the population matrix, at the law's counts, then one per run
+        assert counts["empirical_lagrangian_members"] == 1 + 2 * 3
 
     def test_cloning_guard_matches_single_driver(self):
         cfg = RUN_VARIANTS["bc"]()
@@ -652,12 +683,8 @@ class TestPrepareOnce:
             want = generate_dataset(inst.mdp, inst.dd, n, n0, seed)
             for name in ("states", "actions", "rewards", "next_states", "init_states"):
                 np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
-        # an exact-frequency instance holds the counts themselves, free of seed, n and n0
-        exact = prepare(RUN_VARIANTS["explicit"]())
-        want = exact_frequency_dataset(exact.mdp, exact.dd, 1)
-        assert exact.dataset[:3] == want[:3]
-        for got, expected in zip(exact.dataset[3:], want[3:]):
-            np.testing.assert_array_equal(got, expected)
+        # an exact-frequency run reads the law's counts, and the instance holds no sampler
+        assert prepare(RUN_VARIANTS["explicit"]()).dataset is None
 
     def test_grid_points_that_differ_in_size_share_one_instance(self, tmp_path):
         fx = rate_regularized_fixture()
@@ -730,7 +757,7 @@ def _suite_config(name):
         fx = counterexample_fixture()
         return ExperimentConfig(**{k: fx[k] for k in ("mdp", "data_dist", "reg", "classes")},
                                 alpha=0.0, n=6, n0=1, seed=0, variant={"kind": "alpha_zero"},
-                                dataset={"kind": "exact_frequency", "repeats": 1})
+                                dataset={"kind": "exact_frequency"})
     fx = rate_regularized_fixture() if name == "rate_regularized" else bc_fixture(4000)
     keys = ("mdp", "data_dist", "reg", "alpha", "classes") + (("bc",) if "bc" in fx else ())
     return ExperimentConfig(**{k: fx[k] for k in keys}, n=4300, n0=2000, seed=0)
@@ -788,15 +815,14 @@ class TestMemberScores:
 
 class TestInitialStateCount:
     def test_sampled_dataset_needs_initial_states(self):
-        # an exact-frequency dataset holds max(1, repeats) initial states, so n0 = 0 fails too
+        # exact-frequency data needs initial states too
         for cfg in (base_config(), _counterexample_config(0.3, {"kind": "plain"})):
             with pytest.raises(PipelineError, match="n0 must be at least 1") as info:
                 replace(cfg, n0=0)
             assert info.value.stage == "config"
 
     def test_stat_error_reads_the_fitted_datasets_initial_states(self):
-        cfg = replace(_counterexample_config(0.3, {"kind": "plain"}), n=18, n0=3,
-                      dataset={"kind": "exact_frequency", "repeats": 3})
+        cfg = replace(_counterexample_config(0.3, {"kind": "plain"}), n=18, n0=3)
         report = run_pro_rl(cfg)
         reg = Regularizer.from_config(cfg.reg)
         gamma = 0.5
@@ -861,8 +887,7 @@ class TestInstanceRegistry:
     def test_a_second_call_at_another_seed_prepares_nothing(self, suite, monkeypatch, tmp_path):
         counter = TestEachStepOncePerRun()
         solves = counter.count_calls(monkeypatch, (
-            "solve_regularized", "solve_unregularized", "population_lagrangian_members",
-            "exact_frequency_dataset"))
+            "solve_regularized", "solve_unregularized", "population_lagrangian_members"))
         lps = counter.count_calls(monkeypatch, (
             "lp_stability_sweep", "min_f_divergence_weight", "capped_unregularized_value",
             "strong_concentrability_check"), source=oracle)

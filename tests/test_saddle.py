@@ -3,7 +3,7 @@ import pytest
 
 from oracles import double_loop_saddle, empirical_lagrangian
 from prorl.classes import ValueClass, WeightClass, build_realizable
-from prorl.datasets import DatasetSampler, exact_frequency_dataset, generate_dataset
+from prorl.datasets import DatasetSampler, generate_dataset, law_counts
 from prorl.mdp import build_counterexample, exact_occupancy, random_mdp, uniform_policy
 from prorl.objective import (
     empirical_lagrangian_members,
@@ -61,7 +61,7 @@ class TestSolveExact:
         # the listed order alone decides; the adversarial order picks the
         # flow-inconsistent candidate that routes mass to the dead end
         bundle = build_counterexample(0.5)
-        data = exact_frequency_dataset(bundle.mdp, bundle.data_occupancy)
+        data = law_counts(bundle.mdp, bundle.data_occupancy, 6, 1)
         vc = ValueClass((bundle.v_star_unreg,), b_v=2.0, lower=0.0)
         wc = WeightClass((bundle.w_left, bundle.w_right), b_w=3.0)
         reg = Regularizer(m_f=1.0)

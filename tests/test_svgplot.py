@@ -75,3 +75,11 @@ class TestLinePlot:
         series = [{"label": "a", "xs": [1, 2], "ys": [0.0, -1.0]}]
         with pytest.raises(ValueError, match="nothing to plot"):
             line_plot(str(tmp_path / "p.svg"), series, "t", "x", "y", loglog=True)
+
+    @pytest.mark.parametrize("key", ["color", "points_only", "marker"])
+    def test_rejects_series_keys_it_does_not_draw(self, tmp_path, key):
+        series = self.series()
+        series[1][key] = True
+        with pytest.raises(ValueError, match=rf"label, xs and ys only, not \['{key}'\]"):
+            line_plot(str(tmp_path / "p.svg"), series, "t", "x", "y")
+        assert not (tmp_path / "p.svg").exists()
