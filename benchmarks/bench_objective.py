@@ -19,6 +19,10 @@ it. Each timing is one call:
   binned into counts block by block, so no per-transition array forms; the
   rounds alternate seeds 0 and 1, since a sampler returns its kept counts
   when the same (n, n0, seed, n1) comes again;
+- ``DatasetSampler.count`` at the bc_scaling suite's largest point (5
+  states, 3 actions, n = 68,000 cut at n1 = 60,000, n0 = 2,000), seeds
+  alternating as above: the cloning cut, whose fit and held parts are both
+  binned;
 
 the kernels below run on counts drawn outside the timed call by
 ``DatasetSampler.count``, as a run draws them, so each timing is the work
@@ -97,6 +101,15 @@ def test_counting_draw_rate_regularized(benchmark, n):
     sampler, seeds = DatasetSampler(mdp, dd), itertools.cycle((0, 1))
     fit, _ = benchmark(lambda: sampler.count(n, n, next(seeds)))
     assert fit.n == n and fit.inits.sum() == n
+
+
+def test_counting_draw_bc_cut(benchmark):
+    fx = bc_fixture()
+    mdp = resolve_mdp(fx["mdp"])
+    dd, _ = resolve_data_dist(mdp, fx["data_dist"])
+    sampler, seeds = DatasetSampler(mdp, dd), itertools.cycle((0, 1))
+    fit, held = benchmark(lambda: sampler.count(68_000, 2_000, next(seeds), n1=fx["bc"]["n1"]))
+    assert (fit.n, fit.n0, held.n, held.n0) == (60_000, 2_000, 8_000, 0)
 
 
 @pytest.mark.parametrize("n", [10_000, 100_000, 1_000_000])

@@ -3,13 +3,13 @@
 A dataset is n i.i.d. transitions (s, a, r, s') with (s, a) ~ d^D and
 s' ~ P(.|s, a), plus n0 i.i.d. initial states ~ mu0. A ``DatasetSampler``
 builds exact inverse-CDF tables (guide tables, Chen & Asau 1974, equal to
-``searchsorted``) once and draws each dataset from one PCG64 stream, so a
-(config, seed) pair pins the dataset bytes. It draws block by block and
-bins the blocks into a ``CountedDataset``, the counts the estimator reads, or
-joins them into an ``OfflineDataset``'s per-transition columns, which
-``gen-data`` writes. It keeps its latest counts, so runs that fit the same
-data one after another bin it once. ``law_counts`` gives the counts of the
-population law itself, the data of exact-frequency runs.
+``searchsorted``) once and draws each dataset from one PCG64 stream's raw
+words, so a (config, seed) pair pins the dataset bytes. It draws block by
+block and bins the blocks into a ``CountedDataset``, the counts the estimator
+reads, with reward sums R = N r, or joins them into an ``OfflineDataset``'s
+per-transition columns, which ``gen-data`` writes. It keeps its latest counts,
+so runs that fit the same data one after another bin it once. ``law_counts``
+gives the counts of the population law itself, the data of exact-frequency runs.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ class CountedDataset(NamedTuple):
     """A dataset as its counts alone, read-only: what the estimator reads.
 
     n transitions and n0 initial states as counts N(s,a,s') (S, A, S), reward
-    sums R(s,a) (S, A) and initial counts N0(s) (S,): integers when sampled,
-    real when ``law_counts`` takes them from the population law.
+    sums R(s,a) (S, A), N(s,a) r(s,a) when sampled, and initial counts N0(s) (S,):
+    integers when sampled, real when ``law_counts`` takes them from the population law.
     """
 
     n: int
@@ -109,9 +109,9 @@ def _cumulative(probs: np.ndarray) -> np.ndarray:
 class _GuideTable:
     """``searchsorted(cum[row], u, side="right")`` for draws u in [0, 1), by guide table.
 
-    Rows lie along cum's last axis, nondecreasing and ending at 1. packed[r, b]
-    counts row r's entries <= b / K, a draw's index in bucket b = floor(u K),
-    or its complement (< 0) where the bucket holds an entry and draws step on.
+    Rows lie along cum's last axis, nondecreasing and ending at 1. A draw is a PCG64 word,
+    u = (word >> 11) 2^-53; packed[r, b] counts row r's entries <= b / K, its index in bucket
+    b = floor(u K) = word >> 54, or its complement (< 0) where draws form u and step on.
     """
 
     def __init__(self, cum: np.ndarray):
@@ -128,16 +128,15 @@ class _GuideTable:
         self.packed[at] = ~self.packed[at]
         _read_only(self)  # a sampler is built once and draws many
 
-    def lookup(self, draws: np.ndarray, rows=None) -> np.ndarray:
-        """The index of each draw in its row (row 0 if rows is None)."""
+    def lookup(self, words: np.ndarray, rows=None) -> np.ndarray:
+        """The index of each draw (a uint64 word) in its row (row 0 if rows is None)."""
         k = _GUIDE_BUCKETS
-        # floor(u K) by a ufunc cast: astype(np.intp) takes about ten times as long
-        at = np.multiply(draws, k, out=np.empty(draws.shape, np.intp), casting="unsafe")
+        at = (words >> 54).view(np.intp)  # floor(u K), below 2^10, so the view is exact
         if rows is not None:
             at += rows * k
         out = self.packed.take(at)
         todo = np.flatnonzero(out < 0)
-        r, u, idx = at[todo] // k, draws[todo], ~out[todo]
+        r, u, idx = at[todo] // k, (words[todo] >> 11) * 2.0**-53, ~out[todo]
         # cum[r, -1] = 1 > u stops every draw by the row's last entry
         while (step := self.cum[r, idx] <= u).any():
             idx += step
@@ -146,15 +145,15 @@ class _GuideTable:
 
 
 class _Uniforms:
-    """Draws [offset, offset + size) of default_rng(seed)'s PCG64 stream, by advancing it."""
+    """Raw words [offset, offset + size) of default_rng(seed)'s PCG64 stream, by advancing it."""
 
     def __init__(self, seed):
-        self.rng, self.at = np.random.default_rng(seed), 0
+        self.bits, self.at = np.random.default_rng(seed).bit_generator, 0
 
     def read(self, offset: int, size: int) -> np.ndarray:
-        self.rng.bit_generator.advance((offset - self.at) % (1 << 128))
+        self.bits.advance((offset - self.at) % (1 << 128))
         self.at = offset + size
-        return self.rng.random(size)
+        return self.bits.random_raw(size)
 
 
 def _tally(out: np.ndarray, ids: np.ndarray) -> None:
@@ -183,6 +182,7 @@ class DatasetSampler:
         self.next_states = _GuideTable(_cumulative(mdp.transition))
         self.init_states = _GuideTable(_cumulative(mdp.init_dist))
         self.reward = mdp.reward
+        self._no_transitions = np.broadcast_to(np.intp(0), (*dd.shape, len(dd)))  # no memory
         self._last = (None, None)  # (n, n0, seed, n1) of the latest count, and its result
 
     def _transitions(self, uniforms: _Uniforms, n: int, start: int, stop: int):
@@ -218,16 +218,16 @@ class DatasetSampler:
             return last
         if n < 0 or n0 < 0 or not 0 <= n1 <= n:
             raise ValueError(f"sample counts must be nonnegative and n1 must lie in [0, {n}]")
-        uniforms, shape, parts = _Uniforms(seed), self.reward.shape, []
+        uniforms, shape, parts = _Uniforms(seed), self._no_transitions.shape, []
         for start, stop, num_inits in ((0, n1, n0), (n1, n, 0)):
-            transitions, rewards = np.zeros((*shape, shape[0]), np.intp), np.zeros(shape)
-            inits = np.zeros(shape[0], np.intp)
+            transitions = np.zeros(shape, np.intp) if stop > start else self._no_transitions
             for cells, next_states in self._transitions(uniforms, n, start, stop):
                 _tally(transitions.reshape(-1), cells * shape[0] + next_states)
-                # in draw order, as the ordered bincount of the columns adds
-                np.add.at(rewards.reshape(-1), cells, self.reward.take(cells))
+            inits = np.zeros(shape[0], np.intp)
             for init_states in self._inits(uniforms, n, num_inits):
                 _tally(inits, init_states)
+            # R = N(s,a) r(s,a), one rounding a cell; an empty part (n1 = n) sums no zeros
+            rewards = transitions.sum(axis=2) * self.reward if stop > start else np.zeros(shape[:2])
             parts.append(CountedDataset(stop - start, num_inits, self.gamma,
                                         transitions, rewards, inits))
         parts = _read_only(tuple(parts))

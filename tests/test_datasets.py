@@ -137,26 +137,31 @@ def sparse_mdp_and_data(num_states, num_actions, seed, zero_frac):
     return mdp, law((num_states * num_actions,)).reshape(num_states, num_actions)
 
 
+def words_of(draws):
+    """PCG64 words whose doubles (word >> 11) 2**-53 are the draws, rounded down to that grid."""
+    return np.floor(np.asarray(draws) * 2.0**53).astype(np.uint64) << np.uint64(11)
+
+
 def expected_searchsorted(cum, draws, rows):
-    cum = np.atleast_2d(cum)
+    cum, draws = np.atleast_2d(cum), (words_of(draws) >> 11) * 2.0**-53
     return np.array([np.searchsorted(cum[r], u, side="right") for u, r in zip(draws, rows)])
 
 
 def lookup(cum, draws, rows=None):
-    return _GuideTable(np.asarray(cum)).lookup(draws, rows)
+    return _GuideTable(np.asarray(cum)).lookup(words_of(draws), rows)
 
 
 class TestGuideTable:
-    """A prebuilt table's lookup equals searchsorted(cum[row], u, side="right") draw by draw."""
+    """A prebuilt table's lookup equals searchsorted(cum[row], u, side="right") draw by draw,
+    for every draw u the generator can make: a multiple of 2**-53."""
 
     @pytest.mark.parametrize(
         "cum, draws",
         [
-            # draws exactly at bucket edges b / K and one ulp either side
+            # draws exactly at bucket edges b / K and one generator step either side
             (
                 [0.25, 0.5, 0.75, 1.0],
-                [0.0, 255 / K, 256 / K, 257 / K]
-                + [np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0)],
+                [0.0, 255 / K, 256 / K, 257 / K] + [0.5 - 2**-53, 0.5, 0.5 + 2**-53],
             ),
             # cumulative entries exactly on bucket edges, and draws between them
             (
@@ -209,6 +214,24 @@ class TestGuideTable:
         )
 
 
+class TestRawWords:
+    """The sampler reads PCG64's raw words: numpy's double from a word is u = (word >> 11)
+    2**-53, so the word's top ten bits are the guide bucket floor(u K). A numpy that changes
+    that conversion fails here, not as drifted artifact digests."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 + 7])
+    @pytest.mark.parametrize("skip", [0, 5, B + 3, 2**100 + 1])
+    def test_doubles_are_the_words_top_bits(self, seed, skip):
+        assert K == 2**10  # the lookup's bucket is word >> 54
+        rng = np.random.default_rng(seed)
+        rng.bit_generator.advance(skip)
+        doubles = rng.random(5000)
+        words = datasets._Uniforms(seed).read(skip, 5000)
+        assert words.dtype == np.uint64
+        np.testing.assert_array_equal(doubles, (words >> 11) * 2.0**-53)
+        np.testing.assert_array_equal(words >> 54, np.floor(doubles * 1024).astype(np.uint64))
+
+
 class TestReferenceSampler:
     @settings(max_examples=150)
     @given(
@@ -235,8 +258,9 @@ class TestReferenceSampler:
         law = np.array([0.1] * 10 + [0.0])
         assert np.cumsum(law)[-1] == np.nextafter(1.0, 0.0)
         mdp = TabularMdp(11, 1, np.tile(law, (11, 1, 1)), np.zeros((11, 1)), 0.9, law)
+        top = np.uint64(2**64 - 1)  # the word of the draw nextafter(1, 0)
         monkeypatch.setattr(datasets._Uniforms, "read",
-                            lambda self, offset, size: np.full(size, np.nextafter(1.0, 0.0)))
+                            lambda self, offset, size: np.full(size, top))
         data = generate_dataset(mdp, law[:, None], n=3, n0=2, seed=0)
         np.testing.assert_array_equal(data.states, [9, 9, 9])
         np.testing.assert_array_equal(data.next_states, [9, 9, 9])
@@ -292,14 +316,19 @@ def column_counts(mdp, dd, n, n0, seed, start=0, stop=None, with_inits=True):
     return count_columns(columns, mdp.num_states, mdp.num_actions)
 
 
-def assert_same_counts(part, want, n, n0):
-    """part's counts equal want's, the reward sums byte for byte."""
+def assert_same_counts(part, want, n, n0, reward):
+    """part's counts N and N0 equal want's, and its reward sums are R = N(s,a) r(s,a)
+    byte for byte, within the sequential-sum bound of want's reward sums."""
     assert (part.n, part.n0) == (want.n, want.n0) == (n, n0)
     got = part.checked(*want.rewards.shape)
     np.testing.assert_array_equal(got.transitions, want.transitions)
-    assert got.rewards.tobytes() == want.rewards.tobytes()
     np.testing.assert_array_equal(got.inits, want.inits)
     assert got.transitions.dtype == want.transitions.dtype and got.inits.dtype == want.inits.dtype
+    k = got.transitions.sum(axis=2)
+    assert got.rewards.tobytes() == (k * reward).tobytes()
+    # want's sums add k = N(s,a) rewards in draw order: within gamma_k of the exact sum
+    gamma_k = k * 2.0**-53 / (1.0 - k * 2.0**-53)
+    assert np.all(np.abs(got.rewards - want.rewards) <= gamma_k * np.abs(want.rewards))
 
 
 class TestBlockCounts:
@@ -312,7 +341,7 @@ class TestBlockCounts:
     def test_equal_the_column_counts_at_block_edges(self, n, n0_over_n):
         n0 = int(n * n0_over_n) + (n0_over_n > 1)  # below n and above it
         fit, held = DatasetSampler(self.MDP, self.DD).count(n, n0, seed=4)
-        assert_same_counts(fit, column_counts(self.MDP, self.DD, n, n0, 4), n, n0)
+        assert_same_counts(fit, column_counts(self.MDP, self.DD, n, n0, 4), n, n0, self.MDP.reward)
         assert held.n == held.n0 == 0 and not held.transitions.any()
 
     @pytest.mark.parametrize("n1", [0, 100, B, B + 100, 2 * B + 1],
@@ -320,9 +349,10 @@ class TestBlockCounts:
     def test_cloning_cut(self, n1):
         n, n0 = 2 * B + 1, 300
         fit, held = DatasetSampler(self.MDP, self.DD).count(n, n0, 6, n1=n1)
-        assert_same_counts(fit, column_counts(self.MDP, self.DD, n, n0, 6, stop=n1), n1, n0)
+        r = self.MDP.reward
+        assert_same_counts(fit, column_counts(self.MDP, self.DD, n, n0, 6, stop=n1), n1, n0, r)
         assert_same_counts(held, column_counts(self.MDP, self.DD, n, n0, 6, start=n1,
-                                               with_inits=False), n - n1, 0)
+                                               with_inits=False), n - n1, 0, r)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -342,9 +372,9 @@ class TestBlockCounts:
         with mock.patch.object(datasets, "_BLOCK", block):
             fit, held = DatasetSampler(mdp, dd).count(n, n0, seed, n1=n1)
             data = DatasetSampler(mdp, dd).draw(n, n0, seed)
-        assert_same_counts(fit, column_counts(mdp, dd, n, n0, seed, stop=n1), n1, n0)
+        assert_same_counts(fit, column_counts(mdp, dd, n, n0, seed, stop=n1), n1, n0, mdp.reward)
         assert_same_counts(held, column_counts(mdp, dd, n, n0, seed, start=n1, with_inits=False),
-                           n - n1, 0)
+                           n - n1, 0, mdp.reward)
         for got, ref in zip((data.states, data.actions, data.next_states, data.init_states),
                             searchsorted_dataset(mdp, dd, n, n0, seed)):
             np.testing.assert_array_equal(got, ref)
@@ -354,7 +384,8 @@ class TestBlockCounts:
         sampler = DatasetSampler(self.MDP, self.DD)
         want = column_counts(self.MDP, self.DD, B + 9, 40, seed)
         for _ in range(2):  # a SeedSequence is not used up
-            assert_same_counts(sampler.count(B + 9, 40, seed)[0], want, B + 9, 40)
+            assert_same_counts(sampler.count(B + 9, 40, seed)[0], want, B + 9, 40,
+                               self.MDP.reward)
         np.testing.assert_array_equal(sampler.draw(B + 9, 40, seed).next_states,
                                       searchsorted_dataset(self.MDP, self.DD, B + 9, 40, seed)[2])
 
@@ -372,7 +403,7 @@ class TestBlockCounts:
             got = samplers[which].count(n, n0, seed, n1)
             want = DatasetSampler(*laws[which]).count(n, n0, seed, n1)
             for part, ref in zip(got, want):
-                assert_same_counts(part, ref, ref.n, ref.n0)
+                assert_same_counts(part, ref, ref.n, ref.n0, laws[which][0].reward)
             key = (n, n0, seed, n if n1 is None else n1)
             if last[which] is not None and last[which][0] == key:
                 assert got is last[which][1]

@@ -914,9 +914,12 @@ class TestInstanceRegistry:
         arrays = list(_arrays([v for v in values if v not in samplers], set()))
         # the stability fixture's 5, its sweep's 3, its limit weight and the capped occupancy
         assert len(arrays) == 10
-        for sampler in samplers:  # three tables of 2, reward, d^D; the kept fit and held counts
+        # per sampler: three tables of 2, reward, d^D and the empty part's zeros; the kept fit
+        # and held counts, whose held transitions are those zeros when the held part is empty
+        for sampler in samplers:
             held = list(_arrays(sampler, set()))
-            assert len(held) == 8 + 6 and sampler._last[0] is not None
+            shared = sampler._last[1][1].transitions is sampler._no_transitions
+            assert len(held) == 9 + 6 - shared and sampler._last[0] is not None
             arrays += held
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
