@@ -14,7 +14,11 @@ it. The default regularized path, ``solve_regularized``, on three instances:
   stalls, so the call pays for Newton, the phase-1 LP and the "qp" path;
 - an infeasible capped hard-family draw (8 states, 2 actions, cap 1.5), so
   the call pays for Newton until its dual objective passes the floor of a
-  feasible instance, and then the phase-1 LP that raises FlowInfeasibleError.
+  feasible instance, and then the phase-1 LP that raises FlowInfeasibleError;
+- a feasible capped hard-family draw at low alpha (7 states, 2 actions,
+  gamma 0.567, alpha 1.1e-3, cap 1.5) that Newton solves in 54 damped steps,
+  the slowest kind of solve in perfbench's oracle_stream pool (whose
+  instances take 5 to 58 steps).
 
 ``capped_unregularized_value`` on the constrained_coverage suite's fixture
 (4 states, 3 actions, cap 2), whose own LP certifies feasibility.
@@ -74,6 +78,13 @@ def test_infeasible_draw_raises(benchmark):
             solve_regularized(mdp, dd, Regularizer(), alpha, cap=cap)
 
     benchmark(solve)
+
+
+def test_slow_newton_draw(benchmark):
+    rng = np.random.default_rng(0)
+    mdp, dd, alpha, cap = [hard_instance(rng) for _ in range(34)][33]
+    sol = benchmark(solve_regularized, mdp, dd, Regularizer(), alpha, cap=cap)
+    assert sol.method == "saddle" and sol.iterations >= 50
 
 
 def test_capped_unregularized_value(benchmark):

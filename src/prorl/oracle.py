@@ -178,6 +178,12 @@ def _certifies_feasible(sup: _Support, mdp: TabularMdp, d_cells: np.ndarray) -> 
     return float(np.abs(flow).sum()) <= _PHASE1_TOL
 
 
+def _clip_form(reg: Regularizer, alpha: float, e: np.ndarray, cap_eff: float) -> np.ndarray:
+    """w(e) = clip((f')^{-1}(e / alpha), 0, cap_eff) by min/max, which skip np.clip's Python
+    wrapper and give its bits, except +0.0 where np.clip keeps a -0.0 input."""
+    return np.minimum(np.maximum(reg.deriv_inverse(e / alpha), 0.0), cap_eff)
+
+
 def _kkt_residuals(
     sup: _Support,
     mdp: TabularMdp,
@@ -189,7 +195,7 @@ def _kkt_residuals(
 ) -> tuple[float, float]:
     """(clip-form deviation, flow violation) for a candidate pair."""
     e = sup.rewards - sup.b_mat @ v
-    w_form = np.clip(reg.deriv_inverse(e / alpha), 0.0, cap_eff)
+    w_form = _clip_form(reg, alpha, e, cap_eff)
     clip_dev = float(np.abs(w_cells - w_form).max()) if sup.num_cells else 0.0
     flow = sup.b_mat.T @ (sup.weights * w_cells) - (1.0 - mdp.gamma) * mdp.init_dist
     return clip_dev, float(np.abs(flow).max())
@@ -202,31 +208,33 @@ def _newton(sup, mdp, reg, alpha, cap_eff, tol, max_iter=200):
     e = r - B v, is convex with the piecewise-linear gradient -Phi(v), where
     Phi(v) = B^T(d^D w(v)) - (1-gamma) mu0. Each step solves
     (H + ridge |Phi| I) s = Phi, with H the generalized Hessian over the
-    interior cells; the ridge term keeps the system definite where H is
-    singular and vanishes at the solution. The ridge factor shrinks after a
-    full step and grows after a shortened one (Levenberg-Marquardt), so long
-    linear stretches of g take few steps. The step is halved until g falls by
-    more than rounding and enough (Armijo) or, with g flat to rounding, until
-    |Phi| falls; g never rises, so the iteration cannot cycle. Stops at
-    |Phi| <= tol, when no step length improves (the residual stopped
+    interior cells and the ridge added on its diagonal; the ridge keeps the
+    system definite where H is singular and vanishes at the solution. The
+    ridge factor shrinks after a full step and grows after a shortened one
+    (Levenberg-Marquardt), so long linear stretches of g take few steps. The
+    step is halved until g falls by more than rounding and enough (Armijo) or,
+    with g flat to rounding, until |Phi| falls; g never rises, so the
+    iteration cannot cycle, and Phi is formed only where g did not rise. Stops
+    at |Phi| <= tol, when no step length improves (the residual stopped
     improving), after ``_STALL_STEPS`` steps in a row that find no |Phi| below
     the lowest so far, after max_iter steps, or when g falls below min(r) - alpha
     f(cap): a point d of the polytope has sum(d) = 1 and d <= cap d^D, and f
     increases on [0, cap], so weak duality puts g above that on a non-empty one.
     """
+    b_mat, b_t, weights, rewards = sup.b_mat, sup.b_mat.T, sup.weights, sup.rewards
     mu_term = (1.0 - mdp.gamma) * mdp.init_dist
     scale = alpha * reg.m_f
 
     def at(v):
-        e = sup.rewards - sup.b_mat @ v
-        w = np.clip(reg.deriv_inverse(e / alpha), 0.0, cap_eff)
-        g = mu_term @ v + sup.weights @ (e * w - alpha * reg.eval(w))
-        return e, w, g, sup.b_mat.T @ (sup.weights * w) - mu_term
+        e = rewards - b_mat @ v
+        w = _clip_form(reg, alpha, e, cap_eff)
+        return e, w, float(mu_term @ v + weights @ (e * w - alpha * reg.eval(w)))
 
-    floor = sup.rewards.min() - alpha * reg.eval(cap_eff)
+    floor = rewards.min() - alpha * reg.eval(cap_eff)
     v = np.zeros(sup.num_states)
-    e, w, g, phi = at(v)
-    norm = np.abs(phi).max()
+    e, w, g = at(v)
+    phi = b_t @ (weights * w) - mu_term
+    norm = float(np.abs(phi).max())
     ridge = 1.0
     iterations = stalled = 0
     best = norm
@@ -234,22 +242,24 @@ def _newton(sup, mdp, reg, alpha, cap_eff, tol, max_iter=200):
            and g >= floor - 1e-9 * (1.0 + abs(floor))):
         iterations += 1
         interior = (e > 0.0) & (e < scale * cap_eff)
-        hess = (sup.b_mat.T * (sup.weights * interior)) @ sup.b_mat / scale
+        hess = (b_t * (weights * interior)) @ b_mat / scale
+        hess.ravel()[:: sup.num_states + 1] += ridge * norm
         try:
-            step = np.linalg.solve(hess + ridge * norm * np.eye(sup.num_states), phi)
+            step = np.linalg.solve(hess, phi)
         except np.linalg.LinAlgError:
             break
-        slope = -phi @ step
+        slope = float(-phi @ step)
         roundoff = 1e-12 * (1.0 + abs(g))
         t = 1.0
         for _ in range(40):
             v_try = v + t * step
-            e_try, w_try, g_try, phi_try = at(v_try)
-            norm_try = np.abs(phi_try).max()
-            if g_try < g - roundoff and g_try <= g + 1e-4 * t * slope:
-                break
-            if g_try <= g + roundoff and norm_try < norm * (1.0 - 1e-4 * t):
-                break
+            e_try, w_try, g_try = at(v_try)
+            if g_try <= g + roundoff:
+                phi_try = b_t @ (weights * w_try) - mu_term
+                norm_try = float(np.abs(phi_try).max())
+                if (g_try < g - roundoff and g_try <= g + 1e-4 * t * slope
+                        or norm_try < norm * (1.0 - 1e-4 * t)):
+                    break
             t *= 0.5
         else:
             break  # the residual stopped improving along this direction

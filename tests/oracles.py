@@ -7,7 +7,9 @@ import package internals beyond the plain data containers. The small helpers
 at the end (a regularizer derivative, point-mass policies, policy values and
 a validating value-class builder), the JSONL dataset reader, the column-to-count
 converter and the column form of the exact-frequency dataset are only ever
-called by tests.
+called by tests. ``reference_newton`` is the one routine that takes the
+package's own route: a frozen copy of its Newton loop, kept to pin the
+iterates bit for bit.
 """
 
 import json
@@ -195,6 +197,61 @@ def covered_lp_optimum(mdp, data_mass):
     res = _covered_lp(mdp, data_mass, None, -mdp.reward.ravel())
     assert res.status == 0, res.message
     return float(-res.fun), res.x.reshape(mdp.reward.shape)
+
+
+def reference_newton(b_mat, weights, rewards, mu_term, reg, alpha, cap_eff, tol,
+                     stall_steps, max_iter=200):
+    """A frozen copy of the oracle's damped Newton loop on the dual, on plain arrays.
+
+    b_mat (m, S), weights (m,) and rewards (m,) are the covered cells' flow
+    rows, d^D masses and rewards; mu_term is (1-gamma) mu0. The loop is the
+    package's as first written (np.clip, a fresh identity per ridge, Phi at
+    every trial point), so a test comparing the two pins every iterate bit for
+    bit: any rounding change in the package's loop shows here by name rather
+    than as digest drift. Returns (v, w, iterations).
+    """
+    scale = alpha * reg.m_f
+
+    def at(v):
+        e = rewards - b_mat @ v
+        w = np.clip(reg.deriv_inverse(e / alpha), 0.0, cap_eff)
+        g = mu_term @ v + weights @ (e * w - alpha * reg.eval(w))
+        return e, w, g, b_mat.T @ (weights * w) - mu_term
+
+    floor = rewards.min() - alpha * reg.eval(cap_eff)
+    v = np.zeros(b_mat.shape[1])
+    e, w, g, phi = at(v)
+    norm = np.abs(phi).max()
+    ridge = 1.0
+    iterations = stalled = 0
+    best = norm
+    while (norm > tol and iterations < max_iter and stalled < stall_steps
+           and g >= floor - 1e-9 * (1.0 + abs(floor))):
+        iterations += 1
+        interior = (e > 0.0) & (e < scale * cap_eff)
+        hess = (b_mat.T * (weights * interior)) @ b_mat / scale
+        try:
+            step = np.linalg.solve(hess + ridge * norm * np.eye(b_mat.shape[1]), phi)
+        except np.linalg.LinAlgError:
+            break
+        slope = -phi @ step
+        roundoff = 1e-12 * (1.0 + abs(g))
+        t = 1.0
+        for _ in range(40):
+            v_try = v + t * step
+            e_try, w_try, g_try, phi_try = at(v_try)
+            norm_try = np.abs(phi_try).max()
+            if g_try < g - roundoff and g_try <= g + 1e-4 * t * slope:
+                break
+            if g_try <= g + roundoff and norm_try < norm * (1.0 - 1e-4 * t):
+                break
+            t *= 0.5
+        else:
+            break  # the residual stopped improving along this direction
+        ridge = max(ridge / 4.0, 1e-8) if t == 1.0 else min(ridge * 4.0, 1e8)
+        v, e, w, g, phi, norm = v_try, e_try, w_try, g_try, phi_try, norm_try
+        best, stalled = (norm, 0) if norm < best else (best, stalled + 1)
+    return v, w, iterations
 
 
 def population_lagrangian(mdp, data_dist, reg, alpha, v, w):

@@ -39,6 +39,7 @@ from oracles import (
     deterministic_policy,
     deterministic_policy_marginals,
     f_divergence,
+    reference_newton,
 )
 
 
@@ -339,6 +340,26 @@ class TestHardInstances:
             solve_regularized(mdp, dd, Regularizer(), alpha, cap=cap)
         assert "saddle path stalled" in str(err.value)
         assert "qp path stalled" in str(err.value)
+
+
+def test_newton_iterates_match_the_frozen_loop():
+    # bit for bit, on feasible and infeasible hard draws (every other one at
+    # m_f 1.5, so a reordered e / alpha / m_f shows), low-alpha draws and the
+    # stall instance: a rounding change in _newton fails here, not as drift
+    rng = np.random.default_rng(0)
+    draws = [hard_instance(rng) for _ in range(48)]
+    draws += [low_alpha_instance(k) for k in range(40)] + [newton_stall_instance()]
+    tol = 1e-12 * 0.1  # solve_regularized's Newton tolerance
+    for k, (mdp, dd, alpha, cap) in enumerate(draws):
+        reg = Regularizer(m_f=1.5 if k < 48 and k % 2 else 1.0)
+        sup = oracle._build_support(mdp, dd)
+        cap_eff = cap if cap is not None else 10.0 / sup.weights.min()
+        v, w, its = oracle._newton(sup, mdp, reg, alpha, cap_eff, tol)
+        v_ref, w_ref, its_ref = reference_newton(
+            sup.b_mat, sup.weights, sup.rewards, (1.0 - mdp.gamma) * mdp.init_dist, reg,
+            alpha, cap_eff, tol, oracle._STALL_STEPS,
+        )
+        assert (v.tobytes(), w.tobytes(), its) == (v_ref.tobytes(), w_ref.tobytes(), its_ref)
 
 
 def failed_highs_qp(q_diag, lin, a_mat, b_vec, upper):
