@@ -6,13 +6,14 @@ Run from the root of a checkout:
 
 Runs all eight suites one after another in this process, at base seed
 ``--seed`` and their default grids, into a temporary directory, and prints
-one JSON line mapping ``<suite>/rows.csv`` and ``<suite>/summary.json`` to
-the sha256 of the file's bytes, and ``<suite>/rows.csv:<column>`` to the
+one JSON line mapping ``<suite>/rows.csv``, ``<suite>/summary.json`` and,
+for the five suites that draw one, ``<suite>/plot.svg`` to the sha256 of
+the file's bytes, and ``<suite>/rows.csv:<column>`` to the
 sha256 of that column's cells, sorted, so a change names the columns it
 moved and a reordering of rows alone moves none. It then runs them all again in the same
 process, where every instance comes from the process's registry of prepared
 instances, and exits with status 1, naming the artifacts, if a warm digest
-differs from the cold one. rows.csv and summary.json are
+differs from the cold one. Every artifact is
 byte-deterministic for a given seed on one host, so running this at two
 commits shows whether a change moved any artifact byte. The last bits of
 BLAS results can differ between hosts, so compare digests taken on the
@@ -35,7 +36,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from prorl.suites import SUITE_NAMES, run_experiment_suite  # noqa: E402
 
-ARTIFACTS = ("rows.csv", "summary.json")
+ARTIFACTS = ("rows.csv", "summary.json", "plot.svg")
 
 
 def digests(seed: int) -> dict:
@@ -44,8 +45,9 @@ def digests(seed: int) -> dict:
         for name in SUITE_NAMES:
             run_experiment_suite(name, str(Path(tmp) / name), seed=seed)
             for artifact in ARTIFACTS:
-                data = (Path(tmp) / name / artifact).read_bytes()
-                out[f"{name}/{artifact}"] = hashlib.sha256(data).hexdigest()
+                path = Path(tmp) / name / artifact
+                if path.exists():  # not every suite draws a plot
+                    out[f"{name}/{artifact}"] = hashlib.sha256(path.read_bytes()).hexdigest()
             with open(Path(tmp) / name / "rows.csv", newline="") as fh:
                 header, *rows = csv.reader(fh)
             for column, cells in zip(header, zip(*rows)):
