@@ -7,10 +7,10 @@ Run from the root of a checkout (pytest-benchmark required):
 The file name does not match ``test_*.py``, so the Tier-1 run never collects
 it. Each timing is one call:
 
-- ``generate_dataset`` on the rate_regularized suite's fixture (10 states,
-  3 actions) at n = n0 = 1e3, 1e5 and 1e6: it builds the sampler's three
-  guide tables, then takes three draws from one stream and three table
-  lookups, so the fixed cost of the tables shows at small n;
+- a fresh ``DatasetSampler(mdp, d^D).draw`` on the rate_regularized suite's
+  fixture (10 states, 3 actions) at n = n0 = 1e3, 1e5 and 1e6: it builds the
+  sampler's three guide tables, then takes three draws from one stream and
+  three table lookups, so the fixed cost of the tables shows at small n;
 - ``DatasetSampler.draw`` through a sampler built outside the timed call,
   at n = n0 = 1e3, 1e5 and 1e6: the same draws and lookups without the
   tables, joined into per-transition columns;
@@ -59,7 +59,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from prorl.classes import ValueClass, WeightClass  # noqa: E402
-from prorl.datasets import DatasetSampler, generate_dataset  # noqa: E402
+from prorl.datasets import DatasetSampler  # noqa: E402
 from prorl.extraction import bc_objective_matrix, clone_policy  # noqa: E402
 from prorl.objective import empirical_lagrangian_members  # noqa: E402
 from prorl.oracle import solve_regularized  # noqa: E402
@@ -76,11 +76,11 @@ from prorl.suites import bc_fixture, rate_regularized_fixture, run_experiment_su
 
 
 @pytest.mark.parametrize("n", [1_000, 100_000, 1_000_000])
-def test_generate_dataset_rate_regularized(benchmark, n):
+def test_fresh_sampler_rate_regularized(benchmark, n):
     fx = rate_regularized_fixture()
     mdp = resolve_mdp(fx["mdp"])
     dd, _ = resolve_data_dist(mdp, fx["data_dist"])
-    data = benchmark(generate_dataset, mdp, dd, n, n, 0)
+    data = benchmark(lambda: DatasetSampler(mdp, dd).draw(n, n, 0))
     assert data.n == n and data.n0 == n
 
 

@@ -173,36 +173,14 @@ def _box_draws(seed: int, num: int, v_box: tuple, b_w: float, shape: tuple) -> t
     One seeded stream, value then weight per draw, so every builder's
     distractors depend only on (seed, boxes, shape).
     """
+    if num < 0:
+        raise ValueError("num_distractors must be nonnegative")
     rng = np.random.default_rng(seed)
     v_draws, w_draws = [], []
     for _ in range(num):
         v_draws.append(rng.uniform(*v_box, size=shape[:1]))
         w_draws.append(rng.uniform(0.0, b_w, size=shape))
     return v_draws, w_draws
-
-
-def build_realizable(
-    solution: RegularizedSolution,
-    num_distractors: int,
-    seed: int,
-    reg: Regularizer,
-    gamma: float,
-) -> tuple[ValueClass, WeightClass]:
-    """Classes containing the exact pair (index 0) plus seeded box distractors.
-
-    Bounds come from the solution itself: b_w = max(1, ||w*||_inf) and b_v
-    is the closed-form sup-norm bound at that b_w. Distractors are drawn
-    uniformly over the bound box.
-    """
-    if num_distractors < 0:
-        raise ValueError("num_distractors must be nonnegative")
-    v_star, w_star = solution.v_star, solution.w_star
-    b_w = max(1.0, float(w_star.max()))
-    b_v = value_bound(solution.alpha, reg.bounds(b_w)[1], gamma)
-    v_draws, w_draws = _box_draws(seed, num_distractors, (-b_v, b_v), b_w, w_star.shape)
-    vc = ValueClass((v_star.copy(), *v_draws), b_v, -b_v)
-    wc = WeightClass((w_star.copy(), *w_draws), b_w)
-    return vc, wc
 
 
 def build_constrained_classes(
@@ -260,9 +238,9 @@ def build_misspecified(
 
     The anchor members are the exact pair shifted by the perturbation
     constant (values shifted everywhere, weights shifted up on every cell),
-    so at perturbation 0 the classes are realizable. Box distractors pad
-    the classes; the realized best-in-class errors are recomputed by
-    enumeration and returned alongside the classes.
+    so at perturbation 0 they are the realizable classes, with errors
+    exactly 0.0. Box distractors pad the classes; the realized best-in-class
+    errors are recomputed by enumeration and returned alongside the classes.
     """
     if perturbation < 0:
         raise ValueError("perturbation must be nonnegative")

@@ -15,22 +15,34 @@ import sys
 
 import numpy as np
 
-from .datasets import generate_dataset
-from .mdp import Policy, exact_occupancy, load_mdp, save_mdp, uniform_policy
+from .datasets import DatasetSampler
+from .mdp import load_mdp, save_mdp
 from .oracle import solve_regularized, solve_unregularized
-from .pipelines import ExperimentConfig, PipelineError, run_pro_rl, run_pro_rl_bc, resolve_mdp
+from .pipelines import (ExperimentConfig, PipelineError, run_pro_rl, run_pro_rl_bc,
+                        resolve_data_dist, resolve_mdp)
 from .regularizers import Regularizer
 from .suites import SUITE_NAMES, _write_json, run_experiment_suite
 from .svgplot import fit_loglog
 
 
-def _behavior_policy(mdp, policy_path):
+def _data_dist(mdp, policy_path) -> np.ndarray:
+    """d^D of the behavior policy in a JSON file, or of the uniform policy without one."""
     if policy_path is None:
-        return uniform_policy(mdp.num_states, mdp.num_actions)
+        return resolve_data_dist(mdp, {"kind": "uniform_policy"})[0]
     with open(policy_path, encoding="utf-8") as fh:
         payload = json.load(fh)
     probs = payload["probs"] if isinstance(payload, dict) else payload
-    return Policy(np.asarray(probs, dtype=float))
+    return resolve_data_dist(mdp, {"kind": "policy", "probs": probs})[0]
+
+
+def _emit_json(payload: dict, out) -> None:
+    """Write the payload to out, or print it when out is not given."""
+    if out:
+        _write_json(out, payload)
+        print(f"wrote {out}")
+    else:
+        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
+        print()
 
 
 def _cmd_gen_mdp(args) -> int:
@@ -54,9 +66,7 @@ def _cmd_gen_mdp(args) -> int:
 
 def _cmd_gen_data(args) -> int:
     mdp = load_mdp(args.mdp)
-    pi_d = _behavior_policy(mdp, args.policy)
-    dd = exact_occupancy(mdp, pi_d).mass
-    data = generate_dataset(mdp, dd, args.n, args.n0, args.seed)
+    data = DatasetSampler(mdp, _data_dist(mdp, args.policy)).draw(args.n, args.n0, args.seed)
     data.save(args.out_transitions, args.out_inits)
     print(f"wrote {data.n} transitions to {args.out_transitions} and "
           f"{data.n0} initial states to {args.out_inits}")
@@ -65,8 +75,7 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_oracle(args) -> int:
     mdp = load_mdp(args.mdp)
-    pi_d = _behavior_policy(mdp, args.policy)
-    dd = exact_occupancy(mdp, pi_d).mass
+    dd = _data_dist(mdp, args.policy)
     unreg = solve_unregularized(mdp)
     j_zero = float((unreg.d_star.mass * mdp.reward).sum())
     payload = {
@@ -88,22 +97,15 @@ def _cmd_oracle(args) -> int:
             oracle_method=sol.method,
             oracle_iterations=sol.iterations,
         )
-    if args.out:
-        _write_json(args.out, payload)
-        print(f"wrote {args.out}")
-    else:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        print()
+    _emit_json(payload, args.out)
     return 0
 
 
 def _run_config(args, runner) -> int:
     cfg = ExperimentConfig.from_json(args.config)
     report = runner(cfg)
-    payload = report.to_dict()
     if args.out:
-        _write_json(args.out, payload)
-        print(f"wrote {args.out}")
+        _emit_json(report.to_dict(), args.out)
     print(f"seed {report.seed}: j_hat {report.j_hat:.6f}, gap {report.gap_ref:.6f}, "
           f"w_dev {report.w_dev:.6f}")
     return 0
@@ -177,12 +179,7 @@ def _cmd_report(args) -> int:
         fit = fit_loglog(xs, ys)
         summary["w_dev_median_slope"] = fit["slope"]
         summary["w_dev_median_r2"] = fit["r2"]
-    if args.out:
-        _write_json(args.out, summary)
-        print(f"wrote {args.out}")
-    else:
-        json.dump(summary, sys.stdout, indent=2, sort_keys=True)
-        print()
+    _emit_json(summary, args.out)
     return 0
 
 

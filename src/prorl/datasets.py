@@ -247,11 +247,6 @@ class DatasetSampler:
                               self.gamma, self.generating_dd)
 
 
-def generate_dataset(mdp: TabularMdp, data_dist, n: int, n0: int, seed) -> OfflineDataset:
-    """n transitions and n0 initial states; build a ``DatasetSampler`` once to draw many."""
-    return DatasetSampler(mdp, data_dist).draw(n, n0, seed)
-
-
 def law_counts(mdp: TabularMdp, data_dist, n: int, n0: int) -> CountedDataset:
     """The counts whose empirical law is exactly the population's, read-only:
     N = n d^D(s,a) P(s'|s,a), R = n d^D(s,a) r(s,a) and N0 = n0 mu0, real-valued.

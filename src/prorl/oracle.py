@@ -428,17 +428,12 @@ def solve_regularized(
             "problem looks degenerate"
         )
 
-    w_mat = sup.expand(w_cells)
-    d_mat = sup.expand(sup.weights * w_cells)
-    d_state = d_mat.sum(axis=1)
-    probs = np.full((mdp.num_states, mdp.num_actions), 1.0 / mdp.num_actions)
-    pos = d_state > 1e-10
-    probs[pos] = d_mat[pos] / d_state[pos, None]
+    d_star = Occupancy(np.maximum(sup.expand(sup.weights * w_cells), 0.0))
     return RegularizedSolution(
         v_star=v,
-        w_star=w_mat,
-        d_star=Occupancy(np.maximum(d_mat, 0.0)),
-        pi_star=Policy(probs),
+        w_star=sup.expand(w_cells),
+        d_star=d_star,
+        pi_star=d_star.conditional_policy(),
         alpha=alpha,
         kkt_residual=kkt,
         cap=cap,
@@ -583,13 +578,17 @@ def lp_stability_sweep(
     )
 
 
-def _support_lp(sup: _Support, mdp: TabularMdp, upper: np.ndarray):
-    """max r.d over the covered flow polytope with 0 <= d <= upper, by HiGHS.
+def _support_lp(mdp: TabularMdp, data_dist, cap: Optional[float] = None):
+    """max r.d over the covered flow polytope with 0 <= d <= cap d^D, by HiGHS.
 
-    The phase-1 LP runs only when this LP returns no point that certifies the
-    polytope non-empty (infeasible, or any other failure), so an empty
-    polytope still raises FlowInfeasibleError naming its most violated state.
+    Without a cap the box is the wide 10 / min d^D. Returns (support, box,
+    HiGHS result). The phase-1 LP runs only when this LP returns no point
+    that certifies the polytope non-empty, so an empty polytope raises
+    FlowInfeasibleError naming its most violated state; any other failure
+    raises SolverConvergenceError.
     """
+    sup = _build_support(mdp, _data_mass(data_dist))
+    upper = (cap if cap is not None else 10.0 / sup.weights.min()) * sup.weights
     res = linprog(
         -sup.rewards,
         A_eq=sup.b_mat.T,
@@ -599,7 +598,9 @@ def _support_lp(sup: _Support, mdp: TabularMdp, upper: np.ndarray):
     )
     if not (res.success and _certifies_feasible(sup, mdp, np.clip(res.x, 0.0, upper))):
         _check_flow_feasible(sup, mdp, upper)
-    return res
+    if not res.success:
+        raise SolverConvergenceError(f"support-restricted LP failed: {res.message}")
+    return sup, upper, res
 
 
 def min_f_divergence_weight(
@@ -613,17 +614,11 @@ def min_f_divergence_weight(
     covered flow polytope is empty, and SolverConvergenceError unless HiGHS
     reports an optimum within 1e-8 of the face.
     """
-    dd = _data_mass(data_dist)
-    sup = _build_support(mdp, dd)
-    upper = (10.0 / sup.weights.min()) * sup.weights
-    b_eq = (1.0 - mdp.gamma) * mdp.init_dist
-    res = _support_lp(sup, mdp, upper)
-    if not res.success:
-        raise SolverConvergenceError(f"support-restricted LP failed: {res.message}")
+    sup, upper, res = _support_lp(mdp, data_dist)
     j_star = float(-res.fun)
     # optimal face: flow constraints plus the value equality
     a_mat = np.vstack([sup.b_mat.T, sup.rewards[None, :]])
-    b_vec = np.concatenate([b_eq, [j_star]])
+    b_vec = np.concatenate([(1.0 - mdp.gamma) * mdp.init_dist, [j_star]])
     q_diag = reg.m_f / sup.weights
     d_cells, _, status, _ = _highs_qp(q_diag, np.zeros(sup.num_cells), a_mat, b_vec, upper)
     resid = float(np.abs(a_mat @ d_cells - b_vec).max())
@@ -643,10 +638,5 @@ def capped_unregularized_value(mdp: TabularMdp, data_dist, cap: float) -> tuple[
     """
     if cap <= 0.0:
         raise ValueError("cap must be positive")
-    dd = _data_mass(data_dist)
-    sup = _build_support(mdp, dd)
-    upper = cap * sup.weights
-    res = _support_lp(sup, mdp, upper)
-    if not res.success:
-        raise SolverConvergenceError(f"capped LP failed: {res.message}")
+    sup, _, res = _support_lp(mdp, data_dist, cap)
     return float(-res.fun), sup.expand(res.x)

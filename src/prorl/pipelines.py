@@ -40,7 +40,6 @@ from .classes import (
     WeightClass,
     build_constrained_classes,
     build_misspecified,
-    build_realizable,
 )
 from .datasets import DatasetSampler, law_counts
 from .extraction import clone_policy, extract_policy
@@ -331,17 +330,6 @@ def _build_classes(cfg: ExperimentConfig, mdp, dd, reg, exact, w_ref):
         if cfg.variant["kind"] == "alpha_zero" and wc.floor is None:
             raise PipelineError("classes", "alpha=0 explicit classes need a floor")
         return vc, wc, 0.0, 0.0
-    if kind == "misspecified":
-        return build_misspecified(
-            exact,
-            spec["perturbation"],
-            mdp,
-            dd,
-            reg=reg,
-            gamma=mdp.gamma,
-            num_distractors=spec.get("num_distractors", 0),
-            seed=spec.get("seed", 0),
-        )
     if kind == "constrained":
         anchor_w, anchor_v = w_ref, exact.v_star
         if cfg.variant["kind"] == "alpha_zero":
@@ -362,14 +350,18 @@ def _build_classes(cfg: ExperimentConfig, mdp, dd, reg, exact, w_ref):
             seed=spec.get("seed", 0),
         )
         return vc, wc, 0.0, 0.0
-    vc, wc = build_realizable(  # realizable
+    # realizable classes are the misspecified ones at perturbation 0, errors exactly 0.0
+    realizable = kind == "realizable"
+    return build_misspecified(
         exact,
-        spec.get("num_distractors", 8),
-        seed=spec.get("seed", 0),
+        0.0 if realizable else spec["perturbation"],
+        mdp,
+        dd,
         reg=reg,
         gamma=mdp.gamma,
+        num_distractors=spec.get("num_distractors", 8 if realizable else 0),
+        seed=spec.get("seed", 0),
     )
-    return vc, wc, 0.0, 0.0
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,6 +19,7 @@ in the same registry. A later call writes its artifacts and runs its seeds,
 nothing else.
 """
 
+import csv
 from datetime import datetime, timezone
 import inspect
 import json
@@ -73,22 +74,15 @@ _log = logging.getLogger(__name__)
 STABILITY_HEADER = ("alpha", "v_gap", "kkt_residual", "w_min", "w_max", "in_prefix")
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 def _write_rows(path: str, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(x) for x in row))
+    """The header, then one line per row: None as empty, floats via repr.
+
+    Rows hold no bool or float32, which csv spells unlike ``repr(float(x))``,
+    and no cell that csv would quote."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _plain(obj):

@@ -375,7 +375,7 @@ def searchsorted_dataset(mdp, data_mass, n, n0, seed):
     Cells and initial states by ``np.searchsorted`` on the cumulative sums
     (last entry forced to 1.0), next states by comparing each draw against
     its whole cumulative transition row. It takes the same three draws from
-    the same stream, in the same order, as ``generate_dataset``; the two
+    the same stream, in the same order, as ``DatasetSampler.draw``; the two
     differ only on a draw at or above a cumulative sum that rounds below 1
     (about 1e-16 of the mass), which this maps past the support.
     """

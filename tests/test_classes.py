@@ -7,7 +7,6 @@ from prorl.classes import (
     WeightClass,
     build_constrained_classes,
     build_misspecified,
-    build_realizable,
     witness_class,
 )
 from prorl.mdp import (
@@ -84,17 +83,23 @@ class TestWeightClass:
         np.testing.assert_array_equal(back.members[0], wc.members[0])
 
 
+def realizable_classes(solved, num_distractors, seed):
+    """Realizable classes: the misspecified ones at perturbation 0, as the pipeline builds them."""
+    mdp, dd, reg, sol = solved
+    return build_misspecified(sol, 0.0, mdp, dd, reg=reg, gamma=0.8,
+                              num_distractors=num_distractors, seed=seed)[:2]
+
+
 class TestBuildRealizable:
     def test_zero_distractors_is_singleton(self, solved):
-        _, _, reg, sol = solved
-        vc, wc = build_realizable(sol, 0, seed=0, reg=reg, gamma=0.8)
+        sol = solved[3]
+        vc, wc = realizable_classes(solved, 0, seed=0)
         assert len(vc) == 1 and len(wc) == 1
         np.testing.assert_array_equal(vc.members[0], sol.v_star)
         np.testing.assert_array_equal(wc.members[0], sol.w_star)
 
     def test_every_member_in_bounds(self, solved):
-        _, _, reg, sol = solved
-        vc, wc = build_realizable(sol, 50, seed=3, reg=reg, gamma=0.8)
+        vc, wc = realizable_classes(solved, 50, seed=3)
         assert len(vc) == 51 and len(wc) == 51
         assert vc.clipped == () and wc.clipped == ()
         for v in vc.members:
@@ -103,26 +108,24 @@ class TestBuildRealizable:
             assert w.min() >= 0.0 and w.max() <= wc.b_w + 1e-12
 
     def test_bounds_cover_anchor(self, solved):
-        _, _, reg, sol = solved
-        vc, wc = build_realizable(sol, 0, seed=0, reg=reg, gamma=0.8)
+        sol = solved[3]
+        vc, wc = realizable_classes(solved, 0, seed=0)
         assert wc.b_w >= max(1.0, sol.w_star.max())
         assert vc.b_v >= np.abs(sol.v_star).max()
 
     def test_seed_reproducibility(self, solved):
-        _, _, reg, sol = solved
-        a = build_realizable(sol, 8, seed=7, reg=reg, gamma=0.8)
-        b = build_realizable(sol, 8, seed=7, reg=reg, gamma=0.8)
+        a = realizable_classes(solved, 8, seed=7)
+        b = realizable_classes(solved, 8, seed=7)
         for x, y in zip(a[0].members, b[0].members):
             assert x.tobytes() == y.tobytes()
         for x, y in zip(a[1].members, b[1].members):
             assert x.tobytes() == y.tobytes()
-        c = build_realizable(sol, 8, seed=8, reg=reg, gamma=0.8)
+        c = realizable_classes(solved, 8, seed=8)
         assert any(x.tobytes() != y.tobytes() for x, y in zip(a[0].members, c[0].members))
 
     def test_distractors_are_box_draws_value_then_weight(self, solved):
         # the draw order is part of every suite's byte-identical artifacts
-        _, _, reg, sol = solved
-        vc, wc = build_realizable(sol, 5, seed=7, reg=reg, gamma=0.8)
+        vc, wc = realizable_classes(solved, 5, seed=7)
         rng = np.random.default_rng(7)
         for v, w in zip(vc.members[1:], wc.members[1:]):
             assert v.tobytes() == rng.uniform(-vc.b_v, vc.b_v, size=4).tobytes()

@@ -20,7 +20,6 @@ from prorl.datasets import (
     OfflineDataset,
     _cumulative,
     _GuideTable,
-    generate_dataset,
     law_counts,
 )
 from prorl.mdp import (
@@ -42,31 +41,31 @@ class TestGeneration:
     def test_shapes_and_rewards_match_source(self):
         mdp = random_mdp(5, 3, 0.9, seed=1)
         dd = behavior_distribution(mdp)
-        data = generate_dataset(mdp, dd, n=500, n0=100, seed=3)
+        data = DatasetSampler(mdp, dd).draw(n=500, n0=100, seed=3)
         assert data.n == 500 and data.n0 == 100
         np.testing.assert_array_equal(data.rewards, mdp.reward[data.states, data.actions])
         assert data.gamma == mdp.gamma
 
     def test_empty_counts_allowed(self):
         mdp = random_mdp(3, 2, 0.8, seed=2)
-        data = generate_dataset(mdp, behavior_distribution(mdp), n=0, n0=0, seed=0)
+        data = DatasetSampler(mdp, behavior_distribution(mdp)).draw(n=0, n0=0, seed=0)
         assert data.n == 0 and data.n0 == 0
 
     def test_negative_counts_rejected(self):
         mdp = random_mdp(3, 2, 0.8, seed=2)
         with pytest.raises(ValueError, match="nonnegative"):
-            generate_dataset(mdp, behavior_distribution(mdp), n=-1, n0=0, seed=0)
+            DatasetSampler(mdp, behavior_distribution(mdp)).draw(n=-1, n0=0, seed=0)
 
     def test_unnormalized_distribution_rejected(self):
         mdp = random_mdp(3, 2, 0.8, seed=2)
         with pytest.raises(ValueError, match="sum to 1"):
-            generate_dataset(mdp, 2.0 * behavior_distribution(mdp), n=10, n0=10, seed=0)
+            DatasetSampler(mdp, 2.0 * behavior_distribution(mdp)).draw(n=10, n0=10, seed=0)
 
     def test_cell_frequencies_match_distribution(self):
         # 1e6 draws: every cell within 3 binomial standard errors.
         mdp = random_mdp(4, 3, 0.9, seed=5)
         dd = behavior_distribution(mdp)
-        data = generate_dataset(mdp, dd, n=1_000_000, n0=1_000_000, seed=11)
+        data = DatasetSampler(mdp, dd).draw(n=1_000_000, n0=1_000_000, seed=11)
         counts = np.zeros_like(dd)
         np.add.at(counts, (data.states, data.actions), 1.0)
         freq = counts / data.n
@@ -79,7 +78,7 @@ class TestGeneration:
     def test_next_state_frequencies_match_transitions(self):
         mdp = random_mdp(3, 2, 0.9, seed=8)
         dd = behavior_distribution(mdp)
-        data = generate_dataset(mdp, dd, n=200_000, n0=1, seed=13)
+        data = DatasetSampler(mdp, dd).draw(n=200_000, n0=1, seed=13)
         # condition on the most frequent cell
         cells, counts = np.unique(
             data.states * mdp.num_actions + data.actions, return_counts=True
@@ -96,7 +95,7 @@ class TestGeneration:
         dd = behavior_distribution(mdp)
         paths = []
         for run in ("a", "b"):
-            data = generate_dataset(mdp, dd, n=300, n0=40, seed=777)
+            data = DatasetSampler(mdp, dd).draw(n=300, n0=40, seed=777)
             t_path = tmp_path / f"trans_{run}.jsonl"
             i_path = tmp_path / f"init_{run}.txt"
             data.save(str(t_path), str(i_path))
@@ -106,8 +105,8 @@ class TestGeneration:
     def test_different_seeds_differ(self):
         mdp = random_mdp(4, 2, 0.9, seed=3)
         dd = behavior_distribution(mdp)
-        d1 = generate_dataset(mdp, dd, n=100, n0=10, seed=1)
-        d2 = generate_dataset(mdp, dd, n=100, n0=10, seed=2)
+        d1 = DatasetSampler(mdp, dd).draw(n=100, n0=10, seed=1)
+        d2 = DatasetSampler(mdp, dd).draw(n=100, n0=10, seed=2)
         assert not np.array_equal(d1.states, d2.states)
 
 
@@ -244,7 +243,7 @@ class TestReferenceSampler:
     )
     def test_same_arrays_as_searchsorted(self, num_states, num_actions, n, n0, seed, zero_frac):
         mdp, dd = sparse_mdp_and_data(num_states, num_actions, seed, zero_frac)
-        data = generate_dataset(mdp, dd, n, n0, seed)
+        data = DatasetSampler(mdp, dd).draw(n, n0, seed)
         want = searchsorted_dataset(mdp, dd, n, n0, seed)
         for got, ref in zip((data.states, data.actions, data.next_states, data.init_states), want):
             np.testing.assert_array_equal(got, ref)
@@ -261,7 +260,7 @@ class TestReferenceSampler:
         top = np.uint64(2**64 - 1)  # the word of the draw nextafter(1, 0)
         monkeypatch.setattr(datasets._Uniforms, "read",
                             lambda self, offset, size: np.full(size, top))
-        data = generate_dataset(mdp, law[:, None], n=3, n0=2, seed=0)
+        data = DatasetSampler(mdp, law[:, None]).draw(n=3, n0=2, seed=0)
         np.testing.assert_array_equal(data.states, [9, 9, 9])
         np.testing.assert_array_equal(data.next_states, [9, 9, 9])
         np.testing.assert_array_equal(data.init_states, [9, 9])
@@ -286,17 +285,17 @@ class TestReferenceSampler:
 
 class TestDatasetSampler:
     @pytest.mark.parametrize("n, n0", [(0, 0), (1, 1), (700, 90), (20_000, 3)])
-    def test_draws_equal_generate_dataset(self, n, n0):
+    def test_reused_sampler_draws_what_a_fresh_one_draws(self, n, n0):
         mdp, dd = sparse_mdp_and_data(6, 3, 21, 0.3)
         sampler = DatasetSampler(mdp, dd)
         for seed in (0, 5):  # one sampler, many draws
-            got, want = sampler.draw(n, n0, seed), generate_dataset(mdp, dd, n, n0, seed)
+            got, want = sampler.draw(n, n0, seed), DatasetSampler(mdp, dd).draw(n, n0, seed)
             for name in ("states", "actions", "rewards", "next_states", "init_states"):
                 np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
             assert got.gamma == want.gamma
             np.testing.assert_array_equal(got.generating_dd.mass, dd)
 
-    def test_rejects_what_generate_dataset_rejects(self):
+    def test_rejects_a_bad_law_or_count(self):
         mdp = random_mdp(3, 2, 0.8, seed=2)
         with pytest.raises(ValueError, match="sum to 1"):
             DatasetSampler(mdp, 2.0 * behavior_distribution(mdp))
@@ -435,7 +434,7 @@ class TestBlockCounts:
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         mdp = random_mdp(4, 2, 0.85, seed=9)
-        data = generate_dataset(mdp, behavior_distribution(mdp), n=50, n0=7, seed=5)
+        data = DatasetSampler(mdp, behavior_distribution(mdp)).draw(n=50, n0=7, seed=5)
         t_path, i_path = str(tmp_path / "t.jsonl"), str(tmp_path / "i.txt")
         data.save(t_path, i_path)
         back = load_dataset(t_path, i_path, gamma=mdp.gamma)
@@ -541,7 +540,7 @@ def assert_counts_match_tallies(data, num_states, num_actions, counted=None):
 class TestCounts:
     def test_counts_match_per_transition_tallies(self):
         mdp = random_mdp(4, 3, 0.9, seed=2)
-        data = generate_dataset(mdp, behavior_distribution(mdp), n=700, n0=90, seed=4)
+        data = DatasetSampler(mdp, behavior_distribution(mdp)).draw(n=700, n0=90, seed=4)
         assert_counts_match_tallies(data, 4, 3)
 
     @pytest.mark.parametrize("part", ["whole", "head", "tail", "empty"])
@@ -559,7 +558,7 @@ class TestCounts:
     def test_sampled_counts_at_another_shape_check_their_columns(self):
         # the columns are range checked at every shape they are counted at
         mdp = random_mdp(3, 2, 0.9, seed=4)
-        data = generate_dataset(mdp, behavior_distribution(mdp), n=40, n0=5, seed=6)
+        data = DatasetSampler(mdp, behavior_distribution(mdp)).draw(n=40, n0=5, seed=6)
         with pytest.raises(ValueError, match="^states must lie in"):
             count_columns(data, 2, 3)
         assert count_columns(data, 3, 3).transitions.sum() == 40

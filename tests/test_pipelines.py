@@ -8,7 +8,7 @@ import pytest
 
 from prorl import classes, datasets, oracle, pipelines
 from prorl.bounds import performance_gap_bound, residual_bound, stat_error
-from prorl.datasets import DatasetSampler, generate_dataset
+from prorl.datasets import DatasetSampler
 from prorl.extraction import extract_policy
 from prorl.mdp import policy_return, random_mdp
 from prorl.objective import weighted_l2
@@ -413,6 +413,16 @@ class TestStaged:
                 raise inner
         assert info.value is inner
 
+    @pytest.mark.parametrize("spec", [
+        {"kind": "realizable", "num_distractors": -3},
+        {"kind": "misspecified", "perturbation": 0.05, "num_distractors": -3},
+        {"kind": "constrained", "num_distractors": -3},
+    ], ids=lambda spec: spec["kind"])
+    def test_negative_num_distractors_raises_at_classes(self, spec):
+        # every builder draws its distractors through one routine, which checks the count
+        with pytest.raises(PipelineError, match=r"^\[classes\] num_distractors must be nonneg"):
+            prepare(base_config(classes=spec))
+
 
 class TestRunProRlBc:
     def test_requires_bc_settings(self):
@@ -675,12 +685,12 @@ class TestPrepareOnce:
             cfg = base_config(**over)
             assert inst.config_hash(cfg) == cfg.config_hash
 
-    def test_instance_sampler_draws_what_generate_dataset_draws(self):
+    def test_instance_sampler_draws_what_a_fresh_sampler_draws(self):
         inst = prepare(base_config())
         assert isinstance(inst.dataset, DatasetSampler)
         for n, n0, seed in ((1500, 300, 0), (40, 7, 12)):
             got = inst.dataset.draw(n, n0, seed)
-            want = generate_dataset(inst.mdp, inst.dd, n, n0, seed)
+            want = DatasetSampler(inst.mdp, inst.dd).draw(n, n0, seed)
             for name in ("states", "actions", "rewards", "next_states", "init_states"):
                 np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
         # an exact-frequency run reads the law's counts, and the instance holds no sampler

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from oracles import double_loop_saddle, empirical_lagrangian
-from prorl.classes import ValueClass, WeightClass, build_realizable
-from prorl.datasets import DatasetSampler, generate_dataset, law_counts
+from prorl.classes import ValueClass, WeightClass, build_misspecified
+from prorl.datasets import DatasetSampler, law_counts
 from prorl.mdp import build_counterexample, exact_occupancy, random_mdp, uniform_policy
 from prorl.objective import (
     empirical_lagrangian_members,
@@ -24,7 +24,8 @@ def make_instance(seed, n=400, alpha=0.3, num_distractors=6):
     dd = exact_occupancy(mdp, uniform_policy(4, 2)).mass
     reg = Regularizer(m_f=1.0)
     sol = solve_regularized(mdp, dd, reg, alpha)
-    classes = build_realizable(sol, num_distractors, seed=seed + 100, reg=reg, gamma=0.8)
+    classes = build_misspecified(sol, 0.0, mdp, dd, reg=reg, gamma=0.8,  # realizable
+                                 num_distractors=num_distractors, seed=seed + 100)[:2]
     data = DatasetSampler(mdp, dd).count(n, n // 4, seed + 200)[0]
     return mdp, dd, reg, sol, classes, data
 
@@ -51,7 +52,7 @@ class TestSolveExact:
         mdp, dd, reg, _, classes, data = make_instance(2)
         l_matrix = payoff(data, classes, reg, 0.3)
         out = solve_exact(l_matrix)
-        columns = generate_dataset(mdp, dd, 400, 100, seed=202)  # the draws data counts
+        columns = DatasetSampler(mdp, dd).draw(400, 100, seed=202)  # the draws data counts
         direct = empirical_lagrangian(columns, reg, 0.3, classes[0].members[out.v_index],
                                       classes[1].members[out.w_index])
         assert l_matrix[out.w_index, out.v_index] == pytest.approx(direct, abs=1e-12)

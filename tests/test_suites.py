@@ -324,6 +324,16 @@ class TestRowsFormat:
         keys = [(int(r[n_col]), int(r[seed_col])) for r in rows]
         assert keys == sorted(keys)
 
+    def test_cells_are_written_as_their_plain_spelling(self, tmp_path):
+        """None empty, ints and floats as str and repr, the same for their numpy twins,
+        nothing quoted. Rows hold no bool and no float32, the two types a
+        ``repr(float(x))`` writer and the csv module spell differently."""
+        row = (None, "capped", 7, np.int64(-2), 0.1, np.float64(-0.0), np.float64(1e-300),
+               np.float64("nan"), float("inf"), np.float64(-np.inf), np.float64(2.5e17))
+        path = tmp_path / "rows.csv"
+        suites._write_rows(str(path), ("a", "b"), [row])
+        assert path.read_bytes() == b"a,b\n,capped,7,-2,0.1,-0.0,1e-300,nan,inf,-inf,2.5e+17\n"
+
 
 class TestJsonWriter:
     def test_numpy_values_write_as_their_plain_twins(self, tmp_path):

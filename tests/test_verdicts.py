@@ -6,6 +6,7 @@ suite runs.
 """
 
 import pytest
+from scipy.stats import binomtest
 from verdicts import VERDICTS
 
 
@@ -91,3 +92,11 @@ def test_every_verdict_has_edge_cases():
 def test_judge_at_window_edges(row, summary, passes):
     passed, detail = row.judge(summary)
     assert bool(passed) == passes, detail
+
+
+def test_06_binomial_p_cannot_bind_where_the_fraction_passes():
+    """Why 06 is its fraction test alone: at 200 runs and delta 0.1 every count the
+    fraction passes (k <= 20) has one-sided binomial p >= 1/2, so a second condition
+    p >= 0.01 could never fail a summary the fraction passes."""
+    for k in range(21):
+        assert binomtest(k, 200, 0.1, alternative="greater").pvalue >= 0.5, k

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.stats import binomtest
 
-from prorl.classes import build_realizable
+from prorl.classes import build_misspecified
 from prorl.datasets import DatasetSampler
 from prorl.extraction import extract_policy
 from prorl.mdp import Policy, build_counterexample
@@ -57,7 +56,8 @@ def committed_left_seeds(seed, out_dir=None):
         dd = bundle.data_occupancy.mass
         sol = solve_regularized(bundle.mdp, dd, reg, alpha)
         mass_max = max(mass_max, float(sol.d_star.mass[bundle.A, bundle.RIGHT]))
-        vc, wc = build_realizable(sol, 8, seed=0, reg=reg, gamma=bundle.mdp.gamma)
+        vc, wc, _, _ = build_misspecified(sol, 0.0, bundle.mdp, dd, reg=reg,  # realizable
+                                          gamma=bundle.mdp.gamma, num_distractors=8, seed=0)
         pi_d = Policy(np.full((4, 2), 0.5))
         good, sampler = 0, DatasetSampler(bundle.mdp, dd)
         for s in range(seed, seed + 20):
@@ -103,9 +103,9 @@ def envelope_exceedances(seed, out_dir=None):
 def _judge_06(s):
     delta = 0.1
     violations, total = s["exceedances"], s["runs"]
-    pvalue = binomtest(violations, total, delta, alternative="greater").pvalue
-    ok = violations / total <= delta and pvalue >= 0.01
-    return ok, (f"exceedances {violations}/{total} at delta {delta}, binomial p {pvalue:.3f}, "
+    # the fraction alone: where it passes a binomial p is >= 1/2 (test_verdicts.py)
+    ok = violations / total <= delta
+    return ok, (f"exceedances {violations}/{total} at delta {delta}, "
                 f"largest eps_hat/eps_stat {s['max_ratio']:.3f}")
 
 
