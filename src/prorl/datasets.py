@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .mdp import Occupancy, TabularMdp, _mass_of, _read_only
+from .mdp import Occupancy, TabularMdp, _read_only, data_dist_mass
 
 
 class CountedDataset(NamedTuple):
@@ -171,12 +171,7 @@ class DatasetSampler:
     over mu0; rewards are read off the MDP."""
 
     def __init__(self, mdp: TabularMdp, data_dist):
-        dd = _mass_of(data_dist)
-        if dd.shape != (mdp.num_states, mdp.num_actions):
-            raise ValueError(f"data distribution shape {dd.shape} does not match the MDP")
-        total = dd.sum()
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"data distribution must sum to 1, got {total}")
+        dd = data_dist_mass(mdp, data_dist)
         self.gamma, self.generating_dd = mdp.gamma, Occupancy(dd)
         self.cells = _GuideTable(_cumulative(dd.ravel()))
         self.next_states = _GuideTable(_cumulative(mdp.transition))
@@ -251,6 +246,6 @@ def law_counts(mdp: TabularMdp, data_dist, n: int, n0: int) -> CountedDataset:
     """The counts whose empirical law is exactly the population's, read-only:
     N = n d^D(s,a) P(s'|s,a), R = n d^D(s,a) r(s,a) and N0 = n0 mu0, real-valued.
     At n = n0 = 1 the empirical objective they feed is the population objective."""
-    dd = _mass_of(data_dist)
+    dd = data_dist_mass(mdp, data_dist)
     return _read_only(CountedDataset(n, n0, mdp.gamma, n * dd[:, :, None] * mdp.transition,
                                      n * dd * mdp.reward, n0 * mdp.init_dist))

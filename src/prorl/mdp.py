@@ -179,6 +179,19 @@ def _mass_of(d) -> np.ndarray:
     return d.mass if isinstance(d, Occupancy) else np.asarray(d, dtype=float)
 
 
+def data_dist_mass(mdp: TabularMdp, d) -> np.ndarray:
+    """d^D's mass, checked: shape (S, A), a sum within 1e-9 of 1, nonnegative; NaN fails."""
+    mass = _mass_of(d)
+    if mass.shape != (mdp.num_states, mdp.num_actions):
+        raise ValueError(f"data distribution shape {mass.shape} does not match the MDP")
+    total = mass.sum()
+    if not abs(total - 1.0) <= 1e-9:
+        raise ValueError(f"data distribution must sum to 1, got {total}")
+    if not mass.min() >= 0.0:
+        raise ValueError("data distribution must be nonnegative")
+    return mass
+
+
 def policy_transition_matrix(mdp: TabularMdp, policy: Policy) -> np.ndarray:
     """State-to-state transition matrix P_pi[s, s'] under the policy."""
     return np.einsum("sa,sat->st", policy.probs, mdp.transition)

@@ -45,9 +45,12 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.optimize._highspy import _core as highspy
 
-from .mdp import Occupancy, Policy, TabularMdp, _mass_of, exact_occupancy
+from .mdp import Occupancy, Policy, TabularMdp, data_dist_mass, exact_occupancy
 from .regularizers import Regularizer
 
+_KKT_TOL = 1e-8  # joint KKT residual a returned solution must meet
+_NEWTON_TOL = 1e-12 * 0.1  # |Phi| Newton aims for, so a met certificate is machine-accurate
+_NEWTON_MAX_STEPS = 200
 _PHASE1_TOL = 1e-9  # phase-1 objective (L1 flow violation) above which the polytope is empty
 _MAX_SWEEPS = 1000  # random MDPs up to 14 states and gamma 0.999 settle within 6 sweeps
 # Newton steps in a row without a new lowest |Phi| before it hands over to the qp path:
@@ -76,13 +79,16 @@ class SolverConvergenceError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class _Support:
-    """Dense operators restricted to the covered state-action cells."""
+    """The covered flow polytope B^T d = (1-gamma) mu0, 0 <= d <= cap d^D, on d^D's cells."""
 
     states: np.ndarray  # (m,) cell states
     actions: np.ndarray  # (m,) cell actions
     weights: np.ndarray  # (m,) d^D mass per cell
     b_mat: np.ndarray  # (m, S): row_c = 1_{s_c} - gamma P(s_c, a_c, .)
     rewards: np.ndarray  # (m,)
+    cap: float  # weight bound B_w: the given cap, or the wide box 10 / min d^D
+    upper: np.ndarray  # (m,) cap * d^D, the box on d
+    flow_rhs: np.ndarray  # (S,) (1-gamma) mu0
     num_states: int
     num_actions: int
 
@@ -97,17 +103,26 @@ class _Support:
         return out
 
 
-def _build_support(mdp: TabularMdp, data_mass: np.ndarray) -> _Support:
+def _build_support(mdp: TabularMdp, data_dist, cap: Optional[float] = None) -> _Support:
+    """The covered flow polytope of a checked d^D; with no cap, the box is the wide 10 / min d^D."""
+    if cap is not None and not 0.0 < cap < np.inf:
+        raise ValueError(f"cap must be positive and finite when given, got {cap}")
+    data_mass = data_dist_mass(mdp, data_dist)
     states, actions = np.nonzero(data_mass > 0.0)
+    weights = data_mass[states, actions]
+    cap = cap if cap is not None else 10.0 / weights.min()
     b_mat = np.zeros((states.shape[0], mdp.num_states))
     b_mat[np.arange(states.shape[0]), states] = 1.0
     b_mat -= mdp.gamma * mdp.transition[states, actions]
     return _Support(
         states=states,
         actions=actions,
-        weights=data_mass[states, actions],
+        weights=weights,
         b_mat=b_mat,
         rewards=mdp.reward[states, actions],
+        cap=cap,
+        upper=cap * weights,
+        flow_rhs=(1.0 - mdp.gamma) * mdp.init_dist,
         num_states=mdp.num_states,
         num_actions=mdp.num_actions,
     )
@@ -141,25 +156,14 @@ class StrongConcentrability:
     holds: bool
 
 
-def _data_mass(data_dist) -> np.ndarray:
-    dd = _mass_of(data_dist)
-    total = dd.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"data distribution must sum to 1, got {total}")
-    if dd.min() < 0.0:
-        raise ValueError("data distribution must be nonnegative")
-    return dd
-
-
-def _check_flow_feasible(sup: _Support, mdp: TabularMdp, upper: np.ndarray) -> None:
+def _check_flow_feasible(sup: _Support) -> None:
     """Phase-1 linear program; raises FlowInfeasibleError when empty."""
     m, s = sup.num_cells, sup.num_states
     # variables: [d (m), slack+ (S), slack- (S)]
     c = np.concatenate([np.zeros(m), np.ones(2 * s)])
     a_eq = np.hstack([sup.b_mat.T, np.eye(s), -np.eye(s)])
-    b_eq = (1.0 - mdp.gamma) * mdp.init_dist
-    bounds = [(0.0, float(u)) for u in upper] + [(0.0, None)] * (2 * s)
-    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
+    bounds = [(0.0, float(u)) for u in sup.upper] + [(0.0, None)] * (2 * s)
+    res = linprog(c, A_eq=a_eq, b_eq=sup.flow_rhs, bounds=bounds, method="highs")
     if not res.success:
         raise SolverConvergenceError(f"phase-1 feasibility LP failed: {res.message}")
     if res.fun > _PHASE1_TOL:
@@ -168,13 +172,13 @@ def _check_flow_feasible(sup: _Support, mdp: TabularMdp, upper: np.ndarray) -> N
         raise FlowInfeasibleError(state, float(slack[state]))
 
 
-def _certifies_feasible(sup: _Support, mdp: TabularMdp, d_cells: np.ndarray) -> bool:
+def _certifies_feasible(sup: _Support, d_cells: np.ndarray) -> bool:
     """True when d_cells, inside the LP's box, violates the flow constraints by <= 1e-9 in L1.
 
     Such a point has phase-1 objective <= _PHASE1_TOL, so _check_flow_feasible
     could not raise on its polytope and need not run.
     """
-    flow = sup.b_mat.T @ d_cells - (1.0 - mdp.gamma) * mdp.init_dist
+    flow = sup.b_mat.T @ d_cells - sup.flow_rhs
     return float(np.abs(flow).sum()) <= _PHASE1_TOL
 
 
@@ -184,24 +188,16 @@ def _clip_form(reg: Regularizer, alpha: float, e: np.ndarray, cap_eff: float) ->
     return np.minimum(np.maximum(reg.deriv_inverse(e / alpha), 0.0), cap_eff)
 
 
-def _kkt_residuals(
-    sup: _Support,
-    mdp: TabularMdp,
-    reg: Regularizer,
-    alpha: float,
-    v: np.ndarray,
-    w_cells: np.ndarray,
-    cap_eff: float,
-) -> tuple[float, float]:
+def _kkt_residuals(sup: _Support, reg: Regularizer, alpha: float, v, w_cells) -> tuple[float, float]:
     """(clip-form deviation, flow violation) for a candidate pair."""
     e = sup.rewards - sup.b_mat @ v
-    w_form = _clip_form(reg, alpha, e, cap_eff)
+    w_form = _clip_form(reg, alpha, e, sup.cap)
     clip_dev = float(np.abs(w_cells - w_form).max()) if sup.num_cells else 0.0
-    flow = sup.b_mat.T @ (sup.weights * w_cells) - (1.0 - mdp.gamma) * mdp.init_dist
+    flow = sup.b_mat.T @ (sup.weights * w_cells) - sup.flow_rhs
     return clip_dev, float(np.abs(flow).max())
 
 
-def _newton(sup, mdp, reg, alpha, cap_eff, tol, max_iter=200):
+def _newton(sup, reg, alpha):
     """Damped semismooth Newton on the dual, started from v = 0.
 
     The dual g(v) = (1-gamma) mu0.v + sum_c d^D_c max_{0<=w<=cap} (e_c w - alpha f(w)),
@@ -215,14 +211,14 @@ def _newton(sup, mdp, reg, alpha, cap_eff, tol, max_iter=200):
     step is halved until g falls by more than rounding and enough (Armijo) or,
     with g flat to rounding, until |Phi| falls; g never rises, so the
     iteration cannot cycle, and Phi is formed only where g did not rise. Stops
-    at |Phi| <= tol, when no step length improves (the residual stopped
+    at |Phi| <= ``_NEWTON_TOL``, when no step length improves (the residual stopped
     improving), after ``_STALL_STEPS`` steps in a row that find no |Phi| below
-    the lowest so far, after max_iter steps, or when g falls below min(r) - alpha
+    the lowest so far, after ``_NEWTON_MAX_STEPS`` steps, or when g falls below min(r) - alpha
     f(cap): a point d of the polytope has sum(d) = 1 and d <= cap d^D, and f
     increases on [0, cap], so weak duality puts g above that on a non-empty one.
     """
     b_mat, b_t, weights, rewards = sup.b_mat, sup.b_mat.T, sup.weights, sup.rewards
-    mu_term = (1.0 - mdp.gamma) * mdp.init_dist
+    mu_term, cap_eff = sup.flow_rhs, sup.cap
     scale = alpha * reg.m_f
 
     def at(v):
@@ -238,7 +234,7 @@ def _newton(sup, mdp, reg, alpha, cap_eff, tol, max_iter=200):
     ridge = 1.0
     iterations = stalled = 0
     best = norm
-    while (norm > tol and iterations < max_iter and stalled < _STALL_STEPS
+    while (norm > _NEWTON_TOL and iterations < _NEWTON_MAX_STEPS and stalled < _STALL_STEPS
            and g >= floor - 1e-9 * (1.0 + abs(floor))):
         iterations += 1
         interior = (e > 0.0) & (e < scale * cap_eff)
@@ -340,14 +336,14 @@ def _active_set_polish(q_diag, lin, a_mat, b_vec, upper, x):
     return np.clip(x_new, 0.0, upper), nu
 
 
-def _qp_path(sup, mdp, reg, alpha, upper):
+def _qp_path(sup, reg, alpha):
     """The primal QP in d by HiGHS, then an active-set polish of its point.
 
     HiGHS alone leaves KKT residuals of 1e-8 to 1e-5. Its status is ignored:
     the caller gates on the KKT residual.
     """
     q_diag = alpha * reg.m_f / sup.weights
-    qp_args = (q_diag, sup.rewards, sup.b_mat.T, (1.0 - mdp.gamma) * mdp.init_dist, upper)
+    qp_args = (q_diag, sup.rewards, sup.b_mat.T, sup.flow_rhs, sup.upper)
     x, nu, _, iterations = _highs_qp(*qp_args)
     polished = _active_set_polish(*qp_args, x)
     d_cells, v = polished if polished is not None else (x, nu)
@@ -361,7 +357,6 @@ def solve_regularized(
     alpha: float,
     cap: Optional[float] = None,
     method: str = "saddle",
-    tol: float = 1e-8,
 ) -> RegularizedSolution:
     """Solve the alpha-regularized occupancy problem over the data support.
 
@@ -371,19 +366,19 @@ def solve_regularized(
         box ten times the largest feasible ratio is used internally and must
         be inactive at the solution).
     method : "saddle" (default): damped Newton on the dual from v = 0, and
-        the "qp" path on the same support when Newton stalls above tol.
-        "qp": the primal QP by HiGHS with an active-set polish only; it
-        shares no iteration logic with Newton and serves as the independent
-        cross-check.
-    tol : required bound on the joint KKT residual (clip-form deviation and
-        flow violation); the returned certificate is usually far tighter.
+        the "qp" path on the same support when Newton stalls above the KKT
+        tolerance. "qp": the primal QP by HiGHS with an active-set polish
+        only; it shares no iteration logic with Newton and serves as the
+        independent cross-check.
 
-    The solution's ``method`` is the path that produced it ("saddle" or
-    "qp"; a "saddle" request that fell back reads "qp") and ``iterations``
+    A returned pair meets ``_KKT_TOL`` = 1e-8 on the joint KKT residual
+    (clip-form deviation and flow violation); the certificate is usually far
+    tighter. The solution's ``method`` is the path that produced it ("saddle"
+    or "qp"; a "saddle" request that fell back reads "qp") and ``iterations``
     counts the iterations of every path tried. Raises SolverConvergenceError
-    naming each path and its residual when none reaches tol.
+    naming each path and its residual when none reaches the tolerance.
 
-    Certificate first: a Newton pair with KKT residual <= tol whose flow
+    Certificate first: a Newton pair that meets the tolerance and whose flow
     violation is at most 1e-9 in L1 proves the covered flow polytope
     non-empty and is returned without the phase-1 LP. Otherwise the LP runs
     once, before the "qp" path (always, for method="qp"), and raises
@@ -391,38 +386,32 @@ def solve_regularized(
     empty. An infeasible input thus pays for Newton, which ends early on an
     empty polytope, before the error.
     """
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}; use solve_unregularized")
-    if cap is not None and cap <= 0.0:
-        raise ValueError("cap must be positive when given")
+    if not 0.0 < alpha < np.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}; use solve_unregularized")
     if method not in ("saddle", "qp"):
         raise ValueError(f"unknown method {method!r}, expected 'saddle' or 'qp'")
-    dd = _data_mass(data_dist)
-    sup = _build_support(mdp, dd)
-    b_big = 10.0 / sup.weights.min()
-    cap_eff = cap if cap is not None else b_big
-    upper = cap_eff * sup.weights
+    sup = _build_support(mdp, data_dist, cap)
 
     iterations = 0
     stalls = []
     for path in ("saddle", "qp") if method == "saddle" else ("qp",):
         if path == "saddle":
-            v, w_cells, its = _newton(sup, mdp, reg, alpha, cap_eff, tol=min(tol, 1e-12) * 0.1)
+            v, w_cells, its = _newton(sup, reg, alpha)
         else:
             # on an empty polytope the LP, not the QP, can name the violated state
-            _check_flow_feasible(sup, mdp, upper)
-            v, w_cells, its = _qp_path(sup, mdp, reg, alpha, upper)
+            _check_flow_feasible(sup)
+            v, w_cells, its = _qp_path(sup, reg, alpha)
         iterations += its
-        kkt = max(_kkt_residuals(sup, mdp, reg, alpha, v, w_cells, cap_eff))
-        if kkt <= tol:
-            # Newton's w lies in [0, cap_eff], so d^D w is a point of the LP's box
-            if path == "saddle" and not _certifies_feasible(sup, mdp, sup.weights * w_cells):
-                _check_flow_feasible(sup, mdp, upper)
+        kkt = max(_kkt_residuals(sup, reg, alpha, v, w_cells))
+        if kkt <= _KKT_TOL:
+            # Newton's w lies in [0, cap], so d^D w is a point of the LP's box
+            if path == "saddle" and not _certifies_feasible(sup, sup.weights * w_cells):
+                _check_flow_feasible(sup)
             break
         stalls.append(f"{path} path stalled at KKT residual {kkt:.3e} after {its} iterations")
     else:
-        raise SolverConvergenceError("; ".join(stalls) + f" (tol {tol:.1e})")
-    if cap is None and w_cells.max() > 0.999 * b_big:
+        raise SolverConvergenceError("; ".join(stalls) + f" (tol {_KKT_TOL:.1e})")
+    if cap is None and w_cells.max() > 0.999 * sup.cap:
         raise SolverConvergenceError(
             "solution pressed against the internal feasibility box; the uncapped "
             "problem looks degenerate"
@@ -490,7 +479,7 @@ def strong_concentrability_check(mdp: TabularMdp, data_dist, d0_state) -> Strong
     (Puterman 1994). B_wl is the realized lower ratio of the target
     occupancy's state marginal d0_state.
     """
-    dd_state = _data_mass(data_dist).sum(axis=1)
+    dd_state = data_dist_mass(mdp, data_dist).sum(axis=1)
     if np.any(dd_state <= 0.0):
         return StrongConcentrability(b_wu=float("inf"), b_wl=0.0, holds=False)
     s, a = mdp.num_states, mdp.num_actions
@@ -539,7 +528,7 @@ def lp_stability_sweep(
         a1 <= a2 for a1, a2 in zip(alphas, alphas[1:])
     ):
         raise ValueError("alphas must be positive and strictly descending")
-    dd = _data_mass(data_dist)
+    dd = data_dist_mass(mdp, data_dist)
     dd_state = dd.sum(axis=1)
     v_ref = solve_unregularized(mdp).v_star
     rows = []
@@ -581,26 +570,25 @@ def lp_stability_sweep(
 def _support_lp(mdp: TabularMdp, data_dist, cap: Optional[float] = None):
     """max r.d over the covered flow polytope with 0 <= d <= cap d^D, by HiGHS.
 
-    Without a cap the box is the wide 10 / min d^D. Returns (support, box,
-    HiGHS result). The phase-1 LP runs only when this LP returns no point
-    that certifies the polytope non-empty, so an empty polytope raises
+    Without a cap the box is the wide 10 / min d^D. Returns (support, HiGHS
+    result). The phase-1 LP runs only when this LP returns no point that
+    certifies the polytope non-empty, so an empty polytope raises
     FlowInfeasibleError naming its most violated state; any other failure
     raises SolverConvergenceError.
     """
-    sup = _build_support(mdp, _data_mass(data_dist))
-    upper = (cap if cap is not None else 10.0 / sup.weights.min()) * sup.weights
+    sup = _build_support(mdp, data_dist, cap)
     res = linprog(
         -sup.rewards,
         A_eq=sup.b_mat.T,
-        b_eq=(1.0 - mdp.gamma) * mdp.init_dist,
-        bounds=[(0.0, float(u)) for u in upper],
+        b_eq=sup.flow_rhs,
+        bounds=[(0.0, float(u)) for u in sup.upper],
         method="highs",
     )
-    if not (res.success and _certifies_feasible(sup, mdp, np.clip(res.x, 0.0, upper))):
-        _check_flow_feasible(sup, mdp, upper)
+    if not (res.success and _certifies_feasible(sup, np.clip(res.x, 0.0, sup.upper))):
+        _check_flow_feasible(sup)
     if not res.success:
         raise SolverConvergenceError(f"support-restricted LP failed: {res.message}")
-    return sup, upper, res
+    return sup, res
 
 
 def min_f_divergence_weight(
@@ -614,13 +602,13 @@ def min_f_divergence_weight(
     covered flow polytope is empty, and SolverConvergenceError unless HiGHS
     reports an optimum within 1e-8 of the face.
     """
-    sup, upper, res = _support_lp(mdp, data_dist)
+    sup, res = _support_lp(mdp, data_dist)
     j_star = float(-res.fun)
     # optimal face: flow constraints plus the value equality
     a_mat = np.vstack([sup.b_mat.T, sup.rewards[None, :]])
-    b_vec = np.concatenate([(1.0 - mdp.gamma) * mdp.init_dist, [j_star]])
+    b_vec = np.concatenate([sup.flow_rhs, [j_star]])
     q_diag = reg.m_f / sup.weights
-    d_cells, _, status, _ = _highs_qp(q_diag, np.zeros(sup.num_cells), a_mat, b_vec, upper)
+    d_cells, _, status, _ = _highs_qp(q_diag, np.zeros(sup.num_cells), a_mat, b_vec, sup.upper)
     resid = float(np.abs(a_mat @ d_cells - b_vec).max())
     if status != highspy.HighsModelStatus.kOptimal or resid > 1e-8:
         raise SolverConvergenceError(
@@ -636,7 +624,5 @@ def capped_unregularized_value(mdp: TabularMdp, data_dist, cap: float) -> tuple[
     Returns (value, occupancy mass). Raises FlowInfeasibleError when even the
     capped polytope is empty.
     """
-    if cap <= 0.0:
-        raise ValueError("cap must be positive")
-    sup, _, res = _support_lp(mdp, data_dist, cap)
+    sup, res = _support_lp(mdp, data_dist, float(cap))  # None would mean uncapped
     return float(-res.fun), sup.expand(res.x)

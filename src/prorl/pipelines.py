@@ -50,6 +50,7 @@ from .mdp import (
     _read_only,
     build_counterexample,
     build_mixing_mdp,
+    data_dist_mass,
     exact_occupancy,
     policy_return,
     random_mdp,
@@ -183,8 +184,11 @@ class ExperimentConfig:
             raise PipelineError("config", "the bc cut needs a sampled dataset: exact-frequency "
                                           "counts have no draw order to cut")
         variant_kind, class_kind = self.variant["kind"], self.classes["kind"]
-        if self.alpha < 0:
-            raise PipelineError("config", "alpha must be nonnegative")
+        if not 0 <= self.alpha < np.inf:
+            raise PipelineError("config", f"alpha must be nonnegative and finite, got {self.alpha}")
+        if variant_kind == "capped" and not 0 < self.variant["cap"] < np.inf:
+            raise PipelineError("config", f"the capped variant's cap must be positive and finite, "
+                                          f"got {self.variant['cap']}")
         if (self.alpha == 0) != (variant_kind == "alpha_zero"):
             raise PipelineError("config", "alpha=0 exactly when the variant kind is 'alpha_zero'")
         if variant_kind == "alpha_zero" and class_kind not in ("constrained", "explicit"):
@@ -268,11 +272,10 @@ def resolve_data_dist(mdp: TabularMdp, spec: dict) -> tuple[np.ndarray, Policy]:
         pi_d = Policy(np.asarray(spec["probs"], dtype=float))
         return exact_occupancy(mdp, pi_d).mass, pi_d
     if kind == "explicit":
-        mass = np.asarray(spec["mass"], dtype=float)
-        if mass.shape != (mdp.num_states, mdp.num_actions):
-            raise PipelineError("data_dist", "explicit mass has the wrong shape")
-        if mass.min() < 0 or abs(mass.sum() - 1.0) > 1e-9:
-            raise PipelineError("data_dist", "explicit mass must be a distribution")
+        try:
+            mass = data_dist_mass(mdp, spec["mass"])
+        except ValueError as err:
+            raise PipelineError("data_dist", f"explicit mass: {err}") from None
         return mass, Occupancy(mass).conditional_policy()
     raise PipelineError("data_dist", f"unknown data_dist kind {kind!r}")
 

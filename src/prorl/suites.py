@@ -550,6 +550,7 @@ def _suite_lp_stability(
     seed: int,
     alpha_grid=(0.2, 0.1, 0.05, 0.02, 0.01, 0.005),
 ) -> dict:
+    alpha_grid = tuple(sorted(alpha_grid, reverse=True))  # the sweep reads it toward alpha -> 0
     fx = memoized("stability_fixture", stability_fixture)
     problem = (fx["mdp"], fx["dd"], fx["reg"])
     sweep = memoized("lp_stability_sweep", lp_stability_sweep, *problem, alpha_grid)

@@ -177,6 +177,14 @@ class TestExperimentCommand:
             main(["experiment", "--suite", "all", "--out", str(out), "--set", pair])
         assert not out.exists()
 
+    def test_lp_stability_runs_an_ascending_grid_in_descending_order(self, tmp_path):
+        for name, grid in (("up", "[0.01,0.1]"), ("down", "[0.1,0.01]")):
+            main(["experiment", "--suite", "lp_stability", "--out", str(tmp_path / name),
+                  "--set", f"alpha_grid={grid}"])
+        for name in ("rows.csv", "summary.json", "plot.svg"):
+            assert (tmp_path / "up" / name).read_bytes() == (tmp_path / "down" / name).read_bytes()
+        assert json.loads((tmp_path / "up" / "summary.json").read_text())["alpha_grid"] == [0.1, 0.01]
+
     def test_set_seed_points_to_the_seed_flag(self, tmp_path):
         out = tmp_path / "x"
         with pytest.raises(PipelineError, match="with --seed"):

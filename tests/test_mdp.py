@@ -12,6 +12,7 @@ from prorl.mdp import (
     TabularMdp,
     build_counterexample,
     build_mixing_mdp,
+    data_dist_mass,
     exact_occupancy,
     flow_residual,
     policy_return,
@@ -55,6 +56,16 @@ class TestValidation:
     def test_occupancy_rejects_negative_mass(self):
         with pytest.raises(ValueError, match="nonnegative"):
             Occupancy(np.array([[0.5, -0.5]]))
+
+    @pytest.mark.parametrize(
+        "mass, want",
+        [([[0.5, 0.5, 0.5], [0.0, 0.0, -0.5]], "nonnegative"),
+         ([[0.5, 0.5, 0.0], [0.0, 0.0, np.nan]], "sum to 1")],
+        ids=["negative", "nan"],
+    )
+    def test_data_dist_mass_rejects(self, mass, want):
+        with pytest.raises(ValueError, match=want):
+            data_dist_mass(random_mdp(2, 3, 0.9, seed=0), mass)
 
     def test_random_mdp_init_strictly_positive(self):
         for seed in range(5):

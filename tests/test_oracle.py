@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from prorl import oracle
 from prorl.bounds import recommended_alpha
+from prorl.datasets import DatasetSampler, law_counts
 from prorl.mdp import (
     Policy,
     TabularMdp,
@@ -352,12 +353,11 @@ def test_newton_iterates_match_the_frozen_loop():
     tol = 1e-12 * 0.1  # solve_regularized's Newton tolerance
     for k, (mdp, dd, alpha, cap) in enumerate(draws):
         reg = Regularizer(m_f=1.5 if k < 48 and k % 2 else 1.0)
-        sup = oracle._build_support(mdp, dd)
-        cap_eff = cap if cap is not None else 10.0 / sup.weights.min()
-        v, w, its = oracle._newton(sup, mdp, reg, alpha, cap_eff, tol)
+        sup = oracle._build_support(mdp, dd, cap)
+        v, w, its = oracle._newton(sup, reg, alpha)
         v_ref, w_ref, its_ref = reference_newton(
             sup.b_mat, sup.weights, sup.rewards, (1.0 - mdp.gamma) * mdp.init_dist, reg,
-            alpha, cap_eff, tol, oracle._STALL_STEPS,
+            alpha, sup.cap, tol, oracle._STALL_STEPS,
         )
         assert (v.tobytes(), w.tobytes(), its) == (v_ref.tobytes(), w_ref.tobytes(), its_ref)
 
@@ -441,9 +441,8 @@ class TestPhase1OnFailure:
             with pytest.raises(FlowInfeasibleError) as err:
                 solve_regularized(mdp, dd, Regularizer(), alpha, cap=cap)
             assert solver_log == ["lp"]
-            sup = oracle._build_support(mdp, dd)
             with pytest.raises(FlowInfeasibleError) as direct:
-                oracle._check_flow_feasible(sup, mdp, cap * sup.weights)
+                oracle._check_flow_feasible(oracle._build_support(mdp, dd, cap))
             assert (err.value.state, err.value.violation) == (
                 direct.value.state, direct.value.violation
             )
@@ -465,15 +464,15 @@ class TestPhase1OnFailure:
                     solve_regularized(mdp, dd, Regularizer(), alpha, cap=cap)
         assert steps and max(steps) < 200
 
-    def test_loose_tol_cannot_hide_an_empty_polytope(self, solver_log):
+    def test_loose_tol_cannot_hide_an_empty_polytope(self, solver_log, monkeypatch):
         # a cap just below the counterexample's threshold 3 leaves the
-        # polytope empty by 2.5e-7; Newton then meets tol=1e-3, but its pair
-        # fails the 1e-9 L1 gate, so the LP runs and names the state
+        # polytope empty by 2.5e-7; Newton then meets a KKT tolerance of 1e-3,
+        # but its pair fails the 1e-9 L1 gate, so the LP runs and names the state
+        monkeypatch.setattr(oracle, "_KKT_TOL", 1e-3)
         bundle = build_counterexample(0.5)
         with pytest.raises(FlowInfeasibleError) as err:
             solve_regularized(
-                bundle.mdp, bundle.data_occupancy, Regularizer(), 0.1, cap=3.0 * (1 - 1e-6),
-                tol=1e-3,
+                bundle.mdp, bundle.data_occupancy, Regularizer(), 0.1, cap=3.0 * (1 - 1e-6)
             )
         assert err.value.state == bundle.C and solver_log == ["lp"]
 
@@ -557,6 +556,55 @@ class TestStrongConcentrability:
         for acts in rng.integers(0, 3, size=(50, 14)):
             marginal = exact_occupancy(mdp, deterministic_policy(acts, 3)).state_marginal
             assert (marginal / dd_state).max() <= res.b_wu + 1e-12
+
+
+@pytest.fixture
+def no_solver(monkeypatch):
+    """_newton and _highs_qp raise if called, so an input check that misses fails, not hangs."""
+    def never(*args, **kwargs):
+        raise AssertionError("a solver ran on an input that should have been rejected")
+
+    monkeypatch.setattr(oracle, "_newton", never)
+    monkeypatch.setattr(oracle, "_highs_qp", never)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("alpha", [np.inf, np.nan])
+    def test_alpha_is_rejected_by_name(self, no_solver, alpha):
+        mdp, dd, _ = rate_unregularized_instance()
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            solve_regularized(mdp, dd, Regularizer(), alpha)
+
+    @pytest.mark.parametrize("cap", [np.inf, np.nan, 0.0])
+    def test_cap_is_rejected_by_name(self, no_solver, cap):
+        bundle = build_counterexample(0.5)
+        mdp, dd = bundle.mdp, bundle.data_occupancy
+        with pytest.raises(ValueError, match="cap must be positive and finite"):
+            solve_regularized(mdp, dd, Regularizer(), 0.1, cap=cap)
+        with pytest.raises(ValueError, match="cap must be positive and finite"):
+            capped_unregularized_value(mdp, dd, cap)
+
+
+# every reader of a data distribution d^D, called on an MDP and a d^D
+DD_READERS = {
+    "solve_regularized": lambda mdp, dd: solve_regularized(mdp, dd, Regularizer(), 0.1),
+    "capped_unregularized_value": lambda mdp, dd: capped_unregularized_value(mdp, dd, 2.0),
+    "min_f_divergence_weight": lambda mdp, dd: min_f_divergence_weight(mdp, dd, Regularizer()),
+    "strong_concentrability_check": lambda mdp, dd: strong_concentrability_check(
+        mdp, dd, np.full(mdp.num_states, 1.0 / mdp.num_states)),
+    "lp_stability_sweep": lambda mdp, dd: lp_stability_sweep(mdp, dd, Regularizer(), [0.2, 0.1]),
+    "law_counts": lambda mdp, dd: law_counts(mdp, dd, 10, 2),
+    "DatasetSampler": DatasetSampler,
+}
+
+
+@pytest.mark.parametrize("reader", DD_READERS)
+@pytest.mark.parametrize("shape", [(4, 2), (3, 3)], ids=["one_action_short", "one_state_short"])
+def test_mis_shaped_data_dist_is_rejected(reader, shape):
+    # a uniform d^D sums to 1 and is nonnegative: only its shape is wrong
+    mdp = random_mdp(4, 3, 0.8, seed=1)
+    with pytest.raises(ValueError, match="shape"):
+        DD_READERS[reader](mdp, np.full(shape, 1.0 / np.prod(shape)))
 
 
 class TestStabilitySweep:

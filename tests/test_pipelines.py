@@ -82,6 +82,19 @@ class TestConfigValidation:
                 data_dist={"kind": "explicit", "mass": [[1.0]]},
             )
 
+    @pytest.mark.parametrize(
+        "over, want",
+        [({"alpha": float("inf")}, "alpha must be nonnegative and finite"),
+         ({"alpha": float("nan")}, "alpha must be nonnegative and finite"),
+         ({"variant": {"kind": "capped", "cap": float("inf")}}, "cap must be positive and finite"),
+         ({"variant": {"kind": "capped", "cap": float("nan")}}, "cap must be positive and finite"),
+         ({"variant": {"kind": "capped", "cap": 0.0}}, "cap must be positive and finite")],
+        ids=["alpha_inf", "alpha_nan", "cap_inf", "cap_nan", "cap_zero"],
+    )
+    def test_non_finite_alpha_or_cap_is_a_config_error(self, over, want):
+        with pytest.raises(PipelineError, match=rf"^\[config\] .*{want}"):
+            base_config(**over)
+
     def test_inexact_needs_both_slacks(self):
         with pytest.raises(PipelineError, match=r"variant kind 'inexact' needs \['eps_ow'\]"):
             base_config(variant={"kind": "inexact", "eps_ov": 0.01})
