@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .datasets import CountedDataset, law_counts
-from .mdp import TabularMdp, _mass_of
+from .mdp import TabularMdp, _mass_of, data_dist_mass
 from .regularizers import Regularizer
 
 
@@ -83,6 +83,9 @@ def population_lagrangian_members(
 def weighted_l2(w_a: np.ndarray, w_b: np.ndarray, data_dist) -> float:
     """||w_a - w_b||_{2, d^D} = sqrt( E_dD[(w_a - w_b)^2] ), support cells only."""
     dd = _mass_of(data_dist)
+    if not dd.shape == np.shape(w_a) == np.shape(w_b):
+        raise ValueError(f"data distribution shape {dd.shape} does not match the weights' "
+                         f"{np.shape(w_a)} and {np.shape(w_b)}")
     pos = dd > 0.0
     diff = np.asarray(w_a, dtype=float)[pos] - np.asarray(w_b, dtype=float)[pos]
     return float(np.sqrt(np.sum(dd[pos] * diff**2)))
@@ -102,7 +105,7 @@ def approximation_errors(
     the data state marginal, and the data's one-step pushforward. eps_rw is
     the d^D-weighted L1 distance to the target weight.
     """
-    dd = _mass_of(data_dist)
+    dd = data_dist_mass(mdp, data_dist)
     dd_state = dd.sum(axis=1)
     push = np.einsum("sa,sat->t", dd, mdp.transition)
     v_star = np.asarray(v_star, dtype=float)

@@ -7,7 +7,8 @@ The regularized problem (for a data distribution d^D with support cells c):
 
 two independent solution paths are provided:
 
-  "saddle"  damped semismooth Newton on the dual, started from v = 0; the
+  "saddle"  damped semismooth Newton on the dual, started from the data's own
+            occupancy: the d^D-weighted least-squares v with w = 1. The
             weight is always the clipped stationarity form of the dual
             variable, so the returned pair is machine-accurate on both the
             flow constraints and the stationarity conditions. When Newton
@@ -34,6 +35,10 @@ residual.
 
 The unregularized optimum and the coverage bound B_wu share one routine,
 Howard policy iteration batched over reward tables.
+
+scipy's HiGHS (``linprog`` and the private ``_highspy._core``) is imported by
+the functions that call it, so a run that never needs an LP or a QP never
+loads ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -42,8 +47,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.optimize._highspy import _core as highspy
 
 from .mdp import Occupancy, Policy, TabularMdp, data_dist_mass, exact_occupancy
 from .regularizers import Regularizer
@@ -54,8 +57,8 @@ _NEWTON_MAX_STEPS = 200
 _PHASE1_TOL = 1e-9  # phase-1 objective (L1 flow violation) above which the polytope is empty
 _MAX_SWEEPS = 1000  # random MDPs up to 14 states and gamma 0.999 settle within 6 sweeps
 # Newton steps in a row without a new lowest |Phi| before it hands over to the qp path:
-# solved oracle_stream pool instances go at most 27 such steps, and on the low-alpha
-# stress draws where Newton stalls the exit fires after 32 to 137 steps, not 200
+# solved oracle_stream pool instances go at most 6 such steps, and on the low-alpha
+# stress draws where Newton stalls the exit fires after 32 to 140 steps, not 200
 _STALL_STEPS = 30
 _POLISH_BAND = 1e-7  # a QP point within this of a box bound is polished as active there
 _STABLE_W_TOL = 1e-6  # sup-norm distance within which a sweep's weight counts as the limit's
@@ -158,6 +161,8 @@ class StrongConcentrability:
 
 def _check_flow_feasible(sup: _Support) -> None:
     """Phase-1 linear program; raises FlowInfeasibleError when empty."""
+    from scipy.optimize import linprog
+
     m, s = sup.num_cells, sup.num_states
     # variables: [d (m), slack+ (S), slack- (S)]
     c = np.concatenate([np.zeros(m), np.ones(2 * s)])
@@ -198,12 +203,21 @@ def _kkt_residuals(sup: _Support, reg: Regularizer, alpha: float, v, w_cells) ->
 
 
 def _newton(sup, reg, alpha):
-    """Damped semismooth Newton on the dual, started from v = 0.
+    """Damped semismooth Newton on the dual, started from the data's own occupancy.
 
     The dual g(v) = (1-gamma) mu0.v + sum_c d^D_c max_{0<=w<=cap} (e_c w - alpha f(w)),
     e = r - B v, is convex with the piecewise-linear gradient -Phi(v), where
-    Phi(v) = B^T(d^D w(v)) - (1-gamma) mu0. Each step solves
-    (H + ridge |Phi| I) s = Phi, with H the generalized Hessian over the
+    Phi(v) = B^T(d^D w(v)) - (1-gamma) mu0.
+
+    The start is the v at which w = 1, the primal d = d^D, is stationary in the
+    d^D-weighted least-squares sense: (B^T D B) v = B^T D (r - alpha f'(1)), a
+    Bellman equation on the behavior data (LSTD, Bradtke & Barto 1996). A
+    covered cell at every state makes B^T D B nonsingular; where it is singular
+    (a state that no covered cell reaches) the start is v = 0. From v = 0 a
+    low-alpha instance has every covered cell at a bound, where H is zero and
+    the first steps are ridge-only.
+
+    Each step solves (H + ridge |Phi| I) s = Phi, with H the generalized Hessian over the
     interior cells and the ridge added on its diagonal; the ridge keeps the
     system definite where H is singular and vanishes at the solution. The
     ridge factor shrinks after a full step and grows after a shortened one
@@ -227,7 +241,10 @@ def _newton(sup, reg, alpha):
         return e, w, float(mu_term @ v + weights @ (e * w - alpha * reg.eval(w)))
 
     floor = rewards.min() - alpha * reg.eval(cap_eff)
-    v = np.zeros(sup.num_states)
+    try:  # the d^D-weighted Bellman solution at w = 1, where e = alpha f'(1) = scale
+        v = np.linalg.solve((b_t * weights) @ b_mat, b_t @ (weights * (rewards - scale)))
+    except np.linalg.LinAlgError:  # a state that no covered cell reaches
+        v = np.zeros(sup.num_states)
     e, w, g = at(v)
     phi = b_t @ (weights * w) - mu_term
     norm = float(np.abs(phi).max())
@@ -271,6 +288,8 @@ def _highs_qp(q_diag, lin, a_mat, b_vec, upper):
     Returns (x clipped to the box, multipliers nu with q x - lin + a_mat^T nu
     = 0 on the free variables, model status, QP iterations).
     """
+    from scipy.optimize._highspy import _core as highspy
+
     s, m = a_mat.shape
     model = highspy.HighsModel()
     lp = model.lp_
@@ -365,7 +384,8 @@ def solve_regularized(
     cap : explicit weight bound B_w, or None for the uncapped problem (a wide
         box ten times the largest feasible ratio is used internally and must
         be inactive at the solution).
-    method : "saddle" (default): damped Newton on the dual from v = 0, and
+    method : "saddle" (default): damped Newton on the dual from the
+        d^D-weighted least-squares v (see ``_newton``), and
         the "qp" path on the same support when Newton stalls above the KKT
         tolerance. "qp": the primal QP by HiGHS with an active-set polish
         only; it shares no iteration logic with Newton and serves as the
@@ -576,6 +596,8 @@ def _support_lp(mdp: TabularMdp, data_dist, cap: Optional[float] = None):
     FlowInfeasibleError naming its most violated state; any other failure
     raises SolverConvergenceError.
     """
+    from scipy.optimize import linprog
+
     sup = _build_support(mdp, data_dist, cap)
     res = linprog(
         -sup.rewards,
@@ -602,6 +624,8 @@ def min_f_divergence_weight(
     covered flow polytope is empty, and SolverConvergenceError unless HiGHS
     reports an optimum within 1e-8 of the face.
     """
+    from scipy.optimize._highspy import _core as highspy
+
     sup, res = _support_lp(mdp, data_dist)
     j_star = float(-res.fun)
     # optimal face: flow constraints plus the value equality

@@ -25,6 +25,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import numbers
 import pickle
 import re
 from collections import OrderedDict
@@ -113,9 +114,15 @@ _DEFAULT_KINDS = {"reg": "quadratic", "bc": "target_plus_mixes"}
 _OPTIONAL_KEYS = {"mdp": {"mixing", "instance"}, "reg": {"m_f"},
                   "classes": {"num_distractors", "seed"}, "bc": {"n1", "mix_grid", "directions"}}
 _RUN_FIELDS = {"n": 1, "n0": 1, "seed": 0, "w_order": None}  # per run; Instance.config holds these
+# the integer keys each block reads, with their least value (None: checked where read); a bool
+# is not read as an integer, although Python's bool is one; block "" is the config's own fields
+_INT_KEYS = {"": {"n": 1, "n0": 1, "seed": 0},
+             "mdp": {"num_states": 1, "num_actions": 1, "seed": 0, "instance": None},
+             "classes": {"num_distractors": None, "seed": 0}, "bc": {"n1": None}}
 _MIX_DIRECTION = re.compile(r"uniform|complement|roll-?\d+")
 # from_dict's cast per field annotation; an empty w_order reads as None
-_CASTS = {"float": float, "int": int, "Optional[tuple]": lambda v: tuple(v or ()) or None}
+_CASTS = {"float": float, "int": lambda v: v if isinstance(v, bool) else int(v),
+          "Optional[tuple]": lambda v: tuple(v or ()) or None}
 
 
 class PipelineError(RuntimeError):
@@ -126,6 +133,17 @@ class PipelineError(RuntimeError):
             raise ValueError(f"unknown stage {stage!r}")
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
+
+
+def _check_int(block: str, key: str, value, least) -> None:
+    """Raise a config error unless value is a number, not a bool, and not below least (if set)."""
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        problem = "must be an integer"
+    elif least is not None and not value >= least:
+        problem = f"must be at least {least}"
+    else:
+        return
+    raise PipelineError("config", f"{block} {key}".lstrip() + f" {problem}, got {value!r}")
 
 
 def _canonical_json(payload) -> str:
@@ -177,6 +195,15 @@ class ExperimentConfig:
                        if k not in spec and k not in _OPTIONAL_KEYS.get(block, ())]
             if missing:
                 raise PipelineError("config", f"{block} kind {kind!r} needs {missing}")
+        for block, keys in _INT_KEYS.items():
+            spec = self.__dict__ if block == "" else getattr(self, block) or {}
+            for key, least in keys.items():
+                if key in spec:
+                    _check_int(block, key, spec[key], least)
+        try:
+            Regularizer.from_config(self.reg)
+        except (TypeError, ValueError) as err:
+            raise PipelineError("config", f"reg: {err}") from None
         for name in (self.bc or {}).get("directions", ()):
             if not _MIX_DIRECTION.fullmatch(str(name)):
                 raise PipelineError("config", f"unknown mix direction {name!r}")
@@ -201,10 +228,6 @@ class ExperimentConfig:
         if variant_kind == "capped" and not behavior:
             raise PipelineError("config",
                                 "the capped variant needs a behavior-policy data distribution")
-        if self.n < 1:
-            raise PipelineError("config", "n must be at least 1")
-        if self.n0 < 1:
-            raise PipelineError("config", "n0 must be at least 1: every dataset has initial states")
         if not (0.0 < self.delta < 1.0):
             raise PipelineError("config", "delta must lie in (0, 1)")
 

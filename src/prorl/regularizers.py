@@ -19,8 +19,9 @@ class Regularizer:
     m_f: float = 1.0
 
     def __post_init__(self):
-        if self.m_f <= 0.0:
-            raise ValueError(f"m_f must be positive for strong convexity, got {self.m_f}")
+        if not 0.0 < self.m_f < np.inf:
+            raise ValueError(
+                f"m_f must be positive and finite for strong convexity, got {self.m_f}")
 
     def eval(self, x):
         """f(x), elementwise on arrays."""

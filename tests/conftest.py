@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, settings
 
-from prorl import pipelines
+from prorl import oracle, pipelines
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -22,3 +22,13 @@ settings.load_profile("ci")
 def cold_instances():
     """Each test starts with no prepared instance, so its counts do not depend on test order."""
     pipelines._registry.clear()
+
+
+@pytest.fixture
+def no_solver(monkeypatch):
+    """_newton and _highs_qp raise if called, so an input check that misses fails, not hangs."""
+    def never(*args, **kwargs):
+        raise AssertionError("a solver ran on an input that should have been rejected")
+
+    monkeypatch.setattr(oracle, "_newton", never)
+    monkeypatch.setattr(oracle, "_highs_qp", never)

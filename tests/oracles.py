@@ -200,7 +200,7 @@ def covered_lp_optimum(mdp, data_mass):
 
 
 def reference_newton(b_mat, weights, rewards, mu_term, reg, alpha, cap_eff, tol,
-                     stall_steps, max_iter=200):
+                     stall_steps, max_iter=200, v0=None):
     """A frozen copy of the oracle's damped Newton loop on the dual, on plain arrays.
 
     b_mat (m, S), weights (m,) and rewards (m,) are the covered cells' flow
@@ -208,7 +208,10 @@ def reference_newton(b_mat, weights, rewards, mu_term, reg, alpha, cap_eff, tol,
     package's as first written (np.clip, a fresh identity per ridge, Phi at
     every trial point), so a test comparing the two pins every iterate bit for
     bit: any rounding change in the package's loop shows here by name rather
-    than as digest drift. Returns (v, w, iterations).
+    than as digest drift. v0 = None takes the package's start, the
+    d^D-weighted least-squares solution of B v = r - alpha f'(1) (v = 0 where
+    B^T D B is singular); any other v0 is the start itself. Returns (v, w,
+    iterations).
     """
     scale = alpha * reg.m_f
 
@@ -219,7 +222,14 @@ def reference_newton(b_mat, weights, rewards, mu_term, reg, alpha, cap_eff, tol,
         return e, w, g, b_mat.T @ (weights * w) - mu_term
 
     floor = rewards.min() - alpha * reg.eval(cap_eff)
-    v = np.zeros(b_mat.shape[1])
+    if v0 is not None:
+        v = np.asarray(v0, dtype=float)
+    else:
+        try:
+            v = np.linalg.solve((b_mat.T * weights) @ b_mat,
+                                b_mat.T @ (weights * (rewards - scale)))
+        except np.linalg.LinAlgError:
+            v = np.zeros(b_mat.shape[1])
     e, w, g, phi = at(v)
     norm = np.abs(phi).max()
     ridge = 1.0

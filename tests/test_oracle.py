@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.optimize._highspy import _core as highspy
 
 from prorl import oracle
 from prorl.bounds import recommended_alpha
@@ -18,7 +19,7 @@ from prorl.mdp import (
     random_mdp,
     uniform_policy,
 )
-from prorl.objective import residual_ev
+from prorl.objective import approximation_errors, residual_ev, weighted_l2
 from prorl.oracle import (
     FlowInfeasibleError,
     SolverConvergenceError,
@@ -235,12 +236,12 @@ def low_alpha_instance(k):
 
 
 def newton_stall_instance():
-    """Low-alpha draw 183, a capped instance at alpha ~1.8e-4.
+    """Low-alpha draw 63, a capped instance (S 6, A 3, cap 1.5) at alpha ~5.4e-5.
 
-    Newton runs out of steps here (and at alpha 10 % either side); the "qp"
-    path solves it.
+    Newton runs out of steps here (and at alpha 10 % either side), from the
+    least-squares start as from v = 0; the "qp" path solves it.
     """
-    return low_alpha_instance(183)
+    return low_alpha_instance(63)
 
 
 def rate_unregularized_instance(n=1000):
@@ -362,9 +363,60 @@ def test_newton_iterates_match_the_frozen_loop():
         assert (v.tobytes(), w.tobytes(), its) == (v_ref.tobytes(), w_ref.tobytes(), its_ref)
 
 
+def zero_start_newton(sup, reg, alpha):
+    """The frozen Newton loop on a support from v = 0, the start before the least-squares one."""
+    return reference_newton(sup.b_mat, sup.weights, sup.rewards, sup.flow_rhs, reg, alpha, sup.cap,
+                            oracle._NEWTON_TOL, oracle._STALL_STEPS, v0=np.zeros(sup.num_states))
+
+
+def test_least_squares_start_takes_fewer_steps_than_zero():
+    # from v = 0 every covered cell of a low-alpha draw sits at a bound, so
+    # Newton's first steps are ridge-only; the d^D-weighted Bellman solution
+    # at w = 1 starts it past that plateau
+    ours = zero = 0
+    for (mdp, dd, alpha, cap), is_feasible in hard_family(0):
+        if not is_feasible:
+            continue
+        sup = oracle._build_support(mdp, dd, cap)
+        ours += oracle._newton(sup, Regularizer(), alpha)[2]
+        zero += zero_start_newton(sup, Regularizer(), alpha)[2]
+    assert ours < zero
+
+
+def test_data_weights_that_are_optimal_take_no_step():
+    # equal rewards and uniform data: w = 1 solves the problem, and the
+    # least-squares start is its dual, so Newton starts at the solution
+    mdp = bandit_mdp()
+    sup = oracle._build_support(mdp, np.array([[0.5, 0.5]]))
+    for alpha in (0.05, 0.5, 2.0):
+        _, w, iterations = oracle._newton(sup, Regularizer(), alpha)
+        assert iterations == 0
+        np.testing.assert_allclose(w, 1.0, rtol=0.0, atol=1e-15)
+
+
+def test_singular_start_begins_at_zero():
+    # state 1 is uncovered, has no initial mass and no covered cell reaches
+    # it: B^T D B has a zero row and column, so Newton starts from v = 0
+    transition = np.zeros((2, 2, 2))
+    transition[0, :, 0] = transition[1, :, 0] = 1.0
+    mdp = TabularMdp(2, 2, transition, np.array([[1.0, 0.2], [0.5, 0.5]]), 0.8,
+                     np.array([1.0, 0.0]))
+    dd = np.array([[0.5, 0.5], [0.0, 0.0]])
+    sup = oracle._build_support(mdp, dd)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve((sup.b_mat.T * sup.weights) @ sup.b_mat, np.ones(2))
+    reg, alpha = Regularizer(), 0.01
+    v, w, its = oracle._newton(sup, reg, alpha)
+    v_ref, w_ref, its_ref = zero_start_newton(sup, reg, alpha)
+    assert (v.tobytes(), w.tobytes(), its) == (v_ref.tobytes(), w_ref.tobytes(), its_ref)
+    sol = solve_regularized(mdp, dd, reg, alpha)
+    assert sol.method == "saddle" and sol.kkt_residual <= 1e-8
+    assert sol.v_star[1] == 0.0
+
+
 def failed_highs_qp(q_diag, lin, a_mat, b_vec, upper):
     """Stand-in for a HiGHS QP solve that fails: the zero point and kSolveError."""
-    status = oracle.highspy.HighsModelStatus.kSolveError
+    status = highspy.HighsModelStatus.kSolveError
     return np.zeros_like(q_diag), np.zeros(a_mat.shape[0]), status, 0
 
 
@@ -376,7 +428,7 @@ class TestHighsQp:
         x, nu, status, _ = oracle._highs_qp(
             np.ones(2), np.array([3.0, 0.0]), np.ones((1, 2)), np.ones(1), np.array([0.6, 5.0])
         )
-        assert status == oracle.highspy.HighsModelStatus.kOptimal
+        assert status == highspy.HighsModelStatus.kOptimal
         np.testing.assert_allclose(x, [0.6, 0.4], rtol=0.0, atol=1e-10)
         assert nu[0] < 0.0
 
@@ -558,16 +610,6 @@ class TestStrongConcentrability:
             assert (marginal / dd_state).max() <= res.b_wu + 1e-12
 
 
-@pytest.fixture
-def no_solver(monkeypatch):
-    """_newton and _highs_qp raise if called, so an input check that misses fails, not hangs."""
-    def never(*args, **kwargs):
-        raise AssertionError("a solver ran on an input that should have been rejected")
-
-    monkeypatch.setattr(oracle, "_newton", never)
-    monkeypatch.setattr(oracle, "_highs_qp", never)
-
-
 class TestNonFiniteInputs:
     @pytest.mark.parametrize("alpha", [np.inf, np.nan])
     def test_alpha_is_rejected_by_name(self, no_solver, alpha):
@@ -595,6 +637,9 @@ DD_READERS = {
     "lp_stability_sweep": lambda mdp, dd: lp_stability_sweep(mdp, dd, Regularizer(), [0.2, 0.1]),
     "law_counts": lambda mdp, dd: law_counts(mdp, dd, 10, 2),
     "DatasetSampler": DatasetSampler,
+    "approximation_errors": lambda mdp, dd: approximation_errors(
+        mdp, dd, np.zeros(4), np.ones((4, 3)), [np.zeros(4)], [np.ones((4, 3))]),
+    "weighted_l2": lambda mdp, dd: weighted_l2(np.ones((4, 3)), np.zeros((4, 3)), dd),
 }
 
 
@@ -603,7 +648,7 @@ DD_READERS = {
 def test_mis_shaped_data_dist_is_rejected(reader, shape):
     # a uniform d^D sums to 1 and is nonnegative: only its shape is wrong
     mdp = random_mdp(4, 3, 0.8, seed=1)
-    with pytest.raises(ValueError, match="shape"):
+    with pytest.raises(ValueError, match="data distribution shape"):
         DD_READERS[reader](mdp, np.full(shape, 1.0 / np.prod(shape)))
 
 

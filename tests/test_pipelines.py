@@ -1,3 +1,4 @@
+import json
 import sys
 import tracemalloc
 from collections import Counter
@@ -235,6 +236,53 @@ class TestConfigValidation:
         payload = base_config().to_dict()
         assert "bc" not in payload and "w_order" not in payload
         assert ExperimentConfig.from_dict({**payload, "w_order": []}).w_order is None
+
+
+MDP_SPEC = {"kind": "random", "num_states": 5, "num_actions": 3, "gamma": 0.8, "seed": 2}
+CLASSES_SPEC = {"kind": "realizable", "num_distractors": 6, "seed": 0}
+
+
+class TestConfigEdges:
+    """Each edge value fails at config, read from JSON as ``pro-rl solve`` reads it.
+
+    Under ``no_solver``, so a value the config check misses fails at a later
+    stage instead of running a solver: m_f = inf once hung inside LAPACK.
+    """
+
+    @pytest.mark.parametrize(
+        "over, want",
+        [
+            ({"reg": {"m_f": float("inf")}}, "m_f must be positive and finite"),
+            ({"reg": {"m_f": float("-inf")}}, "m_f must be positive and finite"),
+            ({"reg": {"m_f": float("nan")}}, "m_f must be positive and finite"),
+            ({"mdp": {**MDP_SPEC, "num_states": 0}}, "mdp num_states must be at least 1"),
+            ({"mdp": {**MDP_SPEC, "num_actions": 0}}, "mdp num_actions must be at least 1"),
+            ({"mdp": {**MDP_SPEC, "num_states": -2}}, "mdp num_states must be at least 1"),
+            ({"n": True}, "n must be an integer, got True"),
+            ({"n0": True}, "n0 must be an integer, got True"),
+            ({"seed": True}, "seed must be an integer, got True"),
+            ({"mdp": {**MDP_SPEC, "num_states": True}}, "mdp num_states must be an integer"),
+            ({"mdp": {**MDP_SPEC, "seed": False}}, "mdp seed must be an integer"),
+            ({"classes": {**CLASSES_SPEC, "num_distractors": True}},
+             "classes num_distractors must be an integer"),
+            ({"classes": {**CLASSES_SPEC, "seed": True}}, "classes seed must be an integer"),
+            ({"n": 2500, "bc": {"n1": True}}, "bc n1 must be an integer"),
+            ({"mdp": {"kind": "counterexample", "gamma": 0.5, "instance": True}},
+             "mdp instance must be an integer"),
+            ({"seed": -1}, "seed must be at least 0, got -1"),
+            ({"mdp": {**MDP_SPEC, "seed": -1}}, "mdp seed must be at least 0"),
+            ({"classes": {**CLASSES_SPEC, "seed": -1}}, "classes seed must be at least 0"),
+        ],
+        ids=["m_f_inf", "m_f_minus_inf", "m_f_nan", "zero_states", "zero_actions",
+             "negative_states", "n_bool", "n0_bool", "seed_bool", "states_bool", "mdp_seed_bool",
+             "distractors_bool", "classes_seed_bool", "n1_bool", "instance_bool", "negative_seed",
+             "negative_mdp_seed", "negative_classes_seed"],
+    )
+    def test_edge_value_fails_at_config(self, no_solver, over, want):
+        payload = {**base_config().to_dict(), **over}
+        with pytest.raises(PipelineError, match=want) as info:
+            run_pro_rl(ExperimentConfig.from_dict(json.loads(json.dumps(payload))))
+        assert info.value.stage == "config"
 
 
 class TestResolvers:
@@ -694,7 +742,7 @@ class TestPrepareOnce:
 
     def test_spliced_hash_matches_for_values_that_are_not_ints(self):
         inst = prepare(base_config())
-        for over in ({"n": 1500.0}, {"n0": 2.5}, {"seed": True}, {"seed": -3}):
+        for over in ({"n": 1500.0}, {"n0": 2.5}, {"seed": 3.0}):
             cfg = base_config(**over)
             assert inst.config_hash(cfg) == cfg.config_hash
 
