@@ -117,7 +117,7 @@ def test_payoff_matrix_rate_regularized(benchmark, n):
     fx = rate_regularized_fixture()
     mdp = resolve_mdp(fx["mdp"])
     dd, _ = resolve_data_dist(mdp, fx["data_dist"])
-    reg = Regularizer.from_config(fx["reg"])
+    reg = Regularizer(m_f=fx["reg"]["m_f"])
     v_members = ValueClass.from_config(fx["classes"]["value_class"]).stack  # as prepare passes them
     w_members = WeightClass.from_config(fx["classes"]["weight_class"]).stack
     data = DatasetSampler(mdp, dd).count(n, n, seed=0)[0]
@@ -129,7 +129,7 @@ def test_bc_objective_bc_scaling(benchmark):
     fx = bc_fixture()
     mdp = resolve_mdp(fx["mdp"])
     dd, _ = resolve_data_dist(mdp, fx["data_dist"])
-    sol = solve_regularized(mdp, dd, Regularizer.from_config(fx["reg"]), fx["alpha"])
+    sol = solve_regularized(mdp, dd, Regularizer(m_f=fx["reg"]["m_f"]), fx["alpha"])
     policies = _resolve_policy_class(fx["bc"], sol.pi_star, mdp.num_actions)
     held = DatasetSampler(mdp, dd).count(8000, 0, seed=0)[0]
     out = benchmark(bc_objective_matrix, sol.w_star, held, policies)
@@ -140,7 +140,7 @@ def test_clone_policy_bc_scaling(benchmark):
     fx = bc_fixture()
     mdp = resolve_mdp(fx["mdp"])
     dd, _ = resolve_data_dist(mdp, fx["data_dist"])
-    sol = solve_regularized(mdp, dd, Regularizer.from_config(fx["reg"]), fx["alpha"])
+    sol = solve_regularized(mdp, dd, Regularizer(m_f=fx["reg"]["m_f"]), fx["alpha"])
     policies = _resolve_policy_class(fx["bc"], sol.pi_star, mdp.num_actions)
     held = DatasetSampler(mdp, dd).count(8000, 0, seed=0)[0]
     out = benchmark(clone_policy, sol.w_star, held, policies)

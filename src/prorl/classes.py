@@ -47,7 +47,7 @@ class ValueClass:
     def __post_init__(self):
         if not self.members:
             raise ValueError("value class needs at least one member")
-        if self.b_v <= 0 or self.lower >= self.b_v:
+        if not (self.b_v > 0 and self.lower < self.b_v):  # NaN fails
             raise ValueError("value box must have lower < b_v with b_v > 0")
         for i, v in enumerate(self.members):
             if v.ndim != 1:
@@ -94,7 +94,7 @@ class WeightClass:
     def __post_init__(self):
         if not self.members:
             raise ValueError("weight class needs at least one member")
-        if self.b_w <= 0:
+        if not self.b_w > 0:  # NaN fails
             raise ValueError("b_w must be positive")
         for i, w in enumerate(self.members):
             if w.ndim != 2:
@@ -242,7 +242,7 @@ def build_misspecified(
     exactly 0.0. Box distractors pad the classes; the realized best-in-class
     errors are recomputed by enumeration and returned alongside the classes.
     """
-    if perturbation < 0:
+    if not perturbation >= 0:  # NaN fails
         raise ValueError("perturbation must be nonnegative")
     v_star, w_star = solution.v_star, solution.w_star
     b_w = max(1.0, float(w_star.max())) + perturbation

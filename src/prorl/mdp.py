@@ -193,7 +193,10 @@ def data_dist_mass(mdp: TabularMdp, d) -> np.ndarray:
 
 
 def policy_transition_matrix(mdp: TabularMdp, policy: Policy) -> np.ndarray:
-    """State-to-state transition matrix P_pi[s, s'] under the policy."""
+    """State-to-state transition matrix P_pi[s, s'] under the policy, which must be (S, A)."""
+    shape = (mdp.num_states, mdp.num_actions)
+    if policy.probs.shape != shape:
+        raise ValueError(f"policy shape {policy.probs.shape} does not match the MDP's {shape}")
     return np.einsum("sa,sat->st", policy.probs, mdp.transition)
 
 

@@ -25,11 +25,10 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import numbers
 import pickle
 import re
 from collections import OrderedDict
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -82,47 +81,81 @@ PIPELINE_STAGES = (
     "evaluation",
 )
 
-_DRAWN_KEYS = ("kind", "num_distractors", "seed")
-_MDP_KEYS = ("kind", "num_states", "num_actions", "gamma")
-_BLOCK_KEYS = {  # the keys each config block reads, per kind
+_NEEDED = object()  # the default of a key that its kind cannot do without
+_KIND = (None, "a kind the block lists", None)  # tested by the kind lookup, which picks the keys
+
+
+def _real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _integer(least: int) -> tuple:
+    """The test and spelling of an integer key; a bool is not read as one, although it is an int."""
+    return (lambda v: type(v) is int and v >= least), f"an integer >= {least}"
+
+
+_SIZE, _SEED = (*_integer(1), _NEEDED), (*_integer(0), _NEEDED)
+_NONNEGATIVE = (lambda v: _real(v) and 0 <= v < np.inf), "nonnegative and finite"
+_SLACK = (lambda v: _real(v) and v >= 0, "nonnegative", _NEEDED)
+_MDP = {"kind": _KIND, "num_states": _SIZE, "num_actions": _SIZE,
+        "gamma": (lambda v: _real(v) and 0 <= v < 1, "in [0, 1)", _NEEDED)}
+_DRAWN = {"kind": _KIND, "num_distractors": (*_integer(0), 8), "seed": (*_integer(0), 0)}
+# block -> kind -> key -> (test, spelling, default): every key a config reads, the values it
+# takes and the value it reads when the key is left out (_NEEDED: the kind needs the key). A
+# test of None marks a key its reader checks: the kind, and the arrays and class tables. Block
+# "" is the config's own fields; a block of one kind may leave its kind out.
+_BLOCK_KEYS = {
+    "": {None: {"n": _SIZE, "n0": _SIZE, "seed": _SEED, "alpha": (*_NONNEGATIVE, _NEEDED),
+                "delta": (lambda v: _real(v) and 0 < v < 1, "in (0, 1)", 0.1)}},
     "mdp": {
-        "random": _MDP_KEYS + ("seed",),
-        "mixing": _MDP_KEYS + ("seed", "mixing"),
-        "counterexample": ("kind", "gamma", "instance"),
-        "inline": _MDP_KEYS + ("transition", "reward", "init_dist"),  # TabularMdp.to_dict
+        "random": {**_MDP, "seed": _SEED},
+        "mixing": {**_MDP, "seed": _SEED,
+                   "mixing": (lambda v: _real(v) and 0 < v <= 1, "in (0, 1]", 0.5)},
+        "counterexample": {"kind": _KIND,
+                           "gamma": (lambda v: _real(v) and 0 < v < 1, "in (0, 1)", _NEEDED),
+                           "instance": (lambda v: type(v) is int and v in (1, 2), "1 or 2", 1)},
+        "inline": {**_MDP,  # the keys TabularMdp.to_dict writes
+                   "transition": (None, "an (S, A, S) array of distributions over S", _NEEDED),
+                   "reward": (None, "an (S, A) array in [0, 1]", _NEEDED),
+                   "init_dist": (None, "a distribution over S", _NEEDED)},
     },
-    "data_dist": {"uniform_policy": ("kind",), "policy": ("kind", "probs"),
-                  "explicit": ("kind", "mass")},
-    "reg": {"quadratic": ("kind", "m_f")},
+    "data_dist": {
+        "uniform_policy": {"kind": _KIND},
+        "policy": {"kind": _KIND, "probs": (None, "an (S, A) behavior policy", _NEEDED)},
+        "explicit": {"kind": _KIND, "mass": (None, "an (S, A) distribution", _NEEDED)},
+    },
+    "reg": {"quadratic": {"kind": _KIND, "m_f": (lambda v: _real(v) and 0 < v < np.inf,
+                                                 "positive and finite", Regularizer.m_f)}},
     "variant": {
-        "plain": ("kind",),
-        "inexact": ("kind", "eps_ov", "eps_ow"),
-        "capped": ("kind", "cap"),
-        "alpha_zero": ("kind",),
+        "plain": {"kind": _KIND},
+        "inexact": {"kind": _KIND, "eps_ov": _SLACK, "eps_ow": _SLACK},  # inf: any pair
+        "capped": {"kind": _KIND,  # w d^D sums to 1, so a cap below 1 admits no occupancy
+                   "cap": (lambda v: _real(v) and 1 <= v < np.inf, "at least 1 and finite",
+                           _NEEDED)},
+        "alpha_zero": {"kind": _KIND},
     },
     "classes": {
-        "realizable": _DRAWN_KEYS,
-        "misspecified": _DRAWN_KEYS + ("perturbation",),
-        "constrained": _DRAWN_KEYS,
-        "explicit": ("kind", "value_class", "weight_class"),
+        "realizable": _DRAWN,
+        "misspecified": {**_DRAWN, "num_distractors": (*_integer(0), 0),
+                         "perturbation": (*_NONNEGATIVE, _NEEDED)},
+        "constrained": _DRAWN,
+        "explicit": {"kind": _KIND,
+                     "value_class": (None, "a ValueClass.to_config table", _NEEDED),
+                     "weight_class": (None, "a WeightClass.to_config table", _NEEDED)},
     },
-    "dataset": {"sampled": ("kind",), "exact_frequency": ("kind",)},
-    "bc": {"target_plus_mixes": ("kind", "n1", "mix_grid", "directions")},
+    "dataset": {"sampled": {"kind": _KIND}, "exact_frequency": {"kind": _KIND}},
+    "bc": {"target_plus_mixes": {
+        "kind": _KIND,
+        "n1": (*_integer(1), lambda n: round(0.9 * n)),  # a share of the run's n
+        "mix_grid": (lambda v: isinstance(v, (list, tuple))
+                     and all(_real(u) and 0 <= u <= 1 for u in v),
+                     "a list of numbers in [0, 1]", [0.25, 0.5, 1.0]),
+        "directions": (lambda v: isinstance(v, (list, tuple)) and all(
+            isinstance(d, str) and re.fullmatch(r"uniform|complement|roll-?\d+", d) for d in v),
+                       "a list of 'uniform', 'complement' and 'rollK' for integers K", ["uniform"]),
+    }},
 }
-_DEFAULT_KINDS = {"reg": "quadratic", "bc": "target_plus_mixes"}
-# the keys a block may leave out, read with a default; a kind needs every other key it reads
-_OPTIONAL_KEYS = {"mdp": {"mixing", "instance"}, "reg": {"m_f"},
-                  "classes": {"num_distractors", "seed"}, "bc": {"n1", "mix_grid", "directions"}}
 _RUN_FIELDS = {"n": 1, "n0": 1, "seed": 0, "w_order": None}  # per run; Instance.config holds these
-# the integer keys each block reads, with their least value (None: checked where read); a bool
-# is not read as an integer, although Python's bool is one; block "" is the config's own fields
-_INT_KEYS = {"": {"n": 1, "n0": 1, "seed": 0},
-             "mdp": {"num_states": 1, "num_actions": 1, "seed": 0, "instance": None},
-             "classes": {"num_distractors": None, "seed": 0}, "bc": {"n1": None}}
-_MIX_DIRECTION = re.compile(r"uniform|complement|roll-?\d+")
-# from_dict's cast per field annotation; an empty w_order reads as None
-_CASTS = {"float": float, "int": lambda v: v if isinstance(v, bool) else int(v),
-          "Optional[tuple]": lambda v: tuple(v or ()) or None}
 
 
 class PipelineError(RuntimeError):
@@ -135,15 +168,18 @@ class PipelineError(RuntimeError):
         self.stage = stage
 
 
-def _check_int(block: str, key: str, value, least) -> None:
-    """Raise a config error unless value is a number, not a bool, and not below least (if set)."""
-    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
-        problem = "must be an integer"
-    elif least is not None and not value >= least:
-        problem = f"must be at least {least}"
-    else:
-        return
-    raise PipelineError("config", f"{block} {key}".lstrip() + f" {problem}, got {value!r}")
+def _kind_of(block: str, spec: dict):
+    """spec's kind: a block of one kind may leave it out."""
+    kinds = _BLOCK_KEYS[block]
+    return spec.get("kind", next(iter(kinds)) if len(kinds) == 1 else None)
+
+
+def _read(block: str, spec: dict, key: str, *args):
+    """spec[key], or the key's default in ``_BLOCK_KEYS`` (a function's value at args)."""
+    if key in spec:
+        return spec[key]
+    default = _BLOCK_KEYS[block][_kind_of(block, spec)][key][2]
+    return default(*args) if callable(default) else default
 
 
 def _canonical_json(payload) -> str:
@@ -156,8 +192,8 @@ class ExperimentConfig:
 
     mdp / data_dist / reg / classes / variant / dataset are small dicts with
     a "kind" discriminator; bc, when present, configures the cloning stage.
-    ``_BLOCK_KEYS`` lists the kinds of every block and the keys each kind
-    reads. The config hash keys report rows.
+    ``_BLOCK_KEYS`` lists each key every kind reads, with the values it takes
+    and its default. The config hash keys report rows.
     """
 
     mdp: dict
@@ -170,66 +206,47 @@ class ExperimentConfig:
     classes: dict
     variant: dict = field(default_factory=lambda: {"kind": "plain"})
     dataset: dict = field(default_factory=lambda: {"kind": "sampled"})
-    delta: float = 0.1
+    delta: float = _read("", {}, "delta")  # 0.1, as _BLOCK_KEYS declares
     bc: Optional[dict] = None
     w_order: Optional[tuple] = None
 
     def __post_init__(self):
         for block, kinds in _BLOCK_KEYS.items():
-            spec = getattr(self, block)
+            spec = getattr(self, block) if block else self.__dict__
             if spec is None:  # no bc block
                 continue
             if not isinstance(spec, dict):
                 raise PipelineError("config", f"the {block} block must be a dict, not {spec!r}")
-            kind = spec.get("kind", _DEFAULT_KINDS.get(block))
-            if kind not in kinds:
+            kind = _kind_of(block, spec)
+            if not isinstance(kind, str | None) or kind not in kinds:
                 raise PipelineError("config", f"unknown {block} kind {kind!r}")
-            unread = spec.keys() - kinds[kind]
+            keys = kinds[kind]
+            unread = spec.keys() - keys if block else ()
             if unread:
-                raise PipelineError(
-                    "config",
-                    f"{block} kind {kind!r} does not read {sorted(unread)}; "
-                    f"accepted keys: {list(kinds[kind])}",
-                )
-            missing = [k for k in kinds[kind][1:]  # "kind" leads: checked, or defaulted, above
-                       if k not in spec and k not in _OPTIONAL_KEYS.get(block, ())]
+                raise PipelineError("config", f"{block} kind {kind!r} does not read "
+                                              f"{sorted(unread)}; accepted keys: {list(keys)}")
+            missing = [k for k, (*_, default) in keys.items()
+                       if default is _NEEDED and k not in spec]
             if missing:
                 raise PipelineError("config", f"{block} kind {kind!r} needs {missing}")
-        for block, keys in _INT_KEYS.items():
-            spec = self.__dict__ if block == "" else getattr(self, block) or {}
-            for key, least in keys.items():
-                if key in spec:
-                    _check_int(block, key, spec[key], least)
-        try:
-            Regularizer.from_config(self.reg)
-        except (TypeError, ValueError) as err:
-            raise PipelineError("config", f"reg: {err}") from None
-        for name in (self.bc or {}).get("directions", ()):
-            if not _MIX_DIRECTION.fullmatch(str(name)):
-                raise PipelineError("config", f"unknown mix direction {name!r}")
-        if self.bc is not None and self.dataset["kind"] == "exact_frequency":
-            raise PipelineError("config", "the bc cut needs a sampled dataset: exact-frequency "
-                                          "counts have no draw order to cut")
+            for key, (test, spelling, _) in keys.items():
+                if key in spec and test is not None and not test(spec[key]):
+                    raise PipelineError("config", f"{block} {key}".lstrip()
+                                        + f" must be {spelling}, got {spec[key]!r}")
         variant_kind, class_kind = self.variant["kind"], self.classes["kind"]
-        if not 0 <= self.alpha < np.inf:
-            raise PipelineError("config", f"alpha must be nonnegative and finite, got {self.alpha}")
-        if variant_kind == "capped" and not 0 < self.variant["cap"] < np.inf:
-            raise PipelineError("config", f"the capped variant's cap must be positive and finite, "
-                                          f"got {self.variant['cap']}")
         if (self.alpha == 0) != (variant_kind == "alpha_zero"):
             raise PipelineError("config", "alpha=0 exactly when the variant kind is 'alpha_zero'")
         if variant_kind == "alpha_zero" and class_kind not in ("constrained", "explicit"):
-            raise PipelineError(
-                "config",
-                "the alpha=0 variant needs floor/box constrained classes "
-                "(kind 'constrained' or 'explicit' with a floor)",
-            )
-        behavior = self.data_dist["kind"] in ("uniform_policy", "policy")
-        if variant_kind == "capped" and not behavior:
-            raise PipelineError("config",
-                                "the capped variant needs a behavior-policy data distribution")
-        if not (0.0 < self.delta < 1.0):
-            raise PipelineError("config", "delta must lie in (0, 1)")
+            raise PipelineError("config", "the alpha=0 variant needs floor/box constrained classes "
+                                          "(kind 'constrained' or 'explicit' with a floor)")
+        if variant_kind == "capped" and self.data_dist["kind"] not in ("uniform_policy", "policy"):
+            raise PipelineError("config", "the capped variant needs behavior-policy data")
+        if self.bc is not None and self.dataset["kind"] == "exact_frequency":
+            raise PipelineError("config", "the bc cut needs a sampled dataset: exact-frequency "
+                                          "counts have no draw order to cut")
+        if self.bc is not None and not (n1 := _read("bc", self.bc, "n1", self.n)) < self.n:
+            raise PipelineError("config", f"bc n1 must be below n, or the cloning split is empty, "
+                                          f"got n1 = {n1} at n = {self.n}")
 
     def to_dict(self) -> dict:
         """The fields by name, leaving out bc and w_order when they are None."""
@@ -238,14 +255,23 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
+        """The config a JSON object writes: a number is read as its field's type where that
+        is exact (alpha 1 as 1.0, n 1500.0 as 1500), and an empty w_order as None."""
         unknown = set(payload) - {f.name for f in fields(cls)}
         if unknown:
             raise PipelineError("config", f"unknown config keys {sorted(unknown)}")
         for f in fields(cls):
             if f.name not in payload and f.default is MISSING and f.default_factory is MISSING:
                 raise PipelineError("config", f"missing config key {f.name!r}")
-        return cls(**{f.name: _CASTS.get(f.type, lambda v: v)(payload[f.name])
-                      for f in fields(cls) if f.name in payload})
+
+        def read(f, v):
+            if f.type == "float" and type(v) is int:
+                return float(v)
+            if f.type == "int" and type(v) is float and v.is_integer():
+                return int(v)
+            return tuple(v or ()) or None if f.name == "w_order" else v
+
+        return cls(**{f.name: read(f, payload[f.name]) for f in fields(cls) if f.name in payload})
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
@@ -266,18 +292,12 @@ def resolve_mdp(spec: dict) -> TabularMdp:
     if kind == "random":
         return random_mdp(spec["num_states"], spec["num_actions"], spec["gamma"], seed=spec["seed"])
     if kind == "mixing":
-        return build_mixing_mdp(
-            spec["num_states"],
-            spec["num_actions"],
-            spec["gamma"],
-            seed=spec["seed"],
-            mixing=spec.get("mixing", 0.5),
-        )
+        return build_mixing_mdp(spec["num_states"], spec["num_actions"], spec["gamma"],
+                                seed=spec["seed"], mixing=_read("mdp", spec, "mixing"))
     if kind == "counterexample":
-        return build_counterexample(spec["gamma"], spec.get("instance", 1)).mdp
-    if kind == "inline":
-        body = {k: v for k, v in spec.items() if k != "kind"}
-        return TabularMdp.from_dict(body)
+        return build_counterexample(spec["gamma"], _read("mdp", spec, "instance")).mdp
+    if kind == "inline":  # TabularMdp.from_dict reads every key but the kind
+        return TabularMdp.from_dict(spec)
     raise PipelineError("mdp", f"unknown mdp kind {kind!r}")
 
 
@@ -348,46 +368,28 @@ def _resolve_references(mdp, dd, reg, alpha, variant, classes_kind):
 
 def _build_classes(cfg: ExperimentConfig, mdp, dd, reg, exact, w_ref):
     """The value and weight classes with their approximation errors eps_rv, eps_rw."""
-    kind = cfg.classes["kind"]
     spec = cfg.classes
+    kind = spec["kind"]
     if kind == "explicit":
         vc = ValueClass.from_config(spec["value_class"])
         wc = WeightClass.from_config(spec["weight_class"])
         if cfg.variant["kind"] == "alpha_zero" and wc.floor is None:
             raise PipelineError("classes", "alpha=0 explicit classes need a floor")
         return vc, wc, 0.0, 0.0
+    drawn = {key: _read("classes", spec, key) for key in ("num_distractors", "seed")}
     if kind == "constrained":
         anchor_w, anchor_v = w_ref, exact.v_star
         if cfg.variant["kind"] == "alpha_zero":
             anchor_v = np.clip(anchor_v, 0.0, 1.0 / (1.0 - mdp.gamma))
         pi_d = Occupancy(dd).conditional_policy()
-        if cfg.variant["kind"] == "capped":
-            b_w = float(cfg.variant["cap"])
-        else:
-            b_w = max(1.0, float(anchor_w.max()))
-        vc, wc = build_constrained_classes(
-            anchor_v,
-            anchor_w,
-            pi_d,
-            b_w=b_w,
-            b_wl=float((pi_d.probs * anchor_w).sum(axis=1).min()),
-            gamma=mdp.gamma,
-            num_distractors=spec.get("num_distractors", 8),
-            seed=spec.get("seed", 0),
-        )
-        return vc, wc, 0.0, 0.0
+        b_w = (float(cfg.variant["cap"]) if cfg.variant["kind"] == "capped"
+               else max(1.0, float(anchor_w.max())))
+        b_wl = float((pi_d.probs * anchor_w).sum(axis=1).min())
+        return (*build_constrained_classes(anchor_v, anchor_w, pi_d, b_w=b_w, b_wl=b_wl,
+                                           gamma=mdp.gamma, **drawn), 0.0, 0.0)
     # realizable classes are the misspecified ones at perturbation 0, errors exactly 0.0
-    realizable = kind == "realizable"
-    return build_misspecified(
-        exact,
-        0.0 if realizable else spec["perturbation"],
-        mdp,
-        dd,
-        reg=reg,
-        gamma=mdp.gamma,
-        num_distractors=spec.get("num_distractors", 8 if realizable else 0),
-        seed=spec.get("seed", 0),
-    )
+    return build_misspecified(exact, 0.0 if kind == "realizable" else spec["perturbation"], mdp,
+                              dd, reg=reg, gamma=mdp.gamma, **drawn)
 
 
 @dataclass(frozen=True, eq=False)
@@ -451,7 +453,7 @@ class Instance:
     def config_hash(self, cfg: ExperimentConfig) -> str:
         """cfg.config_hash, with cfg's n, n0 and seed spliced into config_json and its
         w_order, the last key, appended unless None."""
-        text = "".join((str(v) if type(v) is int else json.dumps(v)) + piece
+        text = "".join(str(v) + piece
                        for v, piece in zip((cfg.n, cfg.n0, cfg.seed), self.config_json[1:]))
         if cfg.w_order is not None:
             text = text[:-1] + ',"w_order":' + _canonical_json(cfg.w_order) + "}"
@@ -506,7 +508,9 @@ def prepare(cfg: ExperimentConfig) -> Instance:
     When no ratio anchor exists at alpha=0 and the config supplies explicit
     classes, the target weight is weight-class member 0.
     """
-    return memoized("prepare", _build, replace(cfg, **_RUN_FIELDS))
+    shared = object.__new__(ExperimentConfig)  # unchecked: its n is no run's size
+    shared.__dict__.update(cfg.__dict__, **_RUN_FIELDS)
+    return memoized("prepare", _build, shared)
 
 
 def _build(cfg: ExperimentConfig) -> Instance:
@@ -515,7 +519,7 @@ def _build(cfg: ExperimentConfig) -> Instance:
         mdp = resolve_mdp(cfg.mdp)
     with _staged("data_dist"):
         dd, pi_d = resolve_data_dist(mdp, cfg.data_dist)
-    reg = Regularizer.from_config(cfg.reg)
+    reg = Regularizer(m_f=float(_read("reg", cfg.reg, "m_f")))
     with _staged("oracle"):
         exact, refs = _resolve_references(mdp, dd, reg, cfg.alpha, cfg.variant,
                                           cfg.classes["kind"])
@@ -667,13 +671,10 @@ def run_pro_rl(cfg: ExperimentConfig, instance: Optional[Instance] = None) -> Ru
     with _staged("dataset"):
         if inst.dataset is None:  # exact frequencies: the population law at n and n0
             fit, held = law_counts(inst.mdp, inst.dd, cfg.n, cfg.n0), None
-        else:  # counts only: no per-transition array
-            n1 = cfg.n if cfg.bc is None else int(cfg.bc.get("n1", round(0.9 * cfg.n)))
-            fit, held = inst.dataset.count(cfg.n, cfg.n0, cfg.seed, n1)
-            if cfg.bc is None:
-                held = None
-            elif held.n == 0:
-                raise PipelineError("dataset", "the cloning split is empty; lower n1")
+        elif cfg.bc is None:  # counts only: no per-transition array
+            fit, held = inst.dataset.count(cfg.n, cfg.n0, cfg.seed)[0], None
+        else:  # transitions [0, n1) to fit, with every initial state, and [n1, n) to clone
+            fit, held = inst.dataset.count(cfg.n, cfg.n0, cfg.seed, _read("bc", cfg.bc, "n1", cfg.n))
     with _staged("saddle"):
         emp = empirical_lagrangian_members(fit, inst.reg, cfg.alpha, vc.stack, wc.stack)
         if cfg.variant["kind"] == "inexact":
@@ -690,9 +691,9 @@ def run_pro_rl(cfg: ExperimentConfig, instance: Optional[Instance] = None) -> Ru
 
 
 def _resolve_policy_class(spec: dict, pi_ref: Policy, num_actions: int) -> PolicyClass:
-    mixes = spec.get("mix_grid", [0.25, 0.5, 1.0])
+    mixes = _read("bc", spec, "mix_grid")
     members = [pi_ref]
-    for name in spec.get("directions", ["uniform"]):
+    for name in _read("bc", spec, "directions"):
         toward = _mix_direction(name, pi_ref, num_actions)
         for u in mixes:
             members.append(Policy((1.0 - u) * pi_ref.probs + u * toward))

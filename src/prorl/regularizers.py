@@ -39,7 +39,3 @@ class Regularizer:
 
     def to_config(self) -> dict:
         return {"kind": "quadratic", "m_f": self.m_f}
-
-    @staticmethod
-    def from_config(cfg: dict) -> "Regularizer":
-        return Regularizer(m_f=float(cfg.get("m_f", 1.0)))

@@ -66,7 +66,7 @@ def solve_inexact(l_matrix: np.ndarray, eps_ov: float, eps_ow: float, seed: int)
     slacks of the selected pair are reported (they are at most the
     requested ones). l_matrix is laid out as in ``solve_exact``.
     """
-    if eps_ov < 0 or eps_ow < 0:
+    if not (eps_ov >= 0 and eps_ow >= 0):  # NaN fails
         raise ValueError("slacks must be nonnegative")
     inner, _ = _inner_minima(l_matrix)
     maxmin = inner.max()

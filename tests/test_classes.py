@@ -53,6 +53,11 @@ class TestValueClass:
         with pytest.raises(ValueError, match="at least one"):
             ValueClass((), b_v=1.0, lower=-1.0)
 
+    def test_nan_box_rejected(self):
+        for b_v, lower in ((float("nan"), -1.0), (1.0, float("nan"))):
+            with pytest.raises(ValueError, match="value box"):
+                ValueClass((np.zeros(2),), b_v=b_v, lower=lower)
+
     def test_config_round_trip(self):
         vc = make_value_class([np.array([0.5, -0.5]), np.array([1.0, 0.0])], b_v=1.0)
         back = ValueClass.from_config(vc.to_config())
@@ -65,6 +70,10 @@ class TestWeightClass:
     def test_negative_entry_rejected(self):
         with pytest.raises(ValueError, match="box"):
             WeightClass((np.array([[-0.1, 0.5]]),), b_w=1.0)
+
+    def test_nan_bound_rejected(self):
+        with pytest.raises(ValueError, match="b_w must be positive"):
+            WeightClass((np.ones((1, 2)),), b_w=float("nan"))
 
     def test_floor_validated(self):
         pi_d = uniform_policy(1, 2)
@@ -122,6 +131,15 @@ class TestBuildRealizable:
             assert x.tobytes() == y.tobytes()
         c = realizable_classes(solved, 8, seed=8)
         assert any(x.tobytes() != y.tobytes() for x, y in zip(a[0].members, c[0].members))
+
+    def test_negative_num_distractors_rejected(self, solved):
+        # every builder draws its distractors through one routine, which checks the count
+        mdp, dd, reg, sol = solved
+        with pytest.raises(ValueError, match="num_distractors must be nonnegative"):
+            build_misspecified(sol, 0.0, mdp, dd, reg=reg, gamma=0.8, num_distractors=-1)
+        with pytest.raises(ValueError, match="num_distractors must be nonnegative"):
+            build_constrained_classes(sol.v_star, sol.w_star, uniform_policy(4, 2), b_w=5.0,
+                                      b_wl=0.0, gamma=0.8, num_distractors=-1, seed=0)
 
     def test_distractors_are_box_draws_value_then_weight(self, solved):
         # the draw order is part of every suite's byte-identical artifacts
@@ -187,6 +205,11 @@ class TestBuildMisspecified:
         mdp, dd, reg, sol = solved
         with pytest.raises(ValueError, match="nonnegative"):
             build_misspecified(sol, -0.1, mdp, dd, reg=reg, gamma=0.8)
+
+    def test_nan_perturbation_rejected(self, solved):
+        mdp, dd, reg, sol = solved
+        with pytest.raises(ValueError, match="perturbation must be nonnegative"):
+            build_misspecified(sol, float("nan"), mdp, dd, reg=reg, gamma=0.8)
 
 
 class TestWitnessClass:

@@ -59,6 +59,17 @@ class TestGenCommands:
         first = json.loads((tmp_path / "t1").read_text().splitlines()[0])
         assert set(first) == {"s", "a", "r", "sp"}
 
+    def test_behavior_policy_must_match_the_mdp(self, tmp_path):
+        mdp_path, policy = tmp_path / "mdp.json", tmp_path / "policy.json"
+        main(["gen-mdp", "--num-states", "4", "--num-actions", "2", "--gamma", "0.8",
+              "--seed", "1", "--out", str(mdp_path)])
+        policy.write_text(json.dumps({"probs": [[1.0, 0.0]]}))
+        for command in (["gen-data", "--n", "10", "--n0", "2", "--out-transitions",
+                         str(tmp_path / "t"), "--out-inits", str(tmp_path / "i")],
+                        ["oracle", "--alpha", "0.3"]):
+            with pytest.raises(ValueError, match=r"policy shape \(1, 2\) .* \(4, 2\)"):
+                main(command + ["--mdp", str(mdp_path), "--policy", str(policy)])
+
     def test_oracle_output(self, tmp_path):
         mdp_path = tmp_path / "mdp.json"
         main(["gen-mdp", "--num-states", "4", "--num-actions", "2", "--gamma", "0.8",

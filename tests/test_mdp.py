@@ -53,6 +53,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="nonnegative"):
             Policy(np.array([[1.5, -0.5]]))
 
+    @pytest.mark.parametrize("probs", [[[1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]],
+                             ids=["one_row", "two_rows"])
+    def test_policy_shape_must_match_the_mdp(self, probs):
+        # a (1, A) table once broadcast over every state
+        mdp, want = random_mdp(4, 2, 0.8, seed=0), rf"policy shape \({len(probs)}, 2\) .* \(4, 2\)"
+        for use in (exact_occupancy, policy_return):
+            with pytest.raises(ValueError, match=want):
+                use(mdp, Policy(probs))
+
     def test_occupancy_rejects_negative_mass(self):
         with pytest.raises(ValueError, match="nonnegative"):
             Occupancy(np.array([[0.5, -0.5]]))

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prorl import classes, datasets, oracle, pipelines
 from prorl.bounds import performance_gap_bound, residual_bound, stat_error
@@ -87,10 +88,9 @@ class TestConfigValidation:
         "over, want",
         [({"alpha": float("inf")}, "alpha must be nonnegative and finite"),
          ({"alpha": float("nan")}, "alpha must be nonnegative and finite"),
-         ({"variant": {"kind": "capped", "cap": float("inf")}}, "cap must be positive and finite"),
-         ({"variant": {"kind": "capped", "cap": float("nan")}}, "cap must be positive and finite"),
-         ({"variant": {"kind": "capped", "cap": 0.0}}, "cap must be positive and finite")],
-        ids=["alpha_inf", "alpha_nan", "cap_inf", "cap_nan", "cap_zero"],
+         *(({"variant": {"kind": "capped", "cap": cap}}, "cap must be at least 1 and finite")
+           for cap in (float("inf"), float("nan"), 0.0, 0.999))],  # below 1: no occupancy
+        ids=["alpha_inf", "alpha_nan", "cap_inf", "cap_nan", "cap_zero", "cap_below_one"],
     )
     def test_non_finite_alpha_or_cap_is_a_config_error(self, over, want):
         with pytest.raises(PipelineError, match=rf"^\[config\] .*{want}"):
@@ -171,11 +171,13 @@ class TestConfigValidation:
             ({"data_dist": {"kind": "uniform_policy", "mass": [[1.0]]}},
              r"data_dist kind 'uniform_policy' does not read \['mass'\]; accepted keys"),
             ({"data_dist": {"mass": [[1.0]]}}, "unknown data_dist kind None"),
+            ({"variant": {"kind": []}}, r"unknown variant kind \[\]"),  # a kind that can't hash
         ],
         ids=["variant", "variant_inexact", "dataset", "dataset_repeats", "bc_typo", "bc_explicit",
              "bc_kind", "dataset_kind", "classes_not_a_dict", "bc_exact_frequency", "reg_shifted_kind",
              "reg_shift", "reg_typo", "mdp_transition_concentration", "mdp_init_uniform_mix",
-             "mdp_typo", "mdp_kind", "data_dist_typo", "data_dist_no_kind"],
+             "mdp_typo", "mdp_kind", "data_dist_typo", "data_dist_no_kind",
+             "variant_list_kind"],
     )
     def test_blocks_reject_unread_keys_and_kinds(self, over, want):
         with pytest.raises(PipelineError, match=want) as info:
@@ -223,7 +225,8 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("name", ["rollx", "roll", "sideways", "Uniform"])
     def test_unknown_mix_direction_fails_before_the_oracle(self, name):
-        with pytest.raises(PipelineError, match=f"unknown mix direction '{name}'") as info:
+        want = rf"^\[config\] bc directions must be .*, got \['uniform', '{name}'\]$"
+        with pytest.raises(PipelineError, match=want) as info:
             base_config(n=2500, bc={"n1": 2000, "directions": ["uniform", name]})
         assert info.value.stage == "config"
 
@@ -231,6 +234,16 @@ class TestConfigValidation:
         bc = {"n1": 2000, "mix_grid": [0.5], "directions": ["uniform", "roll2", "roll-1",
                                                              "complement"]}
         assert len(prepare(base_config(n=2500, bc=bc)).policies) == 1 + 4
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "realizable", "num_distractors": -3},
+        {"kind": "misspecified", "perturbation": 0.05, "num_distractors": -3},
+        {"kind": "constrained", "num_distractors": -3},
+    ], ids=lambda spec: spec["kind"])
+    def test_negative_num_distractors_raises_at_config(self, spec):
+        want = r"^\[config\] classes num_distractors must be an integer >= 0, got -3$"
+        with pytest.raises(PipelineError, match=want):
+            base_config(classes=spec)
 
     def test_to_dict_leaves_out_unset_optional_fields(self):
         payload = base_config().to_dict()
@@ -255,12 +268,15 @@ class TestConfigEdges:
             ({"reg": {"m_f": float("inf")}}, "m_f must be positive and finite"),
             ({"reg": {"m_f": float("-inf")}}, "m_f must be positive and finite"),
             ({"reg": {"m_f": float("nan")}}, "m_f must be positive and finite"),
-            ({"mdp": {**MDP_SPEC, "num_states": 0}}, "mdp num_states must be at least 1"),
-            ({"mdp": {**MDP_SPEC, "num_actions": 0}}, "mdp num_actions must be at least 1"),
-            ({"mdp": {**MDP_SPEC, "num_states": -2}}, "mdp num_states must be at least 1"),
-            ({"n": True}, "n must be an integer, got True"),
-            ({"n0": True}, "n0 must be an integer, got True"),
-            ({"seed": True}, "seed must be an integer, got True"),
+            ({"mdp": {**MDP_SPEC, "num_states": 0}},
+             "mdp num_states must be an integer >= 1, got 0"),
+            ({"mdp": {**MDP_SPEC, "num_actions": 0}},
+             "mdp num_actions must be an integer >= 1, got 0"),
+            ({"mdp": {**MDP_SPEC, "num_states": -2}},
+             "mdp num_states must be an integer >= 1, got -2"),
+            ({"n": True}, "n must be an integer >= 1, got True"),
+            ({"n0": True}, "n0 must be an integer >= 1, got True"),
+            ({"seed": True}, "seed must be an integer >= 0, got True"),
             ({"mdp": {**MDP_SPEC, "num_states": True}}, "mdp num_states must be an integer"),
             ({"mdp": {**MDP_SPEC, "seed": False}}, "mdp seed must be an integer"),
             ({"classes": {**CLASSES_SPEC, "num_distractors": True}},
@@ -268,21 +284,122 @@ class TestConfigEdges:
             ({"classes": {**CLASSES_SPEC, "seed": True}}, "classes seed must be an integer"),
             ({"n": 2500, "bc": {"n1": True}}, "bc n1 must be an integer"),
             ({"mdp": {"kind": "counterexample", "gamma": 0.5, "instance": True}},
-             "mdp instance must be an integer"),
-            ({"seed": -1}, "seed must be at least 0, got -1"),
-            ({"mdp": {**MDP_SPEC, "seed": -1}}, "mdp seed must be at least 0"),
-            ({"classes": {**CLASSES_SPEC, "seed": -1}}, "classes seed must be at least 0"),
+             "mdp instance must be 1 or 2, got True"),
+            ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+            ({"mdp": {**MDP_SPEC, "seed": -1}}, "mdp seed must be an integer >= 0, got -1"),
+            ({"classes": {**CLASSES_SPEC, "seed": -1}},
+             "classes seed must be an integer >= 0, got -1"),
+            # each value below once ran as another value or failed after the config check
+            ({"n0": 2.5}, "n0 must be an integer >= 1, got 2.5"),
+            ({"alpha": True}, "alpha must be nonnegative and finite, got True"),
+            ({"reg": {"m_f": True}}, "reg m_f must be positive and finite, got True"),
+            ({"mdp": {**MDP_SPEC, "kind": "mixing", "mixing": True}},
+             r"mdp mixing must be in \(0, 1\], got True"),
+            ({"classes": {"kind": "misspecified", "perturbation": True}},
+             "classes perturbation must be nonnegative and finite, got True"),
+            ({"variant": {"kind": "inexact", "eps_ov": True, "eps_ow": 0.1}},
+             "variant eps_ov must be nonnegative, got True"),
+            ({"variant": {"kind": "capped", "cap": True}},
+             "variant cap must be at least 1 and finite, got True"),
+            ({"variant": {"kind": "inexact", "eps_ov": -1, "eps_ow": 0.1}},
+             "variant eps_ov must be nonnegative, got -1"),
+            ({"variant": {"kind": "inexact", "eps_ov": float("nan"), "eps_ow": 0.1}},
+             "variant eps_ov must be nonnegative, got nan"),
+            ({"classes": {"kind": "misspecified", "perturbation": -0.1}},
+             "classes perturbation must be nonnegative and finite, got -0.1"),
+            ({"classes": {**CLASSES_SPEC, "num_distractors": -1}},
+             "classes num_distractors must be an integer >= 0, got -1"),
+            ({"classes": {**CLASSES_SPEC, "num_distractors": 2.5}},
+             "classes num_distractors must be an integer >= 0, got 2.5"),
+            ({"n": float("inf")}, "n must be an integer >= 1, got inf"),
+            ({"n": 2500, "bc": {"n1": -5}}, "bc n1 must be an integer >= 1, got -5"),
+            ({"n": 2500, "bc": {"n1": 3000}},
+             "bc n1 must be below n, .* got n1 = 3000 at n = 2500"),
+            ({"seed": 2.5}, "seed must be an integer >= 0, got 2.5"),
+            ({"mdp": {**MDP_SPEC, "seed": 2.5}}, "mdp seed must be an integer >= 0, got 2.5"),
+            ({"mdp": {**MDP_SPEC, "num_states": float("inf")}},
+             "mdp num_states must be an integer >= 1, got inf"),
+            ({"mdp": {**MDP_SPEC, "kind": "mixing", "mixing": 0}},
+             r"mdp mixing must be in \(0, 1\], got 0"),
+            ({"mdp": {"kind": "counterexample", "gamma": 0.5, "instance": 3}},
+             "mdp instance must be 1 or 2, got 3"),
+            ({"n": 2500, "bc": {"mix_grid": [2.0]}},
+             r"bc mix_grid must be a list of numbers in \[0, 1\], got \[2.0\]"),
+            ({"n": 2500, "bc": {"directions": "uniform"}},
+             "bc directions must be a list of .*, got 'uniform'"),
         ],
         ids=["m_f_inf", "m_f_minus_inf", "m_f_nan", "zero_states", "zero_actions",
              "negative_states", "n_bool", "n0_bool", "seed_bool", "states_bool", "mdp_seed_bool",
              "distractors_bool", "classes_seed_bool", "n1_bool", "instance_bool", "negative_seed",
-             "negative_mdp_seed", "negative_classes_seed"],
+             "negative_mdp_seed", "negative_classes_seed", "n0_fraction", "alpha_bool",
+             "m_f_bool", "mixing_bool", "perturbation_bool", "eps_ov_bool", "cap_bool",
+             "negative_eps_ov", "eps_ov_nan", "negative_perturbation", "negative_distractors",
+             "distractors_fraction", "n_inf", "negative_n1", "n1_above_n", "seed_fraction",
+             "mdp_seed_fraction", "states_inf", "zero_mixing", "instance_3", "mix_grid_above_1",
+             "directions_string"],
     )
     def test_edge_value_fails_at_config(self, no_solver, over, want):
         payload = {**base_config().to_dict(), **over}
         with pytest.raises(PipelineError, match=want) as info:
             run_pro_rl(ExperimentConfig.from_dict(json.loads(json.dumps(payload))))
         assert info.value.stage == "config"
+
+
+SMALL = dict(mdp={"kind": "random", "num_states": 4, "num_actions": 2, "gamma": 0.8, "seed": 1},
+             data_dist={"kind": "uniform_policy"}, reg={"kind": "quadratic", "m_f": 1.0},
+             alpha=0.3, n=60, n0=10, seed=0, delta=0.1,
+             classes={"kind": "realizable", "num_distractors": 2, "seed": 0})
+# a small config per (block, kind) whose keys the schema tests, every key written out
+GRAMMAR_BASES = {
+    ("", None): {},
+    ("mdp", "random"): {},
+    ("mdp", "mixing"): {"mdp": {**SMALL["mdp"], "kind": "mixing", "mixing": 0.5}},
+    ("mdp", "counterexample"): {"mdp": {"kind": "counterexample", "gamma": 0.5, "instance": 1}},
+    ("mdp", "inline"): {"mdp": {"kind": "inline", **random_mdp(3, 2, 0.8, seed=1).to_dict()}},
+    ("reg", "quadratic"): {},
+    ("variant", "inexact"): {"variant": {"kind": "inexact", "eps_ov": 0.05, "eps_ow": 0.05}},
+    ("variant", "capped"): {"variant": {"kind": "capped", "cap": 3.0}},
+    ("classes", "realizable"): {},
+    ("classes", "misspecified"): {"classes": {"kind": "misspecified", "num_distractors": 2,
+                                              "seed": 0, "perturbation": 0.1}},
+    ("classes", "constrained"): {"classes": {"kind": "constrained", "num_distractors": 2,
+                                             "seed": 0}},
+    ("bc", "target_plus_mixes"): {"bc": {"kind": "target_plus_mixes", "n1": 50,
+                                         "mix_grid": [0.5], "directions": ["uniform"]}},
+}
+GRAMMAR = [(block, kind, key) for block, kinds in pipelines._BLOCK_KEYS.items()
+           for kind, keys in kinds.items() for key, (test, _, _) in keys.items()
+           if test is not None]  # a test of None: the key's reader checks it
+BASE = object()  # the base config's own value
+VALUES = [0, -1, 2.5, float("nan"), float("inf"), float("-inf"), True, "a string"]
+
+
+class TestConfigGrammar:
+    def test_every_tested_key_has_a_base_config(self):
+        assert {(block, kind) for block, kind, _ in GRAMMAR} == set(GRAMMAR_BASES)
+
+    @settings(max_examples=200)
+    @given(where=st.sampled_from(GRAMMAR), value=st.sampled_from(
+        [BASE, *VALUES, *([v] for v in VALUES)]))  # a list where a number is read, or a list key
+    def test_a_value_runs_or_fails_at_config(self, where, value):
+        """Any value of any key either runs at a small size or fails at ``config``.
+
+        The config is read from JSON, as ``pro-rl solve`` reads it. Memory per unit: a run
+        holds S^2 A transition counts and |V| |W| payoff entries, 8 bytes each (here S <= 4,
+        A = 2 and |V| = |W| = 3).
+        """
+        block, _, key = where
+        payload = {**SMALL, **GRAMMAR_BASES[where[:2]]}
+        if value is not BASE and block:
+            payload[block] = {**payload[block], key: value}
+        elif value is not BASE:
+            payload[key] = value
+        try:
+            cfg = ExperimentConfig.from_dict(json.loads(json.dumps(payload)))
+        except PipelineError as err:
+            assert err.stage == "config"
+        else:  # any failure from here on is a value that the config let through
+            assert run_pro_rl(cfg).n == cfg.n
 
 
 class TestResolvers:
@@ -302,6 +419,11 @@ class TestResolvers:
         mdp = random_mdp(3, 2, 0.8, seed=0)
         with pytest.raises(PipelineError, match="shape"):
             resolve_data_dist(mdp, {"kind": "explicit", "mass": [[0.5, 0.5]]})
+
+    def test_behavior_policy_shape_must_match_the_mdp(self):
+        with pytest.raises(PipelineError, match=r"policy shape \(1, 3\) .* \(5, 3\)") as info:
+            prepare(base_config(data_dist={"kind": "policy", "probs": [[1.0, 0.0, 0.0]]}))
+        assert info.value.stage == "data_dist"
 
     def test_explicit_data_dist_must_normalize(self):
         mdp = random_mdp(3, 2, 0.8, seed=0)
@@ -333,7 +455,7 @@ class TestRunProRl:
     def test_bound_columns_match_the_formulas(self, bc):
         cfg = base_config(n=2500, bc=bc)
         report = run_pro_rl(cfg)
-        reg = Regularizer.from_config(cfg.reg)
+        reg = Regularizer(m_f=cfg.reg["m_f"])
         n_fit = 2000 if bc else 2500
         eps = stat_error(n_fit, cfg.n0, cfg.alpha, report.b_w, reg.bounds(report.b_w)[0],
                          report.b_v, residual_bound(report.b_v, 0.8), (7, 7), cfg.delta, gamma=0.8)
@@ -474,16 +596,6 @@ class TestStaged:
                 raise inner
         assert info.value is inner
 
-    @pytest.mark.parametrize("spec", [
-        {"kind": "realizable", "num_distractors": -3},
-        {"kind": "misspecified", "perturbation": 0.05, "num_distractors": -3},
-        {"kind": "constrained", "num_distractors": -3},
-    ], ids=lambda spec: spec["kind"])
-    def test_negative_num_distractors_raises_at_classes(self, spec):
-        # every builder draws its distractors through one routine, which checks the count
-        with pytest.raises(PipelineError, match=r"^\[classes\] num_distractors must be nonneg"):
-            prepare(base_config(classes=spec))
-
 
 class TestRunProRlBc:
     def test_requires_bc_settings(self):
@@ -514,9 +626,11 @@ class TestRunProRlBc:
         assert info.value.stage == "config"
 
     def test_empty_cloning_split_rejected(self):
-        cfg = base_config(n=2000, bc={"n1": 2000, "kind": "target_plus_mixes"})
-        with pytest.raises(PipelineError, match="cloning split"):
-            run_pro_rl_bc(cfg)
+        # bc n1 defaults to 90 % of n, which rounds to n at n = 4
+        for n, bc in ((2000, {"n1": 2000}), (4, {})):
+            with pytest.raises(PipelineError, match="cloning split") as info:
+                base_config(n=n, bc={"kind": "target_plus_mixes", **bc})
+            assert info.value.stage == "config"
 
 
 def _capped_config():
@@ -741,10 +855,12 @@ class TestPrepareOnce:
         assert run_pro_rl(cfg, inst).to_row() == run_pro_rl(cfg).to_row()
 
     def test_spliced_hash_matches_for_values_that_are_not_ints(self):
-        inst = prepare(base_config())
-        for over in ({"n": 1500.0}, {"n0": 2.5}, {"seed": 3.0}):
-            cfg = base_config(**over)
-            assert inst.config_hash(cfg) == cfg.config_hash
+        # a JSON file may write a whole number as a float; from_dict reads it as an int
+        inst, payload = prepare(base_config()), base_config().to_dict()
+        for over in ({"n": 1500.0}, {"n0": 300.0, "seed": 3.0}):
+            cfg = ExperimentConfig.from_dict({**payload, **over})
+            assert inst.config_hash(cfg) == cfg.config_hash == base_config(**{
+                k: int(v) for k, v in over.items()}).config_hash
 
     def test_instance_sampler_draws_what_a_fresh_sampler_draws(self):
         inst = prepare(base_config())
@@ -888,14 +1004,14 @@ class TestInitialStateCount:
     def test_sampled_dataset_needs_initial_states(self):
         # exact-frequency data needs initial states too
         for cfg in (base_config(), _counterexample_config(0.3, {"kind": "plain"})):
-            with pytest.raises(PipelineError, match="n0 must be at least 1") as info:
+            with pytest.raises(PipelineError, match="n0 must be an integer >= 1") as info:
                 replace(cfg, n0=0)
             assert info.value.stage == "config"
 
     def test_stat_error_reads_the_fitted_datasets_initial_states(self):
         cfg = replace(_counterexample_config(0.3, {"kind": "plain"}), n=18, n0=3)
         report = run_pro_rl(cfg)
-        reg = Regularizer.from_config(cfg.reg)
+        reg = Regularizer(m_f=cfg.reg["m_f"])
         gamma = 0.5
         sizes = (1, 2)  # the counterexample's value and weight classes
 

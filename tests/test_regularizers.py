@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from oracles import AbsoluteContinuityError, deriv, f_divergence, grid_sup_bounds
 from prorl.mdp import Occupancy
+from prorl.pipelines import ExperimentConfig, prepare
 from prorl.regularizers import Regularizer
 
 
@@ -88,12 +89,21 @@ class TestFDivergence:
         assert f_divergence(reg, dd, dd) == pytest.approx(1.0)
 
 
+def prepared_reg(reg_block: dict) -> Regularizer:
+    """The regularizer a small pipeline run builds from a config's reg block."""
+    cfg = ExperimentConfig(
+        mdp={"kind": "random", "num_states": 3, "num_actions": 2, "gamma": 0.8, "seed": 0},
+        data_dist={"kind": "uniform_policy"}, reg=reg_block, alpha=0.3, n=10, n0=10, seed=0,
+        classes={"kind": "realizable", "num_distractors": 0})
+    return prepare(cfg).reg
+
+
 class TestConfig:
     def test_round_trip(self):
         for reg in (Regularizer(m_f=0.5), Regularizer(m_f=2.0)):
             assert reg.to_config() == {"kind": "quadratic", "m_f": reg.m_f}
-            assert Regularizer.from_config(reg.to_config()) == reg
+            assert prepared_reg(reg.to_config()) == reg
 
     def test_fragment_defaults(self):
-        reg = Regularizer.from_config({"kind": "quadratic", "m_f": 1.0})
-        assert reg == Regularizer()
+        # a reg block may leave out its kind and m_f
+        assert prepared_reg({}) == prepared_reg({"kind": "quadratic"}) == Regularizer()

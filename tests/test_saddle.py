@@ -120,6 +120,12 @@ class TestSolveInexact:
         with pytest.raises(ValueError, match="nonnegative"):
             solve_inexact(payoff(data, classes, reg, 0.3), eps_ov=-0.1, eps_ow=0.0, seed=0)
 
+    def test_nan_slack_rejected(self):
+        l_matrix = np.zeros((2, 2))
+        for eps_ov, eps_ow in ((float("nan"), 0.0), (0.0, float("nan"))):
+            with pytest.raises(ValueError, match="slacks must be nonnegative"):
+                solve_inexact(l_matrix, eps_ov=eps_ov, eps_ow=eps_ow, seed=0)
+
     def test_seed_controls_selection(self):
         _, _, reg, _, classes, data = make_instance(8)
         l_matrix = payoff(data, classes, reg, 0.3)

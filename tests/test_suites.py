@@ -89,7 +89,7 @@ class TestRateRegularizedFixture:
         self.fx = rate_regularized_fixture()
         self.mdp = resolve_mdp(self.fx["mdp"])
         self.dd, _ = resolve_data_dist(self.mdp, self.fx["data_dist"])
-        self.reg = Regularizer.from_config(self.fx["reg"])
+        self.reg = Regularizer(m_f=self.fx["reg"]["m_f"])
         self.wc = WeightClass.from_config(self.fx["classes"]["weight_class"])
         self.v_members = [
             np.asarray(v) for v in self.fx["classes"]["value_class"]["members"]
