@@ -5,8 +5,9 @@ Modules
 mdp           tabular models, policies, exact occupancies and policy values
 regularizers  the quadratic density-ratio regularizer f and its constants
 objective     population / empirical Lagrangian and Bellman residuals
-oracle        exact regularized solutions (Newton, HiGHS QP cross-check), the
-              unregularized optimum and the coverage bound by policy iteration
+oracle        solvers only: exact regularized solutions (Newton, HiGHS QP
+              cross-check), the capped and minimum-divergence LPs, and the
+              unregularized optimum and coverage bound by policy iteration
 classes       finite value / weight / policy classes and witnesses
 saddle        max-min estimation over finite classes
 extraction    policy extraction and behavior-cloning extraction

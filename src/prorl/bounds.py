@@ -32,7 +32,7 @@ def stat_error(
     b_e: float,
     sizes: tuple[int, int],
     delta: float,
-    gamma: float = 0.0,
+    gamma: float,
 ) -> float:
     """Deviation envelope for |L_hat - L| over |V| x |W| candidate pairs.
 

@@ -53,9 +53,9 @@ def _cmd_gen_mdp(args) -> int:
             num_actions=args.num_actions,
             seed=args.seed,
         )
-        if args.kind == "mixing":
+        if args.kind == "mixing" and args.mixing is not None:
             spec["mixing"] = args.mixing
-    elif args.kind == "counterexample":
+    elif args.kind == "counterexample" and args.instance is not None:
         spec["instance"] = args.instance
     mdp = resolve_mdp(spec)
     save_mdp(mdp, args.out)
@@ -85,7 +85,7 @@ def _cmd_oracle(args) -> int:
         "pi_star_zero": unreg.pi_star.probs.tolist(),
     }
     if args.alpha > 0:
-        reg = Regularizer(m_f=args.m_f)
+        reg = Regularizer() if args.m_f is None else Regularizer(m_f=args.m_f)
         sol = solve_regularized(mdp, dd, reg, args.alpha, cap=args.cap)
         payload.update(
             alpha=args.alpha,
@@ -198,8 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num-actions", type=int, default=3)
     p.add_argument("--gamma", type=float, default=0.9)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mixing", type=float, default=0.5)
-    p.add_argument("--instance", type=int, default=1)
+    p.add_argument("--mixing", type=float)  # None: the config schema's default
+    p.add_argument("--instance", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_mdp)
 
@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mdp", required=True)
     p.add_argument("--policy", help="behavior policy JSON; uniform when omitted")
     p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--m-f", type=float, default=1.0)
+    p.add_argument("--m-f", type=float)  # None: Regularizer's default
     p.add_argument("--cap", type=float)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_oracle)

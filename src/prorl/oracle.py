@@ -44,7 +44,7 @@ loads ``scipy.optimize``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -61,7 +61,6 @@ _MAX_SWEEPS = 1000  # random MDPs up to 14 states and gamma 0.999 settle within 
 # stress draws where Newton stalls the exit fires after 32 to 140 steps, not 200
 _STALL_STEPS = 30
 _POLISH_BAND = 1e-7  # a QP point within this of a box bound is polished as active there
-_STABLE_W_TOL = 1e-6  # sup-norm distance within which a sweep's weight counts as the limit's
 
 
 class FlowInfeasibleError(ValueError):
@@ -509,82 +508,6 @@ def strong_concentrability_check(mdp: TabularMdp, data_dist, d0_state) -> Strong
     b_wu = float((best_marginals / dd_state).max())
     b_wl = float((np.asarray(d0_state, dtype=float) / dd_state).min())
     return StrongConcentrability(b_wu=b_wu, b_wl=b_wl, holds=b_wl > 0.0)
-
-
-@dataclass(frozen=True)
-class StabilityRow:
-    alpha: float
-    w_star: np.ndarray
-    v_gap: float
-    kkt_residual: float
-
-
-@dataclass(frozen=True)
-class StabilitySweep:
-    """Per-alpha solutions on a descending grid, read toward alpha -> 0."""
-
-    rows: tuple[StabilityRow, ...]
-    constant_prefix_len: int  # trailing run of the descending grid (smallest alphas)
-    limit_w: np.ndarray
-    v_gap_slope: float
-    v_gap_intercept: float
-    v_gap_r2: float
-
-
-def lp_stability_sweep(
-    mdp: TabularMdp,
-    data_dist,
-    reg: Regularizer,
-    alphas: Sequence[float],
-) -> StabilitySweep:
-    """Track w*_alpha and the value-function gap along a descending alpha grid.
-
-    The constant prefix counts how many of the smallest alphas share (within
-    1e-6, sup-norm) the weight of the smallest alpha; the line fit of
-    ||v*_alpha - v*_0||_{2,d^D} against alpha runs over that prefix.
-    """
-    alphas = list(alphas)
-    if any(a <= 0 for a in alphas) or any(
-        a1 <= a2 for a1, a2 in zip(alphas, alphas[1:])
-    ):
-        raise ValueError("alphas must be positive and strictly descending")
-    dd = data_dist_mass(mdp, data_dist)
-    dd_state = dd.sum(axis=1)
-    v_ref = solve_unregularized(mdp).v_star
-    rows = []
-    for alpha in alphas:
-        sol = solve_regularized(mdp, dd, reg, alpha)
-        gap = float(np.sqrt(dd_state @ (sol.v_star - v_ref) ** 2))
-        rows.append(
-            StabilityRow(
-                alpha=alpha, w_star=sol.w_star, v_gap=gap, kkt_residual=sol.kkt_residual
-            )
-        )
-    limit_w = rows[-1].w_star
-    prefix = 0
-    for row in reversed(rows):
-        if np.abs(row.w_star - limit_w).max() <= _STABLE_W_TOL:
-            prefix += 1
-        else:
-            break
-    xs = np.array([r.alpha for r in rows[len(rows) - prefix :]])
-    ys = np.array([r.v_gap for r in rows[len(rows) - prefix :]])
-    if prefix >= 2:
-        slope, intercept = np.polyfit(xs, ys, 1)
-        pred = slope * xs + intercept
-        ss_res = float(np.sum((ys - pred) ** 2))
-        ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-        r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    else:
-        slope, intercept, r2 = float("nan"), float("nan"), float("nan")
-    return StabilitySweep(
-        rows=tuple(rows),
-        constant_prefix_len=prefix,
-        limit_w=limit_w,
-        v_gap_slope=float(slope),
-        v_gap_intercept=float(intercept),
-        v_gap_r2=float(r2),
-    )
 
 
 def _support_lp(mdp: TabularMdp, data_dist, cap: Optional[float] = None):

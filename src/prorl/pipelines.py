@@ -27,6 +27,7 @@ import hashlib
 import json
 import pickle
 import re
+import sys
 from collections import OrderedDict
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
@@ -86,7 +87,9 @@ _KIND = (None, "a kind the block lists", None)  # tested by the kind lookup, whi
 
 
 def _real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A float, or an int that float() reads: not a bool, nor an int beyond float range."""
+    return isinstance(value, float) or (isinstance(value, int) and not isinstance(value, bool)
+                                        and abs(value) <= sys.float_info.max)
 
 
 def _integer(least: int) -> tuple:
@@ -265,7 +268,7 @@ class ExperimentConfig:
                 raise PipelineError("config", f"missing config key {f.name!r}")
 
         def read(f, v):
-            if f.type == "float" and type(v) is int:
+            if f.type == "float" and type(v) is int and _real(v):
                 return float(v)
             if f.type == "int" and type(v) is float and v.is_integer():
                 return int(v)

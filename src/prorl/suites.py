@@ -14,7 +14,7 @@ reproduce rows.csv and summary.json byte for byte. A suite computes what no
 seed changes once per process: its grid points' instances through
 ``prepare``, which also hold the capped reference and every weight member's
 return, and its fixture and the other seed-free references (the b_w0 solve,
-the stability sweep and its limit, the coverage check) through ``memoized``,
+the stability solves and their limit, the coverage check) through ``memoized``,
 in the same registry. A later call writes its artifacts and runs its seeds,
 nothing else.
 """
@@ -49,13 +49,13 @@ from .mdp import (
 )
 from .oracle import (
     capped_unregularized_value,
-    lp_stability_sweep,
     min_f_divergence_weight,
     solve_regularized,
     solve_unregularized,
     strong_concentrability_check,
 )
 from .pipelines import (
+    _BLOCK_KEYS,
     CSV_HEADER,
     ExperimentConfig,
     PipelineError,
@@ -72,6 +72,7 @@ from .svgplot import fit_loglog, line_plot
 _log = logging.getLogger(__name__)
 
 STABILITY_HEADER = ("alpha", "v_gap", "kkt_residual", "w_min", "w_max", "in_prefix")
+_STABLE_W_TOL = 1e-6  # sup-norm distance within which an alpha's weight counts as the limit's
 
 
 def _write_rows(path: str, header, rows) -> None:
@@ -101,6 +102,19 @@ def _write_json(path: str, payload: dict) -> None:
 def _report_sort_key(report):
     n2 = report.n2 if report.n2 is not None else -1
     return (report.alpha, report.n, n2, report.seed, report.variant, report.config_hash)
+
+
+def _mean(reports, field: str) -> float:
+    return float(np.mean([getattr(r, field) for r in reports]))
+
+
+def _median(reports, field: str) -> float:
+    return float(np.median([getattr(r, field) for r in reports]))
+
+
+def _column(per_point: dict, key: str) -> list:
+    """per_point[label][key] for each grid point, in label order."""
+    return [stats[key] for stats in per_point.values()]
 
 
 def _fit_plot(out_dir: str, xs, series, slope_label: str, **labels):
@@ -344,8 +358,8 @@ def bc_fixture(n1: int = 60000) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _sweep(out_dir: str, seed: int, num_seeds: int, base: dict, points: dict):
-    """Run every grid point at num_seeds dataset seeds and write rows.csv.
+def _sweep(name: str, out_dir: str, seed: int, num_seeds: int, base: dict, points: dict, stats):
+    """Run every grid point at num_seeds dataset seeds, write rows.csv and reduce each point.
 
     Point ``label`` runs ``ExperimentConfig(**base, **points[label],
     seed=seed + s)`` for each s < num_seeds, a bc config through
@@ -355,8 +369,8 @@ def _sweep(out_dir: str, seed: int, num_seeds: int, base: dict, points: dict):
     and the same n, n0 and seed then count one dataset, which their shared
     sampler keeps between them. Rows are sorted before they are written, so
     neither this order nor that of a grid in the overrides reaches the
-    artifacts. Returns {label: reports}, labels ascending and reports in seed
-    order, and {label: instance}, for the suites' seed-free references.
+    artifacts. Returns {label: stats(reports, instance)}, labels ascending and
+    reports in seed order, and logs one line per point under suite ``name``.
 
     Both drivers are read as module globals on every run, so a harness that
     rebinds them in this module sees each run.
@@ -371,7 +385,11 @@ def _sweep(out_dir: str, seed: int, num_seeds: int, base: dict, points: dict):
             batches[label].append(drive(runs[s], instances[label]))
     ordered = sorted((r for batch in batches.values() for r in batch), key=_report_sort_key)
     _write_rows(os.path.join(out_dir, "rows.csv"), CSV_HEADER, [r.to_row() for r in ordered])
-    return batches, instances
+    per_point = {}
+    for label, batch in batches.items():
+        per_point[label] = stats(batch, instances[label])
+        _log.info("[%s] %s: %s", name, label, per_point[label])
+    return per_point
 
 
 def _b_w0(mdp_cfg: dict) -> float:
@@ -398,25 +416,18 @@ def _suite_counterexample(out_dir: str, seed: int, gamma: float = 0.5) -> dict:
         for instance, fx in fixtures.items()
         for label, order in orders.items()
     }
-    batches, instances = _sweep(out_dir, seed, 1, base, points)
 
+    def stats(batch, inst):  # both orders share inst (w_order is a run field); member 1: w_right
+        return {"gap": batch[0].gap_ref,
+                "population_tie_gap": float(abs(inst.pop[0, 0] - inst.pop[1, 0])),
+                "oracle_right_policy_regret": inst.j_star_zero - inst.member_scores(1)[0],
+                "j_star_zero": inst.j_star_zero}
+
+    per_point = _sweep("counterexample", out_dir, seed, 1, base, points, stats)
     per_instance = {}
     for instance in fixtures:
-        inst = instances[instance, "friendly"]  # both orders share it: w_order is a run field
-        tie_gap = float(abs(inst.pop[0, 0] - inst.pop[1, 0]))
-        j_star = inst.j_star_zero
-        regret_right = j_star - inst.member_scores(1)[0]  # weight member 1 is w_right
-
-        gaps = {label: batches[instance, label][0].gap_ref for label in orders}
-        per_instance[f"instance_{instance}"] = {
-            "population_tie_gap": tie_gap,
-            "oracle_right_policy_regret": regret_right,
-            "gap_adversarial": gaps["adversarial"],
-            "gap_friendly": gaps["friendly"],
-            "j_star_zero": j_star,
-        }
-        _log.info(f"[counterexample] instance {instance}: tie gap {tie_gap:.2e}, "
-                  f"adversarial gap {gaps['adversarial']:.4f}")
+        gaps = {f"gap_{label}": per_point[instance, label].pop("gap") for label in orders}
+        per_instance[f"instance_{instance}"] = {**per_point[instance, "friendly"], **gaps}
 
     worst_gap = max(v["gap_adversarial"] for v in per_instance.values())
     worst_regret = max(v["oracle_right_policy_regret"] for v in per_instance.values())
@@ -438,24 +449,16 @@ def _suite_rate_regularized(
 ) -> dict:
     fx = memoized("rate_regularized_fixture", rate_regularized_fixture)
     base = {k: fx[k] for k in ("mdp", "data_dist", "reg", "alpha", "classes")}
-    batches, _ = _sweep(out_dir, seed, num_seeds, base, _sizes(n_grid))
-    per_n = {}
-    for n, batch in batches.items():
-        devs = [r.w_dev for r in batch]
-        per_n[str(n)] = {
-            "w_dev_median": float(np.median(devs)),
-            "w_dev_mean": float(np.mean(devs)),
-            "exact_picks": sum(1 for r in batch if r.w_index == 0),
-        }
-        _log.info(f"[rate_regularized] n={n}: median dev {np.median(devs):.5f}")
-
-    ns = list(batches)
-    medians = [per_n[str(n)]["w_dev_median"] for n in ns]
-    means = [per_n[str(n)]["w_dev_mean"] for n in ns]
+    per_point = _sweep("rate_regularized", out_dir, seed, num_seeds, base, _sizes(n_grid),
+                       lambda batch, _: {"w_dev_median": _median(batch, "w_dev"),
+                                         "w_dev_mean": _mean(batch, "w_dev"),
+                                         "exact_picks": sum(1 for r in batch if r.w_index == 0)})
+    ns = list(per_point)
+    medians = _column(per_point, "w_dev_median")
     fit = _fit_plot(
         out_dir,
         ns,
-        [("median weight error", medians), ("mean weight error", means)],
+        [("median weight error", medians), ("mean weight error", _column(per_point, "w_dev_mean"))],
         "median slope",
         title="weight estimation error vs sample size",
         xlabel="n",
@@ -465,7 +468,7 @@ def _suite_rate_regularized(
         "alpha": fx["alpha"],
         "n_grid": ns,
         "num_seeds": num_seeds,
-        "per_n": per_n,
+        "per_n": {str(n): s for n, s in per_point.items()},
         "medians": medians,
         "median_fit": fit,
         "medians_monotone": all(a >= b - 1e-12 for a, b in zip(medians, medians[1:])),
@@ -495,28 +498,24 @@ def _suite_rate_unregularized(
         point["alpha"] = recommended_alpha(float(n) ** -0.25, b_f0)
     base = {"mdp": mdp_cfg, "data_dist": {"kind": "uniform_policy"}, "reg": reg.to_config(),
             "classes": {"kind": "realizable", "num_distractors": 8, "seed": 0}}
-    batches, _ = _sweep(out_dir, seed, num_seeds, base, points)
-    per_n = {}
-    for n, batch in batches.items():
-        alpha = points[n]["alpha"]
+
+    def stats(batch, _):
         gaps = [r.j_star_zero - r.j_hat for r in batch]
         budgets = [
             unregularized_competition_slack(r.alpha, b_f0) + r.rhs_realized for r in batch
         ]
-        ok = sum(1 for g, b in zip(gaps, budgets) if g <= b + 1e-12)
-        per_n[str(n)] = {
-            "alpha": alpha,
+        return {
+            "alpha": batch[0].alpha,
             "gap_zero_mean": float(np.mean(gaps)),
             "gap_zero_median": float(np.median(gaps)),
             "budget_mean": float(np.mean(budgets)),
-            "envelope_ok": ok,
+            "envelope_ok": sum(1 for g, b in zip(gaps, budgets) if g <= b + 1e-12),
             "positive_gaps": sum(1 for g in gaps if g > 0),
         }
-        _log.info(f"[rate_unregularized] n={n}: alpha {alpha:.5f}, "
-                  f"envelope {ok}/{len(batch)}")
 
-    ns = list(batches)
-    budget_means = [per_n[str(n)]["budget_mean"] for n in ns]
+    per_point = _sweep("rate_unregularized", out_dir, seed, num_seeds, base, points, stats)
+    ns = list(per_point)
+    budget_means = _column(per_point, "budget_mean")
     line_plot(
         os.path.join(out_dir, "plot.svg"),
         [
@@ -524,7 +523,7 @@ def _suite_rate_unregularized(
             {
                 "label": "gap to unregularized optimum (mean)",
                 "xs": ns,
-                "ys": [per_n[str(n)]["gap_zero_mean"] for n in ns],
+                "ys": _column(per_point, "gap_zero_mean"),
             },
         ],
         title="competing with the unregularized optimum",
@@ -533,16 +532,23 @@ def _suite_rate_unregularized(
         loglog=True,
         annotation=f"b_f0 {b_f0:.3f}",
     )
-    envelope = sum(per_n[str(n)]["envelope_ok"] for n in ns)
     return {
         "b_w0": b_w0,
         "b_f0": b_f0,
         "n_grid": ns,
         "num_seeds": num_seeds,
-        "per_n": per_n,
-        "envelope_fraction": envelope / (len(ns) * num_seeds),
+        "per_n": {str(n): s for n, s in per_point.items()},
+        "envelope_fraction": sum(_column(per_point, "envelope_ok")) / (len(ns) * num_seeds),
         "budgets_decreasing": all(a > b for a, b in zip(budget_means, budget_means[1:])),
     }
+
+
+def _stability_solves(mdp: TabularMdp, dd: np.ndarray, reg: Regularizer, alphas) -> list:
+    """(alpha, w*_alpha, ||v*_alpha - v*_0||_{2,d^D}, KKT residual) for each alpha, in order."""
+    v_ref = solve_unregularized(mdp).v_star
+    sols = [(alpha, solve_regularized(mdp, dd, reg, alpha)) for alpha in alphas]
+    return [(alpha, sol.w_star, float(np.sqrt(dd.sum(axis=1) @ (sol.v_star - v_ref) ** 2)),
+             sol.kkt_residual) for alpha, sol in sols]
 
 
 def _suite_lp_stability(
@@ -550,31 +556,28 @@ def _suite_lp_stability(
     seed: int,
     alpha_grid=(0.2, 0.1, 0.05, 0.02, 0.01, 0.005),
 ) -> dict:
-    alpha_grid = tuple(sorted(alpha_grid, reverse=True))  # the sweep reads it toward alpha -> 0
+    alpha_grid = tuple(sorted(alpha_grid, reverse=True))  # read toward alpha -> 0
     fx = memoized("stability_fixture", stability_fixture)
     problem = (fx["mdp"], fx["dd"], fx["reg"])
-    sweep = memoized("lp_stability_sweep", lp_stability_sweep, *problem, alpha_grid)
+    solves = memoized("_stability_solves", _stability_solves, *problem, alpha_grid)
     w_limit, j_div = memoized("min_f_divergence_weight", min_f_divergence_weight, *problem)
-    limit_err = float(np.abs(sweep.limit_w - w_limit).max())
-
-    total = len(sweep.rows)
-    rows = []
-    for i, row in enumerate(sweep.rows):
-        rows.append(
-            (
-                row.alpha,
-                row.v_gap,
-                row.kkt_residual,
-                float(row.w_star.min()),
-                float(row.w_star.max()),
-                1 if i >= total - sweep.constant_prefix_len else 0,
-            )
-        )
+    alphas, ws, gaps, kkts = zip(*solves)
+    limit_err = float(np.abs(ws[-1] - w_limit).max())
+    # the constant prefix: the run of smallest alphas that share the smallest one's weight
+    total = len(solves)
+    prefix = next((i for i, w in enumerate(reversed(ws))
+                   if np.abs(w - ws[-1]).max() > _STABLE_W_TOL), total)
+    slope = intercept = r2 = float("nan")
+    if prefix >= 2:  # the line fit of the value gap against alpha, over the prefix
+        xs, ys = np.array(alphas[total - prefix:]), np.array(gaps[total - prefix:])
+        slope, intercept = (float(c) for c in np.polyfit(xs, ys, 1))
+        ss_res = float(np.sum((ys - (slope * xs + intercept)) ** 2))
+        ss_tot = float(np.sum((ys - ys.mean()) ** 2))
+        r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    rows = [(a, g, k, float(w.min()), float(w.max()), 1 if i >= total - prefix else 0)
+            for i, (a, w, g, k) in enumerate(solves)]
     _write_rows(os.path.join(out_dir, "rows.csv"), STABILITY_HEADER, rows)
-
-    alphas = [row.alpha for row in sweep.rows]
-    gaps = [row.v_gap for row in sweep.rows]
-    fitted = [sweep.v_gap_slope * a + sweep.v_gap_intercept for a in alphas]
+    fitted = [slope * a + intercept for a in alphas]
     line_plot(
         os.path.join(out_dir, "plot.svg"),
         [
@@ -585,19 +588,19 @@ def _suite_lp_stability(
         xlabel="alpha",
         ylabel="||v*_alpha - v*_0||_{2,dD}",
         loglog=False,
-        annotation=f"slope {sweep.v_gap_slope:.4f}, r2 {sweep.v_gap_r2:.5f}",
+        annotation=f"slope {slope:.4f}, r2 {r2:.5f}",
     )
-    _log.info(f"[lp_stability] prefix {sweep.constant_prefix_len}/{total}, "
-              f"limit err {limit_err:.2e}, r2 {sweep.v_gap_r2:.5f}")
+    _log.info(f"[lp_stability] prefix {prefix}/{total}, "
+              f"limit err {limit_err:.2e}, r2 {r2:.5f}")
     return {
         "alpha_grid": list(alpha_grid),
-        "constant_prefix_len": sweep.constant_prefix_len,
+        "constant_prefix_len": prefix,
         "limit_matches_min_divergence_err": limit_err,
         "min_divergence_value": float(j_div),
-        "v_gap_slope": sweep.v_gap_slope,
-        "v_gap_intercept": sweep.v_gap_intercept,
-        "v_gap_r2": sweep.v_gap_r2,
-        "max_kkt_residual": max(row.kkt_residual for row in sweep.rows),
+        "v_gap_slope": slope,
+        "v_gap_intercept": intercept,
+        "v_gap_r2": r2,
+        "max_kkt_residual": max(kkts),
     }
 
 
@@ -622,30 +625,28 @@ def _suite_constrained_coverage(
         "classes": {"kind": "constrained", "num_distractors": 8, "seed": 0},
         "variant": {"kind": "capped", "cap": fx["cap"]},
     }
-    points = _sizes((n,), lambda n: max(n // 10, 10))
-    batches, instances = _sweep(out_dir, seed, num_seeds, base, points)
-    (reports,), (inst,) = batches.values(), instances.values()
-    j_cap = inst.j_ref  # the capped LP value, solved once by prepare
-    # the LP value against the exact return of the policy its occupancy defines
-    ref_err = abs(memoized("_capped_policy_return", _capped_policy_return,
-                           inst.mdp, inst.dd, fx["cap"]) - j_cap)
 
-    envelope_ok = sum(1 for r in reports if r.gap_ref <= r.rhs_capped + 1e-12)
-    cap_ok = sum(1 for r in reports if r.w_max <= r.b_w + 1e-9)
-    _log.info(f"[constrained_coverage] envelope {envelope_ok}/{len(reports)}, "
-              f"cap respected {cap_ok}/{len(reports)}")
-    return {
-        "cap": fx["cap"],
-        "n": int(n),
-        "num_seeds": num_seeds,
-        "j_capped_reference": float(j_cap),
-        "j_unregularized": inst.j_star_zero,
-        "reference_consistency_err": float(ref_err),
-        "envelope_fraction": envelope_ok / len(reports),
-        "cap_respected_fraction": cap_ok / len(reports),
-        "gap_mean": float(np.mean([r.gap_ref for r in reports])),
-        "rhs_capped_mean": float(np.mean([r.rhs_capped for r in reports])),
-    }
+    def stats(batch, inst):
+        j_cap = inst.j_ref  # the capped LP value, solved once by prepare
+        # the LP value against the exact return of the policy its occupancy defines
+        ref_err = abs(memoized("_capped_policy_return", _capped_policy_return,
+                               inst.mdp, inst.dd, fx["cap"]) - j_cap)
+        envelope_ok = sum(1 for r in batch if r.gap_ref <= r.rhs_capped + 1e-12)
+        cap_ok = sum(1 for r in batch if r.w_max <= r.b_w + 1e-9)
+        return {
+            "j_capped_reference": float(j_cap),
+            "j_unregularized": inst.j_star_zero,
+            "reference_consistency_err": float(ref_err),
+            "envelope_fraction": envelope_ok / len(batch),
+            "cap_respected_fraction": cap_ok / len(batch),
+            "gap_mean": _mean(batch, "gap_ref"),
+            "rhs_capped_mean": _mean(batch, "rhs_capped"),
+        }
+
+    points = _sizes((n,), lambda n: max(n // 10, 10))
+    (point,) = _sweep("constrained_coverage", out_dir, seed, num_seeds, base, points,
+                      stats).values()
+    return {"cap": fx["cap"], "n": int(n), "num_seeds": num_seeds, **point}
 
 
 def _suite_alpha_zero_strong(
@@ -658,22 +659,18 @@ def _suite_alpha_zero_strong(
     base = {k: fx[k] for k in ("mdp", "data_dist", "reg", "classes")}
     base.update(alpha=0.0, variant={"kind": "alpha_zero"})
     points = _sizes(n_grid, lambda n: max(n // 10, 10))
-    batches, instances = _sweep(out_dir, seed, num_seeds, base, points)
-    inst = next(iter(instances.values()))  # the grid varies only n
-    strong = memoized("strong_concentrability_check", strong_concentrability_check,
-                      inst.mdp, inst.dd, inst.d_ref_state)
-    per_n = {}
-    for n, batch in batches.items():
-        gaps = [r.gap_ref for r in batch]
-        per_n[str(n)] = {
-            "gap_mean": float(np.mean(gaps)),
-            "gap_median": float(np.median(gaps)),
-            "exact_picks": sum(1 for r in batch if r.w_index == 0),
-        }
-        _log.info(f"[alpha_zero_strong] n={n}: mean gap {np.mean(gaps):.6f}")
-
-    ns = list(batches)
-    means = [per_n[str(n)]["gap_mean"] for n in ns]
+    per_point = _sweep("alpha_zero_strong", out_dir, seed, num_seeds, base, points,
+                       lambda batch, inst: {
+                           "gap_mean": _mean(batch, "gap_ref"),
+                           "gap_median": _median(batch, "gap_ref"),
+                           "exact_picks": sum(1 for r in batch if r.w_index == 0),
+                           "strong": memoized("strong_concentrability_check",
+                                              strong_concentrability_check,
+                                              inst.mdp, inst.dd, inst.d_ref_state)})
+    # the grid varies only n, so every point holds the one instance's check
+    strong = [s.pop("strong") for s in per_point.values()][0]
+    ns = list(per_point)
+    means = _column(per_point, "gap_mean")
     fit = _fit_plot(
         out_dir,
         ns,
@@ -691,7 +688,7 @@ def _suite_alpha_zero_strong(
             "b_wl": strong.b_wl,
             "holds": bool(strong.holds),
         },
-        "per_n": per_n,
+        "per_n": {str(n): s for n, s in per_point.items()},
         "means": means,
         "mean_fit": fit,
     }
@@ -708,27 +705,20 @@ def _suite_bc_scaling(
     factor = 1.5
     base = {k: fx[k] for k in ("mdp", "data_dist", "reg", "alpha", "classes", "bc")}
     base["n0"] = 2000
-    batches, _ = _sweep(
-        out_dir, seed, num_seeds, base, {int(n2): {"n": n1 + int(n2)} for n2 in n2_grid}
-    )
-    per_n2 = {}
-    for n2, batch in batches.items():
-        ok = sum(r.pi_l1_bc <= r.pi_l1 + factor * r.bc_sample_term + 1e-12 for r in batch)
-        per_n2[str(n2)] = {
-            "pi_l1_bc_mean": float(np.mean([r.pi_l1_bc for r in batch])),
-            "pi_l1_mean": float(np.mean([r.pi_l1 for r in batch])),
-            "bc_sample_term_mean": float(np.mean([r.bc_sample_term for r in batch])),
-            "envelope_ok": ok,
+    per_point = _sweep(
+        "bc_scaling", out_dir, seed, num_seeds, base,
+        {int(n2): {"n": n1 + int(n2)} for n2 in n2_grid},
+        lambda batch, _: {
+            "pi_l1_bc_mean": _mean(batch, "pi_l1_bc"),
+            "pi_l1_mean": _mean(batch, "pi_l1"),
+            "bc_sample_term_mean": _mean(batch, "bc_sample_term"),
+            "envelope_ok": sum(r.pi_l1_bc <= r.pi_l1 + factor * r.bc_sample_term + 1e-12
+                               for r in batch),
             "saddle_misses": sum(1 for r in batch if r.w_index != 0),
-        }
-        _log.info(f"[bc_scaling] n2={n2}: mean cloned distance "
-                  f"{per_n2[str(n2)]['pi_l1_bc_mean']:.5f}, "
-                  f"envelope {ok}/{len(batch)}")
-
-    n2s = list(batches)
-    means = [per_n2[str(x)]["pi_l1_bc_mean"] for x in n2s]
-    direct = [per_n2[str(x)]["pi_l1_mean"] + factor * per_n2[str(x)]["bc_sample_term_mean"]
-              for x in n2s]
+        })
+    n2s = list(per_point)
+    means = _column(per_point, "pi_l1_bc_mean")
+    direct = [s["pi_l1_mean"] + factor * s["bc_sample_term_mean"] for s in per_point.values()]
     fit = _fit_plot(
         out_dir,
         n2s,
@@ -743,10 +733,10 @@ def _suite_bc_scaling(
         "n2_grid": n2s,
         "num_seeds": num_seeds,
         "envelope_factor": factor,
-        "per_n2": per_n2,
+        "per_n2": {str(n2): s for n2, s in per_point.items()},
         "means": means,
         "mean_fit": fit,
-        "min_envelope_ok": min(per_n2[str(x)]["envelope_ok"] for x in n2s),
+        "min_envelope_ok": min(_column(per_point, "envelope_ok")),
     }
 
 
@@ -778,15 +768,13 @@ def _suite_robustness(
         for pert in perturbations
         for eps_o in oracle_errors
     }
-    batches, _ = _sweep(out_dir, seed, num_seeds, base, points)
 
-    cells = {}
-    worst_ratio = 0.0
-    for (pert, eps_o), batch in batches.items():
-        cell_chain = cell_robust = 0
+    def stats(batch, _):
+        chain = robust = 0
+        worst_ratio = 0.0
         for r in batch:
             lhs_mid = r.pi_l1 / (1.0 - gamma)
-            cell_chain += (
+            chain += (
                 r.gap_ref <= lhs_mid + 1e-9
                 and lhs_mid <= 2.0 * r.w_dev / (1.0 - gamma) + 1e-9
             )
@@ -797,19 +785,15 @@ def _suite_robustness(
             bound = robust_gap_bound(
                 r.eps_hat, r.eps_ov + r.eps_ow, eps_app, alpha, reg.m_f, gamma
             )
-            cell_robust += r.gap_ref <= bound + 1e-9
+            robust += r.gap_ref <= bound + 1e-9
             if bound > 0:
                 worst_ratio = max(worst_ratio, r.gap_ref / bound)
-        cells[f"pert_{pert}_eps_{eps_o}"] = {
-            "chain_ok": cell_chain,
-            "robust_ok": cell_robust,
-            "gap_mean": float(np.mean([r.gap_ref for r in batch])),
-            "eps_rv": batch[0].eps_rv,
-            "eps_rw": batch[0].eps_rw,
-        }
-        _log.info(f"[robustness] pert={pert} eps={eps_o}: chain {cell_chain}/"
-                  f"{len(batch)}, robust {cell_robust}/{len(batch)}")
+        return {"chain_ok": chain, "robust_ok": robust, "gap_mean": _mean(batch, "gap_ref"),
+                "eps_rv": batch[0].eps_rv, "eps_rw": batch[0].eps_rw, "worst_ratio": worst_ratio}
 
+    per_point = _sweep("robustness", out_dir, seed, num_seeds, base, points, stats)
+    worst_ratio = max(s.pop("worst_ratio") for s in per_point.values())
+    cells = {f"pert_{pert}_eps_{eps_o}": s for (pert, eps_o), s in per_point.items()}
     total = len(points) * num_seeds
     return {
         "alpha": alpha,
@@ -840,8 +824,10 @@ def _override_problem(key: str, value, default):
     """Why value cannot replace a suite setting's default, or None if it can.
 
     A count (int default) takes an integer >= 1 and a float default a finite
-    number. A list takes a non-empty list of distinct finite numbers: whole
-    where the default's are, positive for ``*_grid`` keys, else nonnegative.
+    number, which for ``gamma`` must also pass the config schema's test of the
+    counterexample MDP's gamma. A list takes a non-empty list of distinct
+    finite numbers: whole where the default's are, positive for ``*_grid``
+    keys, else nonnegative.
     """
     def number(x):
         return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
@@ -857,6 +843,9 @@ def _override_problem(key: str, value, default):
     if isinstance(default, int):
         ok = number(value) and isinstance(value, int) and value >= 1
         return None if ok else "must be an integer >= 1"
+    if key == "gamma" and number(value):  # counterexample's: its MDP's gamma
+        test, spelling, _ = _BLOCK_KEYS["mdp"]["counterexample"]["gamma"]
+        return None if test(value) else f"must be {spelling}"
     return None if number(value) else "must be a finite number"
 
 

@@ -53,11 +53,13 @@ class TestStatError:
 
     def test_domain_errors(self):
         with pytest.raises(ValueError, match="n, n0"):
-            stat_error(0, 5, 0.1, 1, 1, 1, 1, (1, 1), 0.1)
+            stat_error(0, 5, 0.1, 1, 1, 1, 1, (1, 1), 0.1, gamma=0.9)
         with pytest.raises(ValueError, match="delta"):
-            stat_error(5, 5, 0.1, 1, 1, 1, 1, (1, 1), 1.5)
+            stat_error(5, 5, 0.1, 1, 1, 1, 1, (1, 1), 1.5, gamma=0.9)
         with pytest.raises(ValueError, match="sizes"):
-            stat_error(5, 5, 0.1, 1, 1, 1, 1, (0, 1), 0.1)
+            stat_error(5, 5, 0.1, 1, 1, 1, 1, (0, 1), 0.1, gamma=0.9)
+        with pytest.raises(TypeError, match="gamma"):  # a default of 0 read any MDP at gamma 0
+            stat_error(5, 5, 0.1, 1, 1, 1, 1, (1, 1), 0.1)
 
 
 class TestGapBounds:

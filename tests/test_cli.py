@@ -46,6 +46,24 @@ class TestGenCommands:
         mdp = load_mdp(str(out))
         assert (mdp.num_states, mdp.num_actions, mdp.gamma) == (4, 2, 0.7)
 
+    @pytest.mark.parametrize("kind, given", [("mixing", ["--mixing", "0.5"]),
+                                             ("counterexample", ["--instance", "1"])])
+    def test_gen_mdp_leaves_an_unset_key_to_the_schema_default(self, tmp_path, kind, given):
+        args = ["gen-mdp", "--kind", kind, "--num-states", "4", "--gamma", "0.7", "--seed", "3"]
+        assert getattr(cli.build_parser().parse_args(args + ["--out", "x"]), given[0][2:]) is None
+        main(args + ["--out", str(tmp_path / "unset.json")])
+        main(args + given + ["--out", str(tmp_path / "given.json")])
+        assert (tmp_path / "unset.json").read_bytes() == (tmp_path / "given.json").read_bytes()
+
+    def test_oracle_leaves_an_unset_m_f_to_the_regularizer_default(self, tmp_path):
+        mdp_path = tmp_path / "mdp.json"
+        main(["gen-mdp", "--num-states", "3", "--num-actions", "2", "--out", str(mdp_path)])
+        args = ["oracle", "--mdp", str(mdp_path), "--alpha", "0.2", "--out"]
+        assert cli.build_parser().parse_args(args + ["x"]).m_f is None
+        main(args + [str(tmp_path / "unset.json")])
+        main(args + [str(tmp_path / "given.json"), "--m-f", "1.0"])
+        assert (tmp_path / "unset.json").read_bytes() == (tmp_path / "given.json").read_bytes()
+
     def test_gen_data_is_deterministic(self, tmp_path):
         mdp_path = tmp_path / "mdp.json"
         main(["gen-mdp", "--num-states", "4", "--num-actions", "2", "--gamma", "0.8",

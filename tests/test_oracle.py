@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.optimize._highspy import _core as highspy
 
-from prorl import oracle
+from prorl import oracle, suites
 from prorl.bounds import recommended_alpha
 from prorl.datasets import DatasetSampler, law_counts
 from prorl.mdp import (
@@ -24,7 +24,6 @@ from prorl.oracle import (
     FlowInfeasibleError,
     SolverConvergenceError,
     capped_unregularized_value,
-    lp_stability_sweep,
     min_f_divergence_weight,
     solve_regularized,
     solve_unregularized,
@@ -32,7 +31,7 @@ from prorl.oracle import (
 )
 from prorl.pipelines import resolve_mdp
 from prorl.regularizers import Regularizer
-from prorl.suites import stability_fixture
+from prorl.suites import run_experiment_suite, stability_fixture
 
 from oracles import (
     covered_flow_feasible,
@@ -634,7 +633,6 @@ DD_READERS = {
     "min_f_divergence_weight": lambda mdp, dd: min_f_divergence_weight(mdp, dd, Regularizer()),
     "strong_concentrability_check": lambda mdp, dd: strong_concentrability_check(
         mdp, dd, np.full(mdp.num_states, 1.0 / mdp.num_states)),
-    "lp_stability_sweep": lambda mdp, dd: lp_stability_sweep(mdp, dd, Regularizer(), [0.2, 0.1]),
     "law_counts": lambda mdp, dd: law_counts(mdp, dd, 10, 2),
     "DatasetSampler": DatasetSampler,
     "approximation_errors": lambda mdp, dd: approximation_errors(
@@ -653,21 +651,21 @@ def test_mis_shaped_data_dist_is_rejected(reader, shape):
 
 
 class TestStabilitySweep:
-    def test_bandit_face_selection(self):
+    def test_bandit_face_selection(self, monkeypatch, tmp_path):
         # two equally good actions: the whole sweep sits at the symmetric
-        # minimum-divergence optimum, so every alpha shares the same w
+        # minimum-divergence optimum, so every alpha shares the same w; the
+        # lp_stability suite runs on this bandit in place of its fixture
         mdp = bandit_mdp(reward=[[0.7, 0.7]])
         dd = np.array([[0.25, 0.75]])
-        sweep = lp_stability_sweep(mdp, dd, Regularizer(), [0.2, 0.1, 0.05])
-        assert sweep.constant_prefix_len == 3
+        monkeypatch.setattr(suites, "stability_fixture",
+                            lambda: {"mdp": mdp, "dd": dd, "reg": Regularizer()})
+        summary = run_experiment_suite("lp_stability", str(tmp_path), alpha_grid=[0.2, 0.1, 0.05])
+        assert summary["constant_prefix_len"] == 3
         w_min, j_star = min_f_divergence_weight(mdp, dd, Regularizer())
         assert j_star == pytest.approx(0.7 * 1.0, abs=1e-9)
-        np.testing.assert_allclose(sweep.limit_w, w_min, atol=1e-6)
-
-    def test_grid_must_descend(self):
-        mdp = bandit_mdp()
-        with pytest.raises(ValueError, match="descending"):
-            lp_stability_sweep(mdp, np.array([[0.5, 0.5]]), Regularizer(), [0.1, 0.2])
+        assert summary["min_divergence_value"] == j_star
+        # the suite's limit weight, that of the smallest alpha, against w_min
+        assert summary["limit_matches_min_divergence_err"] <= 1e-6
 
 
 class TestMinFDivergence:

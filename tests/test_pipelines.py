@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prorl import classes, datasets, oracle, pipelines
+from prorl import classes, datasets, pipelines, suites
 from prorl.bounds import performance_gap_bound, residual_bound, stat_error
 from prorl.datasets import DatasetSampler
 from prorl.extraction import extract_policy
@@ -327,6 +327,10 @@ class TestConfigEdges:
              r"bc mix_grid must be a list of numbers in \[0, 1\], got \[2.0\]"),
             ({"n": 2500, "bc": {"directions": "uniform"}},
              "bc directions must be a list of .*, got 'uniform'"),
+            ({"alpha": 10**400}, "alpha must be nonnegative and finite, got 10{400}$"),
+            ({"reg": {"m_f": 10**400}}, "reg m_f must be positive and finite, got 10{400}$"),
+            ({"variant": {"kind": "capped", "cap": 10**400}},
+             "variant cap must be at least 1 and finite, got 10{400}$"),
         ],
         ids=["m_f_inf", "m_f_minus_inf", "m_f_nan", "zero_states", "zero_actions",
              "negative_states", "n_bool", "n0_bool", "seed_bool", "states_bool", "mdp_seed_bool",
@@ -336,7 +340,7 @@ class TestConfigEdges:
              "negative_eps_ov", "eps_ov_nan", "negative_perturbation", "negative_distractors",
              "distractors_fraction", "n_inf", "negative_n1", "n1_above_n", "seed_fraction",
              "mdp_seed_fraction", "states_inf", "zero_mixing", "instance_3", "mix_grid_above_1",
-             "directions_string"],
+             "directions_string", "alpha_beyond_float", "m_f_beyond_float", "cap_beyond_float"],
     )
     def test_edge_value_fails_at_config(self, no_solver, over, want):
         payload = {**base_config().to_dict(), **over}
@@ -371,7 +375,7 @@ GRAMMAR = [(block, kind, key) for block, kinds in pipelines._BLOCK_KEYS.items()
            for kind, keys in kinds.items() for key, (test, _, _) in keys.items()
            if test is not None]  # a test of None: the key's reader checks it
 BASE = object()  # the base config's own value
-VALUES = [0, -1, 2.5, float("nan"), float("inf"), float("-inf"), True, "a string"]
+VALUES = [0, -1, 2.5, float("nan"), float("inf"), float("-inf"), True, "a string", 10**400]
 
 
 class TestConfigGrammar:
@@ -879,7 +883,7 @@ class TestPrepareOnce:
         alpha = fx["alpha"]
         points = {1: {"n": 50, "n0": 50, "alpha": alpha}, 2: {"n": 80, "n0": 8, "alpha": alpha},
                   3: {"n": 50, "n0": 50, "alpha": alpha / 2}}
-        _, instances = _sweep(str(tmp_path), 0, 2, base, points)
+        instances = _sweep("test", str(tmp_path), 0, 2, base, points, lambda _, inst: inst)
         assert instances[1] is instances[2] is not instances[3]
 
     @pytest.mark.parametrize("variant", ["realizable", "bc"])
@@ -1076,8 +1080,8 @@ class TestInstanceRegistry:
         solves = counter.count_calls(monkeypatch, (
             "solve_regularized", "solve_unregularized", "population_lagrangian_members"))
         lps = counter.count_calls(monkeypatch, (
-            "lp_stability_sweep", "min_f_divergence_weight", "capped_unregularized_value",
-            "strong_concentrability_check"), source=oracle)
+            "_stability_solves", "min_f_divergence_weight", "capped_unregularized_value",
+            "strong_concentrability_check"), source=suites)
         samplers = []
         build = DatasetSampler.__init__
         monkeypatch.setattr(DatasetSampler, "__init__",
@@ -1094,12 +1098,12 @@ class TestInstanceRegistry:
             run_experiment_suite(name, str(tmp_path / name), **self.GRIDS[name])
         values = [v for v in pipelines._registry.values() if not isinstance(v, pipelines.Instance)]
         samplers = [v for v in values if isinstance(v, DatasetSampler)]
-        # six fixtures (counterexample's at two instances), b_w0, the stability sweep and its
+        # six fixtures (counterexample's at two instances), b_w0, the stability solves and their
         # limit, the coverage check, the capped LP and its policy's return; and one sampler
         # per (MDP, d^D) of the six sampled suites
         assert len(values) - len(samplers) == 13 and len(samplers) == 6
         arrays = list(_arrays([v for v in values if v not in samplers], set()))
-        # the stability fixture's 5, its sweep's 3, its limit weight and the capped occupancy
+        # the stability fixture's 5, its solves' 3, its limit weight and the capped occupancy
         assert len(arrays) == 10
         # per sampler: three tables of 2, reward, d^D and the empty part's zeros; the kept fit
         # and held counts, whose held transitions are those zeros when the held part is empty

@@ -365,7 +365,7 @@ class TestGridOrder:
 
 class TestOverrideChecks:
     """A bad override is a config error that names the suite, the key and the
-    accepted keys, raised before any artifact is written."""
+    accepted keys, raised before the output directory is made."""
 
     CASES = {
         "unknown_key": ("counterexample", {"num_seeds": 2}, "is unknown"),
@@ -380,6 +380,10 @@ class TestOverrideChecks:
         "negative_perturbation": ("robustness", {"perturbations": [-0.1]}, "nonnegative"),
         "boolean_count": ("robustness", {"num_seeds": True}, "integer >= 1"),
         "text_gamma": ("counterexample", {"gamma": "half"}, "finite number"),
+        # the config schema's range for the counterexample MDP's gamma
+        "zero_gamma": ("counterexample", {"gamma": 0}, r"must be in \(0, 1\)"),
+        "unit_gamma": ("counterexample", {"gamma": 1.0}, r"must be in \(0, 1\)"),
+        "gamma_above_one": ("counterexample", {"gamma": 2}, r"must be in \(0, 1\)"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -393,8 +397,7 @@ class TestOverrideChecks:
         assert info.value.stage == "config"
         assert f"suite {name!r}" in message and f"override {key}=" in message
         assert "accepted keys:" in message
-        assert not (out / "rows.csv").exists()
-        assert not (out / "summary.json").exists()
+        assert not out.exists()
 
     def test_message_lists_the_accepted_keys(self, tmp_path):
         with pytest.raises(PipelineError) as info:
