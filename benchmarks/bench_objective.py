@@ -23,6 +23,11 @@ it. Each timing is one call:
   states, 3 actions, n = 68,000 cut at n1 = 60,000, n0 = 2,000), seeds
   alternating as above: the cloning cut, whose fit and held parts are both
   binned;
+- bc_scaling's five sizes at one seed (n = 60,000 + n2 for n2 = 500 ...
+  8,000, each cut at n1 = 60,000, n0 = 2,000), seeds alternating as above:
+  ``count_sizes`` over all five in one pass, as the suite's sweep counts a
+  seed, next to five lone ``count`` calls, which read and look up the shared
+  60,000+ cell draws once each;
 
 the kernels below run on counts drawn outside the timed call by
 ``DatasetSampler.count``, as a run draws them, so each timing is the work
@@ -44,8 +49,9 @@ and whole runs:
   the first two rounds, so each timing is what a run costs past its
   instance (counts, one payoff matrix, argmax, score lookups, eps_hat);
 - the robustness suite at its default grid, warm: its six grid points share
-  one MDP, d^D, n and n0, so at each of its 5 seeds the first point bins
-  the dataset and the other five read the counts their shared sampler kept.
+  one MDP, d^D, n and n0, so at each of its 5 seeds the sweep bins the
+  dataset once, before the runs, and all six read the counts their shared
+  sampler kept.
 """
 
 import itertools
@@ -110,6 +116,22 @@ def test_counting_draw_bc_cut(benchmark):
     sampler, seeds = DatasetSampler(mdp, dd), itertools.cycle((0, 1))
     fit, held = benchmark(lambda: sampler.count(68_000, 2_000, next(seeds), n1=fx["bc"]["n1"]))
     assert (fit.n, fit.n0, held.n, held.n0) == (60_000, 2_000, 8_000, 0)
+
+
+@pytest.mark.parametrize("how", ["one_pass", "lone_counts"])
+def test_counting_a_seed_bc_scaling(benchmark, how):
+    fx = bc_fixture()
+    mdp = resolve_mdp(fx["mdp"])
+    dd, _ = resolve_data_dist(mdp, fx["data_dist"])
+    sampler, seeds, n1 = DatasetSampler(mdp, dd), itertools.cycle((0, 1)), fx["bc"]["n1"]
+    sizes = [(n1 + n2, 2_000, n1) for n2 in (500, 1_000, 2_000, 4_000, 8_000)]
+
+    def lone_counts(sizes, seed):
+        return [sampler.count(n, n0, seed, n1) for n, n0, n1 in sizes]
+
+    count = sampler.count_sizes if how == "one_pass" else lone_counts
+    parts = benchmark(lambda: count(sizes, next(seeds)))
+    assert [(fit.n, held.n) for fit, held in parts] == [(n1, n - n1) for n, _, _ in sizes]
 
 
 @pytest.mark.parametrize("n", [10_000, 100_000, 1_000_000])

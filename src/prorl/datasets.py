@@ -7,9 +7,12 @@ builds exact inverse-CDF tables (guide tables, Chen & Asau 1974, equal to
 words, so a (config, seed) pair pins the dataset bytes. It draws block by
 block and bins the blocks into a ``CountedDataset``, the counts the estimator
 reads, with reward sums R = N r, or joins them into an ``OfflineDataset``'s
-per-transition columns, which ``gen-data`` writes. It keeps its latest counts,
-so runs that fit the same data one after another bin it once. ``law_counts``
-gives the counts of the population law itself, the data of exact-frequency runs.
+per-transition columns, which ``gen-data`` writes. Cells read the stream's first
+n draws, so at one seed every size's cells are a prefix of the largest's:
+``count_sizes`` bins a list of sizes in one pass that reads and looks up each
+cell draw once. It keeps its latest pass's counts, so a sweep that counts a
+seed's sizes before its runs bins each dataset once. ``law_counts`` gives the
+counts of the population law itself, the data of exact-frequency runs.
 """
 
 from __future__ import annotations
@@ -178,16 +181,16 @@ class DatasetSampler:
         self.init_states = _GuideTable(_cumulative(mdp.init_dist))
         self.reward = mdp.reward
         self._no_transitions = np.broadcast_to(np.intp(0), (*dd.shape, len(dd)))  # no memory
-        self._last = (None, None)  # (n, n0, seed, n1) of the latest count, and its result
+        self._kept = {}  # (n, n0, seed, n1) -> (fit, held), of the latest pass that binned
 
-    def _transitions(self, uniforms: _Uniforms, n: int, start: int, stop: int):
-        """(cells s * A + a, next states) of transitions [start, stop), block by block.
+    def _transitions(self, uniforms: _Uniforms, n: int):
+        """(cells s * A + a, next states) of transitions [0, n), block by block.
 
         Cells read draws [0, n) of the stream, next states [n, 2n) and initial
         states [2n, 2n + n0): rng.random(n) twice, then rng.random(n0).
         """
-        for lo in range(start, stop, _BLOCK):
-            size = min(_BLOCK, stop - lo)
+        for lo in range(0, n, _BLOCK):
+            size = min(_BLOCK, n - lo)
             cells = self.cells.lookup(uniforms.read(lo, size))
             yield cells, self.next_states.lookup(uniforms.read(n + lo, size), cells)
 
@@ -197,37 +200,73 @@ class DatasetSampler:
                 for lo in range(0, n0, _BLOCK))
 
     def count(self, n: int, n0: int, seed, n1: Optional[int] = None) -> tuple:
-        """The counts of ``draw(n, n0, seed)``, binned block by block.
+        """The counts of ``draw(n, n0, seed)``: ``count_sizes`` of the one size (n, n0, n1).
 
         Returns (fit, held) ``CountedDataset``s: transitions [0, n1) with all n0
         initial states, and transitions [n1, n) with none; n1 defaults to n.
-        With int sizes and seed the result is kept until the next count, and
-        a call with the same (n, n0, seed, n1) returns it again: the same
-        read-only counts, binned once.
         """
-        n1 = n if n1 is None else n1
-        key, (last_key, last) = (n, n0, seed, n1), self._last  # one read: the pair stays whole
-        if not all(type(v) is int for v in key):
-            key = None  # a seed sequence or generator, or sizes that are numpy ints: not kept
-        elif key == last_key:
-            return last
-        if n < 0 or n0 < 0 or not 0 <= n1 <= n:
-            raise ValueError(f"sample counts must be nonnegative and n1 must lie in [0, {n}]")
-        uniforms, shape, parts = _Uniforms(seed), self._no_transitions.shape, []
-        for start, stop, num_inits in ((0, n1, n0), (n1, n, 0)):
-            transitions = np.zeros(shape, np.intp) if stop > start else self._no_transitions
-            for cells, next_states in self._transitions(uniforms, n, start, stop):
-                _tally(transitions.reshape(-1), cells * shape[0] + next_states)
+        return self.count_sizes([(n, n0, n if n1 is None else n1)], seed)[0]
+
+    def count_sizes(self, sizes, seed) -> list:
+        """``count(n, n0, seed, n1)`` for each (n, n0, n1) of sizes, in one pass over the stream.
+
+        Every size's cells read a prefix of the stream, so each block of cell
+        draws is read and looked up once, for all sizes; each size whose n
+        reaches the block then reads its own next states at n + lo and bins
+        them into its fit part (below n1) and held part, and each size bins its
+        initial states. With int sizes and seed the counts of the latest pass
+        that binned anything are kept, keyed by (n, n0, seed, n1), and a later
+        call returns a kept size again: the same read-only counts, binned once.
+        Temporaries are one block long; nothing is kept per transition.
+        """
+        sizes = [tuple(size) for size in sizes]
+        for n, n0, n1 in sizes:
+            if n < 0 or n0 < 0 or not 0 <= n1 <= n:
+                raise ValueError(f"sample counts must be nonnegative and n1 must lie in [0, {n}]")
+        kept = self._kept  # one read: a pass rebinds it whole
+        keys = {size: (size[0], size[1], seed, size[2]) for size in sizes  # kept: int keys only,
+                if all(type(v) is int for v in (*size, seed))}  # no seed sequence or numpy int
+        counted = {size: kept[key] for size, key in keys.items() if key in kept}
+        todo = [size for size in dict.fromkeys(sizes) if size not in counted]
+        if todo:  # a pass that bins nothing keeps what it found
+            counted.update(self._count_pass(todo, seed))
+            self._kept = {key: counted[size] for size, key in keys.items()}
+        return [counted[size] for size in sizes]
+
+    def _count_pass(self, sizes, seed) -> dict:
+        """{(n, n0, n1): (fit, held)} of distinct sizes at seed, binned in one pass."""
+        uniforms, shape = _Uniforms(seed), self._no_transitions.shape
+        counts = {(n, n0, n1): [np.zeros(shape, np.intp) if part else None for part in (n1, n - n1)]
+                  for n, n0, n1 in sizes}
+        top = max(n for n, _, _ in sizes)
+        for lo in range(0, top, _BLOCK):
+            cells = self.cells.lookup(uniforms.read(lo, min(_BLOCK, top - lo)))
+            for (n, _, n1), parts in counts.items():
+                if n > lo:  # its own next states, cut at n1: a block may straddle the cut
+                    m = min(_BLOCK, n - lo)
+                    ids = cells[:m] * shape[0] + self.next_states.lookup(uniforms.read(n + lo, m),
+                                                                         cells[:m])
+                    cut = min(max(n1 - lo, 0), m)
+                    for part, chunk in zip(parts, (ids[:cut], ids[cut:])):
+                        if chunk.size:
+                            _tally(part.reshape(-1), chunk)
+        counted = {}
+        for (n, n0, n1), (fit, held) in counts.items():
             inits = np.zeros(shape[0], np.intp)
-            for init_states in self._inits(uniforms, n, num_inits):
+            for init_states in self._inits(uniforms, n, n0):
                 _tally(inits, init_states)
-            # R = N(s,a) r(s,a), one rounding a cell; an empty part (n1 = n) sums no zeros
-            rewards = transitions.sum(axis=2) * self.reward if stop > start else np.zeros(shape[:2])
-            parts.append(CountedDataset(stop - start, num_inits, self.gamma,
-                                        transitions, rewards, inits))
-        parts = _read_only(tuple(parts))
-        self._last = (key, parts)
-        return parts
+            counted[n, n0, n1] = _read_only((self._part(fit, n1, n0, inits),
+                                             self._part(held, n - n1, 0, np.zeros_like(inits))))
+        return counted
+
+    def _part(self, transitions, n: int, n0: int, inits) -> CountedDataset:
+        """n binned transitions (None when n = 0) with reward sums R = N(s,a) r(s,a), one
+        rounding a cell; an empty part holds the shared zero view and sums no zeros."""
+        if transitions is None:
+            transitions, rewards = self._no_transitions, np.zeros(self.reward.shape)
+        else:
+            rewards = transitions.sum(axis=2) * self.reward
+        return CountedDataset(n, n0, self.gamma, transitions, rewards, inits)
 
     def draw(self, n: int, n0: int, seed) -> OfflineDataset:
         """n transitions and n0 initial states as columns: the blocks ``count`` bins."""
@@ -235,7 +274,7 @@ class DatasetSampler:
             raise ValueError("sample counts must be nonnegative")
         uniforms, empty = _Uniforms(seed), np.empty(0, np.intp)
         cells, next_states = map(np.concatenate, zip((empty, empty),
-                                                     *self._transitions(uniforms, n, 0, n)))
+                                                     *self._transitions(uniforms, n)))
         init_states = np.concatenate([empty, *self._inits(uniforms, n, n0)])
         states, actions = np.divmod(cells, self.reward.shape[1])
         return OfflineDataset(states, actions, self.reward.take(cells), next_states, init_states,

@@ -92,17 +92,20 @@ def _real(value) -> bool:
                                         and abs(value) <= sys.float_info.max)
 
 
-def _integer(least: int) -> tuple:
-    """The test and spelling of an integer key; a bool is not read as one, although it is an int."""
-    return (lambda v: type(v) is int and v >= least), f"an integer >= {least}"
+def _integer(least: int, seed: bool = False) -> tuple:
+    """The test and spelling of an integer key; a bool is not read as one, although it is an int.
+    A size is below 2**63, np.intp's bound, as it sizes arrays and counting loops; a seed is not."""
+    top, bound = (np.inf, "") if seed else (np.iinfo(np.intp).max, " and below 2**63")
+    return (lambda v: type(v) is int and least <= v <= top), f"an integer >= {least}{bound}"
 
 
-_SIZE, _SEED = (*_integer(1), _NEEDED), (*_integer(0), _NEEDED)
+_SIZE, _SEED = (*_integer(1), _NEEDED), (*_integer(0, seed=True), _NEEDED)
 _NONNEGATIVE = (lambda v: _real(v) and 0 <= v < np.inf), "nonnegative and finite"
 _SLACK = (lambda v: _real(v) and v >= 0, "nonnegative", _NEEDED)
 _MDP = {"kind": _KIND, "num_states": _SIZE, "num_actions": _SIZE,
         "gamma": (lambda v: _real(v) and 0 <= v < 1, "in [0, 1)", _NEEDED)}
-_DRAWN = {"kind": _KIND, "num_distractors": (*_integer(0), 8), "seed": (*_integer(0), 0)}
+_DRAWN = {"kind": _KIND, "num_distractors": (*_integer(0), 8),
+          "seed": (*_integer(0, seed=True), 0)}
 # block -> kind -> key -> (test, spelling, default): every key a config reads, the values it
 # takes and the value it reads when the key is left out (_NEEDED: the kind needs the key). A
 # test of None marks a key its reader checks: the kind, and the arrays and class tables. Block
@@ -656,6 +659,12 @@ def _staged(stage):
         raise PipelineError(stage, str(exc)) from exc
 
 
+def sample_sizes(cfg: ExperimentConfig) -> tuple:
+    """(n, n0, n1) of the dataset a sampled run of cfg counts: it fits transitions [0, n1)
+    with every initial state and clones from [n1, n); n1 = n without a bc block."""
+    return cfg.n, cfg.n0, cfg.n if cfg.bc is None else _read("bc", cfg.bc, "n1", cfg.n)
+
+
 def run_pro_rl(cfg: ExperimentConfig, instance: Optional[Instance] = None) -> RunReport:
     """Run the estimator once, end to end, and score it.
 
@@ -674,10 +683,10 @@ def run_pro_rl(cfg: ExperimentConfig, instance: Optional[Instance] = None) -> Ru
     with _staged("dataset"):
         if inst.dataset is None:  # exact frequencies: the population law at n and n0
             fit, held = law_counts(inst.mdp, inst.dd, cfg.n, cfg.n0), None
-        elif cfg.bc is None:  # counts only: no per-transition array
-            fit, held = inst.dataset.count(cfg.n, cfg.n0, cfg.seed)[0], None
-        else:  # transitions [0, n1) to fit, with every initial state, and [n1, n) to clone
-            fit, held = inst.dataset.count(cfg.n, cfg.n0, cfg.seed, _read("bc", cfg.bc, "n1", cfg.n))
+        else:  # counts only: no per-transition array
+            n, n0, n1 = sample_sizes(cfg)
+            fit, held = inst.dataset.count(n, n0, cfg.seed, n1)
+            held = None if cfg.bc is None else held
     with _staged("saddle"):
         emp = empirical_lagrangian_members(fit, inst.reg, cfg.alpha, vc.stack, wc.stack)
         if cfg.variant["kind"] == "inexact":

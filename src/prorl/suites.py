@@ -59,12 +59,14 @@ from .pipelines import (
     CSV_HEADER,
     ExperimentConfig,
     PipelineError,
+    _staged,
     memoized,
     prepare,
     resolve_data_dist,
     resolve_mdp,
     run_pro_rl,
     run_pro_rl_bc,
+    sample_sizes,
 )
 from .regularizers import Regularizer
 from .svgplot import fit_loglog, line_plot
@@ -365,9 +367,10 @@ def _sweep(name: str, out_dir: str, seed: int, num_seeds: int, base: dict, point
     seed=seed + s)`` for each s < num_seeds, a bc config through
     ``run_pro_rl_bc``, on ``prepare`` of its first config, so points that
     differ only in n, n0 and w_order share one instance. The runs go seed
-    by seed, each seed's in ascending label order: points on one (MDP, d^D)
-    and the same n, n0 and seed then count one dataset, which their shared
-    sampler keeps between them. Rows are sorted before they are written, so
+    by seed, each seed's in ascending label order. Before a seed's runs, each
+    sampler its points share counts their sizes (``sample_sizes``) in one
+    pass, so every size's cells are read once, from the largest n's, and
+    each run reads its counts already binned. Rows are sorted before they are written, so
     neither this order nor that of a grid in the overrides reaches the
     artifacts. Returns {label: stats(reports, instance)}, labels ascending and
     reports in seed order, and logs one line per point under suite ``name``.
@@ -380,6 +383,13 @@ def _sweep(name: str, out_dir: str, seed: int, num_seeds: int, base: dict, point
     instances = {label: prepare(runs[0]) for label, runs in cfgs.items()}
     batches = {label: [] for label in cfgs}
     for s in range(num_seeds):
+        sizes = {}  # sampler -> the sizes of this seed's runs on it
+        for label, runs in cfgs.items():
+            if instances[label].dataset is not None:
+                sizes.setdefault(instances[label].dataset, []).append(sample_sizes(runs[s]))
+        with _staged("dataset"):
+            for sampler, grid in sizes.items():
+                sampler.count_sizes(grid, seed + s)
         for label, runs in cfgs.items():
             drive = run_pro_rl if runs[s].bc is None else run_pro_rl_bc
             batches[label].append(drive(runs[s], instances[label]))

@@ -431,6 +431,73 @@ class TestBlockCounts:
         assert fit.transitions.sum() == fit.inits.sum() == 1_000_000
 
 
+class TestSeedPass:
+    """``DatasetSampler.count_sizes`` counts several sizes at one seed in one pass: each size's
+    parts are those of a lone count, byte for byte."""
+
+    FIXTURES = {"dense": (5, 3, 8, 0.0), "sparse": (6, 2, 3, 0.5), "one_state": (1, 1, 2, 0.0)}
+    # unsorted, with duplicates: n at B - 1, B and B + 1; n1 = n; n1 < n with the cut inside a
+    # block and the held part across block edges; n0 = 0 and n1 = 0
+    SIZES = [(B + 1, 40, B + 1), (B - 1, 0, B - 1), (2 * B + 3, 5, B - 2), (B, 7, B),
+             (B + 1, 0, 3), (B + 1, 40, B + 1), (300, 9, 0), (B, 7, B), (2 * B + 3, 5, 2 * B)]
+
+    @pytest.mark.parametrize("fixture", sorted(FIXTURES))
+    def test_each_size_is_a_lone_count(self, fixture):
+        mdp, dd = sparse_mdp_and_data(*self.FIXTURES[fixture])
+        got = DatasetSampler(mdp, dd).count_sizes(self.SIZES, 17)
+        assert len(got) == len(self.SIZES)
+        for (n, n0, n1), parts in zip(self.SIZES, got):
+            want = DatasetSampler(mdp, dd).count(n, n0, 17, n1)
+            for part, ref in zip(parts, want):
+                assert (part.n, part.n0, part.gamma) == (ref.n, ref.n0, ref.gamma)
+                for name in ("transitions", "rewards", "inits"):
+                    a, b = getattr(part, name), getattr(ref, name)
+                    assert a.dtype == b.dtype and a.shape == b.shape
+                    assert a.tobytes() == b.tobytes()
+        assert got[0] is got[5] and got[3] is got[7]  # a size given twice is counted once
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        num_states=st.integers(1, 6),
+        num_actions=st.integers(1, 3),
+        sizes=st.lists(st.tuples(st.sampled_from([0, 1, 7, 64, 300]), st.sampled_from([0, 1, 25]),
+                                 st.floats(0.0, 1.0)), min_size=1, max_size=5),
+        block=st.sampled_from([1, 3, 64, B]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_counts_as_searchsorted(self, num_states, num_actions, sizes, block, seed):
+        mdp, dd = sparse_mdp_and_data(num_states, num_actions, seed, 0.3)
+        sizes = [(n, n0, int(cut * n)) for n, n0, cut in sizes]
+        with mock.patch.object(datasets, "_BLOCK", block):
+            got = DatasetSampler(mdp, dd).count_sizes(sizes, seed)
+        for (n, n0, n1), (fit, held) in zip(sizes, got):
+            assert_same_counts(fit, column_counts(mdp, dd, n, n0, seed, stop=n1), n1, n0,
+                               mdp.reward)
+            assert_same_counts(held, column_counts(mdp, dd, n, n0, seed, start=n1,
+                                                   with_inits=False), n - n1, 0, mdp.reward)
+
+    def test_a_pass_keeps_its_sizes_and_serves_them_again(self):
+        mdp, dd = sparse_mdp_and_data(*self.FIXTURES["dense"])
+        sampler = DatasetSampler(mdp, dd)
+        first = sampler.count_sizes([(300, 9, 200), (40, 4, 40)], 3)
+        assert sampler.count(40, 4, 3) is first[1] and sampler.count(300, 9, 3, 200) is first[0]
+        assert sampler.count(300, 9, 4, 200) is not first[0]  # another seed is counted afresh
+        assert sampler.count(40, 4, 3) is not first[1]  # the later pass replaced the kept counts
+
+    def test_a_pass_over_a_million_draws_holds_no_per_transition_array(self):
+        sampler = DatasetSampler(*sparse_mdp_and_data(*self.FIXTURES["dense"]))
+        sizes = [(1_000_000, 1_000_000, 1_000_000), (900_000, 900_000, 600_000),
+                 (500_000, 500_000, 500_000)]
+        tracemalloc.start()
+        got = sampler.count_sizes(sizes, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 2 * 2**20  # one column of 1e6 int64 alone is 7.6 MiB
+        for (n, n0, n1), (fit, held) in zip(sizes, got):
+            assert fit.transitions.sum() == n1 and held.transitions.sum() == n - n1
+            assert fit.inits.sum() == n0
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         mdp = random_mdp(4, 2, 0.85, seed=9)
@@ -575,6 +642,9 @@ class TestCounts:
         guide.packed[-K:] = 3
         with pytest.raises(ValueError, match="outside the tables"):
             sampler.count(10, 4, seed=0)
+        with pytest.raises(ValueError, match="outside the tables"):  # a pass over three sizes
+            sampler.count_sizes([(30, 4, 20), (10, 0, 10), (20, 4, 5)], 0)
+        assert sampler._kept == {}  # a failed pass keeps nothing
 
     def test_take_halves_add_up(self):
         # the two parts of count's bc cut add up to the uncut count

@@ -241,7 +241,8 @@ class TestConfigValidation:
         {"kind": "constrained", "num_distractors": -3},
     ], ids=lambda spec: spec["kind"])
     def test_negative_num_distractors_raises_at_config(self, spec):
-        want = r"^\[config\] classes num_distractors must be an integer >= 0, got -3$"
+        want = (r"^\[config\] classes num_distractors must be an integer >= 0 and below 2\*\*63, "
+                r"got -3$")
         with pytest.raises(PipelineError, match=want):
             base_config(classes=spec)
 
@@ -269,13 +270,13 @@ class TestConfigEdges:
             ({"reg": {"m_f": float("-inf")}}, "m_f must be positive and finite"),
             ({"reg": {"m_f": float("nan")}}, "m_f must be positive and finite"),
             ({"mdp": {**MDP_SPEC, "num_states": 0}},
-             "mdp num_states must be an integer >= 1, got 0"),
+             r"mdp num_states must be an integer >= 1 and below 2\*\*63, got 0"),
             ({"mdp": {**MDP_SPEC, "num_actions": 0}},
-             "mdp num_actions must be an integer >= 1, got 0"),
+             r"mdp num_actions must be an integer >= 1 and below 2\*\*63, got 0"),
             ({"mdp": {**MDP_SPEC, "num_states": -2}},
-             "mdp num_states must be an integer >= 1, got -2"),
-            ({"n": True}, "n must be an integer >= 1, got True"),
-            ({"n0": True}, "n0 must be an integer >= 1, got True"),
+             r"mdp num_states must be an integer >= 1 and below 2\*\*63, got -2"),
+            ({"n": True}, r"n must be an integer >= 1 and below 2\*\*63, got True"),
+            ({"n0": True}, r"n0 must be an integer >= 1 and below 2\*\*63, got True"),
             ({"seed": True}, "seed must be an integer >= 0, got True"),
             ({"mdp": {**MDP_SPEC, "num_states": True}}, "mdp num_states must be an integer"),
             ({"mdp": {**MDP_SPEC, "seed": False}}, "mdp seed must be an integer"),
@@ -290,7 +291,7 @@ class TestConfigEdges:
             ({"classes": {**CLASSES_SPEC, "seed": -1}},
              "classes seed must be an integer >= 0, got -1"),
             # each value below once ran as another value or failed after the config check
-            ({"n0": 2.5}, "n0 must be an integer >= 1, got 2.5"),
+            ({"n0": 2.5}, r"n0 must be an integer >= 1 and below 2\*\*63, got 2.5"),
             ({"alpha": True}, "alpha must be nonnegative and finite, got True"),
             ({"reg": {"m_f": True}}, "reg m_f must be positive and finite, got True"),
             ({"mdp": {**MDP_SPEC, "kind": "mixing", "mixing": True}},
@@ -308,17 +309,18 @@ class TestConfigEdges:
             ({"classes": {"kind": "misspecified", "perturbation": -0.1}},
              "classes perturbation must be nonnegative and finite, got -0.1"),
             ({"classes": {**CLASSES_SPEC, "num_distractors": -1}},
-             "classes num_distractors must be an integer >= 0, got -1"),
+             r"classes num_distractors must be an integer >= 0 and below 2\*\*63, got -1"),
             ({"classes": {**CLASSES_SPEC, "num_distractors": 2.5}},
-             "classes num_distractors must be an integer >= 0, got 2.5"),
-            ({"n": float("inf")}, "n must be an integer >= 1, got inf"),
-            ({"n": 2500, "bc": {"n1": -5}}, "bc n1 must be an integer >= 1, got -5"),
+             r"classes num_distractors must be an integer >= 0 and below 2\*\*63, got 2.5"),
+            ({"n": float("inf")}, r"n must be an integer >= 1 and below 2\*\*63, got inf"),
+            ({"n": 2500, "bc": {"n1": -5}},
+             r"bc n1 must be an integer >= 1 and below 2\*\*63, got -5"),
             ({"n": 2500, "bc": {"n1": 3000}},
              "bc n1 must be below n, .* got n1 = 3000 at n = 2500"),
             ({"seed": 2.5}, "seed must be an integer >= 0, got 2.5"),
             ({"mdp": {**MDP_SPEC, "seed": 2.5}}, "mdp seed must be an integer >= 0, got 2.5"),
             ({"mdp": {**MDP_SPEC, "num_states": float("inf")}},
-             "mdp num_states must be an integer >= 1, got inf"),
+             r"mdp num_states must be an integer >= 1 and below 2\*\*63, got inf"),
             ({"mdp": {**MDP_SPEC, "kind": "mixing", "mixing": 0}},
              r"mdp mixing must be in \(0, 1\], got 0"),
             ({"mdp": {"kind": "counterexample", "gamma": 0.5, "instance": 3}},
@@ -331,6 +333,24 @@ class TestConfigEdges:
             ({"reg": {"m_f": 10**400}}, "reg m_f must be positive and finite, got 10{400}$"),
             ({"variant": {"kind": "capped", "cap": 10**400}},
              "variant cap must be at least 1 and finite, got 10{400}$"),
+            # each size below once passed the config check and then spun in the counting loop
+            # or failed to allocate: a size is below 2**63, np.intp's bound
+            ({"n": 10**400},
+             r"^\[config\] n must be an integer >= 1 and below 2\*\*63, got 10{400}$"),
+            ({"n0": 2**63}, r"^\[config\] n0 must be an integer >= 1 and below 2\*\*63, "
+                            r"got 9223372036854775808$"),
+            ({"n": 2500, "bc": {"n1": 2**63}},
+             r"^\[config\] bc n1 must be an integer >= 1 and below 2\*\*63, "
+             r"got 9223372036854775808$"),
+            ({"mdp": {**MDP_SPEC, "num_states": 2**63}},
+             r"^\[config\] mdp num_states must be an integer >= 1 and below 2\*\*63, "
+             r"got 9223372036854775808$"),
+            ({"mdp": {**MDP_SPEC, "num_actions": 10**400}},
+             r"^\[config\] mdp num_actions must be an integer >= 1 and below 2\*\*63, "
+             r"got 10{400}$"),
+            ({"classes": {**CLASSES_SPEC, "num_distractors": 2**63}},
+             r"^\[config\] classes num_distractors must be an integer >= 0 and below 2\*\*63, "
+             r"got 9223372036854775808$"),
         ],
         ids=["m_f_inf", "m_f_minus_inf", "m_f_nan", "zero_states", "zero_actions",
              "negative_states", "n_bool", "n0_bool", "seed_bool", "states_bool", "mdp_seed_bool",
@@ -340,13 +360,22 @@ class TestConfigEdges:
              "negative_eps_ov", "eps_ov_nan", "negative_perturbation", "negative_distractors",
              "distractors_fraction", "n_inf", "negative_n1", "n1_above_n", "seed_fraction",
              "mdp_seed_fraction", "states_inf", "zero_mixing", "instance_3", "mix_grid_above_1",
-             "directions_string", "alpha_beyond_float", "m_f_beyond_float", "cap_beyond_float"],
+             "directions_string", "alpha_beyond_float", "m_f_beyond_float", "cap_beyond_float",
+             "n_beyond_float", "n0_at_2_63", "n1_at_2_63", "states_at_2_63",
+             "actions_beyond_float", "distractors_at_2_63"],
     )
     def test_edge_value_fails_at_config(self, no_solver, over, want):
         payload = {**base_config().to_dict(), **over}
         with pytest.raises(PipelineError, match=want) as info:
             run_pro_rl(ExperimentConfig.from_dict(json.loads(json.dumps(payload))))
         assert info.value.stage == "config"
+
+    @pytest.mark.parametrize("over", [{"seed": 2**63}, {"seed": 10**400},
+                                      {"mdp": {**MDP_SPEC, "seed": 2**64}},
+                                      {"classes": {**CLASSES_SPEC, "seed": 2**63}}],
+                             ids=["seed", "seed_beyond_float", "mdp_seed", "classes_seed"])
+    def test_seeds_stay_unbounded(self, over):
+        ExperimentConfig.from_dict(json.loads(json.dumps({**base_config().to_dict(), **over})))
 
 
 SMALL = dict(mdp={"kind": "random", "num_states": 4, "num_actions": 2, "gamma": 0.8, "seed": 1},
@@ -375,7 +404,7 @@ GRAMMAR = [(block, kind, key) for block, kinds in pipelines._BLOCK_KEYS.items()
            for kind, keys in kinds.items() for key, (test, _, _) in keys.items()
            if test is not None]  # a test of None: the key's reader checks it
 BASE = object()  # the base config's own value
-VALUES = [0, -1, 2.5, float("nan"), float("inf"), float("-inf"), True, "a string", 10**400]
+VALUES = [0, -1, 2.5, float("nan"), float("inf"), float("-inf"), True, "a string", 10**400, 2**63]
 
 
 class TestConfigGrammar:
@@ -923,6 +952,35 @@ class TestSharedCounts:
         assert len(calls) == 6 * num_seeds
         assert sorted(passes) == [4 + s for s in range(num_seeds)]
 
+    def test_runs_of_a_warm_sweep_bin_nothing(self, monkeypatch, tmp_path):
+        # the sweep counts each seed's sizes in one pass before its runs, so no run looks up
+        # a draw: bc_scaling's points share their fit cells, rate_regularized's n their cells
+        grids = {name: TestInstanceRegistry.GRIDS[name]
+                 for name in ("bc_scaling", "rate_regularized")}
+        for name, grid in grids.items():  # cold: prepares the instances and samplers
+            run_experiment_suite(name, str(tmp_path / "cold" / name), seed=0, **grid)
+        lookups, in_run, lookup = Counter(), [False], datasets._GuideTable.lookup
+
+        def counted(self, *args):
+            lookups["in a run" if in_run[0] else "outside runs"] += 1
+            return lookup(self, *args)
+
+        def as_run(drive):
+            def run(*args):
+                in_run[0] = True
+                try:
+                    return drive(*args)
+                finally:
+                    in_run[0] = False
+            return run
+
+        monkeypatch.setattr(datasets._GuideTable, "lookup", counted)
+        for name in ("run_pro_rl", "run_pro_rl_bc"):
+            monkeypatch.setattr(suites, name, as_run(getattr(suites, name)))
+        for name, grid in grids.items():
+            run_experiment_suite(name, str(tmp_path / "warm" / name), seed=1, **grid)
+        assert lookups["outside runs"] > 0 and lookups["in a run"] == 0
+
     def test_equal_data_laws_share_one_sampler(self):
         inst = prepare(base_config())
         for over in ({"alpha": 0.5}, {"classes": RUN_VARIANTS["misspecified"]().classes},
@@ -1105,13 +1163,20 @@ class TestInstanceRegistry:
         arrays = list(_arrays([v for v in values if v not in samplers], set()))
         # the stability fixture's 5, its solves' 3, its limit weight and the capped occupancy
         assert len(arrays) == 10
-        # per sampler: three tables of 2, reward, d^D and the empty part's zeros; the kept fit
-        # and held counts, whose held transitions are those zeros when the held part is empty
+        # per sampler: three tables of 2, reward, d^D and the empty part's zeros; and the last
+        # seed's kept fit and held counts, whose held transitions are those zeros when the held
+        # part is empty
         for sampler in samplers:
-            held = list(_arrays(sampler, set()))
-            shared = sampler._last[1][1].transitions is sampler._no_transitions
-            assert len(held) == 9 + 6 - shared and sampler._last[0] is not None
-            arrays += held
+            kept = sampler._kept
+            assert kept and len({seed for _, _, seed, _ in kept}) == 1
+            for (n, n0, _, n1), (fit, held) in kept.items():
+                assert (fit.n, fit.n0, held.n, held.n0) == (n1, n0, n - n1, 0)
+                assert (held.transitions is sampler._no_transitions) == (n1 == n)
+            counts = {id(a) for parts in kept.values() for part in parts for a in part[3:]}
+            reached = list(_arrays(sampler, set()))
+            assert len(reached) == 9 + len(counts - {id(sampler._no_transitions)})
+            assert counts <= {id(a) for a in reached}
+            arrays += reached
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
