@@ -27,7 +27,12 @@ it. Each timing is one call:
   8,000, each cut at n1 = 60,000, n0 = 2,000), seeds alternating as above:
   ``count_sizes`` over all five in one pass, as the suite's sweep counts a
   seed, next to five lone ``count`` calls, which read and look up the shared
-  60,000+ cell draws once each;
+  60,000+ cell draws once each; the pass reads the five sizes' overlapping
+  next-state windows with one stream read a block;
+- rate_regularized's four sizes at one seed (n = n0 = 1e2, 1e3, 1e4 and
+  1e5, uncut), seeds alternating as above: ``count_sizes`` over all four in
+  one pass, as that suite's sweep counts a seed; their next-state windows
+  neither overlap nor touch, so each keeps its own reads;
 
 the kernels below run on counts drawn outside the timed call by
 ``DatasetSampler.count``, as a run draws them, so each timing is the work
@@ -132,6 +137,17 @@ def test_counting_a_seed_bc_scaling(benchmark, how):
     count = sampler.count_sizes if how == "one_pass" else lone_counts
     parts = benchmark(lambda: count(sizes, next(seeds)))
     assert [(fit.n, held.n) for fit, held in parts] == [(n1, n - n1) for n, _, _ in sizes]
+
+
+def test_counting_a_seed_rate_regularized(benchmark):
+    fx = rate_regularized_fixture()
+    mdp = resolve_mdp(fx["mdp"])
+    dd, _ = resolve_data_dist(mdp, fx["data_dist"])
+    sampler, seeds = DatasetSampler(mdp, dd), itertools.cycle((0, 1))
+    sizes = [(n, n, n) for n in (100, 1_000, 10_000, 100_000)]
+    parts = benchmark(lambda: sampler.count_sizes(sizes, next(seeds)))
+    assert [(fit.n, fit.inits.sum(), held.n) for fit, held in parts] == [
+        (n, n0, 0) for n, n0, _ in sizes]
 
 
 @pytest.mark.parametrize("n", [10_000, 100_000, 1_000_000])

@@ -4,15 +4,17 @@ A dataset is n i.i.d. transitions (s, a, r, s') with (s, a) ~ d^D and
 s' ~ P(.|s, a), plus n0 i.i.d. initial states ~ mu0. A ``DatasetSampler``
 builds exact inverse-CDF tables (guide tables, Chen & Asau 1974, equal to
 ``searchsorted``) once and draws each dataset from one PCG64 stream's raw
-words, so a (config, seed) pair pins the dataset bytes. It draws block by
-block and bins the blocks into a ``CountedDataset``, the counts the estimator
-reads, with reward sums R = N r, or joins them into an ``OfflineDataset``'s
-per-transition columns, which ``gen-data`` writes. Cells read the stream's first
-n draws, so at one seed every size's cells are a prefix of the largest's:
-``count_sizes`` bins a list of sizes in one pass that reads and looks up each
-cell draw once. It keeps its latest pass's counts, so a sweep that counts a
-seed's sizes before its runs bins each dataset once. ``law_counts`` gives the
-counts of the population law itself, the data of exact-frequency runs.
+words, so a (config, seed) pair pins the dataset bytes. A table answers flat
+tally ids, so a next-state lookup is the bin of N(s,a,s') itself. It draws
+block by block and bins the blocks into a ``CountedDataset``, the counts the
+estimator reads, with reward sums R = N r, or joins them into an
+``OfflineDataset``'s per-transition columns, which ``gen-data`` writes. Cells
+read the stream's first n draws, so at one seed every size's cells are a
+prefix of the largest's: ``count_sizes`` bins a list of sizes in one pass
+that reads and looks up each cell draw once, and reads the next-state words
+that several sizes draw once a block. It keeps its latest pass's counts, so a
+sweep that counts a seed's sizes before its runs bins each dataset once.
+``law_counts`` gives the counts of the population law, for exact-frequency runs.
 """
 
 from __future__ import annotations
@@ -97,8 +99,10 @@ class OfflineDataset:
                 fh.write(f"{int(s0)}\n")
 
 
-_GUIDE_BUCKETS = 1024  # K, a power of two, so u * K and b / K are exact
+_ROW_BUCKETS = 1024  # K of the next-state table, one row a cell: b / K and u * K are exact
+_ONE_ROW_BUCKETS = 8192  # the one-row cell and initial-state tables: 2^13 buckets, 64 KiB each
 _BLOCK = 16384  # draws per block: 128 KiB temporaries, not n long; smaller blocks cost more calls
+_MERGED = 2  # one read serves overlapping next-state windows of a block, up to _MERGED blocks long
 
 
 def _cumulative(probs: np.ndarray) -> np.ndarray:
@@ -110,38 +114,38 @@ def _cumulative(probs: np.ndarray) -> np.ndarray:
 
 
 class _GuideTable:
-    """``searchsorted(cum[row], u, side="right")`` for draws u in [0, 1), by guide table.
+    """``r * width + searchsorted(cum[r], u, side="right")`` for draws u in [0, 1) in row r.
 
-    Rows lie along cum's last axis, nondecreasing and ending at 1. A draw is a PCG64 word,
-    u = (word >> 11) 2^-53; packed[r, b] counts row r's entries <= b / K, its index in bucket
-    b = floor(u K) = word >> 54, or its complement (< 0) where draws form u and step on.
+    Rows lie along cum's last axis, nondecreasing and ending at 1; a lookup returns these flat
+    ids, so a next-state lookup is N's own bin. A draw is a PCG64 word, u = (word >> 11) 2^-53.
+    With K buckets a row, packed[r K + b] is the flat id of row r's entries <= b / K, the answer
+    of every draw in bucket b = floor(u K), the word's top log2 K bits; or its complement (< 0)
+    where draws form u and step on through the flat cum, as few do at large K.
     """
 
-    def __init__(self, cum: np.ndarray):
-        k = _GUIDE_BUCKETS
-        self.cum = cum.reshape(-1, cum.shape[-1])
-        num_rows, width = self.cum.shape
+    def __init__(self, cum: np.ndarray, buckets: int):
+        self.shift = np.uint64(65 - buckets.bit_length())  # buckets is a power of two
+        rows = cum.reshape(-1, cum.shape[-1])
+        (num_rows, width), ends = rows.shape, np.ceil(rows * buckets).astype(np.intp)
         # row r holds j on [ceil(cum_{j-1} K), ceil(cum_j K)), rows of K end to end
-        edges = np.zeros((num_rows, width + 2), dtype=np.intp)
-        edges[:, 1:-1] = np.ceil(self.cum * k)
-        edges[:, -1] = k
-        self.packed = np.repeat(np.tile(np.arange(width + 1), num_rows), np.diff(edges).ravel())
+        ids = np.arange(num_rows)[:, None] * width + np.arange(width + 1)
+        self.packed = np.repeat(ids.ravel(), np.diff(ends, prepend=0, append=buckets).ravel())
         # entry j lies in bucket ceil(cum_j K) - 1
-        at = (edges[:, 1:-1] + np.arange(num_rows)[:, None] * k - 1)[edges[:, 1:-1] > 0]
+        at = (ends + np.arange(num_rows)[:, None] * buckets - 1)[ends > 0]
         self.packed[at] = ~self.packed[at]
+        self.cum = rows.ravel()
         _read_only(self)  # a sampler is built once and draws many
 
-    def lookup(self, words: np.ndarray, rows=None) -> np.ndarray:
-        """The index of each draw (a uint64 word) in its row (row 0 if rows is None)."""
-        k = _GUIDE_BUCKETS
-        at = (words >> 54).view(np.intp)  # floor(u K), below 2^10, so the view is exact
-        if rows is not None:
-            at += rows * k
+    def lookup(self, words: np.ndarray, offsets=None) -> np.ndarray:
+        """The flat id of each draw (a uint64 word), in row offsets / K (row 0 if None)."""
+        at = (words >> self.shift).view(np.intp)  # floor(u K), below K, so the view is exact
+        if offsets is not None:
+            at += offsets
         out = self.packed.take(at)
         todo = np.flatnonzero(out < 0)
-        r, u, idx = at[todo] // k, (words[todo] >> 11) * 2.0**-53, ~out[todo]
-        # cum[r, -1] = 1 > u stops every draw by the row's last entry
-        while (step := self.cum[r, idx] <= u).any():
+        u, idx = (words[todo] >> 11) * 2.0**-53, ~out[todo]
+        # cum = 1 > u at each row's last entry stops every draw inside its row
+        while (step := self.cum[idx] <= u).any():
             idx += step
         out[todo] = idx
         return out
@@ -161,8 +165,7 @@ class _Uniforms:
 
 def _tally(out: np.ndarray, ids: np.ndarray) -> None:
     """Add the bincount of ids to out, whose bins must cover every id."""
-    counts = np.bincount(ids)
-    if counts.size > out.size:
+    if (counts := np.bincount(ids)).size > out.size:
         raise ValueError(f"sampled draws lie outside the tables: bin {counts.size - 1} of "
                          f"{out.size}")
     out[: counts.size] += counts
@@ -176,23 +179,22 @@ class DatasetSampler:
     def __init__(self, mdp: TabularMdp, data_dist):
         dd = data_dist_mass(mdp, data_dist)
         self.gamma, self.generating_dd = mdp.gamma, Occupancy(dd)
-        self.cells = _GuideTable(_cumulative(dd.ravel()))
-        self.next_states = _GuideTable(_cumulative(mdp.transition))
-        self.init_states = _GuideTable(_cumulative(mdp.init_dist))
+        self.cells = _GuideTable(_cumulative(dd.ravel()), _ONE_ROW_BUCKETS)
+        self.next_states = _GuideTable(_cumulative(mdp.transition), _ROW_BUCKETS)
+        self.init_states = _GuideTable(_cumulative(mdp.init_dist), _ONE_ROW_BUCKETS)
         self.reward = mdp.reward
         self._no_transitions = np.broadcast_to(np.intp(0), (*dd.shape, len(dd)))  # no memory
         self._kept = {}  # (n, n0, seed, n1) -> (fit, held), of the latest pass that binned
 
     def _transitions(self, uniforms: _Uniforms, n: int):
-        """(cells s * A + a, next states) of transitions [0, n), block by block.
-
-        Cells read draws [0, n) of the stream, next states [n, 2n) and initial
-        states [2n, 2n + n0): rng.random(n) twice, then rng.random(n0).
-        """
+        """(cells s * A + a, next states) of transitions [0, n), block by block. Cells read
+        draws [0, n) of the stream, next states [n, 2n) and initial states [2n, 2n + n0):
+        rng.random(n) twice, then rng.random(n0)."""
         for lo in range(0, n, _BLOCK):
             size = min(_BLOCK, n - lo)
             cells = self.cells.lookup(uniforms.read(lo, size))
-            yield cells, self.next_states.lookup(uniforms.read(n + lo, size), cells)
+            ids = self.next_states.lookup(uniforms.read(n + lo, size), cells * _ROW_BUCKETS)
+            yield cells, ids - cells * len(self.reward)
 
     def _inits(self, uniforms: _Uniforms, n: int, n0: int):
         """Initial states, block by block."""
@@ -212,12 +214,13 @@ class DatasetSampler:
 
         Every size's cells read a prefix of the stream, so each block of cell
         draws is read and looked up once, for all sizes; each size whose n
-        reaches the block then reads its own next states at n + lo and bins
-        them into its fit part (below n1) and held part, and each size bins its
-        initial states. With int sizes and seed the counts of the latest pass
-        that binned anything are kept, keyed by (n, n0, seed, n1), and a later
-        call returns a kept size again: the same read-only counts, binned once.
-        Temporaries are one block long; nothing is kept per transition.
+        reaches the block then bins its next states, words [n + lo, n + lo + m),
+        into its fit part (below n1) and held part, sizes whose windows overlap
+        or touch sharing one read (two blocks at most) of no word they skip.
+        Each size bins its initial states. With int sizes and seed the counts
+        of the latest pass that binned anything are kept, keyed by (n, n0, seed,
+        n1), and a later call for a kept size returns its read-only counts
+        again. Temporaries span one or two blocks; nothing is kept per transition.
         """
         sizes = [tuple(size) for size in sizes]
         for n, n0, n1 in sizes:
@@ -238,15 +241,22 @@ class DatasetSampler:
         uniforms, shape = _Uniforms(seed), self._no_transitions.shape
         counts = {(n, n0, n1): [np.zeros(shape, np.intp) if part else None for part in (n1, n - n1)]
                   for n, n0, n1 in sizes}
-        top = max(n for n, _, _ in sizes)
+        top, by_n = max(n for n, _, _ in sizes), sorted(counts.items())
         for lo in range(0, top, _BLOCK):
-            cells = self.cells.lookup(uniforms.read(lo, min(_BLOCK, top - lo)))
-            for (n, _, n1), parts in counts.items():
-                if n > lo:  # its own next states, cut at n1: a block may straddle the cut
-                    m = min(_BLOCK, n - lo)
-                    ids = cells[:m] * shape[0] + self.next_states.lookup(uniforms.read(n + lo, m),
-                                                                         cells[:m])
-                    cut = min(max(n1 - lo, 0), m)
+            offsets = self.cells.lookup(uniforms.read(lo, min(_BLOCK, top - lo))) * _ROW_BUCKETS
+            reads = []  # [start, stop, windows]; by n, a window starts and stops past the last
+            # each size past lo reads its own next states, [n + lo, n + lo + m)
+            for start, m, n1, parts in ((n + lo, min(_BLOCK, n - lo), n1, parts)
+                                        for (n, _, n1), parts in by_n if n > lo):
+                if not reads or start > reads[-1][1] or start + m > reads[-1][0] + _MERGED * _BLOCK:
+                    reads.append([start, start, []])  # apart from the read before, or too long
+                reads[-1][1] = start + m
+                reads[-1][2].append((start, m, n1, parts))
+            for first, stop, windows in reads:
+                words = uniforms.read(first, stop - first)
+                for start, m, n1, parts in windows:
+                    ids = self.next_states.lookup(words[start - first:][:m], offsets[:m])
+                    cut = min(max(n1 - lo, 0), m)  # a block may straddle the cut at n1
                     for part, chunk in zip(parts, (ids[:cut], ids[cut:])):
                         if chunk.size:
                             _tally(part.reshape(-1), chunk)

@@ -161,6 +161,7 @@ _BLOCK_KEYS = {
                        "a list of 'uniform', 'complement' and 'rollK' for integers K", ["uniform"]),
     }},
 }
+_MOST_ENTRIES = 2**31  # of a run's two largest arrays: the S*A*S counts and |V|*|W| payoffs
 _RUN_FIELDS = {"n": 1, "n0": 1, "seed": 0, "w_order": None}  # per run; Instance.config holds these
 
 
@@ -253,6 +254,14 @@ class ExperimentConfig:
         if self.bc is not None and not (n1 := _read("bc", self.bc, "n1", self.n)) < self.n:
             raise PipelineError("config", f"bc n1 must be below n, or the cloning split is empty, "
                                           f"got n1 = {n1} at n = {self.n}")
+        drawn = "num_distractors" in _BLOCK_KEYS["classes"][class_kind]  # |V| = |W| = it + 1
+        for what, entries in (
+                ("mdp num_states**2 * num_actions, the entries of the counts N(s,a,s')",
+                 self.mdp.get("num_states", 1) ** 2 * self.mdp.get("num_actions", 1)),
+                ("classes (num_distractors + 1)**2, the entries of the payoff matrix",
+                 (_read("classes", self.classes, "num_distractors") + 1) ** 2 if drawn else 1)):
+            if entries > _MOST_ENTRIES:
+                raise PipelineError("config", f"{what}, must be at most 2**31, got {entries}")
 
     def to_dict(self) -> dict:
         """The fields by name, leaving out bc and w_order when they are None."""

@@ -15,7 +15,8 @@ from oracles import (
 from prorl import datasets
 from prorl.datasets import (
     _BLOCK as B,
-    _GUIDE_BUCKETS as K,
+    _ONE_ROW_BUCKETS,
+    _ROW_BUCKETS,
     DatasetSampler,
     OfflineDataset,
     _cumulative,
@@ -30,6 +31,8 @@ from prorl.mdp import (
     random_mdp,
     uniform_policy,
 )
+from prorl.pipelines import resolve_data_dist, resolve_mdp
+from prorl.suites import bc_fixture, rate_regularized_fixture
 
 
 def behavior_distribution(mdp, seed=0):
@@ -142,65 +145,72 @@ def words_of(draws):
 
 
 def expected_searchsorted(cum, draws, rows):
+    """row * width + searchsorted(cum[row], u, side="right"), the flat id of each draw."""
     cum, draws = np.atleast_2d(cum), (words_of(draws) >> 11) * 2.0**-53
-    return np.array([np.searchsorted(cum[r], u, side="right") for u, r in zip(draws, rows)])
+    return np.array([r * cum.shape[1] + np.searchsorted(cum[r], u, side="right")
+                     for u, r in zip(draws, rows)])
 
 
-def lookup(cum, draws, rows=None):
-    return _GuideTable(np.asarray(cum)).lookup(words_of(draws), rows)
+def lookup(cum, draws, rows=None, buckets=_ROW_BUCKETS):
+    offsets = None if rows is None else np.asarray(rows) * buckets
+    return _GuideTable(np.asarray(cum), buckets).lookup(words_of(draws), offsets)
+
+
+WIDTHS = (_ROW_BUCKETS, _ONE_ROW_BUCKETS)  # the next-state table's, the one-row tables'
 
 
 class TestGuideTable:
-    """A prebuilt table's lookup equals searchsorted(cum[row], u, side="right") draw by draw,
-    for every draw u the generator can make: a multiple of 2**-53."""
+    """A prebuilt table's lookup equals row * width + searchsorted(cum[row], u, side="right")
+    draw by draw, at both guide widths, for every draw u the generator can make: a multiple of
+    2**-53. The crafted rows and draws are functions of the bucket count K."""
 
-    @pytest.mark.parametrize(
-        "cum, draws",
-        [
-            # draws exactly at bucket edges b / K and one generator step either side
-            (
-                [0.25, 0.5, 0.75, 1.0],
-                [0.0, 255 / K, 256 / K, 257 / K] + [0.5 - 2**-53, 0.5, 0.5 + 2**-53],
-            ),
-            # cumulative entries exactly on bucket edges, and draws between them
-            (
-                [3 / K, 4 / K, 700 / K, 1.0],
-                [2.5 / K, 3 / K, 3.5 / K, 4 / K, 699.9 / K, 700 / K, 0.9],
-            ),
-            # repeated cumulative values (zero-probability entries), leading zeros
-            ([0.0, 0.0, 0.1, 0.1, 0.1, 0.6, 0.6, 1.0], [0.0, 0.05, 0.1, 0.3, 0.6, 0.99]),
-            # several entries inside one bucket
-            (
-                [0.5, 0.5 + 1e-6, 0.5 + 2e-6, 0.5 + 3e-6, 1.0],
-                [0.5, 0.5 + 5e-7, 0.5 + 1e-6, 0.5 + 2.5e-6, 0.5 + 3e-6, 0.5 + 1e-5],
-            ),
-            # a one-entry row
-            ([1.0], [0.0, 0.5, np.nextafter(1.0, 0.0)]),
-        ],
-    )
+    # (row, draws) as functions of K, each case under the id it had when K was fixed
+    CRAFTED = [
+        # draws exactly at bucket edges b / K and one generator step either side
+        (lambda k: [0.25, 0.5, 0.75, 1.0],
+         lambda k: [0.0, 255 / k, 256 / k, 257 / k, 3 / k - 2**-53, 3 / k, 3 / k + 2**-53]
+         + [0.5 - 2**-53, 0.5, 0.5 + 2**-53]),
+        # cumulative entries exactly on bucket edges, and draws between them
+        (lambda k: [3 / k, 4 / k, 700 / k, 1.0],
+         lambda k: [2.5 / k, 3 / k, 3.5 / k, 4 / k, 699.9 / k, 700 / k, 0.9]),
+        # repeated cumulative values (zero-probability entries), leading zeros
+        (lambda k: [0.0, 0.0, 0.1, 0.1, 0.1, 0.6, 0.6, 1.0],
+         lambda k: [0.0, 0.05, 0.1, 0.3, 0.6, 0.99]),
+        # several entries inside one bucket
+        (lambda k: [0.5, 0.5 + 1e-6, 0.5 + 2e-6, 0.5 + 3e-6, 1.0],
+         lambda k: [0.5, 0.5 + 5e-7, 0.5 + 1e-6, 0.5 + 2.5e-6, 0.5 + 3e-6, 0.5 + 1e-5]),
+        # a one-entry row
+        (lambda k: [1.0], lambda k: [0.0, 0.5, np.nextafter(1.0, 0.0)]),
+    ]
+
+    @pytest.mark.parametrize("cum, draws", CRAFTED,
+                             ids=[f"cum{i}-draws{i}" for i in range(len(CRAFTED))])
     def test_crafted_rows(self, cum, draws):
-        cum, draws = np.asarray(cum), np.asarray(draws)
-        got = lookup(cum, draws)
-        want = expected_searchsorted(cum, draws, np.zeros(draws.size, int))
-        np.testing.assert_array_equal(got, want)
+        for buckets in WIDTHS:
+            row, u = np.asarray(cum(buckets)), np.asarray(draws(buckets))
+            got = lookup(row, u, buckets=buckets)
+            np.testing.assert_array_equal(got, expected_searchsorted(row, u, np.zeros(u.size, int)))
 
     def test_rows_pick_their_own_table(self):
         cum = np.array([[0.5, 1.0, 1.0], [0.0, 0.25, 1.0], [1.0, 1.0, 1.0]])
         draws = np.array([0.1, 0.1, 0.1, 0.6, 0.6, 0.6, 0.25, 0.25, 0.25])
         rows = np.array([0, 1, 2] * 3)
-        np.testing.assert_array_equal(
-            lookup(cum, draws, rows), expected_searchsorted(cum, draws, rows)
-        )
+        for buckets in WIDTHS:
+            np.testing.assert_array_equal(
+                lookup(cum, draws, rows, buckets), expected_searchsorted(cum, draws, rows)
+            )
 
     @given(
         width=st.integers(1, 12),
         num_rows=st.integers(1, 4),
         seed=st.integers(0, 2**32 - 1),
-        grid=st.sampled_from([16, 2048, 0]),
+        grid=st.sampled_from([16, 2048, 16384, 0]),
+        buckets=st.sampled_from(WIDTHS),
     )
-    def test_matches_searchsorted(self, width, num_rows, seed, grid):
-        # grid > 0 snaps entries and draws to multiples of 1/grid, so they sit
-        # on bucket edges (16, 2048) or crowd into one bucket (2048)
+    def test_matches_searchsorted(self, width, num_rows, seed, grid, buckets):
+        # grid > 0 snaps entries and draws to multiples of 1/grid, so they sit on bucket
+        # edges (16, and 2048 at 8192 buckets) or crowd into one bucket (2048 at 1024
+        # buckets, 16384)
         rng = np.random.default_rng(seed)
         cum = np.sort(rng.random((num_rows, width)), axis=1)
         draws = rng.random(200)
@@ -209,25 +219,30 @@ class TestGuideTable:
         cum[:, -1] = 1.0
         rows = rng.integers(num_rows, size=draws.size)
         np.testing.assert_array_equal(
-            lookup(cum, draws, rows), expected_searchsorted(cum, draws, rows)
+            lookup(cum, draws, rows, buckets), expected_searchsorted(cum, draws, rows)
         )
 
 
 class TestRawWords:
     """The sampler reads PCG64's raw words: numpy's double from a word is u = (word >> 11)
-    2**-53, so the word's top ten bits are the guide bucket floor(u K). A numpy that changes
-    that conversion fails here, not as drifted artifact digests."""
+    2**-53, so the word's top log2 K bits are the guide bucket floor(u K): 13 in the cell and
+    initial-state tables, 10 in the next-state table. A numpy that changes that conversion
+    fails here, not as drifted artifact digests."""
 
     @pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 + 7])
     @pytest.mark.parametrize("skip", [0, 5, B + 3, 2**100 + 1])
     def test_doubles_are_the_words_top_bits(self, seed, skip):
-        assert K == 2**10  # the lookup's bucket is word >> 54
+        sampler = DatasetSampler(*sparse_mdp_and_data(3, 2, 0, 0.0))
+        assert _ONE_ROW_BUCKETS == 2**13 and _ROW_BUCKETS == 2**10
+        assert sampler.cells.shift == sampler.init_states.shift == 51  # the bucket is word >> 51
+        assert sampler.next_states.shift == 54
         rng = np.random.default_rng(seed)
         rng.bit_generator.advance(skip)
         doubles = rng.random(5000)
         words = datasets._Uniforms(seed).read(skip, 5000)
         assert words.dtype == np.uint64
         np.testing.assert_array_equal(doubles, (words >> 11) * 2.0**-53)
+        np.testing.assert_array_equal(words >> 51, np.floor(doubles * 8192).astype(np.uint64))
         np.testing.assert_array_equal(words >> 54, np.floor(doubles * 1024).astype(np.uint64))
 
 
@@ -280,7 +295,8 @@ class TestReferenceSampler:
         np.testing.assert_array_equal(cum[0, :9], np.cumsum(law[0])[:9])
         assert np.all(np.diff(cum, axis=1) >= 0.0) and cum.max() == 1.0
         draws = np.array([0.25, 0.75, np.nextafter(1.0, 0.0)])
-        np.testing.assert_array_equal(lookup(cum, draws, np.full(3, 2)), [0, 1, 1])
+        np.testing.assert_array_equal(lookup(cum, draws, np.full(3, 2)),
+                                      2 * cum.shape[1] + np.array([0, 1, 1]))  # row 2's ids
 
 
 class TestDatasetSampler:
@@ -498,6 +514,96 @@ class TestSeedPass:
             assert fit.inits.sum() == n0
 
 
+def recorded_reads(monkeypatch) -> list:
+    """The (offset, size) of every stream read from here on, in order."""
+    reads, read = [], datasets._Uniforms.read
+
+    def recording(self, offset, size):
+        reads.append((offset, size))
+        return read(self, offset, size)
+
+    monkeypatch.setattr(datasets._Uniforms, "read", recording)
+    return reads
+
+
+def fixture_law(fx) -> tuple:
+    """A suite fixture's MDP and data distribution d^D."""
+    mdp = resolve_mdp(fx["mdp"])
+    return mdp, resolve_data_dist(mdp, fx["data_dist"])[0]
+
+
+def assert_lone_counts(mdp, dd, sizes, got, seed):
+    """Each size's parts in got are byte for byte a fresh sampler's lone count."""
+    for (n, n0, n1), parts in zip(sizes, got):
+        want = DatasetSampler(mdp, dd).count(n, n0, seed, n1)
+        for part, ref in zip(parts, want):
+            assert (part.n, part.n0) == (ref.n, ref.n0)
+            for name in ("transitions", "rewards", "inits"):
+                assert getattr(part, name).tobytes() == getattr(ref, name).tobytes()
+
+
+class TestSharedReads:
+    """In a block, the next-state windows [n + lo, n + lo + m) of sizes that overlap or touch
+    share one stream read, at most two blocks long; the others keep their own, so no pass reads
+    a word no size draws."""
+
+    def test_bc_scaling_reads_its_next_states_once_a_block(self, monkeypatch):
+        # bc_scaling's seed pass: n = 60,000 + n2 for n2 = 500 ... 8,000, each cut at
+        # n1 = 60,000, with n0 = 2,000: every block's windows overlap
+        (mdp, dd), n1 = fixture_law(bc_fixture()), bc_fixture()["bc"]["n1"]
+        sizes = [(n1 + n2, 2_000, n1) for n2 in (500, 1_000, 2_000, 4_000, 8_000)]
+        reads = recorded_reads(monkeypatch)
+        got = DatasetSampler(mdp, dd).count_sizes(sizes, 3)
+        top, want = max(n for n, _, _ in sizes), []
+        for lo in range(0, top, B):
+            live = [n for n, _, _ in sizes if n > lo]
+            stop = max(n + lo + min(B, n - lo) for n in live)
+            want += [(lo, min(B, top - lo)), (min(live) + lo, stop - min(live) - lo)]
+        assert reads == want + [(2 * n, n0) for n, n0, _ in sizes]  # then the initial states
+        monkeypatch.undo()
+        assert_lone_counts(mdp, dd, sizes, got, 3)
+
+    def test_rate_regularized_reads_no_more_words_than_lone_windows(self, monkeypatch):
+        # n = 1e2 ... 1e5: no two windows overlap or touch, so a read spanning the gaps
+        # between them would read words no size draws
+        sizes = [(n, n, n) for n in (100, 1_000, 10_000, 100_000)]
+        sampler = DatasetSampler(*fixture_law(rate_regularized_fixture()))
+        reads = recorded_reads(monkeypatch)
+        sampler.count_sizes(sizes, 3)
+        cells, windows = max(n for n, _, _ in sizes), sum(n + n0 for n, n0, _ in sizes)
+        assert sum(size for _, size in reads) <= cells + windows
+
+    def test_a_read_spans_at_most_two_blocks(self, monkeypatch):
+        # at blocks of 4, the first block's windows are [10, 14) and [13, 17), which overlap;
+        # [16, 20), which overlaps but would stretch that read to 10 words, past 8; [20, 24),
+        # which touches it; and [30, 34), past a gap
+        mdp, dd = sparse_mdp_and_data(*TestSeedPass.FIXTURES["dense"])
+        sizes = [(16, 1, 9), (10, 1, 10), (30, 2, 30), (13, 1, 5), (20, 0, 20)]
+        reads = recorded_reads(monkeypatch)
+        with mock.patch.object(datasets, "_BLOCK", 4):
+            got = DatasetSampler(mdp, dd).count_sizes(sizes, 8)
+        assert reads[:8] == [(0, 4), (10, 7), (16, 8), (30, 4),  # cells, then three reads
+                             (4, 4), (14, 7), (20, 8), (34, 4)]  # the same a block on
+        monkeypatch.undo()
+        with mock.patch.object(datasets, "_BLOCK", 4):
+            assert_lone_counts(mdp, dd, sizes, got, 8)
+
+    def test_a_clustered_pass_holds_no_per_transition_array(self, monkeypatch):
+        # eight sizes 2,000 apart near 1e6: each block reads its cells and one next-state window
+        mdp, dd = sparse_mdp_and_data(*TestSeedPass.FIXTURES["dense"])
+        sampler = DatasetSampler(mdp, dd)
+        sizes = [(986_000 + 2_000 * i, 16_000, 986_000 - 50_000 * i) for i in range(8)]
+        reads = recorded_reads(monkeypatch)
+        tracemalloc.start()
+        got = sampler.count_sizes(sizes, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 2 * 2**20  # one column of 1e6 int64 alone is 7.6 MiB
+        assert len(reads) == 2 * len(range(0, 1_000_000, B)) + len(sizes)  # n0 < B: one read
+        monkeypatch.undo()
+        assert_lone_counts(mdp, dd, sizes, got, 5)
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         mdp = random_mdp(4, 2, 0.85, seed=9)
@@ -632,14 +738,17 @@ class TestCounts:
 
     @pytest.mark.parametrize("table", ["next_states", "init_states"], ids=["next", "init"])
     def test_draw_past_the_tables_raises(self, table):
-        # a corrupt table entry answers state 3 of 3, so the counting kernel's
-        # bincount comes out longer than the counts' shape allows
+        # a corrupt table row answers the flat id one past the counts' last bin: 3 * 2 * 3
+        # for N, 3 for N0, so the counting kernel's bincount comes out longer than the
+        # counts' shape allows
         dd = np.zeros((3, 2))
         dd[2, 1] = 1.0  # every transition at the last cell, whose row ends the table
         sampler = DatasetSampler(random_mdp(3, 2, 0.9, seed=4), dd)
         guide = getattr(sampler, table)
         guide.packed = guide.packed.copy()  # the sampler's own tables are read-only
-        guide.packed[-K:] = 3
+        row, past = {"next_states": (_ROW_BUCKETS, 18), "init_states": (_ONE_ROW_BUCKETS, 3)}[table]
+        assert guide.packed.size % row == 0  # packed[-row:] is the table's last row
+        guide.packed[-row:] = past
         with pytest.raises(ValueError, match="outside the tables"):
             sampler.count(10, 4, seed=0)
         with pytest.raises(ValueError, match="outside the tables"):  # a pass over three sizes

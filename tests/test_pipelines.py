@@ -370,6 +370,39 @@ class TestConfigEdges:
             run_pro_rl(ExperimentConfig.from_dict(json.loads(json.dumps(payload))))
         assert info.value.stage == "config"
 
+    @pytest.mark.parametrize(
+        "over, want",
+        [
+            ({"classes": {**CLASSES_SPEC, "num_distractors": 2**40}},
+             r"^\[config\] classes \(num_distractors \+ 1\)\*\*2, the entries of the payoff "
+             r"matrix, must be at most 2\*\*31, got 1208925819616828197961729$"),
+            ({"classes": {"kind": "misspecified", "perturbation": 0.1, "num_distractors": 46340}},
+             r"^\[config\] classes \(num_distractors \+ 1\)\*\*2, .* got 2147488281$"),
+            ({"mdp": {**MDP_SPEC, "num_states": 2**40}},
+             r"^\[config\] mdp num_states\*\*2 \* num_actions, the entries of the counts "
+             r"N\(s,a,s'\), must be at most 2\*\*31, got 3626777458843887524118528$"),
+            ({"mdp": {**MDP_SPEC, "num_states": 26755, "num_actions": 3}},
+             r"^\[config\] mdp num_states\*\*2 \* num_actions, .* got 2147490075$"),
+        ],
+        ids=["distractors_at_2_40", "distractors_past_2_31", "states_at_2_40", "states_past_2_31"],
+    )
+    def test_a_run_past_2_31_array_entries_fails_before_any_array(self, over, want):
+        # num_distractors = 2**40 once passed config and then drew members until memory ran
+        # out; num_states = 2**40 failed at [mdp] on numpy's allocation error. The config
+        # alone is read here, so a check that let either through could not allocate
+        payload = {**base_config().to_dict(), **over}
+        with pytest.raises(PipelineError, match=want) as info:
+            ExperimentConfig.from_dict(json.loads(json.dumps(payload)))
+        assert info.value.stage == "config"
+
+    @pytest.mark.parametrize("classes, mdp", [({"num_distractors": 46339}, {}),
+                                              ({}, {"num_states": 26754, "num_actions": 3})],
+                             ids=["distractors", "states"])
+    def test_arrays_of_2_31_entries_pass_config(self, classes, mdp):
+        payload = {**base_config().to_dict(), "classes": {**CLASSES_SPEC, **classes},
+                   "mdp": {**MDP_SPEC, **mdp}}
+        ExperimentConfig.from_dict(json.loads(json.dumps(payload)))
+
     @pytest.mark.parametrize("over", [{"seed": 2**63}, {"seed": 10**400},
                                       {"mdp": {**MDP_SPEC, "seed": 2**64}},
                                       {"classes": {**CLASSES_SPEC, "seed": 2**63}}],
