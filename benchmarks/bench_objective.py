@@ -44,8 +44,10 @@ that depends on the class sizes and S, A only, whatever n is:
 - ``bc_objective_matrix`` at the bc_scaling suite's size (5 states,
   3 actions, 41 policies and their witness set, largest held-out n2 = 8000),
   and ``clone_policy`` at the same size, as a run clones: past the first
-  round the witness set and every policy's contraction h^pi come from the
-  policy class's tables, so each timing is one run's share.
+  round the difference table h^pi(s) - h(s, a) of every policy, witness and
+  cell (P·H·S·A floats, 41·23·15 here) comes from the policy class's
+  ``tables``, so each timing is one run's share: one gather of the covered
+  cells and one stacked product.
 
 and whole runs:
 
@@ -171,7 +173,7 @@ def test_bc_objective_bc_scaling(benchmark):
     policies = _resolve_policy_class(fx["bc"], sol.pi_star, mdp.num_actions)
     held = DatasetSampler(mdp, dd).count(8000, 0, seed=0)[0]
     out = benchmark(bc_objective_matrix, sol.w_star, held, policies)
-    assert out.shape == (41, len(policies.tables[0]))
+    assert out.shape == (41, policies.tables.shape[2])
 
 
 def test_clone_policy_bc_scaling(benchmark):

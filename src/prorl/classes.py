@@ -141,18 +141,20 @@ class WeightClass:
         )
 
 
-def _witness_tables(h_stack: np.ndarray, members) -> tuple:
-    """Read-only witnesses (H, S, A) and each h^pi(s) = sum_a pi(a|s) h(s, a), (P, H, S)."""
-    return _read_only((h_stack, np.stack([np.einsum("hsa,sa->hs", h_stack, pi.probs)
-                                          for pi in members])))
+def _witness_tables(h_stack: np.ndarray, members) -> np.ndarray:
+    """Read-only h^pi(s) - h(s, a), h^pi(s) = sum_a pi(a|s) h(s, a), laid out (P, S*A, H): the
+    covered cells' rows, transposed, are each policy's Fortran-ordered (H, m) product operand."""
+    diff = np.stack([np.einsum("hsa,sa->hs", h_stack, pi.probs)[:, :, None] - h_stack
+                     for pi in members])  # (P, H, S, A)
+    return _read_only(np.ascontiguousarray(diff.reshape(*diff.shape[:2], -1).transpose(0, 2, 1)))
 
 
 @dataclass(frozen=True)
 class PolicyClass:
     """Finite set of policies the cloning stage fits over.
 
-    `tables` holds the class's own witness set, stacked, with every member's
-    h^pi: built on first read, so a cloning run contracts nothing.
+    `tables` holds h^pi(s) - h(s, a) for every member, witness of the class's own set and
+    cell, P*H*S*A floats: built on first read, so a cloning run contracts nothing.
     """
 
     members: tuple

@@ -43,22 +43,19 @@ def bc_objective_matrix(w_hat, data: CountedDataset, policies: PolicyClass) -> n
     Entry [i, j] averages w_hat(s, a) * (h_j^{pi_i}(s) - h_j(s, a)) over the
     dataset transitions, where h^pi(s) is the policy's expected witness
     value at s, as a sum over covered cells weighted by the counts N(s, a).
-    The witnesses are the policy class's own, whose tables the class keeps
-    with every policy's h^pi, so a run contracts nothing.
+    The witnesses are the policy class's own, whose differences the class
+    keeps as one table, so a run gathers its covered cells and takes one
+    stacked product.
     """
     if data.n == 0:
         raise ValueError("cloning needs a nonempty dataset (n=0)")
     w_hat = np.asarray(w_hat, dtype=float)
-    h_stack, h_pis = policies.tables
     n_sa = data.checked(*w_hat.shape).transitions.sum(axis=2)
     pos = n_sa > 0
-    cell_states = np.nonzero(pos)[0]
-    weights = n_sa[pos] * w_hat[pos]  # (m,)
-    h_cells = h_stack[:, pos]  # (H, m)
-    # one product per policy: a matmul batched over the policies rounds otherwise, and one
-    # layout, so the product's summation order does not hang on what the gather returns
-    return np.stack([np.asfortranarray(h_pi[:, cell_states] - h_cells) @ weights
-                     for h_pi in h_pis]) / data.n
+    # each policy's (H, m) slice Fortran-ordered, whatever layout the gather returns: a
+    # product's summation order hangs on its operand's layout
+    diffs = np.ascontiguousarray(policies.tables.take(np.flatnonzero(pos), axis=1))
+    return diffs.transpose(0, 2, 1) @ (n_sa[pos] * w_hat[pos]) / data.n
 
 
 def clone_policy(w_hat, data: CountedDataset, policies: PolicyClass) -> Policy:

@@ -68,17 +68,17 @@ class TabularMdp:
             raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
         row_sums = self.transition.sum(axis=2)
         worst = np.abs(row_sums - 1.0).max()
-        if worst > _ROW_SUM_TOL:
+        if not worst <= _ROW_SUM_TOL:  # NaN fails, as in every check below
             bad = np.unravel_index(np.abs(row_sums - 1.0).argmax(), row_sums.shape)
             raise ValueError(
                 f"transition rows must sum to 1 (worst deviation {worst:.3e} at "
                 f"state {bad[0]}, action {bad[1]})"
             )
-        if self.transition.min() < 0.0:
+        if not self.transition.min() >= 0.0:
             raise ValueError("transition entries must be nonnegative")
-        if self.reward.min() < 0.0 or self.reward.max() > 1.0:
+        if not (self.reward.min() >= 0.0 and self.reward.max() <= 1.0):
             raise ValueError("rewards must lie in [0, 1]")
-        if self.init_dist.min() < 0.0 or abs(self.init_dist.sum() - 1.0) > 1e-9:
+        if not (self.init_dist.min() >= 0.0 and abs(self.init_dist.sum() - 1.0) <= 1e-9):
             raise ValueError("init_dist must be a distribution over states")
 
     def to_dict(self) -> dict:
@@ -123,10 +123,10 @@ class Policy:
         object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
         if self.probs.ndim != 2:
             raise ValueError("policy probs must be a (S, A) matrix")
-        if self.probs.min() < 0.0:
+        if not self.probs.min() >= 0.0:  # NaN fails
             raise ValueError("policy probabilities must be nonnegative")
         dev = np.abs(self.probs.sum(axis=1) - 1.0).max()
-        if dev > _ROW_SUM_TOL:
+        if not dev <= _ROW_SUM_TOL:
             raise ValueError(f"policy rows must sum to 1 (worst deviation {dev:.3e})")
 
     @property

@@ -262,6 +262,10 @@ class ExperimentConfig:
                  (_read("classes", self.classes, "num_distractors") + 1) ** 2 if drawn else 1)):
             if entries > _MOST_ENTRIES:
                 raise PipelineError("config", f"{what}, must be at most 2**31, got {entries}")
+        if (self.bc is not None and "complement" in _read("bc", self.bc, "directions")
+                and self.mdp.get("num_actions", 2) < 2):  # a counterexample mdp has 2
+            raise PipelineError("config", "the bc direction 'complement' needs at least 2 actions: "
+                                          "at 1 the reference avoids no action")
 
     def to_dict(self) -> dict:
         """The fields by name, leaving out bc and w_order when they are None."""

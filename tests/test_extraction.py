@@ -172,32 +172,47 @@ class TestClonePolicy:
         built = []
         monkeypatch.setattr(classes, "witness_class",
                             lambda policies: built.append(policies) or witness_class(policies))
-        for _ in range(2):  # the second run reads the class's tables
+        for _ in range(2):  # the second run reads the class's table
             bc_objective_matrix(sol.w_star, data, pc)
         assert built == [pc]
-        h_stack, h_pis = pc.tables
-        fresh = witness_class(pc)
-        assert len(h_stack) == len(fresh)
-        for h_table, h_fresh in zip(h_stack, fresh):
-            np.testing.assert_array_equal(h_table, h_fresh)
-        # the contraction h^pi of every policy, bit for bit as a per-policy einsum
-        assert h_pis.shape == (len(pc), len(fresh), 4)
-        for h_pi, pi in zip(h_pis, pc.members):
-            want = np.einsum("hsa,sa->hs", np.stack(fresh), pi.probs)
-            assert h_pi.tobytes() == want.tobytes()
-        assert not h_stack.flags.writeable and not h_pis.flags.writeable
+        table = pc.tables
+        assert table is pc.tables and not table.flags.writeable
+        fresh = np.stack(witness_class(pc))  # (H, S, A)
+        assert table.shape == (len(pc), 4 * 2, len(fresh))
+        # each entry h^pi(s) - h(s, a), bit for bit, with h^pi the per-policy einsum
+        for diffs, pi in zip(table, pc.members):
+            h_pi = np.einsum("hsa,sa->hs", fresh, pi.probs)
+            for s in range(4):
+                for a in range(2):
+                    assert diffs[2 * s + a].tobytes() == (h_pi[:, s] - fresh[:, s, a]).tobytes()
 
 
 class CGathers(np.ndarray):
-    """Contractions h^pi whose gathers come back C-ordered, as another numpy's might."""
+    """Difference tables whose gathers give each policy's (H, m) slice C-ordered, as another
+    numpy's might."""
 
-    def __getitem__(self, key):
-        out = super().__getitem__(key)
-        return out if isinstance(key, (int, np.integer)) else np.ascontiguousarray(out)
+    def take(self, indices, axis=None, out=None, mode="raise"):
+        out = np.asarray(self).take(indices, axis=axis)  # (P, m, H)
+        return np.ascontiguousarray(out.transpose(0, 2, 1)).transpose(0, 2, 1)
 
 
 class TestCloningLayout:
     """The cloning product's bytes hang on the values alone, not on the gather's layout."""
+
+    def assert_product_matches(self, monkeypatch, gather, data, pc, witnesses, w_hat):
+        h_stack = np.stack(witnesses)
+        h_pis = np.stack([np.einsum("hsa,sa->hs", h_stack, pi.probs) for pi in pc.members])
+        table = classes._witness_tables(h_stack, pc.members)
+        # the class's table, built on first read, holds the random witnesses
+        monkeypatch.setattr(classes, "_witness_tables", lambda h, members: (
+            table.view(CGathers) if gather == "c_ordered" else table))
+        n_sa = data.transitions.sum(axis=2)
+        pos = n_sa > 0
+        cells, weights = np.nonzero(pos)[0], n_sa[pos] * w_hat[pos]
+        want = np.stack([np.asfortranarray(h_pi[:, cells] - h_stack[:, pos]) @ weights
+                         for h_pi in h_pis]) / data.n
+        got = bc_objective_matrix(w_hat, data, pc)
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("gather", ["numpy", "c_ordered"])
     @pytest.mark.parametrize("seed", range(12))
@@ -212,14 +227,34 @@ class TestCloningLayout:
                                for _ in range(int(rng.integers(1, 4)))))
         witnesses = [rng.uniform(-1.0, 1.0, mdp.reward.shape) for _ in range(num_witnesses)]
         w_hat = rng.uniform(0.0, 3.0, mdp.reward.shape)
-        h_stack, h_pis = classes._witness_tables(np.stack(witnesses), pc.members)
-        # the class's tables, built on first read, hold the random witnesses
-        monkeypatch.setattr(classes, "_witness_tables", lambda h, members: (
-            h_stack, h_pis.view(CGathers) if gather == "c_ordered" else h_pis))
-        n_sa = data.transitions.sum(axis=2)
-        pos = n_sa > 0
-        cells, weights = np.nonzero(pos)[0], n_sa[pos] * w_hat[pos]
-        want = np.stack([np.asfortranarray(h_pi[:, cells] - h_stack[:, pos]) @ weights
-                         for h_pi in h_pis]) / data.n
-        got = bc_objective_matrix(w_hat, data, pc)
-        assert got.tobytes() == want.tobytes()
+        self.assert_product_matches(monkeypatch, gather, data, pc, witnesses, w_hat)
+
+    @pytest.mark.parametrize("gather", ["numpy", "c_ordered"])
+    @pytest.mark.parametrize(
+        "num_states, num_actions, num_policies, num_witnesses, covered",
+        [(4, 3, 1, 5, "some"), (4, 3, 3, 1, "some"), (1, 1, 1, 1, "all"), (6, 3, 2, 4, "one"),
+         (30, 3, 3, 6, "one"), (6, 1, 3, 5, "some"), (5, 3, 4, 23, "all"), (30, 4, 5, 9, "all"),
+         (30, 2, 2, 7, "some")],
+        ids=["one_policy", "one_witness", "one_of_everything", "one_covered_cell",
+             "one_covered_cell_s30", "one_action", "every_cell", "every_cell_s30", "s30"],
+    )
+    def test_edge_shapes(self, gather, num_states, num_actions, num_policies, num_witnesses,
+                         covered, monkeypatch):
+        rng = np.random.default_rng(100 * num_states + 10 * num_actions + num_witnesses)
+        mdp = random_mdp(num_states, num_actions, 0.9, seed=num_states)
+        shape, cells = mdp.reward.shape, num_states * num_actions
+        if covered == "one":
+            dd = np.eye(1, cells, int(rng.integers(cells)))
+        elif covered == "all":
+            dd = np.full(cells, 1.0 / cells)
+        else:  # about half the cells, the first always
+            dd = rng.uniform(0.1, 1.0, cells) * (rng.random(cells) < 0.5)
+            dd[0] = 1.0
+        data = law_counts(mdp, (dd / dd.sum()).reshape(shape), 1000, 1)
+        assert (data.transitions.sum(axis=2) > 0).sum() == {"one": 1, "all": cells}.get(
+            covered, np.count_nonzero(dd))
+        pc = PolicyClass(tuple(Policy(rng.dirichlet(np.ones(num_actions), size=num_states))
+                               for _ in range(num_policies)))
+        witnesses = [rng.uniform(-1.0, 1.0, shape) for _ in range(num_witnesses)]
+        self.assert_product_matches(monkeypatch, gather, data, pc, witnesses,
+                                    rng.uniform(0.0, 3.0, shape))

@@ -53,6 +53,20 @@ class TestValidation:
         with pytest.raises(ValueError, match="nonnegative"):
             Policy(np.array([[1.5, -0.5]]))
 
+    @pytest.mark.parametrize("field, want", [("reward", "rewards"), ("transition", "sum to 1"),
+                                             ("init_dist", "init_dist"), ("policy", "nonnegative")])
+    def test_nan_rejected(self, field, want):
+        # each once passed: a comparison with NaN is False, so only the NaN-failing form holds
+        mdp = random_mdp(3, 2, 0.9, seed=0)
+        tables = {"transition": mdp.transition.copy(), "reward": mdp.reward.copy(),
+                  "init_dist": mdp.init_dist.copy(), "policy": np.full((3, 2), 0.5)}
+        tables[field][1, ...] = np.nan  # a whole row, or one entry of init_dist
+        with pytest.raises(ValueError, match=want):
+            if field == "policy":
+                Policy(tables["policy"])
+            else:
+                TabularMdp(3, 2, tables["transition"], tables["reward"], 0.9, tables["init_dist"])
+
     @pytest.mark.parametrize("probs", [[[1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]],
                              ids=["one_row", "two_rows"])
     def test_policy_shape_must_match_the_mdp(self, probs):

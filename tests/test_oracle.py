@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -264,10 +265,14 @@ def with_feasibility(draws):
     return [(draw, covered_flow_feasible(draw[0], draw[1], draw[3])) for draw in draws]
 
 
-def hard_family(seed):
-    """The 48 draws of hard_instance from default_rng(seed), with their feasibility."""
+def hard_family(seed, gamma=None):
+    """The 48 draws of hard_instance from default_rng(seed), with their feasibility; at a
+    given gamma every draw's MDP takes that discount, its data mass kept as drawn."""
     rng = np.random.default_rng(seed)
-    return with_feasibility([hard_instance(rng) for _ in range(48)])
+    draws = [hard_instance(rng) for _ in range(48)]
+    if gamma is not None:
+        draws = [(replace(mdp, gamma=gamma), *rest) for mdp, *rest in draws]
+    return with_feasibility(draws)
 
 
 class TestHardInstances:
@@ -278,6 +283,8 @@ class TestHardInstances:
         [
             pytest.param(lambda: hard_family(0), id="hard_seed0"),
             pytest.param(lambda: hard_family(3), id="hard_seed3"),
+            # a 100-step horizon: 35 feasible and 13 infeasible draws
+            pytest.param(lambda: hard_family(0, gamma=0.99), id="hard_gamma99"),
             pytest.param(
                 lambda: with_feasibility([low_alpha_instance(k) for k in range(200)]),
                 id="low_alpha",

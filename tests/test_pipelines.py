@@ -235,6 +235,18 @@ class TestConfigValidation:
                                                              "complement"]}
         assert len(prepare(base_config(n=2500, bc=bc)).policies) == 1 + 4
 
+    @pytest.mark.parametrize("mdp", [{**base_config().mdp, "num_actions": 1},
+                                     {"kind": "inline", **random_mdp(3, 1, 0.8, seed=1).to_dict()}],
+                             ids=["random", "inline"])
+    def test_complement_direction_needs_two_actions(self, mdp):
+        # at one action 1 - pi is 0, and the 0/0 direction once put a NaN policy in the class,
+        # which cloning then picked: pi_l1_bc read nan
+        want = r"^\[config\] the bc direction 'complement' needs at least 2 actions"
+        with pytest.raises(PipelineError, match=want) as info:
+            base_config(mdp=mdp, n=2500, bc={"n1": 2000, "directions": ["uniform", "complement"]})
+        assert info.value.stage == "config"
+        assert len(prepare(base_config(mdp=mdp, n=2500, bc={"n1": 2000})).policies) == 1 + 3
+
     @pytest.mark.parametrize("spec", [
         {"kind": "realizable", "num_distractors": -3},
         {"kind": "misspecified", "perturbation": 0.05, "num_distractors": -3},
@@ -490,6 +502,22 @@ class TestResolvers:
         with pytest.raises(PipelineError, match=r"policy shape \(1, 3\) .* \(5, 3\)") as info:
             prepare(base_config(data_dist={"kind": "policy", "probs": [[1.0, 0.0, 0.0]]}))
         assert info.value.stage == "data_dist"
+
+    @pytest.mark.parametrize("block, key, want", [
+        ("mdp", "reward", "rewards"), ("mdp", "transition", "sum to 1"),
+        ("mdp", "init_dist", "init_dist"), ("data_dist", "probs", "policy probabilities")])
+    def test_a_nan_in_a_config_file_fails_at_its_block(self, block, key, want, tmp_path):
+        # json.load reads NaN literals, and the MDP and policy checks once let each through
+        specs = {"mdp": {"kind": "inline", **random_mdp(3, 2, 0.8, seed=1).to_dict()},
+                 "data_dist": {"kind": "policy", "probs": [[0.5, 0.5]] * 3}}
+        table = np.array(specs[block][key])
+        table.flat[0] = np.nan
+        specs[block][key] = table.tolist()
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**base_config().to_dict(), **specs}))
+        with pytest.raises(PipelineError, match=want) as info:
+            run_pro_rl(ExperimentConfig.from_json(str(path)))
+        assert info.value.stage == block
 
     def test_explicit_data_dist_must_normalize(self):
         mdp = random_mdp(3, 2, 0.8, seed=0)
